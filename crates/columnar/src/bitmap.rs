@@ -116,6 +116,13 @@ impl Bitmap {
         }
     }
 
+    /// Intersect with `other` in place; bits past `other`'s end clear.
+    pub fn intersect_with(&mut self, other: &Bitmap) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w &= other.words.get(i).copied().unwrap_or(0);
+        }
+    }
+
     /// Iterate over the indices of set bits, ascending.
     pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -167,9 +174,19 @@ impl Bitmap {
 
 impl FromIterator<bool> for Bitmap {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
+        // A word at a time: masks are built from whole value vectors.
         let mut b = Bitmap::new();
+        let mut word = 0u64;
         for bit in iter {
-            b.push(bit);
+            word |= u64::from(bit) << (b.len % 64);
+            b.len += 1;
+            if b.len.is_multiple_of(64) {
+                b.words.push(word);
+                word = 0;
+            }
+        }
+        if !b.len.is_multiple_of(64) {
+            b.words.push(word);
         }
         b
     }

@@ -5,7 +5,7 @@
 //! (see [`file`](crate::file)); every encoding here is self-contained and
 //! round-trips exactly.
 
-use crate::{ColumnarError, ColumnarResult};
+use crate::{ColumnarError, ColumnarResult, StrVec};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Write an unsigned LEB128 varint.
@@ -23,13 +23,22 @@ pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
 
 /// Read an unsigned LEB128 varint.
 pub fn get_uvarint(buf: &mut Bytes) -> ColumnarResult<u64> {
+    let mut pos = 0;
+    let v = get_uvarint_at(buf.as_ref(), &mut pos);
+    buf.advance(pos);
+    v
+}
+
+/// [`get_uvarint`] over a slice, from `*pos` on: a chunk decoder reads
+/// its whole payload this way and advances the buffer once.
+fn get_uvarint_at(bytes: &[u8], pos: &mut usize) -> ColumnarResult<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
+        let Some(&byte) = bytes.get(*pos) else {
             return Err(ColumnarError::corrupt("truncated varint"));
-        }
-        let byte = buf.get_u8();
+        };
+        *pos += 1;
         if shift >= 64 {
             return Err(ColumnarError::corrupt("varint overflow"));
         }
@@ -64,14 +73,16 @@ pub fn encode_delta_i64(values: &[i64], buf: &mut BytesMut) {
 
 /// Decode [`encode_delta_i64`] output.
 pub fn decode_delta_i64(buf: &mut Bytes) -> ColumnarResult<Vec<i64>> {
-    let n = get_uvarint(buf)? as usize;
+    let (bytes, mut pos) = (buf.as_ref(), 0);
+    let n = get_uvarint_at(bytes, &mut pos)? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     let mut prev = 0i64;
     for _ in 0..n {
-        let delta = unzigzag(get_uvarint(buf)?);
+        let delta = unzigzag(get_uvarint_at(bytes, &mut pos)?);
         prev = prev.wrapping_add(delta);
         out.push(prev);
     }
+    buf.advance(pos);
     Ok(out)
 }
 
@@ -133,40 +144,46 @@ pub fn decode_plain_f64(buf: &mut Bytes) -> ColumnarResult<Vec<f64>> {
 }
 
 /// Encode strings as length-prefixed UTF-8, back to back.
-pub fn encode_plain_str(values: &[String], buf: &mut BytesMut) {
+pub fn encode_plain_str(values: &StrVec, buf: &mut BytesMut) {
     put_uvarint(buf, values.len() as u64);
-    for v in values {
+    for v in values.iter() {
         put_uvarint(buf, v.len() as u64);
         buf.put_slice(v.as_bytes());
     }
 }
 
+/// One length-prefixed UTF-8 string, borrowed from `bytes` at `*pos`.
+fn get_str<'a>(bytes: &'a [u8], pos: &mut usize, what: &str) -> ColumnarResult<&'a str> {
+    let len = get_uvarint_at(bytes, pos)? as usize;
+    let raw = pos
+        .checked_add(len)
+        .and_then(|end| bytes.get(*pos..end))
+        .ok_or_else(|| ColumnarError::corrupt(format!("truncated {what}")))?;
+    *pos += len;
+    std::str::from_utf8(raw).map_err(|_| ColumnarError::corrupt(format!("invalid UTF-8 in {what}")))
+}
+
 /// Decode [`encode_plain_str`] output.
-pub fn decode_plain_str(buf: &mut Bytes) -> ColumnarResult<Vec<String>> {
-    let n = get_uvarint(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+pub fn decode_plain_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
+    let (bytes, mut pos) = (buf.as_ref(), 0);
+    let n = get_uvarint_at(bytes, &mut pos)? as usize;
+    let mut out = StrVec::with_capacity(n.min(1 << 20), bytes.len() - pos);
     for _ in 0..n {
-        let len = get_uvarint(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(ColumnarError::corrupt("truncated string payload"));
-        }
-        let raw = buf.split_to(len);
-        let s = std::str::from_utf8(&raw)
-            .map_err(|_| ColumnarError::corrupt("invalid UTF-8 in string column"))?;
-        out.push(s.to_owned());
+        out.push(get_str(bytes, &mut pos, "string payload")?);
     }
+    buf.advance(pos);
     Ok(out)
 }
 
 /// Dictionary-encode strings: unique values once, then u32 codes.
 /// Effective for low-cardinality columns (flags, nations, categories).
-pub fn encode_dict_str(values: &[String], buf: &mut BytesMut) {
+pub fn encode_dict_str(values: &StrVec, buf: &mut BytesMut) {
     let mut dict: Vec<&str> = Vec::new();
     let mut codes = Vec::with_capacity(values.len());
     let mut index = std::collections::HashMap::new();
-    for v in values {
-        let code = *index.entry(v.as_str()).or_insert_with(|| {
-            dict.push(v.as_str());
+    for v in values.iter() {
+        let code = *index.entry(v).or_insert_with(|| {
+            dict.push(v);
             dict.len() - 1
         });
         codes.push(code as u64);
@@ -183,36 +200,32 @@ pub fn encode_dict_str(values: &[String], buf: &mut BytesMut) {
 }
 
 /// Decode [`encode_dict_str`] output.
-pub fn decode_dict_str(buf: &mut Bytes) -> ColumnarResult<Vec<String>> {
-    let dict_len = get_uvarint(buf)? as usize;
+pub fn decode_dict_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
+    let (bytes, mut pos) = (buf.as_ref(), 0);
+    let dict_len = get_uvarint_at(bytes, &mut pos)? as usize;
     let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
     for _ in 0..dict_len {
-        let len = get_uvarint(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(ColumnarError::corrupt("truncated dictionary entry"));
-        }
-        let raw = buf.split_to(len);
-        let s = std::str::from_utf8(&raw)
-            .map_err(|_| ColumnarError::corrupt("invalid UTF-8 in dictionary"))?;
-        dict.push(s.to_owned());
+        dict.push(get_str(bytes, &mut pos, "dictionary entry")?);
     }
-    let n = get_uvarint(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let n = get_uvarint_at(bytes, &mut pos)? as usize;
+    let mut rows = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        let code = get_uvarint(buf)? as usize;
+        let code = get_uvarint_at(bytes, &mut pos)? as usize;
         let entry = dict
             .get(code)
             .ok_or_else(|| ColumnarError::corrupt("dictionary code out of range"))?;
-        out.push(entry.clone());
+        rows.push(*entry);
     }
+    let mut out = StrVec::with_capacity(rows.len(), rows.iter().map(|r| r.len()).sum());
+    out.extend(rows);
+    buf.advance(pos);
     Ok(out)
 }
 
 /// Count distinct values (used by the writer's dictionary heuristic).
-pub fn distinct_count_str(values: &[String]) -> usize {
+pub fn distinct_count_str(values: &StrVec) -> usize {
     values
         .iter()
-        .map(|s| s.as_str())
         .collect::<std::collections::HashSet<_>>()
         .len()
 }
@@ -277,7 +290,7 @@ mod tests {
         let mut b = Bytes::from_static(&[0x80]);
         assert!(get_uvarint(&mut b).is_err());
         let mut buf = BytesMut::new();
-        encode_plain_str(["hello".to_owned()].as_ref(), &mut buf);
+        encode_plain_str(&["hello"].into_iter().collect(), &mut buf);
         let full = buf.freeze();
         let mut cut = full.slice(..full.len() - 2);
         assert!(decode_plain_str(&mut cut).is_err());
@@ -300,7 +313,7 @@ mod tests {
 
     #[test]
     fn dict_compresses_low_cardinality() {
-        let values: Vec<String> = (0..1000).map(|i| format!("cat-{}", i % 4)).collect();
+        let values: StrVec = (0..1000).map(|i| format!("cat-{}", i % 4)).collect();
         let mut dict = BytesMut::new();
         encode_dict_str(&values, &mut dict);
         let mut plain = BytesMut::new();
@@ -350,6 +363,7 @@ mod tests {
 
         #[test]
         fn str_round_trips(values in proptest::collection::vec(".{0,20}", 0..50)) {
+            let values: StrVec = values.iter().collect();
             let mut plain = BytesMut::new();
             encode_plain_str(&values, &mut plain);
             prop_assert_eq!(&decode_plain_str(&mut plain.freeze()).unwrap(), &values);

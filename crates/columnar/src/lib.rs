@@ -19,7 +19,8 @@
 //!
 //! * [`Schema`] / [`Field`] / [`DataType`] — logical types.
 //! * [`Value`] — dynamically typed scalar used for literals and statistics.
-//! * [`ColumnVector`] / [`RecordBatch`] — the in-memory vectorized form.
+//! * [`ColumnVector`] / [`RecordBatch`] — the in-memory vectorized form
+//!   ([`StrVec`] holds a string column's values in one buffer).
 //! * [`ColumnarWriter`] / [`ColumnarFile`] — file encode/decode with
 //!   plain, run-length, delta-varint, dictionary and bit-packed encodings.
 //! * [`Bitmap`] / [`DeleteVector`] — the deletion-vector file format.
@@ -32,6 +33,7 @@ mod error;
 mod file;
 mod schema;
 mod stats;
+mod strvec;
 mod value;
 mod vector;
 pub mod zorder;
@@ -44,5 +46,6 @@ pub use file::{
 };
 pub use schema::{Field, Schema};
 pub use stats::ColumnStats;
+pub use strvec::StrVec;
 pub use value::{DataType, Value};
 pub use vector::{ColumnVector, RecordBatch};

@@ -5,6 +5,9 @@ use std::cmp::Ordering;
 
 /// Min/max/null statistics for one column chunk.
 ///
+/// `[min, max]` covers every value a comparison can order: NULLs and NaNs
+/// are counted in `row_count` but never become a bound (a NaN bound would
+/// compare as unknown against everything and prune the chunk's numbers).
 /// Scans prune row groups whose `[min, max]` interval cannot satisfy a
 /// predicate; the STO's compaction trigger (§5.1) aggregates row and delete
 /// counts gathered alongside these stats during SELECTs.
@@ -40,6 +43,9 @@ impl ColumnStats {
         self.row_count += 1;
         if value.is_null() {
             self.null_count += 1;
+            return;
+        }
+        if matches!(value, Value::Float(f) if f.is_nan()) {
             return;
         }
         match &self.min {
@@ -142,6 +148,25 @@ mod tests {
         assert!(!s.may_contain_gt(&Value::Int(20)));
         assert!(s.may_contain_lt(&Value::Int(11)));
         assert!(!s.may_contain_lt(&Value::Int(10)));
+    }
+
+    #[test]
+    fn nan_is_never_a_bound() {
+        let v = |values| ColumnVector::Float64 {
+            values,
+            validity: None,
+        };
+        let s = ColumnStats::from_vector(&v(vec![f64::NAN, 5.0, f64::NAN, 1.0]));
+        assert_eq!(s.min, Some(Value::Float(1.0)));
+        assert_eq!(s.max, Some(Value::Float(5.0)));
+        assert_eq!((s.null_count, s.row_count), (0, 4));
+        assert!(s.may_contain_gt(&Value::Float(2.0)));
+        assert!(s.may_contain_lt(&Value::Float(2.0)));
+        let mut all_nan = ColumnStats::from_vector(&v(vec![f64::NAN; 2]));
+        assert_eq!((&all_nan.min, &all_nan.max), (&None, &None));
+        all_nan.merge(&s);
+        assert_eq!(all_nan.max, Some(Value::Float(5.0)));
+        assert_eq!(all_nan.row_count, 6);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 #[cfg(test)]
 use crate::Field;
-use crate::{Bitmap, ColumnarError, ColumnarResult, DataType, Schema, Value};
+use crate::{Bitmap, ColumnarError, ColumnarResult, DataType, Schema, StrVec, Value};
 
 /// A typed column of values with an optional validity mask.
 ///
@@ -27,8 +27,8 @@ pub enum ColumnVector {
     },
     /// UTF-8 strings.
     Utf8 {
-        /// Values.
-        values: Vec<String>,
+        /// Values, back to back in one buffer.
+        values: StrVec,
         /// Validity mask.
         validity: Option<Bitmap>,
     },
@@ -48,31 +48,56 @@ pub enum ColumnVector {
     },
 }
 
+/// A vector of `$col`'s variant holding `$body` (an expression over its
+/// value vector `$values`) under `$validity`.
+macro_rules! rebuild {
+    ($col:expr, $validity:expr, |$values:ident| $body:expr) => {
+        match $col {
+            ColumnVector::Int64 {
+                values: $values, ..
+            } => ColumnVector::Int64 {
+                values: $body,
+                validity: $validity,
+            },
+            ColumnVector::Float64 {
+                values: $values, ..
+            } => ColumnVector::Float64 {
+                values: $body,
+                validity: $validity,
+            },
+            ColumnVector::Utf8 {
+                values: $values, ..
+            } => ColumnVector::Utf8 {
+                values: $body,
+                validity: $validity,
+            },
+            ColumnVector::Bool {
+                values: $values, ..
+            } => ColumnVector::Bool {
+                values: $body,
+                validity: $validity,
+            },
+            ColumnVector::Date32 {
+                values: $values, ..
+            } => ColumnVector::Date32 {
+                values: $body,
+                validity: $validity,
+            },
+        }
+    };
+}
+
+/// The validity mask of `bits`, if it hides a row: like
+/// [`ColumnVector::push`], a gather keeps no mask over all-valid rows.
+fn hiding_mask(bits: impl Iterator<Item = bool>) -> Option<Bitmap> {
+    let mask: Bitmap = bits.collect();
+    (mask.count_set() < mask.len()).then_some(mask)
+}
+
 impl ColumnVector {
     /// An empty vector of the given type.
     pub fn empty(data_type: DataType) -> Self {
-        match data_type {
-            DataType::Int64 => ColumnVector::Int64 {
-                values: vec![],
-                validity: None,
-            },
-            DataType::Float64 => ColumnVector::Float64 {
-                values: vec![],
-                validity: None,
-            },
-            DataType::Utf8 => ColumnVector::Utf8 {
-                values: vec![],
-                validity: None,
-            },
-            DataType::Bool => ColumnVector::Bool {
-                values: vec![],
-                validity: None,
-            },
-            DataType::Date32 => ColumnVector::Date32 {
-                values: vec![],
-                validity: None,
-            },
-        }
+        Self::nulls(data_type, 0)
     }
 
     /// Build a vector from scalars; every scalar must be NULL or match
@@ -146,7 +171,7 @@ impl ColumnVector {
         match self {
             ColumnVector::Int64 { values, .. } => Value::Int(values[i]),
             ColumnVector::Float64 { values, .. } => Value::Float(values[i]),
-            ColumnVector::Utf8 { values, .. } => Value::Str(values[i].clone()),
+            ColumnVector::Utf8 { values, .. } => Value::Str(values[i].to_owned()),
             ColumnVector::Bool { values, .. } => Value::Bool(values[i]),
             ColumnVector::Date32 { values, .. } => Value::Date(values[i]),
         }
@@ -198,13 +223,9 @@ impl ColumnVector {
                 },
                 DataType::Float64
             ),
-            ColumnVector::Utf8 { values, validity } => push_arm!(
-                values,
-                validity,
-                String::new(),
-                |v: &Value| v.as_str().map(str::to_owned),
-                DataType::Utf8
-            ),
+            ColumnVector::Utf8 { values, validity } => {
+                push_arm!(values, validity, "", Value::as_str, DataType::Utf8)
+            }
             ColumnVector::Bool { values, validity } => {
                 push_arm!(
                     values,
@@ -227,35 +248,117 @@ impl ColumnVector {
         Ok(())
     }
 
-    /// Keep only the rows at the given (ascending) indices.
-    pub fn take(&self, indices: &[usize]) -> ColumnVector {
-        let mut out = ColumnVector::empty(self.data_type());
-        for &i in indices {
-            out.push(&self.value(i)).expect("same type by construction");
+    /// A vector of `len` NULLs of the given type.
+    pub fn nulls(data_type: DataType, len: usize) -> Self {
+        let validity = (len > 0).then(|| Bitmap::with_len(len));
+        match data_type {
+            DataType::Int64 => ColumnVector::Int64 {
+                values: vec![0; len],
+                validity,
+            },
+            DataType::Float64 => ColumnVector::Float64 {
+                values: vec![0.0; len],
+                validity,
+            },
+            DataType::Utf8 => ColumnVector::Utf8 {
+                values: std::iter::repeat_n("", len).collect(),
+                validity,
+            },
+            DataType::Bool => ColumnVector::Bool {
+                values: vec![false; len],
+                validity,
+            },
+            DataType::Date32 => ColumnVector::Date32 {
+                values: vec![0; len],
+                validity,
+            },
         }
-        out
+    }
+
+    /// Gather the rows at `indices`, in that order (repeats allowed).
+    pub fn take(&self, indices: &[usize]) -> ColumnVector {
+        let validity = self
+            .validity()
+            .and_then(|mask| hiding_mask(indices.iter().map(|&i| mask.get(i))));
+        rebuild!(self, validity, |values| gathered(
+            indices.iter().map(|&i| &values[i])
+        ))
     }
 
     /// Keep only rows where `mask` is set.
     pub fn filter(&self, mask: &Bitmap) -> ColumnVector {
-        let indices: Vec<usize> = (0..self.len()).filter(|&i| mask.get(i)).collect();
-        self.take(&indices)
+        self.take(&selected_rows(mask, self.len()))
+    }
+
+    /// The first `n` rows (all of them when `n >= len`).
+    pub fn head(&self, n: usize) -> ColumnVector {
+        let n = n.min(self.len());
+        let validity = self
+            .validity()
+            .and_then(|mask| hiding_mask((0..n).map(|i| mask.get(i))));
+        rebuild!(self, validity, |values| gathered(
+            (0..n).map(|i| &values[i])
+        ))
     }
 
     /// Concatenate another vector of the same type onto this one.
     pub fn append(&mut self, other: &ColumnVector) -> ColumnarResult<()> {
-        if self.data_type() != other.data_type() {
-            return Err(ColumnarError::TypeMismatch {
-                column: String::new(),
-                expected: self.data_type(),
-                found: other.data_type().to_string(),
-            });
+        let len = self.len();
+        macro_rules! extend {
+            ($values:expr, $validity:expr, $other_values:expr) => {{
+                $values.extend($other_values.iter());
+                // The mask materializes with the first NULL, as in `push`.
+                let other_mask = other.validity().filter(|_| other.null_count() > 0);
+                if $validity.is_some() || other_mask.is_some() {
+                    let mask = $validity.get_or_insert_with(|| Bitmap::all_set(len));
+                    for i in 0..other.len() {
+                        mask.push(other_mask.is_none_or(|m| m.get(i)));
+                    }
+                }
+            }};
         }
-        for i in 0..other.len() {
-            self.push(&other.value(i))?;
+        match (self, other) {
+            (
+                ColumnVector::Int64 { values, validity },
+                ColumnVector::Int64 { values: more, .. },
+            ) => extend!(values, validity, more),
+            (
+                ColumnVector::Float64 { values, validity },
+                ColumnVector::Float64 { values: more, .. },
+            ) => extend!(values, validity, more),
+            (ColumnVector::Utf8 { values, validity }, ColumnVector::Utf8 { values: more, .. }) => {
+                extend!(values, validity, more)
+            }
+            (ColumnVector::Bool { values, validity }, ColumnVector::Bool { values: more, .. }) => {
+                extend!(values, validity, more)
+            }
+            (
+                ColumnVector::Date32 { values, validity },
+                ColumnVector::Date32 { values: more, .. },
+            ) => extend!(values, validity, more),
+            (this, other) => {
+                return Err(ColumnarError::TypeMismatch {
+                    column: String::new(),
+                    expected: this.data_type(),
+                    found: other.data_type().to_string(),
+                })
+            }
         }
         Ok(())
     }
+}
+
+/// A value vector of the borrowed `rows`: a `Vec` of copies, or a
+/// [`StrVec`] of the strings.
+fn gathered<V: Default + Extend<R>, R>(rows: impl Iterator<Item = R>) -> V {
+    let mut out = V::default();
+    out.extend(rows);
+    out
+}
+
+/// Indices of the set bits of `mask` below `len`, ascending.
+fn selected_rows(mask: &Bitmap, len: usize) -> Vec<usize> {
+    mask.iter_set().take_while(|&i| i < len).collect()
 }
 
 /// A horizontal slice of a table: a schema plus one column vector per field,
@@ -386,20 +489,19 @@ impl RecordBatch {
 
     /// Keep only rows where `mask` is set.
     pub fn filter(&self, mask: &Bitmap) -> RecordBatch {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.filter(mask))
-            .collect::<Vec<_>>();
-        let rows = columns.first().map_or(0, ColumnVector::len);
+        self.take(&selected_rows(mask, self.rows))
+    }
+
+    /// The first `n` rows (the whole batch when `n >= num_rows`).
+    pub fn head(&self, n: usize) -> RecordBatch {
         RecordBatch {
             schema: self.schema.clone(),
-            columns,
-            rows,
+            columns: self.columns.iter().map(|c| c.head(n)).collect(),
+            rows: n.min(self.rows),
         }
     }
 
-    /// Keep only rows at the given indices.
+    /// Gather the rows at `indices`, in that order.
     pub fn take(&self, indices: &[usize]) -> RecordBatch {
         let columns = self.columns.iter().map(|c| c.take(indices)).collect();
         RecordBatch {

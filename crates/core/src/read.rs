@@ -12,7 +12,7 @@
 
 use crate::txn::Transaction;
 use crate::{PolarisError, PolarisResult};
-use polaris_columnar::{ColumnarError, DataType, Field, RecordBatch, Schema};
+use polaris_columnar::{ColumnarError, DataType, Field, RecordBatch, Schema, Value};
 use polaris_dcp::{Morsel, MorselCtx, TaskError, WorkflowDag, WorkloadClass};
 use polaris_exec::{
     cells_of_snapshot, ops, plan_file_scan, AggExpr, AggFunc, BinOp, Expr, FileScanPlan,
@@ -65,84 +65,111 @@ pub(crate) fn execute_select(
     let engine = Arc::clone(txn.engine());
     let meter = Arc::clone(&txn.scan_meter);
 
-    let mut batch = if plan.joins.is_empty() {
-        match &plan.agg {
-            Some(agg) => distributed_aggregate(
-                &engine,
-                &base_schema,
-                &base_snap,
-                plan.predicate.as_ref(),
-                agg,
-                &meter,
-            )?,
-            None => {
-                // SQL permits ORDER BY over columns the projection drops;
-                // in that case sort first, project last.
-                let deferred_projection = plan.projections.as_ref().is_some_and(|projs| {
-                    plan.order_by
-                        .iter()
-                        .any(|(col, _)| !projs.iter().any(|(_, name)| name == col))
-                });
-                let mut scanned = distributed_scan(
-                    &engine,
-                    &base_schema,
-                    &base_snap,
-                    plan.predicate.as_ref(),
-                    if deferred_projection {
-                        None
-                    } else {
-                        plan.projections.as_deref()
-                    },
-                    &meter,
-                )?;
-                if deferred_projection {
-                    scanned = ops::sort(&scanned, &plan.order_by)?;
-                    if let Some(n) = plan.limit {
-                        scanned = ops::limit(&scanned, n);
-                    }
-                    scanned = ops::project(
-                        &scanned,
-                        plan.projections
-                            .as_deref()
-                            .expect("deferred implies projections"),
-                    )?;
-                    return Ok(QueryResult::rows(scanned));
-                }
-                scanned
-            }
-        }
-    } else {
+    let batch = if !plan.joins.is_empty() {
         // Join path: scan every input fully, join and post-process at the
         // FE. Adequate at cell scale; a production planner would co-locate
         // by distribution instead.
-        let mut left = distributed_scan(&engine, &base_schema, &base_snap, None, None, &meter)?;
-        for join in &plan.joins {
-            let right = join_side_batch(txn, &engine, join, &meter)?;
-            left = ops::hash_join(&left, &right, &join.left_keys, &join.right_keys)?;
-        }
-        if let Some(pred) = &plan.predicate {
-            left = ops::filter(&left, pred)?;
-        }
-        match &plan.agg {
-            Some(agg) => {
-                left = ops::hash_aggregate(&left, &agg.group_by, &agg.aggs)?;
-            }
-            None => {
-                if let Some(projs) = &plan.projections {
-                    left = ops::project(&left, projs)?;
-                }
-            }
-        }
-        left
+        let left = distributed_scan(&engine, &base_schema, &base_snap, None, None, None, &meter)?;
+        execute_at_fe(txn, &engine, left, plan, &meter)?
+    } else if let Some(agg) = &plan.agg {
+        let merged = distributed_aggregate(
+            &engine,
+            &base_schema,
+            &base_snap,
+            plan.predicate.as_ref(),
+            agg,
+            &meter,
+        )?;
+        present(merged, plan, None)?
+    } else {
+        // Projection and Top-N run morsel-side, so only each row group's
+        // best `n` rows reach the FE — unless ORDER BY names a column the
+        // projection drops: then the morsels keep every column and the FE
+        // projects last.
+        let morsel_side = plan
+            .projections
+            .as_deref()
+            .filter(|projs| !orders_by_dropped_column(&plan.order_by, projs));
+        let top_n = plan
+            .limit
+            .filter(|_| !plan.order_by.is_empty())
+            .map(|n| TopN {
+                order_by: plan.order_by.clone(),
+                n,
+            });
+        let scanned = distributed_scan(
+            &engine,
+            &base_schema,
+            &base_snap,
+            plan.predicate.as_ref(),
+            morsel_side,
+            top_n,
+            &meter,
+        )?;
+        let pending = plan
+            .projections
+            .as_deref()
+            .filter(|_| morsel_side.is_none());
+        present(scanned, plan, pending)?
     };
-
-    if !plan.order_by.is_empty() {
-        batch = ops::sort(&batch, &plan.order_by)?;
-    }
-    if let Some(n) = plan.limit {
-        batch = ops::limit(&batch, n);
-    }
     Ok(QueryResult::rows(batch))
+}
+
+/// SQL permits ORDER BY over columns the projection drops; such a query
+/// sorts first and projects last.
+fn orders_by_dropped_column(order_by: &[(String, bool)], projs: &[(Expr, String)]) -> bool {
+    order_by
+        .iter()
+        .any(|(col, _)| !projs.iter().any(|(_, name)| name == col))
+}
+
+/// The presentation tail every SELECT ends in: ORDER BY and LIMIT (as one
+/// Top-N when both are given) around the `pending` projection, if the
+/// caller has not applied it yet.
+fn present(
+    mut batch: RecordBatch,
+    plan: &SelectPlan,
+    pending: Option<&[(Expr, String)]>,
+) -> PolarisResult<RecordBatch> {
+    let deferred = pending.filter(|projs| orders_by_dropped_column(&plan.order_by, projs));
+    if let (Some(projs), None) = (pending, deferred) {
+        batch = ops::project(&batch, projs)?;
+    }
+    batch = match (plan.order_by.is_empty(), plan.limit) {
+        (false, Some(n)) => ops::top_n(&batch, &plan.order_by, n)?,
+        (false, None) => ops::sort(&batch, &plan.order_by)?,
+        (true, Some(n)) => ops::limit(&batch, n),
+        (true, None) => batch,
+    };
+    if let Some(projs) = deferred {
+        batch = ops::project(&batch, projs)?;
+    }
+    Ok(batch)
+}
+
+/// The relational tail over a base input materialized at the FE: joins,
+/// filter, aggregate or projection, presentation.
+fn execute_at_fe(
+    txn: &mut Transaction,
+    engine: &Arc<crate::PolarisEngine>,
+    mut batch: RecordBatch,
+    plan: &SelectPlan,
+    meter: &Arc<ScanMeter>,
+) -> PolarisResult<RecordBatch> {
+    for join in &plan.joins {
+        let right = join_side_batch(txn, engine, join, meter)?;
+        batch = ops::hash_join(&batch, &right, &join.left_keys, &join.right_keys)?;
+    }
+    if let Some(pred) = &plan.predicate {
+        batch = ops::filter(&batch, pred)?;
+    }
+    match &plan.agg {
+        Some(agg) => {
+            let grouped = ops::hash_aggregate(&batch, &agg.group_by, &agg.aggs)?;
+            present(grouped, plan, None)
+        }
+        None => present(batch, plan, plan.projections.as_deref()),
+    }
 }
 
 /// Resolve the snapshot a table reference reads: the transaction's
@@ -191,31 +218,8 @@ fn execute_system_select(txn: &mut Transaction, plan: &SelectPlan) -> PolarisRes
     }
     let engine = Arc::clone(txn.engine());
     let meter = Arc::clone(&txn.scan_meter);
-    let mut batch = engine.system_tables().scan(&plan.table)?;
-    for join in &plan.joins {
-        let right = join_side_batch(txn, &engine, join, &meter)?;
-        batch = ops::hash_join(&batch, &right, &join.left_keys, &join.right_keys)?;
-    }
-    if let Some(pred) = &plan.predicate {
-        batch = ops::filter(&batch, pred)?;
-    }
-    match &plan.agg {
-        Some(agg) => {
-            batch = ops::hash_aggregate(&batch, &agg.group_by, &agg.aggs)?;
-        }
-        None => {
-            if let Some(projs) = &plan.projections {
-                batch = ops::project(&batch, projs)?;
-            }
-        }
-    }
-    if !plan.order_by.is_empty() {
-        batch = ops::sort(&batch, &plan.order_by)?;
-    }
-    if let Some(n) = plan.limit {
-        batch = ops::limit(&batch, n);
-    }
-    Ok(QueryResult::rows(batch))
+    let batch = engine.system_tables().scan(&plan.table)?;
+    execute_at_fe(txn, &engine, batch, plan, &meter).map(QueryResult::rows)
 }
 
 /// Materialize one join input: a system-table snapshot for
@@ -236,7 +240,7 @@ fn join_side_batch(
         ))),
         None => {
             let (right_schema, right_snap) = source_snapshot(txn, &join.table, join.as_of)?;
-            distributed_scan(engine, &right_schema, &right_snap, None, None, meter)
+            distributed_scan(engine, &right_schema, &right_snap, None, None, None, meter)
         }
     }
 }
@@ -247,13 +251,17 @@ fn join_side_batch(
 ///
 /// Column pushdown: morsels range-read only the chunks the predicate and
 /// projection expressions reference, and late-materialize non-predicate
-/// columns (fetched only for row groups with surviving rows).
+/// columns (fetched only for row groups with surviving rows). With
+/// `top_n` every row-group batch is cut to its best `n`
+/// rows on the Read lane; the concatenation is in (file, group) order, so
+/// the caller's final Top-N breaks ties as a sort of the whole table would.
 fn distributed_scan(
     engine: &Arc<crate::PolarisEngine>,
     schema: &Schema,
     snapshot: &TableSnapshot,
     predicate: Option<&Expr>,
     projections: Option<&[(Expr, String)]>,
+    top_n: Option<TopN>,
     meter: &Arc<ScanMeter>,
 ) -> PolarisResult<RecordBatch> {
     let needed = needed_columns(predicate, projections.map(|p| p.iter().map(|(e, _)| e)));
@@ -265,6 +273,7 @@ fn distributed_scan(
                 .with_wait_histogram(engine.metrics().histogram("exec.prefetch_cache.wait_ns")),
         );
         let projs: Option<Arc<Vec<(Expr, String)>>> = projections.map(|p| Arc::new(p.to_vec()));
+        let top_n = top_n.map(Arc::new);
         let morsels: Vec<ScanMorselJob> = plans
             .iter()
             .map(|plan| ScanMorselJob {
@@ -273,6 +282,7 @@ fn distributed_scan(
                 cache: Arc::clone(&cache),
                 meter: Arc::clone(meter),
                 projections: projs.clone(),
+                top_n: top_n.clone(),
                 trace_parent: meter.tracer.current(),
             })
             .collect();
@@ -371,6 +381,12 @@ fn run_scan_morsels<M: Morsel>(
     Ok(outputs)
 }
 
+/// `ORDER BY … LIMIT n` as pushed into the scan morsels.
+struct TopN {
+    order_by: Vec<(String, bool)>,
+    n: usize,
+}
+
 /// Core-side adapter: one [`ScanMorsel`] plus everything its execution
 /// needs, shaped as a [`polaris_dcp::Morsel`]. `exec` stays independent of
 /// `dcp`; this struct is the bridge between the two.
@@ -382,6 +398,8 @@ struct ScanMorselJob {
     meter: Arc<ScanMeter>,
     /// FE projection applied morsel-side so compute stays distributed.
     projections: Option<Arc<Vec<(Expr, String)>>>,
+    /// Each batch keeps only its best `n` rows.
+    top_n: Option<Arc<TopN>>,
     /// Statement span captured on the submitting thread: morsel spans
     /// attach here, not to the driver thread's (empty) span stack.
     trace_parent: u64,
@@ -409,9 +427,12 @@ impl ScanMorselJob {
             .morsel
             .run(&*self.store, Some(&self.cache), Some(&self.meter))
             .map_err(exec_to_task)?;
-        if let Some(projs) = &self.projections {
-            for batch in &mut out.batches {
+        for batch in &mut out.batches {
+            if let Some(projs) = &self.projections {
                 *batch = ops::project(batch, projs).map_err(exec_to_task)?;
+            }
+            if let Some(top) = &self.top_n {
+                *batch = ops::top_n(batch, &top.order_by, top.n).map_err(exec_to_task)?;
             }
         }
         span.attr(
@@ -536,7 +557,7 @@ fn distributed_aggregate(
     agg: &AggPlan,
     meter: &Arc<ScanMeter>,
 ) -> PolarisResult<RecordBatch> {
-    let (partial_aggs, finalizers) = decompose_avg(&agg.aggs);
+    let (partial_aggs, finalizers) = decompose_avg(&agg.aggs, schema);
     let group_by = agg.group_by.clone();
     let needed = needed_columns(
         predicate,
@@ -565,6 +586,7 @@ fn distributed_aggregate(
                     cache: Arc::clone(&cache),
                     meter: Arc::clone(meter),
                     projections: None,
+                    top_n: None,
                     trace_parent: meter.tracer.current(),
                 },
                 group_by: Arc::clone(&group_by_arc),
@@ -600,7 +622,7 @@ enum Finalizer {
     },
 }
 
-fn decompose_avg(aggs: &[AggExpr]) -> (Vec<AggExpr>, Vec<Finalizer>) {
+fn decompose_avg(aggs: &[AggExpr], schema: &Schema) -> (Vec<AggExpr>, Vec<Finalizer>) {
     let mut partials = Vec::new();
     let mut finalizers = Vec::new();
     for (i, agg) in aggs.iter().enumerate() {
@@ -608,11 +630,17 @@ fn decompose_avg(aggs: &[AggExpr]) -> (Vec<AggExpr>, Vec<Finalizer>) {
             AggFunc::Avg => {
                 let sum_col = format!("__avg{i}_sum");
                 let count_col = format!("__avg{i}_cnt");
-                partials.push(AggExpr::new(
-                    AggFunc::Sum,
-                    agg.input.clone(),
-                    sum_col.clone(),
-                ));
+                // AVG sums in f64 wherever it runs (`ops::hash_aggregate`
+                // does at the FE), so it never overflows: an integer input
+                // is widened before the partial SUM.
+                let summed = match agg.input.result_type(schema) {
+                    Ok(DataType::Int64) => agg
+                        .input
+                        .clone()
+                        .binary(BinOp::Mul, Expr::lit(Value::Float(1.0))),
+                    _ => agg.input.clone(),
+                };
+                partials.push(AggExpr::new(AggFunc::Sum, summed, sum_col.clone()));
                 partials.push(AggExpr::new(
                     AggFunc::Count,
                     agg.input.clone(),
@@ -708,8 +736,17 @@ mod tests {
             AggExpr::new(AggFunc::Sum, Expr::col("x"), "sx"),
             AggExpr::new(AggFunc::Avg, Expr::col("y"), "ay"),
         ];
-        let (partials, finals) = decompose_avg(&aggs);
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Int64),
+            Field::new("y", DataType::Int64),
+        ]);
+        let (partials, finals) = decompose_avg(&aggs, &schema);
         assert_eq!(partials.len(), 3);
+        assert_eq!(
+            partials[1].input.result_type(&schema).unwrap(),
+            DataType::Float64
+        );
+        assert_eq!(partials[2].input, Expr::col("y"));
         assert_eq!(partials[1].output, "__avg1_sum");
         assert_eq!(partials[2].func, AggFunc::Count);
         assert!(matches!(&finals[1], Finalizer::AvgDiv { output, .. } if output == "ay"));

@@ -1099,13 +1099,7 @@ fn apply_assignments(
             .find(|(c, _)| c == &field.name)
             .map(|(_, e)| e.clone())
             .unwrap_or_else(|| Expr::col(field.name.clone()));
-        let values = expr.eval(live)?;
-        let mut col = ColumnVector::empty(field.data_type);
-        for v in &values {
-            col.push(&coerce_value(v, field.data_type)?)
-                .map_err(|e| PolarisError::invalid(e.to_string()))?;
-        }
-        columns.push(col);
+        columns.push(coerce_column(expr.eval(live)?, field.data_type)?);
     }
     RecordBatch::new(schema.clone(), columns).map_err(|e| PolarisError::invalid(e.to_string()))
 }
@@ -1208,6 +1202,37 @@ fn coerce_value(v: &Value, target: DataType) -> PolarisResult<Value> {
         (Value::Date(d), DataType::Int64) => Value::Int(*d as i64),
         (v, t) if v.data_type() == Some(t) => v.clone(),
         (v, t) => return Err(PolarisError::invalid(format!("cannot coerce {v} to {t}"))),
+    })
+}
+
+/// [`coerce_value`] over a whole column.
+fn coerce_column(col: ColumnVector, target: DataType) -> PolarisResult<ColumnVector> {
+    if col.data_type() == target {
+        return Ok(col);
+    }
+    Ok(match (col, target) {
+        (ColumnVector::Int64 { values, validity }, DataType::Float64) => ColumnVector::Float64 {
+            values: values.iter().map(|&v| v as f64).collect(),
+            validity,
+        },
+        (ColumnVector::Int64 { values, validity }, DataType::Date32) => ColumnVector::Date32 {
+            values: values.iter().map(|&v| v as i32).collect(),
+            validity,
+        },
+        (ColumnVector::Date32 { values, validity }, DataType::Int64) => ColumnVector::Int64 {
+            values: values.iter().map(|&v| i64::from(v)).collect(),
+            validity,
+        },
+        (col, target) => match (0..col.len()).find(|&i| col.is_valid(i)) {
+            // Nothing but NULLs (`SET c = NULL`) fits any type.
+            None => ColumnVector::nulls(target, col.len()),
+            Some(i) => {
+                return Err(PolarisError::invalid(format!(
+                    "cannot coerce {} to {target}",
+                    col.value(i)
+                )))
+            }
+        },
     })
 }
 

@@ -13,6 +13,8 @@ pub enum ExecError {
         /// Description of the problem.
         detail: String,
     },
+    /// Integer `+ - *` or `SUM` left the `Int64` range.
+    Overflow,
     /// Columnar data error.
     Columnar(polaris_columnar::ColumnarError),
     /// Physical metadata error.
@@ -34,6 +36,7 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Plan { detail } => write!(f, "plan error: {detail}"),
+            ExecError::Overflow => f.write_str("arithmetic overflow"),
             ExecError::Columnar(e) => write!(f, "columnar error: {e}"),
             ExecError::Lst(e) => write!(f, "metadata error: {e}"),
             ExecError::Store(e) => write!(f, "storage error: {e}"),
@@ -44,7 +47,7 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExecError::Plan { .. } => None,
+            ExecError::Plan { .. } | ExecError::Overflow => None,
             ExecError::Columnar(e) => Some(e),
             ExecError::Lst(e) => Some(e),
             ExecError::Store(e) => Some(e),

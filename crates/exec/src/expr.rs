@@ -1,9 +1,17 @@
 //! Scalar expressions with SQL NULL semantics and statistics-based pruning.
+//!
+//! Evaluation is column-at-a-time: [`Expr::eval`] resolves each column
+//! reference once and runs one typed loop per operator over the value
+//! vectors. Literals stay scalars until an operator (or the final result)
+//! needs them per row. [`Expr::eval_row`] is the row-wise definition of the
+//! same semantics, kept as the oracle the kernels are tested against.
 
 use crate::{ExecError, ExecResult};
-use polaris_columnar::{Bitmap, ColumnStats, DataType, RecordBatch, Value};
+use polaris_columnar::{Bitmap, ColumnStats, ColumnVector, DataType, RecordBatch, StrVec, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Index;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +42,7 @@ pub enum BinOp {
     Or,
 }
 
-/// A scalar expression tree evaluated row-wise over a batch.
+/// A scalar expression tree evaluated over the columns of a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Reference to a column by name.
@@ -118,7 +126,8 @@ impl Expr {
         self.binary(BinOp::Or, other)
     }
 
-    /// Evaluate row `row` of `batch`.
+    /// Evaluate row `row` of `batch`: the row-wise reference for
+    /// [`Expr::eval`]. Operators call `eval`; this is for test oracles.
     pub fn eval_row(&self, batch: &RecordBatch, row: usize) -> ExecResult<Value> {
         Ok(match self {
             Expr::Column(name) => batch.column_by_name(name)?.value(row),
@@ -128,41 +137,115 @@ impl Expr {
                 let r = right.eval_row(batch, row)?;
                 eval_binary(&l, *op, &r)?
             }
-            Expr::Not(inner) => match inner.eval_row(batch, row)? {
-                Value::Null => Value::Null,
-                Value::Bool(b) => Value::Bool(!b),
-                other => return Err(ExecError::plan(format!("NOT applied to non-bool {other}"))),
-            },
+            Expr::Not(inner) => eval_not(&inner.eval_row(batch, row)?)?,
             Expr::IsNull(inner) => Value::Bool(inner.eval_row(batch, row)?.is_null()),
-            Expr::Contains { expr, needle } => match expr.eval_row(batch, row)? {
-                Value::Null => Value::Null,
-                Value::Str(s) => Value::Bool(s.contains(needle.as_str())),
-                other => {
-                    return Err(ExecError::plan(format!(
-                        "LIKE applied to non-string {other}"
-                    )))
-                }
-            },
+            Expr::Contains { expr, needle } => eval_contains(&expr.eval_row(batch, row)?, needle)?,
         })
     }
 
     /// Evaluate over every row, producing a column of results.
-    pub fn eval(&self, batch: &RecordBatch) -> ExecResult<Vec<Value>> {
-        (0..batch.num_rows())
-            .map(|i| self.eval_row(batch, i))
-            .collect()
+    ///
+    /// Equal, row for row, to [`Expr::eval_row`], and an error exactly when
+    /// some row would be one (a type error only counts on rows whose
+    /// operands are non-NULL, an overflow only where it happens). An
+    /// unknown column is an error whatever the row count.
+    pub fn eval(&self, batch: &RecordBatch) -> ExecResult<ColumnVector> {
+        Ok(self.eval_cow(batch)?.into_owned())
+    }
+
+    /// [`Expr::eval`] that borrows the batch's column for a bare column
+    /// reference instead of copying it.
+    pub(crate) fn eval_cow<'a>(
+        &'a self,
+        batch: &'a RecordBatch,
+    ) -> ExecResult<Cow<'a, ColumnVector>> {
+        let n = batch.num_rows();
+        // A scalar result (and an empty input) takes its type from the
+        // schema: a NULL literal alone carries none.
+        let result_type = || self.result_type(batch.schema());
+        if n == 0 {
+            return Ok(Cow::Owned(ColumnVector::empty(result_type()?)));
+        }
+        Ok(match self.eval_datum(batch)? {
+            Datum::Col(col) => col,
+            Datum::Scalar(v) => Cow::Owned(broadcast(&v, n, result_type()?)),
+        })
     }
 
     /// Evaluate as a predicate: a bitmap set where the expression is TRUE
     /// (NULL and FALSE both filter the row out, per SQL semantics).
     pub fn eval_predicate(&self, batch: &RecordBatch) -> ExecResult<Bitmap> {
-        let mut mask = Bitmap::with_len(batch.num_rows());
-        for i in 0..batch.num_rows() {
-            if self.eval_row(batch, i)? == Value::Bool(true) {
-                mask.set(i);
-            }
+        let n = batch.num_rows();
+        if n == 0 {
+            return Ok(Bitmap::new());
         }
-        Ok(mask)
+        Ok(match self.eval_datum(batch)? {
+            Datum::Scalar(v) if *v == Value::Bool(true) => Bitmap::all_set(n),
+            Datum::Col(col) => match &*col {
+                ColumnVector::Bool { values, validity } => {
+                    let mut mask: Bitmap = values.iter().copied().collect();
+                    if let Some(valid) = validity {
+                        mask.intersect_with(valid);
+                    }
+                    mask
+                }
+                _ => Bitmap::with_len(n),
+            },
+            Datum::Scalar(_) => Bitmap::with_len(n),
+        })
+    }
+
+    /// One typed pass per operator over the operands' value vectors.
+    fn eval_datum<'a>(&'a self, batch: &'a RecordBatch) -> ExecResult<Datum<'a>> {
+        let n = batch.num_rows();
+        Ok(match self {
+            Expr::Column(name) => Datum::Col(Cow::Borrowed(batch.column_by_name(name)?)),
+            Expr::Literal(v) => Datum::Scalar(Cow::Borrowed(v)),
+            Expr::Binary { left, op, right } => {
+                let (l, op, r) = (left.eval_datum(batch)?, *op, right.eval_datum(batch)?);
+                match (&l, op, &r) {
+                    (Datum::Scalar(a), _, Datum::Scalar(b)) => {
+                        Datum::scalar(eval_binary(a, op, b)?)
+                    }
+                    (_, BinOp::And | BinOp::Or, _) => Datum::col(logic_kernel(&l, op, &r, n)),
+                    // Every other operator is strict in NULL.
+                    _ if l.is_null_scalar() || r.is_null_scalar() => Datum::scalar(Value::Null),
+                    (_, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, _) => {
+                        Datum::col(arith_kernel(&l, op, &r, n)?)
+                    }
+                    _ => Datum::col(compare_kernel(&l, op, &r, n)?),
+                }
+            }
+            Expr::Not(inner) => match inner.eval_datum(batch)? {
+                Datum::Scalar(v) => Datum::scalar(eval_not(&v)?),
+                Datum::Col(col) => Datum::col(match &*col {
+                    ColumnVector::Bool { values, validity } => bool_column(
+                        (0..n).map(|i| is_set(validity, i) && !values[i]).collect(),
+                        validity.clone(),
+                    ),
+                    other => all_null_or(other, DataType::Bool, |v| eval_not(&v))?,
+                }),
+            },
+            Expr::IsNull(inner) => match inner.eval_datum(batch)? {
+                Datum::Scalar(v) => Datum::scalar(Value::Bool(v.is_null())),
+                Datum::Col(col) => Datum::col(bool_column(
+                    (0..n).map(|i| !col.is_valid(i)).collect(),
+                    None,
+                )),
+            },
+            Expr::Contains { expr, needle } => match expr.eval_datum(batch)? {
+                Datum::Scalar(v) => Datum::scalar(eval_contains(&v, needle)?),
+                Datum::Col(col) => Datum::col(match &*col {
+                    ColumnVector::Utf8 { values, validity } => bool_column(
+                        (0..n)
+                            .map(|i| is_set(validity, i) && values[i].contains(needle.as_str()))
+                            .collect(),
+                        validity.clone(),
+                    ),
+                    other => all_null_or(other, DataType::Bool, |v| eval_contains(&v, needle))?,
+                }),
+            },
+        })
     }
 
     /// Infer the result type against a schema (used by projections).
@@ -253,84 +336,419 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-fn eval_binary(l: &Value, op: BinOp, r: &Value) -> ExecResult<Value> {
-    // Three-valued logic for AND/OR first: they are not strict in NULL.
+/// SQL three-valued AND/OR; `None` is NULL (and any non-boolean operand).
+fn three_valued(op: BinOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    let dominant = op == BinOp::Or;
+    match (l, r) {
+        (Some(a), _) | (_, Some(a)) if a == dominant => Some(dominant),
+        (Some(_), Some(_)) => Some(!dominant),
+        _ => None,
+    }
+}
+
+fn compare_holds(op: BinOp, ord: Ordering) -> bool {
     match op {
-        BinOp::And => {
-            return Ok(match (l.as_bool(), r.as_bool()) {
-                (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                (Some(true), Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            })
-        }
-        BinOp::Or => {
-            return Ok(match (l.as_bool(), r.as_bool()) {
-                (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                (Some(false), Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            })
-        }
-        _ => {}
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::NotEq => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::LtEq => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::GtEq => ord != Ordering::Less,
+        _ => unreachable!("not a comparison: {op}"),
+    }
+}
+
+fn checked_int_op(op: BinOp, a: i64, b: i64) -> ExecResult<i64> {
+    match op {
+        BinOp::Add => a.checked_add(b),
+        BinOp::Sub => a.checked_sub(b),
+        BinOp::Mul => a.checked_mul(b),
+        _ => unreachable!("not integer arithmetic: {op}"),
+    }
+    .ok_or(ExecError::Overflow)
+}
+
+/// Float `+ - * /`; division by zero is NULL.
+fn float_op(op: BinOp, a: f64, b: f64) -> Option<f64> {
+    match op {
+        BinOp::Add => Some(a + b),
+        BinOp::Sub => Some(a - b),
+        BinOp::Mul => Some(a * b),
+        BinOp::Div => (b != 0.0).then(|| a / b),
+        _ => unreachable!("not arithmetic: {op}"),
+    }
+}
+
+fn incomparable(l: impl fmt::Display, r: impl fmt::Display) -> ExecError {
+    ExecError::plan(format!("cannot compare {l} with {r}"))
+}
+
+fn non_numeric(l: impl fmt::Display, r: impl fmt::Display) -> ExecError {
+    ExecError::plan(format!("arithmetic on non-numeric values {l} and {r}"))
+}
+
+/// One binary operator over two scalars: literal folding and the row-wise
+/// reference.
+fn eval_binary(l: &Value, op: BinOp, r: &Value) -> ExecResult<Value> {
+    // AND/OR are not strict in NULL.
+    if matches!(op, BinOp::And | BinOp::Or) {
+        return Ok(three_valued(op, l.as_bool(), r.as_bool()).map_or(Value::Null, Value::Bool));
     }
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     Ok(match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => eval_arith(l, op, r)?,
-        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            match l.sql_cmp(r) {
-                None => return Err(ExecError::plan(format!("cannot compare {l} with {r}"))),
-                Some(ord) => Value::Bool(match op {
-                    BinOp::Eq => ord == Ordering::Equal,
-                    BinOp::NotEq => ord != Ordering::Equal,
-                    BinOp::Lt => ord == Ordering::Less,
-                    BinOp::LtEq => ord != Ordering::Greater,
-                    BinOp::Gt => ord == Ordering::Greater,
-                    BinOp::GtEq => ord != Ordering::Less,
-                    _ => unreachable!(),
-                }),
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => match (l, r) {
+            (Value::Int(a), Value::Int(b)) if op != BinOp::Div => {
+                Value::Int(checked_int_op(op, *a, *b)?)
             }
-        }
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+            _ => {
+                let (Some(a), Some(b)) = (l.as_float(), r.as_float()) else {
+                    return Err(non_numeric(l, r));
+                };
+                float_op(op, a, b).map_or(Value::Null, Value::Float)
+            }
+        },
+        _ => match l.sql_cmp(r) {
+            None => return Err(incomparable(l, r)),
+            Some(ord) => Value::Bool(compare_holds(op, ord)),
+        },
     })
 }
 
-fn eval_arith(l: &Value, op: BinOp, r: &Value) -> ExecResult<Value> {
-    match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Ok(match op {
-            BinOp::Add => Value::Int(a.wrapping_add(*b)),
-            BinOp::Sub => Value::Int(a.wrapping_sub(*b)),
-            BinOp::Mul => Value::Int(a.wrapping_mul(*b)),
-            BinOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*a as f64 / *b as f64)
-                }
-            }
-            _ => unreachable!(),
-        }),
-        _ => {
-            let (Some(a), Some(b)) = (l.as_float(), r.as_float()) else {
-                return Err(ExecError::plan(format!(
-                    "arithmetic on non-numeric values {l} and {r}"
-                )));
-            };
-            Ok(match op {
-                BinOp::Add => Value::Float(a + b),
-                BinOp::Sub => Value::Float(a - b),
-                BinOp::Mul => Value::Float(a * b),
-                BinOp::Div => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a / b)
-                    }
-                }
-                _ => unreachable!(),
-            })
+fn eval_not(v: &Value) -> ExecResult<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Bool(b) => Ok(Value::Bool(!b)),
+        other => Err(ExecError::plan(format!("NOT applied to non-bool {other}"))),
+    }
+}
+
+fn eval_contains(v: &Value, needle: &str) -> ExecResult<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Str(s) => Ok(Value::Bool(s.contains(needle))),
+        other => Err(ExecError::plan(format!(
+            "LIKE applied to non-string {other}"
+        ))),
+    }
+}
+
+/// An evaluated operand: a column, or a scalar standing for every row.
+enum Datum<'a> {
+    Col(Cow<'a, ColumnVector>),
+    Scalar(Cow<'a, Value>),
+}
+
+/// One side of a typed kernel: a column's values (a slice, or a
+/// [`StrVec`]) or a broadcast scalar.
+enum Side<'a, C: Index<usize> + ?Sized> {
+    Col(&'a C),
+    Const(&'a C::Output),
+}
+
+impl<C: Index<usize> + ?Sized> Side<'_, C> {
+    #[inline]
+    fn get(&self, i: usize) -> &C::Output {
+        match self {
+            Side::Col(values) => &values[i],
+            Side::Const(v) => v,
         }
     }
+}
+
+macro_rules! typed_side {
+    ($name:ident, $ty:ty, $column:ident, $scalar:ident) => {
+        fn $name(&self) -> Option<Side<'_, $ty>> {
+            match self {
+                Datum::Col(col) => match &**col {
+                    ColumnVector::$column { values, .. } => Some(Side::Col(values)),
+                    _ => None,
+                },
+                Datum::Scalar(v) => match &**v {
+                    Value::$scalar(v) => {
+                        // A `&String` becomes the `&str` a `StrVec` yields.
+                        let v: &<$ty as Index<usize>>::Output = v;
+                        Some(Side::Const(v))
+                    }
+                    _ => None,
+                },
+            }
+        }
+    };
+}
+
+impl Datum<'_> {
+    fn col(col: ColumnVector) -> Self {
+        Datum::Col(Cow::Owned(col))
+    }
+
+    fn scalar(v: Value) -> Self {
+        Datum::Scalar(Cow::Owned(v))
+    }
+
+    fn is_null_scalar(&self) -> bool {
+        matches!(self, Datum::Scalar(v) if v.is_null())
+    }
+
+    fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Datum::Col(col) => col.validity(),
+            Datum::Scalar(_) => None,
+        }
+    }
+
+    fn is_float(&self) -> bool {
+        match self {
+            Datum::Col(col) => col.data_type() == DataType::Float64,
+            Datum::Scalar(v) => v.data_type() == Some(DataType::Float64),
+        }
+    }
+
+    /// Row `i` as a scalar — error messages only.
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Datum::Col(col) => col.value(i),
+            Datum::Scalar(v) => (**v).clone(),
+        }
+    }
+
+    /// Row `i` as a three-valued boolean (`as_bool` per row).
+    fn bool_at(&self, i: usize) -> Option<bool> {
+        match self {
+            Datum::Col(col) => match &**col {
+                ColumnVector::Bool { values, validity } => is_set(validity, i).then(|| values[i]),
+                _ => None,
+            },
+            Datum::Scalar(v) => v.as_bool(),
+        }
+    }
+
+    typed_side!(ints, [i64], Int64, Int);
+    typed_side!(floats, [f64], Float64, Float);
+    typed_side!(strs, StrVec, Utf8, Str);
+    typed_side!(bools, [bool], Bool, Bool);
+    typed_side!(dates, [i32], Date32, Date);
+}
+
+fn is_set(validity: &Option<Bitmap>, i: usize) -> bool {
+    validity.as_ref().is_none_or(|m| m.get(i))
+}
+
+/// A mask is kept only while it hides a row, as `ColumnVector::push` does.
+fn dense_validity(validity: Option<Bitmap>) -> Option<Bitmap> {
+    validity.filter(|m| m.count_set() < m.len())
+}
+
+fn bool_column(values: Vec<bool>, validity: Option<Bitmap>) -> ColumnVector {
+    ColumnVector::Bool {
+        values,
+        validity: dense_validity(validity),
+    }
+}
+
+/// `n` copies of `v`; a NULL becomes `n` NULLs of `null_type`.
+fn broadcast(v: &Value, n: usize, null_type: DataType) -> ColumnVector {
+    let validity = None;
+    match v {
+        Value::Null => ColumnVector::nulls(null_type, n),
+        Value::Int(v) => ColumnVector::Int64 {
+            values: vec![*v; n],
+            validity,
+        },
+        Value::Float(v) => ColumnVector::Float64 {
+            values: vec![*v; n],
+            validity,
+        },
+        Value::Str(v) => ColumnVector::Utf8 {
+            values: std::iter::repeat_n(v, n).collect(),
+            validity,
+        },
+        Value::Bool(v) => ColumnVector::Bool {
+            values: vec![*v; n],
+            validity,
+        },
+        Value::Date(v) => ColumnVector::Date32 {
+            values: vec![*v; n],
+            validity,
+        },
+    }
+}
+
+/// Rows where both operands are non-NULL (`None` = every row).
+fn both_valid(l: &Datum<'_>, r: &Datum<'_>) -> Option<Bitmap> {
+    match (l.validity(), r.validity()) {
+        (None, None) => None,
+        (Some(m), None) | (None, Some(m)) => Some(m.clone()),
+        (Some(a), Some(b)) => {
+            let mut both = a.clone();
+            both.intersect_with(b);
+            Some(both)
+        }
+    }
+}
+
+/// Apply `f` to every row where both sides are non-NULL, in row order;
+/// `Ok(None)` makes the row NULL. NULL rows hold `O::default()`.
+fn zip_rows<A: Index<usize> + ?Sized, B: Index<usize> + ?Sized, O: Default>(
+    a: Side<'_, A>,
+    b: Side<'_, B>,
+    n: usize,
+    mut validity: Option<Bitmap>,
+    f: impl Fn(&A::Output, &B::Output) -> ExecResult<Option<O>>,
+) -> ExecResult<(Vec<O>, Option<Bitmap>)> {
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
+        let v = if is_set(&validity, i) {
+            let v = f(a.get(i), b.get(i))?;
+            if v.is_none() {
+                validity.get_or_insert_with(|| Bitmap::all_set(n)).clear(i);
+            }
+            v
+        } else {
+            None
+        };
+        out.push(v.unwrap_or_default());
+    }
+    Ok((out, dense_validity(validity)))
+}
+
+/// A column whose type the operator rejects: the error `check` gives for
+/// the first non-NULL row, as row-wise evaluation would; every row NULL
+/// otherwise.
+fn all_null_or(
+    col: &ColumnVector,
+    null_type: DataType,
+    check: impl Fn(Value) -> ExecResult<Value>,
+) -> ExecResult<ColumnVector> {
+    if let Some(i) = (0..col.len()).find(|&i| col.is_valid(i)) {
+        check(col.value(i))?;
+    }
+    Ok(ColumnVector::nulls(null_type, col.len()))
+}
+
+/// Operands whose type pair the operator rejects: `error` over the first
+/// row where both are non-NULL, every row NULL if there is none.
+fn rejected_pair(
+    l: &Datum<'_>,
+    r: &Datum<'_>,
+    n: usize,
+    null_type: DataType,
+    error: fn(Value, Value) -> ExecError,
+) -> ExecResult<ColumnVector> {
+    let first = match both_valid(l, r) {
+        None => Some(0),
+        Some(valid) => valid.iter_set().next(),
+    };
+    match first {
+        Some(i) => Err(error(l.value(i), r.value(i))),
+        None => Ok(ColumnVector::nulls(null_type, n)),
+    }
+}
+
+/// Int64/Float64 as the float arithmetic and mixed comparisons see them.
+trait Numeric: Copy {
+    fn as_f64(self) -> f64;
+}
+
+impl Numeric for i64 {
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Numeric for f64 {
+    fn as_f64(self) -> f64 {
+        self
+    }
+}
+
+fn logic_kernel(l: &Datum<'_>, op: BinOp, r: &Datum<'_>, n: usize) -> ColumnVector {
+    let rows: Vec<Option<bool>> = (0..n)
+        .map(|i| three_valued(op, l.bool_at(i), r.bool_at(i)))
+        .collect();
+    bool_column(
+        rows.iter().map(|v| v.unwrap_or_default()).collect(),
+        Some(rows.iter().map(Option::is_some).collect()),
+    )
+}
+
+fn arith_kernel(l: &Datum<'_>, op: BinOp, r: &Datum<'_>, n: usize) -> ExecResult<ColumnVector> {
+    fn floats<A: Numeric, B: Numeric>(
+        a: Side<'_, [A]>,
+        op: BinOp,
+        b: Side<'_, [B]>,
+        n: usize,
+        valid: Option<Bitmap>,
+    ) -> ExecResult<ColumnVector> {
+        let (values, validity) = zip_rows(a, b, n, valid, |a, b| {
+            Ok(float_op(op, a.as_f64(), b.as_f64()))
+        })?;
+        Ok(ColumnVector::Float64 { values, validity })
+    }
+    let valid = both_valid(l, r);
+    match (l.ints(), l.floats(), r.ints(), r.floats()) {
+        (Some(a), _, Some(b), _) if op != BinOp::Div => {
+            let (values, validity) =
+                zip_rows(a, b, n, valid, |a, b| checked_int_op(op, *a, *b).map(Some))?;
+            Ok(ColumnVector::Int64 { values, validity })
+        }
+        (Some(a), _, Some(b), _) => floats(a, op, b, n, valid),
+        (Some(a), _, _, Some(b)) => floats(a, op, b, n, valid),
+        (_, Some(a), Some(b), _) => floats(a, op, b, n, valid),
+        (_, Some(a), _, Some(b)) => floats(a, op, b, n, valid),
+        _ => {
+            let float = op == BinOp::Div || l.is_float() || r.is_float();
+            let null_type = if float {
+                DataType::Float64
+            } else {
+                DataType::Int64
+            };
+            rejected_pair(l, r, n, null_type, non_numeric)
+        }
+    }
+}
+
+fn compare_kernel(l: &Datum<'_>, op: BinOp, r: &Datum<'_>, n: usize) -> ExecResult<ColumnVector> {
+    let valid = both_valid(l, r);
+    macro_rules! compare {
+        ($a:expr, $b:expr, |$x:ident, $y:ident| $ord:expr) => {{
+            let (values, validity) = zip_rows($a, $b, n, valid, |$x, $y| match $ord {
+                Some(ord) => Ok(Some(compare_holds(op, ord))),
+                None => Err(incomparable($x, $y)),
+            })?;
+            return Ok(ColumnVector::Bool { values, validity });
+        }};
+    }
+    // The pairs `Value::sql_cmp` orders; a NaN operand is an error.
+    if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
+        compare!(a, b, |a, b| Some(a.cmp(b)))
+    }
+    if let (Some(a), Some(b)) = (l.floats(), r.floats()) {
+        compare!(a, b, |a, b| a.partial_cmp(b))
+    }
+    if let (Some(a), Some(b)) = (l.ints(), r.floats()) {
+        compare!(a, b, |a, b| a.as_f64().partial_cmp(b))
+    }
+    if let (Some(a), Some(b)) = (l.floats(), r.ints()) {
+        compare!(a, b, |a, b| a.partial_cmp(&b.as_f64()))
+    }
+    if let (Some(a), Some(b)) = (l.strs(), r.strs()) {
+        compare!(a, b, |a, b| Some(a.cmp(b)))
+    }
+    if let (Some(a), Some(b)) = (l.bools(), r.bools()) {
+        compare!(a, b, |a, b| Some(a.cmp(b)))
+    }
+    if let (Some(a), Some(b)) = (l.dates(), r.dates()) {
+        compare!(a, b, |a, b| Some(a.cmp(b)))
+    }
+    if let (Some(a), Some(b)) = (l.dates(), r.ints()) {
+        compare!(a, b, |a, b| Some(i64::from(*a).cmp(b)))
+    }
+    if let (Some(a), Some(b)) = (l.ints(), r.dates()) {
+        compare!(a, b, |a, b| Some(a.cmp(&i64::from(*b))))
+    }
+    rejected_pair(l, r, n, DataType::Bool, incomparable)
 }
 
 /// Aggregate functions.
@@ -432,6 +850,63 @@ mod tests {
         // division by zero is NULL
         let e = Expr::lit(7i64).binary(BinOp::Div, Expr::lit(0i64));
         assert_eq!(e.eval_row(&b, 0).unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error() {
+        let b = batch();
+        for (op, lhs) in [
+            (BinOp::Add, i64::MAX),
+            (BinOp::Sub, i64::MIN),
+            (BinOp::Mul, i64::MAX),
+        ] {
+            // id is 1, 2, 3: every row overflows for + and -, rows 2 and 3 for *.
+            let e = Expr::lit(lhs).binary(op, Expr::col("id"));
+            assert!(matches!(e.eval(&b), Err(ExecError::Overflow)), "{op}");
+            assert!(
+                matches!(e.eval_row(&b, 2), Err(ExecError::Overflow)),
+                "{op}"
+            );
+            let folded = Expr::lit(lhs).binary(op, Expr::lit(2i64));
+            assert!(matches!(folded.eval(&b), Err(ExecError::Overflow)), "{op}");
+        }
+        // Division never overflows: it is float division.
+        let e = Expr::lit(i64::MIN).binary(BinOp::Div, Expr::lit(-1i64));
+        assert_eq!(
+            e.eval_row(&b, 0).unwrap(),
+            Value::Float(i64::MIN as f64 / -1.0)
+        );
+    }
+
+    #[test]
+    fn columns_equal_rows() {
+        let b = batch();
+        let e = Expr::col("tag")
+            .eq(Expr::lit("alpha"))
+            .or(Expr::col("price")
+                .binary(BinOp::Div, Expr::col("id"))
+                .gt(Expr::lit(9.5)));
+        let col = e.eval(&b).unwrap();
+        let rows: Vec<Value> = (0..3).map(|i| e.eval_row(&b, i).unwrap()).collect();
+        assert_eq!(
+            col,
+            ColumnVector::from_values(DataType::Bool, &rows).unwrap()
+        );
+        assert_eq!(
+            rows,
+            [Value::Bool(true), Value::Bool(true), Value::Bool(true)]
+        );
+        // A bare NULL literal takes the type `result_type` infers.
+        let nulls = Expr::Literal(Value::Null).eval(&b).unwrap();
+        assert_eq!(nulls, ColumnVector::nulls(DataType::Int64, 3));
+        // A type error counts only on rows where both operands are non-NULL.
+        let only_null_tag = b.filter(&[false, true, false].into_iter().collect());
+        let e = Expr::col("tag").binary(BinOp::Add, Expr::lit(1i64));
+        assert!(e.eval(&b).is_err());
+        assert_eq!(
+            e.eval(&only_null_tag).unwrap(),
+            ColumnVector::nulls(DataType::Int64, 1)
+        );
     }
 
     #[test]

@@ -398,12 +398,7 @@ impl ScanMorsel {
                     plan.pred_schema.clone(),
                     plan.pred_cols.iter().map(|c| columns[c].clone()).collect(),
                 )?;
-                let mask = pred.eval_predicate(&pred_batch)?;
-                for i in 0..rows {
-                    if !mask.get(i) {
-                        keep.clear(i);
-                    }
-                }
+                keep.intersect_with(&pred.eval_predicate(&pred_batch)?);
             }
             if keep.count_set() == 0 {
                 // Late materialization pays off: no surviving row, so the

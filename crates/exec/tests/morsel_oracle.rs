@@ -3,12 +3,14 @@
 //! morsel spanning the whole file — must produce batch-for-row identical
 //! results to the single-node [`scan_snapshot`] reference, under random
 //! projections, predicates, delete vectors, and row-group sizes, with or
-//! without a prefetch cache in front of the chunk fetches.
+//! without a prefetch cache in front of the chunk fetches — and cutting
+//! every morsel batch to its Top-N before the final Top-N must equal the
+//! reference scan, sorted and limited.
 
 use polaris_columnar::{DataType, DeleteVector, Field, RecordBatch, Schema, Value, WriterOptions};
 use polaris_exec::scan::scan_snapshot;
 use polaris_exec::write::write_data_file;
-use polaris_exec::{cells_of_snapshot, plan_file_scan, Expr, PrefetchCache, ScanMorsel};
+use polaris_exec::{cells_of_snapshot, ops, plan_file_scan, Expr, PrefetchCache, ScanMorsel};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot};
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, Stamp};
 use proptest::prelude::*;
@@ -115,6 +117,8 @@ proptest! {
         pred_const in -20i64..20,
         proj_kind in 0u8..4,
         cuts in proptest::collection::vec(1usize..64, 0..6),
+        order_desc in any::<bool>(),
+        limit in 0usize..12,
     ) {
         let (store, snap) = setup(&files, &deletes, row_group_rows);
         let predicate = predicate_of(pred_kind, pred_const);
@@ -190,6 +194,25 @@ proptest! {
 
         let got_rows: Vec<Vec<Value>> = batches.iter().flat_map(rows_of).collect();
         prop_assert_eq!(&got_rows, &rows_of(&expected));
+
+        // Top-N pushdown as core::read does it: each morsel batch keeps
+        // its best `limit` rows, the FE concatenates in (file, group)
+        // order and takes the Top-N again. Keys repeat and `v` has NULLs,
+        // so ties must fall as in a stable sort of the whole scan.
+        let order_col = expected.schema().fields()[0].name.clone();
+        let order_by = [(order_col, order_desc)];
+        let reduced: Vec<RecordBatch> = batches
+            .iter()
+            .map(|b| ops::top_n(b, &order_by, limit).unwrap())
+            .collect();
+        let top = match reduced.is_empty() {
+            true => Vec::new(),
+            false => rows_of(
+                &ops::top_n(&RecordBatch::concat(&reduced).unwrap(), &order_by, limit).unwrap(),
+            ),
+        };
+        let reference = ops::limit(&ops::sort(&expected, &order_by).unwrap(), limit);
+        prop_assert_eq!(&top, &rows_of(&reference));
         if !got_rows.is_empty() {
             let got = RecordBatch::concat(&batches).unwrap();
             let got_names: Vec<&str> =

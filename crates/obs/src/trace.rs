@@ -47,7 +47,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A span/instant name: almost always a `'static` literal (zero-alloc);
@@ -152,9 +152,18 @@ pub struct TraceEvent {
     pub attrs: AttrList,
 }
 
+/// Slots per ring chunk.
+const CHUNK_SLOTS: usize = 64;
+
+type Slot = Mutex<Option<TraceEvent>>;
+
 /// Bounded, lossy-at-the-tail ring buffer of trace events.
 pub struct TraceSink {
-    slots: Vec<Mutex<Option<TraceEvent>>>,
+    /// The ring, in chunks of [`CHUNK_SLOTS`] that come into being with
+    /// their first event: a default ring is most of a megabyte, and an
+    /// engine that is opened, asked little and dropped never touches it.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
+    capacity: usize,
     /// Next sequence number; `seq % capacity` addresses the slot.
     cursor: AtomicU64,
     /// Next span id to hand out (0 is reserved for "no span").
@@ -172,7 +181,10 @@ impl TraceSink {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace ring needs at least one slot");
         TraceSink {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            chunks: (0..capacity.div_ceil(CHUNK_SLOTS))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity,
             cursor: AtomicU64::new(0),
             next_span: AtomicU64::new(1),
             attr_arena: Mutex::new(Vec::new()),
@@ -182,7 +194,7 @@ impl TraceSink {
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events ever emitted (including overwritten ones).
@@ -192,7 +204,7 @@ impl TraceSink {
 
     /// Events overwritten by ring wrap-around so far.
     pub fn dropped(&self) -> u64 {
-        self.emitted().saturating_sub(self.slots.len() as u64)
+        self.emitted().saturating_sub(self.capacity as u64)
     }
 
     fn alloc_span(&self) -> u64 {
@@ -206,8 +218,10 @@ impl TraceSink {
     fn emit(&self, mut event: TraceEvent) {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         event.seq = seq;
-        let slot = (seq % self.slots.len() as u64) as usize;
-        let evicted = self.slots[slot].lock().replace(event);
+        let slot = (seq % self.capacity as u64) as usize;
+        let chunk = self.chunks[slot / CHUNK_SLOTS]
+            .get_or_init(|| (0..CHUNK_SLOTS).map(|_| Mutex::new(None)).collect());
+        let evicted = chunk[slot % CHUNK_SLOTS].lock().replace(event);
         if let Some(old) = evicted {
             self.recycle_attrs(old.attrs);
         }
@@ -226,14 +240,20 @@ impl TraceSink {
         }
         attrs.clear();
         let mut arena = self.attr_arena.lock();
-        if arena.len() < self.slots.len() {
+        if arena.len() < self.capacity {
             arena.push(attrs);
         }
     }
 
     /// Point-in-time copy of the retained events, in emission order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self.slots.iter().filter_map(|s| s.lock().clone()).collect();
+        let mut out: Vec<TraceEvent> = self
+            .chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|chunk| chunk.iter())
+            .filter_map(|s| s.lock().clone())
+            .collect();
         out.sort_by_key(|e| e.seq);
         out
     }
@@ -242,7 +262,7 @@ impl TraceSink {
 impl fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceSink")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .field("emitted", &self.emitted())
             .finish()
     }

@@ -7,6 +7,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The benchmark is a package of its own, so `cargo test` above never builds
+# it: its smoke runs all four workloads with the answer checks on, which is
+# where an exec change that breaks an answer shows before the pipeline.
+# Tried twice: its repeat-exactly test compares two runs' read calls and
+# allocations, which follow timing-dependent morsel splits and telemetry
+# ticks and differ on a host that is being stolen from (seen at PR 11 and
+# PR 12 alike); a wrong answer is wrong both times.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml \
+  || cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Morsel-scan smoke: the proptest oracle proving morsel scans are
 # row-identical to the single-node reference. The vendored proptest
