@@ -3,6 +3,7 @@
 
 use crate::recovery::{self, CommitLogWriter, RecoveryReport};
 use crate::schema_json::{schema_from_json, schema_to_json};
+use crate::sto::StoState;
 use crate::telemetry::EngineTelemetry;
 use crate::{EngineConfig, PolarisError, PolarisResult, Session, Transaction};
 use parking_lot::{Mutex, RwLock};
@@ -44,9 +45,9 @@ pub struct PolarisEngine {
     store: Arc<dyn ObjectStore>,
     pool: Arc<ComputePool>,
     caches: RwLock<HashMap<TableId, Arc<SnapshotCache>>>,
-    /// Tables with commits not yet published to the Delta log (§5.4):
-    /// `table id -> last published sequence`.
-    publish_watermarks: Mutex<HashMap<TableId, SequenceId>>,
+    /// What the STO remembers between ticks (publish and GC-fold
+    /// watermarks, per-table blob fates) — like `caches`, disposable.
+    sto: Mutex<StoState>,
     /// Engine-wide metrics registry: every layer (store, cache, catalog,
     /// pool, scan) emits into this one instance.
     metrics: Arc<MetricsRegistry>,
@@ -206,7 +207,7 @@ impl PolarisEngine {
             store,
             pool,
             caches: RwLock::new(HashMap::new()),
-            publish_watermarks: Mutex::new(HashMap::new()),
+            sto: Mutex::new(StoState::default()),
             metrics,
             tracer,
             slow_log,
@@ -557,8 +558,9 @@ impl PolarisEngine {
         Ok(engine)
     }
 
-    /// Drop a table (auto-commit DDL). Physical files are reclaimed later
-    /// by garbage collection.
+    /// Drop a table (auto-commit DDL). Its files stay in the lake: GC lists
+    /// only the data roots of live tables, so a dropped table's root is
+    /// swept again only while a clone still shares it.
     pub fn drop_table(&self, name: &str) -> PolarisResult<TableId> {
         let mut txn = self.catalog.begin(self.config.default_isolation);
         let id = match self.catalog.drop_table(&mut txn, name) {
@@ -655,20 +657,9 @@ impl PolarisEngine {
         Ok(snap)
     }
 
-    /// Record that `table` committed at `seq` but has not been published
-    /// to the Delta log yet; returns the range `(last_published, seq]` the
-    /// STO should publish.
-    pub(crate) fn publish_range(
-        &self,
-        table: TableId,
-        upto: SequenceId,
-    ) -> (SequenceId, SequenceId) {
-        let mut marks = self.publish_watermarks.lock();
-        let from = *marks.entry(table).or_insert(SequenceId(0));
-        if upto > from {
-            marks.insert(table, upto);
-        }
-        (from, upto.max(from))
+    /// The STO's between-ticks state.
+    pub(crate) fn sto_state(&self) -> &Mutex<StoState> {
+        &self.sto
     }
 }
 
@@ -709,24 +700,5 @@ mod tests {
         let snap = engine.snapshot(&mut txn, &meta, None).unwrap();
         assert_eq!(snap.file_count(), 0);
         engine.catalog().abort(&mut txn);
-    }
-
-    #[test]
-    fn publish_range_advances() {
-        let engine = PolarisEngine::in_memory();
-        let id = TableId(7);
-        assert_eq!(
-            engine.publish_range(id, SequenceId(5)),
-            (SequenceId(0), SequenceId(5))
-        );
-        assert_eq!(
-            engine.publish_range(id, SequenceId(9)),
-            (SequenceId(5), SequenceId(9))
-        );
-        // no regression
-        assert_eq!(
-            engine.publish_range(id, SequenceId(3)),
-            (SequenceId(9), SequenceId(9))
-        );
     }
 }

@@ -7,15 +7,93 @@
 //! function (the figure harnesses drive them deterministically) plus a
 //! background [`StoRunner`] thread that applies the paper's triggers.
 
-use crate::{PolarisEngine, PolarisResult, SequenceId};
+use crate::{EngineConfig, PolarisEngine, PolarisResult, SequenceId};
+use polaris_catalog::{CatalogTxn, TableId, Timestamp};
 use polaris_columnar::RecordBatch;
 use polaris_exec::{scan::scan_cell, write as bewrite};
-use polaris_lst::{publish, Checkpoint, Manifest, ManifestAction};
+use polaris_lst::{publish, Checkpoint, DataFileState, Manifest, ManifestAction, TableSnapshot};
 use polaris_store::{BlobPath, Stamp};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Run `f` in a read-only catalog transaction that is released on every
+/// path — a transaction left active would pin the GC watermark for good.
+fn read_catalog<R>(
+    engine: &PolarisEngine,
+    f: impl FnOnce(&mut CatalogTxn) -> PolarisResult<R>,
+) -> PolarisResult<R> {
+    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
+    let out = f(&mut ctxn);
+    engine.catalog().abort(&mut ctxn);
+    out
+}
+
+// ---------------------------------------------------------------------
+// STO state: what a tick remembers so the next one pays for the delta
+// ---------------------------------------------------------------------
+
+/// The orchestrator's memory between ticks. A disposable BE-side cache in
+/// the §3.3 sense: empty after `open`/`restore`, rebuilt by the very fold
+/// that maintains it (a cold table folds from watermark 0), and losing it
+/// costs a replay, never correctness.
+#[derive(Default)]
+pub(crate) struct StoState {
+    tables: HashMap<TableId, TableSto>,
+    /// Commit clock the tick's last catalog backup captured.
+    backup_clock: Option<Timestamp>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Active,
+    /// Logically removed at this sequence.
+    Removed(SequenceId),
+}
+
+#[derive(Default)]
+struct TableSto {
+    /// Last sequence published to the Delta log (§5.4).
+    published: SequenceId,
+    /// GC fold watermark: manifests up to here are folded into `fates`.
+    folded: SequenceId,
+    /// Fate of every blob this table's manifest chain names — the LAST
+    /// action for a path wins (a file added and later removed is removed).
+    /// An entry leaves when the sweep deletes its blob, which bounds the map
+    /// by live + in-retention + manifest paths; a fold from watermark 0
+    /// also brings back the removals reclaimed before it, which nothing
+    /// lists again and nothing drops.
+    fates: HashMap<String, Fate>,
+}
+
+impl TableSto {
+    /// Advance the publish watermark to `upto`; returns the range
+    /// `(last_published, upto]` the caller should publish.
+    fn publish_range(&mut self, upto: SequenceId) -> (SequenceId, SequenceId) {
+        let from = self.published;
+        self.published = upto.max(from);
+        (from, self.published)
+    }
+
+    /// Fold one committed manifest (at `seq`, stored at `path`) into the
+    /// fate map and advance the watermark past it.
+    fn fold(&mut self, seq: SequenceId, path: String, manifest: Manifest) {
+        // Committed manifest blobs are always reachable metadata.
+        self.fates.insert(path, Fate::Active);
+        for action in manifest.actions {
+            match action {
+                ManifestAction::AddFile(e) => self.fates.insert(e.path, Fate::Active),
+                ManifestAction::RemoveFile { path } => self.fates.insert(path, Fate::Removed(seq)),
+                ManifestAction::AddDv { dv, .. } => self.fates.insert(dv.path, Fate::Active),
+                ManifestAction::RemoveDv { dv_path, .. } => {
+                    self.fates.insert(dv_path, Fate::Removed(seq))
+                }
+            };
+        }
+        self.folded = seq;
+    }
+}
 
 // ---------------------------------------------------------------------
 // Storage health (the SELECT-time statistics of §5.1)
@@ -52,29 +130,52 @@ impl TableHealth {
 /// Compute the health of a table from snapshot metadata alone (no data
 /// reads — row and delete counts live in the manifests).
 pub fn table_health(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<TableHealth> {
-    let config = *engine.config();
-    let mut ctxn = engine.catalog().begin(config.default_isolation);
-    let (meta, _) = engine.table_meta(&mut ctxn, table)?;
-    let snap = engine.snapshot(&mut ctxn, &meta, None)?;
-    engine.catalog().abort(&mut ctxn);
-    let mut health = TableHealth {
+    let snap = read_catalog(engine, |ctxn| {
+        let (meta, _) = engine.table_meta(ctxn, table)?;
+        engine.snapshot(ctxn, &meta, None)
+    })?;
+    let config = engine.config();
+    let victims = compaction_victims(&snap, config);
+    let fragmented_files = victims
+        .iter()
+        .filter(|f| f.deleted_fraction() > config.compact_max_deleted)
+        .count();
+    Ok(TableHealth {
         table: table.to_owned(),
         file_count: snap.file_count(),
-        small_files: 0,
-        fragmented_files: 0,
+        small_files: victims.len() - fragmented_files,
+        fragmented_files,
         live_rows: snap.live_rows(),
         total_rows: snap.total_rows(),
-    };
-    let mut small_by_dist: HashMap<u32, usize> = HashMap::new();
+    })
+}
+
+/// The files compaction would rewrite: fragmented files (deleted fraction
+/// above `compact_max_deleted`), plus small files in distributions that
+/// have at least two of them (a lone small file has nothing to merge
+/// with — compaction is per distribution).
+fn compaction_victims<'a>(
+    snap: &'a TableSnapshot,
+    config: &EngineConfig,
+) -> Vec<&'a DataFileState> {
+    let mut victims = Vec::new();
+    let mut small_by_dist: BTreeMap<u32, Vec<&DataFileState>> = BTreeMap::new();
     for f in snap.files() {
         if f.deleted_fraction() > config.compact_max_deleted {
-            health.fragmented_files += 1;
+            victims.push(f);
         } else if f.live_rows() < config.compact_min_rows {
-            *small_by_dist.entry(f.entry.distribution).or_default() += 1;
+            small_by_dist
+                .entry(f.entry.distribution)
+                .or_default()
+                .push(f);
         }
     }
-    health.small_files = small_by_dist.values().filter(|&&n| n >= 2).sum();
-    Ok(health)
+    for group in small_by_dist.into_values() {
+        if group.len() >= 2 {
+            victims.extend(group);
+        }
+    }
+    victims
 }
 
 // ---------------------------------------------------------------------
@@ -108,28 +209,10 @@ pub fn compact_table(
     let config = *engine.config();
     let mut txn = engine.begin();
     let tid = txn.table_state(table)?;
-    let view = txn.tables[&tid].view();
+    // A transaction that has written nothing reads its committed base.
+    let base = Arc::clone(&txn.tables[&tid].base);
     let data_root = txn.tables[&tid].meta.data_root.clone();
-    // Victims: fragmented files, plus small files in distributions that
-    // have at least two of them (a lone small file has nothing to merge
-    // with — compaction is per distribution).
-    let mut victims = Vec::new();
-    let mut small_by_dist: HashMap<u32, Vec<polaris_lst::DataFileState>> = HashMap::new();
-    for f in view.files() {
-        if f.deleted_fraction() > config.compact_max_deleted {
-            victims.push(f.clone());
-        } else if f.live_rows() < config.compact_min_rows {
-            small_by_dist
-                .entry(f.entry.distribution)
-                .or_default()
-                .push(f.clone());
-        }
-    }
-    for (_, group) in small_by_dist {
-        if group.len() >= 2 {
-            victims.extend(group);
-        }
-    }
+    let victims = compaction_victims(&base, &config);
     if victims.is_empty() {
         return Ok(None);
     }
@@ -198,19 +281,24 @@ pub fn manifests_since_checkpoint(
     engine: &Arc<PolarisEngine>,
     table: &str,
 ) -> PolarisResult<usize> {
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
-    let (meta, _) = engine.table_meta(&mut ctxn, table)?;
-    let last = engine
-        .catalog()
-        .latest_checkpoint(&mut ctxn, meta.id, SequenceId(u64::MAX))?
-        .map(|(seq, _)| seq)
-        .unwrap_or(SequenceId(0));
-    let rows =
-        engine
-            .catalog()
-            .manifests_between(&mut ctxn, meta.id, last, SequenceId(u64::MAX))?;
-    engine.catalog().abort(&mut ctxn);
-    Ok(rows.len())
+    read_catalog(engine, |ctxn| {
+        let (meta, _) = engine.table_meta(ctxn, table)?;
+        checkpoint_tail(engine, ctxn, meta.id)
+    })
+}
+
+fn checkpoint_tail(
+    engine: &PolarisEngine,
+    ctxn: &mut CatalogTxn,
+    table: TableId,
+) -> PolarisResult<usize> {
+    let catalog = engine.catalog();
+    let last = catalog
+        .latest_checkpoint(ctxn, table, SequenceId(u64::MAX))?
+        .map_or(SequenceId(0), |(seq, _)| seq);
+    Ok(catalog
+        .manifests_between(ctxn, table, last, SequenceId(u64::MAX))?
+        .len())
 }
 
 /// Write a checkpoint unconditionally (no-op if nothing new to fold).
@@ -221,31 +309,7 @@ pub fn checkpoint_table(
     engine: &Arc<PolarisEngine>,
     table: &str,
 ) -> PolarisResult<Option<CheckpointReport>> {
-    let folded = manifests_since_checkpoint(engine, table)?;
-    if folded == 0 {
-        return Ok(None);
-    }
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
-    let (meta, _) = engine.table_meta(&mut ctxn, table)?;
-    let snap = engine.snapshot(&mut ctxn, &meta, None)?;
-    let ckpt = Checkpoint::from_snapshot(&snap);
-    let path = format!("{}/_ckpt/{:020}.json", meta.data_root, ckpt.upto.0);
-    engine
-        .store()
-        .put(&BlobPath::new(path.clone())?, ckpt.encode(), Stamp::SYSTEM)?;
-    engine
-        .catalog()
-        .add_checkpoint(&mut ctxn, meta.id, ckpt.upto, &path)?;
-    engine.catalog().commit(&mut ctxn)?;
-    // Publish the compacted state to the lake too (§5.4): other engines
-    // reading the Delta log can start from this checkpoint instead of
-    // replaying every commit file.
-    publish::publish_snapshot_as_delta(&**engine.store(), &meta.data_root, &snap)?;
-    Ok(Some(CheckpointReport {
-        covers: ckpt.upto,
-        files: ckpt.file_count(),
-        folded_manifests: folded,
-    }))
+    checkpoint_with_tail(engine, table, 1)
 }
 
 /// Checkpoint only once `checkpoint_every` manifests have accumulated —
@@ -254,10 +318,54 @@ pub fn checkpoint_if_needed(
     engine: &Arc<PolarisEngine>,
     table: &str,
 ) -> PolarisResult<Option<CheckpointReport>> {
-    if (manifests_since_checkpoint(engine, table)? as u64) < engine.config().checkpoint_every {
-        return Ok(None);
+    checkpoint_with_tail(engine, table, engine.config().checkpoint_every as usize)
+}
+
+/// Checkpoint `table` if at least `min_tail` manifests follow its latest
+/// checkpoint. The count, the snapshot and the `Checkpoints` row all belong
+/// to one catalog transaction.
+fn checkpoint_with_tail(
+    engine: &Arc<PolarisEngine>,
+    table: &str,
+    min_tail: usize,
+) -> PolarisResult<Option<CheckpointReport>> {
+    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
+    let staged = (|| {
+        let (meta, _) = engine.table_meta(&mut ctxn, table)?;
+        let folded = checkpoint_tail(engine, &mut ctxn, meta.id)?;
+        if folded < min_tail.max(1) {
+            return Ok(None);
+        }
+        let snap = engine.snapshot(&mut ctxn, &meta, None)?;
+        let ckpt = Checkpoint::from_snapshot(&snap);
+        let path = format!("{}/_ckpt/{:020}.json", meta.data_root, ckpt.upto.0);
+        engine
+            .store()
+            .put(&BlobPath::new(path.clone())?, ckpt.encode(), Stamp::SYSTEM)?;
+        engine
+            .catalog()
+            .add_checkpoint(&mut ctxn, meta.id, ckpt.upto, &path)?;
+        let report = CheckpointReport {
+            covers: ckpt.upto,
+            files: ckpt.file_count(),
+            folded_manifests: folded,
+        };
+        Ok(Some((meta, snap, report)))
+    })();
+    match staged {
+        Ok(Some((meta, snap, report))) => {
+            engine.catalog().commit(&mut ctxn)?;
+            // Publish the compacted state to the lake too (§5.4): other
+            // engines reading the Delta log can start from this checkpoint
+            // instead of replaying every commit file.
+            publish::publish_snapshot_as_delta(&**engine.store(), &meta.data_root, &snap)?;
+            Ok(Some(report))
+        }
+        nothing_staged => {
+            engine.catalog().abort(&mut ctxn);
+            nothing_staged.map(|_| None)
+        }
     }
-    checkpoint_table(engine, table)
 }
 
 // ---------------------------------------------------------------------
@@ -276,95 +384,86 @@ pub struct GcReport {
     pub active: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Fate {
-    Active,
-    /// Logically removed at this sequence.
-    Removed(SequenceId),
+/// Bring every listed table's fate map up to the transaction's snapshot:
+/// fold the manifests committed since its watermark — the only manifests
+/// fetched and decoded — and forget tables that left the catalog. Returns
+/// the data roots to sweep, each with the tables sharing it (zero-copy
+/// clones live under their source's root).
+fn fold_new_manifests(
+    engine: &PolarisEngine,
+    ctxn: &mut CatalogTxn,
+    tables: &mut HashMap<TableId, TableSto>,
+) -> PolarisResult<BTreeMap<String, Vec<TableId>>> {
+    let catalog = engine.catalog();
+    let listed = catalog.list_tables(ctxn)?;
+    let live: HashSet<TableId> = listed.iter().map(|meta| meta.id).collect();
+    tables.retain(|id, _| live.contains(id));
+    let folded = engine.metrics().counter("sto.gc_folded_manifests");
+    let mut roots: BTreeMap<String, Vec<TableId>> = BTreeMap::new();
+    for meta in listed {
+        let sto = tables.entry(meta.id).or_default();
+        let rows = catalog.manifests_between(ctxn, meta.id, sto.folded, SequenceId(u64::MAX))?;
+        for (seq, row) in rows {
+            let raw = engine
+                .store()
+                .get(&BlobPath::new(row.manifest_file.clone())?)?;
+            sto.fold(seq, row.manifest_file, Manifest::decode(&raw)?);
+            folded.inc();
+        }
+        // One row per checkpoint the STO ever took of this table — a
+        // checkpoint can commit below a newer one's sequence, so there is
+        // no watermark to read them from.
+        for (_, ckpt) in catalog.checkpoints(ctxn, meta.id)? {
+            sto.fates.insert(ckpt.path, Fate::Active);
+        }
+        roots.entry(meta.data_root).or_default().push(meta.id);
+    }
+    Ok(roots)
+}
+
+/// A blob's fate ACROSS the tables sharing its lineage: Active wins — a
+/// file is reachable if any table still references it — and among
+/// removals the latest sequence wins (retention counts from the last
+/// table to let go). `None`: no manifest ever named it.
+fn shared_fate(tables: &[&TableSto], path: &str) -> Option<Fate> {
+    let mut shared = None;
+    for table in tables {
+        match (table.fates.get(path), shared) {
+            (None, _) => {}
+            (Some(Fate::Active), _) => return Some(Fate::Active),
+            (Some(Fate::Removed(at)), Some(Fate::Removed(latest))) if *at <= latest => {}
+            (Some(fate), _) => shared = Some(*fate),
+        }
+    }
+    shared
 }
 
 /// Sweep all tables: delete files that are logically removed beyond the
 /// retention window, or that belong to aborted transactions.
 ///
-/// Tables can share lineage through zero-copy clones, so the sweep builds
-/// one global active set: a file referenced by *any* table stays (§5.3).
+/// Tables can share lineage through zero-copy clones, so a file referenced
+/// by *any* table under its data root stays (§5.3). Only manifests
+/// committed since the previous sweep are read; the listing of each root
+/// is what still grows with the number of live blobs.
 pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
     let config = *engine.config();
     // The watermark must be sampled BEFORE the snapshot below is taken: a
-    // transaction that commits in between would be invisible to the replay
+    // transaction that commits in between would be invisible to the fold
     // yet already gone from the active set, and its freshly committed data
     // files would be swept as aborted leftovers. Sampled first, any
     // transaction missing from the active set has either committed (its
     // writes became visible before it left the set, so the later snapshot
     // sees its manifest) or aborted (its files are true garbage).
     let min_active_txn = engine.catalog().min_active_txn_id();
-    let mut ctxn = engine.catalog().begin(config.default_isolation);
-    let tables = engine.catalog().list_tables(&mut ctxn)?;
+    let mut state = engine.sto_state().lock();
+    let tables = &mut state.tables;
+    let roots = read_catalog(engine, |ctxn| fold_new_manifests(engine, ctxn, tables))?;
     let now = SequenceId(engine.catalog().now().0);
 
-    // Fates are computed in two phases. WITHIN one table's manifest chain
-    // the LAST action for a path wins (a file added and later removed is
-    // removed). ACROSS tables sharing lineage (clones), Active wins — a
-    // file is reachable if any table still references it — and among
-    // removals the latest sequence wins (retention counts from the last
-    // table to let go).
-    let mut fates: HashMap<String, Fate> = HashMap::new();
-    let merge = |path: &str, fate: Fate, fates: &mut HashMap<String, Fate>| match (
-        fates.get(path),
-        &fate,
-    ) {
-        (Some(Fate::Active), _) => {}
-        (Some(Fate::Removed(_)), Fate::Active) => {
-            fates.insert(path.to_owned(), Fate::Active);
-        }
-        (Some(Fate::Removed(old)), Fate::Removed(new)) if new <= old => {}
-        _ => {
-            fates.insert(path.to_owned(), fate);
-        }
-    };
-    let mut roots: Vec<String> = Vec::new();
-    for meta in &tables {
-        if !roots.contains(&meta.data_root) {
-            roots.push(meta.data_root.clone());
-        }
-        // Phase 1: per-table replay, last action wins.
-        let mut local: HashMap<String, Fate> = HashMap::new();
-        let rows = engine.catalog().visible_manifests(&mut ctxn, meta.id)?;
-        for (seq, row) in &rows {
-            // Committed manifest blobs are always reachable metadata.
-            local.insert(row.manifest_file.clone(), Fate::Active);
-            let raw = engine
-                .store()
-                .get(&BlobPath::new(row.manifest_file.clone())?)?;
-            for action in Manifest::decode(&raw)?.actions {
-                match action {
-                    ManifestAction::AddFile(e) => {
-                        local.insert(e.path, Fate::Active);
-                    }
-                    ManifestAction::RemoveFile { path } => {
-                        local.insert(path, Fate::Removed(*seq));
-                    }
-                    ManifestAction::AddDv { dv, .. } => {
-                        local.insert(dv.path, Fate::Active);
-                    }
-                    ManifestAction::RemoveDv { dv_path, .. } => {
-                        local.insert(dv_path, Fate::Removed(*seq));
-                    }
-                }
-            }
-        }
-        for (_, ckpt) in engine.catalog().checkpoints(&mut ctxn, meta.id)? {
-            local.insert(ckpt.path, Fate::Active);
-        }
-        // Phase 2: merge into the shared-lineage view.
-        for (path, fate) in local {
-            merge(&path, fate, &mut fates);
-        }
-    }
-    engine.catalog().abort(&mut ctxn);
-
     let mut report = GcReport::default();
-    for root in roots {
+    for (root, ids) in &roots {
+        let sharing: Vec<&TableSto> = ids.iter().filter_map(|id| tables.get(id)).collect();
+        let mut reclaimed = Vec::new();
         for blob in engine.store().list(&format!("{root}/"))? {
             let path = blob.path.as_str();
             // The published Delta log (§5.4) is the user-accessible copy of
@@ -373,12 +472,13 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
                 report.active += 1;
                 continue;
             }
-            match fates.get(path) {
+            match shared_fate(&sharing, path) {
                 Some(Fate::Active) => report.active += 1,
                 Some(Fate::Removed(at)) => {
                     if now.0.saturating_sub(at.0) > config.retention_seqs {
                         engine.store().delete(&blob.path)?;
                         report.deleted += 1;
+                        reclaimed.push(blob.path);
                     } else {
                         // Within retention: still reachable by time travel.
                         report.active += 1;
@@ -396,7 +496,19 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
                 }
             }
         }
+        for id in ids {
+            if let Some(table) = tables.get_mut(id) {
+                for path in &reclaimed {
+                    table.fates.remove(path.as_str());
+                }
+            }
+        }
     }
+    let entries: usize = tables.values().map(|t| t.fates.len()).sum();
+    engine
+        .metrics()
+        .gauge("sto.gc_state_entries")
+        .set(entries as i64);
     Ok(report)
 }
 
@@ -407,31 +519,29 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
 /// Publish manifests committed since the last publish as Delta-log files
 /// under the table's `_delta_log/`. Returns the number published.
 pub fn publish_table(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<usize> {
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
-    let (meta, _) = engine.table_meta(&mut ctxn, table)?;
-    let rows = engine.catalog().visible_manifests(&mut ctxn, meta.id)?;
-    let Some((last_seq, _)) = rows.last() else {
-        engine.catalog().abort(&mut ctxn);
-        return Ok(0);
-    };
-    let (from, to) = engine.publish_range(meta.id, *last_seq);
-    let mut span = engine.tracer().span("lst.publish");
-    span.attr("table", table);
-    let mut published = 0;
-    for (seq, row) in rows {
-        if seq <= from || seq > to {
-            continue;
+    read_catalog(engine, |ctxn| {
+        let (meta, _) = engine.table_meta(ctxn, table)?;
+        let catalog = engine.catalog();
+        let latest = catalog.latest_manifest_sequence(ctxn, meta.id, SequenceId(u64::MAX))?;
+        let (from, to) = engine
+            .sto_state()
+            .lock()
+            .tables
+            .entry(meta.id)
+            .or_default()
+            .publish_range(latest);
+        let mut span = engine.tracer().span("lst.publish");
+        span.attr("table", table);
+        let mut published = 0;
+        for (seq, row) in catalog.manifests_between(ctxn, meta.id, from, to)? {
+            let raw = engine.store().get(&BlobPath::new(row.manifest_file)?)?;
+            let manifest = Manifest::decode(&raw)?;
+            publish::publish_manifest_as_delta(&**engine.store(), &meta.data_root, seq, &manifest)?;
+            published += 1;
         }
-        let raw = engine
-            .store()
-            .get(&BlobPath::new(row.manifest_file.clone())?)?;
-        let manifest = Manifest::decode(&raw)?;
-        publish::publish_manifest_as_delta(&**engine.store(), &meta.data_root, seq, &manifest)?;
-        published += 1;
-    }
-    span.attr("published", published);
-    engine.catalog().abort(&mut ctxn);
-    Ok(published)
+        span.attr("published", published);
+        Ok(published)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -456,33 +566,31 @@ pub struct StoTickReport {
 /// Run one monitoring pass over every table: publish new commits,
 /// checkpoint and compact where triggers fire, then GC.
 pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
+    let started = Instant::now();
     let mut report = StoTickReport::default();
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
-    let tables: Vec<String> = engine
-        .catalog()
-        .list_tables(&mut ctxn)?
-        .into_iter()
-        .map(|m| m.name)
-        .collect();
-    engine.catalog().abort(&mut ctxn);
-    for table in &tables {
+    let tables = read_catalog(engine, |ctxn| Ok(engine.catalog().list_tables(ctxn)?))?;
+    for table in tables.iter().map(|meta| meta.name.as_str()) {
         report.published += publish_table(engine, table)?;
         if checkpoint_if_needed(engine, table)?.is_some() {
             report.checkpoints += 1;
         }
-        if !table_health(engine, table)?.is_healthy() {
-            match compact_table(engine, table) {
-                Ok(Some(_)) => report.compactions += 1,
-                Ok(None) => {}
-                Err(e) if e.is_retryable_conflict() => report.compaction_conflicts += 1,
-                Err(e) => return Err(e),
-            }
+        // Finds no victims, and does nothing, on a healthy table.
+        match compact_table(engine, table) {
+            Ok(Some(_)) => report.compactions += 1,
+            Ok(None) => {}
+            Err(e) if e.is_retryable_conflict() => report.compaction_conflicts += 1,
+            Err(e) => return Err(e),
         }
     }
     report.gc_deleted = garbage_collect(engine)?.deleted;
-    // Periodic catalog backup (§6.3): one per orchestrator pass, enabling
-    // point-in-time restore of the whole database.
-    engine.backup_catalog("system/catalog-backup.json")?;
+    // Periodic catalog backup (§6.3), enabling point-in-time restore of the
+    // whole database: one per pass that follows a commit. An image of the
+    // clock the previous backup captured would be the same image.
+    let clock = engine.catalog().now();
+    if engine.sto_state().lock().backup_clock != Some(clock) {
+        engine.backup_catalog("system/catalog-backup.json")?;
+        engine.sto_state().lock().backup_clock = Some(clock);
+    }
     let metrics = engine.metrics();
     metrics.counter("sto.ticks").inc();
     metrics
@@ -500,6 +608,7 @@ pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
     metrics
         .counter("sto.gc_deleted")
         .add(report.gc_deleted as u64);
+    metrics.histogram("sto.tick_ns").record_since(started);
     Ok(report)
 }
 
@@ -546,5 +655,28 @@ impl Drop for StoRunner {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn publish_range_advances() {
+        let mut sto = TableSto::default();
+        assert_eq!(
+            sto.publish_range(SequenceId(5)),
+            (SequenceId(0), SequenceId(5))
+        );
+        assert_eq!(
+            sto.publish_range(SequenceId(9)),
+            (SequenceId(5), SequenceId(9))
+        );
+        // no regression
+        assert_eq!(
+            sto.publish_range(SequenceId(3)),
+            (SequenceId(9), SequenceId(9))
+        );
     }
 }

@@ -1,28 +1,170 @@
-//! GC safety property: under ANY interleaving of DML, clones, compaction
-//! and GC sweeps, every table (and every still-within-retention historical
-//! snapshot) remains fully readable — garbage collection may only ever
-//! delete unreachable files.
+//! GC safety property: under ANY interleaving of DML, clones, drops,
+//! restarts, compaction and GC sweeps, every table (and every
+//! still-within-retention historical snapshot) remains fully readable —
+//! garbage collection may only ever delete unreachable files.
+//!
+//! GC equivalence property: the engine's incremental sweep (per-table fate
+//! maps carried between sweeps) deletes exactly the blobs, and reports
+//! exactly the counts, of [`reference_gc`] — the from-scratch fold over
+//! every manifest every listed table ever committed.
 
 // The `..Default::default()` in proptest_config is redundant against the
 // vendored proptest stub but required by the real crate's larger config.
 #![allow(clippy::needless_update)]
 
+use polaris_core::sto::GcReport;
 use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, RecordBatch, SequenceId, Value};
 use polaris_core::{DataType, Field, Schema};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::MemoryStore;
+use polaris_lst::{Manifest, ManifestAction};
+use polaris_store::{BlobPath, FaultyStore, MemoryStore, ObjectStore};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+
+// ---------------------------------------------------------------------
+// The reference: GC as a full replay, deciding without deleting
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Active,
+    /// Logically removed at this sequence.
+    Removed(SequenceId),
+}
+
+/// What a sweep should delete and report, recomputed from the beginning of
+/// time: every manifest of every listed table is fetched and decoded.
+///
+/// WITHIN one table's manifest chain the LAST action for a path wins (a
+/// file added and later removed is removed). ACROSS tables sharing lineage
+/// (clones), Active wins — a file is reachable if any table still
+/// references it — and among removals the latest sequence wins (retention
+/// counts from the last table to let go).
+fn reference_gc(engine: &Arc<PolarisEngine>) -> (GcReport, BTreeSet<String>) {
+    let config = *engine.config();
+    let catalog = engine.catalog();
+    let min_active_txn = catalog.min_active_txn_id();
+    let mut ctxn = catalog.begin(config.default_isolation);
+    let tables = catalog.list_tables(&mut ctxn).unwrap();
+    let now = catalog.now().0;
+
+    let mut fates: HashMap<String, Fate> = HashMap::new();
+    let mut roots: Vec<String> = Vec::new();
+    for meta in &tables {
+        if !roots.contains(&meta.data_root) {
+            roots.push(meta.data_root.clone());
+        }
+        // Phase 1: per-table replay, last action wins.
+        let mut local: HashMap<String, Fate> = HashMap::new();
+        for (seq, row) in catalog.visible_manifests(&mut ctxn, meta.id).unwrap() {
+            let raw = engine
+                .store()
+                .get(&BlobPath::new(row.manifest_file.clone()).unwrap())
+                .unwrap();
+            // Committed manifest blobs are always reachable metadata.
+            local.insert(row.manifest_file, Fate::Active);
+            for action in Manifest::decode(&raw).unwrap().actions {
+                match action {
+                    ManifestAction::AddFile(e) => local.insert(e.path, Fate::Active),
+                    ManifestAction::RemoveFile { path } => local.insert(path, Fate::Removed(seq)),
+                    ManifestAction::AddDv { dv, .. } => local.insert(dv.path, Fate::Active),
+                    ManifestAction::RemoveDv { dv_path, .. } => {
+                        local.insert(dv_path, Fate::Removed(seq))
+                    }
+                };
+            }
+        }
+        for (_, ckpt) in catalog.checkpoints(&mut ctxn, meta.id).unwrap() {
+            local.insert(ckpt.path, Fate::Active);
+        }
+        // Phase 2: merge into the shared-lineage view.
+        for (path, fate) in local {
+            match (fates.get(&path), fate) {
+                (Some(Fate::Active), _) => {}
+                (Some(Fate::Removed(old)), Fate::Removed(new)) if new <= *old => {}
+                _ => {
+                    fates.insert(path, fate);
+                }
+            }
+        }
+    }
+    catalog.abort(&mut ctxn);
+
+    let mut report = GcReport::default();
+    let mut doomed = BTreeSet::new();
+    for root in roots {
+        for blob in engine.store().list(&format!("{root}/")).unwrap() {
+            let path = blob.path.as_str();
+            let delete = match fates.get(path) {
+                // The published Delta log is never subject to internal GC.
+                _ if path.contains("/_delta_log/") => false,
+                Some(Fate::Active) => false,
+                Some(Fate::Removed(at)) => now.saturating_sub(at.0) > config.retention_seqs,
+                None if blob.stamp.0 < min_active_txn.0 => true,
+                None => {
+                    report.retained_inflight += 1;
+                    continue;
+                }
+            };
+            if delete {
+                report.deleted += 1;
+                doomed.insert(path.to_owned());
+            } else {
+                report.active += 1;
+            }
+        }
+    }
+    (report, doomed)
+}
+
+fn lake(engine: &Arc<PolarisEngine>) -> BTreeSet<String> {
+    let blobs = engine.store().list("lake/").unwrap();
+    blobs.into_iter().map(|b| b.path.to_string()).collect()
+}
+
+/// Run the engine's GC and hold it to the reference, blob for blob.
+fn gc_like_the_reference(engine: &Arc<PolarisEngine>) {
+    let (expected, doomed) = reference_gc(engine);
+    let before = lake(engine);
+    let report = sto::garbage_collect(engine).unwrap();
+    let after = lake(engine);
+    let deleted: BTreeSet<String> = before.difference(&after).cloned().collect();
+    assert_eq!(deleted, doomed, "incremental GC deleted other blobs");
+    assert_eq!(report, expected, "incremental GC reported other counts");
+}
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { table: u8, n: u8 },
-    DeleteRange { table: u8, lo: i64, width: u8 },
-    Clone { source: u8 },
-    Restore { table: u8 },
-    Compact { table: u8 },
+    Insert {
+        table: u8,
+        n: u8,
+    },
+    DeleteRange {
+        table: u8,
+        lo: i64,
+        width: u8,
+    },
+    Clone {
+        source: u8,
+    },
+    Restore {
+        table: u8,
+    },
+    Compact {
+        table: u8,
+    },
     Gc,
-    Abort { table: u8, n: u8 },
+    Abort {
+        table: u8,
+        n: u8,
+    },
+    DropTable {
+        table: u8,
+    },
+    /// Kill and `open` over the same store: the STO state starts cold
+    /// mid-history.
+    Reopen,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -35,6 +177,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0u8..2).prop_map(|table| Op::Compact { table }),
         2 => Just(Op::Gc),
         1 => (0u8..2, 1u8..6).prop_map(|(table, n)| Op::Abort { table, n }),
+        1 => (0u8..4).prop_map(|table| Op::DropTable { table }),
+        1 => Just(Op::Reopen),
     ]
 }
 
@@ -42,7 +186,17 @@ fn schema() -> Schema {
     Schema::new(vec![Field::new("k", DataType::Int64)])
 }
 
+fn open(store: &Arc<MemoryStore>) -> Arc<PolarisEngine> {
+    let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 1, 2);
+    let mut config = EngineConfig::for_testing();
+    config.retention_seqs = 6; // tight but nonzero: exercises both sides
+    config.commit_log_enabled = true;
+    PolarisEngine::open(Arc::new(Arc::clone(store)), pool, config).unwrap()
+}
+
 struct World {
+    store: Arc<MemoryStore>,
     engine: Arc<PolarisEngine>,
     /// name -> expected sorted keys
     tables: Vec<(String, Vec<i64>)>,
@@ -54,15 +208,13 @@ struct World {
 
 impl World {
     fn new() -> Self {
-        let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
-        pool.add_nodes(WorkloadClass::System, 1, 2);
-        let mut config = EngineConfig::for_testing();
-        config.retention_seqs = 6; // tight but nonzero: exercises both sides
-        let engine = PolarisEngine::new(Arc::new(MemoryStore::new()), pool, config);
+        let store = Arc::new(MemoryStore::new());
+        let engine = open(&store);
         let mut s = engine.session();
         s.execute("CREATE TABLE t0 (k BIGINT)").unwrap();
         s.execute("CREATE TABLE t1 (k BIGINT)").unwrap();
         World {
+            store,
             engine,
             tables: vec![("t0".into(), vec![]), ("t1".into(), vec![])],
             pinned: Vec::new(),
@@ -111,10 +263,10 @@ impl World {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, max_shrink_iters: 48, ..Default::default() })]
+    #![proptest_config(ProptestConfig { cases: 48, max_shrink_iters: 48, ..Default::default() })]
 
     #[test]
-    fn gc_never_loses_reachable_data(ops in proptest::collection::vec(op_strategy(), 1..16)) {
+    fn gc_never_loses_reachable_data(ops in proptest::collection::vec(op_strategy(), 1..32)) {
         let mut w = World::new();
         for op in &ops {
             match op {
@@ -172,9 +324,7 @@ proptest! {
                     let name = w.name(*table);
                     let _ = sto::compact_table(&w.engine, &name).unwrap();
                 }
-                Op::Gc => {
-                    sto::garbage_collect(&w.engine).unwrap();
-                }
+                Op::Gc => gc_like_the_reference(&w.engine),
                 Op::Abort { table, n } => {
                     let name = w.name(*table);
                     let mut txn = w.engine.begin();
@@ -184,11 +334,85 @@ proptest! {
                     txn.insert(&name, &batch).unwrap();
                     txn.rollback();
                 }
+                Op::DropTable { table } => {
+                    // Sources outlive their clones and clones their
+                    // sources; the last table stays so later ops have one.
+                    if w.tables.len() > 1 {
+                        let (name, _) = w.tables.remove(w.idx(*table));
+                        w.engine.drop_table(&name).unwrap();
+                        w.pinned.retain(|(t, _, _)| *t != name);
+                    }
+                }
+                Op::Reopen => {
+                    // Nothing is shut down: only what reached the store
+                    // survives, and the new engine's STO state is empty.
+                    w.engine = open(&w.store);
+                }
             }
             w.verify_all()?;
         }
-        // Final full maintenance + GC, then verify once more.
+        // Final full maintenance + GC, then verify once more — and a sweep
+        // after the tick's own compactions and checkpoints still agrees.
         sto::run_once(&w.engine).unwrap();
         w.verify_all()?;
+        gc_like_the_reference(&w.engine);
     }
+}
+
+/// A delete that fails mid-sweep aborts the sweep with some blobs gone and
+/// some not. Whatever the state then holds, the next GC must delete exactly
+/// what the from-scratch fold says is left to delete.
+#[test]
+fn failed_delete_mid_sweep_leaves_a_state_the_next_gc_agrees_with() {
+    let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), 0.0, 20260927));
+    let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 1, 2);
+    let mut config = EngineConfig::for_testing();
+    config.retention_seqs = 0;
+    let store: Arc<dyn ObjectStore> = Arc::new(Arc::clone(&faulty));
+    let engine = PolarisEngine::new(store, pool, config);
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT)").unwrap();
+    // A warm state first, then garbage of every kind: files compacted
+    // away, delete vectors superseded, an aborted transaction's leftovers.
+    s.execute("INSERT INTO t VALUES (0)").unwrap();
+    gc_like_the_reference(&engine);
+    for round in 0..4 {
+        for k in 1..5 {
+            s.execute(&format!("INSERT INTO t VALUES ({})", round * 10 + k))
+                .unwrap();
+        }
+        s.execute(&format!("DELETE FROM t WHERE k = {}", round * 10 + 1))
+            .unwrap();
+        sto::compact_table(&engine, "t").unwrap();
+    }
+    let mut txn = engine.begin();
+    let batch = RecordBatch::from_rows(schema(), &[vec![Value::Int(99)]]).unwrap();
+    txn.insert("t", &batch).unwrap();
+    txn.rollback();
+
+    let (_, doomed) = reference_gc(&engine);
+    assert!(
+        doomed.len() >= 8,
+        "need a long sweep to interrupt: {doomed:?}"
+    );
+    let before = lake(&engine);
+    // A sweep that fails on its very first delete changes nothing: go again
+    // until one dies with part of the work done.
+    let gone = loop {
+        faulty.set_write_failure_rate(0.3);
+        let swept = sto::garbage_collect(&engine);
+        faulty.set_write_failure_rate(0.0);
+        assert!(swept.is_err(), "no delete failed");
+        let gone = before.difference(&lake(&engine)).count();
+        if gone > 0 {
+            break gone;
+        }
+    };
+    assert!(gone < doomed.len(), "the failure must land mid-sweep");
+
+    gc_like_the_reference(&engine);
+    assert_eq!(reference_gc(&engine).1, BTreeSet::new(), "nothing is left");
+    let rows = s.query("SELECT COUNT(*) AS n FROM t").unwrap();
+    assert_eq!(rows.row(0)[0], Value::Int(13));
 }

@@ -1,0 +1,98 @@
+//! The STO tick's cost, as counts from `metrics_snapshot()` rather than a
+//! timer: a tick reads the manifests committed since the previous tick — not
+//! the table's history — and a tick that follows no commit writes nothing.
+
+use polaris_core::{sto, EngineConfig, PolarisEngine};
+use polaris_dcp::{ComputePool, WorkloadClass};
+use polaris_store::MemoryStore;
+use std::sync::Arc;
+
+/// Counters a tick moves, sampled before and after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cost {
+    reads: u64,
+    writes: u64,
+    folded: u64,
+}
+
+fn tick(engine: &Arc<PolarisEngine>) -> (sto::StoTickReport, Cost) {
+    let sample = || {
+        let m = engine.metrics_snapshot();
+        Cost {
+            reads: m.counter("store.reads"),
+            writes: m.counter("store.puts")
+                + m.counter("store.staged_blocks")
+                + m.counter("store.commits"),
+            folded: m.counter("sto.gc_folded_manifests"),
+        }
+    };
+    let before = sample();
+    let report = sto::run_once(engine).unwrap();
+    let after = sample();
+    let cost = Cost {
+        reads: after.reads - before.reads,
+        writes: after.writes - before.writes,
+        folded: after.folded - before.folded,
+    };
+    (report, cost)
+}
+
+#[test]
+fn a_tick_pays_for_the_new_manifests_not_the_history() {
+    const N: u64 = 8;
+    // No file is ever "small", so compaction finds no victims and the
+    // tick's reads are publish + checkpoint + GC fold alone.
+    let config = EngineConfig {
+        compact_min_rows: 0,
+        ..EngineConfig::for_testing()
+    };
+    let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 1, 2);
+    let engine = PolarisEngine::new(Arc::new(MemoryStore::new()), pool, config);
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT)").unwrap();
+
+    let mut at_depth = Vec::new();
+    for round in 1..=16 {
+        for k in 0..N {
+            s.execute(&format!("INSERT INTO t VALUES ({})", round * N + k))
+                .unwrap();
+        }
+        let (report, cost) = tick(&engine);
+        assert_eq!(report.published as u64, N, "round {round}");
+        assert_eq!(report.compactions, 0, "round {round}");
+        assert_eq!(cost.folded, N, "round {round}: the fold is the delta");
+        if [1, 4, 16].contains(&round) {
+            at_depth.push(cost);
+        }
+    }
+    // History depth N, 4N, 16N: the same N manifests, the same reads — one
+    // per manifest for the publisher, one for the GC fold, and the
+    // checkpoint's own catch-up, which does not grow either.
+    assert_eq!(at_depth[0], at_depth[1], "depth N against 4N");
+    assert_eq!(at_depth[0], at_depth[2], "depth N against 16N");
+    assert!(
+        (2 * N..=2 * N + 2).contains(&at_depth[0].reads),
+        "{:?}",
+        at_depth[0]
+    );
+
+    // Once a tick has found nothing to publish, checkpoint or compact, the
+    // clock stands where its backup left it: the next tick reads no
+    // manifest and writes no blob — not even the catalog image.
+    let mut idle = false;
+    for _ in 0..3 {
+        let (report, cost) = tick(&engine);
+        if idle {
+            let nothing = Cost {
+                reads: 0,
+                writes: 0,
+                folded: 0,
+            };
+            assert_eq!(cost, nothing, "an idle tick costs a listing");
+            return;
+        }
+        idle = report == sto::StoTickReport::default();
+    }
+    panic!("the orchestrator never went idle");
+}

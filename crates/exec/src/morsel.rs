@@ -398,7 +398,22 @@ impl ScanMorsel {
                     plan.pred_schema.clone(),
                     plan.pred_cols.iter().map(|c| columns[c].clone()).collect(),
                 )?;
-                keep.intersect_with(&pred.eval_predicate(&pred_batch)?);
+                if keep.count_set() == rows {
+                    keep.intersect_with(&pred.eval_predicate(&pred_batch)?);
+                } else {
+                    // Mask first, as the reference scan does: a deleted row
+                    // must not raise a comparison or overflow error.
+                    let passed = pred.eval_predicate(&pred_batch.filter(&keep))?;
+                    let mut survivor = 0;
+                    for row in 0..rows {
+                        if keep.get(row) {
+                            if !passed.get(survivor) {
+                                keep.clear(row);
+                            }
+                            survivor += 1;
+                        }
+                    }
+                }
             }
             if keep.count_set() == 0 {
                 // Late materialization pays off: no surviving row, so the

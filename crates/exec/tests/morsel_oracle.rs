@@ -10,7 +10,9 @@
 use polaris_columnar::{DataType, DeleteVector, Field, RecordBatch, Schema, Value, WriterOptions};
 use polaris_exec::scan::scan_snapshot;
 use polaris_exec::write::write_data_file;
-use polaris_exec::{cells_of_snapshot, ops, plan_file_scan, Expr, PrefetchCache, ScanMorsel};
+use polaris_exec::{
+    cells_of_snapshot, ops, plan_file_scan, BinOp, Expr, PrefetchCache, ScanMorsel,
+};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot};
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, Stamp};
 use proptest::prelude::*;
@@ -226,4 +228,29 @@ proptest! {
             prop_assert_eq!(got_names, want_names);
         }
     }
+}
+
+/// A deleted row is not a row: its value must not reach the predicate. Here
+/// the deleted `v` overflows `v * 2`, which the reference scan — mask first,
+/// then evaluate — never computes.
+#[test]
+fn deleted_row_cannot_raise_a_predicate_error() {
+    let rows = vec![(1, Some(10)), (2, Some(i64::MAX)), (3, Some(30))];
+    let (store, snap) = setup(&[rows], &[vec![1]], 8);
+    let predicate = Expr::col("v")
+        .binary(BinOp::Mul, Expr::lit(2i64))
+        .gt(Expr::lit(25i64));
+    let expected = scan_snapshot(&store, &snap, &schema(), None, Some(&predicate)).unwrap();
+    assert_eq!(
+        rows_of(&expected),
+        vec![vec![Value::Int(3), Value::Int(30)]]
+    );
+
+    let cell = &cells_of_snapshot(&snap)[0];
+    let plan = plan_file_scan(&store, cell, 0, None, Some(&predicate), None)
+        .unwrap()
+        .expect("not pruned");
+    let out = plan.whole_file_morsel().run(&store, None, None).unwrap();
+    let got: Vec<Vec<Value>> = out.batches.iter().flat_map(rows_of).collect();
+    assert_eq!(got, rows_of(&expected));
 }

@@ -21,6 +21,11 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml \
 # row-identical to the single-node reference. The vendored proptest
 # derives a fixed seed from the test name, so this gate is deterministic.
 cargo test --release -q -p polaris-exec --test morsel_oracle
+# STO smoke, optimized as it ships: the GC equivalence oracle (incremental
+# sweep == from-scratch fold, blob for blob, across clones, drops and
+# reopens) is all that stands between a stale fate cache and a deleted live
+# file, and the tick-cost test counts reads instead of timing them.
+cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
 cargo clippy --workspace --all-targets -- -D warnings
 # The telemetry endpoint is infrastructure other tooling scrapes: hold
 # the obs crate to no-unwrap discipline on top of the workspace lints —
