@@ -3,7 +3,8 @@
 //! Each scenario simulates one process lifetime that dies at a chosen
 //! point of the commit pipeline — statement block staging, manifest
 //! upload, validation, the sequencer section, the WAL append (stage and
-//! publish separately), install, publish, checkpoint write — then reopens
+//! publish separately), install, publish, checkpoint generation (stage and
+//! publish separately) — then reopens
 //! the engine over the surviving durable state and checks the recovery
 //! contract:
 //!
@@ -93,10 +94,20 @@ const SITES: &[(KillSite, bool)] = &[
         },
         false,
     ),
-    // Checkpoint write (needs log_checkpoint_every small; see scenario).
+    // Checkpoint generation (needs log_checkpoint_every small; see
+    // scenario): the frame staged but never listed, then the block-list
+    // commit that would have published it.
     (
         KillSite::Store {
-            op: "put",
+            op: "stage_block",
+            path: "sys/checkpoint/",
+            nth: 1,
+        },
+        false,
+    ),
+    (
+        KillSite::Store {
+            op: "commit_block_list",
             path: "sys/checkpoint/",
             nth: 1,
         },

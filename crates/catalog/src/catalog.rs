@@ -271,7 +271,8 @@ impl Catalog {
         self.store.abort(txn)
     }
 
-    /// Commit a read-only or DDL-only transaction.
+    /// Commit a read-only or DDL-only transaction. A read-only one draws
+    /// no timestamp and is not logged (see [`MvccStore::commit`]).
     pub fn commit(&self, txn: &mut CatalogTxn) -> CatalogResult<CommitOutcome> {
         self.store.commit(txn)
     }
@@ -617,8 +618,10 @@ impl Catalog {
     /// Databases in the SQL FE by performing periodic Backup operations").
     pub fn export(&self) -> CatalogResult<CatalogImage> {
         let mut txn = self.begin(IsolationLevel::Snapshot);
+        // The snapshot's own clock: `now()` may already be past it, and an
+        // image claiming a clock whose rows it lacks would lose them.
         let mut image = CatalogImage {
-            clock: self.now().0,
+            clock: txn.snapshot.0,
             ..Default::default()
         };
         for meta in self.list_tables(&mut txn)? {

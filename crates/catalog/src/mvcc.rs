@@ -907,6 +907,18 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         prepare: impl FnOnce() -> CatalogResult<()>,
         extra: impl FnOnce(Timestamp) -> Vec<(K, Option<V>)> + Send + 'static,
     ) -> CatalogResult<CommitOutcome> {
+        self.commit_validated(txn, prepare, Some(extra))
+    }
+
+    /// The commit protocol. `extra` is `None` for a commit that has none
+    /// *and* buffered nothing ([`MvccStore::commit`]): validated like any
+    /// other, it then takes no place in the commit order.
+    fn commit_validated(
+        &self,
+        txn: &mut Txn<K, V>,
+        prepare: impl FnOnce() -> CatalogResult<()>,
+        extra: Option<impl FnOnce(Timestamp) -> Vec<(K, Option<V>)> + Send + 'static>,
+    ) -> CatalogResult<CommitOutcome> {
         self.ensure_active(txn)?;
         // The validated footprint, as a sorted, deduplicated shard list
         // built in the transaction's pooled scratch (no per-commit
@@ -1028,10 +1040,11 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         // are pairwise disjoint by construction.
         let sequencer_entered = Instant::now();
         let max_batch = self.group_commit_max_batch();
-        let sequenced = if max_batch <= 1 {
-            self.sequence_direct(txn, extra)
-        } else {
-            self.sequence_grouped(txn, Box::new(extra), max_batch)
+        let sequenced = match extra {
+            // Nothing to install: no timestamp drawn, nothing logged.
+            None => Ok(txn.snapshot),
+            Some(extra) if max_batch <= 1 => self.sequence_direct(txn, extra),
+            Some(extra) => self.sequence_grouped(txn, Box::new(extra), max_batch),
         };
         self.meter
             .sequencer_wait
@@ -1281,8 +1294,17 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     }
 
     /// Commit without extra writes.
+    ///
+    /// A transaction that buffered nothing changes nothing, so it takes no
+    /// place in the commit order: its read set is still validated under
+    /// `Serializable`, but it draws no timestamp, reaches neither the
+    /// sequencer nor the commit-log hook, and reports its snapshot as
+    /// [`CommitOutcome::commit_ts`]. The clock therefore advances by
+    /// exactly the number of committed *writing* transactions.
     pub fn commit(&self, txn: &mut Txn<K, V>) -> CatalogResult<CommitOutcome> {
-        self.commit_with(txn, |_| Vec::new())
+        let no_extra = |_| Vec::new();
+        let extra = (txn.writes.len() > 0).then_some(no_extra);
+        self.commit_validated(txn, || Ok(()), extra)
     }
 
     /// Roll back: buffered writes *and* the tracked read set are

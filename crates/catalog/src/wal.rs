@@ -1,4 +1,6 @@
-//! Wire format of the durable commit log.
+//! Wire format of the durable commit log (and, through
+//! [`encode_payload_into`] / [`decode_payloads`], of the catalog checkpoint
+//! blob, which frames its own payload type the same way).
 //!
 //! Each sequencer batch serializes to one self-delimiting *frame*:
 //!
@@ -95,11 +97,14 @@ pub enum WalTail {
     },
 }
 
-/// Slicing-by-one lookup table for the reflected IEEE 802.3 polynomial,
-/// generated at compile time. One table probe per byte replaces the eight
-/// shift/xor rounds of the bit-serial form.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-eight lookup tables for the reflected IEEE 802.3 polynomial,
+/// generated at compile time: `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent probes instead of a chain of eight dependent ones. A
+/// checkpoint base is one frame of a few hundred kilobytes whose checksum
+/// recovery pays before it can parse a row.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -109,42 +114,81 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Byte-identical
 /// to the original bit-serial loop — existing segments keep decoding.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Serialize one batch as a framed record into a caller-owned buffer,
-/// preserving the buffer's capacity across calls. The buffer is cleared
-/// first; on error it is left cleared and nothing is appended downstream.
+/// Serialize `value` as one framed record (magic + length + CRC + JSON
+/// payload) into a caller-owned buffer, preserving the buffer's capacity
+/// across calls. The buffer is cleared first; on error it is left cleared
+/// and nothing is appended downstream.
 ///
-/// Serialization failure is routed back as an error (the sequencer turns it
-/// into a `CommitLogFailure` abort) rather than panicking inside the
-/// sequencer section.
-pub fn encode_frame_into(batch: &WalBatch, frame: &mut Vec<u8>) -> Result<(), String> {
+/// This is the framing the commit log and the catalog checkpoint blob
+/// share: any blob of such frames obeys the torn-tail rule of
+/// [`decode_payloads`]. Serialization failure is routed back as an error
+/// (the sequencer turns it into a `CommitLogFailure` abort) rather than
+/// panicking inside the sequencer section.
+pub fn encode_payload_into<T: serde::Serialize>(
+    value: &T,
+    frame: &mut Vec<u8>,
+) -> Result<(), String> {
     frame.clear();
     frame.extend_from_slice(&WAL_MAGIC);
     frame.extend_from_slice(&[0u8; 8]); // len + crc, patched once the payload is written
-    if let Err(e) = serde_json::to_writer(&mut *frame, batch) {
+    if let Err(e) = serde_json::to_writer(&mut *frame, value) {
         frame.clear();
-        return Err(format!("WalBatch serialization failed: {e}"));
+        return Err(format!("frame serialization failed: {e}"));
     }
     let payload_len = frame.len() - WAL_HEADER_LEN;
+    let Ok(len) = u32::try_from(payload_len) else {
+        frame.clear();
+        return Err(format!("frame payload of {payload_len} bytes exceeds u32"));
+    };
     let crc = crc32(&frame[WAL_HEADER_LEN..]);
-    frame[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    frame[4..8].copy_from_slice(&len.to_le_bytes());
     frame[8..12].copy_from_slice(&crc.to_le_bytes());
     Ok(())
+}
+
+/// [`encode_payload_into`] for one commit-log batch.
+pub fn encode_frame_into(batch: &WalBatch, frame: &mut Vec<u8>) -> Result<(), String> {
+    encode_payload_into(batch, frame)
 }
 
 /// Serialize one batch as a framed record, ready to append to a segment.
@@ -154,70 +198,49 @@ pub fn encode_frame(batch: &WalBatch) -> Result<Vec<u8>, String> {
     Ok(frame)
 }
 
-/// Decode a segment: every complete frame in order, plus the tail status.
-/// Never fails — corruption is data, not an error; the torn-tail rule
-/// turns it into a truncation point.
-pub fn decode_frames(segment: &[u8]) -> (Vec<WalBatch>, WalTail) {
-    let mut batches = Vec::new();
+/// Decode a blob of frames: the payload of every complete frame in order,
+/// plus the tail status. Never fails — corruption is data, not an error;
+/// the torn-tail rule turns it into a truncation point.
+pub fn decode_payloads<T: serde::Deserialize>(blob: &[u8]) -> (Vec<T>, WalTail) {
+    let mut payloads = Vec::new();
     let mut offset = 0usize;
-    while offset < segment.len() {
-        let rest = &segment[offset..];
+    let torn = |offset, detail| WalTail::Torn { offset, detail };
+    while offset < blob.len() {
+        let rest = &blob[offset..];
         if rest.len() < WAL_HEADER_LEN {
-            return (
-                batches,
-                WalTail::Torn {
-                    offset,
-                    detail: format!("{} trailing bytes, shorter than a frame header", rest.len()),
-                },
-            );
+            let detail = format!("{} trailing bytes, shorter than a frame header", rest.len());
+            return (payloads, torn(offset, detail));
         }
         if rest[..4] != WAL_MAGIC {
-            return (
-                batches,
-                WalTail::Torn {
-                    offset,
-                    detail: "bad frame magic".to_owned(),
-                },
-            );
+            return (payloads, torn(offset, "bad frame magic".to_owned()));
         }
         let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]) as usize;
         let expect_crc = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
-        let Some(payload) = rest.get(WAL_HEADER_LEN..WAL_HEADER_LEN + len) else {
-            return (
-                batches,
-                WalTail::Torn {
-                    offset,
-                    detail: format!(
-                        "frame claims {len} payload bytes, only {} present",
-                        rest.len() - WAL_HEADER_LEN
-                    ),
-                },
+        let Some(payload) = rest[WAL_HEADER_LEN..].get(..len) else {
+            let detail = format!(
+                "frame claims {len} payload bytes, only {} present",
+                rest.len() - WAL_HEADER_LEN
             );
+            return (payloads, torn(offset, detail));
         };
         if crc32(payload) != expect_crc {
             return (
-                batches,
-                WalTail::Torn {
-                    offset,
-                    detail: "payload checksum mismatch".to_owned(),
-                },
+                payloads,
+                torn(offset, "payload checksum mismatch".to_owned()),
             );
         }
-        match serde_json::from_slice::<WalBatch>(payload) {
-            Ok(batch) => batches.push(batch),
-            Err(e) => {
-                return (
-                    batches,
-                    WalTail::Torn {
-                        offset,
-                        detail: format!("unparsable payload: {e}"),
-                    },
-                )
-            }
+        match serde_json::from_slice::<T>(payload) {
+            Ok(value) => payloads.push(value),
+            Err(e) => return (payloads, torn(offset, format!("unparsable payload: {e}"))),
         }
         offset += WAL_HEADER_LEN + len;
     }
-    (batches, WalTail::Clean)
+    (payloads, WalTail::Clean)
+}
+
+/// [`decode_payloads`] for a commit-log segment.
+pub fn decode_frames(segment: &[u8]) -> (Vec<WalBatch>, WalTail) {
+    decode_payloads(segment)
 }
 
 #[cfg(test)]

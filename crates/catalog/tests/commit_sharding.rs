@@ -17,6 +17,7 @@
 use polaris_catalog::{CatalogError, CommitBatch, IsolationLevel, MvccStore, Timestamp};
 use polaris_obs::{CatalogMeter, MetricName, MetricsRegistry};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
@@ -344,16 +345,56 @@ fn sequential_recommits_never_self_conflict() {
     }
 }
 
-/// Read-only commits skip shard locking entirely but still draw a
-/// timestamp, keeping the clock monotone.
+/// A commit that buffered nothing takes no place in the commit order: no
+/// shard lock, no timestamp, no commit-log record — under either sequencer
+/// path — and it reports its snapshot. Its read set is still validated.
 #[test]
-fn read_only_commits_advance_clock_without_locking() {
-    let s = sharded(16);
-    let mut t = s.begin(IsolationLevel::Snapshot);
-    let before = s.now();
-    s.commit(&mut t).unwrap();
-    assert_eq!(s.now(), Timestamp(before.0 + 1));
-    assert_eq!(s.meter().commit_shards_acquired.get(), 0);
+fn read_only_commits_draw_no_timestamp_and_log_nothing() {
+    for max_batch in [1, 8] {
+        let s = sharded(16);
+        s.set_group_commit(max_batch, std::time::Duration::from_micros(50));
+        let logged = Arc::new(AtomicU64::new(0));
+        {
+            let logged = Arc::clone(&logged);
+            s.set_commit_log(Some(Arc::new(move |batch, _| {
+                logged.fetch_add(batch.len() as u64, Ordering::SeqCst);
+                Ok(())
+            })));
+        }
+        let mut w = s.begin(IsolationLevel::Snapshot);
+        s.write(&mut w, "k".to_owned(), 1).unwrap();
+        s.commit(&mut w).unwrap();
+        let before = s.now();
+        let acquired = s.meter().commit_shards_acquired.get();
+
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        assert_eq!(s.read(&mut t, &"k".to_owned()).unwrap(), Some(1));
+        let outcome = s.commit(&mut t).unwrap();
+        assert_eq!(
+            outcome.commit_ts, before,
+            "a read-only commit is its snapshot"
+        );
+        assert_eq!(s.now(), before, "the clock counts writing transactions");
+        assert_eq!(
+            logged.load(Ordering::SeqCst),
+            1,
+            "only the write was logged"
+        );
+        assert_eq!(s.meter().commit_shards_acquired.get(), acquired);
+        assert_eq!(s.active_count(), 0);
+
+        // Serializable: the read set is validated all the same.
+        let mut reader = s.begin(IsolationLevel::Serializable);
+        s.read(&mut reader, &"k".to_owned()).unwrap();
+        let mut w = s.begin(IsolationLevel::Snapshot);
+        s.write(&mut w, "k".to_owned(), 2).unwrap();
+        s.commit(&mut w).unwrap();
+        assert!(matches!(
+            s.commit(&mut reader),
+            Err(CatalogError::SerializationFailure { .. })
+        ));
+        assert_eq!(s.now(), Timestamp(before.0 + 1));
+    }
 }
 
 // ----------------------------------------------------------------------

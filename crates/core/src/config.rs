@@ -105,9 +105,11 @@ pub struct EngineConfig {
     /// many framed bytes. Small segments bound the blobs recovery must
     /// re-read; large ones amortize blob creation.
     pub log_segment_bytes: u64,
-    /// Write a durable catalog checkpoint — and prune the WAL segments it
-    /// covers — every this many logged batches. 0 disables checkpointing
-    /// (the log then grows until the operator checkpoints manually).
+    /// Write a checkpoint generation — the catalog rows committed since
+    /// the last one, appended to the checkpoint blob — and prune the WAL
+    /// segments the previous generation covers, every this many logged
+    /// batches. 0 disables checkpointing (the log then grows until the
+    /// operator checkpoints manually, each time with a full image).
     pub log_checkpoint_every: u64,
 }
 

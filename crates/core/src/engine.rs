@@ -257,7 +257,7 @@ impl PolarisEngine {
     ) -> PolarisResult<Arc<Self>> {
         let engine = PolarisEngine::new(store, pool, config);
         if let Some(writer) = &engine.durability {
-            let report = recovery::recover(&engine.store, &engine.catalog, writer.meter())?;
+            let report = recovery::recover(writer, &engine.catalog)?;
             *engine.recovery.lock() = Some(report);
             engine.install_commit_log();
         }
@@ -277,7 +277,7 @@ impl PolarisEngine {
         }
     }
 
-    /// Post-commit durability maintenance: write a catalog checkpoint
+    /// Post-commit durability maintenance: write a checkpoint generation
     /// (and prune covered log segments) when enough batches have been
     /// logged since the last one. Called on every successful commit;
     /// a checkpoint failure is surfaced as a trace event, never as a
@@ -530,6 +530,8 @@ impl PolarisEngine {
     /// chain and checkpoint rows — to a blob in the lake (§6.3). Together
     /// with a durable store backend this makes the whole database
     /// restartable: data and physical metadata already live in the store.
+    /// An engine with a commit log has that backup already, kept current
+    /// per commit: its checkpoint blob plus the log ([`PolarisEngine::open`]).
     pub fn backup_catalog(&self, path: &str) -> PolarisResult<()> {
         let image = self.catalog.export()?;
         let payload = serde_json::to_vec(&image)

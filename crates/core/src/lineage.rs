@@ -17,10 +17,10 @@ pub fn history(
     engine: &Arc<PolarisEngine>,
     table: &str,
 ) -> PolarisResult<Vec<(SequenceId, String)>> {
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
-    let (meta, _) = engine.table_meta(&mut ctxn, table)?;
-    let rows = engine.catalog().visible_manifests(&mut ctxn, meta.id)?;
-    engine.catalog().abort(&mut ctxn);
+    let rows = crate::sto::read_catalog(engine, |ctxn| {
+        let (meta, _) = engine.table_meta(ctxn, table)?;
+        Ok(engine.catalog().visible_manifests(ctxn, meta.id)?)
+    })?;
     Ok(rows
         .into_iter()
         .map(|(seq, row)| (seq, row.manifest_file))

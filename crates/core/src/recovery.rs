@@ -1,69 +1,72 @@
 //! Durable commit log and crash recovery.
 //!
-//! Polaris keeps *data* durable by construction — every data file and
-//! transaction manifest lives in the object store before commit — but the
-//! seed engine held the SQL FE catalog (the `Manifests` table, the commit
-//! clock, the transaction-id allocator) only in memory. This module closes
-//! that gap with a classic write-ahead design expressed entirely in the
-//! store's block-blob vocabulary:
+//! Data is durable by construction — every data file and manifest is in the
+//! object store before commit — but the seed engine held the SQL FE catalog
+//! (`Manifests`, commit clock, transaction-id allocator) only in memory.
+//! This module closes that gap in the store's block-blob vocabulary:
 //!
-//! * **Log append** ([`CommitLogWriter::append`], installed as the
-//!   catalog's commit-log hook): each sequencer batch is serialized to a
-//!   checksummed [`polaris_catalog::wal`] frame and appended to the
-//!   current segment blob under `sys/wal/seg-{first_ts:020}.wal`. The
-//!   append is the Block-Blob idiom the paper builds commits on —
-//!   `stage_block` (invisible) then `commit_block_list` with the
-//!   cumulative block list (atomic publish). The hook runs *inside* the
-//!   sequencer section, after validation and before install: a batch
-//!   whose append fails aborts wholesale without consuming timestamps, so
-//!   **acknowledged implies durable** and the log never contains an
-//!   aborted commit. A block staged by a failed append is simply never
-//!   listed again — storage discards it, the same way aborted transaction
-//!   manifests die.
-//! * **Checkpoints** ([`CommitLogWriter::checkpoint`]): every
-//!   `log_checkpoint_every` appends, the full catalog image
-//!   ([`polaris_catalog::CatalogImage`]) is exported under snapshot
-//!   isolation and written to `sys/checkpoint/ckpt-{clock:020}.json`.
-//!   The two newest checkpoints are retained so a torn checkpoint write
-//!   can fall back one generation, and segments are pruned against the
-//!   **oldest retained** generation's clock (not the one just written):
-//!   segment *i* is deletable when segment *i+1* starts at or below
-//!   `cover + 1`, which proves every record in *i* is ≤ `cover` even
-//!   while appends race the checkpoint — and the fallback generation
-//!   always still has its full log tail.
+//! * **Log append** ([`CommitLogWriter::append`], the catalog's commit-log
+//!   hook): each sequencer batch is serialized to a checksummed
+//!   [`polaris_catalog::wal`] frame and appended to the current segment
+//!   blob ([`segment_path`]) by the Block-Blob idiom the paper builds
+//!   commits on — `stage_block` (invisible) then `commit_block_list` with
+//!   the cumulative block list (atomic publish). The hook runs *inside* the
+//!   sequencer section, after validation and before install: a batch whose
+//!   append fails aborts wholesale without consuming timestamps, so
+//!   **acknowledged implies durable** and the log never contains an aborted
+//!   commit. A block staged by a failed append is never listed again —
+//!   storage discards it, as it does an aborted transaction's manifest.
+//! * **Checkpoints** ([`CommitLogWriter::checkpoint`]): the durable catalog
+//!   image is one append-only block blob ([`checkpoint_path`]) of frames in
+//!   the log's own framing (`CheckpointFrame`): a base [`CatalogImage`],
+//!   then one `CatalogDelta` per generation — the table upserts/drops and
+//!   `Manifests`/`Checkpoints` rows the hook saw since the previous frame —
+//!   so a generation (every `log_checkpoint_every` appends) is a
+//!   `stage_block` + `commit_block_list` of O(delta) bytes and exports
+//!   nothing. A new blob starts from a full export, the one O(history)
+//!   write left, when the deltas outweigh the base (doubling: amortised
+//!   O(1) bytes per row, bounded block count, dropped tables leave) and on
+//!   the first generation after `open`, whose replayed log tail never
+//!   passed the hook. Every generation rolls the segment and prunes with a
+//!   lag of one — segment *i* goes when segment *i+1* starts at or below
+//!   `cover + 1`, `cover` the **previous** frame's clock; the previous blob
+//!   outlives a new base until it has a successor — so a torn newest frame
+//!   falls back one generation, log tail whole.
 //! * **Recovery** ([`recover`], run by
 //!   [`PolarisEngine::open`](crate::PolarisEngine::open) *before* the log
-//!   hook is installed): load the newest parsable checkpoint, replay every
-//!   log record above its clock in timestamp order, and stop at the first
-//!   tear. The **torn-tail rule**: a trailing frame that is incomplete,
-//!   mis-tagged, checksum-mismatched or unparsable is discarded along with
-//!   everything after it — it belongs to an append the dying process never
-//!   completed, so no client was ever told it committed. Replay enforces
-//!   the **dense-clock invariant** end to end: each record must install at
-//!   exactly `clock + 1` ([`polaris_catalog::Catalog::replay_commit`]), so
-//!   the recovered clock is publication-ordered and gap-free — the
-//!   property snapshot caches, manifest checkpoints and GC all lean on.
-//!   Afterwards the transaction-id allocator is advanced past every id the
-//!   log or checkpoint mentions, and staged transaction manifests that no
-//!   `Manifests` row references are swept
-//!   ([`polaris_lst::collect_orphan_manifests`]) — safe exactly here
-//!   because no transaction is in flight yet.
+//!   hook is installed): one `get` of the newest blob, its longest valid
+//!   frame prefix folded into one image ([`fold_checkpoint`]; no intact
+//!   base: the blob before) and imported — O(history), as any restart is —
+//!   then every log record above that clock replayed in timestamp order up
+//!   to the first tear. The **torn-tail rule**: a trailing frame that is
+//!   incomplete, mis-tagged, checksum-mismatched or unparsable is discarded
+//!   with everything after it — an append the dying process never
+//!   completed, so no client was ever told it committed. The **dense-clock
+//!   invariant**: each record must install at exactly `clock + 1`
+//!   ([`polaris_catalog::Catalog::replay_commit`]); one further ahead means
+//!   acknowledged history is missing below it, and recovery fails rather
+//!   than open a shorter one. Afterwards the transaction-id allocator moves
+//!   past every id the durable state mentions, and staged manifests no
+//!   `Manifests` row references are swept — safe exactly here, where no
+//!   transaction is in flight ([`polaris_lst::collect_orphan_manifests`]).
 //!
 //! Why replay runs hook-less: during recovery the clock rewinds to the
-//! checkpoint and advances through already-logged territory. A live hook
-//! would re-log those installs into segments *named by the same
+//! checkpoint and advances through already-logged territory, and a live
+//! hook would re-log those installs into segments *named by the same
 //! timestamps* — overwriting the very blobs being read. `open` therefore
-//! recovers first and only then wires [`CommitLogWriter`] into the
-//! catalog; fresh appends start above the recovered clock and can never
-//! collide with surviving segments.
+//! recovers first and only then wires [`CommitLogWriter`] into the catalog;
+//! fresh appends start above the recovered clock and collide with nothing.
 
 use crate::{EngineConfig, PolarisError, PolarisResult};
 use parking_lot::Mutex;
 use polaris_catalog::wal::{self, WalBatch, WalTail};
-use polaris_catalog::{Catalog, CatalogImage, CommitBatch, CommitLogRecord, IsolationLevel, TxnId};
+use polaris_catalog::{
+    Catalog, CatalogImage, CatalogKey, CatalogValue, CommitBatch, CommitLogRecord, IsolationLevel,
+    TableImage, TableMeta, TxnId,
+};
 use polaris_obs::RecoveryMeter;
-use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp};
-use std::collections::{BTreeMap, HashSet};
+use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp, StoreError, StoreResult};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,18 +74,15 @@ use std::time::Instant;
 pub const WAL_PREFIX: &str = "sys/wal/";
 /// Prefix of every durable catalog checkpoint blob.
 pub const CHECKPOINT_PREFIX: &str = "sys/checkpoint/";
-/// Checkpoint generations retained after pruning (the newest may be torn
-/// by a crash mid-`put` on stores without atomic replace).
-const CHECKPOINTS_RETAINED: usize = 2;
 
 /// Path of the segment whose first record commits at `first_ts`.
 pub fn segment_path(first_ts: u64) -> String {
     format!("{WAL_PREFIX}seg-{first_ts:020}.wal")
 }
 
-/// Path of the checkpoint whose image was exported at `clock`.
+/// Path of the checkpoint blob whose base image was exported at `clock`.
 pub fn checkpoint_path(clock: u64) -> String {
-    format!("{CHECKPOINT_PREFIX}ckpt-{clock:020}.json")
+    format!("{CHECKPOINT_PREFIX}ckpt-{clock:020}.ckpt")
 }
 
 /// Parse `seg-{first_ts}.wal` back out of a segment path.
@@ -94,46 +94,277 @@ fn segment_first_ts(path: &str) -> Option<u64> {
         .ok()
 }
 
-/// Parse `ckpt-{clock}.json` back out of a checkpoint path.
-fn checkpoint_clock(path: &str) -> Option<u64> {
-    path.strip_prefix(CHECKPOINT_PREFIX)?
-        .strip_prefix("ckpt-")?
-        .strip_suffix(".json")?
-        .parse()
-        .ok()
+/// `delete`, where the blob being gone already is the outcome wanted.
+fn delete_if_present(store: &dyn ObjectStore, path: &BlobPath) -> PolarisResult<()> {
+    match store.delete(path) {
+        Ok(()) | Err(StoreError::NotFound { .. }) => Ok(()),
+        Err(e) => Err(e.into()),
+    }
 }
+
+/// The Block-Blob append: stage `frame` as `block`, then publish it by
+/// committing the cumulative list. `blocks` keeps the id only if that
+/// commit succeeds — a block staged by a failed append is never listed
+/// again and storage discards it, so it cannot surface in the blob later.
+fn append_block(
+    store: &dyn ObjectStore,
+    path: &BlobPath,
+    blocks: &mut Vec<BlockId>,
+    block: BlockId,
+    frame: &[u8],
+) -> StoreResult<()> {
+    store.stage_block(
+        path,
+        block.clone(),
+        Bytes::copy_from_slice(frame),
+        Stamp::SYSTEM,
+    )?;
+    blocks.push(block);
+    if let Err(e) = store.commit_block_list(path, blocks, Stamp::SYSTEM) {
+        blocks.pop();
+        return Err(e);
+    }
+    Ok(())
+}
+
+/// Block ids need only be unique within a blob. A frame's first (or only)
+/// commit timestamp is unique per *successful* append; a failed one's
+/// reused timestamp simply re-stages (replaces) the orphaned block.
+fn block_id(ts: u64) -> BlockId {
+    BlockId::new(format!("f-{ts:020}"))
+}
+
+// ---------------------------------------------------------------------
+// The checkpoint blob's frames
+// ---------------------------------------------------------------------
+
+/// One frame of a checkpoint blob: the first is the base, every later one
+/// a delta with a higher clock.
+#[derive(serde::Serialize, serde::Deserialize)]
+enum CheckpointFrame {
+    /// The whole catalog as exported at `clock`.
+    Base(CatalogImage),
+    /// What committed since the frame before.
+    Delta(CatalogDelta),
+}
+
+/// The catalog rows committed in `(previous frame's clock, clock]`, in the
+/// image's own row shapes. Applied in field order — upserts, rows, drops —
+/// which is commit order for anything that can commit: table ids are never
+/// reused, so an upsert cannot follow its own drop.
+#[derive(Default, serde::Serialize, serde::Deserialize)]
+struct CatalogDelta {
+    /// Commit clock this frame brings the image to.
+    clock: u64,
+    /// Table metadata written (CREATE, clone).
+    upserts: Vec<TableMeta>,
+    /// New rows, grouped by table.
+    rows: Vec<TableRows>,
+    /// Ids of the tables dropped.
+    drops: Vec<u64>,
+}
+
+/// One table's new rows within a `CatalogDelta`.
+#[derive(Default, serde::Serialize, serde::Deserialize)]
+struct TableRows {
+    /// Table id.
+    table: u64,
+    /// `(sequence, manifest file, txn id)` rows.
+    manifests: Vec<(u64, String, u64)>,
+    /// `(covered sequence, checkpoint path)` rows.
+    checkpoints: Vec<(u64, String)>,
+}
+
+/// A committed catalog write the checkpoint image carries, tagged with its
+/// commit timestamp (`WriteSets` rows and name bindings are not image rows).
+type LoggedWrite = (u64, CatalogKey, Option<CatalogValue>);
+
+impl CatalogDelta {
+    /// The delta `writes` (in commit order) amount to, or `None` when they
+    /// hold something a delta cannot say — a deleted row, a table written
+    /// after its drop — and only a fresh base can.
+    fn from_writes(clock: u64, writes: &[LoggedWrite]) -> Option<CatalogDelta> {
+        let mut delta = CatalogDelta {
+            clock,
+            ..CatalogDelta::default()
+        };
+        for (_, key, value) in writes {
+            match (key, value) {
+                (CatalogKey::Table(id), Some(CatalogValue::Meta(meta))) => {
+                    if delta.drops.contains(&id.0) {
+                        return None;
+                    }
+                    match delta.upserts.iter_mut().find(|m| m.id == *id) {
+                        Some(seen) => *seen = meta.clone(),
+                        None => delta.upserts.push(meta.clone()),
+                    }
+                }
+                (CatalogKey::Table(id), None) => delta.drops.push(id.0),
+                (CatalogKey::Manifest(table, seq), Some(CatalogValue::ManifestRow(row))) => delta
+                    .rows_of(table.0)
+                    .manifests
+                    .push((seq.0, row.manifest_file.clone(), row.txn_id.0)),
+                (CatalogKey::Checkpoint(table, seq), Some(CatalogValue::CheckpointRow(row))) => {
+                    delta
+                        .rows_of(table.0)
+                        .checkpoints
+                        .push((seq.0, row.path.clone()))
+                }
+                _ => return None,
+            }
+        }
+        Some(delta)
+    }
+
+    fn rows_of(&mut self, table: u64) -> &mut TableRows {
+        let at = match self.rows.iter().position(|r| r.table == table) {
+            Some(at) => at,
+            None => {
+                self.rows.push(TableRows {
+                    table,
+                    ..TableRows::default()
+                });
+                self.rows.len() - 1
+            }
+        };
+        &mut self.rows[at]
+    }
+
+    /// Bring `image` — the catalog at the previous frame's clock — to this
+    /// frame's: afterwards it equals `Catalog::export()` taken at
+    /// `self.clock`, table for table (ascending id) and row for row
+    /// (ascending sequence). Rows of a table the image does not hold (it
+    /// was dropped earlier; export lists live tables only) are skipped.
+    fn apply_to(self, image: &mut CatalogImage) {
+        fn upsert<R>(rows: &mut Vec<R>, row: R, seq: impl Fn(&R) -> u64) {
+            // Commit order is sequence order but for clones and lst
+            // checkpoints, which can land below the newest row.
+            match rows.binary_search_by_key(&seq(&row), &seq) {
+                Ok(at) => rows[at] = row,
+                Err(at) => rows.insert(at, row),
+            }
+        }
+        for meta in self.upserts {
+            let at = image.tables.binary_search_by_key(&meta.id.0, |t| t.id);
+            let (manifests, checkpoints) = match at {
+                Ok(at) => {
+                    let old = image.tables.remove(at);
+                    (old.manifests, old.checkpoints)
+                }
+                Err(_) => Default::default(),
+            };
+            let table = TableImage {
+                id: meta.id.0,
+                name: meta.name,
+                schema_json: meta.schema_json,
+                data_root: meta.data_root,
+                cluster_by: meta.cluster_by,
+                manifests,
+                checkpoints,
+            };
+            image.tables.insert(at.unwrap_or_else(|at| at), table);
+        }
+        for rows in self.rows {
+            let Ok(at) = image.tables.binary_search_by_key(&rows.table, |t| t.id) else {
+                continue;
+            };
+            let table = &mut image.tables[at];
+            for row in rows.manifests {
+                upsert(&mut table.manifests, row, |r| r.0);
+            }
+            for row in rows.checkpoints {
+                upsert(&mut table.checkpoints, row, |r| r.0);
+            }
+        }
+        image.tables.retain(|t| !self.drops.contains(&t.id));
+        image.clock = self.clock;
+    }
+}
+
+/// Fold a checkpoint blob's longest valid frame prefix — a base, then deltas
+/// of rising clock — into the image it stands for. `None`: not even the
+/// base is intact.
+pub fn fold_checkpoint(blob: &[u8]) -> Option<CatalogImage> {
+    let (frames, _) = wal::decode_payloads::<CheckpointFrame>(blob);
+    let mut frames = frames.into_iter();
+    let Some(CheckpointFrame::Base(mut image)) = frames.next() else {
+        return None;
+    };
+    for frame in frames {
+        match frame {
+            CheckpointFrame::Delta(delta) if delta.clock > image.clock => {
+                delta.apply_to(&mut image)
+            }
+            _ => break,
+        }
+    }
+    Some(image)
+}
+
+// ---------------------------------------------------------------------
+// The writer
+// ---------------------------------------------------------------------
 
 /// The durable commit-log writer: one per engine, shared between the
 /// catalog's commit-log hook (appends) and the post-commit checkpoint
-/// trigger. All segment state lives behind one mutex; appends are already
-/// serialized by the sequencer, so the lock is uncontended in steady
-/// state and only real contention is a checkpoint racing an append.
+/// trigger. Appends — already serialized by the sequencer — take only
+/// `state`; a generation holds `checkpoint` throughout and `state` just long
+/// enough to read what is pending and, later, to roll the segment (lock
+/// order `checkpoint` → `state`), so its store round trips never stall the
+/// sequencer.
 pub struct CommitLogWriter {
     store: Arc<dyn ObjectStore>,
     segment_bytes: u64,
     checkpoint_every: u64,
     meter: RecoveryMeter,
     state: Mutex<WriterState>,
+    checkpoint: Mutex<CheckpointState>,
 }
 
 #[derive(Default)]
 struct WriterState {
+    /// Every live segment blob, oldest first; the last is the open one
+    /// while `segment` is `Some`.
+    segments: VecDeque<(u64, BlobPath)>,
     segment: Option<OpenSegment>,
     appends_since_checkpoint: u64,
     /// Pooled WAL frame staging buffer: every append serializes into this
     /// capacity-preserving scratch instead of a fresh allocation per batch.
     frame_buf: Vec<u8>,
+    /// Image rows logged since the newest checkpoint frame (kept only while
+    /// generations are on: nothing else would ever empty it).
+    pending: Vec<LoggedWrite>,
+    /// Timestamp of the newest logged commit.
+    logged_clock: u64,
 }
 
 struct OpenSegment {
     path: BlobPath,
-    /// Blocks committed into the segment so far. A block is pushed only
-    /// after its `commit_block_list` succeeds: a failed append leaves the
-    /// block staged-but-unlisted, and the next successful commit list
-    /// (which omits it) makes storage discard it — so an aborted batch
-    /// can never surface in the log later.
+    /// Blocks committed into the segment so far (see [`append_block`]: an
+    /// aborted batch's block never joins them).
     blocks: Vec<BlockId>,
     bytes: u64,
+}
+
+#[derive(Default)]
+struct CheckpointState {
+    /// The blob generations append to. `None` until this lifetime's first
+    /// generation, which is therefore a base.
+    blob: Option<OpenBlob>,
+    /// Blobs older than the open one: the fallback while it holds nothing
+    /// but its base, deleted once a frame follows that base.
+    older: Vec<BlobPath>,
+    /// Clock of the newest durable frame — where a torn next frame falls
+    /// back to, hence the cover the next generation prunes the log against.
+    clock: u64,
+    frame_buf: Vec<u8>,
+}
+
+struct OpenBlob {
+    path: BlobPath,
+    blocks: Vec<BlockId>,
+    base_bytes: u64,
+    delta_bytes: u64,
 }
 
 impl CommitLogWriter {
@@ -145,6 +376,7 @@ impl CommitLogWriter {
             checkpoint_every: config.log_checkpoint_every,
             meter,
             state: Mutex::new(WriterState::default()),
+            checkpoint: Mutex::new(CheckpointState::default()),
         }
     }
 
@@ -160,11 +392,7 @@ impl CommitLogWriter {
     pub fn append(
         &self,
         batch: &CommitBatch,
-        records: &[CommitLogRecord<
-            '_,
-            polaris_catalog::CatalogKey,
-            polaris_catalog::CatalogValue,
-        >],
+        records: &[CommitLogRecord<'_, CatalogKey, CatalogValue>],
     ) -> Result<(), String> {
         let t0 = Instant::now();
         let mut state = self.state.lock();
@@ -174,7 +402,10 @@ impl CommitLogWriter {
         // durability failure.
         let wal_batch = WalBatch::from_records(batch, records);
         let WriterState {
-            segment, frame_buf, ..
+            segments,
+            segment,
+            frame_buf,
+            ..
         } = &mut *state;
         wal::encode_frame_into(&wal_batch, frame_buf)?;
         if segment
@@ -182,6 +413,10 @@ impl CommitLogWriter {
             .is_none_or(|s| s.bytes >= self.segment_bytes)
         {
             let path = BlobPath::new(segment_path(batch.first_ts.0)).map_err(|e| e.to_string())?;
+            // A first append that failed leaves its name to the retry.
+            if segments.back().is_none_or(|(_, last)| *last != path) {
+                segments.push_back((batch.first_ts.0, path.clone()));
+            }
             *segment = Some(OpenSegment {
                 path,
                 blocks: Vec::new(),
@@ -190,30 +425,30 @@ impl CommitLogWriter {
             self.meter.wal_segments.inc();
         }
         let seg = segment.as_mut().expect("segment just ensured");
-        // Block ids need only be unique within the blob; the first
-        // timestamp is unique per *successful* batch, and a failed batch's
-        // reused timestamp simply re-stages (replaces) the orphaned block.
-        let block = BlockId::new(format!("wal-{:020}", batch.first_ts.0));
         let len = frame_buf.len() as u64;
-        self.store
-            .stage_block(
-                &seg.path,
-                block.clone(),
-                Bytes::copy_from_slice(frame_buf),
-                Stamp::SYSTEM,
-            )
-            .map_err(|e| e.to_string())?;
-        // Push in place and roll back on failure — no clone of the block
-        // list per append.
-        seg.blocks.push(block);
-        if let Err(e) = self
-            .store
-            .commit_block_list(&seg.path, &seg.blocks, Stamp::SYSTEM)
-        {
-            seg.blocks.pop();
-            return Err(e.to_string());
-        }
+        let block = block_id(batch.first_ts.0);
+        append_block(
+            self.store.as_ref(),
+            &seg.path,
+            &mut seg.blocks,
+            block,
+            frame_buf,
+        )
+        .map_err(|e| e.to_string())?;
         seg.bytes += len;
+        // Durable, so it will install: hand the image rows to the next
+        // checkpoint frame (moved, not cloned a second time).
+        for commit in wal_batch.commits {
+            state.logged_clock = commit.commit_ts;
+            if self.checkpoint_every == 0 {
+                continue;
+            }
+            for (key, value) in commit.writes {
+                if !matches!(key, CatalogKey::WriteSet(..) | CatalogKey::TableName(_)) {
+                    state.pending.push((commit.commit_ts, key, value));
+                }
+            }
+        }
         state.appends_since_checkpoint += 1;
         self.meter.wal_appends.inc();
         self.meter.wal_bytes.add(len);
@@ -239,77 +474,111 @@ impl CommitLogWriter {
         }
     }
 
-    /// Export the catalog, write it as a durable checkpoint, and prune
-    /// the log segments (and older checkpoints) it covers. Returns the
-    /// checkpointed clock. Failures leave the log untouched — a missed
-    /// checkpoint only means a longer replay, never lost commits.
+    /// Write one checkpoint generation — the rows logged since the previous
+    /// one as a delta frame, or a fresh base (see the module docs for when)
+    /// — then roll the segment and prune the log the *previous* generation
+    /// covers. Returns the clock the checkpoint now stands at; with nothing
+    /// logged since the last frame that is all it does. Failures leave the
+    /// log untouched — a missed checkpoint only means a longer replay,
+    /// never lost commits.
     pub fn checkpoint(&self, catalog: &Catalog) -> PolarisResult<u64> {
         let mut span = self.meter.tracer.span("wal.checkpoint");
-        let image = catalog.export()?;
-        let payload = serde_json::to_vec(&image)
-            .map_err(|e| PolarisError::invalid(format!("checkpoint serialization: {e}")))?;
-        self.store.put(
-            &BlobPath::new(checkpoint_path(image.clock))?,
-            payload.into(),
-            Stamp::SYSTEM,
-        )?;
-        self.meter.checkpoints.inc();
-        span.attr("clock", image.clock);
-        self.prune()?;
-        Ok(image.clock)
-    }
-
-    /// Delete all but the newest [`CHECKPOINTS_RETAINED`] checkpoints,
-    /// then every log segment fully covered by the **oldest retained**
-    /// generation. Pruning against the oldest — not the one just
-    /// written — keeps the fallback path whole: if the newest checkpoint
-    /// turns out torn, recovery drops back one generation and the
-    /// segments above *its* clock must still exist. Holds the writer lock
-    /// so the open segment is rolled first and an append can never race a
-    /// delete of its own blob.
-    fn prune(&self) -> PolarisResult<()> {
-        let mut state = self.state.lock();
-        // Roll: later appends open a fresh segment, so the successor-based
-        // cover rule below eventually reclaims the one being closed.
-        state.segment = None;
-        let checkpoints = self.store.list(CHECKPOINT_PREFIX)?;
-        if checkpoints.len() > CHECKPOINTS_RETAINED {
-            for meta in &checkpoints[..checkpoints.len() - CHECKPOINTS_RETAINED] {
-                match self.store.delete(&meta.path) {
-                    Ok(()) | Err(polaris_store::StoreError::NotFound { .. }) => {}
-                    Err(e) => return Err(e.into()),
-                }
+        let store = self.store.as_ref();
+        let mut ckpt = self.checkpoint.lock();
+        let delta = {
+            let state = self.state.lock();
+            if state.logged_clock <= ckpt.clock {
+                return Ok(ckpt.clock);
             }
-        }
-        let oldest_retained = checkpoints.len().saturating_sub(CHECKPOINTS_RETAINED);
-        let Some(cover) = checkpoints
-            .get(oldest_retained)
-            .and_then(|meta| checkpoint_clock(meta.path.as_str()))
-        else {
-            return Ok(());
+            let appendable = self.checkpoint_every > 0
+                && ckpt
+                    .blob
+                    .as_ref()
+                    .is_some_and(|b| b.delta_bytes <= b.base_bytes);
+            appendable
+                .then(|| CatalogDelta::from_writes(state.logged_clock, &state.pending))
+                .flatten()
         };
-        let segments: Vec<(u64, BlobPath)> = self
-            .store
-            .list(WAL_PREFIX)?
-            .into_iter()
-            .filter_map(|meta| segment_first_ts(meta.path.as_str()).map(|ts| (ts, meta.path)))
-            .collect();
-        for pair in segments.windows(2) {
-            let (_, path) = &pair[0];
-            let (next_first, _) = &pair[1];
+        let CheckpointState {
+            blob,
+            older,
+            clock,
+            frame_buf,
+        } = &mut *ckpt;
+        let cover = *clock;
+        let (at, superseded) = match (delta, blob.as_mut()) {
+            (Some(delta), Some(open)) => {
+                let at = delta.clock;
+                wal::encode_payload_into(&CheckpointFrame::Delta(delta), frame_buf)
+                    .map_err(PolarisError::invalid)?;
+                append_block(store, &open.path, &mut open.blocks, block_id(at), frame_buf)?;
+                open.delta_bytes += frame_buf.len() as u64;
+                // A frame now follows the open blob's base.
+                (at, std::mem::take(older))
+            }
+            _ => {
+                let image = catalog.export()?;
+                let at = image.clock;
+                if at <= cover {
+                    return Ok(cover); // logged, but not yet published
+                }
+                wal::encode_payload_into(&CheckpointFrame::Base(image), frame_buf)
+                    .map_err(PolarisError::invalid)?;
+                let path = BlobPath::new(checkpoint_path(at))?;
+                let mut blocks = Vec::new();
+                append_block(store, &path, &mut blocks, block_id(at), frame_buf)?;
+                // The blob this one replaces stays as the fallback until a
+                // frame follows the new base. Whatever is older than *it* has
+                // such a frame already — unless this lifetime had written
+                // none, and the blobs it found are that fallback.
+                let replaced = blob.replace(OpenBlob {
+                    path: path.clone(),
+                    blocks,
+                    base_bytes: frame_buf.len() as u64,
+                    delta_bytes: 0,
+                });
+                let superseded = match replaced {
+                    Some(replaced) => std::mem::replace(older, vec![replaced.path]),
+                    None => Vec::new(),
+                };
+                older.retain(|found| *found != path);
+                (at, superseded)
+            }
+        };
+        *clock = at;
+        self.meter.checkpoints.inc();
+        span.attr("clock", at);
+        span.attr("bytes", frame_buf.len());
+        drop(ckpt);
+
+        // Forget the rows the frame holds, roll the open segment (later
+        // appends open a fresh one, so the successor rule below eventually
+        // reclaims the one being closed) and delete every segment wholly at
+        // or below `cover` — the frame *before* — so that if the new frame
+        // turns out torn, the log above its predecessor is still there.
+        let mut covered = Vec::new();
+        {
+            let mut state = self.state.lock();
+            state.pending.retain(|(ts, ..)| *ts > at);
+            state.segment = None;
             // Every record in a segment commits below its successor's
             // first timestamp; successor ≤ cover+1 proves full coverage.
-            if *next_first <= cover + 1 {
-                match self.store.delete(path) {
-                    Ok(()) | Err(polaris_store::StoreError::NotFound { .. }) => {
-                        self.meter.segments_pruned.inc();
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+            while state
+                .segments
+                .get(1)
+                .is_some_and(|(next_first, _)| *next_first <= cover + 1)
+            {
+                covered.extend(state.segments.pop_front());
             }
         }
-        drop(state);
-        Ok(())
+        for path in &superseded {
+            delete_if_present(store, path)?;
+        }
+        for (_, path) in &covered {
+            delete_if_present(store, path)?;
+            self.meter.segments_pruned.inc();
+        }
+        Ok(at)
     }
 }
 
@@ -318,8 +587,8 @@ impl CommitLogWriter {
 /// and `SHOW ENGINE HEALTH`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct RecoveryReport {
-    /// Clock of the checkpoint image imported (0: recovered from the log
-    /// alone).
+    /// Clock of the last intact checkpoint frame imported (0: recovered
+    /// from the log alone).
     pub checkpoint_clock: u64,
     /// Log segments read.
     pub segments_scanned: u64,
@@ -327,7 +596,7 @@ pub struct RecoveryReport {
     pub replayed_batches: u64,
     /// Commits replayed from the log tail.
     pub replayed_commits: u64,
-    /// Torn tail records (and replay gaps) discarded.
+    /// Torn tail records discarded.
     pub torn_records: u64,
     /// Stale segments beyond a tear that were dropped.
     pub segments_dropped: u64,
@@ -341,29 +610,28 @@ pub struct RecoveryReport {
     pub wall_ns: u64,
 }
 
-/// Rebuild `catalog` from the durable state under `store`: newest parsable
-/// checkpoint, then the log tail above it, then the orphan sweep. Must run
+/// Rebuild `catalog` from the durable state under the writer's store:
+/// newest checkpoint blob with an intact base, then the log tail above
+/// its last intact frame, then the orphan sweep — and remember the
+/// blobs found, so that generations never have to list them. Must run
 /// before the commit-log hook is installed and before any traffic (see
 /// the module docs for why).
-pub fn recover(
-    store: &Arc<dyn ObjectStore>,
-    catalog: &Catalog,
-    meter: &RecoveryMeter,
-) -> PolarisResult<RecoveryReport> {
+pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<RecoveryReport> {
     let t0 = Instant::now();
     let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::Replay);
+    let (store, meter) = (&writer.store, &writer.meter);
     let mut span = meter.tracer.span("recovery.run");
     let mut report = RecoveryReport::default();
     let mut txn_floor = 0u64;
 
-    // 1. Newest parsable checkpoint. A torn newest checkpoint (crash
-    //    mid-write) falls back to the previous generation; the log tail
-    //    then covers the difference.
-    for meta in store.list(CHECKPOINT_PREFIX)?.iter().rev() {
-        let raw = store.get(&meta.path)?;
-        let image: CatalogImage = match serde_json::from_slice(&raw) {
-            Ok(image) => image,
-            Err(_) => continue,
+    // 1. Newest checkpoint blob, as far as its frames are intact. A
+    //    torn newest frame (crash mid-generation) costs one generation;
+    //    a torn base, the whole blob — the one before it is still
+    //    there, and the log tail covers the difference either way.
+    let checkpoints = store.list(CHECKPOINT_PREFIX)?;
+    for meta in checkpoints.iter().rev() {
+        let Some(image) = fold_checkpoint(&store.get(&meta.path)?) else {
+            continue;
         };
         if image.clock > 0 {
             catalog.import(&image)?;
@@ -379,67 +647,51 @@ pub fn recover(
     }
 
     // 2. Replay the log above the checkpoint, oldest segment first
-    //    (zero-padded names list in timestamp order). Stop at the first
-    //    tear or density gap; segments beyond a stop are stale by
-    //    definition and dropped so they cannot shadow post-recovery
-    //    appends.
-    let mut stopped = false;
+    //    (zero-padded names list in timestamp order), up to the first
+    //    tear. A segment beyond a tear is the log's continuation if it
+    //    starts right where the tear left the clock — an earlier
+    //    recovery stopped there and went on logging — and stale
+    //    otherwise: dropped, so it cannot shadow post-recovery appends.
+    let mut segments = VecDeque::new();
+    let mut torn = false;
     for meta in store.list(WAL_PREFIX)? {
-        if segment_first_ts(meta.path.as_str()).is_none() {
+        let Some(first_ts) = segment_first_ts(meta.path.as_str()) else {
+            continue;
+        };
+        if torn && first_ts != catalog.now().0 + 1 {
+            delete_if_present(store.as_ref(), &meta.path)?;
+            report.segments_dropped += 1;
             continue;
         }
-        if stopped {
-            match store.delete(&meta.path) {
-                Ok(()) | Err(polaris_store::StoreError::NotFound { .. }) => {
-                    report.segments_dropped += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-            continue;
-        }
+        torn = false;
         report.segments_scanned += 1;
         let raw = store.get(&meta.path)?;
+        segments.push_back((first_ts, meta.path));
         let (batches, tail) = wal::decode_frames(&raw);
-        for batch in &batches {
+        for batch in batches {
             let mut applied = false;
-            for commit in &batch.commits {
+            for commit in batch.commits {
                 txn_floor = txn_floor.max(commit.txn);
                 if commit.commit_ts <= catalog.now().0 {
                     continue; // covered by the checkpoint image
                 }
-                match catalog.replay_commit(
-                    polaris_catalog::Timestamp(commit.commit_ts),
-                    commit.writes.clone(),
-                ) {
-                    Ok(()) => {
-                        applied = true;
-                        report.replayed_commits += 1;
-                        meter.replayed_commits.inc();
-                    }
-                    Err(polaris_catalog::CatalogError::ReplayGap { .. }) => {
-                        // A density gap means the record belongs to a
-                        // different history (post-tear garbage); treat it
-                        // like a tear and keep the consistent prefix.
-                        report.torn_records += 1;
-                        meter.torn_records.inc();
-                        stopped = true;
-                        break;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                // A `ReplayGap` here is acknowledged history missing
+                // below this record: fail, never open without it.
+                catalog
+                    .replay_commit(polaris_catalog::Timestamp(commit.commit_ts), commit.writes)?;
+                applied = true;
+                report.replayed_commits += 1;
+                meter.replayed_commits.inc();
             }
             if applied {
                 report.replayed_batches += 1;
                 meter.replayed_batches.inc();
             }
-            if stopped {
-                break;
-            }
         }
         if let WalTail::Torn { .. } = tail {
             report.torn_records += 1;
             meter.torn_records.inc();
-            stopped = true;
+            torn = true;
         }
     }
 
@@ -472,6 +724,19 @@ pub fn recover(
         meter.orphans_collected.add(swept.len() as u64);
     }
 
+    // 5. What the writer carries on from: the surviving segments, the
+    //    blobs its first base will supersede, and the two clocks.
+    {
+        let mut state = writer.state.lock();
+        state.segments = segments;
+        state.logged_clock = report.recovered_clock;
+    }
+    {
+        let mut ckpt = writer.checkpoint.lock();
+        ckpt.older = checkpoints.into_iter().map(|meta| meta.path).collect();
+        ckpt.clock = report.checkpoint_clock;
+    }
+
     report.wall_ns = t0.elapsed().as_nanos() as u64;
     meter.recovery_ns.record_ns(report.wall_ns);
     span.attr("recovered_clock", report.recovered_clock);
@@ -492,5 +757,6 @@ mod tests {
         assert_eq!(segment_first_ts(&p1), Some(7));
         assert_eq!(segment_first_ts("sys/wal/other.bin"), None);
         assert!(checkpoint_path(9).starts_with(CHECKPOINT_PREFIX));
+        assert!(checkpoint_path(9) < checkpoint_path(10));
     }
 }

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 /// Run `f` in a read-only catalog transaction that is released on every
 /// path — a transaction left active would pin the GC watermark for good.
-fn read_catalog<R>(
+pub(crate) fn read_catalog<R>(
     engine: &PolarisEngine,
     f: impl FnOnce(&mut CatalogTxn) -> PolarisResult<R>,
 ) -> PolarisResult<R> {
@@ -584,10 +584,13 @@ pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
     }
     report.gc_deleted = garbage_collect(engine)?.deleted;
     // Periodic catalog backup (§6.3), enabling point-in-time restore of the
-    // whole database: one per pass that follows a commit. An image of the
-    // clock the previous backup captured would be the same image.
+    // whole database: one per pass that follows a commit (an image of the
+    // clock the previous backup captured would be the same image) — unless
+    // the engine logs its commits, in which case the checkpoint blob plus
+    // the log already are that backup and a second image is pure rewrite.
     let clock = engine.catalog().now();
-    if engine.sto_state().lock().backup_clock != Some(clock) {
+    if engine.commit_log_writer().is_none() && engine.sto_state().lock().backup_clock != Some(clock)
+    {
         engine.backup_catalog("system/catalog-backup.json")?;
         engine.sto_state().lock().backup_clock = Some(clock);
     }

@@ -334,6 +334,16 @@ fn time_travel_as_of() {
 }
 
 #[test]
+fn history_of_an_unknown_table_releases_its_catalog_transaction() {
+    // A transaction left active would pin `min_active_snapshot` — and with
+    // it catalog vacuum and the GC watermark — for the life of the engine.
+    let engine = engine();
+    assert!(lineage::history(&engine, "ghost").is_err());
+    assert_eq!(engine.catalog().active_count(), 0);
+    assert_eq!(engine.catalog().min_active_snapshot(), None);
+}
+
+#[test]
 fn clone_as_of_and_independent_evolution() {
     let engine = engine();
     let mut s = engine.session();

@@ -3,7 +3,7 @@
 use crate::{BlobMeta, BlobPath, BlockId, ObjectStore, Stamp, StoreError, StoreResult};
 use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Per-blob state: committed content plus the block machinery behind it.
 #[derive(Debug, Default)]
@@ -18,7 +18,8 @@ struct BlobState {
     blocks: HashMap<BlockId, Bytes>,
     /// Currently committed block list, in order.
     committed_list: Vec<BlockId>,
-    /// IDs staged since the last commit (discarded if not committed).
+    /// IDs that entered `blocks` since the last commit: the only payloads
+    /// a commit that keeps the whole committed list can have to discard.
     staged: Vec<BlockId>,
 }
 
@@ -132,10 +133,9 @@ impl ObjectStore for MemoryStore {
         if state.committed.is_none() {
             state.stamp = stamp;
         }
-        if !state.staged.contains(&block) && !state.committed_list.contains(&block) {
-            state.staged.push(block.clone());
+        if state.blocks.insert(block.clone(), data).is_none() {
+            state.staged.push(block);
         }
-        state.blocks.insert(block, data);
         Ok(())
     }
 
@@ -146,34 +146,54 @@ impl ObjectStore for MemoryStore {
         stamp: Stamp,
     ) -> StoreResult<()> {
         let mut map = self.blobs.write();
-        // Validate first — against the existing state only, so a failed
-        // commit neither mutates the blob nor creates a phantom entry.
-        {
-            let existing = map.get(path);
-            for id in blocks {
-                let known = existing.is_some_and(|s| s.blocks.contains_key(id));
-                if !known {
+        // Validate and concatenate in one pass over the list, against the
+        // existing state only: a failed commit neither mutates the blob nor
+        // creates a phantom entry.
+        let mut content = BytesMut::new();
+        let existing = map.get(path);
+        for id in blocks {
+            match existing.and_then(|s| s.blocks.get(id)) {
+                Some(payload) => content.extend_from_slice(payload),
+                None => {
                     return Err(StoreError::UnknownBlock {
                         path: path.clone(),
                         block: id.clone(),
-                    });
+                    })
                 }
             }
         }
         let state = map.entry(path.clone()).or_default();
-        let mut content = BytesMut::new();
-        for id in blocks {
-            content.extend_from_slice(&state.blocks[id]);
-        }
         if state.committed.is_none() {
             state.stamp = stamp;
         }
         state.committed = Some(content.freeze());
-        state.committed_list = blocks.to_vec();
+        // How much of the old list the new one keeps as a prefix: all of it
+        // in the append pattern, which re-lists every committed block.
+        let shared = state
+            .committed_list
+            .iter()
+            .zip(blocks)
+            .take_while(|(old, new)| old == new)
+            .count();
         // Retain only payloads referenced by the new committed list; staged
         // blocks left out are discarded (Azure semantics).
-        state.blocks.retain(|id, _| blocks.contains(id));
-        state.staged.clear();
+        if shared == state.committed_list.len() {
+            // Nothing committed was dropped, so only a block staged since
+            // the last commit can be unlisted — a handful, whatever the
+            // blob's length.
+            let appended: HashSet<&BlockId> = blocks[shared..].iter().collect();
+            for id in state.staged.drain(..) {
+                if !appended.contains(&id) {
+                    state.blocks.remove(&id);
+                }
+            }
+        } else {
+            let listed: HashSet<&BlockId> = blocks.iter().collect();
+            state.blocks.retain(|id, _| listed.contains(id));
+            state.staged.clear();
+        }
+        state.committed_list.truncate(shared);
+        state.committed_list.extend_from_slice(&blocks[shared..]);
         Ok(())
     }
 
@@ -228,6 +248,43 @@ mod tests {
         assert!(matches!(err, StoreError::UnknownBlock { .. }));
         assert_eq!(s.get(&m).unwrap(), Bytes::from_static(b"AA"));
         assert_eq!(s.committed_blocks(&m).unwrap(), vec![b1]);
+    }
+
+    #[test]
+    fn appending_one_block_generations_stays_linear_and_exact() {
+        // The WAL / checkpoint shape: every commit re-lists the whole blob
+        // plus one new block. 4 096 generations finish at once only if a
+        // commit is linear in its list; content and list are checked as the
+        // blob grows.
+        let s = MemoryStore::new();
+        let m = BlobPath::new("sys/log").unwrap();
+        let mut ids = Vec::new();
+        let mut expect = Vec::new();
+        for g in 0..4096u32 {
+            let id = BlockId::new(format!("g-{g:08}"));
+            let payload = g.to_le_bytes();
+            s.stage_block(&m, id.clone(), Bytes::copy_from_slice(&payload), Stamp(1))
+                .unwrap();
+            // A staged block left off the list is discarded by the commit.
+            s.stage_block(
+                &m,
+                BlockId::new("stray"),
+                Bytes::from_static(b"x"),
+                Stamp(1),
+            )
+            .unwrap();
+            ids.push(id);
+            expect.extend_from_slice(&payload);
+            s.commit_block_list(&m, &ids, Stamp(1)).unwrap();
+            if (g + 1) % 512 == 0 {
+                assert_eq!(s.get(&m).unwrap(), Bytes::from(expect.clone()), "gen {g}");
+                assert_eq!(s.committed_blocks(&m).unwrap(), ids, "gen {g}");
+                assert!(matches!(
+                    s.commit_block_list(&m, &[BlockId::new("stray")], Stamp(1)),
+                    Err(StoreError::UnknownBlock { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,13 @@ cargo test --release -q -p polaris-exec --test morsel_oracle
 # reopens) is all that stands between a stale fate cache and a deleted live
 # file, and the tick-cost test counts reads instead of timing them.
 cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
+# Durability smoke, optimized as it ships: the recoverability oracle (after
+# every checkpoint generation the blob folds to the live catalog, and with
+# its newest frame lost at any byte `open` still recovers that catalog —
+# across drops, clones, re-bases and reopens) is what the incremental
+# checkpoint format stands on, and the cost test counts the bytes a
+# generation, the tick and a read send to the store instead of timing them.
+cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
 cargo clippy --workspace --all-targets -- -D warnings
 # The telemetry endpoint is infrastructure other tooling scrapes: hold
 # the obs crate to no-unwrap discipline on top of the workspace lints —
@@ -95,7 +102,7 @@ scripts/alloc_gate.sh --phases
 
 # Crash-recovery chaos gate: the bounded deterministic kill matrix —
 # every kill site (manifest staging/upload, WAL stage/publish, commit
-# probes, checkpoint write) × two fixed seeds, asserting
+# probes, checkpoint stage/publish) × two fixed seeds, asserting
 # committed-stays-committed, aborted-leaves-no-trace, dense clock, zero
 # orphans, and double-reopen idempotence. Randomized soaking is
 # scripts/chaos.sh, not a CI gate.
