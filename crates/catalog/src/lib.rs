@@ -63,6 +63,6 @@ pub use catalog::{
 };
 pub use error::{CatalogError, CatalogResult};
 pub use mvcc::{
-    CommitBatch, CommitLog, CommitLogRecord, CommitOutcome, CommitProbe, ConflictGranularity,
-    IsolationLevel, MvccKey, MvccStore, Timestamp, Txn, TxnId, TxnStatus, DEFAULT_COMMIT_SHARDS,
+    CommitLog, CommitLogRecord, CommitOutcome, CommitProbe, ConflictGranularity, IsolationLevel,
+    MvccKey, MvccStore, Timestamp, Txn, TxnId, TxnStatus, DEFAULT_COMMIT_SHARDS,
 };

@@ -127,55 +127,34 @@ pub struct CommitOutcome {
     pub commit_ts: Timestamp,
 }
 
-/// One sequencer batch, as presented to the durable commit-log hook
-/// *before* any member becomes visible. Members commit at the dense
-/// timestamp run `first_ts .. first_ts + txns.len()`, in `txns` order.
-#[derive(Debug, Clone)]
-pub struct CommitBatch {
-    /// Timestamp of the batch's first member.
-    pub first_ts: Timestamp,
-    /// Member transaction ids, in commit-timestamp order.
-    pub txns: Vec<TxnId>,
-}
-
-impl CommitBatch {
-    /// Number of transactions in the batch.
-    pub fn len(&self) -> usize {
-        self.txns.len()
-    }
-
-    /// Whether the batch is empty (never true for a dispatched batch).
-    pub fn is_empty(&self) -> bool {
-        self.txns.is_empty()
-    }
-}
-
-/// One batch member as presented to the durable commit-log hook: the
-/// transaction's full effect — its buffered writes plus the extra writes
-/// computed at the commit point (manifest rows keyed by the fresh
-/// sequence number). A hook that persists these fields can replay the
-/// commit verbatim on recovery; `None` values are tombstones.
-pub struct CommitLogRecord<'a, K, V> {
+/// One commit inside the sequencer's global section, and what the durable
+/// commit-log hook sees of it: the transaction's full effect — its buffered
+/// writes plus the extra writes computed at the commit point (manifest rows
+/// keyed by the fresh sequence number). A hook that persists these fields
+/// can replay the commit verbatim on recovery; `None` values are
+/// tombstones.
+pub struct CommitLogRecord<K, V> {
     /// The committing transaction's durable id.
     pub txn: TxnId,
     /// The timestamp this member commits at (dense within the batch).
     pub commit_ts: Timestamp,
     /// The transaction's buffered writes, sorted by key.
-    pub writes: &'a [(K, Option<V>)],
+    pub writes: Vec<(K, Option<V>)>,
     /// Extra writes computed at the commit point (see
     /// [`MvccStore::commit_with`]).
-    pub extra: &'a [(K, Option<V>)],
+    pub extra: Vec<(K, Option<V>)>,
 }
 
 /// Durable commit-log hook: called once per sequencer batch, under the
-/// sequencer, before any member installs. The records carry every member's
-/// full write payload so the hook can persist a replayable log entry.
-/// Returning `Err` aborts the whole batch *without consuming any
-/// timestamps* — the commit clock stays dense. This is the per-batch
-/// write that group commit amortizes (the paper's SQL-FE commit record;
-/// cf. LakeVilla's grouped log append).
+/// sequencer, before any member installs. The slice holds the batch's
+/// members in commit-timestamp order — a dense run starting at the first
+/// member's `commit_ts` — each with its full write payload, so the hook can
+/// persist a replayable log entry. Returning `Err` aborts the whole batch
+/// *without consuming any timestamps* — the commit clock stays dense. This
+/// is the per-batch write that group commit amortizes (the paper's SQL-FE
+/// commit record; cf. LakeVilla's grouped log append).
 pub type CommitLog<K, V> =
-    Arc<dyn Fn(&CommitBatch, &[CommitLogRecord<'_, K, V>]) -> Result<(), String> + Send + Sync>;
+    Arc<dyn Fn(&[CommitLogRecord<K, V>]) -> Result<(), String> + Send + Sync>;
 
 /// Commit failpoint probe, for crash-injection harnesses: invoked with a
 /// named point (`commit.validated`, `commit.sequencer`, `commit.logged`,
@@ -200,11 +179,10 @@ struct CommitSlot(StdMutex<Option<CatalogResult<Timestamp>>>);
 /// batch members never conflict pairwise and the leader can install them
 /// without revalidation.
 struct BatchEntry<K: 'static, V: 'static> {
-    txn: TxnId,
-    /// The member's write-set entries (sorted by key), taken from its
-    /// [`WriteSet`]. The leader drains them on install and recycles the
-    /// storage into the store's scratch pool.
-    writes: Vec<(K, Option<V>)>,
+    /// The member, holding the write-set entries taken from its
+    /// [`WriteSet`]. The leader recycles their storage into the store's
+    /// scratch pool once the batch is through the sequencer.
+    member: CommitLogRecord<K, V>,
     extra: ExtraFn<K, V>,
     slot: Arc<CommitSlot>,
 }
@@ -266,11 +244,6 @@ impl<K: Ord, V> WriteSet<K, V> {
     /// Buffered keys, ascending.
     fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
-    }
-
-    /// The entries as a key-sorted slice (`None` values are tombstones).
-    fn as_slice(&self) -> &[(K, Option<V>)] {
-        &self.entries
     }
 
     /// Upsert: an existing key's value is replaced in place.
@@ -371,6 +344,19 @@ impl<K: Ord + Clone, V> Txn<K, V> {
     }
 }
 
+impl<K, V> CommitLogRecord<K, V> {
+    /// A sequencer member for `txn`, taking its buffered writes (the
+    /// timestamp and the extra writes are the sequencer's to fill in).
+    fn new(txn: &mut Txn<K, V>) -> Self {
+        CommitLogRecord {
+            txn: txn.id,
+            commit_ts: Timestamp(0),
+            writes: std::mem::take(&mut txn.writes.entries),
+            extra: Vec::new(),
+        }
+    }
+}
+
 /// Generic MVCC store with Snapshot Isolation.
 ///
 /// Concurrency model: many transactions execute concurrently; reads are
@@ -418,8 +404,7 @@ pub struct MvccStore<K: 'static, V: 'static> {
     /// Group-commit queue (used only when `group_max_batch > 1`).
     group: GroupCommit<K, V>,
     /// Max transactions batched through one sequencer section. 1 (the
-    /// default) takes the direct path — today's one-commit-per-section
-    /// behaviour, byte for byte.
+    /// default) skips the queue: every commit is its own batch of one.
     group_max_batch: AtomicUsize,
     /// How long a batch leader waits for the queue to fill before
     /// draining a partial batch.
@@ -510,7 +495,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     /// Configure group commit: up to `max_batch` validated transactions
     /// share one sequencer section, and a batch leader waits up to
     /// `window` for the queue to fill before draining a partial batch.
-    /// `max_batch <= 1` disables batching (the direct sequencer path).
+    /// `max_batch <= 1` disables batching (every commit a batch of one).
     /// Safe to call at runtime; new commits observe the new setting.
     pub fn set_group_commit(&self, max_batch: usize, window: Duration) {
         self.group_max_batch
@@ -1043,7 +1028,16 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         let sequenced = match extra {
             // Nothing to install: no timestamp drawn, nothing logged.
             None => Ok(txn.snapshot),
-            Some(extra) if max_batch <= 1 => self.sequence_direct(txn, extra),
+            // Unbatched: a batch of one, built on the stack from the
+            // transaction's own write buffer. The storage goes back to the
+            // transaction (and from there to the scratch pool at `finish`).
+            Some(extra) if max_batch <= 1 => {
+                let mut member = [CommitLogRecord::new(txn)];
+                let sequenced = self.sequence(&mut member, std::iter::once(extra));
+                let [member] = member;
+                txn.writes.entries = member.writes;
+                sequenced.map(|()| member.commit_ts)
+            }
             Some(extra) => self.sequence_grouped(txn, Box::new(extra), max_batch),
         };
         self.meter
@@ -1067,49 +1061,6 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         }
     }
 
-    /// The direct (unbatched) sequencer path: one commit per global
-    /// section. With no commit-log hook installed this is exactly the
-    /// pre-group-commit protocol.
-    fn sequence_direct(
-        &self,
-        txn: &mut Txn<K, V>,
-        extra: impl FnOnce(Timestamp) -> Vec<(K, Option<V>)>,
-    ) -> CatalogResult<Timestamp> {
-        let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
-        let _sequencer = self.sequencer.lock();
-        self.probe("commit.sequencer");
-        let commit_ts = Timestamp(self.committed.load(Ordering::SeqCst) + 1);
-        self.meter.group_batch_size.record_ns(1);
-        // Extra writes are computed before the commit-log hook so the log
-        // record carries the transaction's *complete* effect. The closure
-        // is a pure constructor (it builds manifest rows keyed by the
-        // fresh timestamp), so running it on the abort path is harmless.
-        let mut extra_writes = extra(commit_ts);
-        if let Some(hook) = self.commit_log.read().clone() {
-            let batch = CommitBatch {
-                first_ts: commit_ts,
-                txns: vec![txn.id],
-            };
-            let records = [CommitLogRecord {
-                txn: txn.id,
-                commit_ts,
-                writes: txn.writes.as_slice(),
-                extra: &extra_writes,
-            }];
-            if let Err(detail) = hook(&batch, &records) {
-                return Err(CatalogError::CommitLogFailure { detail });
-            }
-        }
-        self.probe("commit.logged");
-        // Drain in place: the write-set's backing storage stays with the
-        // transaction and returns to the scratch pool at `finish`.
-        self.install_at(commit_ts, &mut txn.writes.entries, &mut extra_writes);
-        self.probe("commit.installed");
-        self.committed.store(commit_ts.0, Ordering::SeqCst);
-        self.probe("commit.published");
-        Ok(commit_ts)
-    }
-
     /// The grouped sequencer path: enqueue the validated commit, then
     /// either lead (drain a batch through one sequencer section) or
     /// follow (park on the group condvar until a leader publishes us).
@@ -1126,8 +1077,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         let window = Duration::from_micros(self.group_window_us.load(Ordering::SeqCst));
         let mut state = lock_unpoisoned(&self.group.state);
         state.pending.push_back(BatchEntry {
-            txn: txn.id,
-            writes: std::mem::take(&mut txn.writes.entries),
+            member: CommitLogRecord::new(txn),
             extra,
             slot: Arc::clone(&slot),
         });
@@ -1160,9 +1110,30 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
                     }
                 }
                 let n = state.pending.len().min(max_batch);
-                let batch: Vec<BatchEntry<K, V>> = state.pending.drain(..n).collect();
+                let mut members = Vec::with_capacity(n);
+                let mut extras = Vec::with_capacity(n);
+                let mut slots = Vec::with_capacity(n);
+                for entry in state.pending.drain(..n) {
+                    members.push(entry.member);
+                    extras.push(entry.extra);
+                    slots.push(entry.slot);
+                }
                 drop(state);
-                self.sequence_batch(batch);
+                let sequenced = self.sequence(&mut members, extras);
+                // Outcome slots fill only *after* the watermark published,
+                // so by the time a follower observes its timestamp the
+                // commit is fully visible. The members' write storage came
+                // from their write sets; hand it to the pool — installed or
+                // aborted — so batching keeps the store warm.
+                for (mut member, slot) in members.into_iter().zip(slots) {
+                    *lock_unpoisoned(&slot.0) = Some(sequenced.clone().map(|()| member.commit_ts));
+                    member.writes.clear();
+                    self.recycle(TxnScratch {
+                        writes: member.writes,
+                        reads: HashSet::new(),
+                        shards: Vec::new(),
+                    });
+                }
                 state = lock_unpoisoned(&self.group.state);
                 state.leader_active = false;
                 // Wake followers to collect their outcomes (and the next
@@ -1182,80 +1153,44 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         }
     }
 
-    /// Drain one batch through the global sequencer section: one
-    /// commit-log write for the whole batch, then one dense run of
-    /// timestamps drawn, installed and published together. Outcome slots
-    /// fill only *after* the watermark publishes, so by the time a
-    /// follower observes its timestamp the commit is fully visible.
-    fn sequence_batch(&self, batch: Vec<BatchEntry<K, V>>) {
+    /// The global sequencer section, for a batch of one or of many: draw
+    /// one dense run of timestamps, compute every member's extra writes,
+    /// make the batch durable with one commit-log write, install, and
+    /// publish the whole run with one store to the watermark.
+    ///
+    /// `extras` yields one closure per member, in member order. They run
+    /// before the commit-log hook so the log record carries each
+    /// transaction's *complete* effect; they are pure constructors (they
+    /// build manifest rows keyed by the fresh timestamp), so running them
+    /// on the abort path is harmless. On `Err` the hook refused the batch:
+    /// nothing was installed and no timestamp was consumed, so the clock
+    /// stays dense for the next batch.
+    fn sequence(
+        &self,
+        members: &mut [CommitLogRecord<K, V>],
+        extras: impl IntoIterator<Item = impl FnOnce(Timestamp) -> Vec<(K, Option<V>)>>,
+    ) -> CatalogResult<()> {
         let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
         let _sequencer = self.sequencer.lock();
         self.probe("commit.sequencer");
         let base = self.committed.load(Ordering::SeqCst);
-        self.meter.group_batch_size.record_ns(batch.len() as u64);
-        // Materialize every member's extra writes up front so the single
-        // per-batch commit-log record carries each member's complete
-        // effect (extra closures are pure constructors; see
-        // `sequence_direct`).
-        let mut members = Vec::with_capacity(batch.len());
-        for (i, entry) in batch.into_iter().enumerate() {
-            let commit_ts = Timestamp(base + 1 + i as u64);
-            let extra_writes = (entry.extra)(commit_ts);
-            members.push((entry.txn, commit_ts, entry.writes, extra_writes, entry.slot));
+        self.meter.group_batch_size.record_ns(members.len() as u64);
+        for (i, (member, extra)) in members.iter_mut().zip(extras).enumerate() {
+            member.commit_ts = Timestamp(base + 1 + i as u64);
+            member.extra = extra(member.commit_ts);
         }
         if let Some(hook) = self.commit_log.read().clone() {
-            let descriptor = CommitBatch {
-                first_ts: Timestamp(base + 1),
-                txns: members.iter().map(|m| m.0).collect(),
-            };
-            let records: Vec<CommitLogRecord<'_, K, V>> = members
-                .iter()
-                .map(|(txn, commit_ts, writes, extra, _)| CommitLogRecord {
-                    txn: *txn,
-                    commit_ts: *commit_ts,
-                    writes: writes.as_slice(),
-                    extra,
-                })
-                .collect();
-            if let Err(detail) = hook(&descriptor, &records) {
-                // The whole batch aborts; no timestamp was consumed, so
-                // the clock stays dense for the next batch. Member write
-                // storage is recycled — an aborted batch must not bleed
-                // pool capacity.
-                for (_, _, mut writes, _, slot) in members {
-                    *lock_unpoisoned(&slot.0) = Some(Err(CatalogError::CommitLogFailure {
-                        detail: detail.clone(),
-                    }));
-                    writes.clear();
-                    self.recycle(TxnScratch {
-                        writes,
-                        reads: HashSet::new(),
-                        shards: Vec::new(),
-                    });
-                }
-                return;
-            }
+            hook(members).map_err(|detail| CatalogError::CommitLogFailure { detail })?;
         }
         self.probe("commit.logged");
-        let count = members.len() as u64;
-        let mut published = Vec::with_capacity(members.len());
-        for (_, commit_ts, mut writes, mut extra_writes, slot) in members {
-            self.install_at(commit_ts, &mut writes, &mut extra_writes);
-            // The drained storage came from a follower's write set; hand
-            // it to the pool so batching keeps the store warm.
-            self.recycle(TxnScratch {
-                writes,
-                reads: HashSet::new(),
-                shards: Vec::new(),
-            });
-            published.push((slot, commit_ts));
+        for member in members.iter_mut() {
+            self.install_at(member.commit_ts, &mut member.writes, &mut member.extra);
         }
         self.probe("commit.installed");
-        self.committed.store(base + count, Ordering::SeqCst);
+        self.committed
+            .store(base + members.len() as u64, Ordering::SeqCst);
         self.probe("commit.published");
-        for (slot, commit_ts) in published {
-            *lock_unpoisoned(&slot.0) = Some(Ok(commit_ts));
-        }
+        Ok(())
     }
 
     /// Install one commit's writes under `commit_ts`, draining both
@@ -1732,7 +1667,7 @@ mod tests {
         let logged: Arc<StdMutex<Vec<LoggedEntry>>> = Arc::new(StdMutex::new(Vec::new()));
         {
             let logged = Arc::clone(&logged);
-            s.set_commit_log(Some(Arc::new(move |batch, records| {
+            s.set_commit_log(Some(Arc::new(move |records| {
                 for r in records {
                     let mut writes: Vec<(String, Option<i64>)> =
                         r.writes.iter().map(|(key, v)| (key.clone(), *v)).collect();
@@ -1742,7 +1677,6 @@ mod tests {
                         .unwrap()
                         .push((r.txn.0, r.commit_ts.0, writes));
                 }
-                assert_eq!(batch.len(), records.len());
                 Ok(())
             })));
         }
@@ -1826,7 +1760,7 @@ mod tests {
         assert_eq!((p.write_count(), p.read_count()), (0, 0));
 
         // Commit-log failure.
-        s.set_commit_log(Some(Arc::new(|_, _| Err("log down".to_owned()))));
+        s.set_commit_log(Some(Arc::new(|_| Err("log down".to_owned()))));
         let mut l = s.begin(IsolationLevel::Serializable);
         let _ = s.read(&mut l, &k("a")).unwrap();
         s.write(&mut l, k("e"), 8).unwrap();

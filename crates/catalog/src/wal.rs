@@ -26,7 +26,7 @@
 //! replay re-installs a commit verbatim without re-running any engine
 //! logic.
 
-use crate::{CatalogKey, CatalogValue, CommitBatch, CommitLogRecord};
+use crate::{CatalogKey, CatalogValue, CommitLogRecord};
 
 /// Frame tag: "PWAL" (Polaris Write-Ahead Log).
 pub const WAL_MAGIC: [u8; 4] = *b"PWAL";
@@ -57,13 +57,10 @@ pub struct WalBatch {
 }
 
 impl WalBatch {
-    /// Capture a sequencer batch from the commit-log hook's arguments.
-    pub fn from_records(
-        batch: &CommitBatch,
-        records: &[CommitLogRecord<'_, CatalogKey, CatalogValue>],
-    ) -> WalBatch {
+    /// Capture a sequencer batch from the commit-log hook's argument.
+    pub fn from_records(records: &[CommitLogRecord<CatalogKey, CatalogValue>]) -> WalBatch {
         WalBatch {
-            first_ts: batch.first_ts.0,
+            first_ts: records.first().map_or(0, |r| r.commit_ts.0),
             commits: records
                 .iter()
                 .map(|r| WalCommit {

@@ -14,7 +14,7 @@
 //! * **Cross-shard atomicity** — transfer transactions whose two keys hash
 //!   to different shards never unbalance the invariant sum.
 
-use polaris_catalog::{CatalogError, CommitBatch, IsolationLevel, MvccStore, Timestamp};
+use polaris_catalog::{CatalogError, IsolationLevel, MvccStore, Timestamp};
 use polaris_obs::{CatalogMeter, MetricName, MetricsRegistry};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -356,8 +356,8 @@ fn read_only_commits_draw_no_timestamp_and_log_nothing() {
         let logged = Arc::new(AtomicU64::new(0));
         {
             let logged = Arc::clone(&logged);
-            s.set_commit_log(Some(Arc::new(move |batch, _| {
-                logged.fetch_add(batch.len() as u64, Ordering::SeqCst);
+            s.set_commit_log(Some(Arc::new(move |records| {
+                logged.fetch_add(records.len() as u64, Ordering::SeqCst);
                 Ok(())
             })));
         }
@@ -414,10 +414,13 @@ fn group_commit_batches_preserve_dense_unique_clock() {
         let batches: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
         {
             let batches = Arc::clone(&batches);
-            s.set_commit_log(Some(Arc::new(move |b: &CommitBatch, records| {
-                // Records mirror the batch descriptor member for member.
-                assert_eq!(records.len(), b.len());
-                batches.lock().unwrap().push((b.first_ts.0, b.len()));
+            s.set_commit_log(Some(Arc::new(move |records| {
+                // The members commit at one dense run of timestamps.
+                let first = records[0].commit_ts.0;
+                for (i, r) in records.iter().enumerate() {
+                    assert_eq!(r.commit_ts.0, first + i as u64);
+                }
+                batches.lock().unwrap().push((first, records.len()));
                 Ok(())
             })));
         }
@@ -482,7 +485,7 @@ fn commit_log_failure_aborts_whole_batch_without_consuming_timestamps() {
     let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
     {
         let calls = Arc::clone(&calls);
-        s.set_commit_log(Some(Arc::new(move |_: &CommitBatch, _records| {
+        s.set_commit_log(Some(Arc::new(move |_records| {
             // Every third batch's durable log write fails.
             if calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) % 3 == 2 {
                 Err("injected commit-log fault".to_owned())
@@ -562,8 +565,8 @@ fn single_committer_drains_partial_batch_after_window() {
     assert_eq!(s.meter().group_batch_size.sum_ns(), 1);
 }
 
-/// `max_batch = 1` is the documented off-switch: the direct sequencer
-/// path runs, and behaviour matches the ungrouped protocol exactly.
+/// `max_batch = 1` is the documented off-switch: no queue, every commit
+/// its own sequencer section, exactly the ungrouped protocol.
 #[test]
 fn batch_of_one_reproduces_direct_path() {
     let s = Arc::new(sharded(16));

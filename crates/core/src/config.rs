@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use polaris_catalog::{ConflictGranularity, IsolationLevel};
+use polaris_catalog::ConflictGranularity;
 use polaris_columnar::WriterOptions;
 
 /// Tunables of a [`PolarisEngine`](crate::PolarisEngine).
@@ -13,18 +13,8 @@ pub struct EngineConfig {
     pub writer: WriterOptions,
     /// Write-write conflict granularity (§4.4.1).
     pub conflict_granularity: ConflictGranularity,
-    /// Number of catalog commit shards. Commits lock only the shards
-    /// their write-key footprint hashes to, so commits touching disjoint
-    /// tables proceed concurrently; 1 reproduces a single global commit
-    /// lock. See `polaris_catalog::MvccStore::with_shards`.
-    pub commit_shards: usize,
-    /// Default isolation for new transactions (§4.4.2).
-    pub default_isolation: IsolationLevel,
     /// Compaction trigger: files with fewer live rows are "small" (§5.1).
     pub compact_min_rows: u64,
-    /// Compaction trigger: files with a higher deleted fraction are
-    /// fragmented (§5.1).
-    pub compact_max_deleted: f64,
     /// Checkpoint trigger: manifests accumulated since the last checkpoint
     /// (§5.2; the paper's experiment uses 10).
     pub checkpoint_every: u64,
@@ -32,13 +22,6 @@ pub struct EngineConfig {
     /// sequence `s` becomes collectable once the current sequence exceeds
     /// `s + retention_seqs` (§5.3).
     pub retention_seqs: u64,
-    /// Snapshots retained per table in each BE snapshot cache.
-    pub snapshot_cache_capacity: usize,
-    /// Ceiling on tasks per write statement (the elastic allocator sizes
-    /// within this).
-    pub max_write_tasks: usize,
-    /// Ceiling on tasks per read statement.
-    pub max_read_tasks: usize,
     /// Adaptive morsel sizing: total in-flight scan bytes the morsel
     /// scheduler budgets across all Read lanes. Each lane targets
     /// `budget / lanes` bytes per morsel, shrinking morsels when the
@@ -75,24 +58,14 @@ pub struct EngineConfig {
     /// `PolarisEngine::telemetry_tick_once` (deterministic tests,
     /// single-shot tools).
     pub telemetry_tick_ms: u64,
-    /// Time-series ring length per metric, in ticks.
-    pub telemetry_window: usize,
     /// Statements / transactions slower than this land in the slow log.
     pub slow_statement_ms: u64,
     /// Watchdog: an active transaction older than this is flagged as
     /// pinning the GC watermark.
     pub watchdog_txn_deadline_ms: u64,
-    /// Watchdog: a per-tick p99 commit-shard lock hold above this is
-    /// flagged as lock pressure.
-    pub watchdog_lock_hold_ms: u64,
     /// Watchdog: consecutive harvester ticks the group-commit queue may
     /// stay non-empty without draining before the stall rule fires.
     pub watchdog_queue_stall_ticks: u64,
-    /// Watchdog: a per-tick engine-wide allocation rate (bytes/sec, from
-    /// the tracking allocator) above this is flagged as an allocation
-    /// spike. 0 disables the rule; it never fires in builds without
-    /// `polaris-obs/track-alloc`.
-    pub watchdog_alloc_bytes_per_sec: u64,
     /// Durable commit log: when true, every sequencer batch is framed and
     /// appended under `sys/wal/` *before* its commits publish, and
     /// [`PolarisEngine::open`](crate::PolarisEngine::open) replays the
@@ -119,15 +92,9 @@ impl Default for EngineConfig {
             distributions: 8,
             writer: WriterOptions::default(),
             conflict_granularity: ConflictGranularity::Table,
-            commit_shards: polaris_catalog::DEFAULT_COMMIT_SHARDS,
-            default_isolation: IsolationLevel::Snapshot,
             compact_min_rows: 1024,
-            compact_max_deleted: 0.2,
             checkpoint_every: 10,
             retention_seqs: 100,
-            snapshot_cache_capacity: 8,
-            max_write_tasks: 16,
-            max_read_tasks: 16,
             scan_morsel_target_bytes: 4 << 20,
             scan_prefetch_depth: 2,
             auto_retries: 3,
@@ -136,12 +103,9 @@ impl Default for EngineConfig {
             trace_capacity: 8192,
             telemetry_listen: None,
             telemetry_tick_ms: 100,
-            telemetry_window: 120,
             slow_statement_ms: 100,
             watchdog_txn_deadline_ms: 10_000,
-            watchdog_lock_hold_ms: 1_000,
             watchdog_queue_stall_ticks: 3,
-            watchdog_alloc_bytes_per_sec: 1 << 30,
             commit_log_enabled: false,
             log_segment_bytes: 1 << 20,
             log_checkpoint_every: 64,
@@ -185,8 +149,7 @@ mod tests {
     fn defaults_are_sane() {
         let c = EngineConfig::default();
         assert!(c.distributions > 0);
-        assert!(c.compact_max_deleted > 0.0 && c.compact_max_deleted < 1.0);
+        assert!(c.checkpoint_every > 0);
         assert_eq!(c.conflict_granularity, ConflictGranularity::Table);
-        assert_eq!(c.default_isolation, IsolationLevel::Snapshot);
     }
 }

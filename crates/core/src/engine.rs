@@ -7,7 +7,9 @@ use crate::sto::StoState;
 use crate::telemetry::EngineTelemetry;
 use crate::{EngineConfig, PolarisError, PolarisResult, Session, Transaction};
 use parking_lot::{Mutex, RwLock};
-use polaris_catalog::{Catalog, CatalogTxn, TableId, TableMeta};
+use polaris_catalog::{
+    Catalog, CatalogTxn, IsolationLevel, TableId, TableMeta, DEFAULT_COMMIT_SHARDS,
+};
 use polaris_columnar::Schema;
 use polaris_dcp::ComputePool;
 use polaris_exec::SystemSchema;
@@ -60,10 +62,9 @@ pub struct PolarisEngine {
     /// installed right after construction — `None` only during `new`
     /// itself and after engine teardown.
     telemetry: Mutex<Option<EngineTelemetry>>,
-    /// Durable commit-log writer; `Some` iff
-    /// [`EngineConfig::commit_log_enabled`]. The catalog hook is only
-    /// wired by [`PolarisEngine::open`], after recovery (see the
-    /// `recovery` module docs for why).
+    /// Durable commit-log writer; `Some` iff every commit is logged — an
+    /// engine built by [`PolarisEngine::open`] with
+    /// [`EngineConfig::commit_log_enabled`].
     durability: Option<Arc<CommitLogWriter>>,
     /// What the last [`PolarisEngine::open`] replayed; `None` for engines
     /// built via [`PolarisEngine::new`].
@@ -132,6 +133,9 @@ impl Default for TxnStat {
 /// scan meter recycled between transactions.
 type TxnContext = (HashMap<TableId, crate::txn::TxnTable>, Arc<ScanMeter>);
 
+/// Snapshots retained per table in each BE snapshot cache.
+const SNAPSHOT_CACHE_CAPACITY: usize = 8;
+
 /// Retired-context pool bound: beyond this many parked contexts, extras
 /// are simply dropped. Sized for a healthy concurrent-session count.
 const TXN_CONTEXT_POOL_MAX: usize = 32;
@@ -158,11 +162,24 @@ fn register_build_info(metrics: &MetricsRegistry) {
 }
 
 impl PolarisEngine {
-    /// Build an engine over the given store and compute pool.
+    /// Build an engine over the given store and compute pool. It logs no
+    /// commit, whatever [`EngineConfig::commit_log_enabled`] says: the
+    /// durable entry point is [`PolarisEngine::open`].
     pub fn new(
         store: Arc<dyn ObjectStore>,
         pool: Arc<ComputePool>,
         config: EngineConfig,
+    ) -> Arc<Self> {
+        Self::build(store, pool, config, false)
+    }
+
+    /// The one constructor. `durable` builds the commit-log writer, which
+    /// `open` hooks into the catalog once recovery is done.
+    fn build(
+        store: Arc<dyn ObjectStore>,
+        pool: Arc<ComputePool>,
+        config: EngineConfig,
+        durable: bool,
     ) -> Arc<Self> {
         let metrics = MetricsRegistry::new();
         let tracer = if config.trace_capacity > 0 {
@@ -178,10 +195,10 @@ impl PolarisEngine {
         let store: Arc<dyn ObjectStore> = Arc::new(stats_store);
         pool.meter().adopt_into(&metrics);
         pool.bind_tracer(&tracer);
-        let commit_shards = config.commit_shards.max(1);
-        let mut catalog_meter = CatalogMeter::from_registry_sharded(&metrics, commit_shards);
+        let mut catalog_meter =
+            CatalogMeter::from_registry_sharded(&metrics, DEFAULT_COMMIT_SHARDS);
         catalog_meter.tracer = tracer.clone();
-        let catalog = Catalog::with_meter_sharded(catalog_meter, commit_shards);
+        let catalog = Catalog::with_meter_sharded(catalog_meter, DEFAULT_COMMIT_SHARDS);
         catalog.set_group_commit(
             config.group_commit_max_batch,
             std::time::Duration::from_micros(config.group_commit_window_us),
@@ -190,7 +207,7 @@ impl PolarisEngine {
             crate::telemetry::SLOW_LOG_CAPACITY,
             config.slow_statement_ms.saturating_mul(1_000_000),
         ));
-        let durability = config.commit_log_enabled.then(|| {
+        let durability = durable.then(|| {
             let mut meter = RecoveryMeter::from_registry(&metrics);
             meter.tracer = tracer.clone();
             Arc::new(CommitLogWriter::new(Arc::clone(&store), &config, meter))
@@ -255,26 +272,18 @@ impl PolarisEngine {
         pool: Arc<ComputePool>,
         config: EngineConfig,
     ) -> PolarisResult<Arc<Self>> {
-        let engine = PolarisEngine::new(store, pool, config);
+        let engine = Self::build(store, pool, config, config.commit_log_enabled);
         if let Some(writer) = &engine.durability {
             let report = recovery::recover(writer, &engine.catalog)?;
             *engine.recovery.lock() = Some(report);
-            engine.install_commit_log();
+            // Only now: a hook live during replay would re-log recovered
+            // installs into the segments being read.
+            let writer = Arc::clone(writer);
+            engine
+                .catalog
+                .set_commit_log(Some(Arc::new(move |records| writer.append(records))));
         }
         Ok(engine)
-    }
-
-    /// Wire the commit-log writer in as the catalog's commit-log hook.
-    /// Must only run once recovery is complete: a hook live during replay
-    /// would re-log recovered installs into the segments being read.
-    fn install_commit_log(&self) {
-        if let Some(writer) = &self.durability {
-            let w = Arc::clone(writer);
-            self.catalog
-                .set_commit_log(Some(Arc::new(move |batch, records| {
-                    w.append(batch, records)
-                })));
-        }
     }
 
     /// Post-commit durability maintenance: write a checkpoint generation
@@ -295,8 +304,8 @@ impl PolarisEngine {
         }
     }
 
-    /// The commit-log writer, when durability is enabled (tools and
-    /// benches use it to force checkpoints at known points).
+    /// The commit-log writer; `Some` iff this engine logs its commits
+    /// (tests use it to force checkpoints at known points).
     pub fn commit_log_writer(&self) -> Option<&Arc<CommitLogWriter>> {
         self.durability.as_ref()
     }
@@ -314,7 +323,7 @@ impl PolarisEngine {
 
     /// Begin an explicit transaction at the default isolation level.
     pub fn begin(self: &Arc<Self>) -> Transaction {
-        Transaction::begin(Arc::clone(self), self.config.default_isolation)
+        Transaction::begin(Arc::clone(self), IsolationLevel::default())
     }
 
     /// Engine configuration.
@@ -506,7 +515,7 @@ impl PolarisEngine {
                 }
             }
         }
-        let mut txn = self.catalog.begin(self.config.default_isolation);
+        let mut txn = self.catalog.begin(IsolationLevel::default());
         let data_root = format!("lake/{name}");
         let id = match self.catalog.create_table(
             &mut txn,
@@ -564,7 +573,7 @@ impl PolarisEngine {
     /// only the data roots of live tables, so a dropped table's root is
     /// swept again only while a clone still shares it.
     pub fn drop_table(&self, name: &str) -> PolarisResult<TableId> {
-        let mut txn = self.catalog.begin(self.config.default_isolation);
+        let mut txn = self.catalog.begin(IsolationLevel::default());
         let id = match self.catalog.drop_table(&mut txn, name) {
             Ok(id) => id,
             Err(e) => {
@@ -597,10 +606,7 @@ impl PolarisEngine {
         Arc::clone(caches.entry(table).or_insert_with(|| {
             let mut meter = CacheMeter::from_registry(&self.metrics);
             meter.tracer = self.tracer.clone();
-            Arc::new(SnapshotCache::with_meter(
-                self.config.snapshot_cache_capacity,
-                meter,
-            ))
+            Arc::new(SnapshotCache::with_meter(SNAPSHOT_CACHE_CAPACITY, meter))
         }))
     }
 

@@ -37,7 +37,7 @@ pub fn clone_table(
     target: &str,
     as_of: Option<SequenceId>,
 ) -> PolarisResult<TableId> {
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
+    let mut ctxn = engine.catalog().begin(Default::default());
     let result = (|| {
         let (src_meta, _) = engine.table_meta(&mut ctxn, source)?;
         let new_id = engine.catalog().allocate_table_id();

@@ -25,6 +25,9 @@ use polaris_store::ObjectStore;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Ceiling on planning tasks per read statement.
+const MAX_READ_TASKS: usize = 16;
+
 /// Result of a statement: rows for SELECTs, an affected-count for DML.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
@@ -312,7 +315,7 @@ fn plan_snapshot_scan(
     if cells.is_empty() {
         return Ok(Vec::new());
     }
-    let tasks = engine.config().max_read_tasks.min(cells.len());
+    let tasks = MAX_READ_TASKS.min(cells.len());
     // Group whole distributions per task (as `partition_cells` does), but
     // keep each cell's snapshot ordinal: it becomes the `file_index` that
     // restores deterministic output order after out-of-order morsel

@@ -61,8 +61,8 @@ use crate::{EngineConfig, PolarisError, PolarisResult};
 use parking_lot::Mutex;
 use polaris_catalog::wal::{self, WalBatch, WalTail};
 use polaris_catalog::{
-    Catalog, CatalogImage, CatalogKey, CatalogValue, CommitBatch, CommitLogRecord, IsolationLevel,
-    TableImage, TableMeta, TxnId,
+    Catalog, CatalogImage, CatalogKey, CatalogValue, CommitLogRecord, IsolationLevel, TableImage,
+    TableMeta, TxnId,
 };
 use polaris_obs::RecoveryMeter;
 use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp, StoreError, StoreResult};
@@ -391,8 +391,7 @@ impl CommitLogWriter {
     /// durable.
     pub fn append(
         &self,
-        batch: &CommitBatch,
-        records: &[CommitLogRecord<'_, CatalogKey, CatalogValue>],
+        records: &[CommitLogRecord<CatalogKey, CatalogValue>],
     ) -> Result<(), String> {
         let t0 = Instant::now();
         let mut state = self.state.lock();
@@ -400,7 +399,7 @@ impl CommitLogWriter {
         // no longer panics inside the sequencer); the error aborts the
         // batch through the catalog's CommitLogFailure path like any other
         // durability failure.
-        let wal_batch = WalBatch::from_records(batch, records);
+        let wal_batch = WalBatch::from_records(records);
         let WriterState {
             segments,
             segment,
@@ -412,10 +411,11 @@ impl CommitLogWriter {
             .as_ref()
             .is_none_or(|s| s.bytes >= self.segment_bytes)
         {
-            let path = BlobPath::new(segment_path(batch.first_ts.0)).map_err(|e| e.to_string())?;
+            let path =
+                BlobPath::new(segment_path(wal_batch.first_ts)).map_err(|e| e.to_string())?;
             // A first append that failed leaves its name to the retry.
             if segments.back().is_none_or(|(_, last)| *last != path) {
-                segments.push_back((batch.first_ts.0, path.clone()));
+                segments.push_back((wal_batch.first_ts, path.clone()));
             }
             *segment = Some(OpenSegment {
                 path,
@@ -426,7 +426,7 @@ impl CommitLogWriter {
         }
         let seg = segment.as_mut().expect("segment just ensured");
         let len = frame_buf.len() as u64;
-        let block = block_id(batch.first_ts.0);
+        let block = block_id(wal_batch.first_ts);
         append_block(
             self.store.as_ref(),
             &seg.path,

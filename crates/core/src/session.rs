@@ -53,10 +53,9 @@ pub struct Session {
 
 impl Session {
     pub(crate) fn new(engine: Arc<PolarisEngine>) -> Self {
-        let isolation = engine.config().default_isolation;
         Session {
             engine,
-            isolation,
+            isolation: IsolationLevel::default(),
             current: None,
             last_profile: None,
             last_txn_profile: None,

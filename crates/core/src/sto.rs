@@ -8,7 +8,7 @@
 //! background [`StoRunner`] thread that applies the paper's triggers.
 
 use crate::{EngineConfig, PolarisEngine, PolarisResult, SequenceId};
-use polaris_catalog::{CatalogTxn, TableId, Timestamp};
+use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, Timestamp};
 use polaris_columnar::RecordBatch;
 use polaris_exec::{scan::scan_cell, write as bewrite};
 use polaris_lst::{publish, Checkpoint, DataFileState, Manifest, ManifestAction, TableSnapshot};
@@ -24,7 +24,7 @@ pub(crate) fn read_catalog<R>(
     engine: &PolarisEngine,
     f: impl FnOnce(&mut CatalogTxn) -> PolarisResult<R>,
 ) -> PolarisResult<R> {
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
+    let mut ctxn = engine.catalog().begin(IsolationLevel::default());
     let out = f(&mut ctxn);
     engine.catalog().abort(&mut ctxn);
     out
@@ -99,6 +99,10 @@ impl TableSto {
 // Storage health (the SELECT-time statistics of §5.1)
 // ---------------------------------------------------------------------
 
+/// Compaction trigger: a file with a higher deleted fraction is fragmented
+/// (§5.1).
+pub const COMPACT_MAX_DELETED: f64 = 0.2;
+
 /// Health summary for one table's storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableHealth {
@@ -111,7 +115,7 @@ pub struct TableHealth {
     /// actually merge. A lone small file per distribution is the floor
     /// compaction can reach and is not counted.
     pub small_files: usize,
-    /// Files whose deleted fraction exceeds `compact_max_deleted`.
+    /// Files whose deleted fraction exceeds [`COMPACT_MAX_DELETED`].
     pub fragmented_files: usize,
     /// Rows visible after delete-vector masking.
     pub live_rows: u64,
@@ -138,7 +142,7 @@ pub fn table_health(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<T
     let victims = compaction_victims(&snap, config);
     let fragmented_files = victims
         .iter()
-        .filter(|f| f.deleted_fraction() > config.compact_max_deleted)
+        .filter(|f| f.deleted_fraction() > COMPACT_MAX_DELETED)
         .count();
     Ok(TableHealth {
         table: table.to_owned(),
@@ -151,7 +155,7 @@ pub fn table_health(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<T
 }
 
 /// The files compaction would rewrite: fragmented files (deleted fraction
-/// above `compact_max_deleted`), plus small files in distributions that
+/// above [`COMPACT_MAX_DELETED`]), plus small files in distributions that
 /// have at least two of them (a lone small file has nothing to merge
 /// with — compaction is per distribution).
 fn compaction_victims<'a>(
@@ -161,7 +165,7 @@ fn compaction_victims<'a>(
     let mut victims = Vec::new();
     let mut small_by_dist: BTreeMap<u32, Vec<&DataFileState>> = BTreeMap::new();
     for f in snap.files() {
-        if f.deleted_fraction() > config.compact_max_deleted {
+        if f.deleted_fraction() > COMPACT_MAX_DELETED {
             victims.push(f);
         } else if f.live_rows() < config.compact_min_rows {
             small_by_dist
@@ -329,7 +333,7 @@ fn checkpoint_with_tail(
     table: &str,
     min_tail: usize,
 ) -> PolarisResult<Option<CheckpointReport>> {
-    let mut ctxn = engine.catalog().begin(engine.config().default_isolation);
+    let mut ctxn = engine.catalog().begin(IsolationLevel::default());
     let staged = (|| {
         let (meta, _) = engine.table_meta(&mut ctxn, table)?;
         let folded = checkpoint_tail(engine, &mut ctxn, meta.id)?;
@@ -439,7 +443,8 @@ fn shared_fate(tables: &[&TableSto], path: &str) -> Option<Fate> {
 }
 
 /// Sweep all tables: delete files that are logically removed beyond the
-/// retention window, or that belong to aborted transactions.
+/// retention window and below every active snapshot, or that belong to
+/// aborted transactions.
 ///
 /// Tables can share lineage through zero-copy clones, so a file referenced
 /// by *any* table under its data root stays (§5.3). Only manifests
@@ -455,6 +460,15 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
     // writes became visible before it left the set, so the later snapshot
     // sees its manifest) or aborted (its files are true garbage).
     let min_active_txn = engine.catalog().min_active_txn_id();
+    // The oldest snapshot anything can still be reading (§5.3's watermark):
+    // a file removed above it is invisible to new readers but not to that
+    // one. Sampled before the fold for the same reason — a reader that
+    // begins later begins at or above every removal the fold will see.
+    let clock = engine.catalog().now();
+    let horizon = engine
+        .catalog()
+        .min_active_snapshot()
+        .map_or(clock, |oldest| oldest.min(clock));
     let mut state = engine.sto_state().lock();
     let tables = &mut state.tables;
     let roots = read_catalog(engine, |ctxn| fold_new_manifests(engine, ctxn, tables))?;
@@ -475,12 +489,13 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
             match shared_fate(&sharing, path) {
                 Some(Fate::Active) => report.active += 1,
                 Some(Fate::Removed(at)) => {
-                    if now.0.saturating_sub(at.0) > config.retention_seqs {
+                    if now.0.saturating_sub(at.0) > config.retention_seqs && at.0 <= horizon.0 {
                         engine.store().delete(&blob.path)?;
                         report.deleted += 1;
                         reclaimed.push(blob.path);
                     } else {
-                        // Within retention: still reachable by time travel.
+                        // Still reachable: by time travel within retention,
+                        // or by a snapshot older than the removal.
                         report.active += 1;
                     }
                 }

@@ -16,9 +16,9 @@
 //! |------|------------|
 //! | `gc-watermark` | the oldest active transaction exceeds `watchdog_txn_deadline_ms`, pinning vacuum + snapshot retention |
 //! | `group-commit-stall` | the group-commit queue stays non-empty for `watchdog_queue_stall_ticks` consecutive ticks |
-//! | `commit-lock-hold` | any commit shard's per-tick p99 lock hold exceeds `watchdog_lock_hold_ms` |
+//! | `commit-lock-hold` | any commit shard's per-tick p99 lock hold exceeds 1 s |
 //! | `sto-stalled` | `sto.ticks` stops advancing for a deadline's worth of harvester ticks after the STO has started |
-//! | `alloc-rate-spike` | the tracking allocator's per-tick allocation rate exceeds `watchdog_alloc_bytes_per_sec` (tracking builds only) |
+//! | `alloc-rate-spike` | the tracking allocator's per-tick allocation rate exceeds 1 GiB/s (tracking builds only) |
 //!
 //! Rule closures evaluate once per harvester tick and must not allocate
 //! at steady state (the allocation gate runs the harvester): state is
@@ -35,6 +35,16 @@ use std::time::Duration;
 
 /// Health events retained by the engine watchdog.
 const EVENT_CAPACITY: usize = 64;
+
+/// Time-series ring length per metric, in ticks.
+const TELEMETRY_WINDOW: usize = 120;
+
+/// `commit-lock-hold` fires on a per-tick p99 commit-shard lock hold above
+/// this.
+const WATCHDOG_LOCK_HOLD_MS: u64 = 1_000;
+
+/// `alloc-rate-spike` fires on an engine-wide allocation rate above this.
+const WATCHDOG_ALLOC_BYTES_PER_SEC: u64 = 1 << 30;
 
 /// Slow records retained by the engine slow log.
 pub(crate) const SLOW_LOG_CAPACITY: usize = 128;
@@ -57,13 +67,12 @@ pub(crate) fn start(engine: &Arc<PolarisEngine>) -> EngineTelemetry {
     install_rules(engine, &watchdog);
 
     let tick = Duration::from_millis(config.telemetry_tick_ms.max(1));
-    let window = config.telemetry_window.max(1);
     let harvester = if config.telemetry_tick_ms > 0 {
-        Harvester::start(Arc::clone(engine.metrics()), tick, window)
+        Harvester::start(Arc::clone(engine.metrics()), tick, TELEMETRY_WINDOW)
     } else {
         // No background thread; `PolarisEngine::telemetry_tick_once`
         // advances deterministically (tests, single-shot tools).
-        Harvester::detached(Arc::clone(engine.metrics()), tick, window)
+        Harvester::detached(Arc::clone(engine.metrics()), tick, TELEMETRY_WINDOW)
     };
     harvester.attach_watchdog(Arc::clone(&watchdog));
 
@@ -144,10 +153,7 @@ fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
     // handles — no engine reference needed. Bucket state is pre-sized
     // here and reused so a quiet tick allocates nothing.
     let holds = engine.catalog().meter().commit_shard_holds.clone();
-    let threshold_ns = config
-        .watchdog_lock_hold_ms
-        .max(1)
-        .saturating_mul(1_000_000);
+    let threshold_ns = WATCHDOG_LOCK_HOLD_MS * 1_000_000;
     let mut prev: Vec<[u64; polaris_obs::HIST_BUCKETS]> =
         vec![[0u64; polaris_obs::HIST_BUCKETS]; holds.len()];
     for (i, hold) in holds.iter().enumerate() {
@@ -185,24 +191,21 @@ fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
     // Engine-wide allocation-rate spike (tracking-allocator builds only;
     // the totals read 0 otherwise and the rule stays silent). Plain u64
     // state — nothing allocated per tick.
-    if config.watchdog_alloc_bytes_per_sec > 0 {
-        let limit = config.watchdog_alloc_bytes_per_sec;
-        let tick_secs = (config.telemetry_tick_ms.max(1) as f64) / 1e3;
-        let mut prev_bytes = polaris_obs::alloc::totals().alloc_bytes;
-        watchdog.add_rule("alloc-rate-spike", move |_tick| {
-            let now = polaris_obs::alloc::totals().alloc_bytes;
-            let delta = now.saturating_sub(prev_bytes);
-            prev_bytes = now;
-            let rate = (delta as f64 / tick_secs) as u64;
-            (rate > limit).then(|| {
-                format!(
-                    "allocation rate {} MiB/s this tick (threshold {} MiB/s)",
-                    rate / (1024 * 1024),
-                    limit / (1024 * 1024)
-                )
-            })
-        });
-    }
+    let tick_secs = (config.telemetry_tick_ms.max(1) as f64) / 1e3;
+    let mut prev_bytes = polaris_obs::alloc::totals().alloc_bytes;
+    watchdog.add_rule("alloc-rate-spike", move |_tick| {
+        let now = polaris_obs::alloc::totals().alloc_bytes;
+        let delta = now.saturating_sub(prev_bytes);
+        prev_bytes = now;
+        let rate = (delta as f64 / tick_secs) as u64;
+        (rate > WATCHDOG_ALLOC_BYTES_PER_SEC).then(|| {
+            format!(
+                "allocation rate {} MiB/s this tick (threshold {} MiB/s)",
+                rate / (1024 * 1024),
+                WATCHDOG_ALLOC_BYTES_PER_SEC / (1024 * 1024)
+            )
+        })
+    });
 
     // STO heartbeat: once the orchestrator has ticked, it must keep
     // ticking. Cloned counter handle — no engine reference needed.

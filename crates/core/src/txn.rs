@@ -13,6 +13,9 @@ use polaris_store::{BlobPath, BlockId, Stamp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Ceiling on tasks per write statement.
+const MAX_WRITE_TASKS: usize = 16;
+
 /// Per-table transactional state: the private, uncommitted world of the
 /// transaction (§3.2.3).
 pub(crate) struct TxnTable {
@@ -373,7 +376,7 @@ impl Transaction {
             .collect();
 
         // One task per distribution group, capped.
-        let task_groups = chunk_evenly(groups, config.max_write_tasks);
+        let task_groups = chunk_evenly(groups, MAX_WRITE_TASKS);
         let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(task_groups.len());
         let store = Arc::clone(self.engine.store());
         let writer = config.writer;
@@ -477,10 +480,7 @@ impl Transaction {
             return Ok(0);
         }
         let config = self.engine.config();
-        let groups = partition_cells(
-            cells,
-            config.max_write_tasks.min(config.distributions as usize),
-        );
+        let groups = partition_cells(cells, MAX_WRITE_TASKS.min(config.distributions as usize));
         let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(groups.len());
         let stamp = self.stamp();
         let stmt = self.stmt;
@@ -589,10 +589,7 @@ impl Transaction {
             return Ok(0);
         }
         let config = self.engine.config();
-        let groups = partition_cells(
-            cells,
-            config.max_write_tasks.min(config.distributions as usize),
-        );
+        let groups = partition_cells(cells, MAX_WRITE_TASKS.min(config.distributions as usize));
         let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(groups.len());
         let stamp = self.stamp();
         let stmt = self.stmt;
@@ -799,12 +796,11 @@ impl Transaction {
     /// current list (Block-Blob semantics).
     fn rewrite_manifest(&mut self, tid: TableId) -> PolarisResult<()> {
         let stamp = self.stamp();
-        let max_tasks = self.engine.config().max_write_tasks;
         let stmt = self.stmt;
         let store = Arc::clone(self.engine.store());
         let t = self.tables.get_mut(&tid).expect("state loaded");
         let actions = t.delta.to_actions();
-        let chunk_size = actions.len().div_ceil(max_tasks).max(1);
+        let chunk_size = actions.len().div_ceil(MAX_WRITE_TASKS).max(1);
         let mut ids = Vec::new();
         for (k, chunk) in actions.chunks(chunk_size).enumerate() {
             let id = BlockId::new(format!("rw-s{stmt}-k{k}"));

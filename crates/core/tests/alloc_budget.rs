@@ -1,0 +1,86 @@
+//! Allocation budgets on the two warm paths an engine repeats most: the
+//! auto-commit INSERT and the `polaris.metrics` scan dashboards poll.
+//!
+//! Each path is warmed, then measured engine-wide (work runs on pool
+//! threads, so the process totals are the count) over several windows;
+//! the **median** window shrugs off one-off growth events (a map rehash,
+//! a vector doubling). The budgets are the counts measured when the gate
+//! was written plus 10 %. To see where a regression lives, ask the engine:
+//! `SELECT name, value FROM polaris.metrics WHERE name LIKE 'alloc%'`.
+//!
+//! Runs only with `--features track-alloc` (the tracking global
+//! allocator); without it the file compiles to nothing.
+#![cfg(feature = "track-alloc")]
+
+use polaris_core::{EngineConfig, PolarisEngine};
+use polaris_dcp::{ComputePool, WorkloadClass};
+use polaris_store::MemoryStore;
+use std::sync::Arc;
+
+/// Allocations per warm auto-commit INSERT: 272 measured + 10 %.
+const ALLOCS_PER_COMMIT: u64 = 299;
+/// Allocations per warm `polaris.metrics` scan: 982 measured + 10 %.
+const ALLOCS_PER_SYSTEM_SCAN: u64 = 1080;
+
+const WINDOWS: usize = 9;
+
+/// Median over [`WINDOWS`] windows of allocations per call of `op`, after
+/// `warmup` unmeasured calls.
+fn median_allocs(warmup: usize, per_window: usize, mut op: impl FnMut()) -> u64 {
+    for _ in 0..warmup {
+        op();
+    }
+    let mut windows: Vec<u64> = (0..WINDOWS)
+        .map(|_| {
+            let before = polaris_obs::alloc::totals().allocs;
+            for _ in 0..per_window {
+                op();
+            }
+            (polaris_obs::alloc::totals().allocs - before) / per_window as u64
+        })
+        .collect();
+    windows.sort_unstable();
+    windows[WINDOWS / 2]
+}
+
+/// One test, not two: the totals are process-wide, so the two paths must
+/// not be measured while the other runs.
+#[test]
+fn warm_commit_and_system_scan_stay_within_their_allocation_budgets() {
+    let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 2, 2);
+    let config = EngineConfig {
+        // No background harvester and no tracing ring: every allocation
+        // the windows see comes from the measured path itself.
+        telemetry_tick_ms: 0,
+        trace_capacity: 0,
+        ..EngineConfig::default()
+    };
+    let engine = PolarisEngine::new(Arc::new(MemoryStore::new()), pool, config);
+    let mut session = engine.session();
+    session
+        .execute("CREATE TABLE gate (id BIGINT, v BIGINT)")
+        .expect("create table");
+
+    let mut i = 0usize;
+    let per_commit = median_allocs(64, 16, || {
+        session
+            .execute(&format!("INSERT INTO gate VALUES ({i}, {})", i * 7))
+            .expect("warm-path insert commits");
+        i += 1;
+    });
+    assert!(
+        per_commit <= ALLOCS_PER_COMMIT,
+        "{per_commit} allocations per warm commit, budget {ALLOCS_PER_COMMIT}"
+    );
+
+    let per_scan = median_allocs(16, 8, || {
+        session
+            .query("SELECT COUNT(name) AS n FROM polaris.metrics")
+            .expect("warm system scan");
+    });
+    assert!(
+        per_scan <= ALLOCS_PER_SYSTEM_SCAN,
+        "{per_scan} allocations per warm system scan, budget {ALLOCS_PER_SYSTEM_SCAN}"
+    );
+}

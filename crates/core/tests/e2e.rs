@@ -103,6 +103,24 @@ fn delete_and_update_via_sql() {
     assert_eq!(rows_as_ints(&rows, "bal"), vec![110, 310]);
 }
 
+/// A deleted row is not a row to any statement: here row 1's `v` overflows
+/// `v + 1`, and once it is deleted neither SELECT nor DELETE may see it.
+#[test]
+fn delete_predicate_skips_deleted_rows() {
+    let engine = engine();
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (id BIGINT, v BIGINT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 9223372036854775807), (2, 5), (3, 7)")
+        .unwrap();
+    s.execute("DELETE FROM t WHERE id = 1").unwrap();
+    let rows = s.query("SELECT id FROM t WHERE v + 1 > 6").unwrap();
+    assert_eq!(rows_as_ints(&rows, "id"), vec![3]);
+    let out = s.execute("DELETE FROM t WHERE v + 1 > 6").unwrap();
+    assert!(matches!(out, StatementOutcome::Affected(1)));
+    let rows = s.query("SELECT id FROM t").unwrap();
+    assert_eq!(rows_as_ints(&rows, "id"), vec![2]);
+}
+
 /// The paper's §4.2 worked example (Figure 6), step by step.
 #[test]
 fn paper_example_section_4_2() {

@@ -40,12 +40,19 @@ enum Fate {
 /// file added and later removed is removed). ACROSS tables sharing lineage
 /// (clones), Active wins — a file is reachable if any table still
 /// references it — and among removals the latest sequence wins (retention
-/// counts from the last table to let go).
+/// counts from the last table to let go). A removed file goes once it is
+/// past retention AND no active transaction's snapshot predates its removal.
 fn reference_gc(engine: &Arc<PolarisEngine>) -> (GcReport, BTreeSet<String>) {
     let config = *engine.config();
     let catalog = engine.catalog();
     let min_active_txn = catalog.min_active_txn_id();
-    let mut ctxn = catalog.begin(config.default_isolation);
+    // The oldest snapshot anything can still be reading, sampled before
+    // this function's own transaction begins.
+    let clock = catalog.now();
+    let horizon = catalog
+        .min_active_snapshot()
+        .map_or(clock, |s| s.min(clock));
+    let mut ctxn = catalog.begin(Default::default());
     let tables = catalog.list_tables(&mut ctxn).unwrap();
     let now = catalog.now().0;
 
@@ -100,7 +107,10 @@ fn reference_gc(engine: &Arc<PolarisEngine>) -> (GcReport, BTreeSet<String>) {
                 // The published Delta log is never subject to internal GC.
                 _ if path.contains("/_delta_log/") => false,
                 Some(Fate::Active) => false,
-                Some(Fate::Removed(at)) => now.saturating_sub(at.0) > config.retention_seqs,
+                // Past retention, and below every active snapshot.
+                Some(Fate::Removed(at)) => {
+                    now.saturating_sub(at.0) > config.retention_seqs && at.0 <= horizon.0
+                }
                 None if blob.stamp.0 < min_active_txn.0 => true,
                 None => {
                     report.retained_inflight += 1;
@@ -415,4 +425,47 @@ fn failed_delete_mid_sweep_leaves_a_state_the_next_gc_agrees_with() {
     assert_eq!(reference_gc(&engine).1, BTreeSet::new(), "nothing is left");
     let rows = s.query("SELECT COUNT(*) AS n FROM t").unwrap();
     assert_eq!(rows.row(0)[0], Value::Int(13));
+}
+
+/// An open transaction keeps reading the snapshot it began at, however
+/// short the retention: files compacted away above its snapshot stay until
+/// it ends, and go with the first sweep after.
+#[test]
+fn reader_pinned_across_compaction_and_gc_reads_every_row() {
+    let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 1, 2);
+    let mut config = EngineConfig::for_testing();
+    config.retention_seqs = 0;
+    let engine = PolarisEngine::new(Arc::new(MemoryStore::new()), pool, config);
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT)").unwrap();
+    // One small file per statement, all in one distribution: compaction
+    // will merge every one of them away.
+    for k in 0..6 {
+        s.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+    }
+    let mut reader = engine.session();
+    reader.execute("BEGIN").unwrap();
+
+    for round in 0..3 {
+        let compacted = sto::compact_table(&engine, "t").unwrap();
+        assert!(compacted.is_some(), "round {round} found nothing to merge");
+        // A later commit puts the removal past a retention of zero.
+        s.execute(&format!("INSERT INTO t VALUES ({})", 100 + round))
+            .unwrap();
+        gc_like_the_reference(&engine);
+    }
+
+    let rows = reader.query("SELECT k FROM t ORDER BY k").unwrap();
+    let got: Vec<i64> = (0..rows.num_rows())
+        .map(|i| rows.column(0).value(i).as_int().unwrap())
+        .collect();
+    assert_eq!(got, (0..6).collect::<Vec<i64>>());
+    reader.execute("COMMIT").unwrap();
+
+    let (_, doomed) = reference_gc(&engine);
+    assert!(doomed.len() >= 6, "the reader's files are due: {doomed:?}");
+    gc_like_the_reference(&engine);
+    let rows = s.query("SELECT COUNT(*) AS n FROM t").unwrap();
+    assert_eq!(rows.row(0)[0], Value::Int(9));
 }

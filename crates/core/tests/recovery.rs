@@ -265,6 +265,35 @@ fn disabled_commit_log_writes_nothing() {
     assert!(store.list("sys/").unwrap().is_empty());
 }
 
+/// Every acknowledged commit is recoverable by something: an engine that
+/// logs (`open` with the flag) needs no catalog backup, and one that does
+/// not (`new`, whatever the flag says) gets one from the STO tick.
+#[test]
+fn an_engine_either_logs_its_commits_or_backs_its_catalog_up() {
+    for durable in [false, true] {
+        let store = Arc::new(MemoryStore::new());
+        let engine = if durable {
+            open(&store, durable_config())
+        } else {
+            PolarisEngine::new(Arc::new(Arc::clone(&store)), pool(), durable_config())
+        };
+        assert_eq!(engine.commit_log_writer().is_some(), durable);
+        let mut s = engine.session();
+        s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1)").unwrap();
+        sto::run_once(&engine).unwrap();
+        let logged = store.list(WAL_PREFIX).unwrap().len();
+        let backups = store.list("system/").unwrap().len();
+        if durable {
+            assert!(logged > 0, "open with the flag logs");
+            assert_eq!(backups, 0, "the log is the backup");
+        } else {
+            assert_eq!(logged, 0, "new never logs");
+            assert_eq!(backups, 1, "so the tick backs the catalog up");
+        }
+    }
+}
+
 #[test]
 fn show_engine_health_reports_replayed_watermark() {
     let store = Arc::new(MemoryStore::new());

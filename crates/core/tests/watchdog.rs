@@ -142,7 +142,7 @@ fn group_commit_stall_rule_fires_when_queue_parks() {
         let gate = Arc::clone(&gate);
         engine
             .catalog()
-            .set_commit_log(Some(Arc::new(move |_batch, _records| {
+            .set_commit_log(Some(Arc::new(move |_records| {
                 gate.pass();
                 Ok(())
             })));

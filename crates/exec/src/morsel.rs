@@ -1,22 +1,25 @@
 //! Morsel-driven scan fragments: row-group-aligned units with prefetch
 //! and late materialization.
 //!
-//! The monolithic lazy scan ([`scan_cell_lazy_metered`]) fetches footer,
-//! delete vector, and every needed chunk of every surviving row group
-//! inside one task. This module splits that work into two phases the DCP
-//! can schedule independently:
+//! A ranged read of a data file is two phases the DCP can schedule
+//! independently, and every ranged reader — SELECT's morsels, DELETE's
+//! [`delete_matching`](crate::write::delete_matching) — goes through them:
 //!
-//! 1. **Planning** ([`plan_file_scan`]) — one small task per file:
-//!    manifest pruning, footer fetch, file-level stats pruning, delete
-//!    vector fetch. Produces an immutable [`FileScanPlan`].
+//! 1. **Planning** ([`plan_file_scan`]) — one small task per file, and the
+//!    one place a file is opened: manifest pruning, footer fetch,
+//!    file-level stats pruning, delete vector fetch. Produces an immutable
+//!    [`FileScanPlan`].
 //! 2. **Execution** ([`ScanMorsel::run`]) — a morsel covers a contiguous
 //!    range of row groups of one plan. Morsels split at group boundaries
 //!    ([`ScanMorsel::split`]), so the work-stealing scheduler can spread
-//!    one large file across every Read lane.
+//!    one large file across every Read lane. Per group it asks the plan
+//!    for the surviving rows ([`FileScanPlan::survivors`]) and then
+//!    materializes them.
 //!
 //! **Late materialization**: each group fetches only the *predicate*
-//! columns first, evaluates the predicate (and the delete-vector mask),
-//! and fetches the remaining projected columns only when rows survive.
+//! columns first, masks the deleted rows, evaluates the predicate over
+//! what is left, and fetches the remaining projected columns only when
+//! rows survive.
 //! A group whose rows are all filtered out never transfers its
 //! non-predicate chunks — counted in
 //! `ScanMeter::late_materialized_chunks_skipped`.
@@ -31,8 +34,6 @@
 //! This crate stays DCP-free: `polaris-core` adapts these types to the
 //! scheduler's `Morsel` trait.
 
-#[allow(unused_imports)] // doc link
-use crate::scan::scan_cell_lazy_metered;
 use crate::{Cell, ExecResult, Expr};
 use polaris_columnar::{
     Bitmap, ColumnStats, ColumnVector, ColumnarError, ColumnarFooter, DeleteVector, RecordBatch,
@@ -85,6 +86,105 @@ impl FileScanPlan {
             group_lo: 0,
             group_hi: self.footer.row_groups().len(),
         }
+    }
+
+    /// Does row group `g` survive chunk-stats pruning under the predicate?
+    fn group_may_match(&self, g: usize) -> bool {
+        let Some(pred) = &self.predicate else {
+            return true;
+        };
+        let group = &self.footer.row_groups()[g];
+        let lookup = |name: &str| {
+            self.footer
+                .schema()
+                .index_of(name)
+                .ok()
+                .map(|idx| group.chunks[idx].stats.clone())
+        };
+        pred.may_match(&lookup)
+    }
+
+    /// Fetch (through `cache`) and decode column `c` of row group `g`.
+    fn read_chunk(
+        &self,
+        g: usize,
+        c: usize,
+        path: &BlobPath,
+        store: &dyn ObjectStore,
+        cache: Option<&PrefetchCache>,
+        meter: Option<&ScanMeter>,
+    ) -> ExecResult<ColumnVector> {
+        let group = &self.footer.row_groups()[g];
+        let chunk = &group.chunks[c];
+        let range = chunk.offset..chunk.offset + chunk.length;
+        let payload = fetch_chunk(store, cache, &self.path, path, range, meter)?;
+        let field = &self.footer.schema().fields()[c];
+        Ok(self
+            .footer
+            .decode_chunk_payload(field, chunk, payload, group.rows as usize)?)
+    }
+
+    /// The rows of group `g` a reader sees: not deleted, and passing the
+    /// predicate. `None` when chunk statistics rule the group out; else
+    /// the surviving rows (group-relative) and the decoded phase-1 batch
+    /// (`pred_cols`, every row), for the caller to materialize from.
+    ///
+    /// `path` is this plan's file, parsed once by the caller.
+    pub(crate) fn survivors(
+        &self,
+        g: usize,
+        path: &BlobPath,
+        store: &dyn ObjectStore,
+        cache: Option<&PrefetchCache>,
+        meter: Option<&ScanMeter>,
+    ) -> ExecResult<Option<(Bitmap, RecordBatch)>> {
+        let rows = self.footer.row_groups()[g].rows as usize;
+        if !self.group_may_match(g) {
+            if let Some(m) = meter {
+                ScanMeter::bump(&m.row_groups_pruned, 1);
+            }
+            return Ok(None);
+        }
+        if let Some(m) = meter {
+            ScanMeter::bump(&m.row_groups_scanned, 1);
+            ScanMeter::bump(&m.rows_in, rows as u64);
+        }
+        let phase1 = RecordBatch::new(
+            self.pred_schema.clone(),
+            self.pred_cols
+                .iter()
+                .map(|&c| self.read_chunk(g, c, path, store, cache, meter))
+                .collect::<ExecResult<_>>()?,
+        )?;
+        // Delete-vector mask (file-relative row indexes).
+        let mut keep = Bitmap::all_set(rows);
+        if let Some(dv) = &self.dv {
+            let base = self.group_row_offsets[g];
+            for i in 0..rows {
+                if dv.is_deleted(base + i) {
+                    keep.clear(i);
+                }
+            }
+        }
+        if let Some(pred) = &self.predicate {
+            if keep.count_set() == rows {
+                keep.intersect_with(&pred.eval_predicate(&phase1)?);
+            } else {
+                // Mask first: a deleted row is not a row, and must not
+                // raise a comparison or overflow error.
+                let passed = pred.eval_predicate(&phase1.filter(&keep))?;
+                let mut survivor = 0;
+                for row in 0..rows {
+                    if keep.get(row) {
+                        if !passed.get(survivor) {
+                            keep.clear(row);
+                        }
+                        survivor += 1;
+                    }
+                }
+            }
+        }
+        Ok(Some((keep, phase1)))
     }
 }
 
@@ -295,24 +395,6 @@ impl ScanMorsel {
         Some((a, b))
     }
 
-    /// Does row group `g` survive chunk-stats pruning under the plan's
-    /// predicate?
-    fn group_may_match(&self, g: usize) -> bool {
-        let Some(pred) = &self.plan.predicate else {
-            return true;
-        };
-        let group = &self.plan.footer.row_groups()[g];
-        let lookup = |name: &str| {
-            self.plan
-                .footer
-                .schema()
-                .index_of(name)
-                .ok()
-                .map(|idx| group.chunks[idx].stats.clone())
-        };
-        pred.may_match(&lookup)
-    }
-
     /// Warm `cache` with the phase-1 chunk ranges of this morsel's
     /// stats-surviving groups. Advisory: errors are swallowed (the
     /// execute path re-reads and reports them), bytes fetched here are
@@ -327,7 +409,7 @@ impl ScanMorsel {
             return;
         };
         for g in self.group_lo..self.group_hi {
-            if !self.group_may_match(g) {
+            if !self.plan.group_may_match(g) {
                 continue;
             }
             for &c in &self.plan.pred_cols {
@@ -338,9 +420,9 @@ impl ScanMorsel {
         }
     }
 
-    /// Execute the morsel: per group, stats-prune, fetch phase-1 chunks
-    /// (through `cache`), mask deletes, evaluate the predicate, then
-    /// fetch phase-2 chunks only when rows survive.
+    /// Execute the morsel: per group, find the surviving rows (phase-1
+    /// chunks through `cache`), then fetch the phase-2 chunks and
+    /// materialize — only when rows survive.
     pub fn run(
         &self,
         store: &dyn ObjectStore,
@@ -349,72 +431,11 @@ impl ScanMorsel {
     ) -> ExecResult<MorselScanOutput> {
         let plan = &*self.plan;
         let path = BlobPath::new(plan.path.clone())?;
-        let schema = plan.footer.schema();
         let mut batches = Vec::new();
         for g in self.group_lo..self.group_hi {
-            let group = &plan.footer.row_groups()[g];
-            let rows = group.rows as usize;
-            if !self.group_may_match(g) {
-                if let Some(m) = meter {
-                    ScanMeter::bump(&m.row_groups_pruned, 1);
-                }
+            let Some((keep, phase1)) = plan.survivors(g, &path, store, cache, meter)? else {
                 continue;
-            }
-            if let Some(m) = meter {
-                ScanMeter::bump(&m.row_groups_scanned, 1);
-                ScanMeter::bump(&m.rows_in, rows as u64);
-            }
-            // Phase 1: predicate columns.
-            let mut columns: HashMap<usize, ColumnVector> =
-                HashMap::with_capacity(plan.fetch_cols.len());
-            for &c in &plan.pred_cols {
-                let chunk = &group.chunks[c];
-                let payload = fetch_chunk(
-                    store,
-                    cache,
-                    &plan.path,
-                    &path,
-                    chunk.offset..chunk.offset + chunk.length,
-                    meter,
-                )?;
-                columns.insert(
-                    c,
-                    plan.footer
-                        .decode_chunk_payload(&schema.fields()[c], chunk, payload, rows)?,
-                );
-            }
-            // Delete-vector mask (file-relative row indexes).
-            let mut keep = Bitmap::all_set(rows);
-            if let Some(dv) = &plan.dv {
-                let base = plan.group_row_offsets[g];
-                for i in 0..rows {
-                    if dv.is_deleted(base + i) {
-                        keep.clear(i);
-                    }
-                }
-            }
-            if let Some(pred) = &plan.predicate {
-                let pred_batch = RecordBatch::new(
-                    plan.pred_schema.clone(),
-                    plan.pred_cols.iter().map(|c| columns[c].clone()).collect(),
-                )?;
-                if keep.count_set() == rows {
-                    keep.intersect_with(&pred.eval_predicate(&pred_batch)?);
-                } else {
-                    // Mask first, as the reference scan does: a deleted row
-                    // must not raise a comparison or overflow error.
-                    let passed = pred.eval_predicate(&pred_batch.filter(&keep))?;
-                    let mut survivor = 0;
-                    for row in 0..rows {
-                        if keep.get(row) {
-                            if !passed.get(survivor) {
-                                keep.clear(row);
-                            }
-                            survivor += 1;
-                        }
-                    }
-                }
-            }
+            };
             if keep.count_set() == 0 {
                 // Late materialization pays off: no surviving row, so the
                 // phase-2 chunks of this group are never transferred.
@@ -426,41 +447,32 @@ impl ScanMorsel {
                 }
                 continue;
             }
-            // Phase 2: remaining projected columns, survivors only.
-            for &c in &plan.rest_cols {
-                let chunk = &group.chunks[c];
-                let payload = fetch_chunk(
-                    store,
-                    cache,
-                    &plan.path,
-                    &path,
-                    chunk.offset..chunk.offset + chunk.length,
-                    meter,
-                )?;
-                columns.insert(
-                    c,
-                    plan.footer
-                        .decode_chunk_payload(&schema.fields()[c], chunk, payload, rows)?,
-                );
-            }
-            let batch = RecordBatch::new(
-                plan.sub_schema.clone(),
-                plan.fetch_cols
+            // Phase 2: the remaining projected columns, fetched now that
+            // rows survive, in file order between the phase-1 columns
+            // (`pred_cols` is an ascending subset of `fetch_cols`).
+            let batch = if plan.rest_cols.is_empty() {
+                phase1
+            } else {
+                let mut decoded = phase1.columns().iter();
+                let columns = plan
+                    .fetch_cols
                     .iter()
-                    .map(|c| columns.remove(c).expect("all fetch columns decoded"))
-                    .collect(),
-            )?;
-            let batch = if keep.count_set() == rows {
+                    .map(|c| match plan.rest_cols.contains(c) {
+                        true => plan.read_chunk(g, *c, &path, store, cache, meter),
+                        false => Ok(decoded.next().expect("one per phase-1 column").clone()),
+                    })
+                    .collect::<ExecResult<_>>()?;
+                RecordBatch::new(plan.sub_schema.clone(), columns)?
+            };
+            let batch = if keep.count_set() == batch.num_rows() {
                 batch
             } else {
                 batch.filter(&keep)
             };
-            if batch.num_rows() > 0 {
-                if let Some(m) = meter {
-                    ScanMeter::bump(&m.rows_out, batch.num_rows() as u64);
-                }
-                batches.push(batch);
+            if let Some(m) = meter {
+                ScanMeter::bump(&m.rows_out, batch.num_rows() as u64);
             }
+            batches.push(batch);
         }
         Ok(MorselScanOutput {
             file_index: plan.file_index,
@@ -608,7 +620,6 @@ impl PrefetchCache {
 mod tests {
     use super::*;
     use crate::cells_of_snapshot;
-    use crate::scan::{scan_cell_lazy_metered, scan_snapshot};
     use crate::write::write_data_file;
     use polaris_columnar::{DataType, Field, Value, WriterOptions};
     use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot};
@@ -661,52 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn whole_file_morsel_matches_lazy_scan() {
-        let (store, snap) = setup();
-        let cell = cells_of_snapshot(&snap).remove(0);
-        let pred = Expr::col("id").gt_eq(Expr::lit(3i64));
-        let plan = plan_file_scan(&store, &cell, 0, None, Some(&pred), None)
-            .unwrap()
-            .unwrap();
-        let out = plan.whole_file_morsel().run(&store, None, None).unwrap();
-        let got = concat_morsels(vec![out]);
-        let want = scan_cell_lazy_metered(&store, &cell, None, Some(&pred), None)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got.num_rows(), want.num_rows());
-        for i in 0..got.num_rows() {
-            assert_eq!(got.column(0).value(i), want.column(0).value(i));
-            assert_eq!(got.column(1).value(i), want.column(1).value(i));
-        }
-    }
-
-    #[test]
-    fn split_covers_all_groups_and_matches() {
-        let (store, snap) = setup();
-        let cell = cells_of_snapshot(&snap).remove(0);
-        let plan = plan_file_scan(&store, &cell, 0, None, None, None)
-            .unwrap()
-            .unwrap();
-        let whole = plan.whole_file_morsel();
-        let (a, b) = whole.split().unwrap();
-        assert_eq!(a.group_lo, 0);
-        assert_eq!(a.group_hi, b.group_lo);
-        assert_eq!(b.group_hi, 4);
-        let (a2, a3) = a.split().unwrap_or((a.clone(), a.clone()));
-        let _ = (a2, a3);
-        let outs = vec![
-            a.run(&store, None, None).unwrap(),
-            b.run(&store, None, None).unwrap(),
-        ];
-        let got = concat_morsels(outs);
-        let want = scan_snapshot(&store, &snap, &schema(), None, None).unwrap();
-        assert_eq!(got.num_rows(), want.num_rows());
-        for i in 0..got.num_rows() {
-            assert_eq!(got.column(0).value(i), want.column(0).value(i));
-        }
-    }
-
-    #[test]
     fn single_group_morsel_is_atomic() {
         let (store, snap) = setup();
         let cell = cells_of_snapshot(&snap).remove(0);
@@ -722,48 +687,6 @@ mod tests {
         };
         assert!(atom.split().is_none());
         assert!(atom.weight() > 0);
-    }
-
-    #[test]
-    fn late_materialization_skips_chunks_and_bytes() {
-        // Selective predicate on `id`, projecting `name`: groups with no
-        // matching rows must not transfer their `name`/`score` chunks.
-        let (store, _snap) = setup();
-        let cell = Cell {
-            file: "t/f1".into(),
-            rows: 16,
-            bytes: 0,
-            distribution: 0,
-            dv_path: None,
-            col_ranges: Vec::new(),
-        };
-        let needed: BTreeSet<String> = ["id".to_owned(), "name".to_owned()].into();
-        let pred = Expr::col("id").eq(Expr::lit(9i64));
-        let meter = ScanMeter::default();
-        let plan = plan_file_scan(&store, &cell, 0, Some(&needed), Some(&pred), Some(&meter))
-            .unwrap()
-            .unwrap();
-        assert_eq!(plan.pred_cols, vec![0]);
-        assert_eq!(plan.rest_cols, vec![1]);
-        let out = plan
-            .whole_file_morsel()
-            .run(&store, None, Some(&meter))
-            .unwrap();
-        let got = concat_morsels(vec![out]);
-        assert_eq!(got.num_rows(), 1);
-        assert_eq!(got.column(1).value(0), Value::Str("row9".into()));
-        // Groups of 4 rows; only group 2 (rows 8..12) matches id == 9 on
-        // stats, so zero groups survive eval with no skip... stats prune
-        // already removed the others. With exact-match stats pruning the
-        // skip counter may be 0 here; assert byte narrowing instead.
-        let lazy_meter = ScanMeter::default();
-        scan_cell_lazy_metered(&store, &cell, Some(&needed), Some(&pred), Some(&lazy_meter))
-            .unwrap()
-            .unwrap();
-        assert!(
-            ScanMeter::read(&meter.bytes_read) <= ScanMeter::read(&lazy_meter.bytes_read),
-            "morsel path must not read more than the lazy path"
-        );
     }
 
     #[test]

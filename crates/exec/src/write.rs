@@ -5,7 +5,7 @@
 //! mutates an existing file — the LST invariant that makes aborted work
 //! free to discard.
 
-use crate::{Cell, ExecResult, Expr};
+use crate::{plan_file_scan, Cell, ExecResult, Expr};
 use polaris_columnar::{ColumnarWriter, DeleteVector, RecordBatch, WriterOptions};
 use polaris_store::{BlobPath, ObjectStore, Stamp};
 
@@ -47,121 +47,37 @@ pub struct DeleteOutcome {
     pub newly_deleted: u64,
 }
 
-/// Compute the rows of `cell` matching `predicate` and merge them into the
-/// cell's existing delete vector.
+/// Compute the live rows of `cell` matching `predicate` and merge them
+/// into the cell's existing delete vector.
 ///
-/// Returns `None` when no *new* row matches — the caller then leaves the
-/// file untouched (and records no conflict against it, which matters for
+/// Returns `None` when no row matches — the caller then leaves the file
+/// untouched (and records no conflict against it, which matters for
 /// file-granularity conflict detection, §4.4.1).
 pub fn delete_matching(
     store: &dyn ObjectStore,
     cell: &Cell,
     predicate: &Expr,
 ) -> ExecResult<Option<DeleteOutcome>> {
-    use polaris_columnar::{ColumnarFooter, Field, Schema};
-
-    // Metadata-only pruning: ranges recorded in the manifest rule the file
-    // out before any storage request.
-    {
-        let lookup = |name: &str| cell.range_stats(name);
-        if !predicate.may_match(&lookup) {
-            return Ok(None);
-        }
-    }
-    // Footer-first lazy access: a delete only needs the predicate's
-    // columns to compute the matching row indices.
-    let path = BlobPath::new(cell.file.clone())?;
-    let file_len = store.head(&path)?.size;
-    if file_len < 12 {
-        return Err(polaris_columnar::ColumnarError::corrupt("file too short").into());
-    }
-    let tail8 = store.get_range(&path, file_len - ColumnarFooter::TAIL_PROBE..file_len)?;
-    let footer_len = ColumnarFooter::footer_len_from_tail(&tail8)?;
-    let tail_start = file_len
-        .checked_sub(footer_len + 8)
-        .ok_or_else(|| polaris_columnar::ColumnarError::corrupt("footer length out of range"))?;
-    let footer =
-        ColumnarFooter::parse_tail(store.get_range(&path, tail_start..file_len)?, file_len)?;
-    let schema = footer.schema().clone();
-    // File-level pruning on merged footer stats.
-    {
-        let merged_stats = |name: &str| {
-            schema.index_of(name).ok().map(|idx| {
-                let mut acc = polaris_columnar::ColumnStats::default();
-                for g in footer.row_groups() {
-                    acc.merge(&g.chunks[idx].stats);
-                }
-                acc
-            })
-        };
-        if !predicate.may_match(&merged_stats) {
-            return Ok(None);
-        }
-    }
+    // A delete reads like a scan of the predicate's columns: same pruning,
+    // same footer-first ranged reads, same mask-then-evaluate group loop.
     let mut needed = std::collections::BTreeSet::new();
     predicate.referenced_columns(&mut needed);
-    let mut fetch_cols: Vec<usize> = schema
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| needed.contains(&f.name))
-        .map(|(i, _)| i)
-        .collect();
-    if fetch_cols.is_empty() {
-        fetch_cols.push(0);
-    }
-    let sub_fields: Vec<Field> = fetch_cols
-        .iter()
-        .map(|&i| schema.fields()[i].clone())
-        .collect();
-    let sub_schema = Schema::new(sub_fields);
-
-    let existing = match &cell.dv_path {
-        Some(p) => DeleteVector::from_bytes(store.get(&BlobPath::new(p.clone())?)?)?,
-        None => DeleteVector::new(),
+    let Some(plan) = plan_file_scan(store, cell, 0, Some(&needed), Some(predicate), None)? else {
+        return Ok(None);
     };
-    let mut merged = existing.clone();
+    let path = BlobPath::new(plan.path.clone())?;
+    let mut merged = plan.dv.clone().unwrap_or_default();
     let mut newly_deleted = 0u64;
-    let mut row_offset = 0usize;
-    for group in footer.row_groups() {
-        let group_rows = group.rows as usize;
-        // Row-group pruning on chunk stats.
-        let lookup = |name: &str| {
-            schema
-                .index_of(name)
-                .ok()
-                .map(|idx| group.chunks[idx].stats.clone())
-        };
-        if !predicate.may_match(&lookup) {
-            row_offset += group_rows;
-            continue;
-        }
-        let mut columns = Vec::with_capacity(fetch_cols.len());
-        for &ci in &fetch_cols {
-            let chunk = &group.chunks[ci];
-            let payload = store.get_range(&path, chunk.offset..chunk.offset + chunk.length)?;
-            columns.push(footer.decode_chunk_payload(
-                &schema.fields()[ci],
-                chunk,
-                payload,
-                group_rows,
-            )?);
-        }
-        let batch = RecordBatch::new(sub_schema.clone(), columns)?;
-        let mask = predicate.eval_predicate(&batch)?;
-        for i in mask.iter_set() {
-            let file_row = row_offset + i;
-            if !existing.is_deleted(file_row) {
-                merged.delete_row(file_row);
+    for (g, base) in plan.group_row_offsets.iter().enumerate() {
+        // Survivors are live, so each one is a new delete.
+        if let Some((matching, _)) = plan.survivors(g, &path, store, None, None)? {
+            for row in matching.iter_set() {
+                merged.delete_row(base + row);
                 newly_deleted += 1;
             }
         }
-        row_offset += group_rows;
     }
-    if newly_deleted == 0 {
-        return Ok(None);
-    }
-    Ok(Some(DeleteOutcome {
+    Ok((newly_deleted > 0).then_some(DeleteOutcome {
         merged,
         newly_deleted,
     }))
@@ -257,6 +173,25 @@ mod tests {
         assert_eq!(outcome.merged.cardinality(), 3);
         assert!(outcome.merged.is_deleted(0) && outcome.merged.is_deleted(2));
         assert!(!outcome.merged.is_deleted(3));
+    }
+
+    #[test]
+    fn delete_does_not_evaluate_deleted_rows() {
+        // Row 0's qty overflows `qty + 1`; it is deleted, so the predicate
+        // must never see it — as no SELECT or UPDATE would.
+        let store = MemoryStore::new();
+        let rows = [[0, i64::MAX], [1, 5], [2, 7]].map(|r| r.map(Value::Int).to_vec());
+        let batch = RecordBatch::from_rows(schema(), &rows).unwrap();
+        write_data_file(&store, "t/f", &batch, WriterOptions::default(), Stamp(1)).unwrap();
+        write_delete_vector(&store, "t/f.dv", &DeleteVector::from_rows([0]), Stamp(1)).unwrap();
+        let pred = Expr::col("qty")
+            .binary(crate::BinOp::Add, Expr::lit(1i64))
+            .gt(Expr::lit(6i64));
+        let outcome = delete_matching(&store, &cell("t/f", 3, Some("t/f.dv")), &pred)
+            .unwrap()
+            .unwrap();
+        assert_eq!(outcome.newly_deleted, 1);
+        assert_eq!(outcome.merged, DeleteVector::from_rows([0, 2]));
     }
 
     #[test]

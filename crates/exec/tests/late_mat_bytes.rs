@@ -10,8 +10,10 @@
 //! columns (phase 2). Both meters use the same `bytes_read` accounting
 //! (see `ScanMeter::bytes_read`), so the counts are directly comparable.
 
+mod common;
+
+use common::scan_cell_lazy_metered;
 use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value, WriterOptions};
-use polaris_exec::scan::scan_cell_lazy_metered;
 use polaris_exec::write::write_data_file;
 use polaris_exec::{cells_of_snapshot, plan_file_scan, Expr, ScanMorsel};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot};

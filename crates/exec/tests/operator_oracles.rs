@@ -6,6 +6,8 @@
 //! split/merge identity — over all five column types, with NULLs, NaN and
 //! signed zeros.
 
+mod common;
+
 use polaris_columnar::{Bitmap, ColumnVector, DataType, Field, RecordBatch, Schema, Value};
 use polaris_exec::{ops, AggExpr, AggFunc, BinOp, Expr};
 use proptest::prelude::*;
@@ -417,6 +419,7 @@ proptest! {
 }
 
 mod lazy_scan {
+    use crate::common::scan_cell_lazy;
     use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value, WriterOptions};
     use polaris_exec::{scan, write as bewrite, Cell, Expr};
     use polaris_store::{MemoryStore, Stamp, StatsStore};
@@ -479,7 +482,7 @@ mod lazy_scan {
             if pick_name { needed.insert("name".to_owned()); }
             if pick_price { needed.insert("price".to_owned()); }
 
-            let lazy = scan::scan_cell_lazy(&store, &cell, Some(&needed), Some(&pred)).unwrap();
+            let lazy = scan_cell_lazy(&store, &cell, Some(&needed), Some(&pred)).unwrap();
             let full = scan::scan_cell(&store, &cell, None, Some(&pred)).unwrap();
             match (lazy, full) {
                 (None, None) => {}
@@ -503,7 +506,7 @@ mod lazy_scan {
         store.reset();
         let needed: BTreeSet<String> = ["k".to_owned()].into();
         let pred = Expr::col("k").gt_eq(Expr::lit(3_900i64));
-        scan::scan_cell_lazy(&store, &cell, Some(&needed), Some(&pred))
+        scan_cell_lazy(&store, &cell, Some(&needed), Some(&pred))
             .unwrap()
             .unwrap();
         let lazy = store.counts();
@@ -524,7 +527,7 @@ mod lazy_scan {
     fn count_star_with_empty_needed_set() {
         let (store, cell) = setup(100, 32);
         let needed: BTreeSet<String> = BTreeSet::new();
-        let out = scan::scan_cell_lazy(&store, &cell, Some(&needed), None)
+        let out = scan_cell_lazy(&store, &cell, Some(&needed), None)
             .unwrap()
             .unwrap();
         assert_eq!(out.num_rows(), 100);

@@ -541,8 +541,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Pretty-printed JSON, the format benches write to
-    /// `results/<figure>_metrics.json`.
+    /// Pretty-printed JSON.
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("metrics snapshot serializes")
     }

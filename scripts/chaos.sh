@@ -24,4 +24,4 @@ if [ -n "$seed" ]; then
   args+=(--seed "$seed")
 fi
 
-exec cargo run --release -p polaris-bench --bin chaos -- "${args[@]}"
+exec cargo test --release -q --test kill_matrix -- "${args[@]}"

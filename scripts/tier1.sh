@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test --workspace -q
 # The benchmark is a package of its own, so `cargo test` above never builds
 # it: its smoke runs all four workloads with the answer checks on, which is
 # where an exec change that breaks an answer shows before the pipeline.
@@ -94,16 +94,17 @@ join_rows=$(echo "SELECT query_id FROM polaris.slow_log s \
   || { echo "system smoke: slow_log x trace_spans join returned no rows"; exit 1; }
 echo "system smoke: ok (${metrics_count} metrics, ${join_rows} joined slow statements)"
 
-# Allocation regression gate: the warm commit path and the warm
-# polaris.metrics scan must stay within the recorded allocation budgets
-# (deterministic; skips itself cleanly when the track-alloc feature is
-# unavailable). --phases prints the per-phase attribution map.
-scripts/alloc_gate.sh --phases
+# Allocation gates, on the tracking allocator: the warm auto-commit INSERT
+# and the warm polaris.metrics scan stay within their budgets, and the
+# catalog-only commit path allocates nothing at all once warm.
+cargo test --release -q -p polaris-core --features track-alloc --test alloc_budget
+cargo test --release -q -p polaris-catalog --features track-alloc \
+  --test zero_alloc_commit
 
-# Crash-recovery chaos gate: the bounded deterministic kill matrix —
-# every kill site (manifest staging/upload, WAL stage/publish, commit
-# probes, checkpoint stage/publish) × two fixed seeds, asserting
-# committed-stays-committed, aborted-leaves-no-trace, dense clock, zero
-# orphans, and double-reopen idempotence. Randomized soaking is
+# Crash-recovery chaos gate, optimized as it ships: the bounded
+# deterministic kill matrix — every kill site (manifest staging/upload, WAL
+# stage/publish, commit probes, checkpoint stage/publish) × two fixed seeds,
+# asserting committed-stays-committed, aborted-leaves-no-trace, dense clock,
+# zero orphans, and double-reopen idempotence. Randomized soaking is
 # scripts/chaos.sh, not a CI gate.
-cargo run --release -q -p polaris-bench --bin chaos | tail -n 1
+cargo test --release -q --test kill_matrix | tail -n 1

@@ -28,14 +28,14 @@
 //! failpoint probes pull the same kill switch for the points between
 //! storage operations.
 //!
-//! Modes: the default runs the bounded deterministic matrix (every kill
-//! site × a fixed seed list — the tier-1 CI budget); `--soak N` runs `N`
-//! extra randomized lifetimes for overnight soaking; `--seed S` pins the
-//! base seed.
+//! A `harness = false` test target: plain `cargo test` runs the bounded
+//! deterministic matrix (every kill site × two fixed seeds); `cargo test
+//! --test kill_matrix -- --soak N` adds `N` randomized lifetimes and
+//! `--seed S` pins the base seed (`scripts/chaos.sh`).
 
-use polaris_core::{EngineConfig, PolarisEngine, Value};
-use polaris_dcp::ComputePool;
-use polaris_store::{ChaosStore, MemoryStore, ObjectStore};
+use polaris::core::{EngineConfig, PolarisEngine, Value};
+use polaris::dcp::{ComputePool, WorkloadClass};
+use polaris::store::{ChaosStore, MemoryStore, ObjectStore};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -154,7 +154,7 @@ const SITES: &[(KillSite, bool)] = &[
 
 fn pool() -> Arc<ComputePool> {
     let pool = Arc::new(ComputePool::with_topology(4, 4, 2));
-    pool.add_nodes(polaris_dcp::WorkloadClass::System, 2, 2);
+    pool.add_nodes(WorkloadClass::System, 2, 2);
     pool
 }
 
