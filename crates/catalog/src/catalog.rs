@@ -653,30 +653,42 @@ impl Catalog {
     /// catalog (restore-on-restart); restoring over existing state returns
     /// `AlreadyExists` on the first name collision.
     pub fn import(&self, image: &CatalogImage) -> CatalogResult<()> {
+        self.import_owned(image.clone())
+    }
+
+    /// [`Catalog::import`] of an image the caller is done with: every path
+    /// and schema string moves into its catalog row instead of being
+    /// copied — recovery imports one row per commit since the base.
+    pub fn import_owned(&self, image: CatalogImage) -> CatalogResult<()> {
         let mut txn = self.begin(IsolationLevel::Snapshot);
         let mut max_id = 1000u64;
-        for t in &image.tables {
+        for t in image.tables {
             max_id = max_id.max(t.id);
+            let id = TableId(t.id);
             let meta = TableMeta {
-                id: TableId(t.id),
-                name: t.name.clone(),
-                schema_json: t.schema_json.clone(),
-                data_root: t.data_root.clone(),
-                cluster_by: t.cluster_by.clone(),
+                id,
+                name: t.name,
+                schema_json: t.schema_json,
+                data_root: t.data_root,
+                cluster_by: t.cluster_by,
             };
             self.register_table(&mut txn, meta)?;
-            for (seq, file, txn_id) in &t.manifests {
+            for (seq, manifest_file, txn_id) in t.manifests {
                 self.store.write(
                     &mut txn,
-                    CatalogKey::Manifest(TableId(t.id), SequenceId(*seq)),
+                    CatalogKey::Manifest(id, SequenceId(seq)),
                     CatalogValue::ManifestRow(ManifestRow {
-                        manifest_file: file.clone(),
-                        txn_id: TxnId(*txn_id),
+                        manifest_file,
+                        txn_id: TxnId(txn_id),
                     }),
                 )?;
             }
-            for (seq, path) in &t.checkpoints {
-                self.add_checkpoint(&mut txn, TableId(t.id), SequenceId(*seq), path)?;
+            for (seq, path) in t.checkpoints {
+                self.store.write(
+                    &mut txn,
+                    CatalogKey::Checkpoint(id, SequenceId(seq)),
+                    CatalogValue::CheckpointRow(CheckpointRow { path }),
+                )?;
             }
         }
         self.commit(&mut txn)?;

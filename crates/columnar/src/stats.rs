@@ -24,18 +24,29 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Compute stats over a vector.
+    /// Compute stats over a vector: one typed min/max pass per variant, the
+    /// same fold as [`ColumnStats::observe`] row by row (which stays as the
+    /// reference the tests compare against) without a [`Value`] per row.
     pub fn from_vector(v: &ColumnVector) -> Self {
-        let mut stats = ColumnStats {
-            row_count: v.len() as u64,
-            ..Default::default()
+        let rows = || (0..v.len()).filter(|&i| v.is_valid(i));
+        let (min, max) = match v {
+            ColumnVector::Int64 { values, .. } => bounds(rows().map(|i| values[i]), Value::Int),
+            ColumnVector::Float64 { values, .. } => bounds(
+                rows().map(|i| values[i]).filter(|f| !f.is_nan()),
+                Value::Float,
+            ),
+            ColumnVector::Utf8 { values, .. } => {
+                bounds(rows().map(|i| &values[i]), |s| Value::Str(s.to_owned()))
+            }
+            ColumnVector::Bool { values, .. } => bounds(rows().map(|i| values[i]), Value::Bool),
+            ColumnVector::Date32 { values, .. } => bounds(rows().map(|i| values[i]), Value::Date),
         };
-        for i in 0..v.len() {
-            stats.observe(&v.value(i));
+        ColumnStats {
+            min,
+            max,
+            null_count: v.null_count() as u64,
+            row_count: v.len() as u64,
         }
-        // row_count was double-counted by observe; fix up.
-        stats.row_count = v.len() as u64;
-        stats
     }
 
     /// Fold one value into the stats.
@@ -106,10 +117,89 @@ impl ColumnStats {
     }
 }
 
+/// Smallest and largest of `rows`, the first seen winning among equals
+/// (`-0.0` and `0.0` are equal), as scalars.
+fn bounds<T: PartialOrd + Copy>(
+    mut rows: impl Iterator<Item = T>,
+    scalar: impl Fn(T) -> Value,
+) -> (Option<Value>, Option<Value>) {
+    let Some(first) = rows.next() else {
+        return (None, None);
+    };
+    let (mut min, mut max) = (first, first);
+    for v in rows {
+        if v < min {
+            min = v;
+        }
+        if v > max {
+            max = v;
+        }
+    }
+    (Some(scalar(min)), Some(scalar(max)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DataType;
+    use proptest::prelude::*;
+
+    /// The reference: [`ColumnStats::observe`] folded over every row.
+    fn folded(v: &ColumnVector) -> ColumnStats {
+        let mut stats = ColumnStats::default();
+        for i in 0..v.len() {
+            stats.observe(&v.value(i));
+        }
+        stats
+    }
+
+    /// `Value`s of one type from generated `(kind, payload)` pairs: NULLs,
+    /// and for floats NaN, both zeros and infinities, at any position.
+    fn column(data_type: DataType, cells: &[(u8, i64)]) -> ColumnVector {
+        let values: Vec<Value> = cells
+            .iter()
+            .map(|&(kind, n)| match (kind % 4, data_type) {
+                (0, _) => Value::Null,
+                (_, DataType::Int64) => Value::Int(n),
+                (1, DataType::Float64) => Value::Float(f64::NAN),
+                (2, DataType::Float64) => Value::Float([0.0, -0.0, f64::INFINITY][n as usize % 3]),
+                (_, DataType::Float64) => Value::Float(n as f64 / 8.0),
+                (_, DataType::Utf8) => Value::Str(format!("s{}", n % 50)),
+                (_, DataType::Bool) => Value::Bool(n % 2 == 0),
+                (_, DataType::Date32) => Value::Date(n as i32),
+            })
+            .collect();
+        ColumnVector::from_values(data_type, &values).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn typed_pass_equals_the_observe_fold(
+            cells in proptest::collection::vec((any::<u8>(), -1000i64..1000), 0..64),
+            nan_first in any::<bool>(),
+            nan_last in any::<bool>(),
+        ) {
+            for data_type in [
+                DataType::Int64,
+                DataType::Float64,
+                DataType::Utf8,
+                DataType::Bool,
+                DataType::Date32,
+            ] {
+                let mut cells = cells.clone();
+                if nan_first {
+                    cells.insert(0, (1, 0));
+                }
+                if nan_last {
+                    cells.push((1, 0));
+                }
+                let v = column(data_type, &cells);
+                let (typed, reference) = (ColumnStats::from_vector(&v), folded(&v));
+                // `==` on floats would call 0.0 and -0.0 the same bound.
+                prop_assert_eq!(format!("{typed:?}"), format!("{reference:?}"));
+            }
+        }
+    }
 
     #[test]
     fn stats_over_vector() {

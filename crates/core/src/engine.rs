@@ -15,12 +15,12 @@ use polaris_dcp::ComputePool;
 use polaris_exec::SystemSchema;
 use polaris_lst::{Checkpoint, Manifest, SequenceId, SnapshotCache, TableSnapshot};
 use polaris_obs::{
-    CacheMeter, CatalogMeter, Gauge, MetricName, MetricsRegistry, MetricsSnapshot, RecoveryMeter,
-    ScanMeter, SlowLog, Tracer,
+    CacheMeter, CatalogMeter, Counter, Gauge, MetricName, MetricsRegistry, MetricsSnapshot,
+    RecoveryMeter, ScanMeter, SlowLog, Tracer,
 };
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, StatsStore};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -47,6 +47,9 @@ pub struct PolarisEngine {
     store: Arc<dyn ObjectStore>,
     pool: Arc<ComputePool>,
     caches: RwLock<HashMap<TableId, Arc<SnapshotCache>>>,
+    /// Parsed table schemas. A table's schema never changes and its id is
+    /// never reused, so an entry only ever leaves with its table.
+    schemas: RwLock<HashMap<TableId, Schema>>,
     /// What the STO remembers between ticks (publish and GC-fold
     /// watermarks, per-table blob fates) — like `caches`, disposable.
     sto: Mutex<StoState>,
@@ -69,12 +72,12 @@ pub struct PolarisEngine {
     /// What the last [`PolarisEngine::open`] replayed; `None` for engines
     /// built via [`PolarisEngine::new`].
     recovery: Mutex<Option<RecoveryReport>>,
-    /// Retired transaction contexts: the per-table map and scan meter a
-    /// finished [`Transaction`] hands back so the next `begin` reuses
-    /// their capacity instead of reallocating. Contexts are recycled only
-    /// after the table map is cleared — holding `Arc<TableSnapshot>` refs
-    /// here would defeat the snapshot cache's in-place extension.
-    txn_contexts: Mutex<Vec<TxnContext>>,
+    /// Live and retired transaction contexts; locked once when a
+    /// transaction begins and once when it drops.
+    txns: Mutex<TxnDirectory>,
+    /// Registry handles every statement reads or bumps, resolved once
+    /// instead of by name per statement.
+    pub(crate) counters: StatementCounters,
     /// Monotonic uptime base and its wall-clock anchor (ms since the Unix
     /// epoch at construction) — the timestamp base every system table and
     /// the `uptime_seconds` gauge derive from.
@@ -88,11 +91,6 @@ pub struct PolarisEngine {
     /// and (when slow) its slow-log record so `polaris.slow_log` joins to
     /// `polaris.trace_spans`.
     next_query_id: AtomicU64,
-    /// Live execution stats per user transaction, keyed by txn id — the
-    /// `polaris.transactions` system table's phase/statement/alloc columns.
-    /// Entries are plain copyable data updated under a short lock; the
-    /// commit path never blocks on a system scan (scans copy and release).
-    txn_stats: Mutex<HashMap<u64, TxnStat>>,
     /// The `polaris.*` virtual-table registry. Installed right after the
     /// engine `Arc` exists (providers hold `Weak` engine references, like
     /// the telemetry rules), so it is set for the engine's entire
@@ -100,38 +98,61 @@ pub struct PolarisEngine {
     system_tables: OnceLock<SystemSchema>,
 }
 
-/// Plain-data execution stats for one live user transaction (the
-/// `polaris.transactions` row payload beyond what the catalog knows).
-#[derive(Clone, Copy, Debug)]
+/// Execution stats of one live user transaction (the
+/// `polaris.transactions` row payload beyond what the catalog knows). The
+/// transaction updates them without a lock; a system scan reads them
+/// through the directory's handle. Statistics only: `Relaxed` throughout.
+#[derive(Debug, Default)]
 pub(crate) struct TxnStat {
-    /// `active` while statements run, `committing` once the commit
-    /// protocol has started.
-    pub(crate) phase: &'static str,
+    /// Set once the commit protocol has started.
+    pub(crate) committing: AtomicBool,
     /// Statements executed so far.
-    pub(crate) statements: u32,
+    pub(crate) statements: AtomicU64,
     /// Distinct tables touched (read or written).
-    pub(crate) tables_touched: u32,
+    pub(crate) tables_touched: AtomicU64,
     /// Bytes allocated across the transaction's statements.
-    pub(crate) alloc_bytes: u64,
+    pub(crate) alloc_bytes: AtomicU64,
     /// Allocation count across the transaction's statements.
-    pub(crate) allocs: u64,
+    pub(crate) allocs: AtomicU64,
 }
 
-impl Default for TxnStat {
-    fn default() -> Self {
-        TxnStat {
-            phase: "active",
-            statements: 0,
-            tables_touched: 0,
-            alloc_bytes: 0,
-            allocs: 0,
+impl TxnStat {
+    fn reset(&self) {
+        self.committing.store(false, Ordering::Relaxed);
+        for n in [
+            &self.statements,
+            &self.tables_touched,
+            &self.alloc_bytes,
+            &self.allocs,
+        ] {
+            n.store(0, Ordering::Relaxed);
         }
     }
 }
 
-/// A reusable transaction context: the per-table state map and statement
-/// scan meter recycled between transactions.
-type TxnContext = (HashMap<TableId, crate::txn::TxnTable>, Arc<ScanMeter>);
+/// A reusable transaction context: the per-table state map, statement scan
+/// meter and live-stats cell recycled between transactions.
+pub(crate) struct TxnContext {
+    pub(crate) tables: HashMap<TableId, crate::txn::TxnTable>,
+    pub(crate) scan_meter: Arc<ScanMeter>,
+    pub(crate) stat: Arc<TxnStat>,
+}
+
+/// Running transactions' stats by txn id (what `polaris.transactions`
+/// reads) beside the contexts finished transactions handed back, so the
+/// next `begin` reuses their capacity instead of reallocating.
+#[derive(Default)]
+struct TxnDirectory {
+    live: HashMap<u64, Arc<TxnStat>>,
+    retired: Vec<TxnContext>,
+}
+
+/// The registry counters a statement touches.
+pub(crate) struct StatementCounters {
+    pub(crate) cache_hits: Counter,
+    pub(crate) cache_misses: Counter,
+    pub(crate) orphaned_manifests: Counter,
+}
 
 /// Snapshots retained per table in each BE snapshot cache.
 const SNAPSHOT_CACHE_CAPACITY: usize = 8;
@@ -217,6 +238,11 @@ impl PolarisEngine {
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
         let uptime_gauge = metrics.gauge("uptime_seconds");
+        let counters = StatementCounters {
+            cache_hits: metrics.counter("lst.cache.hits"),
+            cache_misses: metrics.counter("lst.cache.misses"),
+            orphaned_manifests: metrics.counter("store.orphaned_manifests"),
+        };
         register_build_info(&metrics);
         let engine = Arc::new(PolarisEngine {
             config,
@@ -224,6 +250,7 @@ impl PolarisEngine {
             store,
             pool,
             caches: RwLock::new(HashMap::new()),
+            schemas: RwLock::new(HashMap::new()),
             sto: Mutex::new(StoState::default()),
             metrics,
             tracer,
@@ -231,12 +258,12 @@ impl PolarisEngine {
             telemetry: Mutex::new(None),
             durability,
             recovery: Mutex::new(None),
-            txn_contexts: Mutex::new(Vec::new()),
+            txns: Mutex::new(TxnDirectory::default()),
+            counters,
             started: Instant::now(),
             started_unix_ms,
             uptime_gauge,
             next_query_id: AtomicU64::new(1),
-            txn_stats: Mutex::new(HashMap::new()),
             system_tables: OnceLock::new(),
         });
         let telemetry = crate::telemetry::start(&engine);
@@ -397,26 +424,9 @@ impl PolarisEngine {
             .expect("system tables are installed by PolarisEngine::new")
     }
 
-    /// Register a fresh transaction in the live-stats directory.
-    pub(crate) fn txn_stat_begin(&self, id: u64) {
-        self.txn_stats.lock().insert(id, TxnStat::default());
-    }
-
-    /// Mutate a live transaction's stats entry (no-op once removed).
-    pub(crate) fn txn_stat_update(&self, id: u64, f: impl FnOnce(&mut TxnStat)) {
-        if let Some(stat) = self.txn_stats.lock().get_mut(&id) {
-            f(stat);
-        }
-    }
-
-    /// Copy a live transaction's stats entry, if still present.
-    pub(crate) fn txn_stat_get(&self, id: u64) -> Option<TxnStat> {
-        self.txn_stats.lock().get(&id).copied()
-    }
-
-    /// Drop a finished transaction from the live-stats directory.
-    pub(crate) fn txn_stat_end(&self, id: u64) {
-        self.txn_stats.lock().remove(&id);
+    /// A live transaction's stats cell, if it is still running.
+    pub(crate) fn txn_stat_get(&self, id: u64) -> Option<Arc<TxnStat>> {
+        self.txns.lock().live.get(&id).cloned()
     }
 
     /// The engine-wide trace flight recorder.
@@ -424,38 +434,42 @@ impl PolarisEngine {
         &self.tracer
     }
 
-    /// Draw a retired transaction context from the pool, or build a fresh
-    /// one. Pooled scan meters are zeroed in place when this engine holds
-    /// the only reference; a meter still shared (e.g. pinned by a profile
-    /// reader) is replaced rather than mutated under it.
-    pub(crate) fn take_txn_context(&self) -> TxnContext {
-        if let Some((tables, mut meter)) = self.txn_contexts.lock().pop() {
-            match Arc::get_mut(&mut meter) {
-                Some(m) => m.reset(),
-                None => meter = Arc::new(ScanMeter::with_tracer(self.tracer.clone())),
-            }
-            (tables, meter)
-        } else {
-            (
-                HashMap::new(),
-                Arc::new(ScanMeter::with_tracer(self.tracer.clone())),
-            )
+    /// The context of transaction `id`: a retired one (or a fresh one),
+    /// registered in the live-stats directory behind
+    /// `polaris.transactions` until [`Self::recycle_txn_context`]. A pooled
+    /// scan meter is zeroed in place when this engine holds the only
+    /// reference; one still shared (e.g. pinned by a profile reader) is
+    /// replaced rather than mutated under it.
+    pub(crate) fn take_txn_context(&self, id: u64) -> TxnContext {
+        let mut txns = self.txns.lock();
+        let mut ctx = txns.retired.pop().unwrap_or_else(|| TxnContext {
+            tables: HashMap::new(),
+            scan_meter: Arc::new(ScanMeter::with_tracer(self.tracer.clone())),
+            stat: Arc::default(),
+        });
+        // Zeroed here, not when it was retired: its last owner was still
+        // holding it then.
+        ctx.stat.reset();
+        txns.live.insert(id, Arc::clone(&ctx.stat));
+        drop(txns);
+        match Arc::get_mut(&mut ctx.scan_meter) {
+            Some(m) => m.reset(),
+            None => ctx.scan_meter = Arc::new(ScanMeter::with_tracer(self.tracer.clone())),
         }
+        ctx
     }
 
-    /// Park a finished transaction's context for reuse. The table map is
-    /// cleared *here*, before pooling: its entries pin base snapshot
-    /// `Arc`s, and releasing them promptly is what lets the snapshot
-    /// cache extend the latest snapshot in place on the next commit.
-    pub(crate) fn recycle_txn_context(
-        &self,
-        mut tables: HashMap<TableId, crate::txn::TxnTable>,
-        meter: Arc<ScanMeter>,
-    ) {
-        tables.clear();
-        let mut pool = self.txn_contexts.lock();
-        if pool.len() < TXN_CONTEXT_POOL_MAX {
-            pool.push((tables, meter));
+    /// Take finished transaction `id` out of the live-stats directory and
+    /// park its context for reuse. The table map is cleared *here*, before
+    /// pooling: its entries pin base snapshot `Arc`s, and releasing them
+    /// promptly is what lets the snapshot cache extend the latest snapshot
+    /// in place on the next commit.
+    pub(crate) fn recycle_txn_context(&self, id: u64, mut ctx: TxnContext) {
+        ctx.tables.clear();
+        let mut txns = self.txns.lock();
+        txns.live.remove(&id);
+        if txns.retired.len() < TXN_CONTEXT_POOL_MAX {
+            txns.retired.push(ctx);
         }
     }
 
@@ -565,7 +579,7 @@ impl PolarisEngine {
         let image: polaris_catalog::CatalogImage = serde_json::from_slice(&raw)
             .map_err(|e| PolarisError::invalid(format!("backup parse: {e}")))?;
         let engine = PolarisEngine::new(store, pool, config);
-        engine.catalog.import(&image)?;
+        engine.catalog.import_owned(image)?;
         Ok(engine)
     }
 
@@ -584,18 +598,18 @@ impl PolarisEngine {
         self.catalog.commit(&mut txn)?;
         self.maybe_checkpoint_commit_log();
         self.caches.write().remove(&id);
+        self.schemas.write().remove(&id);
         Ok(id)
     }
 
-    /// Look up table metadata and schema through a transaction's snapshot.
-    pub(crate) fn table_meta(
-        &self,
-        txn: &mut CatalogTxn,
-        name: &str,
-    ) -> PolarisResult<(TableMeta, Schema)> {
-        let meta = self.catalog.table_by_name(txn, name)?;
+    /// The parsed schema of the table `meta` describes.
+    pub(crate) fn table_schema(&self, meta: &TableMeta) -> PolarisResult<Schema> {
+        if let Some(schema) = self.schemas.read().get(&meta.id) {
+            return Ok(schema.clone());
+        }
         let schema = schema_from_json(&meta.schema_json)?;
-        Ok((meta, schema))
+        self.schemas.write().insert(meta.id, schema.clone());
+        Ok(schema)
     }
 
     pub(crate) fn cache_for(&self, table: TableId) -> Arc<SnapshotCache> {
@@ -704,7 +718,7 @@ mod tests {
         let engine = PolarisEngine::in_memory();
         engine.create_table("t1", &schema()).unwrap();
         let mut txn = engine.catalog().begin(Default::default());
-        let (meta, _) = engine.table_meta(&mut txn, "t1").unwrap();
+        let meta = engine.catalog().table_by_name(&mut txn, "t1").unwrap();
         let snap = engine.snapshot(&mut txn, &meta, None).unwrap();
         assert_eq!(snap.file_count(), 0);
         engine.catalog().abort(&mut txn);

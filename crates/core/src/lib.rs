@@ -15,8 +15,8 @@
 //!   read or write — compiles in the FE to a task DAG and executes on the
 //!   pool; writes stage manifest blocks (invisible until listed, §3.2),
 //!   and commit publishes each dirty table's block list in one atomic
-//!   `commit_block_list` — pipelined with the optimistic validation
-//!   protocol of §4.1.2 and sequenced through the group-commit batcher.
+//!   `commit_block_list` — once the optimistic validation of §4.1.2 has
+//!   passed, before the group-commit batcher sequences it.
 //! * [`sto`] — the System Task Orchestrator: compaction (§5.1), manifest
 //!   checkpointing (§5.2), garbage collection (§5.3) and async Delta
 //!   publishing (§5.4).

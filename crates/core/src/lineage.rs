@@ -18,7 +18,7 @@ pub fn history(
     table: &str,
 ) -> PolarisResult<Vec<(SequenceId, String)>> {
     let rows = crate::sto::read_catalog(engine, |ctxn| {
-        let (meta, _) = engine.table_meta(ctxn, table)?;
+        let meta = engine.catalog().table_by_name(ctxn, table)?;
         Ok(engine.catalog().visible_manifests(ctxn, meta.id)?)
     })?;
     Ok(rows
@@ -39,7 +39,7 @@ pub fn clone_table(
 ) -> PolarisResult<TableId> {
     let mut ctxn = engine.catalog().begin(Default::default());
     let result = (|| {
-        let (src_meta, _) = engine.table_meta(&mut ctxn, source)?;
+        let src_meta = engine.catalog().table_by_name(&mut ctxn, source)?;
         let new_id = engine.catalog().allocate_table_id();
         let meta = TableMeta {
             id: new_id,

@@ -633,15 +633,15 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         let Some(image) = fold_checkpoint(&store.get(&meta.path)?) else {
             continue;
         };
+        report.checkpoint_clock = image.clock;
         if image.clock > 0 {
-            catalog.import(&image)?;
             for table in &image.tables {
                 for (_, _, txn_id) in &table.manifests {
                     txn_floor = txn_floor.max(*txn_id);
                 }
             }
+            catalog.import_owned(image)?;
         }
-        report.checkpoint_clock = image.clock;
         meter.checkpoint_loads.inc();
         break;
     }
@@ -709,10 +709,10 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
     let mut roots: BTreeMap<String, HashSet<String>> = BTreeMap::new();
     let sweep = (|| -> PolarisResult<()> {
         for table in catalog.list_tables(&mut txn)? {
-            let referenced = roots.entry(table.data_root.clone()).or_default();
-            for (_, row) in catalog.visible_manifests(&mut txn, table.id)? {
-                referenced.insert(row.manifest_file);
-            }
+            let rows = catalog.visible_manifests(&mut txn, table.id)?;
+            let referenced = roots.entry(table.data_root).or_default();
+            referenced.reserve(rows.len());
+            referenced.extend(rows.into_iter().map(|(_, row)| row.manifest_file));
         }
         Ok(())
     })();

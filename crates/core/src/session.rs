@@ -4,7 +4,9 @@ use crate::schema_json::schema_to_json;
 use crate::{PolarisEngine, PolarisError, PolarisResult, QueryResult, SequenceId, Transaction};
 use polaris_catalog::IsolationLevel;
 use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
-use polaris_obs::{build_spans, QueryProfile, TxnProfile, ValidationOutcome};
+use polaris_obs::{
+    build_spans, AllocPhase, AllocScope, QueryProfile, TxnProfile, ValidationOutcome,
+};
 use polaris_sql::Statement;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -45,9 +47,10 @@ pub struct Session {
     engine: Arc<PolarisEngine>,
     isolation: IsolationLevel,
     current: Option<Transaction>,
-    last_profile: Option<QueryProfile>,
+    /// Shared with its entry in `profile_history`.
+    last_profile: Option<Arc<QueryProfile>>,
     last_txn_profile: Option<TxnProfile>,
-    profile_history: VecDeque<QueryProfile>,
+    profile_history: VecDeque<Arc<QueryProfile>>,
     last_post_mortem: Option<String>,
 }
 
@@ -69,7 +72,7 @@ impl Session {
     /// statements inside a still-open transaction report
     /// [`Pending`](ValidationOutcome::Pending).
     pub fn last_profile(&self) -> Option<&QueryProfile> {
-        self.last_profile.as_ref()
+        self.last_profile.as_deref()
     }
 
     /// Accounting for the most recently resolved (committed, conflicted,
@@ -81,7 +84,7 @@ impl Session {
     /// Profiles of recently executed statements, oldest first. Bounded to
     /// the last [`PROFILE_HISTORY_CAP`] statements.
     pub fn profile_history(&self) -> impl Iterator<Item = &QueryProfile> {
-        self.profile_history.iter()
+        self.profile_history.iter().map(|p| &**p)
     }
 
     /// Post-mortem trace dump captured when the most recent commit-time
@@ -94,11 +97,13 @@ impl Session {
     /// the bounded history ring; statements over the engine's slow
     /// threshold also land in the shared slow log with their span tree.
     fn record_profile(&mut self, profile: Option<QueryProfile>, txn_id: u64) {
-        if let Some(p) = &profile {
+        let _alloc = AllocScope::enter(AllocPhase::ProfileBookkeeping);
+        self.last_profile = profile.map(Arc::new);
+        if let Some(p) = &self.last_profile {
             if self.profile_history.len() == PROFILE_HISTORY_CAP {
                 self.profile_history.pop_front();
             }
-            self.profile_history.push_back(p.clone());
+            self.profile_history.push_back(Arc::clone(p));
             if self.engine.slow_log().is_slow(p.wall_ns) {
                 self.engine
                     .slow_log()
@@ -109,19 +114,19 @@ impl Session {
                     ));
             }
         }
-        self.last_profile = profile;
     }
 
     /// Commit `txn`, timing the commit protocol and recording both the
     /// statement and transaction profiles with the validation outcome.
-    fn commit_recorded(&mut self, txn: Transaction) -> PolarisResult<Option<SequenceId>> {
+    fn commit_recorded(&mut self, mut txn: Transaction) -> PolarisResult<Option<SequenceId>> {
         let txn_id = txn.id();
-        let mut profile = txn.last_profile().cloned();
+        let mut profile = txn.last_profile.take();
         let mut txn_profile = txn.txn_profile_snapshot();
         let alloc0 = polaris_obs::alloc::totals();
         let start = std::time::Instant::now();
         let result = txn.commit();
         txn_profile.commit_wall_ns = start.elapsed().as_nanos() as u64;
+        let _alloc = AllocScope::enter(AllocPhase::ProfileBookkeeping);
         let alloc1 = polaris_obs::alloc::totals();
         txn_profile.commit_alloc_bytes = alloc1.alloc_bytes.saturating_sub(alloc0.alloc_bytes);
         txn_profile.commit_allocs = alloc1.allocs.saturating_sub(alloc0.allocs);
@@ -131,10 +136,9 @@ impl Session {
             Err(e) => conflict_outcome(e),
         };
         txn_profile.validation = validation;
-        // Blocks are published at commit time (pipelined with validation),
-        // so the committed count only exists now — patch it into the
-        // transaction profile and attribute it to the statement that
-        // triggered the commit.
+        // Blocks are published at commit time, so the committed count only
+        // exists now — patch it into the transaction profile and attribute
+        // it to the statement that triggered the commit.
         if let Ok(info) = &result {
             txn_profile.blocks_committed = info.blocks_committed;
         }
@@ -144,9 +148,7 @@ impl Session {
             p.wall_ns += txn_profile.commit_wall_ns;
             p.alloc_bytes += txn_profile.commit_alloc_bytes;
             p.allocs += txn_profile.commit_allocs;
-            if let Ok(info) = &result {
-                p.blocks_committed = info.blocks_committed;
-            }
+            p.blocks_committed = txn_profile.blocks_committed;
         }
         if result.is_err() && self.engine.tracer().is_enabled() {
             self.last_post_mortem = Some(self.engine.tracer().post_mortem(POST_MORTEM_EVENTS));
@@ -162,7 +164,7 @@ impl Session {
                         txn_profile.statements, txn_profile.blocks_staged
                     ),
                     wall_ns: txn_profile.commit_wall_ns,
-                    phases_ns: vec![("commit".to_owned(), txn_profile.commit_wall_ns)],
+                    phases_ns: vec![("commit", txn_profile.commit_wall_ns)],
                     validation: format!("{:?}", txn_profile.validation),
                     alloc_bytes: txn_profile.commit_alloc_bytes,
                     allocs: txn_profile.commit_allocs,
@@ -216,6 +218,7 @@ impl Session {
     }
 
     fn execute_parsed(&mut self, stmt: &Statement) -> PolarisResult<StatementOutcome> {
+        let _alloc = AllocScope::enter(AllocPhase::StatementDispatch);
         match stmt {
             Statement::Begin => {
                 if self.current.is_some() {
@@ -575,6 +578,7 @@ impl Session {
 
     /// Bulk-insert a batch (auto-commit or inside the open transaction).
     pub fn insert_batch(&mut self, table: &str, batch: &RecordBatch) -> PolarisResult<u64> {
+        let _alloc = AllocScope::enter(AllocPhase::StatementDispatch);
         if let Some(txn) = self.current.as_mut() {
             let result = txn.insert(table, batch);
             let txn_id = txn.id();

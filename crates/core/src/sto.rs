@@ -135,7 +135,7 @@ impl TableHealth {
 /// reads — row and delete counts live in the manifests).
 pub fn table_health(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<TableHealth> {
     let snap = read_catalog(engine, |ctxn| {
-        let (meta, _) = engine.table_meta(ctxn, table)?;
+        let meta = engine.catalog().table_by_name(ctxn, table)?;
         engine.snapshot(ctxn, &meta, None)
     })?;
     let config = engine.config();
@@ -246,13 +246,7 @@ pub fn compact_table(
         }
         let path = format!("{data_root}/data/compact-t{}-d{dist}.pcf", txn.id());
         let written = bewrite::write_data_file(&*store, &path, &merged, config.writer, stamp)?;
-        actions.push(crate::txn::add_file_action(
-            written.path,
-            written.rows,
-            written.bytes,
-            dist,
-            &merged,
-        ));
+        actions.push(crate::txn::add_file_action(written, dist, &merged));
         new_files += 1;
     }
     txn.apply_actions(table, &actions)?;
@@ -286,7 +280,7 @@ pub fn manifests_since_checkpoint(
     table: &str,
 ) -> PolarisResult<usize> {
     read_catalog(engine, |ctxn| {
-        let (meta, _) = engine.table_meta(ctxn, table)?;
+        let meta = engine.catalog().table_by_name(ctxn, table)?;
         checkpoint_tail(engine, ctxn, meta.id)
     })
 }
@@ -335,7 +329,7 @@ fn checkpoint_with_tail(
 ) -> PolarisResult<Option<CheckpointReport>> {
     let mut ctxn = engine.catalog().begin(IsolationLevel::default());
     let staged = (|| {
-        let (meta, _) = engine.table_meta(&mut ctxn, table)?;
+        let meta = engine.catalog().table_by_name(&mut ctxn, table)?;
         let folded = checkpoint_tail(engine, &mut ctxn, meta.id)?;
         if folded < min_tail.max(1) {
             return Ok(None);
@@ -535,7 +529,7 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
 /// under the table's `_delta_log/`. Returns the number published.
 pub fn publish_table(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<usize> {
     read_catalog(engine, |ctxn| {
-        let (meta, _) = engine.table_meta(ctxn, table)?;
+        let meta = engine.catalog().table_by_name(ctxn, table)?;
         let catalog = engine.catalog();
         let latest = catalog.latest_manifest_sequence(ctxn, meta.id, SequenceId(u64::MAX))?;
         let (from, to) = engine

@@ -19,12 +19,12 @@
 //! `polaris.trace_spans.query_id`, and `polaris.transactions.txn_id` joins
 //! to `polaris.slow_log.txn` / `polaris.trace_spans.txn`.
 
-use crate::engine::TxnStat;
 use crate::PolarisEngine;
 use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
 use polaris_dcp::WorkloadClass;
 use polaris_exec::{ExecError, ExecResult, SystemSchema, SystemTableProvider};
 use polaris_obs::{build_spans, AttrValue, MetricName};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Build the engine's system-table registry. Called once from
@@ -380,19 +380,26 @@ impl SystemTableProvider for TransactionsTable {
         let rows: Vec<Vec<Value>> = active
             .into_iter()
             .map(|(id, snapshot, age)| {
-                let stat = engine.txn_stat_get(id.0).unwrap_or(TxnStat {
-                    phase: "catalog",
-                    ..TxnStat::default()
-                });
+                // `active` while statements run, `committing` once the
+                // commit protocol has started; a catalog transaction no
+                // user transaction owns (DDL, STO) is just `catalog`.
+                let stat = engine.txn_stat_get(id.0);
+                let phase = match &stat {
+                    None => "catalog",
+                    Some(s) if s.committing.load(Ordering::Relaxed) => "committing",
+                    Some(_) => "active",
+                };
+                let stat = stat.unwrap_or_default();
+                let int = |n: &AtomicU64| Value::Int(n.load(Ordering::Relaxed) as i64);
                 vec![
                     Value::Int(id.0 as i64),
                     Value::Int(snapshot.0 as i64),
                     Value::Int(age.as_millis() as i64),
-                    Value::Str(stat.phase.to_owned()),
-                    Value::Int(stat.statements as i64),
-                    Value::Int(stat.tables_touched as i64),
-                    Value::Int(stat.alloc_bytes as i64),
-                    Value::Int(stat.allocs as i64),
+                    Value::Str(phase.to_owned()),
+                    int(&stat.statements),
+                    int(&stat.tables_touched),
+                    int(&stat.alloc_bytes),
+                    int(&stat.allocs),
                 ]
             })
             .collect();

@@ -1,16 +1,20 @@
 //! User transactions: the optimistic read phase and the commit protocol.
 
+use crate::engine::{TxnContext, TxnStat};
 use crate::read::execute_select;
 use crate::{PolarisEngine, PolarisError, PolarisResult, QueryResult};
 use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, TableMeta};
 use polaris_columnar::{ColumnVector, DataType, RecordBatch, Schema, Value};
-use polaris_dcp::{DagHandle, TaskError, WorkflowDag, WorkloadClass};
-use polaris_exec::{cell::partition_cells, cells_of_snapshot, write as bewrite, Expr};
+use polaris_dcp::{TaskCtx, TaskError, WorkflowDag, WorkloadClass};
+use polaris_exec::{cell::partition_cells, cells_of_snapshot, write as bewrite, Cell, Expr};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot, TxnDelta};
-use polaris_obs::{QueryProfile, ScanMeter, Tracer, TxnProfile, ValidationOutcome};
+use polaris_obs::{
+    AllocPhase, AllocScope, QueryProfile, ScanMeter, Tracer, TxnProfile, ValidationOutcome,
+};
 use polaris_sql::Statement;
-use polaris_store::{BlobPath, BlockId, Stamp};
+use polaris_store::{BlobPath, BlockId, ObjectStore, Stamp};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Ceiling on tasks per write statement.
@@ -25,12 +29,13 @@ pub(crate) struct TxnTable {
     pub(crate) base: Arc<TableSnapshot>,
     /// Reconciled private changes.
     pub(crate) delta: TxnDelta,
-    /// The transaction-manifest blob for this table.
-    manifest_path: BlobPath,
+    /// Where this transaction's write tasks on the table put their files
+    /// and stage their manifest blocks.
+    target: Arc<WriteTarget>,
     /// The block list the final commit will publish. Statements only
     /// *stage* blocks; nothing becomes visible until
     /// [`Transaction::commit`] issues the one `commit_block_list` per
-    /// table (pipelined with validation).
+    /// table.
     blocks: Vec<BlockId>,
     /// Blocks staged into the manifest blob so far — non-zero means the
     /// blob physically exists and must be discarded if this table's
@@ -43,6 +48,70 @@ impl TxnTable {
     /// overlaid with own writes.
     pub(crate) fn view(&self) -> TableSnapshot {
         self.delta.overlay(&self.base)
+    }
+}
+
+/// What every write task of one transaction on one table shares, whichever
+/// statement it belongs to and wherever it runs.
+struct WriteTarget {
+    store: Arc<dyn ObjectStore>,
+    data_root: String,
+    /// The transaction-manifest blob for this table.
+    manifest: BlobPath,
+    /// The transaction's id, as files are stamped with it for GC.
+    stamp: Stamp,
+}
+
+impl WriteTarget {
+    /// Delete the live rows of `cell` matching `predicate`: store the merged
+    /// delete vector and push the actions that swap it in. `None` (and
+    /// nothing written) when no row matches.
+    fn delete_rows(
+        &self,
+        cell: &Cell,
+        predicate: &Expr,
+        stmt: u32,
+        ctx: &TaskCtx,
+        actions: &mut Vec<ManifestAction>,
+    ) -> Result<Option<u64>, TaskError> {
+        let Some(outcome) =
+            bewrite::delete_matching(&*self.store, cell, predicate).map_err(exec_to_task)?
+        else {
+            return Ok(None);
+        };
+        let dv_path = format!(
+            "{}/dv/{}-t{}-s{stmt}-a{}.dv",
+            self.data_root,
+            file_stem(&cell.file),
+            self.stamp.0,
+            ctx.attempt
+        );
+        bewrite::write_delete_vector(&*self.store, &dv_path, &outcome.merged, self.stamp)
+            .map_err(exec_to_task)?;
+        if let Some(old) = &cell.dv_path {
+            actions.push(ManifestAction::remove_dv(cell.file.clone(), old.clone()));
+        }
+        let deleted = outcome.merged.cardinality() as u64;
+        actions.push(ManifestAction::add_dv(cell.file.clone(), dv_path, deleted));
+        Ok(Some(outcome.newly_deleted))
+    }
+
+    /// The end of every write task: stage its actions as one manifest
+    /// block (§3.2.2). The block ID folds in the attempt, so a stale
+    /// attempt's block is never in the committed list.
+    fn stage(
+        &self,
+        block: String,
+        actions: Vec<ManifestAction>,
+        rows: u64,
+    ) -> Result<WriteTaskResult, TaskError> {
+        let _alloc = AllocScope::enter(AllocPhase::ManifestStaging);
+        let block = BlockId::new(block);
+        let payload = Manifest::encode_actions(&actions);
+        self.store
+            .stage_block(&self.manifest, block.clone(), payload, self.stamp)
+            .map_err(store_to_task)?;
+        Ok((block, actions, rows))
     }
 }
 
@@ -69,11 +138,15 @@ pub struct Transaction {
     /// Statement counter, used in block IDs and file names.
     stmt: u32,
     finished: bool,
-    /// Scan accounting for the statement currently executing; replaced
-    /// with a fresh meter at each profiled statement boundary.
+    /// Scan accounting for the statement currently executing; zeroed at
+    /// each profiled statement boundary.
     pub(crate) scan_meter: Arc<ScanMeter>,
-    /// Profile of the most recently executed statement.
-    last_profile: Option<QueryProfile>,
+    /// This transaction's cell in the live-stats directory behind
+    /// `polaris.transactions`.
+    stat: Arc<TxnStat>,
+    /// Profile of the most recently executed statement (an auto-commit
+    /// session takes it over at commit instead of copying it).
+    pub(crate) last_profile: Option<QueryProfile>,
     /// Manifest blocks staged across the whole transaction. Blocks
     /// *committed* are known only at commit time and travel in
     /// [`CommitInfo::blocks_committed`].
@@ -85,9 +158,9 @@ pub struct Transaction {
     root_span: u64,
 }
 
-/// What a write task reports back to the DCP: the blocks it staged and the
-/// manifest actions inside them (§3.2.2 step 6).
-type WriteTaskResult = (Vec<BlockId>, Vec<ManifestAction>, u64);
+/// What a write task reports back to the DCP: the block it staged, the
+/// manifest actions inside it (§3.2.2 step 6) and the rows it affected.
+type WriteTaskResult = (BlockId, Vec<ManifestAction>, u64);
 
 impl Transaction {
     pub(crate) fn begin(engine: Arc<PolarisEngine>, isolation: IsolationLevel) -> Self {
@@ -101,10 +174,12 @@ impl Transaction {
         } else {
             0
         };
-        let (tables, scan_meter) = engine.take_txn_context();
-        // Register in the live-stats directory backing
-        // `polaris.transactions`; removed again in `Drop`.
-        engine.txn_stat_begin(ctxn.id.0);
+        // Registered in the live-stats directory until `Drop`.
+        let TxnContext {
+            tables,
+            scan_meter,
+            stat,
+        } = engine.take_txn_context(ctxn.id.0);
         Transaction {
             engine,
             ctxn,
@@ -112,6 +187,7 @@ impl Transaction {
             stmt: 0,
             finished: false,
             scan_meter,
+            stat,
             last_profile: None,
             blocks_staged: 0,
             tracer,
@@ -157,18 +233,21 @@ impl Transaction {
         }
     }
 
-    /// Run one statement with a fresh scan meter, then publish its
-    /// accounting as [`last_profile`](Transaction::last_profile) and fold
-    /// the scan counters into the engine registry.
+    /// Run one statement (`kind` over `table`) with a zeroed scan meter,
+    /// then publish its accounting as
+    /// [`last_profile`](Transaction::last_profile) and fold the scan
+    /// counters into the engine registry.
     ///
     /// Cache / pool numbers are deltas over engine-wide meters: exact for
     /// a single session, approximate when sessions run concurrently (they
     /// share the snapshot caches and the compute pool).
     fn run_profiled<T>(
         &mut self,
-        statement: &str,
+        kind: &'static str,
+        table: &str,
         f: impl FnOnce(&mut Self) -> PolarisResult<T>,
     ) -> PolarisResult<T> {
+        let bookkeeping = AllocScope::enter(AllocPhase::ProfileBookkeeping);
         // Zero the meter in place when uniquely held (steady state once
         // the previous statement's profile dropped its handle); fall back
         // to a fresh meter if a reader still holds the old one.
@@ -176,81 +255,97 @@ impl Transaction {
             Some(m) => m.reset(),
             None => self.scan_meter = Arc::new(ScanMeter::with_tracer(self.tracer.clone())),
         }
-        let registry = Arc::clone(self.engine.metrics());
-        let hits = registry.counter("lst.cache.hits");
-        let misses = registry.counter("lst.cache.misses");
-        let (hits0, misses0) = (hits.get(), misses.get());
-        let pool0 = self.engine.pool().stats();
-        let staged0 = self.blocks_staged;
+        let mut profile = QueryProfile {
+            statement: format!("{kind} {table}"),
+            query_id: self.engine.next_query_id(),
+            ..QueryProfile::default()
+        };
+        let (hits0, misses0, pool0, staged0) = self.statement_counts();
         // Statement span: explicit parent (the root span is manual), but on
         // the thread-local stack so every span opened while `f` runs —
         // snapshot replay, DCP attempts, store commits — nests under it.
-        // Statement names are dynamic, so the span name costs one String —
-        // but only when tracing is actually recording.
-        let query_id = self.engine.next_query_id();
+        // Its name is dynamic, which costs a String — only when tracing is
+        // actually recording.
         let mut stmt_span = if self.tracer.is_enabled() {
-            self.tracer.span_at(statement.to_owned(), self.root_span)
+            self.tracer
+                .span_at(profile.statement.clone(), self.root_span)
         } else {
             polaris_obs::SpanGuard::default()
         };
         // Stamp the statement's stable id on its root span so
         // `polaris.trace_spans` rows join to `polaris.slow_log`.
-        stmt_span.attr("query_id", query_id);
-        let trace_span = stmt_span.id();
+        stmt_span.attr("query_id", profile.query_id);
+        profile.trace_span = stmt_span.id();
         let alloc0 = polaris_obs::alloc::phase_totals();
+        drop(bookkeeping);
         let start = std::time::Instant::now();
         let result = f(self);
-        let wall_ns = start.elapsed().as_nanos() as u64;
+        profile.wall_ns = start.elapsed().as_nanos() as u64;
+        let _bookkeeping = AllocScope::enter(AllocPhase::ProfileBookkeeping);
         let alloc1 = polaris_obs::alloc::phase_totals();
         drop(stmt_span);
-        let meter = Arc::clone(&self.scan_meter);
-        let mut profile = QueryProfile {
-            statement: statement.to_owned(),
-            ..QueryProfile::default()
-        };
-        profile.absorb_scan(&meter);
-        profile.rows_out = ScanMeter::read(&meter.rows_out);
-        meter.fold_into_registry(&registry);
-        profile.cache_hits = hits.get().saturating_sub(hits0);
-        profile.cache_misses = misses.get().saturating_sub(misses0);
-        let pool1 = self.engine.pool().stats();
+        profile.absorb_scan(&self.scan_meter);
+        profile.rows_out = ScanMeter::read(&self.scan_meter.rows_out);
+        self.scan_meter.fold_into_registry(self.engine.metrics());
+        let (hits1, misses1, pool1, staged1) = self.statement_counts();
+        profile.cache_hits = hits1.saturating_sub(hits0);
+        profile.cache_misses = misses1.saturating_sub(misses0);
         profile.task_attempts = pool1.attempts.saturating_sub(pool0.attempts);
         profile.task_retries = pool1.retries.saturating_sub(pool0.retries);
-        profile.blocks_staged = self.blocks_staged - staged0;
+        profile.blocks_staged = staged1 - staged0;
         // Allocation / wait attribution: deltas of the global phase
         // counters over the statement window. Same concurrency caveat as
         // the cache columns above.
-        for (i, phase) in polaris_obs::AllocPhase::ALL.iter().enumerate() {
+        if polaris_obs::alloc::tracking_enabled() {
+            profile.alloc_phases.reserve_exact(AllocPhase::ALL.len());
+        }
+        for (i, phase) in AllocPhase::ALL.iter().enumerate() {
             let bytes = alloc1[i].bytes.saturating_sub(alloc0[i].bytes);
             let allocs = alloc1[i].allocs.saturating_sub(alloc0[i].allocs);
             profile.alloc_bytes += bytes;
             profile.allocs += allocs;
             profile.wait_ns += alloc1[i].wait_ns.saturating_sub(alloc0[i].wait_ns);
             if bytes > 0 || allocs > 0 {
-                profile
-                    .alloc_phases
-                    .push((phase.label().to_owned(), bytes, allocs));
+                profile.alloc_phases.push((phase.label(), bytes, allocs));
             }
         }
-        profile.wall_ns = wall_ns;
-        profile.phase("execute", wall_ns);
-        profile.trace_span = trace_span;
-        profile.query_id = query_id;
+        profile.phase("execute", profile.wall_ns);
         // Roll the statement into the live `polaris.transactions` stats.
-        let (statements, tables_touched, alloc_bytes, allocs) = (
-            self.stmt,
-            self.tables.len() as u32,
-            profile.alloc_bytes,
-            profile.allocs,
-        );
-        self.engine.txn_stat_update(self.ctxn.id.0, |s| {
-            s.statements = statements;
-            s.tables_touched = tables_touched;
-            s.alloc_bytes += alloc_bytes;
-            s.allocs += allocs;
-        });
+        let stat = &self.stat;
+        stat.statements.store(self.stmt.into(), Ordering::Relaxed);
+        stat.tables_touched
+            .store(self.tables.len() as u64, Ordering::Relaxed);
+        stat.alloc_bytes
+            .fetch_add(profile.alloc_bytes, Ordering::Relaxed);
+        stat.allocs.fetch_add(profile.allocs, Ordering::Relaxed);
         self.last_profile = Some(profile);
         result
+    }
+
+    /// The engine-wide meters a statement profile reports deltas of.
+    fn statement_counts(&self) -> (u64, u64, polaris_dcp::PoolStats, u64) {
+        let counters = &self.engine.counters;
+        (
+            counters.cache_hits.get(),
+            counters.cache_misses.get(),
+            self.engine.pool().stats(),
+            self.blocks_staged,
+        )
+    }
+
+    /// [`Self::run_profiled`] for DML, whose row count is the profile's
+    /// `rows_out`.
+    fn run_dml(
+        &mut self,
+        kind: &'static str,
+        table: &str,
+        f: impl FnOnce(&mut Self) -> PolarisResult<u64>,
+    ) -> PolarisResult<u64> {
+        let n = self.run_profiled(kind, table, f)?;
+        if let Some(p) = self.last_profile.as_mut() {
+            p.rows_out = n;
+        }
+        Ok(n)
     }
 
     /// The engine this transaction runs on.
@@ -261,10 +356,6 @@ impl Transaction {
     /// The durable transaction id (stamps files for GC).
     pub fn id(&self) -> u64 {
         self.ctxn.id.0
-    }
-
-    fn stamp(&self) -> Stamp {
-        Stamp(self.ctxn.id.0)
     }
 
     fn check_active(&self) -> PolarisResult<()> {
@@ -278,26 +369,30 @@ impl Transaction {
     /// snapshot on first touch.
     pub(crate) fn table_state(&mut self, name: &str) -> PolarisResult<TableId> {
         self.check_active()?;
-        let (meta, schema) = self.engine.table_meta(&mut self.ctxn, name)?;
-        if self.tables.contains_key(&meta.id) {
+        let meta = self.engine.catalog().table_by_name(&mut self.ctxn, name)?;
+        let id = meta.id;
+        if let Some(t) = self.tables.get_mut(&id) {
             // RCSI (§4.4.2): each statement may see later commits, so the
             // committed base refreshes on every touch — but only while this
             // transaction has not written to the table, because the private
             // delta is expressed against the base it was built on.
-            if self.ctxn.isolation == IsolationLevel::ReadCommittedSnapshot
-                && self.tables[&meta.id].delta.is_empty()
-            {
-                let base = self.engine.snapshot(&mut self.ctxn, &meta, None)?;
-                self.tables.get_mut(&meta.id).expect("checked above").base = base;
+            if self.ctxn.isolation == IsolationLevel::ReadCommittedSnapshot && t.delta.is_empty() {
+                t.base = self.engine.snapshot(&mut self.ctxn, &meta, None)?;
             }
-            return Ok(meta.id);
+            return Ok(id);
         }
+        let schema = self.engine.table_schema(&meta)?;
         let base = self.engine.snapshot(&mut self.ctxn, &meta, None)?;
-        let manifest_path = BlobPath::new(format!(
-            "{}/_log/txn-{}-{}.json",
-            meta.data_root, self.ctxn.id.0, meta.id.0
-        ))?;
-        let id = meta.id;
+        let txn_id = self.ctxn.id.0;
+        let target = Arc::new(WriteTarget {
+            store: Arc::clone(self.engine.store()),
+            manifest: BlobPath::new(format!(
+                "{}/_log/txn-{txn_id}-{}.json",
+                meta.data_root, id.0
+            ))?,
+            data_root: meta.data_root.clone(),
+            stamp: Stamp(txn_id),
+        });
         self.tables.insert(
             id,
             TxnTable {
@@ -305,7 +400,7 @@ impl Transaction {
                 schema,
                 base,
                 delta: TxnDelta::new(),
-                manifest_path,
+                target,
                 blocks: Vec::new(),
                 staged_blocks: 0,
             },
@@ -321,17 +416,19 @@ impl Transaction {
     /// distribution bucket; never conflicts with concurrent transactions
     /// (§4).
     pub fn insert(&mut self, table: &str, batch: &RecordBatch) -> PolarisResult<u64> {
-        let label = format!("insert {table}");
-        let n = self.run_profiled(&label, |t| t.insert_inner(table, batch))?;
-        if let Some(p) = self.last_profile.as_mut() {
-            p.rows_out = n;
-        }
-        Ok(n)
+        self.run_dml("insert", table, |t| {
+            let tid = t.statement_table(table)?;
+            t.write_rows(tid, batch)
+        })
     }
 
-    fn insert_inner(&mut self, table: &str, batch: &RecordBatch) -> PolarisResult<u64> {
+    /// Start a write statement on `table`.
+    fn statement_table(&mut self, table: &str) -> PolarisResult<TableId> {
         self.stmt += 1;
-        let tid = self.table_state(table)?;
+        self.table_state(table)
+    }
+
+    fn write_rows(&mut self, tid: TableId, batch: &RecordBatch) -> PolarisResult<u64> {
         let t = &self.tables[&tid];
         if batch.schema() != &t.schema {
             return Err(PolarisError::invalid(format!(
@@ -340,121 +437,113 @@ impl Transaction {
                 t.schema
             )));
         }
-        if batch.num_rows() == 0 {
+        let n = batch.num_rows();
+        if n == 0 {
             return Ok(0);
         }
+        let _alloc = AllocScope::enter(AllocPhase::WriteEncode);
         let config = self.engine.config();
         // Z-order clustering (§2.3): sort rows by the interleaved cluster
         // key so files get tight, mostly disjoint min/max statistics.
-        let cluster_by = t.meta.cluster_by.clone();
-        let clustered;
-        let batch = if cluster_by.is_empty() {
-            batch
+        let clustered = !t.meta.cluster_by.is_empty();
+        let sorted;
+        let batch = if clustered {
+            sorted = cluster_batch(batch, &t.schema, &t.meta.cluster_by)?;
+            &sorted
         } else {
-            clustered = cluster_batch(batch, &t.schema, &cluster_by)?;
-            &clustered
+            batch
         };
-        // Partition rows into distributions. Unclustered tables spread
-        // round-robin; clustered tables take contiguous z-ranges so each
-        // distribution (and therefore each file) covers a key range.
+        // Partition rows into distributions: unclustered tables spread
+        // round-robin; clustered tables take contiguous z-ranges, so each
+        // distribution (and therefore each file) covers a key range. One
+        // task per non-empty distribution, capped; a task writes one file
+        // per distribution it was dealt.
         let dists = config.distributions as usize;
-        let mut by_dist: Vec<Vec<usize>> = vec![Vec::new(); dists];
-        let n = batch.num_rows();
-        for i in 0..n {
-            let d = if cluster_by.is_empty() {
-                i % dists
+        let groups = n.min(dists);
+        let mut tasks: Vec<Vec<(u32, RecordBatch)>> = vec![Vec::new(); groups.min(MAX_WRITE_TASKS)];
+        let mut rows = Vec::with_capacity(n.div_ceil(groups));
+        let mut filled = 0;
+        for d in 0..dists {
+            rows.clear();
+            if clustered {
+                // Row i belongs to distribution i * dists / n.
+                rows.extend((d * n).div_ceil(dists)..((d + 1) * n).div_ceil(dists));
             } else {
-                i * dists / n
-            };
-            by_dist[d.min(dists - 1)].push(i);
+                rows.extend((d..n).step_by(dists));
+            }
+            if !rows.is_empty() {
+                let slot = filled % tasks.len();
+                tasks[slot].push((d as u32, batch.take(&rows)));
+                filled += 1;
+            }
         }
-        let groups: Vec<(u32, RecordBatch)> = by_dist
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idx)| !idx.is_empty())
-            .map(|(d, idx)| (d as u32, batch.take(&idx)))
-            .collect();
-
-        // One task per distribution group, capped.
-        let task_groups = chunk_evenly(groups, MAX_WRITE_TASKS);
-        let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(task_groups.len());
-        let store = Arc::clone(self.engine.store());
-        let writer = config.writer;
-        let stamp = self.stamp();
-        let stmt = self.stmt;
-        let data_root = t.meta.data_root.clone();
-        let manifest_path = t.manifest_path.clone();
-        let txn_id = self.ctxn.id.0;
-        for group in task_groups {
-            let store = Arc::clone(&store);
-            let data_root = data_root.clone();
-            let manifest_path = manifest_path.clone();
-            let group = Arc::new(group);
+        let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(tasks.len());
+        let (writer, stmt) = (config.writer, self.stmt);
+        for group in tasks {
+            let w = Arc::clone(&t.target);
             dag.add_task(move |ctx| {
-                let mut actions = Vec::new();
+                let _alloc = AllocScope::enter(AllocPhase::WriteEncode);
+                let mut actions = Vec::with_capacity(group.len());
                 let mut rows = 0u64;
-                for (dist, part) in group.iter() {
+                for (dist, part) in &group {
                     let path = format!(
-                        "{data_root}/data/t{txn_id}-s{stmt}-d{dist}-a{}.pcf",
-                        ctx.attempt
+                        "{}/data/t{}-s{stmt}-d{dist}-a{}.pcf",
+                        w.data_root, w.stamp.0, ctx.attempt
                     );
-                    let written = bewrite::write_data_file(&*store, &path, part, writer, stamp)
+                    let written = bewrite::write_data_file(&*w.store, &path, part, writer, w.stamp)
                         .map_err(exec_to_task)?;
                     rows += written.rows;
-                    actions.push(add_file_action(
-                        written.path,
-                        written.rows,
-                        written.bytes,
-                        *dist,
-                        part,
-                    ));
+                    actions.push(add_file_action(written, *dist, part));
                 }
-                // Stage one manifest block per task (§3.2.2); the ID folds
-                // in the attempt so stale attempts are never committed.
-                let block = BlockId::new(format!("ins-s{stmt}-t{}-a{}", ctx.task, ctx.attempt));
-                let payload = Manifest::encode_actions(&actions);
-                store
-                    .stage_block(&manifest_path, block.clone(), payload, stamp)
-                    .map_err(store_to_task)?;
-                Ok((vec![block], actions, rows))
+                let block = format!("ins-s{stmt}-t{}-a{}", ctx.task, ctx.attempt);
+                w.stage(block, actions, rows)
             });
         }
-        let results = self.engine.pool().run_dag(dag, WorkloadClass::Write)?;
-        // FE: aggregate block IDs, apply actions to the private delta, and
-        // append-commit the manifest blob (insert path of §3.2.3).
-        let mut new_blocks = Vec::new();
-        let mut inserted = 0;
-        {
-            let t = self.tables.get_mut(&tid).expect("state loaded above");
-            for (ids, actions, rows) in results {
-                new_blocks.extend(ids);
-                inserted += rows;
-                for action in &actions {
-                    t.delta.apply(&t.base, action)?;
-                }
-            }
-            let staged = new_blocks.len() as u64;
-            t.blocks.extend(new_blocks);
-            t.staged_blocks += staged;
-            self.blocks_staged += staged;
-        }
+        // FE: aggregate block IDs and apply the actions to the private
+        // delta; the blocks join the list the commit publishes (insert path
+        // of §3.2.3).
+        let (blocks, inserted) = self.run_write_dag(tid, dag)?;
+        self.tables
+            .get_mut(&tid)
+            .expect("state loaded above")
+            .blocks
+            .extend(blocks);
         Ok(inserted)
+    }
+
+    /// Run a statement's write DAG and fold what its tasks report into the
+    /// table's private delta. Returns the blocks they staged and the rows
+    /// they affected.
+    fn run_write_dag(
+        &mut self,
+        tid: TableId,
+        dag: WorkflowDag<WriteTaskResult>,
+    ) -> PolarisResult<(Vec<BlockId>, u64)> {
+        let results = self.engine.pool().run_dag(dag, WorkloadClass::Write)?;
+        let _alloc = AllocScope::enter(AllocPhase::ManifestStaging);
+        let t = self.tables.get_mut(&tid).expect("state loaded by caller");
+        let mut blocks = Vec::with_capacity(results.len());
+        let mut rows = 0;
+        for (block, actions, n) in results {
+            blocks.push(block);
+            rows += n;
+            for action in &actions {
+                t.delta.apply(&t.base, action)?;
+            }
+        }
+        t.staged_blocks += blocks.len() as u64;
+        self.blocks_staged += blocks.len() as u64;
+        Ok((blocks, rows))
     }
 
     /// Delete rows matching `predicate` (all rows when `None`). Returns
     /// the number of rows deleted.
     pub fn delete(&mut self, table: &str, predicate: Option<&Expr>) -> PolarisResult<u64> {
-        let label = format!("delete {table}");
-        let n = self.run_profiled(&label, |t| t.delete_inner(table, predicate))?;
-        if let Some(p) = self.last_profile.as_mut() {
-            p.rows_out = n;
-        }
-        Ok(n)
+        self.run_dml("delete", table, |t| t.delete_inner(table, predicate))
     }
 
     fn delete_inner(&mut self, table: &str, predicate: Option<&Expr>) -> PolarisResult<u64> {
-        self.stmt += 1;
-        let tid = self.table_state(table)?;
+        let tid = self.statement_table(table)?;
         let view = self.tables[&tid].view();
 
         // DELETE without WHERE removes whole files — pure metadata.
@@ -482,70 +571,23 @@ impl Transaction {
         let config = self.engine.config();
         let groups = partition_cells(cells, MAX_WRITE_TASKS.min(config.distributions as usize));
         let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(groups.len());
-        let stamp = self.stamp();
         let stmt = self.stmt;
-        let txn_id = self.ctxn.id.0;
-        let data_root = self.tables[&tid].meta.data_root.clone();
-        let manifest_path = self.tables[&tid].manifest_path.clone();
         for group in groups.into_iter().filter(|g| !g.is_empty()) {
-            let store = Arc::clone(self.engine.store());
+            let w = Arc::clone(&self.tables[&tid].target);
             let predicate = predicate.clone();
-            let data_root = data_root.clone();
-            let manifest_path = manifest_path.clone();
-            let group = Arc::new(group);
             dag.add_task(move |ctx| {
                 let mut actions = Vec::new();
                 let mut deleted = 0u64;
-                for cell in group.iter() {
-                    let Some(outcome) = bewrite::delete_matching(&*store, cell, &predicate)
-                        .map_err(exec_to_task)?
-                    else {
-                        continue;
-                    };
-                    let dv_path = format!(
-                        "{data_root}/dv/{}-t{txn_id}-s{stmt}-a{}.dv",
-                        file_stem(&cell.file),
-                        ctx.attempt
-                    );
-                    bewrite::write_delete_vector(&*store, &dv_path, &outcome.merged, stamp)
-                        .map_err(exec_to_task)?;
-                    if let Some(old) = &cell.dv_path {
-                        actions.push(ManifestAction::remove_dv(cell.file.clone(), old.clone()));
+                for cell in &group {
+                    if let Some(n) = w.delete_rows(cell, &predicate, stmt, ctx, &mut actions)? {
+                        deleted += n;
                     }
-                    actions.push(ManifestAction::add_dv(
-                        cell.file.clone(),
-                        dv_path,
-                        outcome.merged.cardinality() as u64,
-                    ));
-                    deleted += outcome.newly_deleted;
                 }
-                let block = BlockId::new(format!("del-s{stmt}-t{}-a{}", ctx.task, ctx.attempt));
-                store
-                    .stage_block(
-                        &manifest_path,
-                        block.clone(),
-                        Manifest::encode_actions(&actions),
-                        stamp,
-                    )
-                    .map_err(store_to_task)?;
-                Ok((vec![block], actions, deleted))
+                let block = format!("del-s{stmt}-t{}-a{}", ctx.task, ctx.attempt);
+                w.stage(block, actions, deleted)
             });
         }
-        let results = self.engine.pool().run_dag(dag, WorkloadClass::Write)?;
-        let mut deleted = 0;
-        let mut staged = 0u64;
-        {
-            let t = self.tables.get_mut(&tid).expect("state loaded above");
-            for (ids, actions, n) in results {
-                staged += ids.len() as u64;
-                deleted += n;
-                for action in &actions {
-                    t.delta.apply(&t.base, action)?;
-                }
-            }
-            t.staged_blocks += staged;
-        }
-        self.blocks_staged += staged;
+        let (_, deleted) = self.run_write_dag(tid, dag)?;
         // Updates/deletes trigger the reconciling manifest rewrite
         // (§3.2.3): the committed manifest reflects only the net delta.
         self.rewrite_manifest(tid)?;
@@ -560,12 +602,9 @@ impl Transaction {
         assignments: &[(String, Expr)],
         predicate: Option<&Expr>,
     ) -> PolarisResult<u64> {
-        let label = format!("update {table}");
-        let n = self.run_profiled(&label, |t| t.update_inner(table, assignments, predicate))?;
-        if let Some(p) = self.last_profile.as_mut() {
-            p.rows_out = n;
-        }
-        Ok(n)
+        self.run_dml("update", table, |t| {
+            t.update_inner(table, assignments, predicate)
+        })
     }
 
     fn update_inner(
@@ -574,8 +613,7 @@ impl Transaction {
         assignments: &[(String, Expr)],
         predicate: Option<&Expr>,
     ) -> PolarisResult<u64> {
-        self.stmt += 1;
-        let tid = self.table_state(table)?;
+        let tid = self.statement_table(table)?;
         let t = &self.tables[&tid];
         let schema = t.schema.clone();
         for (col, _) in assignments {
@@ -591,101 +629,53 @@ impl Transaction {
         let config = self.engine.config();
         let groups = partition_cells(cells, MAX_WRITE_TASKS.min(config.distributions as usize));
         let mut dag: WorkflowDag<WriteTaskResult> = WorkflowDag::with_capacity(groups.len());
-        let stamp = self.stamp();
-        let stmt = self.stmt;
-        let txn_id = self.ctxn.id.0;
-        let data_root = t.meta.data_root.clone();
-        let manifest_path = t.manifest_path.clone();
-        let writer = config.writer;
+        let (writer, stmt) = (config.writer, self.stmt);
         let assignments: Arc<Vec<(String, Expr)>> = Arc::new(assignments.to_vec());
+        // Rewritten: the live rows matching the predicate, all without one.
         let predicate = predicate.cloned();
+        let delete_pred = predicate.clone().unwrap_or_else(|| Expr::lit(true));
         for group in groups.into_iter().filter(|g| !g.is_empty()) {
-            let store = Arc::clone(self.engine.store());
-            let predicate = predicate.clone();
-            let data_root = data_root.clone();
-            let manifest_path = manifest_path.clone();
+            let w = Arc::clone(&t.target);
+            let (predicate, delete_pred) = (predicate.clone(), delete_pred.clone());
             let schema = schema.clone();
             let assignments = Arc::clone(&assignments);
-            let group = Arc::new(group);
             dag.add_task(move |ctx| {
                 let mut actions = Vec::new();
                 let mut updated = 0u64;
-                for cell in group.iter() {
-                    // Rows to rewrite: live rows matching the predicate.
-                    let Some(live) = bewrite::live_matching_rows(&*store, cell, predicate.as_ref())
-                        .map_err(exec_to_task)?
+                for cell in &group {
+                    let Some(live) =
+                        bewrite::live_matching_rows(&*w.store, cell, predicate.as_ref())
+                            .map_err(exec_to_task)?
                     else {
                         continue;
                     };
                     // Delete them from the original file.
-                    let pred = predicate.clone().unwrap_or_else(|| Expr::lit(true));
-                    let Some(outcome) =
-                        bewrite::delete_matching(&*store, cell, &pred).map_err(exec_to_task)?
-                    else {
+                    if w.delete_rows(cell, &delete_pred, stmt, ctx, &mut actions)?
+                        .is_none()
+                    {
                         continue;
-                    };
-                    let dv_path = format!(
-                        "{data_root}/dv/{}-t{txn_id}-s{stmt}-a{}.dv",
-                        file_stem(&cell.file),
-                        ctx.attempt
-                    );
-                    bewrite::write_delete_vector(&*store, &dv_path, &outcome.merged, stamp)
-                        .map_err(exec_to_task)?;
-                    if let Some(old) = &cell.dv_path {
-                        actions.push(ManifestAction::remove_dv(cell.file.clone(), old.clone()));
                     }
-                    actions.push(ManifestAction::add_dv(
-                        cell.file.clone(),
-                        dv_path,
-                        outcome.merged.cardinality() as u64,
-                    ));
                     // Re-insert the updated versions.
                     let new_rows = apply_assignments(&live, &schema, &assignments)
                         .map_err(|e| TaskError::fatal(e.to_string()))?;
                     let path = format!(
-                        "{data_root}/data/t{txn_id}-s{stmt}-u{}-a{}.pcf",
+                        "{}/data/t{}-s{stmt}-u{}-a{}.pcf",
+                        w.data_root,
+                        w.stamp.0,
                         file_stem(&cell.file),
                         ctx.attempt
                     );
                     let written =
-                        bewrite::write_data_file(&*store, &path, &new_rows, writer, stamp)
+                        bewrite::write_data_file(&*w.store, &path, &new_rows, writer, w.stamp)
                             .map_err(exec_to_task)?;
-                    actions.push(add_file_action(
-                        written.path,
-                        written.rows,
-                        written.bytes,
-                        cell.distribution,
-                        &new_rows,
-                    ));
+                    actions.push(add_file_action(written, cell.distribution, &new_rows));
                     updated += new_rows.num_rows() as u64;
                 }
-                let block = BlockId::new(format!("upd-s{stmt}-t{}-a{}", ctx.task, ctx.attempt));
-                store
-                    .stage_block(
-                        &manifest_path,
-                        block.clone(),
-                        Manifest::encode_actions(&actions),
-                        stamp,
-                    )
-                    .map_err(store_to_task)?;
-                Ok((vec![block], actions, updated))
+                let block = format!("upd-s{stmt}-t{}-a{}", ctx.task, ctx.attempt);
+                w.stage(block, actions, updated)
             });
         }
-        let results = self.engine.pool().run_dag(dag, WorkloadClass::Write)?;
-        let mut updated = 0;
-        let mut staged = 0u64;
-        {
-            let t = self.tables.get_mut(&tid).expect("state loaded above");
-            for (ids, actions, n) in results {
-                staged += ids.len() as u64;
-                updated += n;
-                for action in &actions {
-                    t.delta.apply(&t.base, action)?;
-                }
-            }
-            t.staged_blocks += staged;
-        }
-        self.blocks_staged += staged;
+        let (_, updated) = self.run_write_dag(tid, dag)?;
         self.rewrite_manifest(tid)?;
         Ok(updated)
     }
@@ -698,8 +688,7 @@ impl Transaction {
         table: &str,
         actions: &[ManifestAction],
     ) -> PolarisResult<()> {
-        self.stmt += 1;
-        let tid = self.table_state(table)?;
+        let tid = self.statement_table(table)?;
         {
             let t = self.tables.get_mut(&tid).expect("state loaded above");
             for action in actions {
@@ -716,15 +705,8 @@ impl Transaction {
     /// Run a SELECT (parsed and planned by the FE) under this
     /// transaction's snapshot plus its own writes.
     pub fn query(&mut self, sql: &str) -> PolarisResult<RecordBatch> {
-        let stmt = polaris_sql::parse(sql)?;
-        match stmt {
-            Statement::Select(sel) => {
-                let plan = polaris_sql::plan_select(&sel)?;
-                let label = format!("select {}", plan.table);
-                Ok(self
-                    .run_profiled(&label, |t| execute_select(t, &plan))?
-                    .batch)
-            }
+        match polaris_sql::parse(sql)? {
+            select @ Statement::Select(_) => Ok(self.execute_statement(&select)?.batch),
             _ => Err(PolarisError::invalid("query() requires a SELECT statement")),
         }
     }
@@ -735,16 +717,18 @@ impl Transaction {
         match stmt {
             Statement::Select(sel) => {
                 let plan = polaris_sql::plan_select(sel)?;
-                let label = format!("select {}", plan.table);
-                self.run_profiled(&label, |t| execute_select(t, &plan))
+                self.run_profiled("select", &plan.table, |t| execute_select(t, &plan))
             }
             Statement::Insert { table, rows } => {
-                let tid = self.table_state(table)?;
-                let schema = self.tables[&tid].schema.clone();
-                let coerced = coerce_rows(&schema, rows)?;
-                let batch = RecordBatch::from_rows(schema, &coerced)
-                    .map_err(|e| PolarisError::invalid(e.to_string()))?;
-                let n = self.insert(table, &batch)?;
+                // One table lookup serves the literal coercion and the write.
+                let n = self.run_dml("insert", table, |t| {
+                    let tid = t.statement_table(table)?;
+                    let schema = t.tables[&tid].schema.clone();
+                    let coerced = coerce_rows(&schema, rows)?;
+                    let batch = RecordBatch::from_rows(schema, &coerced)
+                        .map_err(|e| PolarisError::invalid(e.to_string()))?;
+                    t.write_rows(tid, &batch)
+                })?;
                 Ok(QueryResult::affected(n))
             }
             Statement::Update {
@@ -795,21 +779,17 @@ impl Transaction {
     /// discarded when the final `commit_block_list` publishes only the
     /// current list (Block-Blob semantics).
     fn rewrite_manifest(&mut self, tid: TableId) -> PolarisResult<()> {
-        let stamp = self.stamp();
         let stmt = self.stmt;
-        let store = Arc::clone(self.engine.store());
         let t = self.tables.get_mut(&tid).expect("state loaded");
+        let w = &t.target;
         let actions = t.delta.to_actions();
         let chunk_size = actions.len().div_ceil(MAX_WRITE_TASKS).max(1);
         let mut ids = Vec::new();
         for (k, chunk) in actions.chunks(chunk_size).enumerate() {
             let id = BlockId::new(format!("rw-s{stmt}-k{k}"));
-            store.stage_block(
-                &t.manifest_path,
-                id.clone(),
-                Manifest::encode_actions(chunk),
-                stamp,
-            )?;
+            let payload = Manifest::encode_actions(chunk);
+            w.store
+                .stage_block(&w.manifest, id.clone(), payload, w.stamp)?;
             ids.push(id);
         }
         let n = ids.len() as u64;
@@ -825,162 +805,77 @@ impl Transaction {
 
     /// Validate and commit.
     ///
-    /// The final `commit_block_list` publication of every dirty table's
-    /// manifest blob is kicked off on Write-class DCP nodes *first*, then
-    /// overlapped with the catalog work: the write sets are recorded
-    /// (step 1) and first-committer-wins validation runs (step 2) while
-    /// the uploads are in flight. The uploads are joined in the commit
-    /// protocol's *prepare* stage — after validation passes, before the
-    /// sequencer assigns a timestamp — so a published sequence always
-    /// points at fully-committed manifest blobs, a slow store round-trip
-    /// never holds the global sequencer, and a validation conflict skips
-    /// the join and discards the blobs instead (Block-Blob staged blocks
-    /// were never visible). On conflict everything rolls back and
+    /// The write sets are recorded (step 1), first-committer-wins
+    /// validation runs (step 2), and only then — in the commit protocol's
+    /// *prepare* stage, before the sequencer assigns a timestamp — is the
+    /// one `commit_block_list` of every dirty table's manifest blob
+    /// issued. A published sequence therefore always points at
+    /// fully-committed manifest blobs, a store round-trip never holds the
+    /// global sequencer, and a validation loser publishes nothing: its
+    /// staged blocks were never visible (Block-Blob semantics) and are
+    /// discarded with the blob. On conflict everything rolls back and
     /// [`PolarisError::Conflict`] is returned — the transaction can be
     /// retried from scratch.
     pub fn commit(mut self) -> PolarisResult<CommitInfo> {
         self.check_active()?;
         self.finished = true;
-        self.engine
-            .txn_stat_update(self.ctxn.id.0, |s| s.phase = "committing");
+        self.stat.committing.store(true, Ordering::Relaxed);
         let commit_span = self.tracer.span_at("txn.commit", self.root_span);
         let granularity = self.engine.config().conflict_granularity;
         let mut manifests: Vec<(TableId, String)> = Vec::new();
-        let mut write_sets: Vec<(TableId, Vec<String>)> = Vec::new();
+        let mut recorded = Ok(());
         for (tid, t) in &self.tables {
             if t.delta.is_empty() {
                 continue;
             }
-            manifests.push((*tid, t.manifest_path.as_str().to_owned()));
+            manifests.push((*tid, t.target.manifest.as_str().to_owned()));
             let modified: Vec<String> = t.delta.modified_base_files().map(str::to_owned).collect();
-            if !modified.is_empty() {
-                write_sets.push((*tid, modified));
-            }
-        }
-        if manifests.is_empty() {
-            // Read-only (or DDL-only): plain catalog commit, no sequence.
-            // Statements may still have staged manifest blocks (e.g. a
-            // DELETE that matched nothing) — those blobs will never be
-            // published, so discard them here.
-            let result = self.engine.catalog().commit(&mut self.ctxn);
-            self.discard_staged_manifests(&[]);
-            drop(commit_span);
-            self.end_root(if result.is_ok() {
-                "committed"
-            } else {
-                "aborted"
-            });
-            result?;
-            self.engine.maybe_checkpoint_commit_log();
-            return Ok(CommitInfo {
-                sequence: None,
-                blocks_committed: 0,
-            });
-        }
-        // Start the manifest publications now; validation runs while the
-        // store round-trips are in flight.
-        let mut uploads = Some(self.spawn_manifest_uploads(&manifests));
-        let mut upload_span = Some(
-            self.tracer
-                .span_at("txn.commit.upload_overlap", self.root_span),
-        );
-        for (tid, modified) in &write_sets {
-            if let Err(e) =
-                self.engine
-                    .catalog()
-                    .record_write_set(&mut self.ctxn, *tid, modified, granularity)
-            {
-                let _ = join_uploads(&mut uploads);
-                drop(upload_span.take());
-                self.discard_staged_manifests(&[]);
-                drop(commit_span);
-                self.end_root("aborted");
-                return Err(e.into());
+            if !modified.is_empty() && recorded.is_ok() {
+                recorded = self.engine.catalog().record_write_set(
+                    &mut self.ctxn,
+                    *tid,
+                    &modified,
+                    granularity,
+                );
             }
         }
         let mut blocks_committed = 0u64;
-        let mut upload_err: Option<PolarisError> = None;
-        let outcome = {
-            let uploads = &mut uploads;
-            let upload_span = &mut upload_span;
-            let blocks_committed = &mut blocks_committed;
-            let upload_err = &mut upload_err;
-            self.engine
-                .catalog()
-                .commit_write_prepared(&mut self.ctxn, &manifests, move || {
-                    let joined = join_uploads(uploads);
-                    drop(upload_span.take());
-                    match joined {
-                        Some(Ok(n)) => {
-                            *blocks_committed = n;
-                            Ok(())
-                        }
-                        Some(Err(e)) => {
-                            *upload_err = Some(e);
-                            Err(polaris_catalog::CatalogError::CommitLogFailure {
-                                detail: "pipelined manifest upload failed".to_owned(),
+        let mut publish_err: Option<PolarisError> = None;
+        let outcome = if manifests.is_empty() {
+            // Read-only (or DDL-only): plain catalog commit, no sequence.
+            self.engine.catalog().commit(&mut self.ctxn).map(|_| None)
+        } else {
+            let (engine, tables) = (&self.engine, &mut self.tables);
+            recorded.and_then(|()| {
+                engine
+                    .catalog()
+                    .commit_write_prepared(&mut self.ctxn, &manifests, || {
+                        publish_manifests(engine, tables, &manifests)
+                            .map(|n| blocks_committed = n)
+                            .map_err(|e| {
+                                publish_err = Some(e);
+                                polaris_catalog::CatalogError::CommitLogFailure {
+                                    detail: "manifest publication failed".to_owned(),
+                                }
                             })
-                        }
-                        // The handle is always live when prepare runs; the
-                        // abort paths are the only other joiners.
-                        None => Ok(()),
-                    }
-                })
+                    })
+                    .map(|outcome| Some(SequenceId(outcome.commit_ts.0)))
+            })
         };
-        match outcome {
-            Ok(outcome) => {
-                // Tables the statements touched but the commit did not
-                // publish (empty net delta) leave staged-only blobs behind.
-                self.discard_staged_manifests(&manifests);
-                drop(commit_span);
-                self.end_root("committed");
-                self.engine.maybe_checkpoint_commit_log();
-                Ok(CommitInfo {
-                    sequence: Some(SequenceId(outcome.commit_ts.0)),
-                    blocks_committed,
-                })
-            }
-            Err(e) => {
-                // Validation conflict (prepare never ran) or upload
-                // failure: join whatever is still in flight before
-                // discarding the blobs, so a retried task cannot re-create
-                // one after the delete.
-                let _ = join_uploads(&mut uploads);
-                drop(upload_span.take());
-                self.discard_staged_manifests(&[]);
-                drop(commit_span);
-                self.end_root("aborted");
-                match upload_err.take() {
-                    Some(ue) => Err(ue),
-                    None => Err(e.into()),
-                }
-            }
-        }
-    }
-
-    /// Start the final `commit_block_list` of every dirty table as a
-    /// Write-class DAG running concurrently with commit validation. Each
-    /// task publishes one table's accumulated block list and reports how
-    /// many blocks it committed; `commit_block_list` is idempotent, so
-    /// retried attempts after a transient store fault are safe.
-    fn spawn_manifest_uploads(&self, manifests: &[(TableId, String)]) -> DagHandle<u64> {
-        let stamp = self.stamp();
-        let mut dag: WorkflowDag<u64> = WorkflowDag::with_capacity(manifests.len());
-        for (tid, _) in manifests {
-            let t = &self.tables[tid];
-            let store = Arc::clone(self.engine.store());
-            let path = t.manifest_path.clone();
-            let blocks = t.blocks.clone();
-            dag.add_task(move |_ctx| {
-                let _alloc =
-                    polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::ManifestUpload);
-                store
-                    .commit_block_list(&path, &blocks, stamp)
-                    .map_err(store_to_task)?;
-                Ok(blocks.len() as u64)
-            });
-        }
-        self.engine.pool().run_dag_async(dag, WorkloadClass::Write)
+        // What was published stays; every other staged blob goes: tables
+        // with an empty net delta (a DELETE that matched nothing) on
+        // success, everything on failure. A failed publication has no
+        // attempt still running by now (`run_dag` returns after the last
+        // one reported), so none can re-create a blob after its delete.
+        self.discard_staged_manifests(if outcome.is_ok() { &manifests } else { &[] });
+        drop(commit_span);
+        self.end_root(outcome.as_ref().map_or("aborted", |_| "committed"));
+        let sequence = outcome.map_err(|e| publish_err.take().unwrap_or_else(|| e.into()))?;
+        self.engine.maybe_checkpoint_commit_log();
+        Ok(CommitInfo {
+            sequence,
+            blocks_committed,
+        })
     }
 
     /// Delete per-transaction manifest blobs that will never be
@@ -990,16 +885,14 @@ impl Transaction {
     /// orphaned manifests for GC to chase; each discarded blob counts
     /// into the engine-wide `store.orphaned_manifests` counter.
     fn discard_staged_manifests(&mut self, keep: &[(TableId, String)]) {
-        let store = Arc::clone(self.engine.store());
-        let orphaned = self.engine.metrics().counter("store.orphaned_manifests");
         for (tid, t) in &mut self.tables {
             if t.staged_blocks == 0 || keep.iter().any(|(k, _)| k == tid) {
                 continue;
             }
             t.staged_blocks = 0;
             t.blocks.clear();
-            if store.delete(&t.manifest_path).is_ok() {
-                orphaned.inc();
+            if t.target.store.delete(&t.target.manifest).is_ok() {
+                self.engine.counters.orphaned_manifests.inc();
             }
         }
     }
@@ -1008,9 +901,7 @@ impl Transaction {
     /// discarded eagerly (data files are reclaimed by GC).
     pub fn rollback(mut self) {
         if !self.finished {
-            self.discard_staged_manifests(&[]);
-            self.engine.catalog().abort(&mut self.ctxn);
-            self.finished = true;
+            // `Drop` does the rest.
             self.end_root("rolled_back");
         }
     }
@@ -1026,43 +917,47 @@ impl Drop for Transaction {
         // abandoned-drop path (and a no-op when root_span is 0).
         self.end_root("aborted");
         // Every exit path funnels through Drop, so the live-stats entry
-        // behind `polaris.transactions` is removed exactly once here.
-        self.engine.txn_stat_end(self.ctxn.id.0);
-        // Hand the table map and scan meter back to the engine so the
-        // next `begin` reuses their capacity. `recycle_txn_context`
-        // clears the map first, releasing base snapshot refs.
-        self.engine.recycle_txn_context(
-            std::mem::take(&mut self.tables),
-            Arc::clone(&self.scan_meter),
-        );
+        // behind `polaris.transactions` is removed exactly once here, and
+        // the table map, scan meter and stats cell go back to the engine
+        // for the next `begin` to reuse. `recycle_txn_context` clears the
+        // map first, releasing base snapshot refs.
+        let ctx = TxnContext {
+            tables: std::mem::take(&mut self.tables),
+            scan_meter: Arc::clone(&self.scan_meter),
+            stat: Arc::clone(&self.stat),
+        };
+        self.engine.recycle_txn_context(self.ctxn.id.0, ctx);
     }
 }
 
-/// Join the pipelined upload DAG if still in flight, returning the total
-/// number of blocks published (or the first task failure). `None` when
-/// another path already joined it.
-fn join_uploads(handle: &mut Option<DagHandle<u64>>) -> Option<PolarisResult<u64>> {
-    let h = handle.take()?;
-    Some(
-        h.join()
-            .map(|counts| counts.into_iter().sum())
-            .map_err(PolarisError::from),
-    )
-}
-
-/// Group `items` into at most `max` chunks of near-equal size.
-fn chunk_evenly<T>(items: Vec<T>, max: usize) -> Vec<Vec<T>> {
-    assert!(max > 0);
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
+/// The final `commit_block_list` of every dirty table, as one Write-class
+/// DAG: each task publishes one table's accumulated block list and reports
+/// how many blocks it committed. One table is one task, which the pool
+/// runs on this thread; several fan out to lanes. `commit_block_list` is
+/// idempotent, so an attempt retried after a transient store fault is safe.
+fn publish_manifests(
+    engine: &PolarisEngine,
+    tables: &mut HashMap<TableId, TxnTable>,
+    manifests: &[(TableId, String)],
+) -> PolarisResult<u64> {
+    let _alloc = AllocScope::enter(AllocPhase::ManifestUpload);
+    let mut dag: WorkflowDag<u64> = WorkflowDag::with_capacity(manifests.len());
+    for (tid, _) in manifests {
+        let t = tables
+            .get_mut(tid)
+            .expect("a dirty table of this transaction");
+        // The list moves into the task: nothing reads it after the commit.
+        let (w, blocks) = (Arc::clone(&t.target), std::mem::take(&mut t.blocks));
+        dag.add_task(move |_ctx| {
+            let _alloc = AllocScope::enter(AllocPhase::ManifestUpload);
+            w.store
+                .commit_block_list(&w.manifest, &blocks, w.stamp)
+                .map_err(store_to_task)?;
+            Ok(blocks.len() as u64)
+        });
     }
-    let chunks = n.min(max);
-    let mut out: Vec<Vec<T>> = (0..chunks).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        out[i % chunks].push(item);
-    }
-    out
+    let counts = engine.pool().run_dag(dag, WorkloadClass::Write)?;
+    Ok(counts.into_iter().sum())
 }
 
 fn file_stem(path: &str) -> String {
@@ -1104,9 +999,7 @@ fn apply_assignments(
 /// from the written batch — the Delta-style manifest statistics that let
 /// scans prune files without fetching them.
 pub(crate) fn add_file_action(
-    path: String,
-    rows: u64,
-    bytes: u64,
+    written: bewrite::WrittenFile,
     distribution: u32,
     batch: &RecordBatch,
 ) -> ManifestAction {
@@ -1126,9 +1019,9 @@ pub(crate) fn add_file_action(
         }
     }
     ManifestAction::AddFile(DataFileEntry {
-        path,
-        rows,
-        bytes,
+        path: written.path,
+        rows: written.rows,
+        bytes: written.bytes,
         distribution,
         col_ranges,
     })
@@ -1235,16 +1128,6 @@ fn coerce_column(col: ColumnVector, target: DataType) -> PolarisResult<ColumnVec
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_evenly_shapes() {
-        assert_eq!(chunk_evenly::<i32>(vec![], 4).len(), 0);
-        let chunks = chunk_evenly(vec![1, 2, 3, 4, 5], 2);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].len() + chunks[1].len(), 5);
-        let chunks = chunk_evenly(vec![1, 2], 8);
-        assert_eq!(chunks.len(), 2);
-    }
 
     #[test]
     fn coercions() {

@@ -14,13 +14,15 @@
 
 use polaris_core::{EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
+use polaris_obs::AllocPhase;
 use polaris_store::MemoryStore;
 use std::sync::Arc;
 
-/// Allocations per warm auto-commit INSERT: 272 measured + 10 %.
-const ALLOCS_PER_COMMIT: u64 = 299;
-/// Allocations per warm `polaris.metrics` scan: 982 measured + 10 %.
-const ALLOCS_PER_SYSTEM_SCAN: u64 = 1080;
+/// Allocations per warm auto-commit INSERT: 186 measured + 10 %.
+const ALLOCS_PER_COMMIT: u64 = 204;
+/// Allocations per warm `polaris.metrics` scan: 1 126 measured + 10 %
+/// (≈ 12 per metric row; the four write-path phases added 12 rows).
+const ALLOCS_PER_SYSTEM_SCAN: u64 = 1238;
 
 const WINDOWS: usize = 9;
 
@@ -63,15 +65,32 @@ fn warm_commit_and_system_scan_stay_within_their_allocation_budgets() {
         .expect("create table");
 
     let mut i = 0usize;
+    let phases0 = polaris_obs::alloc::phase_totals();
     let per_commit = median_allocs(64, 16, || {
         session
             .execute(&format!("INSERT INTO gate VALUES ({i}, {})", i * 7))
             .expect("warm-path insert commits");
         i += 1;
     });
+    let phases1 = polaris_obs::alloc::phase_totals();
     assert!(
         per_commit <= ALLOCS_PER_COMMIT,
         "{per_commit} allocations per warm commit, budget {ALLOCS_PER_COMMIT}"
+    );
+    // The phase vocabulary owns the path: what no scope claims (the test's
+    // own `format!` included) stays under a tenth of the commits' total.
+    let by_phase: Vec<(&str, u64)> = AllocPhase::ALL
+        .iter()
+        .map(|p| {
+            let i = *p as usize;
+            (p.label(), phases1[i].allocs - phases0[i].allocs)
+        })
+        .collect();
+    let total: u64 = by_phase.iter().map(|(_, n)| n).sum();
+    let unscoped = by_phase[AllocPhase::Unscoped as usize].1;
+    assert!(
+        unscoped * 10 < total,
+        "{unscoped} of {total} allocations are unscoped: {by_phase:?}"
     );
 
     let per_scan = median_allocs(16, 8, || {

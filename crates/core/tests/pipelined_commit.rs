@@ -1,6 +1,7 @@
-//! The pipelined commit path under adverse conditions: store faults and
-//! node loss during the upload-overlap window, plus the orphaned-manifest
-//! cleanup on every non-commit exit path.
+//! The commit path under adverse conditions: store faults and node loss
+//! while manifests are staged and published, the orphaned-manifest cleanup
+//! on every non-commit exit path, and a validation loser that publishes
+//! nothing.
 
 use polaris_core::{
     DataType, EngineConfig, Field, PolarisEngine, RecordBatch, Schema, SequenceId,
@@ -124,7 +125,39 @@ fn empty_delta_table_blob_is_discarded_at_commit() {
     assert_eq!(count(&engine, "t"), 64);
 }
 
-/// Multi-writer chaos across the upload-overlap window: store faults and
+/// Publication happens in the commit protocol's prepare stage, after
+/// validation: the loser of a write-write conflict never issues its
+/// `commit_block_list` — it only discards the blob it staged.
+#[test]
+fn validation_loser_discards_its_manifest_without_publishing_it() {
+    let (engine, _faulty) = chaos_engine(0.0, 17);
+    engine.create_table("t", &int_schema()).unwrap();
+    engine.session().insert_batch("t", &rows(8, 0)).unwrap();
+    let counter = |name: &str| engine.metrics_snapshot().counter(name);
+
+    let (mut winner, mut loser) = (engine.session(), engine.session());
+    for s in [&mut winner, &mut loser] {
+        s.execute("BEGIN").unwrap();
+        s.execute("UPDATE t SET v = v + 1 WHERE k = 3").unwrap();
+    }
+    let published = counter("store.commits");
+    winner.execute("COMMIT").unwrap();
+    assert_eq!(counter("store.commits"), published + 1);
+    assert_eq!(counter("store.orphaned_manifests"), 0);
+
+    let err = loser.execute("COMMIT").unwrap_err();
+    assert!(err.is_retryable_conflict(), "first committer wins: {err}");
+    assert_eq!(
+        counter("store.commits"),
+        published + 1,
+        "the loser must not publish the blob it is about to delete"
+    );
+    assert_eq!(counter("store.orphaned_manifests"), 1);
+    let blobs = engine.store().list("lake/t/_log/").unwrap();
+    assert_eq!(blobs.len(), 2, "the load and the winner: {blobs:?}");
+}
+
+/// Multi-writer chaos while commits stage and publish: store faults and
 /// write-node loss while commits pipeline through the group-commit
 /// sequencer. Every transaction must eventually commit, the data must be
 /// exact, and the published sequences must stay dense and unique — batch
@@ -148,8 +181,9 @@ fn concurrent_commits_survive_store_faults_and_node_loss() {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            // Kill one Write node at a time and replace it, so in-flight
-            // upload tasks see NodeLost mid-overlap but capacity survives.
+            // Kill one Write node at a time and replace it, so write and
+            // publish attempts — on lanes and on the committing thread —
+            // see NodeLost mid-body but capacity survives.
             let mut fresh = Vec::new();
             while !stop.load(Ordering::Relaxed) {
                 let added = engine.pool().add_nodes(WorkloadClass::Write, 1, 2);
@@ -172,7 +206,7 @@ fn concurrent_commits_survive_store_faults_and_node_loss() {
                 let mut seqs: Vec<SequenceId> = Vec::new();
                 for i in 0..TXNS {
                     // Store faults can exhaust a task's retry budget in
-                    // either the insert fan-out or the pipelined commit;
+                    // either the insert fan-out or the commit's publication;
                     // both abort the transaction cleanly (no sequence
                     // consumed), so retry the whole transaction. A failed
                     // statement leaves the transaction open — roll it

@@ -45,7 +45,7 @@ fn dml_profile_is_populated_and_committed() {
     assert!(p.task_attempts > 0, "insert fans out over write tasks");
     assert_eq!(p.validation, ValidationOutcome::Committed);
     assert!(p.wall_ns > 0);
-    assert!(p.phases_ns.iter().any(|(name, _)| name == "commit"));
+    assert!(p.phases_ns.iter().any(|(name, _)| *name == "commit"));
 
     let tp = s.last_txn_profile().expect("auto-commit resolves a txn");
     assert_eq!(tp.validation, ValidationOutcome::Committed);

@@ -187,6 +187,47 @@ fn multi_statement_txn_trace_survives_faults_and_matches_pool_meter() {
     assert!(json.contains("\"dcp.task\""));
 }
 
+/// A one-row INSERT is two one-task DAGs — write, publish — that the
+/// pool runs on the session's own thread. Their `dcp.task` spans still sit
+/// on a Write node's lane (the slot the attempt held), under the statement
+/// and the commit, with the store calls of the body nested inside.
+#[test]
+fn caller_run_attempts_trace_like_lane_attempts() {
+    let engine = PolarisEngine::in_memory();
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT, v BIGINT)").unwrap();
+    let attempts = engine.pool().stats().attempts;
+    s.execute("INSERT INTO t VALUES (1, 2)").unwrap();
+    assert_eq!(engine.pool().stats().attempts, attempts + 2);
+
+    let spans = build_spans(&engine.tracer().events());
+    let tasks: Vec<_> = spans.values().filter(|s| s.name == "dcp.task").collect();
+    let parents: Vec<&str> = tasks
+        .iter()
+        .map(|t| spans[&t.parent].name.as_str())
+        .collect();
+    assert_eq!(parents, ["insert t", "txn.commit"]);
+    for (task, store_call) in tasks
+        .iter()
+        .zip(["store.stage_block", "store.commit_block_list"])
+    {
+        assert!(
+            matches!(task.attr("node"), Some(AttrValue::U64(n)) if *n == task.tid),
+            "on the lane of the node whose slot it held: {task:?}"
+        );
+        assert!(
+            spans
+                .values()
+                .any(|s| s.parent == task.id && s.name == store_call),
+            "{store_call} must nest under its attempt"
+        );
+    }
+    // The statement and its store calls ran on one lane: the session's.
+    let lane = |name: &str| spans.values().find(|s| s.name == name).unwrap().tid;
+    assert_eq!(lane("store.stage_block"), lane("insert t"));
+    assert_eq!(lane("store.commit_block_list"), lane("txn.commit"));
+}
+
 #[test]
 fn explain_analyze_renders_pruned_scan_with_phase_timings() {
     let engine = PolarisEngine::in_memory();

@@ -20,13 +20,11 @@ pub struct TaskCtx {
 /// node threads, returning a `T` on success.
 pub type TaskFn<T> = Arc<dyn Fn(&TaskCtx) -> Result<T, TaskError> + Send + Sync>;
 
-struct TaskNode<T> {
-    run: TaskFn<T>,
-    deps: Vec<usize>,
+/// One task of a DAG: its body and the earlier tasks it waits for.
+pub(crate) struct TaskNode<T> {
+    pub(crate) run: TaskFn<T>,
+    pub(crate) deps: Vec<usize>,
 }
-
-/// Scheduler-ready form of a DAG: task bodies plus dependency lists.
-pub(crate) type DagParts<T> = (Vec<TaskFn<T>>, Vec<Vec<usize>>);
 
 /// A DAG of tasks producing values of type `T`.
 ///
@@ -90,26 +88,18 @@ impl<T> WorkflowDag<T> {
         self.tasks.is_empty()
     }
 
-    /// Validate edges and return `(task fns, dependency lists)` in a
-    /// scheduler-friendly form.
-    pub(crate) fn into_parts(self) -> DcpResult<DagParts<T>> {
-        let n = self.tasks.len();
-        let mut fns = Vec::with_capacity(n);
-        let mut deps = Vec::with_capacity(n);
-        for (i, t) in self.tasks.into_iter().enumerate() {
-            for &d in &t.deps {
-                if d >= i {
-                    // Tasks only depend on earlier indices, which also rules
-                    // out cycles by construction.
-                    return Err(DcpError::InvalidDag {
-                        detail: format!("task {i} depends on non-earlier task {d}"),
-                    });
-                }
+    /// Validate the edges and hand the tasks to the scheduler.
+    pub(crate) fn into_tasks(self) -> DcpResult<Vec<TaskNode<T>>> {
+        for (i, t) in self.tasks.iter().enumerate() {
+            if let Some(d) = t.deps.iter().find(|&&d| d >= i) {
+                // Tasks only depend on earlier indices, which also rules
+                // out cycles by construction.
+                return Err(DcpError::InvalidDag {
+                    detail: format!("task {i} depends on non-earlier task {d}"),
+                });
             }
-            fns.push(t.run);
-            deps.push(t.deps);
         }
-        Ok((fns, deps))
+        Ok(self.tasks)
     }
 }
 
@@ -125,18 +115,18 @@ mod tests {
         let c = dag.add_task_with_deps(|_| Ok(3), vec![a, b]);
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(dag.len(), 3);
-        let (fns, deps) = dag.into_parts().unwrap();
-        assert_eq!(fns.len(), 3);
-        assert_eq!(deps[2], vec![0, 1]);
+        let tasks = dag.into_tasks().unwrap();
+        assert_eq!(tasks.len(), 3);
+        assert_eq!(tasks[2].deps, vec![0, 1]);
     }
 
     #[test]
     fn rejects_forward_and_self_edges() {
         let mut dag: WorkflowDag<i32> = WorkflowDag::new();
         dag.add_task_with_deps(|_| Ok(1), vec![0]); // self edge
-        assert!(matches!(dag.into_parts(), Err(DcpError::InvalidDag { .. })));
+        assert!(matches!(dag.into_tasks(), Err(DcpError::InvalidDag { .. })));
         let mut dag: WorkflowDag<i32> = WorkflowDag::new();
         dag.add_task_with_deps(|_| Ok(1), vec![5]); // forward edge
-        assert!(matches!(dag.into_parts(), Err(DcpError::InvalidDag { .. })));
+        assert!(matches!(dag.into_tasks(), Err(DcpError::InvalidDag { .. })));
     }
 }

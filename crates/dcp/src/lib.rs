@@ -30,11 +30,17 @@
 //!
 //! # Concurrency model
 //!
-//! Each compute node is a thread; [`ComputePool::run_dag`] is the only
-//! coordination point. The scheduler's mutable state (node table, ready
-//! queue, in-flight attempts) lives behind one pool mutex that is held
-//! only to *place* or *reap* tasks, never while a task body runs — task
-//! execution is fully parallel across nodes. Task bodies must be
+//! Each compute node is a thread; a DAG is scheduled by the thread that
+//! waits for it ([`ComputePool::run_dag`], or [`DagHandle::join`] after
+//! [`ComputePool::run_dag_async`]) — there is no coordinator thread. The
+//! node table sits behind one pool lock that is held only to *place* an
+//! attempt, never while a task body runs; a DAG's ready queue and
+//! in-flight count are its scheduling thread's own. Attempts run on node
+//! threads, fully parallel across nodes — except when exactly one attempt
+//! is runnable and none is in flight: with nothing to overlap, the
+//! scheduling thread runs it itself, holding a slot of an alive node of
+//! the class, accounted, traced and lost-on-kill like any other attempt
+//! of that node. Task bodies must be
 //! restartable: a task observed on a dead node is re-placed on a
 //! surviving node of the same class, so a body may execute more than
 //! once and must stage side effects idempotently (in this workspace,

@@ -36,7 +36,7 @@
 //! span/attempt parity. Morsel throughput is reported separately via
 //! [`MorselRunStats`].
 
-use crate::pool::{ComputePool, Job, WorkloadClass};
+use crate::pool::{ComputePool, Job, Slot, WorkloadClass};
 use crate::{DcpError, DcpResult, TaskError};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -353,7 +353,7 @@ impl ComputePool {
         let lanes = self.lane_refs(class);
         if lanes.is_empty() {
             return Err(DcpError::NoCapacity {
-                class: Self::class_name(class),
+                class: class.name(),
             });
         }
         let budget = target_in_flight_bytes.max(1);
@@ -403,40 +403,35 @@ impl ComputePool {
             None
         };
         let (tx, rx) = unbounded::<Event<M>>();
-        let slot_event = self.slot_event_ref();
         let mut active = 0usize;
-        for (li, lane) in lanes.iter().enumerate() {
-            lane.busy.fetch_add(1, Ordering::SeqCst);
+        for (li, lane) in lanes.into_iter().enumerate() {
+            let sender = lane.sender.clone();
+            // Held by the driver job; released when it ends, unwinds, or
+            // is dropped unsent.
+            let slot = Slot::hold(lane, &self.slot_event);
             let shared = Arc::clone(&shared);
-            let alive = Arc::clone(&lane.alive);
-            let busy = Arc::clone(&lane.busy);
-            let node = lane.node.0;
             let pf = prefetch_tx.clone();
             let tx = tx.clone();
-            let job_slot_event = Arc::clone(&slot_event);
             let job: Job = Box::new(move |alive_at_dequeue| {
                 if alive_at_dequeue {
-                    drive(&shared, li, node, &alive, pf.as_ref(), &tx);
+                    let lane = &slot.lane;
+                    drive(&shared, li, lane.node.0, &lane.alive, pf.as_ref(), &tx);
                 }
-                busy.fetch_sub(1, Ordering::SeqCst);
-                job_slot_event.signal();
+                drop(slot);
                 let _ = tx.send(Event::DriverExit);
             });
-            if lane.sender.send(job).is_err() {
-                lane.busy.fetch_sub(1, Ordering::SeqCst);
-                slot_event.signal();
-                continue;
+            if sender.send(job).is_ok() {
+                active += 1;
             }
-            active += 1;
         }
         drop(tx);
         drop(prefetch_tx);
         if active == 0 {
             return Err(DcpError::NoCapacity {
-                class: Self::class_name(class),
+                class: class.name(),
             });
         }
-        let max_attempts = self.retry_budget();
+        let max_attempts = self.max_attempts;
         let mut outputs = Vec::with_capacity(n);
         let mut error: Option<DcpError> = None;
         let mut retry_rr = 0usize;
@@ -491,7 +486,7 @@ impl ComputePool {
         if shared.remaining.load(Ordering::SeqCst) > 0 {
             // Every driver exited (nodes died) with work still queued.
             return Err(DcpError::NoCapacity {
-                class: Self::class_name(class),
+                class: class.name(),
             });
         }
         Ok((outputs, shared.stats()))

@@ -1,16 +1,17 @@
 //! The compute pool: a dynamic topology of worker nodes with task-level
 //! scheduling, retries, and workload separation.
 
-use crate::dag::{TaskCtx, TaskFn, WorkflowDag};
+use crate::dag::{TaskCtx, TaskFn, TaskNode, WorkflowDag};
 use crate::{DcpError, DcpResult, TaskError};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::RwLock;
 use polaris_obs::{PoolMeter, Tracer};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Slot-release event: wakes DAG schedulers that stalled because every
 /// slot of their class was held by other DAGs sharing the pool. `gen`
@@ -45,10 +46,10 @@ impl SlotEvent {
         self.cv.notify_all();
     }
 
-    /// Park until the generation moves past `seen`. The safety timeout
-    /// bounds the cost of any edge this reasoning missed to one re-check,
-    /// never a stall.
-    fn wait_past(&self, seen: u64) {
+    /// Park until the generation moves past `seen`; `false` when the
+    /// safety timeout ended the wait instead. The timeout bounds the cost
+    /// of any edge this reasoning missed to one re-check, never a stall.
+    fn wait_past(&self, seen: u64) -> bool {
         let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         while self.gen.load(Ordering::SeqCst) == seen {
             let (g, timeout) = self
@@ -57,9 +58,10 @@ impl SlotEvent {
                 .unwrap_or_else(PoisonError::into_inner);
             guard = g;
             if timeout.timed_out() {
-                return;
+                return false;
             }
         }
+        true
     }
 }
 
@@ -83,7 +85,7 @@ pub enum WorkloadClass {
 }
 
 impl WorkloadClass {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             WorkloadClass::Read => "Read",
             WorkloadClass::Write => "Write",
@@ -97,14 +99,36 @@ impl WorkloadClass {
 /// report [`TaskError::NodeLost`] without running.
 pub(crate) type Job = Box<dyn FnOnce(bool) + Send + 'static>;
 
-/// A borrowed view of one node used by the morsel scheduler: enough to
-/// dispatch driver jobs and observe liveness without exposing
-/// [`NodeHandle`] itself.
+/// A view of one node: enough to send it jobs, observe its liveness and
+/// account its slots without exposing [`NodeHandle`] itself.
 pub(crate) struct LaneRef {
     pub(crate) node: NodeId,
     pub(crate) alive: Arc<AtomicBool>,
-    pub(crate) busy: Arc<AtomicUsize>,
+    busy: Arc<AtomicUsize>,
     pub(crate) sender: Sender<Job>,
+}
+
+/// One held task slot of a node. Dropping it releases the slot and wakes
+/// schedulers parked on a full class — also when the body it was held for
+/// unwinds, on a node thread and on a caller's thread alike.
+pub(crate) struct Slot {
+    pub(crate) lane: LaneRef,
+    event: Arc<SlotEvent>,
+}
+
+impl Slot {
+    pub(crate) fn hold(lane: LaneRef, event: &Arc<SlotEvent>) -> Slot {
+        lane.busy.fetch_add(1, Ordering::SeqCst);
+        let event = Arc::clone(event);
+        Slot { lane, event }
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.lane.busy.fetch_sub(1, Ordering::SeqCst);
+        self.event.signal();
+    }
 }
 
 /// Trace-attribute label for how an attempt ended.
@@ -127,6 +151,17 @@ struct NodeHandle {
     _worker: JoinHandle<()>,
 }
 
+impl NodeHandle {
+    fn lane(&self, node: NodeId) -> LaneRef {
+        LaneRef {
+            node,
+            alive: Arc::clone(&self.alive),
+            busy: Arc::clone(&self.busy),
+            sender: self.sender.clone(),
+        }
+    }
+}
+
 /// Aggregate pool statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -141,23 +176,103 @@ pub struct PoolStats {
     pub slot_waits: u64,
 }
 
-/// Handle to a DAG started with [`ComputePool::run_dag_async`]. The DAG's
-/// scheduling runs on its own coordinator thread; [`DagHandle::join`]
-/// blocks until it finishes and returns the per-task results.
-pub struct DagHandle<T> {
-    rx: Receiver<DcpResult<Vec<T>>>,
+/// What one finished attempt reports: task, attempt number, outcome.
+type Completion<T> = (usize, u32, Result<T, TaskError>);
+
+/// The channel lane attempts report on.
+type DoneChannel<T> = (Sender<Completion<T>>, Receiver<Completion<T>>);
+
+/// One attempt of one task, wherever it runs: on a node's thread, or on
+/// the scheduling thread itself when it is the only runnable work. Either
+/// way it holds a slot of a node for as long as the body runs.
+struct Attempt<T> {
+    slot: Slot,
+    task: usize,
+    attempt: u32,
+    run: TaskFn<T>,
+    tracer: Tracer,
+    trace_parent: u64,
 }
 
-impl<T> DagHandle<T> {
-    /// Wait for the DAG to finish; results come back in task order, or
-    /// the first error that failed the DAG.
+impl<T> Attempt<T> {
+    /// Run the body on this thread. `alive` is whether the node was alive
+    /// when the attempt reached it: an attempt on a dead node reports
+    /// [`TaskError::NodeLost`] without running.
+    fn run(self, alive: bool) -> Completion<T> {
+        let node = self.slot.lane.node.0;
+        // One span per attempt, on the node's trace lane; spans inside the
+        // task body (exec.scan, exec.write_*) nest under it via this
+        // thread's span stack.
+        let mut span = self
+            .tracer
+            .span_on_lane("dcp.task", self.trace_parent, node);
+        span.attr("node", node);
+        span.attr("task", self.task);
+        span.attr("attempt", self.attempt);
+        let outcome = if !alive {
+            Err(TaskError::NodeLost { node })
+        } else {
+            let result = (self.run)(&TaskCtx {
+                node,
+                attempt: self.attempt,
+                task: self.task,
+            });
+            // A node killed while the task ran discards its output:
+            // Polaris treats it as lost and re-schedules (§4.3). Any
+            // blocks the attempt staged are never committed.
+            if self.slot.lane.alive.load(Ordering::SeqCst) {
+                result
+            } else {
+                Err(TaskError::NodeLost { node })
+            }
+        };
+        span.attr("outcome", outcome_label(&outcome));
+        drop(span);
+        // Free the slot before reporting: the report may unblock the very
+        // scheduler that then wants it.
+        drop(self.slot);
+        (self.task, self.attempt, outcome)
+    }
+}
+
+/// One DAG's scheduling state: what [`ComputePool::start`] dispatched and
+/// [`ComputePool::join`] collects.
+struct DagRun<T> {
+    class: WorkloadClass,
+    tasks: Vec<TaskNode<T>>,
+    /// Unfinished dependencies per task, and who waits on each task; both
+    /// empty for a DAG without edges.
+    pending: Vec<usize>,
+    dependents: Vec<Vec<usize>>,
+    /// Runnable `(task, attempt)` pairs not yet placed.
+    ready: Vec<(usize, u32)>,
+    in_flight: usize,
+    results: Vec<Option<T>>,
+    completed: usize,
+    /// First failure; once set nothing more is placed, and `join` returns
+    /// it when the attempts already in flight have reported.
+    failed: Option<DcpError>,
+    /// Where lane attempts report; made when the first one is placed.
+    done: Option<DoneChannel<T>>,
+    /// Tracer and the submitting thread's current span, captured once:
+    /// attempts may run on other threads, so parenting is explicit.
+    tracer: Tracer,
+    trace_parent: u64,
+}
+
+/// Handle to a DAG started with [`ComputePool::run_dag_async`]: its
+/// runnable tasks are already on lanes; [`DagHandle::join`] schedules the
+/// rest from the joining thread and returns the per-task results.
+pub struct DagHandle<T> {
+    pool: Arc<ComputePool>,
+    run: DcpResult<DagRun<T>>,
+}
+
+impl<T: Send + 'static> DagHandle<T> {
+    /// Drive the DAG to its end; results come back in task order, or the
+    /// first error that failed the DAG.
     pub fn join(self) -> DcpResult<Vec<T>> {
-        self.rx.recv().unwrap_or_else(|_| {
-            Err(DcpError::TaskFailed {
-                task: 0,
-                error: TaskError::fatal("async DAG coordinator terminated"),
-            })
-        })
+        self.pool.join(self.run?)
     }
 }
 
@@ -179,10 +294,11 @@ pub struct ComputePool {
     /// executing node's lane. The lock is read once per `run_dag`, never
     /// per attempt. Disabled (no-op) until an engine binds its tracer.
     tracer: RwLock<Tracer>,
-    /// Wakes schedulers stalled on a fully busy class (see [`SlotEvent`]).
-    slot_event: Arc<SlotEvent>,
-    /// Default retry budget per task.
-    max_attempts: u32,
+    /// Wakes schedulers stalled on a fully busy class (see [`SlotEvent`]);
+    /// morsel drivers signal their lane occupancy changes on it too.
+    pub(crate) slot_event: Arc<SlotEvent>,
+    /// Retry budget per task, and per morsel.
+    pub(crate) max_attempts: u32,
 }
 
 impl Default for ComputePool {
@@ -344,31 +460,10 @@ impl ComputePool {
         let mut lanes: Vec<LaneRef> = nodes
             .iter()
             .filter(|(_, h)| h.class == class && h.alive.load(Ordering::SeqCst))
-            .map(|(id, h)| LaneRef {
-                node: *id,
-                alive: Arc::clone(&h.alive),
-                busy: Arc::clone(&h.busy),
-                sender: h.sender.clone(),
-            })
+            .map(|(id, h)| h.lane(*id))
             .collect();
         lanes.sort_by_key(|l| l.node.0);
         lanes
-    }
-
-    /// Per-morsel retry budget — shared with the DAG scheduler's.
-    pub(crate) fn retry_budget(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// Slot-release event handle so morsel drivers can signal lane
-    /// occupancy changes to parked DAG schedulers sharing the pool.
-    pub(crate) fn slot_event_ref(&self) -> Arc<SlotEvent> {
-        Arc::clone(&self.slot_event)
-    }
-
-    /// `class.name()` for error reporting outside this module.
-    pub(crate) fn class_name(class: WorkloadClass) -> &'static str {
-        class.name()
     }
 
     /// Run every task of `dag` on nodes of `class`; returns one result per
@@ -378,134 +473,24 @@ impl ComputePool {
         dag: WorkflowDag<T>,
         class: WorkloadClass,
     ) -> DcpResult<Vec<T>> {
-        let (fns, deps) = dag.into_parts()?;
-        let n = fns.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        // Capture the tracer and the submitting thread's current span once:
-        // attempts run on worker threads, so parenting must be explicit.
-        let tracer = self.tracer.read().clone();
-        let trace_parent = tracer.current();
-        // Dependency bookkeeping.
-        let mut pending: Vec<usize> = deps.iter().map(Vec::len).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, ds) in deps.iter().enumerate() {
-            for &d in ds {
-                dependents[d].push(i);
-            }
-        }
-        let mut ready: Vec<(usize, u32)> = (0..n)
-            .filter(|&i| pending[i] == 0)
-            .map(|i| (i, 0))
-            .collect();
-        let (result_tx, result_rx) = unbounded::<(usize, u32, Result<T, TaskError>)>();
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut completed = 0usize;
-        let mut in_flight = 0usize;
-
-        while completed < n {
-            // Captured before dispatch: a slot released after this point
-            // bumps the generation, so a failed dispatch below never
-            // parks past it.
-            let slot_gen = self.slot_event.generation();
-            // Dispatch as many ready tasks as capacity allows.
-            let mut defer = Vec::new();
-            while let Some((task, attempt)) = ready.pop() {
-                match self.dispatch(
-                    class,
-                    task,
-                    attempt,
-                    &fns[task],
-                    &result_tx,
-                    &tracer,
-                    trace_parent,
-                ) {
-                    Ok(()) => in_flight += 1,
-                    Err(()) => defer.push((task, attempt)),
-                }
-            }
-            ready.extend(defer);
-            if in_flight == 0 {
-                assert!(!ready.is_empty(), "scheduler stalled with incomplete DAG");
-                if self.alive_count(class) == 0 {
-                    // Nothing running and no node that could ever run it.
-                    return Err(DcpError::NoCapacity {
-                        class: class.name(),
-                    });
-                }
-                // Alive nodes exist but all slots are held by other DAGs
-                // sharing the pool: park until the next slot release (or
-                // topology change) instead of spinning.
-                self.meter.slot_waits.inc();
-                let parked = std::time::Instant::now();
-                self.slot_event.wait_past(slot_gen);
-                let waited_ns = parked.elapsed().as_nanos() as u64;
-                self.meter.slot_wait_ns.record_ns(waited_ns);
-                polaris_obs::alloc::attribute_wait(waited_ns);
-                continue;
-            }
-            // Collect one completion (blocking), then loop to dispatch more.
-            let (task, attempt, outcome) =
-                result_rx.recv().expect("result channel cannot close early");
-            in_flight -= 1;
-            self.meter.attempts.inc();
-            if attempt > 0 {
-                self.meter.retries.inc();
-            }
-            if matches!(outcome, Err(TaskError::NodeLost { .. })) {
-                self.meter.node_losses.inc();
-            }
-            match outcome {
-                Ok(value) => {
-                    results[task] = Some(value);
-                    completed += 1;
-                    for &dep in &dependents[task] {
-                        pending[dep] -= 1;
-                        if pending[dep] == 0 {
-                            ready.push((dep, 0));
-                        }
-                    }
-                }
-                Err(err) if err.is_retryable() && attempt + 1 < self.max_attempts => {
-                    ready.push((task, attempt + 1));
-                }
-                Err(err) if err.is_retryable() => {
-                    return Err(DcpError::RetriesExhausted {
-                        task,
-                        attempts: attempt + 1,
-                        last: err,
-                    });
-                }
-                Err(err) => return Err(DcpError::TaskFailed { task, error: err }),
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("all tasks completed"))
-            .collect())
+        self.join(self.start(dag, class)?)
     }
 
-    /// Start `dag` on nodes of `class` without blocking the caller:
-    /// scheduling, retries and completion collection run on a detached
-    /// coordinator thread. The engine overlaps its final manifest uploads
-    /// with commit validation this way. Join the returned handle for the
-    /// results; dropping it detaches the DAG (it still runs to
-    /// completion, its results discarded).
+    /// Start `dag` on nodes of `class` without blocking the caller: what
+    /// is runnable goes to lanes now and runs while the caller does other
+    /// work; [`DagHandle::join`] schedules dependents and retries and
+    /// collects the results. Dropping the handle detaches the attempts
+    /// already placed (they finish, their results discarded) and runs
+    /// nothing more.
     pub fn run_dag_async<T: Send + 'static>(
         self: &Arc<Self>,
         dag: WorkflowDag<T>,
         class: WorkloadClass,
     ) -> DagHandle<T> {
-        let pool = Arc::clone(self);
-        let (tx, rx) = unbounded();
-        std::thread::Builder::new()
-            .name("polaris-dag-coord".to_owned())
-            .spawn(move || {
-                let _ = tx.send(pool.run_dag(dag, class));
-            })
-            .expect("spawning an async DAG coordinator");
-        DagHandle { rx }
+        DagHandle {
+            pool: Arc::clone(self),
+            run: self.start(dag, class),
+        }
     }
 
     /// Convenience: run independent tasks (a flat DAG) and collect results.
@@ -514,100 +499,221 @@ impl ComputePool {
         tasks: Vec<TaskFn<T>>,
         class: WorkloadClass,
     ) -> DcpResult<Vec<T>> {
-        let mut dag = WorkflowDag::new();
+        let mut dag = WorkflowDag::with_capacity(tasks.len());
         for t in tasks {
-            let t = Arc::clone(&t);
             dag.add_task(move |ctx: &TaskCtx| t(ctx));
         }
         self.run_dag(dag, class)
     }
 
-    /// Try to place one attempt on the least-loaded alive node of `class`.
-    /// `Err(())` means no node currently has a free slot.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<T: Send + 'static>(
+    /// Build the run state of `dag` and place what is runnable.
+    fn start<T: Send + 'static>(
         &self,
+        dag: WorkflowDag<T>,
         class: WorkloadClass,
-        task: usize,
-        attempt: u32,
-        run: &TaskFn<T>,
-        result_tx: &Sender<(usize, u32, Result<T, TaskError>)>,
-        tracer: &Tracer,
-        trace_parent: u64,
-    ) -> Result<(), ()> {
+    ) -> DcpResult<DagRun<T>> {
+        let tasks = dag.into_tasks()?;
+        let n = tasks.len();
+        let (mut pending, mut dependents) = (Vec::new(), Vec::new());
+        if tasks.iter().any(|t| !t.deps.is_empty()) {
+            pending = tasks.iter().map(|t| t.deps.len()).collect();
+            dependents = vec![Vec::new(); n];
+            for (i, t) in tasks.iter().enumerate() {
+                for &d in &t.deps {
+                    dependents[d].push(i);
+                }
+            }
+        }
+        let tracer = self.tracer.read().clone();
+        let mut run = DagRun {
+            class,
+            ready: (0..n)
+                .filter(|&i| tasks[i].deps.is_empty())
+                .map(|i| (i, 0))
+                .collect(),
+            tasks,
+            pending,
+            dependents,
+            in_flight: 0,
+            results: (0..n).map(|_| None).collect(),
+            completed: 0,
+            failed: None,
+            done: None,
+            trace_parent: tracer.current(),
+            tracer,
+        };
+        self.place_ready(&mut run);
+        Ok(run)
+    }
+
+    /// The scheduler: place, collect, retry, until every task has a result
+    /// or the DAG has failed and nothing of it is still running.
+    fn join<T: Send + 'static>(&self, mut run: DagRun<T>) -> DcpResult<Vec<T>> {
+        let mut parked = None;
+        while run.completed < run.tasks.len() && (run.failed.is_none() || run.in_flight > 0) {
+            // Captured before placing: a slot released after this point
+            // bumps the generation, so a failed placement below never
+            // parks past it.
+            let slot_gen = self.slot_event.generation();
+            self.place_ready(&mut run);
+            let done = if run.in_flight > 0 {
+                run.in_flight -= 1;
+                let (_, done_rx) = run.done.as_ref().expect("a lane attempt was placed");
+                done_rx.recv().expect("the run holds a sender")
+            } else {
+                // Nothing in flight, so `place_ready` left either the one
+                // attempt that is the caller's to run, or several that
+                // found every slot of the class taken.
+                assert!(!run.ready.is_empty(), "scheduler stalled mid-DAG");
+                let lone = (run.ready.len() == 1).then(|| self.take_slot(run.class));
+                match lone.flatten() {
+                    Some(slot) => {
+                        let (task, attempt) = run.ready.pop().expect("one is ready");
+                        self.attempt(&run, slot, task, attempt).run(true)
+                    }
+                    None => {
+                        self.park(run.class, slot_gen, &mut parked)?;
+                        continue;
+                    }
+                }
+            };
+            self.settle(&mut run, done);
+        }
+        match run.failed {
+            Some(err) => Err(err),
+            None => Ok(run
+                .results
+                .into_iter()
+                .map(|r| r.expect("all tasks completed"))
+                .collect()),
+        }
+    }
+
+    /// Place runnable attempts on the lanes of free nodes. The caller-runs
+    /// rule is decided here, from what the scheduler can see: when exactly
+    /// one attempt is runnable and none is in flight there is nothing to
+    /// overlap it with, so it stays for the thread that joins (it runs it
+    /// itself, holding a node's slot) instead of paying two cross-thread
+    /// hand-offs.
+    fn place_ready<T: Send + 'static>(&self, run: &mut DagRun<T>) {
+        if run.failed.is_some() {
+            run.ready.clear();
+        }
+        if run.in_flight == 0 && run.ready.len() == 1 {
+            return;
+        }
+        while let Some(&(task, attempt)) = run.ready.last() {
+            // No free slot for this attempt means none for the rest.
+            let Some(slot) = self.take_slot(run.class) else {
+                return;
+            };
+            run.ready.pop();
+            run.in_flight += 1;
+            let lane = slot.lane.sender.clone();
+            let body = self.attempt(run, slot, task, attempt);
+            let done_tx = run.done.get_or_insert_with(unbounded).0.clone();
+            let job: Job = Box::new(move |alive| {
+                // A panicking body must not take the node's thread, and
+                // the scheduler waiting on this report, with it.
+                let done = catch_unwind(AssertUnwindSafe(|| body.run(alive)))
+                    .unwrap_or_else(|_| (task, attempt, Err(TaskError::fatal("task panicked"))));
+                let _ = done_tx.send(done);
+            });
+            // Worker gone: the attempt still reports (as lost) from here.
+            if let Err(SendError(job)) = lane.send(job) {
+                job(false);
+            }
+        }
+    }
+
+    /// Hold a slot of the least-loaded alive node of `class` that has one
+    /// free.
+    fn take_slot(&self, class: WorkloadClass) -> Option<Slot> {
         let nodes = self.nodes.read();
-        let Some((id, handle)) = nodes
+        let (id, h) = nodes
             .iter()
             .filter(|(_, h)| {
                 h.class == class
                     && h.alive.load(Ordering::SeqCst)
                     && h.busy.load(Ordering::SeqCst) < h.capacity
             })
-            .min_by_key(|(id, h)| (h.busy.load(Ordering::SeqCst), id.0))
-        else {
-            return Err(());
-        };
-        let node_id = *id;
-        handle.busy.fetch_add(1, Ordering::SeqCst);
-        let busy = Arc::clone(&handle.busy);
-        let alive = Arc::clone(&handle.alive);
-        let run = Arc::clone(run);
-        let tx = result_tx.clone();
-        let job_tracer = tracer.clone();
-        let slot_event = Arc::clone(&self.slot_event);
-        let job: Job = Box::new(move |alive_at_dequeue| {
-            // One span per attempt, on the node's trace lane; spans inside
-            // the task body (exec.scan, exec.write_*) nest under it via the
-            // worker thread's span stack.
-            let mut span = job_tracer.span_on_lane("dcp.task", trace_parent, node_id.0);
-            span.attr("node", node_id.0);
-            span.attr("task", task);
-            span.attr("attempt", attempt);
-            let outcome = if !alive_at_dequeue {
-                Err(TaskError::NodeLost { node: node_id.0 })
-            } else {
-                let ctx = TaskCtx {
-                    node: node_id.0,
-                    attempt,
-                    task,
-                };
-                let result = run(&ctx);
-                // A node killed while the task ran discards its output:
-                // Polaris treats it as lost and re-schedules (§4.3). Any
-                // blocks the attempt staged are never committed.
-                if alive.load(Ordering::SeqCst) {
-                    result
-                } else {
-                    Err(TaskError::NodeLost { node: node_id.0 })
-                }
-            };
-            span.attr("outcome", outcome_label(&outcome));
-            drop(span);
-            busy.fetch_sub(1, Ordering::SeqCst);
-            // The freed slot may unblock a scheduler parked on a full
-            // class.
-            slot_event.signal();
-            let _ = tx.send((task, attempt, outcome));
+            .min_by_key(|(id, h)| (h.busy.load(Ordering::SeqCst), id.0))?;
+        Some(Slot::hold(h.lane(*id), &self.slot_event))
+    }
+
+    fn attempt<T>(&self, run: &DagRun<T>, slot: Slot, task: usize, attempt: u32) -> Attempt<T> {
+        Attempt {
+            slot,
+            task,
+            attempt,
+            run: Arc::clone(&run.tasks[task].run),
+            tracer: run.tracer.clone(),
+            trace_parent: run.trace_parent,
+        }
+    }
+
+    /// Every slot of `class` is held by other DAGs sharing the pool: park
+    /// until the next slot release or topology change instead of spinning.
+    /// `parked` carries one park across the wait's safety timeouts, so it
+    /// is counted and timed once.
+    fn park(
+        &self,
+        class: WorkloadClass,
+        slot_gen: u64,
+        parked: &mut Option<Instant>,
+    ) -> DcpResult<()> {
+        if self.alive_count(class) == 0 {
+            // Nothing running and no node that could ever run it.
+            return Err(DcpError::NoCapacity {
+                class: class.name(),
+            });
+        }
+        let since = *parked.get_or_insert_with(|| {
+            self.meter.slot_waits.inc();
+            Instant::now()
         });
-        if handle.sender.send(job).is_err() {
-            // Worker gone (pool shutting down): report as node loss. Emit
-            // the attempt's span manually so trace attempt counts still
-            // equal the meter's.
-            handle.busy.fetch_sub(1, Ordering::SeqCst);
-            self.slot_event.signal();
-            let span = tracer.begin_manual(
-                "dcp.task",
-                trace_parent,
-                vec![
-                    ("node", node_id.0.into()),
-                    ("task", task.into()),
-                    ("attempt", attempt.into()),
-                ],
-            );
-            tracer.end_manual(span, "dcp.task", vec![("outcome", "node_lost".into())]);
-            let _ = result_tx.send((task, attempt, Err(TaskError::NodeLost { node: node_id.0 })));
+        if self.slot_event.wait_past(slot_gen) {
+            let waited_ns = since.elapsed().as_nanos() as u64;
+            self.meter.slot_wait_ns.record_ns(waited_ns);
+            polaris_obs::alloc::attribute_wait(waited_ns);
+            *parked = None;
         }
         Ok(())
+    }
+
+    /// Account one finished attempt and apply its outcome to the run.
+    fn settle<T>(&self, run: &mut DagRun<T>, (task, attempt, outcome): Completion<T>) {
+        self.meter.attempts.inc();
+        if attempt > 0 {
+            self.meter.retries.inc();
+        }
+        if matches!(outcome, Err(TaskError::NodeLost { .. })) {
+            self.meter.node_losses.inc();
+        }
+        let failure = match outcome {
+            Ok(value) => {
+                run.results[task] = Some(value);
+                run.completed += 1;
+                for &dep in run.dependents.get(task).into_iter().flatten() {
+                    run.pending[dep] -= 1;
+                    if run.pending[dep] == 0 {
+                        run.ready.push((dep, 0));
+                    }
+                }
+                return;
+            }
+            Err(err) if err.is_retryable() && attempt + 1 < self.max_attempts => {
+                run.ready.push((task, attempt + 1));
+                return;
+            }
+            Err(err) if err.is_retryable() => DcpError::RetriesExhausted {
+                task,
+                attempts: attempt + 1,
+                last: err,
+            },
+            Err(err) => DcpError::TaskFailed { task, error: err },
+        };
+        run.failed.get_or_insert(failure);
     }
 }
 
@@ -898,22 +1004,214 @@ mod tests {
 
     #[test]
     fn async_dag_overlaps_with_caller_work() {
-        let pool = Arc::new(ComputePool::with_topology(2, 0, 2));
+        // Four nodes, four tasks and the caller meet at one barrier: it
+        // opens only if every task is running while the caller is still
+        // between `run_dag_async` and `join` — on lanes, with no thread
+        // of the DAG's own to put them there.
+        let pool = Arc::new(ComputePool::with_topology(4, 0, 1));
+        let barrier = Arc::new(std::sync::Barrier::new(5));
         let mut dag = WorkflowDag::new();
         for i in 0..4i64 {
+            let barrier = Arc::clone(&barrier);
             dag.add_task(move |_| {
-                std::thread::sleep(Duration::from_millis(10));
-                Ok(i)
+                barrier.wait();
+                Ok((i, std::thread::current().id()))
             });
         }
         let handle = pool.run_dag_async(dag, WorkloadClass::Read);
-        // Caller-side work proceeds while the DAG runs.
-        let mut own = 0u64;
-        for i in 0..1000u64 {
-            own += i;
+        barrier.wait();
+        let results = handle.join().unwrap();
+        assert_eq!(
+            results.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3]
+        );
+        let caller = std::thread::current().id();
+        assert!(results.iter().all(|(_, thread)| *thread != caller));
+    }
+
+    /// A one-task DAG whose body reports where it ran and what it saw.
+    fn probe_dag(pool: &Arc<ComputePool>) -> WorkflowDag<(std::thread::ThreadId, usize, u64)> {
+        let pool = Arc::clone(pool);
+        let mut dag = WorkflowDag::new();
+        dag.add_task(move |ctx| {
+            Ok((
+                std::thread::current().id(),
+                pool.busy(WorkloadClass::Write),
+                ctx.node,
+            ))
+        });
+        dag
+    }
+
+    #[test]
+    fn lone_task_runs_on_the_caller_holding_a_slot() {
+        let pool = Arc::new(ComputePool::with_topology(0, 2, 1));
+        let out = pool
+            .run_dag(probe_dag(&pool), WorkloadClass::Write)
+            .unwrap();
+        let (thread, busy_inside, node) = out[0];
+        assert_eq!(thread, std::thread::current().id());
+        assert_eq!(busy_inside, 1, "the caller holds a node's slot");
+        assert!(pool.nodes.read().contains_key(&NodeId(node)));
+        assert_eq!(pool.busy(WorkloadClass::Write), 0, "released after");
+        let s = pool.stats();
+        assert_eq!((s.attempts, s.retries, s.node_losses), (1, 0, 0));
+    }
+
+    #[test]
+    fn lone_async_task_runs_at_join() {
+        let pool = Arc::new(ComputePool::with_topology(0, 1, 1));
+        let handle = pool.run_dag_async(probe_dag(&pool), WorkloadClass::Write);
+        assert_eq!(pool.stats().attempts, 0, "nothing to overlap: not started");
+        assert_eq!(pool.busy(WorkloadClass::Write), 0);
+        let joiner = std::thread::spawn(move || (std::thread::current().id(), handle.join()));
+        let (joiner, out) = joiner.join().unwrap();
+        assert_eq!(out.unwrap()[0].0, joiner);
+    }
+
+    #[test]
+    fn chain_runs_wholly_on_the_caller() {
+        let pool = ComputePool::with_topology(2, 0, 2);
+        let mut dag = WorkflowDag::new();
+        let a = dag.add_task(|_| Ok(std::thread::current().id()));
+        let b = dag.add_task_with_deps(|_| Ok(std::thread::current().id()), vec![a]);
+        dag.add_task_with_deps(|_| Ok(std::thread::current().id()), vec![b]);
+        let threads = pool.run_dag(dag, WorkloadClass::Read).unwrap();
+        assert_eq!(threads, vec![std::thread::current().id(); 3]);
+        assert_eq!(pool.stats().attempts, 3);
+    }
+
+    #[test]
+    fn caller_parks_for_a_slot_then_runs_and_one_park_counts_once() {
+        // One slot, held by another DAG's (caller-run) task until told to
+        // let go. This thread's lone task must park for it — counted and
+        // timed as ONE park although the wait's 50 ms safety timeout fires
+        // more than once meanwhile — and then run right here.
+        let pool = Arc::new(ComputePool::with_topology(0, 1, 1));
+        let (release_tx, release_rx) = unbounded::<()>();
+        let holder = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let mut dag = WorkflowDag::new();
+                dag.add_task(move |_| {
+                    release_rx.recv().expect("released");
+                    Ok(())
+                });
+                pool.run_dag(dag, WorkloadClass::Write).unwrap();
+            })
+        };
+        while pool.busy(WorkloadClass::Write) == 0 {
+            std::thread::yield_now();
         }
-        assert_eq!(own, 499_500);
-        assert_eq!(handle.join().unwrap(), vec![0, 1, 2, 3]);
+        let releaser = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                while pool.stats().slot_waits == 0 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(120));
+                release_tx.send(()).unwrap();
+            })
+        };
+        let out = pool
+            .run_dag(probe_dag(&pool), WorkloadClass::Write)
+            .unwrap();
+        holder.join().unwrap();
+        releaser.join().unwrap();
+        assert_eq!(out[0].0, std::thread::current().id());
+        let s = pool.stats();
+        assert_eq!((s.attempts, s.slot_waits), (2, 1));
+        assert_eq!(pool.meter().slot_wait_ns.count(), 1);
+        assert!(pool.meter().slot_wait_ns.sum_ns() >= 100_000_000);
+    }
+
+    #[test]
+    fn node_killed_under_a_caller_run_attempt_is_lost_and_retried() {
+        let pool = Arc::new(ComputePool::with_topology(0, 2, 1));
+        let tracer = Tracer::with_capacity(64);
+        pool.bind_tracer(&tracer);
+        let p = Arc::clone(&pool);
+        let mut dag = WorkflowDag::new();
+        dag.add_task(move |ctx| {
+            // The node dies while this attempt is in the body.
+            if ctx.attempt == 0 {
+                assert!(p.kill_node(NodeId(ctx.node)));
+            }
+            Ok((ctx.node, ctx.attempt, std::thread::current().id()))
+        });
+        let out = pool.run_dag(dag, WorkloadClass::Write).unwrap();
+        let (node, attempt, thread) = out[0];
+        assert_eq!((attempt, thread), (1, std::thread::current().id()));
+        assert!(pool.nodes.read()[&NodeId(node)]
+            .alive
+            .load(Ordering::SeqCst));
+        assert_eq!(pool.alive_count(WorkloadClass::Write), 1);
+        assert_eq!(pool.busy(WorkloadClass::Write), 0);
+        let s = pool.stats();
+        assert_eq!((s.attempts, s.retries, s.node_losses), (2, 1, 1));
+        // One span per attempt, on the lane of the node whose slot it held.
+        let spans = polaris_obs::build_spans(&tracer.events());
+        let outcomes: Vec<String> = spans
+            .values()
+            .filter(|s| s.name == "dcp.task")
+            .map(|s| s.attr("outcome").expect("ended").to_string())
+            .collect();
+        assert_eq!(outcomes, ["node_lost", "ok"]);
+    }
+
+    #[test]
+    fn a_panicking_body_releases_its_slot_on_the_caller_and_on_a_lane() {
+        let pool = ComputePool::with_topology(0, 2, 1);
+        let boom = |tasks: usize| {
+            let mut dag: WorkflowDag<()> = WorkflowDag::new();
+            for i in 0..tasks {
+                dag.add_task(move |_| if i == 0 { panic!("boom") } else { Ok(()) });
+            }
+            dag
+        };
+        // Alone, the body runs (and unwinds) on this thread.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_dag(boom(1), WorkloadClass::Write)
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(pool.busy(WorkloadClass::Write), 0);
+        // Beside another task it runs on a lane: the DAG fails, the node's
+        // thread lives on.
+        let err = pool.run_dag(boom(2), WorkloadClass::Write).unwrap_err();
+        assert!(matches!(err, DcpError::TaskFailed { task: 0, .. }));
+        assert_eq!(pool.busy(WorkloadClass::Write), 0);
+        let mut dag = WorkflowDag::new();
+        for i in 0..4 {
+            dag.add_task(move |_| Ok(i));
+        }
+        let again = pool.run_dag(dag, WorkloadClass::Write).unwrap();
+        assert_eq!(again, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_failed_dag_returns_after_its_running_attempts() {
+        // Task 0 fails at once; task 1 is still in its body then. The
+        // error must not come back before task 1 has reported: a caller
+        // that cleans up after a failed DAG may assume nothing of it runs.
+        let pool = ComputePool::with_topology(2, 0, 1);
+        let finished = Arc::new(AtomicBool::new(false));
+        let (started_tx, started_rx) = unbounded::<()>();
+        let mut dag: WorkflowDag<()> = WorkflowDag::new();
+        dag.add_task(move |_| {
+            started_rx.recv().expect("task 1 is running");
+            Err(TaskError::fatal("bug"))
+        });
+        let f = Arc::clone(&finished);
+        dag.add_task(move |_| {
+            started_tx.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            f.store(true, Ordering::SeqCst);
+            Ok(())
+        });
+        let err = pool.run_dag(dag, WorkloadClass::Read).unwrap_err();
+        assert!(matches!(err, DcpError::TaskFailed { task: 0, .. }));
+        assert!(finished.load(Ordering::SeqCst));
+        assert_eq!(pool.busy(WorkloadClass::Read), 0);
     }
 
     #[test]

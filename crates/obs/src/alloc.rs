@@ -17,8 +17,10 @@
 //! * **A TLS scope stack** ([`AllocScope`], mirroring `SpanGuard` in
 //!   [`crate::trace`]) attributing allocations — and lock/condvar *wait
 //!   time*, via [`attribute_wait`] — to named engine phases
-//!   ([`AllocPhase`]): parse/plan, scan planning, morsel execution, txn
-//!   validate, manifest upload, sequencer publish, replay, telemetry.
+//!   ([`AllocPhase`]): statement dispatch, parse/plan, scan planning,
+//!   morsel execution, write encode, manifest staging, txn validate,
+//!   manifest upload, sequencer publish, replay, profile bookkeeping,
+//!   telemetry.
 //!   The stack is a fixed-size array of TLS `Cell`s so the allocator hook
 //!   itself never allocates (reentrancy would deadlock or recurse).
 //! * **Registry publication** ([`AllocMetrics`]): pre-registered
@@ -46,13 +48,13 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of attribution phases (including [`AllocPhase::Unscoped`]).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 13;
 
 /// Engine phases allocations and waits are attributed to.
 ///
 /// `Unscoped` collects everything recorded while no [`AllocScope`] is
-/// active on the current thread (session bookkeeping, test harnesses,
-/// background threads that never enter a scope).
+/// active on the current thread (test harnesses, background threads that
+/// never enter a scope).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum AllocPhase {
@@ -74,6 +76,18 @@ pub enum AllocPhase {
     Replay = 7,
     /// The telemetry plane itself: harvester ticks, watchdog evaluation.
     Telemetry = 8,
+    /// A session running one statement: transaction begin, table lookup,
+    /// literal coercion, and whatever of the commit no inner phase claims.
+    StatementDispatch = 9,
+    /// The write operator: partitioning rows into distribution groups and
+    /// encoding + storing their data files.
+    WriteEncode = 10,
+    /// Encoding a write task's manifest actions, staging the block and
+    /// applying the actions to the transaction's private delta.
+    ManifestStaging = 11,
+    /// Statement and transaction profiles: building, patching at commit,
+    /// the session's history ring and the slow log.
+    ProfileBookkeeping = 12,
 }
 
 impl AllocPhase {
@@ -88,6 +102,10 @@ impl AllocPhase {
         AllocPhase::SequencerPublish,
         AllocPhase::Replay,
         AllocPhase::Telemetry,
+        AllocPhase::StatementDispatch,
+        AllocPhase::WriteEncode,
+        AllocPhase::ManifestStaging,
+        AllocPhase::ProfileBookkeeping,
     ];
 
     /// Stable snake_case label, used as the `phase` metric label and in
@@ -103,6 +121,10 @@ impl AllocPhase {
             AllocPhase::SequencerPublish => "sequencer_publish",
             AllocPhase::Replay => "replay",
             AllocPhase::Telemetry => "telemetry",
+            AllocPhase::StatementDispatch => "statement_dispatch",
+            AllocPhase::WriteEncode => "write_encode",
+            AllocPhase::ManifestStaging => "manifest_staging",
+            AllocPhase::ProfileBookkeeping => "profile_bookkeeping",
         }
     }
 }
@@ -161,17 +183,7 @@ impl PhaseCounters {
     }
 }
 
-static PHASES: [PhaseCounters; PHASE_COUNT] = [
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-    PhaseCounters::new(),
-];
+static PHASES: [PhaseCounters; PHASE_COUNT] = [const { PhaseCounters::new() }; PHASE_COUNT];
 
 static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FREES: AtomicU64 = AtomicU64::new(0);

@@ -191,7 +191,7 @@ pub struct SlowRecord {
     /// Total wall time, ns.
     pub wall_ns: u64,
     /// Per-phase wall times in execution order.
-    pub phases_ns: Vec<(String, u64)>,
+    pub phases_ns: Vec<(&'static str, u64)>,
     /// Validation outcome rendered as text (`Committed`, `WwConflict`, …).
     pub validation: String,
     /// Heap bytes allocated engine-wide during the work (tracking

@@ -975,13 +975,13 @@ pub struct QueryProfile {
     pub allocs: u64,
     /// Per-phase attribution deltas `(phase label, bytes, allocs)`,
     /// phases with activity only, in [`alloc::AllocPhase`] order.
-    pub alloc_phases: Vec<(String, u64, u64)>,
+    pub alloc_phases: Vec<(&'static str, u64, u64)>,
     /// Lock/condvar wait nanoseconds attributed while the statement ran
     /// (recorded by the wait profiler regardless of allocator tracking).
     pub wait_ns: u64,
     /// Per-phase wall time in nanoseconds, in execution order
     /// (e.g. `plan`, `execute`, `commit`).
-    pub phases_ns: Vec<(String, u64)>,
+    pub phases_ns: Vec<(&'static str, u64)>,
     /// Total wall time of the statement in nanoseconds.
     pub wall_ns: u64,
     /// Trace span id of this statement's root span (0 when tracing is
@@ -1010,8 +1010,8 @@ impl QueryProfile {
     }
 
     /// Record a named phase duration.
-    pub fn phase(&mut self, name: &str, ns: u64) {
-        self.phases_ns.push((name.to_owned(), ns));
+    pub fn phase(&mut self, name: &'static str, ns: u64) {
+        self.phases_ns.push((name, ns));
     }
 }
 

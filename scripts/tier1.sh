@@ -33,6 +33,12 @@ cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
 # checkpoint format stands on, and the cost test counts the bytes a
 # generation, the tick and a read send to the store instead of timing them.
 cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
+# Scheduler smoke, optimized as it ships: the races between a scheduler
+# parking for a slot, a node being killed under an attempt (on a lane or on
+# the committing thread) and a slot release only show at release timing, as
+# does the 8 %-fault + node-churn chaos over staging and publication.
+cargo test --release -q -p polaris-dcp
+cargo test --release -q -p polaris-core --test pipelined_commit
 cargo clippy --workspace --all-targets -- -D warnings
 # The telemetry endpoint is infrastructure other tooling scrapes: hold
 # the obs crate to no-unwrap discipline on top of the workspace lints —
@@ -95,7 +101,8 @@ join_rows=$(echo "SELECT query_id FROM polaris.slow_log s \
 echo "system smoke: ok (${metrics_count} metrics, ${join_rows} joined slow statements)"
 
 # Allocation gates, on the tracking allocator: the warm auto-commit INSERT
-# and the warm polaris.metrics scan stay within their budgets, and the
+# (<= 204 allocations, under a tenth of them unscoped) and the warm
+# polaris.metrics scan (<= 1 238) stay within their budgets, and the
 # catalog-only commit path allocates nothing at all once warm.
 cargo test --release -q -p polaris-core --features track-alloc --test alloc_budget
 cargo test --release -q -p polaris-catalog --features track-alloc \
