@@ -15,14 +15,13 @@ use polaris_dcp::ComputePool;
 use polaris_exec::SystemSchema;
 use polaris_lst::{Checkpoint, Manifest, SequenceId, SnapshotCache, TableSnapshot};
 use polaris_obs::{
-    CacheMeter, CatalogMeter, Counter, Gauge, MetricName, MetricsRegistry, MetricsSnapshot,
-    RecoveryMeter, ScanMeter, SlowLog, Tracer,
+    CacheMeter, CatalogMeter, Counter, MetricName, MetricsRegistry, MetricsSnapshot, RecoveryMeter,
+    ScanMeter, SlowLog, Tracer,
 };
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, StatsStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// The Polaris engine: one per "database".
 ///
@@ -61,10 +60,8 @@ pub struct PolarisEngine {
     tracer: Tracer,
     /// Bounded ring of statements/transactions over the slow threshold.
     slow_log: Arc<SlowLog>,
-    /// Continuous-telemetry runtime (harvester + watchdog + endpoint),
-    /// installed right after construction — `None` only during `new`
-    /// itself and after engine teardown.
-    telemetry: Mutex<Option<EngineTelemetry>>,
+    /// Continuous-telemetry runtime (harvester + watchdog + endpoint).
+    telemetry: EngineTelemetry,
     /// Durable commit-log writer; `Some` iff every commit is logged — an
     /// engine built by [`PolarisEngine::open`] with
     /// [`EngineConfig::commit_log_enabled`].
@@ -78,24 +75,14 @@ pub struct PolarisEngine {
     /// Registry handles every statement reads or bumps, resolved once
     /// instead of by name per statement.
     pub(crate) counters: StatementCounters,
-    /// Monotonic uptime base and its wall-clock anchor (ms since the Unix
-    /// epoch at construction) — the timestamp base every system table and
-    /// the `uptime_seconds` gauge derive from.
-    started: Instant,
-    started_unix_ms: u64,
-    /// Cached `uptime_seconds` gauge handle; refreshed on every harvester
-    /// tick, health report and metrics snapshot without a registry lookup.
-    uptime_gauge: Gauge,
     /// Engine-wide stable statement-id source; every profiled statement
     /// draws one, stamping its root trace span, its [`polaris_obs::QueryProfile`]
     /// and (when slow) its slow-log record so `polaris.slow_log` joins to
     /// `polaris.trace_spans`.
     next_query_id: AtomicU64,
-    /// The `polaris.*` virtual-table registry. Installed right after the
-    /// engine `Arc` exists (providers hold `Weak` engine references, like
-    /// the telemetry rules), so it is set for the engine's entire
-    /// externally observable lifetime.
-    system_tables: OnceLock<SystemSchema>,
+    /// The `polaris.*` virtual-table registry (providers hold `Weak`
+    /// engine references, like the telemetry rules).
+    system_tables: SystemSchema,
 }
 
 /// Execution stats of one live user transaction (the
@@ -161,12 +148,12 @@ const SNAPSHOT_CACHE_CAPACITY: usize = 8;
 /// are simply dropped. Sized for a healthy concurrent-session count.
 const TXN_CONTEXT_POOL_MAX: usize = 32;
 
-/// Crate version baked into `build_info` and the health report.
-pub(crate) const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
+/// Crate version baked into `build_info`.
+const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 /// Git revision baked in at compile time via the `POLARIS_GIT_SHA`
 /// environment variable; `"unknown"` when the build did not set it.
-pub(crate) const BUILD_GIT: &str = match option_env!("POLARIS_GIT_SHA") {
+const BUILD_GIT: &str = match option_env!("POLARIS_GIT_SHA") {
     Some(sha) => sha,
     None => "unknown",
 };
@@ -195,7 +182,9 @@ impl PolarisEngine {
     }
 
     /// The one constructor. `durable` builds the commit-log writer, which
-    /// `open` hooks into the catalog once recovery is done.
+    /// `open` hooks into the catalog once recovery is done. Telemetry rules
+    /// and system-table providers point back at the engine, so it is built
+    /// cyclically: they get the `Weak` that upgrades once this returns.
     fn build(
         store: Arc<dyn ObjectStore>,
         pool: Arc<ComputePool>,
@@ -233,18 +222,15 @@ impl PolarisEngine {
             meter.tracer = tracer.clone();
             Arc::new(CommitLogWriter::new(Arc::clone(&store), &config, meter))
         });
-        let started_unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        let uptime_gauge = metrics.gauge("uptime_seconds");
         let counters = StatementCounters {
             cache_hits: metrics.counter("lst.cache.hits"),
             cache_misses: metrics.counter("lst.cache.misses"),
             orphaned_manifests: metrics.counter("store.orphaned_manifests"),
         };
         register_build_info(&metrics);
-        let engine = Arc::new(PolarisEngine {
+        Arc::new_cyclic(|weak| PolarisEngine {
+            telemetry: crate::telemetry::start(weak, &config, &metrics, &tracer, &catalog),
+            system_tables: crate::system_tables::build(weak),
             config,
             catalog,
             store,
@@ -255,23 +241,12 @@ impl PolarisEngine {
             metrics,
             tracer,
             slow_log,
-            telemetry: Mutex::new(None),
             durability,
             recovery: Mutex::new(None),
             txns: Mutex::new(TxnDirectory::default()),
             counters,
-            started: Instant::now(),
-            started_unix_ms,
-            uptime_gauge,
             next_query_id: AtomicU64::new(1),
-            system_tables: OnceLock::new(),
-        });
-        let telemetry = crate::telemetry::start(&engine);
-        *engine.telemetry.lock() = Some(telemetry);
-        let _ = engine
-            .system_tables
-            .set(crate::system_tables::build(&engine));
-        engine
+        })
     }
 
     /// All-in-memory engine with a small default topology — the quickest
@@ -378,34 +353,13 @@ impl PolarisEngine {
         &self.metrics
     }
 
-    /// Point-in-time snapshot of every metric the engine has emitted.
-    /// Refreshes the `uptime_seconds` gauge first so the snapshot (and
-    /// anything derived from it — `/metrics`, `polaris.metrics`) carries
-    /// current wall-clock uptime.
+    /// Point-in-time snapshot of every metric the engine has emitted,
+    /// probe gauges (uptime, queue depth, harvester ticks) refreshed first
+    /// so the snapshot — and `polaris.metrics`, which is derived from it —
+    /// carries their current values.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.refresh_uptime_gauge();
+        self.refresh_probes();
         self.metrics.snapshot()
-    }
-
-    /// Seconds since this engine was constructed.
-    pub fn uptime_seconds(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
-    /// Wall-clock construction time, milliseconds since the Unix epoch.
-    pub fn started_unix_ms(&self) -> u64 {
-        self.started_unix_ms
-    }
-
-    /// The engine's monotonic start instant (watchdog uptime refresh).
-    pub(crate) fn started_instant(&self) -> Instant {
-        self.started
-    }
-
-    /// Store current uptime into the `uptime_seconds` gauge.
-    pub(crate) fn refresh_uptime_gauge(&self) {
-        self.uptime_gauge
-            .set(self.started.elapsed().as_secs() as i64);
     }
 
     /// Draw the next engine-wide stable statement id (never 0).
@@ -419,9 +373,7 @@ impl PolarisEngine {
     /// touching catalog transaction state — a system scan never pins the
     /// GC watermark and never blocks a commit.
     pub fn system_tables(&self) -> &SystemSchema {
-        self.system_tables
-            .get()
-            .expect("system tables are installed by PolarisEngine::new")
+        &self.system_tables
     }
 
     /// A live transaction's stats cell, if it is still running.
@@ -478,10 +430,9 @@ impl PolarisEngine {
         &self.slow_log
     }
 
-    /// Run `f` against the telemetry runtime; `None` only in the narrow
-    /// window before `new` installs it (a scrape racing construction).
-    pub(crate) fn with_telemetry<R>(&self, f: impl FnOnce(&EngineTelemetry) -> R) -> Option<R> {
-        self.telemetry.lock().as_ref().map(f)
+    /// The continuous-telemetry runtime.
+    pub(crate) fn telemetry(&self) -> &EngineTelemetry {
+        &self.telemetry
     }
 
     /// Chrome `trace_event` JSON of the retained trace ring — loadable in

@@ -37,7 +37,9 @@ pub mod recovery;
 mod schema_json;
 mod session;
 pub mod sto;
+#[deny(clippy::unwrap_used)]
 pub mod system_tables;
+#[deny(clippy::unwrap_used)]
 mod telemetry;
 mod txn;
 
@@ -47,7 +49,7 @@ pub use error::{PolarisError, PolarisResult};
 pub use read::QueryResult;
 pub use recovery::{CommitLogWriter, RecoveryReport};
 pub use session::{Session, StatementOutcome};
-pub use telemetry::{HealthEventSummary, HealthReport, LaneDepth, ShardPressure, SlowSummary};
+pub use telemetry::HEALTH_QUERIES;
 pub use txn::Transaction;
 
 // Re-export the vocabulary types users need at the API boundary.
@@ -55,6 +57,6 @@ pub use polaris_catalog::{ConflictGranularity, IsolationLevel, TableId};
 pub use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
 pub use polaris_lst::SequenceId;
 pub use polaris_obs::{
-    HealthEvent, MetricsRegistry, MetricsSnapshot, QueryProfile, SlowLog, SlowRecord,
-    TimeSeriesSnapshot, TxnProfile, ValidationOutcome,
+    MetricsRegistry, MetricsSnapshot, QueryProfile, SlowLog, SlowRecord, TxnProfile,
+    ValidationOutcome,
 };

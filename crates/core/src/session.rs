@@ -8,15 +8,7 @@ use polaris_obs::{
     build_spans, AllocPhase, AllocScope, QueryProfile, TxnProfile, ValidationOutcome,
 };
 use polaris_sql::Statement;
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// How many [`QueryProfile`]s a session retains in its history ring.
-const PROFILE_HISTORY_CAP: usize = 64;
-
-/// How many trailing trace events the session dumps when a transaction
-/// aborts at commit time.
-const POST_MORTEM_EVENTS: usize = 64;
 
 /// What one executed statement produced.
 #[derive(Debug, Clone)]
@@ -47,11 +39,8 @@ pub struct Session {
     engine: Arc<PolarisEngine>,
     isolation: IsolationLevel,
     current: Option<Transaction>,
-    /// Shared with its entry in `profile_history`.
-    last_profile: Option<Arc<QueryProfile>>,
+    last_profile: Option<QueryProfile>,
     last_txn_profile: Option<TxnProfile>,
-    profile_history: VecDeque<Arc<QueryProfile>>,
-    last_post_mortem: Option<String>,
 }
 
 impl Session {
@@ -62,8 +51,6 @@ impl Session {
             current: None,
             last_profile: None,
             last_txn_profile: None,
-            profile_history: VecDeque::new(),
-            last_post_mortem: None,
         }
     }
 
@@ -72,7 +59,7 @@ impl Session {
     /// statements inside a still-open transaction report
     /// [`Pending`](ValidationOutcome::Pending).
     pub fn last_profile(&self) -> Option<&QueryProfile> {
-        self.last_profile.as_deref()
+        self.last_profile.as_ref()
     }
 
     /// Accounting for the most recently resolved (committed, conflicted,
@@ -81,29 +68,13 @@ impl Session {
         self.last_txn_profile.as_ref()
     }
 
-    /// Profiles of recently executed statements, oldest first. Bounded to
-    /// the last [`PROFILE_HISTORY_CAP`] statements.
-    pub fn profile_history(&self) -> impl Iterator<Item = &QueryProfile> {
-        self.profile_history.iter().map(|p| &**p)
-    }
-
-    /// Post-mortem trace dump captured when the most recent commit-time
-    /// abort happened (tracing must be enabled).
-    pub fn last_post_mortem(&self) -> Option<&str> {
-        self.last_post_mortem.as_deref()
-    }
-
-    /// Record a statement profile as both `last_profile` and an entry in
-    /// the bounded history ring; statements over the engine's slow
-    /// threshold also land in the shared slow log with their span tree.
+    /// Record a statement profile as `last_profile`; statements over the
+    /// engine's slow threshold also land in the shared slow log with their
+    /// span tree.
     fn record_profile(&mut self, profile: Option<QueryProfile>, txn_id: u64) {
         let _alloc = AllocScope::enter(AllocPhase::ProfileBookkeeping);
-        self.last_profile = profile.map(Arc::new);
+        self.last_profile = profile;
         if let Some(p) = &self.last_profile {
-            if self.profile_history.len() == PROFILE_HISTORY_CAP {
-                self.profile_history.pop_front();
-            }
-            self.profile_history.push_back(Arc::clone(p));
             if self.engine.slow_log().is_slow(p.wall_ns) {
                 self.engine
                     .slow_log()
@@ -149,9 +120,6 @@ impl Session {
             p.alloc_bytes += txn_profile.commit_alloc_bytes;
             p.allocs += txn_profile.commit_allocs;
             p.blocks_committed = txn_profile.blocks_committed;
-        }
-        if result.is_err() && self.engine.tracer().is_enabled() {
-            self.last_post_mortem = Some(self.engine.tracer().post_mortem(POST_MORTEM_EVENTS));
         }
         if self.engine.slow_log().is_slow(txn_profile.commit_wall_ns) {
             self.engine
@@ -273,7 +241,9 @@ impl Session {
                 Ok(StatementOutcome::Ddl)
             }
             Statement::ExplainAnalyze(inner) => self.explain_analyze(inner),
-            Statement::ShowEngineHealth => self.show_engine_health(),
+            Statement::ShowEngineHealth => {
+                crate::telemetry::health_text(self).map(StatementOutcome::Rows)
+            }
             Statement::ShowTables { system_only } => self.show_tables(*system_only),
             dml => {
                 if let Some(txn) = self.current.as_mut() {
@@ -334,7 +304,7 @@ impl Session {
         self.execute_parsed(inner)?;
         let profile = self
             .last_profile
-            .clone()
+            .as_ref()
             .ok_or_else(|| PolarisError::invalid("statement produced no profile"))?;
         let events = self.engine.tracer().events();
         let spans = build_spans(&events);
@@ -412,125 +382,7 @@ impl Session {
             ));
         }
         lines.push(format!("validation: {:?}", profile.validation));
-        let schema = Schema::new(vec![Field {
-            name: "plan".to_owned(),
-            data_type: DataType::Utf8,
-            nullable: false,
-        }]);
-        let rows: Vec<Vec<Value>> = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
-        let batch = RecordBatch::from_rows(schema, &rows)?;
-        Ok(StatementOutcome::Rows(batch))
-    }
-
-    /// Render the engine's continuous-telemetry view — status, firing
-    /// watchdogs, recent health events, slow-log top entries, shard lock
-    /// pressure and lane occupancy — as a single-column result set.
-    fn show_engine_health(&mut self) -> PolarisResult<StatementOutcome> {
-        let report = self.engine.health_report();
-        let mut lines = Vec::new();
-        lines.push(format!("status: {}", report.status));
-        lines.push(format!(
-            "uptime: {} s (version {}, git {})",
-            report.uptime_seconds, report.build_version, report.build_git
-        ));
-        lines.push(format!(
-            "harvester: {} ticks @ {} ms{}",
-            report.harvester_ticks,
-            report.tick_ms,
-            if report.tick_ms == 0 { " (manual)" } else { "" }
-        ));
-        lines.push(format!(
-            "endpoint: {}",
-            report.listen.as_deref().unwrap_or("none")
-        ));
-        lines.push(format!(
-            "memory: rss {} MiB; heap live {} bytes{}",
-            report.rss_bytes / (1024 * 1024),
-            report.alloc_live_bytes,
-            if report.alloc_tracking {
-                ""
-            } else {
-                " (tracking off)"
-            }
-        ));
-        lines.push(format!(
-            "active txns: {} (oldest txn {}, {} ms); group-commit queue: {}",
-            report.active_txns,
-            report.oldest_txn_id,
-            report.oldest_txn_ms,
-            report.group_queue_depth
-        ));
-        match &report.recovery {
-            Some(r) => lines.push(format!(
-                "durability: commit log on; replayed watermark ts {} \
-                 (checkpoint ts {}, {} commits replayed, {} torn discarded, \
-                 {} orphans swept, {:.1} ms)",
-                r.recovered_clock,
-                r.checkpoint_clock,
-                r.replayed_commits,
-                r.torn_records,
-                r.orphans_collected,
-                r.wall_ns as f64 / 1e6
-            )),
-            None => lines.push("durability: commit log off".to_owned()),
-        }
-        if report.firing.is_empty() {
-            lines.push("firing: none".to_owned());
-        } else {
-            lines.push(format!("firing: {}", report.firing.join(", ")));
-        }
-        if !report.events.is_empty() {
-            lines.push(String::new());
-            lines.push(format!("health events ({}):", report.events.len()));
-            for e in &report.events {
-                lines.push(format!(
-                    "  [tick {} +{} ms] {}: {}",
-                    e.tick, e.at_ms, e.rule, e.detail
-                ));
-            }
-        }
-        if !report.slow.is_empty() {
-            lines.push(String::new());
-            lines.push(format!(
-                "slow log (threshold {} ms, {} retained):",
-                self.engine.slow_log().threshold_ns() / 1_000_000,
-                self.engine.slow_log().len()
-            ));
-            for s in &report.slow {
-                lines.push(format!(
-                    "  {:.3} ms {} txn {} [{}]: {}",
-                    s.wall_ms, s.kind, s.txn, s.validation, s.statement
-                ));
-            }
-        }
-        if !report.shard_pressure.is_empty() {
-            lines.push(String::new());
-            lines.push("commit-shard lock pressure:".to_owned());
-            for p in &report.shard_pressure {
-                lines.push(format!(
-                    "  shard {}: {} holds, p99 {:.3} ms",
-                    p.shard,
-                    p.holds,
-                    p.p99_ns as f64 / 1e6
-                ));
-            }
-        }
-        lines.push(String::new());
-        lines.push("compute lanes:".to_owned());
-        for lane in &report.lanes {
-            lines.push(format!(
-                "  {}: {}/{} busy",
-                lane.class, lane.busy, lane.capacity
-            ));
-        }
-        let schema = Schema::new(vec![Field {
-            name: "health".to_owned(),
-            data_type: DataType::Utf8,
-            nullable: false,
-        }]);
-        let rows: Vec<Vec<Value>> = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
-        let batch = RecordBatch::from_rows(schema, &rows)?;
-        Ok(StatementOutcome::Rows(batch))
+        text_rows("plan", lines).map(StatementOutcome::Rows)
     }
 
     /// `SHOW TABLES` / `SHOW SYSTEM TABLES`: user tables from the catalog
@@ -560,14 +412,7 @@ impl Session {
                 .iter()
                 .map(|n| format!("{}.{n}", polaris_exec::SYSTEM_SCHEMA)),
         );
-        let schema = Schema::new(vec![Field {
-            name: "table_name".to_owned(),
-            data_type: DataType::Utf8,
-            nullable: false,
-        }]);
-        let rows: Vec<Vec<Value>> = names.into_iter().map(|n| vec![Value::Str(n)]).collect();
-        let batch = RecordBatch::from_rows(schema, &rows)?;
-        Ok(StatementOutcome::Rows(batch))
+        text_rows("table_name", names).map(StatementOutcome::Rows)
     }
 
     /// Create a table from a programmatic schema (bypasses SQL).
@@ -615,6 +460,17 @@ impl Session {
     pub fn schema_json(schema: &Schema) -> String {
         schema_to_json(schema)
     }
+}
+
+/// `lines` as a result set of one non-null text column.
+pub(crate) fn text_rows(column: &str, lines: Vec<String>) -> PolarisResult<RecordBatch> {
+    let schema = Schema::new(vec![Field {
+        name: column.to_owned(),
+        data_type: DataType::Utf8,
+        nullable: false,
+    }]);
+    let rows: Vec<Vec<Value>> = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
+    Ok(RecordBatch::from_rows(schema, &rows)?)
 }
 
 /// Classify a commit-time error into a validation outcome.

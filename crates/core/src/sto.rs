@@ -624,7 +624,8 @@ pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
     Ok(report)
 }
 
-/// Background STO thread applying [`run_once`] on an interval.
+/// Background STO thread applying [`run_once`] on an interval; dropping
+/// it stops and joins the thread.
 pub struct StoRunner {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -642,7 +643,8 @@ impl StoRunner {
                     // Maintenance failures (e.g. compaction conflicts) must
                     // not kill the orchestrator.
                     let _ = run_once(&engine);
-                    std::thread::sleep(interval);
+                    // `Drop` unparks: stopping never waits out an interval.
+                    std::thread::park_timeout(interval);
                 }
             })
             .expect("spawning the STO thread");
@@ -653,18 +655,14 @@ impl StoRunner {
     }
 
     /// Stop and join the orchestrator.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    pub fn stop(self) {}
 }
 
 impl Drop for StoRunner {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -690,5 +688,13 @@ mod tests {
             sto.publish_range(SequenceId(3)),
             (SequenceId(9), SequenceId(9))
         );
+    }
+
+    #[test]
+    fn stopping_the_runner_does_not_wait_out_the_interval() {
+        let runner = StoRunner::start(PolarisEngine::in_memory(), Duration::from_secs(10));
+        let begun = std::time::Instant::now();
+        runner.stop();
+        assert!(begun.elapsed() < Duration::from_millis(100));
     }
 }

@@ -1,14 +1,17 @@
 //! The `polaris.*` system schema: engine introspection served as relational
 //! tables through the normal plan/scan path.
 //!
-//! Each provider implements [`SystemTableProvider`] over one slice of live
-//! engine state — metrics registry, harvester rings, slow log, watchdog,
-//! active transactions, commit shards, DCP lanes, the durable commit log
-//! and the trace flight recorder. Providers follow a shared contract:
+//! Each [`Table`] is a fixed column list plus a function copying one slice
+//! of live engine state — metrics registry, harvester rings, slow log,
+//! watchdog, active transactions, commit shards, DCP lanes, the durable
+//! commit log and the trace flight recorder — into rows. These rows are
+//! the engine's one model of its own state: `/health` and `SHOW ENGINE
+//! HEALTH` are queries over them ([`crate::HEALTH_QUERIES`]). The tables
+//! share a contract:
 //!
 //! - **Read-only, point-in-time.** A scan copies state into one
 //!   [`RecordBatch`] and holds nothing live afterwards.
-//! - **Non-blocking.** Providers read lock-free handles (counters, gauges,
+//! - **Non-blocking.** They read lock-free handles (counters, gauges,
 //!   histogram snapshots) or take short copy-and-release locks; none touch
 //!   catalog transaction state, so a system scan never pins the GC
 //!   watermark and never deadlocks against a commit.
@@ -20,6 +23,7 @@
 //! to `polaris.slow_log.txn` / `polaris.trace_spans.txn`.
 
 use crate::PolarisEngine;
+use polaris_columnar::DataType::{Bool, Float64, Int64, Utf8};
 use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
 use polaris_dcp::WorkloadClass;
 use polaris_exec::{ExecError, ExecResult, SystemSchema, SystemTableProvider};
@@ -27,29 +31,68 @@ use polaris_obs::{build_spans, AttrValue, MetricName};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Build the engine's system-table registry. Called once from
-/// `PolarisEngine::new` after the `Arc` exists; every provider holds a
-/// `Weak` engine reference (the engine owns the registry, so strong
-/// references here would be a cycle) and yields an empty batch if the
-/// engine is mid-teardown.
-pub(crate) fn build(engine: &Arc<PolarisEngine>) -> SystemSchema {
+type Columns = &'static [(&'static str, DataType)];
+type Rows = Vec<Vec<Value>>;
+type RowsFn = fn(&PolarisEngine) -> Rows;
+
+/// One `polaris.*` table. Holds a `Weak` engine reference (the engine owns
+/// the registry, so a strong one would be a cycle) and yields an empty
+/// batch if the engine is mid-teardown.
+struct Table {
+    name: &'static str,
+    columns: Columns,
+    rows: RowsFn,
+    engine: Weak<PolarisEngine>,
+}
+
+impl SystemTableProvider for Table {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn schema(&self) -> Schema {
+        let field = |(name, data_type): &(&str, DataType)| Field::new(*name, *data_type);
+        Schema::new(self.columns.iter().map(field).collect())
+    }
+
+    fn scan(&self) -> ExecResult<RecordBatch> {
+        let engine = self.engine.upgrade();
+        let rows = engine.map(|e| (self.rows)(&e)).unwrap_or_default();
+        RecordBatch::from_rows(self.schema(), &rows).map_err(ExecError::from)
+    }
+}
+
+/// Build the engine's system-table registry.
+pub(crate) fn build(engine: &Weak<PolarisEngine>) -> SystemSchema {
+    let tables: [(&'static str, Columns, RowsFn); 9] = [
+        ("metrics", METRICS, metrics_rows),
+        ("metrics_history", METRICS_HISTORY, metrics_history_rows),
+        ("slow_log", SLOW_LOG, slow_log_rows),
+        ("watchdog_events", WATCHDOG_EVENTS, watchdog_events_rows),
+        ("transactions", TRANSACTIONS, transactions_rows),
+        ("commit_shards", COMMIT_SHARDS, commit_shards_rows),
+        ("lanes", LANES, lanes_rows),
+        ("wal", WAL, wal_rows),
+        ("trace_spans", TRACE_SPANS, trace_spans_rows),
+    ];
     let mut schema = SystemSchema::new();
-    let weak = || Arc::downgrade(engine);
-    schema.register(Arc::new(MetricsTable(weak())));
-    schema.register(Arc::new(MetricsHistoryTable(weak())));
-    schema.register(Arc::new(SlowLogTable(weak())));
-    schema.register(Arc::new(WatchdogEventsTable(weak())));
-    schema.register(Arc::new(TransactionsTable(weak())));
-    schema.register(Arc::new(CommitShardsTable(weak())));
-    schema.register(Arc::new(LanesTable(weak())));
-    schema.register(Arc::new(WalTable(weak())));
-    schema.register(Arc::new(TraceSpansTable(weak())));
+    for (name, columns, rows) in tables {
+        schema.register(Arc::new(Table {
+            name,
+            columns,
+            rows,
+            engine: engine.clone(),
+        }));
+    }
     schema
 }
 
-/// Shorthand: materialize `rows` onto `schema` as one batch.
-fn batch(schema: Schema, rows: &[Vec<Value>]) -> ExecResult<RecordBatch> {
-    RecordBatch::from_rows(schema, rows).map_err(ExecError::from)
+fn int(n: u64) -> Value {
+    Value::Int(n as i64)
+}
+
+fn text(s: &str) -> Value {
+    Value::Str(s.to_owned())
 }
 
 /// Split a registry key into `(base, "k=v,k=v")`; keys that fail name
@@ -69,579 +112,355 @@ fn split_labels(key: &str) -> (String, String) {
     }
 }
 
-fn attr_to_string(v: &AttrValue) -> String {
-    match v {
-        AttrValue::U64(x) => x.to_string(),
-        AttrValue::F64(x) => x.to_string(),
-        AttrValue::Str(s) => s.clone(),
-        AttrValue::Bool(b) => b.to_string(),
-    }
-}
+/// `polaris.metrics` — every registered metric, one row per registry key:
+/// counters and gauges carry their value, histograms their lifetime
+/// count/sum and bucket quantiles.
+const METRICS: Columns = &[
+    ("name", Utf8),
+    ("labels", Utf8),
+    ("kind", Utf8),
+    ("value", Float64),
+    ("count", Int64),
+    ("p50_ns", Int64),
+    ("p95_ns", Int64),
+    ("p99_ns", Int64),
+];
 
-fn attr_u64(v: Option<&AttrValue>) -> i64 {
-    match v {
-        Some(AttrValue::U64(x)) => *x as i64,
-        _ => 0,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.metrics
-// ---------------------------------------------------------------------------
-
-/// Every registered metric, one row per registry key: counters and gauges
-/// carry their value, histograms their lifetime count/sum and bucket
-/// quantiles.
-struct MetricsTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for MetricsTable {
-    fn name(&self) -> &'static str {
-        "metrics"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("name", DataType::Utf8),
-            Field::new("labels", DataType::Utf8),
-            Field::new("kind", DataType::Utf8),
-            Field::new("value", DataType::Float64),
-            Field::new("count", DataType::Int64),
-            Field::new("p50_ns", DataType::Int64),
-            Field::new("p95_ns", DataType::Int64),
-            Field::new("p99_ns", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let snap = engine.metrics_snapshot();
-        let mut rows = Vec::new();
-        for (key, v) in &snap.counters {
-            let (name, labels) = split_labels(key);
-            rows.push(vec![
-                Value::Str(name),
-                Value::Str(labels),
-                Value::Str("counter".to_owned()),
-                Value::Float(*v as f64),
-                Value::Int(*v as i64),
-                Value::Int(0),
-                Value::Int(0),
-                Value::Int(0),
-            ]);
-        }
-        for (key, v) in &snap.gauges {
-            let (name, labels) = split_labels(key);
-            rows.push(vec![
-                Value::Str(name),
-                Value::Str(labels),
-                Value::Str("gauge".to_owned()),
-                Value::Float(*v as f64),
-                Value::Int(0),
-                Value::Int(0),
-                Value::Int(0),
-                Value::Int(0),
-            ]);
-        }
-        for (key, h) in &snap.histograms {
-            let (name, labels) = split_labels(key);
-            rows.push(vec![
-                Value::Str(name),
-                Value::Str(labels),
-                Value::Str("histogram".to_owned()),
-                Value::Float(h.sum_ns as f64),
-                Value::Int(h.count as i64),
-                Value::Int(h.p50_ns as i64),
-                Value::Int(h.p95_ns as i64),
-                Value::Int(h.p99_ns as i64),
-            ]);
-        }
-        batch(self.schema(), &rows)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.metrics_history
-// ---------------------------------------------------------------------------
-
-/// The harvester's per-tick time-series rings, one row per retained
-/// sample. `wall_ms` is the sample's absolute wall-clock capture time
-/// (harvester start + tick offset), so history rows line up with
-/// `polaris.slow_log.at_unix_ms`.
-struct MetricsHistoryTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for MetricsHistoryTable {
-    fn name(&self) -> &'static str {
-        "metrics_history"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("name", DataType::Utf8),
-            Field::new("kind", DataType::Utf8),
-            Field::new("t_ms", DataType::Int64),
-            Field::new("wall_ms", DataType::Int64),
-            Field::new("value", DataType::Float64),
-            Field::new("count", DataType::Int64),
-            Field::new("p50_ns", DataType::Int64),
-            Field::new("p95_ns", DataType::Int64),
-            Field::new("p99_ns", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let ts = engine.time_series_snapshot();
-        let wall = |t_ms: u64| (ts.wall_start_ms + t_ms) as i64;
-        let mut rows = Vec::new();
-        for (name, points) in &ts.rates {
-            for p in points {
-                rows.push(vec![
-                    Value::Str(name.clone()),
-                    Value::Str("rate".to_owned()),
-                    Value::Int(p.t_ms as i64),
-                    Value::Int(wall(p.t_ms)),
-                    Value::Float(p.value),
-                    Value::Int(0),
-                    Value::Int(0),
-                    Value::Int(0),
-                    Value::Int(0),
-                ]);
-            }
-        }
-        for (name, points) in &ts.gauges {
-            for p in points {
-                rows.push(vec![
-                    Value::Str(name.clone()),
-                    Value::Str("gauge".to_owned()),
-                    Value::Int(p.t_ms as i64),
-                    Value::Int(wall(p.t_ms)),
-                    Value::Float(p.value),
-                    Value::Int(0),
-                    Value::Int(0),
-                    Value::Int(0),
-                    Value::Int(0),
-                ]);
-            }
-        }
-        for (name, points) in &ts.quantiles {
-            for p in points {
-                rows.push(vec![
-                    Value::Str(name.clone()),
-                    Value::Str("quantile".to_owned()),
-                    Value::Int(p.t_ms as i64),
-                    Value::Int(wall(p.t_ms)),
-                    Value::Float(p.p50_ns as f64),
-                    Value::Int(p.count as i64),
-                    Value::Int(p.p50_ns as i64),
-                    Value::Int(p.p95_ns as i64),
-                    Value::Int(p.p99_ns as i64),
-                ]);
-            }
-        }
-        batch(self.schema(), &rows)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.slow_log
-// ---------------------------------------------------------------------------
-
-/// The retained slow statements/transactions, oldest first. `query_id`
-/// joins to `polaris.trace_spans` (0 for commit-summary records).
-struct SlowLogTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for SlowLogTable {
-    fn name(&self) -> &'static str {
-        "slow_log"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("kind", DataType::Utf8),
-            Field::new("txn", DataType::Int64),
-            Field::new("query_id", DataType::Int64),
-            Field::new("statement", DataType::Utf8),
-            Field::new("wall_ns", DataType::Int64),
-            Field::new("validation", DataType::Utf8),
-            Field::new("alloc_bytes", DataType::Int64),
-            Field::new("allocs", DataType::Int64),
-            Field::new("wait_ns", DataType::Int64),
-            Field::new("at_unix_ms", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let rows: Vec<Vec<Value>> = engine
-            .slow_log()
-            .records()
-            .into_iter()
-            .map(|r| {
-                vec![
-                    Value::Str(r.kind),
-                    Value::Int(r.txn as i64),
-                    Value::Int(r.query_id as i64),
-                    Value::Str(r.statement),
-                    Value::Int(r.wall_ns as i64),
-                    Value::Str(r.validation),
-                    Value::Int(r.alloc_bytes as i64),
-                    Value::Int(r.allocs as i64),
-                    Value::Int(r.wait_ns as i64),
-                    Value::Int(r.at_unix_ms as i64),
-                ]
-            })
-            .collect();
-        batch(self.schema(), &rows)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.watchdog_events
-// ---------------------------------------------------------------------------
-
-/// Fired watchdog rules, oldest first (without the large trace dumps —
-/// those stay on `PolarisEngine::watchdog_events`).
-struct WatchdogEventsTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for WatchdogEventsTable {
-    fn name(&self) -> &'static str {
-        "watchdog_events"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("rule", DataType::Utf8),
-            Field::new("detail", DataType::Utf8),
-            Field::new("tick", DataType::Int64),
-            Field::new("at_ms", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let rows: Vec<Vec<Value>> = engine
-            .watchdog_events()
-            .into_iter()
-            .map(|e| {
-                vec![
-                    Value::Str(e.rule),
-                    Value::Str(e.detail),
-                    Value::Int(e.tick as i64),
-                    Value::Int(e.at_ms as i64),
-                ]
-            })
-            .collect();
-        batch(self.schema(), &rows)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.transactions
-// ---------------------------------------------------------------------------
-
-/// Active transactions: catalog registration (id, snapshot ts, age)
-/// enriched with the engine's live execution stats (phase, statements,
-/// tables touched, allocation totals). Catalog-internal transactions with
-/// no user [`crate::Transaction`] wrapper report phase `catalog`.
-struct TransactionsTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for TransactionsTable {
-    fn name(&self) -> &'static str {
-        "transactions"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("txn_id", DataType::Int64),
-            Field::new("snapshot_ts", DataType::Int64),
-            Field::new("age_ms", DataType::Int64),
-            Field::new("phase", DataType::Utf8),
-            Field::new("statements", DataType::Int64),
-            Field::new("tables_touched", DataType::Int64),
-            Field::new("alloc_bytes", DataType::Int64),
-            Field::new("allocs", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let mut active = engine.catalog().active_txns();
-        active.sort_by_key(|(id, _, _)| id.0);
-        let rows: Vec<Vec<Value>> = active
-            .into_iter()
-            .map(|(id, snapshot, age)| {
-                // `active` while statements run, `committing` once the
-                // commit protocol has started; a catalog transaction no
-                // user transaction owns (DDL, STO) is just `catalog`.
-                let stat = engine.txn_stat_get(id.0);
-                let phase = match &stat {
-                    None => "catalog",
-                    Some(s) if s.committing.load(Ordering::Relaxed) => "committing",
-                    Some(_) => "active",
-                };
-                let stat = stat.unwrap_or_default();
-                let int = |n: &AtomicU64| Value::Int(n.load(Ordering::Relaxed) as i64);
-                vec![
-                    Value::Int(id.0 as i64),
-                    Value::Int(snapshot.0 as i64),
-                    Value::Int(age.as_millis() as i64),
-                    Value::Str(phase.to_owned()),
-                    int(&stat.statements),
-                    int(&stat.tables_touched),
-                    int(&stat.alloc_bytes),
-                    int(&stat.allocs),
-                ]
-            })
-            .collect();
-        batch(self.schema(), &rows)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.commit_shards
-// ---------------------------------------------------------------------------
-
-/// Per-shard commit-lock pressure: lifetime hold counts and hold-time
-/// quantiles from the catalog meter's sharded histograms.
-struct CommitShardsTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for CommitShardsTable {
-    fn name(&self) -> &'static str {
-        "commit_shards"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("shard", DataType::Int64),
-            Field::new("acquisitions", DataType::Int64),
-            Field::new("hold_sum_ns", DataType::Int64),
-            Field::new("hold_p50_ns", DataType::Int64),
-            Field::new("hold_p95_ns", DataType::Int64),
-            Field::new("hold_p99_ns", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let rows: Vec<Vec<Value>> = engine
-            .catalog()
-            .meter()
-            .commit_shard_holds
-            .iter()
-            .enumerate()
-            .map(|(shard, hold)| {
-                let s = hold.snapshot();
-                vec![
-                    Value::Int(shard as i64),
-                    Value::Int(s.count as i64),
-                    Value::Int(s.sum_ns as i64),
-                    Value::Int(s.p50_ns as i64),
-                    Value::Int(s.p95_ns as i64),
-                    Value::Int(s.p99_ns as i64),
-                ]
-            })
-            .collect();
-        batch(self.schema(), &rows)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// polaris.lanes
-// ---------------------------------------------------------------------------
-
-/// DCP pool occupancy per workload class. The `pool_*` columns are
-/// pool-wide lifetime counters (repeated on every row — the pool does not
-/// attribute them per class); `exec.*` morsel counters come from the
-/// shared registry.
-struct LanesTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for LanesTable {
-    fn name(&self) -> &'static str {
-        "lanes"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("class", DataType::Utf8),
-            Field::new("busy", DataType::Int64),
-            Field::new("capacity", DataType::Int64),
-            Field::new("alive", DataType::Int64),
-            Field::new("pool_task_attempts", DataType::Int64),
-            Field::new("pool_task_retries", DataType::Int64),
-            Field::new("pool_slot_waits", DataType::Int64),
-            Field::new("pool_morsels_scheduled", DataType::Int64),
-            Field::new("pool_morsels_stolen", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let stats = engine.pool().stats();
-        let morsels_scheduled = engine.metrics().counter("exec.morsels_scheduled").get();
-        let morsels_stolen = engine.metrics().counter("exec.morsels_stolen").get();
-        let rows: Vec<Vec<Value>> = [
-            WorkloadClass::Read,
-            WorkloadClass::Write,
-            WorkloadClass::System,
+fn metrics_rows(engine: &PolarisEngine) -> Rows {
+    let snap = engine.metrics_snapshot();
+    let row = |key: &str, kind: &str, value: f64, count: u64, quantiles: [u64; 3]| {
+        let (name, labels) = split_labels(key);
+        let [p50, p95, p99] = quantiles.map(int);
+        vec![
+            Value::Str(name),
+            Value::Str(labels),
+            text(kind),
+            Value::Float(value),
+            int(count),
+            p50,
+            p95,
+            p99,
         ]
+    };
+    let counters = snap.counters.iter();
+    let gauges = snap.gauges.iter();
+    let histograms = snap.histograms.iter();
+    counters
+        .map(|(k, v)| row(k, "counter", *v as f64, *v, [0; 3]))
+        .chain(gauges.map(|(k, v)| row(k, "gauge", *v as f64, 0, [0; 3])))
+        .chain(histograms.map(|(k, h)| {
+            let quantiles = [h.p50_ns, h.p95_ns, h.p99_ns];
+            row(k, "histogram", h.sum_ns as f64, h.count, quantiles)
+        }))
+        .collect()
+}
+
+/// `polaris.metrics_history` — the harvester's per-tick time-series rings,
+/// one row per retained sample. `wall_ms` is the sample's absolute
+/// wall-clock capture time (harvester start + tick offset), so history
+/// rows line up with `polaris.slow_log.at_unix_ms`.
+const METRICS_HISTORY: Columns = &[
+    ("name", Utf8),
+    ("kind", Utf8),
+    ("t_ms", Int64),
+    ("wall_ms", Int64),
+    ("value", Float64),
+    ("count", Int64),
+    ("p50_ns", Int64),
+    ("p95_ns", Int64),
+    ("p99_ns", Int64),
+];
+
+fn metrics_history_rows(engine: &PolarisEngine) -> Rows {
+    let ts = engine.telemetry().harvester.time_series();
+    let row = |name: &str, kind: &str, t_ms: u64, value: f64, count: u64, quantiles: [u64; 3]| {
+        let [p50, p95, p99] = quantiles.map(int);
+        vec![
+            text(name),
+            text(kind),
+            int(t_ms),
+            int(ts.wall_start_ms + t_ms),
+            Value::Float(value),
+            int(count),
+            p50,
+            p95,
+            p99,
+        ]
+    };
+    let mut rows = Rows::new();
+    for (kind, series) in [("rate", &ts.rates), ("gauge", &ts.gauges)] {
+        for (name, points) in series {
+            let point = |p: &polaris_obs::TsPoint| row(name, kind, p.t_ms, p.value, 0, [0; 3]);
+            rows.extend(points.iter().map(point));
+        }
+    }
+    for (name, points) in &ts.quantiles {
+        rows.extend(points.iter().map(|p| {
+            let quantiles = [p.p50_ns, p.p95_ns, p.p99_ns];
+            row(
+                name,
+                "quantile",
+                p.t_ms,
+                p.p50_ns as f64,
+                p.count,
+                quantiles,
+            )
+        }));
+    }
+    rows
+}
+
+/// `polaris.slow_log` — the retained slow statements/transactions, oldest
+/// first. `query_id` joins to `polaris.trace_spans` (0 for commit-summary
+/// records).
+const SLOW_LOG: Columns = &[
+    ("kind", Utf8),
+    ("txn", Int64),
+    ("query_id", Int64),
+    ("statement", Utf8),
+    ("wall_ns", Int64),
+    ("validation", Utf8),
+    ("alloc_bytes", Int64),
+    ("allocs", Int64),
+    ("wait_ns", Int64),
+    ("at_unix_ms", Int64),
+];
+
+fn slow_log_rows(engine: &PolarisEngine) -> Rows {
+    let records = engine.slow_log().records().into_iter();
+    records
+        .map(|r| {
+            vec![
+                Value::Str(r.kind),
+                int(r.txn),
+                int(r.query_id),
+                Value::Str(r.statement),
+                int(r.wall_ns),
+                Value::Str(r.validation),
+                int(r.alloc_bytes),
+                int(r.allocs),
+                int(r.wait_ns),
+                int(r.at_unix_ms),
+            ]
+        })
+        .collect()
+}
+
+/// `polaris.watchdog_events` — fired watchdog rules, oldest first, each
+/// with the trace post-mortem captured at the firing (large: select the
+/// other columns to skip it).
+const WATCHDOG_EVENTS: Columns = &[
+    ("rule", Utf8),
+    ("detail", Utf8),
+    ("tick", Int64),
+    ("at_ms", Int64),
+    ("trace_dump", Utf8),
+];
+
+fn watchdog_events_rows(engine: &PolarisEngine) -> Rows {
+    let events = engine.telemetry().watchdog.events().into_iter();
+    events
+        .map(|e| {
+            vec![
+                Value::Str(e.rule),
+                Value::Str(e.detail),
+                int(e.tick),
+                int(e.at_ms),
+                Value::Str(e.trace_dump),
+            ]
+        })
+        .collect()
+}
+
+/// `polaris.transactions` — active transactions: catalog registration
+/// (id, snapshot ts, age) enriched with the engine's live execution stats
+/// (phase, statements, tables touched, allocation totals).
+const TRANSACTIONS: Columns = &[
+    ("txn_id", Int64),
+    ("snapshot_ts", Int64),
+    ("age_ms", Int64),
+    ("phase", Utf8),
+    ("statements", Int64),
+    ("tables_touched", Int64),
+    ("alloc_bytes", Int64),
+    ("allocs", Int64),
+];
+
+fn transactions_rows(engine: &PolarisEngine) -> Rows {
+    let mut active = engine.catalog().active_txns();
+    active.sort_by_key(|(id, _, _)| id.0);
+    active
+        .into_iter()
+        .map(|(id, snapshot, age)| {
+            // `active` while statements run, `committing` once the commit
+            // protocol has started; a catalog transaction no user
+            // transaction owns (DDL, STO) is just `catalog`.
+            let stat = engine.txn_stat_get(id.0);
+            let phase = match &stat {
+                None => "catalog",
+                Some(s) if s.committing.load(Ordering::Relaxed) => "committing",
+                Some(_) => "active",
+            };
+            let stat = stat.unwrap_or_default();
+            let load = |n: &AtomicU64| int(n.load(Ordering::Relaxed));
+            vec![
+                int(id.0),
+                int(snapshot.0),
+                int(age.as_millis() as u64),
+                text(phase),
+                load(&stat.statements),
+                load(&stat.tables_touched),
+                load(&stat.alloc_bytes),
+                load(&stat.allocs),
+            ]
+        })
+        .collect()
+}
+
+/// `polaris.commit_shards` — per-shard commit-lock pressure: lifetime hold
+/// counts and hold-time quantiles from the catalog meter's sharded
+/// histograms.
+const COMMIT_SHARDS: Columns = &[
+    ("shard", Int64),
+    ("acquisitions", Int64),
+    ("hold_sum_ns", Int64),
+    ("hold_p50_ns", Int64),
+    ("hold_p95_ns", Int64),
+    ("hold_p99_ns", Int64),
+];
+
+fn commit_shards_rows(engine: &PolarisEngine) -> Rows {
+    let holds = engine.catalog().meter().commit_shard_holds.iter();
+    holds
+        .enumerate()
+        .map(|(shard, hold)| {
+            let s = hold.snapshot();
+            let row = [
+                shard as u64,
+                s.count,
+                s.sum_ns,
+                s.p50_ns,
+                s.p95_ns,
+                s.p99_ns,
+            ];
+            row.map(int).to_vec()
+        })
+        .collect()
+}
+
+/// `polaris.lanes` — DCP pool occupancy per workload class. (The pool's
+/// lifetime counters are not per class: `dcp.*` / `exec.*` in
+/// `polaris.metrics`.)
+const LANES: Columns = &[
+    ("class", Utf8),
+    ("busy", Int64),
+    ("capacity", Int64),
+    ("alive", Int64),
+];
+
+fn lanes_rows(engine: &PolarisEngine) -> Rows {
+    let pool = engine.pool();
+    let classes = [
+        WorkloadClass::Read,
+        WorkloadClass::Write,
+        WorkloadClass::System,
+    ];
+    classes
         .into_iter()
         .map(|class| {
             vec![
                 Value::Str(format!("{class:?}").to_ascii_lowercase()),
-                Value::Int(engine.pool().busy(class) as i64),
-                Value::Int(engine.pool().capacity(class) as i64),
-                Value::Int(engine.pool().alive_count(class) as i64),
-                Value::Int(stats.attempts as i64),
-                Value::Int(stats.retries as i64),
-                Value::Int(stats.slot_waits as i64),
-                Value::Int(morsels_scheduled as i64),
-                Value::Int(morsels_stolen as i64),
+                int(pool.busy(class) as u64),
+                int(pool.capacity(class) as u64),
+                int(pool.alive_count(class) as u64),
             ]
         })
-        .collect();
-        batch(self.schema(), &rows)
-    }
+        .collect()
 }
 
-// ---------------------------------------------------------------------------
-// polaris.wal
-// ---------------------------------------------------------------------------
+/// `polaris.wal` — one row summarizing the durable commit log:
+/// segment/append/checkpoint counters from the `wal.*` / `recovery.*`
+/// registry names plus the last recovery's replay watermark. All zeros
+/// (with `enabled = false`) when durability is off.
+const WAL: Columns = &[
+    ("enabled", Bool),
+    ("segments", Int64),
+    ("appends", Int64),
+    ("bytes", Int64),
+    ("checkpoints", Int64),
+    ("segments_pruned", Int64),
+    ("replayed_batches", Int64),
+    ("replayed_commits", Int64),
+    ("torn_records", Int64),
+    ("orphans_collected", Int64),
+    ("checkpoint_clock", Int64),
+    ("replay_watermark", Int64),
+];
 
-/// One row summarizing the durable commit log: segment/append/checkpoint
-/// counters from the `wal.*` / `recovery.*` registry names plus the last
-/// recovery's replay watermark. All zeros (with `enabled = false`) when
-/// durability is off.
-struct WalTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for WalTable {
-    fn name(&self) -> &'static str {
-        "wal"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("enabled", DataType::Bool),
-            Field::new("segments", DataType::Int64),
-            Field::new("appends", DataType::Int64),
-            Field::new("bytes", DataType::Int64),
-            Field::new("checkpoints", DataType::Int64),
-            Field::new("segments_pruned", DataType::Int64),
-            Field::new("replayed_batches", DataType::Int64),
-            Field::new("replayed_commits", DataType::Int64),
-            Field::new("torn_records", DataType::Int64),
-            Field::new("orphans_collected", DataType::Int64),
-            Field::new("checkpoint_clock", DataType::Int64),
-            Field::new("replay_watermark", DataType::Int64),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let c = |name: &str| Value::Int(engine.metrics().counter(name).get() as i64);
-        let report = engine.recovery_report();
-        let rows = vec![vec![
-            Value::Bool(engine.commit_log_writer().is_some()),
-            c("wal.segments"),
-            c("wal.appends"),
-            c("wal.bytes"),
-            c("wal.checkpoints"),
-            c("wal.segments_pruned"),
-            c("recovery.replayed_batches"),
-            c("recovery.replayed_commits"),
-            c("recovery.torn_records"),
-            c("recovery.orphans_collected"),
-            Value::Int(
-                report
-                    .as_ref()
-                    .map(|r| r.checkpoint_clock as i64)
-                    .unwrap_or(0),
-            ),
-            Value::Int(
-                report
-                    .as_ref()
-                    .map(|r| r.recovered_clock as i64)
-                    .unwrap_or(0),
-            ),
-        ]];
-        batch(self.schema(), &rows)
-    }
+fn wal_rows(engine: &PolarisEngine) -> Rows {
+    let c = |name: &str| int(engine.metrics().counter(name).get());
+    let report = engine.recovery_report().unwrap_or_default();
+    vec![vec![
+        Value::Bool(engine.commit_log_writer().is_some()),
+        c("wal.segments"),
+        c("wal.appends"),
+        c("wal.bytes"),
+        c("wal.checkpoints"),
+        c("wal.segments_pruned"),
+        c("recovery.replayed_batches"),
+        c("recovery.replayed_commits"),
+        c("recovery.torn_records"),
+        c("recovery.orphans_collected"),
+        int(report.checkpoint_clock),
+        int(report.recovered_clock),
+    ]]
 }
 
-// ---------------------------------------------------------------------------
-// polaris.trace_spans
-// ---------------------------------------------------------------------------
+/// `polaris.trace_spans` — the trace flight-recorder ring decoded to rows,
+/// one per reconstructed span. `query_id` / `txn` surface those attributes
+/// where a span carries them (statement roots and transaction roots
+/// respectively; 0 elsewhere), so slow-log rows join to their span trees.
+/// Empty when tracing is disabled.
+const TRACE_SPANS: Columns = &[
+    ("span_id", Int64),
+    ("parent_span", Int64),
+    ("name", Utf8),
+    ("start_ns", Int64),
+    ("dur_ns", Int64),
+    ("lane", Int64),
+    ("txn", Int64),
+    ("query_id", Int64),
+    ("attrs", Utf8),
+];
 
-/// The trace flight-recorder ring decoded to rows, one per reconstructed
-/// span. `query_id` / `txn` surface those attributes where a span carries
-/// them (statement roots and transaction roots respectively; 0 elsewhere),
-/// so slow-log rows join to their span trees. Empty when tracing is
-/// disabled.
-struct TraceSpansTable(Weak<PolarisEngine>);
-
-impl SystemTableProvider for TraceSpansTable {
-    fn name(&self) -> &'static str {
-        "trace_spans"
-    }
-
-    fn schema(&self) -> Schema {
-        Schema::new(vec![
-            Field::new("span_id", DataType::Int64),
-            Field::new("parent_span", DataType::Int64),
-            Field::new("name", DataType::Utf8),
-            Field::new("start_ns", DataType::Int64),
-            Field::new("dur_ns", DataType::Int64),
-            Field::new("lane", DataType::Int64),
-            Field::new("txn", DataType::Int64),
-            Field::new("query_id", DataType::Int64),
-            Field::new("attrs", DataType::Utf8),
-        ])
-    }
-
-    fn scan(&self) -> ExecResult<RecordBatch> {
-        let Some(engine) = self.0.upgrade() else {
-            return batch(self.schema(), &[]);
-        };
-        let events = engine.tracer().events();
-        let rows: Vec<Vec<Value>> = build_spans(&events)
-            .values()
-            .map(|span| {
-                let attrs = span
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| format!("{k}={}", attr_to_string(v)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                vec![
-                    Value::Int(span.id as i64),
-                    Value::Int(span.parent as i64),
-                    Value::Str(span.name.clone()),
-                    Value::Int(span.start_ns as i64),
-                    Value::Int(span.duration_ns() as i64),
-                    Value::Int(span.tid as i64),
-                    Value::Int(attr_u64(span.attr("txn"))),
-                    Value::Int(attr_u64(span.attr("query_id"))),
-                    Value::Str(attrs),
-                ]
-            })
-            .collect();
-        batch(self.schema(), &rows)
-    }
+fn trace_spans_rows(engine: &PolarisEngine) -> Rows {
+    let attr_u64 = |v: Option<&AttrValue>| match v {
+        Some(AttrValue::U64(x)) => int(*x),
+        _ => int(0),
+    };
+    let events = engine.tracer().events();
+    build_spans(&events)
+        .values()
+        .map(|span| {
+            let attrs = span
+                .attrs
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+                .join(",");
+            vec![
+                int(span.id),
+                int(span.parent),
+                Value::Str(span.name.clone()),
+                int(span.start_ns),
+                int(span.duration_ns()),
+                int(span.tid),
+                attr_u64(span.attr("txn")),
+                attr_u64(span.attr("query_id")),
+                Value::Str(attrs),
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]

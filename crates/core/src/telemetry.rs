@@ -1,16 +1,21 @@
 //! Continuous-telemetry wiring: harvester thread, stall watchdog rules,
-//! the HTTP exposition endpoint and the engine health report.
+//! the HTTP exposition endpoint and the engine health view.
 //!
 //! The obs crate provides the mechanisms ([`Harvester`], [`Watchdog`],
-//! [`SlowLog`], [`TelemetryServer`]); this module binds them to a running
-//! [`PolarisEngine`]: which registry to sample, which stall rules to
-//! evaluate against which probes, and what `/health` should say. Rules
-//! hold `Weak` engine references (the engine owns its telemetry, so an
-//! `Arc` here would be a cycle) or cloned lock-free metric handles, which
-//! need no engine at all.
+//! [`polaris_obs::SlowLog`], [`TelemetryServer`]); this module binds them to a
+//! running [`PolarisEngine`]: which registry to sample, which stall rules
+//! to evaluate against which probes, and what `/health` should say. Rules
+//! and endpoint closures hold `Weak` engine references (the engine owns
+//! its telemetry, so an `Arc` here would be a cycle) or cloned lock-free
+//! metric handles, which need no engine at all.
+//!
+//! Engine health has one model — the `polaris.*` rows — and one composite
+//! view of it, [`HEALTH_QUERIES`]: `GET /health` renders each query's
+//! batch as JSON, `SHOW ENGINE HEALTH` as text lines.
 //!
 //! Five stall rules ship by default, all edge-triggered (one
-//! [`HealthEvent`] per episode):
+//! `polaris.watchdog_events` row per episode, `watchdog.firing{rule=…}`
+//! at 1 for as long as it lasts):
 //!
 //! | rule | fires when |
 //! |------|------------|
@@ -24,14 +29,16 @@
 //! at steady state (the allocation gate runs the harvester): state is
 //! pre-sized at install time and reused across ticks.
 
-use crate::PolarisEngine;
-use polaris_dcp::WorkloadClass;
+use crate::{EngineConfig, PolarisEngine, PolarisResult, Session};
+use polaris_catalog::Catalog;
+use polaris_columnar::{RecordBatch, Value};
 use polaris_obs::{
-    quantile_from_counts, Harvester, HealthEvent, HealthFn, SlowRecord, TelemetryServer, Watchdog,
+    quantile_from_counts, Gauge, Harvester, HealthFn, MetricsRegistry, ProbeFn, SlowRecord,
+    TelemetryServer, Tracer, Watchdog,
 };
-use serde::Serialize;
+use serde_json::json;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Health events retained by the engine watchdog.
 const EVENT_CAPACITY: usize = 64;
@@ -50,47 +57,68 @@ const WATCHDOG_ALLOC_BYTES_PER_SEC: u64 = 1 << 30;
 pub(crate) const SLOW_LOG_CAPACITY: usize = 128;
 
 /// The engine's continuous-telemetry runtime: harvester (threaded when
-/// `telemetry_tick_ms > 0`, manual otherwise), watchdog, and the optional
-/// HTTP endpoint.
+/// `telemetry_tick_ms > 0`, manual otherwise), watchdog, the optional
+/// HTTP endpoint, and the probe gauges [`PolarisEngine::refresh_probes`]
+/// keeps current.
 pub(crate) struct EngineTelemetry {
     pub(crate) harvester: Harvester,
     pub(crate) watchdog: Arc<Watchdog>,
-    pub(crate) server: Option<TelemetryServer>,
+    server: Option<TelemetryServer>,
+    started: Instant,
+    uptime: Gauge,
+    group_queue_depth: Gauge,
+    harvester_ticks: Gauge,
 }
 
-/// Build and start telemetry for a freshly constructed engine. Called
-/// once from `PolarisEngine::new` after the `Arc` exists (the rules and
-/// the `/health` endpoint hold `Weak` references).
-pub(crate) fn start(engine: &Arc<PolarisEngine>) -> EngineTelemetry {
-    let config = *engine.config();
-    let watchdog = Arc::new(Watchdog::new(engine.tracer().clone(), EVENT_CAPACITY));
-    install_rules(engine, &watchdog);
+/// Build and start telemetry for the engine under construction (`weak`
+/// upgrades once `Arc::new_cyclic` returns; until then rules see no engine
+/// and a scrape is answered as if it were shutting down).
+pub(crate) fn start(
+    weak: &Weak<PolarisEngine>,
+    config: &EngineConfig,
+    metrics: &Arc<MetricsRegistry>,
+    tracer: &Tracer,
+    catalog: &Catalog,
+) -> EngineTelemetry {
+    let watchdog = Arc::new(Watchdog::new(
+        Arc::clone(metrics),
+        tracer.clone(),
+        EVENT_CAPACITY,
+    ));
+    install_rules(weak, config, metrics, catalog, &watchdog);
 
     let tick = Duration::from_millis(config.telemetry_tick_ms.max(1));
     let harvester = if config.telemetry_tick_ms > 0 {
-        Harvester::start(Arc::clone(engine.metrics()), tick, TELEMETRY_WINDOW)
+        Harvester::start(Arc::clone(metrics), tick, TELEMETRY_WINDOW)
     } else {
         // No background thread; `PolarisEngine::telemetry_tick_once`
         // advances deterministically (tests, single-shot tools).
-        Harvester::detached(Arc::clone(engine.metrics()), tick, TELEMETRY_WINDOW)
+        Harvester::detached(Arc::clone(metrics), tick, TELEMETRY_WINDOW)
     };
-    harvester.attach_watchdog(Arc::clone(&watchdog));
+    let engine = weak.clone();
+    let probe: ProbeFn = Arc::new(move || {
+        if let Some(engine) = engine.upgrade() {
+            engine.refresh_probes();
+        }
+    });
+    let (refresh, rules) = (Arc::clone(&probe), Arc::clone(&watchdog));
+    harvester.on_tick(move |tick| {
+        refresh();
+        rules.evaluate_once(tick);
+    });
 
     let server = config.telemetry_listen.and_then(|addr| {
-        let weak = Arc::downgrade(engine);
-        let health: HealthFn = Arc::new(move || match weak.upgrade() {
-            Some(engine) => engine.health_report().to_json_pretty(),
+        let engine = weak.clone();
+        let health: HealthFn = Arc::new(move || match engine.upgrade() {
+            Some(engine) => health_json(&engine),
             None => "{\"status\":\"shutting down\"}".to_owned(),
         });
-        match TelemetryServer::start(addr, Arc::clone(engine.metrics()), health) {
+        match TelemetryServer::start(addr, Arc::clone(metrics), probe, health) {
             Ok(server) => Some(server),
             Err(_) => {
                 // An unusable endpoint must not take the engine down;
                 // surface it as a counter instead.
-                engine
-                    .metrics()
-                    .counter("obs.telemetry_bind_failures")
-                    .inc();
+                metrics.counter("obs.telemetry_bind_failures").inc();
                 None
             }
         }
@@ -100,28 +128,26 @@ pub(crate) fn start(engine: &Arc<PolarisEngine>) -> EngineTelemetry {
         harvester,
         watchdog,
         server,
+        started: Instant::now(),
+        uptime: metrics.gauge("uptime_seconds"),
+        group_queue_depth: metrics.gauge("catalog.group_queue_depth"),
+        harvester_ticks: metrics.gauge("obs.harvester_ticks"),
     }
 }
 
-/// Register the five standard stall rules plus the uptime-gauge refresh.
-fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
-    let config = *engine.config();
-
-    // Not a stall rule: refresh the wall-clock `uptime_seconds` gauge on
-    // the shared harvester tick so `/metrics` scrapes stay current without
-    // an extra thread. One relaxed gauge store per tick, never fires.
-    let uptime = engine.metrics().gauge("uptime_seconds");
-    let started = engine.started_instant();
-    watchdog.add_rule("uptime-refresh", move |_tick| {
-        uptime.set(started.elapsed().as_secs() as i64);
-        None
-    });
-
+/// Register the five standard stall rules.
+fn install_rules(
+    weak: &Weak<PolarisEngine>,
+    config: &EngineConfig,
+    metrics: &MetricsRegistry,
+    catalog: &Catalog,
+    watchdog: &Watchdog,
+) {
     // Oldest active transaction pinning the GC watermark.
-    let weak: Weak<PolarisEngine> = Arc::downgrade(engine);
+    let engine = weak.clone();
     let deadline = Duration::from_millis(config.watchdog_txn_deadline_ms.max(1));
     watchdog.add_rule("gc-watermark", move |_tick| {
-        let engine = weak.upgrade()?;
+        let engine = engine.upgrade()?;
         let (id, age) = engine.catalog().oldest_active()?;
         (age > deadline).then(|| {
             format!(
@@ -134,11 +160,11 @@ fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
     });
 
     // Group-commit queue occupancy not draining.
-    let weak: Weak<PolarisEngine> = Arc::downgrade(engine);
+    let engine = weak.clone();
     let need = config.watchdog_queue_stall_ticks.max(1);
     let mut stuck = 0u64;
     watchdog.add_rule("group-commit-stall", move |_tick| {
-        let engine = weak.upgrade()?;
+        let engine = engine.upgrade()?;
         let depth = engine.catalog().group_queue_depth();
         if depth == 0 {
             stuck = 0;
@@ -152,7 +178,7 @@ fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
     // Per-tick p99 shard lock hold above threshold. Cloned histogram
     // handles — no engine reference needed. Bucket state is pre-sized
     // here and reused so a quiet tick allocates nothing.
-    let holds = engine.catalog().meter().commit_shard_holds.clone();
+    let holds = catalog.meter().commit_shard_holds.clone();
     let threshold_ns = WATCHDOG_LOCK_HOLD_MS * 1_000_000;
     let mut prev: Vec<[u64; polaris_obs::HIST_BUCKETS]> =
         vec![[0u64; polaris_obs::HIST_BUCKETS]; holds.len()];
@@ -209,7 +235,7 @@ fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
 
     // STO heartbeat: once the orchestrator has ticked, it must keep
     // ticking. Cloned counter handle — no engine reference needed.
-    let sto_ticks = engine.metrics().counter("sto.ticks");
+    let sto_ticks = metrics.counter("sto.ticks");
     let stale_limit = (config.watchdog_txn_deadline_ms / config.telemetry_tick_ms.max(1)).max(3);
     let mut last = 0u64;
     let mut stale = 0u64;
@@ -230,233 +256,188 @@ fn install_rules(engine: &Arc<PolarisEngine>, watchdog: &Watchdog) {
 }
 
 // ---------------------------------------------------------------------------
-// Health report
+// Health view
 // ---------------------------------------------------------------------------
 
-/// One fired watchdog event, without the (large) trace dump — the full
-/// [`HealthEvent`] stays available via `PolarisEngine::watchdog_events`.
-#[derive(Clone, Debug, Serialize)]
-pub struct HealthEventSummary {
-    /// Rule name.
-    pub rule: String,
-    /// Diagnosis at firing time.
-    pub detail: String,
-    /// Harvester tick of the firing.
-    pub tick: u64,
-    /// Milliseconds since watchdog creation.
-    pub at_ms: u64,
-}
+/// The engine health view: `(section, SQL)` pairs over `polaris.*`, run in
+/// this order through the path any user `SELECT` takes. `GET /health` and
+/// `SHOW ENGINE HEALTH` render these batches and nothing else (beside the
+/// status they derive — `degraded` iff `firing` has a row — and the tick /
+/// endpoint configuration); removing a pair removes the section from both.
+/// The `transactions` section lists the reader's own transaction too, as
+/// every `SELECT` over `polaris.transactions` does.
+pub const HEALTH_QUERIES: &[(&str, &str)] = &[
+    (
+        "firing",
+        "SELECT labels FROM polaris.metrics WHERE name = 'watchdog.firing' AND value = 1",
+    ),
+    (
+        "engine",
+        "SELECT name, labels, value FROM polaris.metrics \
+         WHERE name = 'build_info' OR name = 'uptime_seconds' \
+         OR name = 'obs.harvester_ticks' OR name = 'catalog.group_queue_depth'",
+    ),
+    (
+        "memory",
+        "SELECT name, value FROM polaris.metrics \
+         WHERE name = 'process.resident_bytes' OR name = 'alloc.live_bytes'",
+    ),
+    (
+        "transactions",
+        "SELECT txn_id, snapshot_ts, age_ms, phase, statements FROM polaris.transactions \
+         ORDER BY age_ms DESC LIMIT 5",
+    ),
+    (
+        "wal",
+        "SELECT enabled, segments, appends, checkpoints, replayed_commits, torn_records, \
+         orphans_collected, checkpoint_clock, replay_watermark FROM polaris.wal",
+    ),
+    (
+        "events",
+        "SELECT rule, detail, tick, at_ms FROM polaris.watchdog_events",
+    ),
+    (
+        "slow",
+        "SELECT kind, txn, statement, wall_ns, validation FROM polaris.slow_log \
+         ORDER BY wall_ns DESC LIMIT 5",
+    ),
+    (
+        "commit_shards",
+        "SELECT shard, acquisitions, hold_p99_ns FROM polaris.commit_shards \
+         WHERE acquisitions > 0",
+    ),
+    ("lanes", "SELECT class, busy, capacity FROM polaris.lanes"),
+];
 
-/// One slow-log entry, without phases / span tree.
-#[derive(Clone, Debug, Serialize)]
-pub struct SlowSummary {
-    /// `statement` or `transaction`.
-    pub kind: String,
-    /// Transaction id.
-    pub txn: u64,
-    /// Statement kind or commit summary.
-    pub statement: String,
-    /// Wall milliseconds.
-    pub wall_ms: f64,
-    /// Validation outcome.
-    pub validation: String,
-}
-
-/// Lock pressure of one commit shard (lifetime totals).
-#[derive(Clone, Debug, Serialize)]
-pub struct ShardPressure {
-    /// Shard index.
-    pub shard: usize,
-    /// Commit-lock holds recorded.
-    pub holds: u64,
-    /// Approximate p99 hold, ns.
-    pub p99_ns: u64,
-}
-
-/// Occupancy of one DCP workload class.
-#[derive(Clone, Debug, Serialize)]
-pub struct LaneDepth {
-    /// Workload class (`read` / `write` / `system`).
-    pub class: String,
-    /// Slots occupied right now.
-    pub busy: usize,
-    /// Slots across alive nodes.
-    pub capacity: usize,
-}
-
-/// The `/health` + `SHOW ENGINE HEALTH` view: current status, firing
-/// watchdogs, recent events, slow-log top entries, shard lock pressure
-/// and lane occupancy.
-#[derive(Clone, Debug, Serialize)]
-pub struct HealthReport {
-    /// `"ok"`, or `"degraded"` while any watchdog rule is firing.
-    pub status: String,
-    /// Seconds since the engine was constructed.
-    pub uptime_seconds: u64,
-    /// Crate version of the running build.
-    pub build_version: String,
-    /// Git revision of the running build (`"unknown"` when the build did
-    /// not bake one in).
-    pub build_git: String,
-    /// Harvester ticks completed.
-    pub harvester_ticks: u64,
-    /// Harvester tick length (ms); 0 means manual ticking.
-    pub tick_ms: u64,
-    /// Exposition endpoint address, if serving.
-    pub listen: Option<String>,
-    /// Rules whose condition is true right now.
-    pub firing: Vec<String>,
-    /// Recent watchdog firings, oldest first.
-    pub events: Vec<HealthEventSummary>,
-    /// Validated commits parked in the group-commit queue.
-    pub group_queue_depth: usize,
-    /// Active transactions.
-    pub active_txns: usize,
-    /// Oldest active transaction id (0 when none).
-    pub oldest_txn_id: u64,
-    /// Oldest active transaction age in ms (0 when none).
-    pub oldest_txn_ms: u64,
-    /// Slowest retained statements/transactions, slowest first.
-    pub slow: Vec<SlowSummary>,
-    /// Per-shard commit-lock pressure.
-    pub shard_pressure: Vec<ShardPressure>,
-    /// Per-class compute-lane occupancy.
-    pub lanes: Vec<LaneDepth>,
-    /// Process resident set size in bytes (`/proc/self/statm`; 0 where
-    /// unavailable).
-    pub rss_bytes: u64,
-    /// Live heap bytes per the tracking allocator (0 unless built with
-    /// `--features track-alloc`).
-    pub alloc_live_bytes: u64,
-    /// Whether the tracking allocator is compiled in.
-    pub alloc_tracking: bool,
-    /// What [`PolarisEngine::open`] replayed from the durable commit log;
-    /// `None` when the engine was built without durability.
-    pub recovery: Option<crate::RecoveryReport>,
-}
-
-impl HealthReport {
-    /// Pretty-printed JSON (the `/health` response body).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("health report serializes")
+/// Run [`HEALTH_QUERIES`] through `session`; the status is `degraded` iff
+/// the `firing` section has a row.
+fn health_sections(
+    session: &mut Session,
+) -> PolarisResult<(&'static str, Vec<(&'static str, RecordBatch)>)> {
+    let mut status = "ok";
+    let mut sections = Vec::with_capacity(HEALTH_QUERIES.len());
+    for &(section, sql) in HEALTH_QUERIES {
+        let batch = session.query(sql)?;
+        if section == "firing" && batch.num_rows() > 0 {
+            status = "degraded";
+        }
+        sections.push((section, batch));
     }
+    Ok((status, sections))
+}
+
+/// One line per row, `section: column=value …` (strings quoted), or
+/// `section: none` for an empty batch.
+fn batch_lines(section: &str, batch: &RecordBatch, lines: &mut Vec<String>) {
+    if batch.num_rows() == 0 {
+        lines.push(format!("{section}: none"));
+    }
+    for i in 0..batch.num_rows() {
+        let cells: Vec<String> = batch
+            .schema()
+            .fields()
+            .iter()
+            .zip(batch.row(i))
+            .map(|(field, value)| match value {
+                Value::Str(s) => format!("{}={s:?}", field.name),
+                other => format!("{}={other}", field.name),
+            })
+            .collect();
+        lines.push(format!("{section}: {}", cells.join(" ")));
+    }
+}
+
+/// The batch as a JSON array of `{column: value}` row objects.
+fn batch_json(batch: &RecordBatch) -> serde_json::Value {
+    let rows = (0..batch.num_rows()).map(|i| {
+        let cells = batch.schema().fields().iter().zip(batch.row(i));
+        serde_json::Value::Object(
+            cells
+                .map(|(field, value)| {
+                    let value = match value {
+                        Value::Null => serde_json::Value::Null,
+                        Value::Int(v) => serde_json::Value::Int(v),
+                        Value::Float(v) => serde_json::Value::Float(v),
+                        Value::Str(v) => serde_json::Value::String(v),
+                        Value::Bool(v) => serde_json::Value::Bool(v),
+                        Value::Date(v) => serde_json::Value::Int(v.into()),
+                    };
+                    (field.name.clone(), value)
+                })
+                .collect(),
+        )
+    });
+    serde_json::Value::Array(rows.collect())
+}
+
+/// `SHOW ENGINE HEALTH`: the health view as a single-column result set.
+pub(crate) fn health_text(session: &mut Session) -> PolarisResult<RecordBatch> {
+    let (status, sections) = health_sections(session)?;
+    let engine = session.engine();
+    let mut lines = vec![
+        format!("status: {status}"),
+        format!(
+            "telemetry: tick {} ms, endpoint {}",
+            engine.config().telemetry_tick_ms,
+            engine
+                .telemetry_addr()
+                .map_or_else(|| "none".to_owned(), |addr| addr.to_string())
+        ),
+    ];
+    for (section, batch) in &sections {
+        batch_lines(section, batch, &mut lines);
+    }
+    crate::session::text_rows("health", lines)
+}
+
+/// `GET /health`: the health view as one JSON object.
+fn health_json(engine: &Arc<PolarisEngine>) -> String {
+    let body = health_sections(&mut engine.session()).map(|(status, sections)| {
+        let listen = engine.telemetry_addr().map(|addr| addr.to_string());
+        let mut fields = vec![
+            ("status".to_owned(), json!(status)),
+            (
+                "tick_ms".to_owned(),
+                json!(engine.config().telemetry_tick_ms),
+            ),
+            ("listen".to_owned(), json!(listen)),
+        ];
+        fields.extend(
+            sections
+                .iter()
+                .map(|(section, batch)| ((*section).to_owned(), batch_json(batch))),
+        );
+        serde_json::Value::Object(fields)
+    });
+    let body = body.unwrap_or_else(|e| json!({ "status": "error", "error": e.to_string() }));
+    serde_json::to_string_pretty(&body).unwrap_or_default()
 }
 
 impl PolarisEngine {
-    /// Assemble the current [`HealthReport`] from the watchdog, slow log
-    /// and live probes. Cheap enough to call per scrape.
-    pub fn health_report(&self) -> HealthReport {
-        let (harvester_ticks, firing, events, listen) = self
-            .with_telemetry(|t| {
-                (
-                    t.harvester.ticks(),
-                    t.watchdog.firing(),
-                    t.watchdog.events(),
-                    t.server.as_ref().map(|s| s.local_addr().to_string()),
-                )
-            })
-            .unwrap_or((0, Vec::new(), Vec::new(), None));
-        let oldest = self.catalog().oldest_active();
-        let meter = self.catalog().meter();
-        let shard_pressure = meter
-            .commit_shard_holds
-            .iter()
-            .enumerate()
-            .map(|(shard, hold)| {
-                let snap = hold.snapshot();
-                ShardPressure {
-                    shard,
-                    holds: snap.count,
-                    p99_ns: snap.p99_ns,
-                }
-            })
-            .filter(|p| p.holds > 0)
-            .collect();
-        let lanes = [
-            WorkloadClass::Read,
-            WorkloadClass::Write,
-            WorkloadClass::System,
-        ]
-        .into_iter()
-        .map(|class| LaneDepth {
-            class: format!("{class:?}").to_ascii_lowercase(),
-            busy: self.pool().busy(class),
-            capacity: self.pool().capacity(class),
-        })
-        .collect();
-        self.refresh_uptime_gauge();
-        HealthReport {
-            status: if firing.is_empty() {
-                "ok".to_owned()
-            } else {
-                "degraded".to_owned()
-            },
-            uptime_seconds: self.uptime_seconds(),
-            build_version: crate::engine::BUILD_VERSION.to_owned(),
-            build_git: crate::engine::BUILD_GIT.to_owned(),
-            harvester_ticks,
-            tick_ms: self.config().telemetry_tick_ms,
-            listen,
-            firing,
-            events: events
-                .iter()
-                .map(|e| HealthEventSummary {
-                    rule: e.rule.clone(),
-                    detail: e.detail.clone(),
-                    tick: e.tick,
-                    at_ms: e.at_ms,
-                })
-                .collect(),
-            group_queue_depth: self.catalog().group_queue_depth(),
-            active_txns: self.catalog().active_count(),
-            oldest_txn_id: oldest.map(|(id, _)| id.0).unwrap_or(0),
-            oldest_txn_ms: oldest.map(|(_, age)| age.as_millis() as u64).unwrap_or(0),
-            slow: self
-                .slow_log()
-                .top(5)
-                .into_iter()
-                .map(|r| SlowSummary {
-                    kind: r.kind,
-                    txn: r.txn,
-                    statement: r.statement,
-                    wall_ms: r.wall_ns as f64 / 1e6,
-                    validation: r.validation,
-                })
-                .collect(),
-            shard_pressure,
-            lanes,
-            rss_bytes: polaris_obs::alloc::rss_bytes(),
-            alloc_live_bytes: polaris_obs::alloc::totals().live_bytes(),
-            alloc_tracking: polaris_obs::alloc::tracking_enabled(),
-            recovery: self.recovery_report(),
-        }
-    }
-
-    /// All retained watchdog firings (with trace dumps), oldest first.
-    pub fn watchdog_events(&self) -> Vec<HealthEvent> {
-        self.with_telemetry(|t| t.watchdog.events())
-            .unwrap_or_default()
-    }
-
-    /// Export the harvester's time-series rings.
-    pub fn time_series_snapshot(&self) -> polaris_obs::TimeSeriesSnapshot {
-        self.with_telemetry(|t| t.harvester.time_series())
-            .unwrap_or_default()
+    /// Bring the gauges that mirror live engine state up to date. Every
+    /// reader of the registry calls this first: the harvester tick, a
+    /// `/metrics` scrape and [`PolarisEngine::metrics_snapshot`] (hence
+    /// every `polaris.metrics` scan).
+    pub(crate) fn refresh_probes(&self) {
+        let t = self.telemetry();
+        t.uptime.set(t.started.elapsed().as_secs() as i64);
+        t.group_queue_depth
+            .set(self.catalog().group_queue_depth() as i64);
+        t.harvester_ticks.set(t.harvester.ticks() as i64);
     }
 
     /// The bound telemetry endpoint address, when
     /// `EngineConfig::telemetry_listen` was set and the bind succeeded.
     /// With port 0 this reports the OS-assigned port.
     pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {
-        self.with_telemetry(|t| t.server.as_ref().map(|s| s.local_addr()))
-            .flatten()
+        self.telemetry().server.as_ref().map(|s| s.local_addr())
     }
 
-    /// Run one harvester tick (sampling + watchdog evaluation)
-    /// synchronously — the deterministic driver for tests and single-shot
-    /// tools running with `telemetry_tick_ms = 0`.
+    /// Run one harvester tick (probe refresh, watchdog evaluation,
+    /// sampling) synchronously — the deterministic driver for tests and
+    /// single-shot tools running with `telemetry_tick_ms = 0`.
     pub fn telemetry_tick_once(&self) {
-        let _ = self.with_telemetry(|t| t.harvester.run_once());
+        self.telemetry().harvester.run_once();
     }
 }
 

@@ -295,7 +295,7 @@ fn an_engine_either_logs_its_commits_or_backs_its_catalog_up() {
 }
 
 #[test]
-fn show_engine_health_reports_replayed_watermark() {
+fn show_engine_health_wal_line_has_the_replayed_watermark() {
     let store = Arc::new(MemoryStore::new());
     {
         let engine = open(&store, durable_config());
@@ -306,11 +306,16 @@ fn show_engine_health_reports_replayed_watermark() {
     let engine = open(&store, durable_config());
     let clock = engine.catalog().now().0;
     let mut s = engine.session();
-    let out = s.execute("SHOW ENGINE HEALTH").unwrap();
-    let text = format!("{out:?}");
+    let health = s.query("SHOW ENGINE HEALTH").unwrap();
+    let wal: Vec<String> = (0..health.num_rows())
+        .map(|i| health.row(i)[0].to_string())
+        .filter(|line| line.starts_with("wal: "))
+        .collect();
+    assert_eq!(wal.len(), 1, "one wal line: {wal:?}");
     assert!(
-        text.contains(&format!("replayed watermark ts {clock}")),
-        "health output missing watermark: {text}"
+        wal[0].contains("enabled=true") && wal[0].ends_with(&format!("replay_watermark={clock}")),
+        "wal section missing the watermark: {}",
+        wal[0]
     );
 }
 

@@ -280,11 +280,10 @@ fn slow_log_joins_trace_spans_on_query_id() {
     }
 }
 
-/// The uptime/build satellite: `uptime_seconds` and `build_info` gauges
-/// are queryable through `polaris.metrics`, and the health report carries
-/// the same values.
+/// `uptime_seconds` and `build_info` are queryable through
+/// `polaris.metrics`; uptime is refreshed by the scan itself.
 #[test]
-fn uptime_and_build_info_surface_in_metrics_and_health() {
+fn uptime_and_build_info_surface_in_metrics() {
     let engine = engine_with(EngineConfig::for_testing());
 
     let uptime = metric_value(&engine, "uptime_seconds");
@@ -304,10 +303,8 @@ fn uptime_and_build_info_surface_in_metrics_and_health() {
     }
     assert_eq!(info.row(0)[1], Value::Float(1.0));
 
-    let report = engine.health_report();
-    assert!(!report.build_version.is_empty());
-    assert!(!report.build_git.is_empty());
-    assert!(report.uptime_seconds >= uptime as u64);
+    std::thread::sleep(std::time::Duration::from_millis(1_100));
+    assert!(metric_value(&engine, "uptime_seconds") > uptime);
 }
 
 /// `polaris.transactions` reflects live transaction state: an open

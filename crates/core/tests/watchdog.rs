@@ -1,9 +1,10 @@
 //! Watchdog integration: the engine's stall rules fire real
-//! [`HealthEvent`]s — exactly once per episode, with a trace post-mortem
-//! attached — under deterministic manual harvester ticks
+//! `polaris.watchdog_events` rows — exactly once per episode, with a trace
+//! post-mortem attached — and hold `watchdog.firing{rule=…}` at 1 for as
+//! long as the episode lasts, under deterministic manual harvester ticks
 //! (`telemetry_tick_ms = 0` + `PolarisEngine::telemetry_tick_once`).
 
-use polaris_core::{EngineConfig, HealthEvent, PolarisEngine};
+use polaris_core::{EngineConfig, PolarisEngine, Value};
 use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_store::MemoryStore;
 use std::sync::{Arc, Condvar, Mutex};
@@ -15,11 +16,34 @@ fn engine_with(config: EngineConfig) -> Arc<PolarisEngine> {
     PolarisEngine::new(Arc::new(MemoryStore::new()), pool, config)
 }
 
-fn events_for(engine: &PolarisEngine, rule: &str) -> Vec<HealthEvent> {
-    engine
-        .watchdog_events()
-        .into_iter()
-        .filter(|e| e.rule == rule)
+fn text(value: &Value) -> String {
+    match value {
+        Value::Str(s) => s.clone(),
+        other => panic!("expected a string, got {other:?}"),
+    }
+}
+
+/// `(detail, trace_dump)` of every retained firing of `rule`.
+fn events_for(engine: &Arc<PolarisEngine>, rule: &str) -> Vec<(String, String)> {
+    let batch = engine
+        .session()
+        .query(&format!(
+            "SELECT detail, trace_dump FROM polaris.watchdog_events WHERE rule = '{rule}'"
+        ))
+        .unwrap();
+    (0..batch.num_rows())
+        .map(|i| (text(&batch.row(i)[0]), text(&batch.row(i)[1])))
+        .collect()
+}
+
+/// The rules whose `watchdog.firing` gauge reads 1.
+fn firing(engine: &Arc<PolarisEngine>) -> Vec<String> {
+    let batch = engine
+        .session()
+        .query("SELECT labels FROM polaris.metrics WHERE name = 'watchdog.firing' AND value = 1")
+        .unwrap();
+    (0..batch.num_rows())
+        .map(|i| text(&batch.row(i)[0]))
         .collect()
 }
 
@@ -45,18 +69,17 @@ fn gc_watermark_rule_fires_once_for_a_pinning_txn() {
     engine.telemetry_tick_once();
     let fired = events_for(&engine, "gc-watermark");
     assert_eq!(fired.len(), 1, "rule fires on the rising edge");
+    let (detail, trace_dump) = &fired[0];
     assert!(
-        fired[0].detail.contains(&txn_id.to_string()),
-        "event names the pinning txn: {}",
-        fired[0].detail
+        detail.contains(&txn_id.to_string()),
+        "event names the pinning txn: {detail}"
     );
     assert!(
-        fired[0].detail.contains("GC watermark"),
-        "event explains the consequence: {}",
-        fired[0].detail
+        detail.contains("GC watermark"),
+        "event explains the consequence: {detail}"
     );
     assert!(
-        !fired[0].trace_dump.is_empty(),
+        !trace_dump.is_empty(),
         "firing captures a trace post-mortem"
     );
 
@@ -64,17 +87,12 @@ fn gc_watermark_rule_fires_once_for_a_pinning_txn() {
     engine.telemetry_tick_once();
     engine.telemetry_tick_once();
     assert_eq!(events_for(&engine, "gc-watermark").len(), 1);
-    assert!(engine
-        .health_report()
-        .firing
-        .contains(&"gc-watermark".to_owned()));
-    assert_eq!(engine.health_report().status, "degraded");
+    assert_eq!(firing(&engine), ["rule=gc-watermark"]);
 
-    // Resolving the transaction re-arms the rule.
+    // Resolving the transaction re-arms the rule and clears its gauge.
     txn.rollback();
     engine.telemetry_tick_once();
-    assert!(engine.health_report().firing.is_empty());
-    assert_eq!(engine.health_report().status, "ok");
+    assert!(firing(&engine).is_empty());
     assert_eq!(
         events_for(&engine, "gc-watermark").len(),
         1,
@@ -183,12 +201,9 @@ fn group_commit_stall_rule_fires_when_queue_parks() {
     engine.telemetry_tick_once();
     let fired = events_for(&engine, "group-commit-stall");
     assert_eq!(fired.len(), 1, "stall fires after the configured ticks");
-    assert!(
-        fired[0].detail.contains("not draining"),
-        "diagnosis: {}",
-        fired[0].detail
-    );
-    assert!(!fired[0].trace_dump.is_empty());
+    assert!(fired[0].0.contains("not draining"), "{}", fired[0].0);
+    assert!(!fired[0].1.is_empty());
+    assert_eq!(firing(&engine), ["rule=group-commit-stall"]);
 
     // Still parked: no duplicate events.
     engine.telemetry_tick_once();
@@ -202,7 +217,7 @@ fn group_commit_stall_rule_fires_when_queue_parks() {
         f.join().unwrap();
     }
     engine.telemetry_tick_once();
-    assert!(engine.health_report().firing.is_empty());
+    assert!(firing(&engine).is_empty());
     let rows = session.query("SELECT COUNT(*) AS n FROM t").unwrap();
     assert_eq!(rows.row(0)[0], polaris_core::Value::Int(3));
 }

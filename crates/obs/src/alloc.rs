@@ -229,11 +229,6 @@ fn current_phase_index() -> usize {
     .unwrap_or(0)
 }
 
-/// The phase currently innermost on this thread.
-pub fn current_phase() -> AllocPhase {
-    AllocPhase::ALL[current_phase_index()]
-}
-
 #[cfg_attr(not(feature = "track-alloc"), allow(dead_code))]
 #[inline]
 fn on_alloc(size: usize) {
@@ -318,41 +313,22 @@ pub const fn tracking_enabled() -> bool {
 #[must_use = "the scope attributes allocations only while alive"]
 pub struct AllocScope {
     saved_depth: usize,
-    start_allocs: u64,
-    start_bytes: u64,
 }
 
 impl AllocScope {
     /// Push `phase` onto this thread's scope stack.
     pub fn enter(phase: AllocPhase) -> AllocScope {
-        let (saved_depth, start_allocs, start_bytes) = TLS
+        let saved_depth = TLS
             .try_with(|t| {
                 let d = t.depth.get();
                 if d < MAX_SCOPE_DEPTH {
                     t.stack[d].set(phase as u8);
                 }
                 t.depth.set(d + 1);
-                (d, t.allocs.get(), t.bytes.get())
+                d
             })
-            .unwrap_or((0, 0, 0));
-        AllocScope {
-            saved_depth,
-            start_allocs,
-            start_bytes,
-        }
-    }
-
-    /// Allocations made *by this thread* since the scope was entered —
-    /// exact (unlike the global phase counters), which makes it the
-    /// measurement the allocation gate trusts.
-    pub fn thread_delta(&self) -> (u64, u64) {
-        TLS.try_with(|t| {
-            (
-                t.allocs.get().saturating_sub(self.start_allocs),
-                t.bytes.get().saturating_sub(self.start_bytes),
-            )
-        })
-        .unwrap_or((0, 0))
+            .unwrap_or(0);
+        AllocScope { saved_depth }
     }
 }
 
@@ -545,6 +521,10 @@ impl AllocMetrics {
 mod tests {
     use super::*;
 
+    fn current_phase() -> AllocPhase {
+        AllocPhase::ALL[current_phase_index()]
+    }
+
     #[test]
     fn scope_stack_nests_and_restores() {
         assert_eq!(current_phase(), AllocPhase::Unscoped);
@@ -632,12 +612,9 @@ mod tests {
         let before = phase_totals()[AllocPhase::ManifestUpload as usize];
         let (t_allocs0, t_bytes0) = thread_counts();
         {
-            let scope = AllocScope::enter(AllocPhase::ManifestUpload);
+            let _scope = AllocScope::enter(AllocPhase::ManifestUpload);
             let v: Vec<u8> = Vec::with_capacity(64 * 1024);
             std::hint::black_box(&v);
-            let (da, db) = scope.thread_delta();
-            assert!(da >= 1, "expected at least one allocation, saw {da}");
-            assert!(db >= 64 * 1024, "expected >=64KiB, saw {db}");
         }
         let after = phase_totals()[AllocPhase::ManifestUpload as usize];
         assert!(after.allocs > before.allocs);

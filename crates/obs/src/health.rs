@@ -13,14 +13,12 @@
 //!
 //! The [`SlowLog`] is the complementary per-request view: a bounded ring
 //! of [`SlowRecord`]s (statements and transactions over a threshold, with
-//! phase timings and the rendered trace span tree) that `SHOW ENGINE
-//! HEALTH` surfaces without grepping logs.
+//! phase timings and the rendered trace span tree) that
+//! `polaris.slow_log` surfaces without grepping logs.
 
-use crate::Tracer;
-use serde::Serialize;
+use crate::{Gauge, MetricName, MetricsRegistry, Tracer};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How many trace events a watchdog post-mortem captures per firing.
@@ -36,14 +34,15 @@ pub type RuleVerdict = Option<String>;
 struct Rule {
     name: String,
     check: Box<dyn FnMut(u64) -> RuleVerdict + Send>,
-    /// Is the condition currently true? Set on fire, cleared when the
-    /// rule next reports healthy; while set the rule cannot re-fire.
-    firing: bool,
+    /// `watchdog.firing{rule="<name>"}`: 1 while the condition is true.
+    /// Set on fire, cleared when the rule next reports healthy; while set
+    /// the rule cannot re-fire.
+    firing: Gauge,
 }
 
-/// One watchdog firing: a structured, serializable record of a detected
-/// stall plus the trace post-mortem captured at that moment.
-#[derive(Clone, Debug, Serialize)]
+/// One watchdog firing: a structured record of a detected stall plus the
+/// trace post-mortem captured at that moment.
+#[derive(Clone, Debug)]
 pub struct HealthEvent {
     /// Rule name, e.g. `group-commit-stall`.
     pub rule: String,
@@ -59,9 +58,11 @@ pub struct HealthEvent {
 }
 
 /// Evaluates stall rules each tick; owns a bounded ring of fired
-/// [`HealthEvent`]s. Create with the engine's [`Tracer`] so firings
-/// capture span history.
+/// [`HealthEvent`]s and publishes each rule's state as a
+/// `watchdog.firing{rule="…"}` gauge. Create with the engine's [`Tracer`]
+/// so firings capture span history.
 pub struct Watchdog {
+    registry: Arc<MetricsRegistry>,
     rules: Mutex<Vec<Rule>>,
     events: Mutex<VecDeque<HealthEvent>>,
     capacity: usize,
@@ -71,8 +72,9 @@ pub struct Watchdog {
 
 impl Watchdog {
     /// A watchdog retaining at most `capacity` events (oldest dropped).
-    pub fn new(tracer: Tracer, capacity: usize) -> Self {
+    pub fn new(registry: Arc<MetricsRegistry>, tracer: Tracer, capacity: usize) -> Self {
         Watchdog {
+            registry,
             rules: Mutex::new(Vec::new()),
             events: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
@@ -83,13 +85,17 @@ impl Watchdog {
 
     /// Register a named rule. Rules run in registration order.
     pub fn add_rule(&self, name: &str, check: impl FnMut(u64) -> RuleVerdict + Send + 'static) {
+        let key = MetricName::new("watchdog.firing")
+            .and_then(|n| n.with_label("rule", name))
+            .expect("literal base and label name")
+            .registry_key();
         self.rules
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(Rule {
                 name: name.to_owned(),
                 check: Box::new(check),
-                firing: false,
+                firing: self.registry.gauge(&key),
             });
     }
 
@@ -101,19 +107,18 @@ impl Watchdog {
             let mut rules = self.rules.lock().unwrap_or_else(|e| e.into_inner());
             for rule in rules.iter_mut() {
                 match (rule.check)(tick) {
-                    Some(detail) => {
-                        if !rule.firing {
-                            rule.firing = true;
-                            fired.push(HealthEvent {
-                                rule: rule.name.clone(),
-                                detail,
-                                tick,
-                                at_ms: self.started.elapsed().as_millis() as u64,
-                                trace_dump: self.tracer.post_mortem(POST_MORTEM_EVENTS),
-                            });
-                        }
+                    Some(detail) if rule.firing.get() == 0 => {
+                        rule.firing.set(1);
+                        fired.push(HealthEvent {
+                            rule: rule.name.clone(),
+                            detail,
+                            tick,
+                            at_ms: self.started.elapsed().as_millis() as u64,
+                            trace_dump: self.tracer.post_mortem(POST_MORTEM_EVENTS),
+                        });
                     }
-                    None => rule.firing = false,
+                    Some(_) => {}
+                    None => rule.firing.set(0),
                 }
             }
         }
@@ -146,17 +151,7 @@ impl Watchdog {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-            .filter(|r| r.firing)
-            .map(|r| r.name.clone())
-            .collect()
-    }
-
-    /// Registered rule names, in evaluation order.
-    pub fn rule_names(&self) -> Vec<String> {
-        self.rules
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
+            .filter(|r| r.firing.get() == 1)
             .map(|r| r.name.clone())
             .collect()
     }
@@ -165,7 +160,6 @@ impl Watchdog {
 impl std::fmt::Debug for Watchdog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Watchdog")
-            .field("rules", &self.rule_names())
             .field("firing", &self.firing())
             .field(
                 "events",
@@ -180,7 +174,7 @@ impl std::fmt::Debug for Watchdog {
 // ---------------------------------------------------------------------------
 
 /// One slow statement or transaction, captured when it finished.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SlowRecord {
     /// `statement` or `transaction`.
     pub kind: String,
@@ -196,32 +190,26 @@ pub struct SlowRecord {
     pub validation: String,
     /// Heap bytes allocated engine-wide during the work (tracking
     /// allocator builds only; 0 otherwise).
-    #[serde(default)]
     pub alloc_bytes: u64,
     /// Heap allocations engine-wide during the work.
-    #[serde(default)]
     pub allocs: u64,
     /// Lock/condvar wait ns attributed while the work ran.
-    #[serde(default)]
     pub wait_ns: u64,
     /// Rendered trace span tree (empty when tracing is disabled).
     pub span_tree: String,
     /// Stable statement id (0 when unknown, e.g. commit-summary records);
     /// joins against `polaris.trace_spans.query_id`.
-    #[serde(default)]
     pub query_id: u64,
-    /// Wall-clock capture time, milliseconds since the Unix epoch (0 when
-    /// the producer predates this field).
-    #[serde(default)]
+    /// Wall-clock capture time, milliseconds since the Unix epoch.
     pub at_unix_ms: u64,
 }
 
-/// Bounded ring of [`SlowRecord`]s with an atomically adjustable
-/// threshold. Callers check [`SlowLog::is_slow`] first so the expensive
-/// part (rendering a span tree) only happens for offenders.
+/// Bounded ring of [`SlowRecord`]s over a fixed threshold. Callers check
+/// [`SlowLog::is_slow`] first so the expensive part (rendering a span
+/// tree) only happens for offenders.
 #[derive(Debug)]
 pub struct SlowLog {
-    threshold_ns: AtomicU64,
+    threshold_ns: u64,
     records: Mutex<VecDeque<SlowRecord>>,
     capacity: usize,
 }
@@ -230,26 +218,16 @@ impl SlowLog {
     /// A slow log keeping at most `capacity` records over `threshold_ns`.
     pub fn new(capacity: usize, threshold_ns: u64) -> Self {
         SlowLog {
-            threshold_ns: AtomicU64::new(threshold_ns),
+            threshold_ns,
             records: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
     }
 
-    /// Current threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns.load(Ordering::Relaxed)
-    }
-
-    /// Change the threshold (takes effect for subsequent records).
-    pub fn set_threshold_ns(&self, ns: u64) {
-        self.threshold_ns.store(ns, Ordering::Relaxed);
-    }
-
     /// Does `wall_ns` qualify for the log?
     #[inline]
     pub fn is_slow(&self, wall_ns: u64) -> bool {
-        wall_ns >= self.threshold_ns()
+        wall_ns >= self.threshold_ns
     }
 
     /// Append `record` if it is over the threshold; returns whether it
@@ -275,24 +253,6 @@ impl SlowLog {
             .cloned()
             .collect()
     }
-
-    /// The `n` slowest retained records, slowest first.
-    pub fn top(&self, n: usize) -> Vec<SlowRecord> {
-        let mut all = self.records();
-        all.sort_by_key(|r| std::cmp::Reverse(r.wall_ns));
-        all.truncate(n);
-        all
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -301,7 +261,7 @@ mod tests {
 
     #[test]
     fn rules_fire_once_per_condition_edge() {
-        let dog = Watchdog::new(Tracer::disabled(), 8);
+        let dog = Watchdog::new(MetricsRegistry::new(), Tracer::disabled(), 8);
         // Stalled on ticks 2..=4 and again on tick 6.
         dog.add_rule("stall", |tick| {
             if (2..=4).contains(&tick) || tick == 6 {
@@ -322,18 +282,22 @@ mod tests {
 
     #[test]
     fn firing_reports_active_conditions() {
-        let dog = Watchdog::new(Tracer::disabled(), 8);
+        let reg = MetricsRegistry::new();
+        let dog = Watchdog::new(Arc::clone(&reg), Tracer::disabled(), 8);
         dog.add_rule("always", |_| Some("broken".into()));
         dog.add_rule("never", |_| None);
         dog.evaluate_once(1);
         dog.evaluate_once(2);
         assert_eq!(dog.firing(), vec!["always".to_owned()]);
         assert_eq!(dog.events().len(), 1, "still only the edge event");
+        let gauges = reg.snapshot().gauges;
+        assert_eq!(gauges["watchdog.firing{rule=\"always\"}"], 1);
+        assert_eq!(gauges["watchdog.firing{rule=\"never\"}"], 0);
     }
 
     #[test]
     fn event_ring_is_bounded() {
-        let dog = Watchdog::new(Tracer::disabled(), 2);
+        let dog = Watchdog::new(MetricsRegistry::new(), Tracer::disabled(), 2);
         // Alternates stalled/healthy so every stalled tick is an edge.
         dog.add_rule("flappy", |tick| (tick % 2 == 0).then(|| "flap".to_owned()));
         for tick in 1..=10 {
@@ -351,7 +315,7 @@ mod tests {
         {
             let _s = tracer.span("catalog.commit");
         }
-        let dog = Watchdog::new(tracer, 4);
+        let dog = Watchdog::new(MetricsRegistry::new(), tracer, 4);
         dog.add_rule("stall", |_| Some("stuck".into()));
         let fired = dog.evaluate_once(1);
         assert_eq!(fired.len(), 1);
@@ -378,11 +342,7 @@ mod tests {
                 ..SlowRecord::default()
             }));
         }
-        assert_eq!(log.len(), 3, "ring bounded");
-        let top = log.top(2);
-        assert_eq!(top[0].statement, "q4");
-        assert_eq!(top[1].statement, "q3");
-        log.set_threshold_ns(10);
-        assert!(log.is_slow(11));
+        let kept: Vec<String> = log.records().into_iter().map(|r| r.statement).collect();
+        assert_eq!(kept, ["q2", "q3", "q4"], "ring bounded, oldest dropped");
     }
 }

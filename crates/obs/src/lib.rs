@@ -62,7 +62,7 @@ pub mod ts;
 pub use alloc::{AllocMetrics, AllocPhase, AllocScope, AllocTotals, PhaseTotals};
 pub use health::{HealthEvent, SlowLog, SlowRecord, Watchdog};
 pub use name::{MetricName, NameError};
-pub use prom::{encode_prometheus, http_get, HealthFn, TelemetryServer};
+pub use prom::{encode_prometheus, http_get, HealthFn, ProbeFn, TelemetryServer};
 pub use trace::{
     build_spans, chrome_trace_json, post_mortem_dump, render_span_tree, AttrValue, SpanGuard,
     SpanRecord, TraceEvent, TraceEventKind, TraceSink, Tracer,
@@ -111,11 +111,6 @@ impl Counter {
     pub fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
     }
-
-    /// Do the two handles share the same underlying atomic?
-    pub fn same_as(&self, other: &Counter) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 /// Instantaneous level (queue depth, active transactions); may go down.
@@ -132,12 +127,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the level by `delta` (may be negative).
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -314,18 +303,21 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
+/// Join `handle` unless it is the calling thread's own. A telemetry thread
+/// that upgrades a `Weak` to its owner can end up dropping that owner —
+/// whose `Drop` stops this very thread; it has raised the stop flag by
+/// then, so the thread exits on its own, and std panics on a self-join.
+pub(crate) fn join_unless_current(handle: std::thread::JoinHandle<()>) {
+    if handle.thread().id() != std::thread::current().id() {
+        let _ = handle.join();
+    }
+}
+
 /// Scoped timer: records the elapsed wall time into its histogram on drop.
 #[derive(Debug)]
 pub struct Span {
     hist: Histogram,
     start: Instant,
-}
-
-impl Span {
-    /// Elapsed time so far, without ending the span.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
 }
 
 impl Drop for Span {
@@ -430,16 +422,6 @@ impl MetricsRegistry {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Register an externally created gauge handle under `name`.
-    pub fn adopt_gauge(&self, name: &str, gauge: &Gauge) {
-        self.inner
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .gauges
-            .insert(name.to_owned(), gauge.clone());
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Register an externally created histogram handle under `name`.
     pub fn adopt_histogram(&self, name: &str, histogram: &Histogram) {
         self.inner
@@ -448,11 +430,6 @@ impl MetricsRegistry {
             .histograms
             .insert(name.to_owned(), histogram.clone());
         self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Start a scoped span recording into the histogram named `name`.
-    pub fn span(&self, name: &str) -> Span {
-        self.histogram(name).span()
     }
 
     /// The registration epoch (see the `epoch` field). Monotonic; changes
@@ -670,7 +647,7 @@ impl CatalogMeter {
 /// appends on the write side, checkpoint/replay/orphan work on the
 /// recovery side. `Default` gives free-standing handles;
 /// [`RecoveryMeter::from_registry`] binds the canonical `recovery.*` and
-/// `wal.*` names so they surface in `/metrics` and health reports.
+/// `wal.*` names so they surface in `/metrics` and `polaris.wal`.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryMeter {
     /// Sequencer batches appended to the durable commit log.
@@ -1051,7 +1028,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(reg.counter("x.events").get(), 3);
-        assert!(a.same_as(&b));
     }
 
     #[test]
@@ -1086,7 +1062,7 @@ mod tests {
     fn span_records_on_drop() {
         let reg = MetricsRegistry::new();
         {
-            let _s = reg.span("phase.commit_ns");
+            let _s = reg.histogram("phase.commit_ns").span();
         }
         assert_eq!(reg.histogram("phase.commit_ns").count(), 1);
     }

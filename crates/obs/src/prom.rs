@@ -10,8 +10,9 @@
 //! nanoseconds, matching the `_ns` suffix the registry names carry.
 //!
 //! [`TelemetryServer`] serves that encoding over a plain
-//! `std::net::TcpListener` — `GET /metrics` for the exposition, `GET
-//! /health` for an engine-supplied JSON health report. One accept-loop
+//! `std::net::TcpListener` — `GET /metrics` for the exposition (after the
+//! owner's probe hook refreshed its gauges), `GET /health` for an
+//! engine-supplied JSON health view. One accept-loop
 //! thread, blocking I/O, `Connection: close` per request: exactly enough
 //! HTTP for `curl` and a Prometheus scraper, with no dependencies the
 //! container doesn't already have.
@@ -145,8 +146,12 @@ pub fn encode_prometheus(snapshot: &MetricsSnapshot) -> String {
 // HTTP endpoint
 // ---------------------------------------------------------------------------
 
-/// Health-report callback: returns the JSON body served at `/health`.
+/// Health callback: returns the JSON body served at `/health`.
 pub type HealthFn = Arc<dyn Fn() -> String + Send + Sync>;
+
+/// Probe callback: refreshes the gauges that mirror live state, run
+/// before every `/metrics` scrape reads the registry.
+pub type ProbeFn = Arc<dyn Fn() + Send + Sync>;
 
 /// Minimal HTTP endpoint serving `GET /metrics` (Prometheus text) and
 /// `GET /health` (engine-supplied JSON). Bind with port 0 to let the OS
@@ -164,6 +169,7 @@ impl TelemetryServer {
     pub fn start(
         addr: SocketAddr,
         registry: Arc<MetricsRegistry>,
+        probe: ProbeFn,
         health: HealthFn,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
@@ -186,7 +192,7 @@ impl TelemetryServer {
                     // Serve inline: requests are tiny and the responses are
                     // rendered from atomics, so one connection at a time is
                     // plenty for a scraper + the occasional curl.
-                    let _ = serve_one(stream, &registry, &alloc_metrics, &health);
+                    let _ = serve_one(stream, &registry, &alloc_metrics, &probe, &health);
                 }
             })?;
         Ok(TelemetryServer {
@@ -210,7 +216,7 @@ impl TelemetryServer {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            crate::join_unless_current(handle);
         }
     }
 }
@@ -234,6 +240,7 @@ fn serve_one(
     mut stream: TcpStream,
     registry: &MetricsRegistry,
     alloc_metrics: &AllocMetrics,
+    probe: &ProbeFn,
     health: &HealthFn,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
@@ -258,6 +265,7 @@ fn serve_one(
     let (status, content_type, body) = match (method, path) {
         ("GET", "/metrics") => {
             alloc_metrics.sync();
+            probe();
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
@@ -418,6 +426,7 @@ mod tests {
         let mut server = TelemetryServer::start(
             "127.0.0.1:0".parse().expect("loopback addr"),
             MetricsRegistry::new(),
+            Arc::new(|| ()),
             health,
         )
         .expect("bind loopback");
@@ -443,9 +452,13 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("catalog.commits").add(7);
         let health: HealthFn = Arc::new(|| "{\"status\":\"ok\"}".to_owned());
+        // The probe runs before the registry is read: what it sets is in
+        // the same scrape.
+        let probed = reg.gauge("probe.refreshed");
         let mut server = TelemetryServer::start(
             "127.0.0.1:0".parse().expect("loopback addr"),
             Arc::clone(&reg),
+            Arc::new(move || probed.set(1)),
             health,
         )
         .expect("bind loopback");
@@ -453,6 +466,7 @@ mod tests {
         let (status, body) = http_get(addr, "/metrics").expect("GET /metrics");
         assert_eq!(status, 200);
         assert!(body.contains("catalog_commits_total 7"), "{body}");
+        assert!(body.contains("probe_refreshed 1"), "{body}");
         let (status, body) = http_get(addr, "/health").expect("GET /health");
         assert_eq!(status, 200);
         assert_eq!(body, "{\"status\":\"ok\"}");

@@ -202,11 +202,6 @@ impl TraceSink {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Events overwritten by ring wrap-around so far.
-    pub fn dropped(&self) -> u64 {
-        self.emitted().saturating_sub(self.capacity as u64)
-    }
-
     fn alloc_span(&self) -> u64 {
         self.next_span.fetch_add(1, Ordering::Relaxed)
     }
@@ -311,11 +306,6 @@ impl Tracer {
     /// Is this tracer recording?
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// The underlying sink, if enabled.
-    pub fn sink(&self) -> Option<&Arc<TraceSink>> {
-        self.0.as_ref()
     }
 
     fn key(&self) -> usize {
@@ -845,7 +835,6 @@ mod tests {
         assert_eq!(events.len(), 8);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
-        assert_eq!(t.sink().unwrap().dropped(), 12);
     }
 
     #[test]

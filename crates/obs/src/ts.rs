@@ -15,10 +15,11 @@
 //!   averaged into the lifetime distribution.
 //!
 //! The rings are fixed-size (`window` ticks), so memory is bounded no
-//! matter how long the engine runs. [`Harvester::time_series`] exports a
-//! serializable [`TimeSeriesSnapshot`]; an attached
-//! [`Watchdog`](crate::health::Watchdog) is evaluated on the same tick so
-//! stall rules observe exactly the cadence the rings record.
+//! matter how long the engine runs. [`Harvester::time_series`] copies them
+//! out as a [`TimeSeriesSnapshot`]; the owner's [`Harvester::on_tick`] hook
+//! runs first in every tick — refreshing probe gauges and evaluating its
+//! [`Watchdog`](crate::health::Watchdog) — so stall rules observe exactly
+//! the cadence the rings record and the rings sample what the hook set.
 //!
 //! # Zero allocation at steady state
 //!
@@ -35,17 +36,15 @@
 //! to the telemetry plane itself.
 
 use crate::alloc::{AllocMetrics, AllocPhase, AllocScope};
-use crate::health::Watchdog;
 use crate::{quantile_from_counts, Counter, Gauge, Histogram, MetricsRegistry, HIST_BUCKETS};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One sampled point of a rate or gauge series.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TsPoint {
     /// Milliseconds since the harvester started.
     pub t_ms: u64,
@@ -55,7 +54,7 @@ pub struct TsPoint {
 
 /// One per-tick quantile sample of a histogram series. Quantiles are
 /// computed over the samples that arrived during this tick only.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QuantilePoint {
     /// Milliseconds since the harvester started.
     pub t_ms: u64,
@@ -69,18 +68,14 @@ pub struct QuantilePoint {
     pub p99_ns: u64,
 }
 
-/// Serializable export of every time-series ring, the continuous
-/// counterpart of [`MetricsSnapshot`]. Keys are registry metric names.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Point-in-time copy of every time-series ring, the continuous
+/// counterpart of [`crate::MetricsSnapshot`] (`polaris.metrics_history`
+/// serves it). Keys are registry metric names.
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeriesSnapshot {
-    /// Harvester tick length in milliseconds.
-    pub tick_ms: u64,
-    /// Ticks completed since the harvester started.
-    pub ticks: u64,
     /// Wall-clock time the harvester started, milliseconds since the Unix
     /// epoch. Adding a point's `t_ms` yields its absolute capture time, so
     /// ring samples line up with slow-log wall-clock timestamps.
-    #[serde(default)]
     pub wall_start_ms: u64,
     /// Counter rates (events/second per tick), newest last.
     pub rates: BTreeMap<String, Vec<TsPoint>>,
@@ -88,13 +83,6 @@ pub struct TimeSeriesSnapshot {
     pub gauges: BTreeMap<String, Vec<TsPoint>>,
     /// Histogram per-tick delta quantiles, newest last.
     pub quantiles: BTreeMap<String, Vec<QuantilePoint>>,
-}
-
-impl TimeSeriesSnapshot {
-    /// Pretty-printed JSON (the shape `snapshot_schema.rs` pins).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("time-series snapshot serializes")
-    }
 }
 
 fn push_bounded<T>(ring: &mut VecDeque<T>, window: usize, point: T) {
@@ -204,7 +192,7 @@ struct HarvesterShared {
     /// Pre-registered alloc/RSS attribution handles, synced every tick.
     alloc_metrics: AllocMetrics,
     rings: Mutex<Rings>,
-    watchdog: Mutex<Option<Arc<Watchdog>>>,
+    on_tick: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
     ticks: AtomicU64,
     tick: Duration,
     window: usize,
@@ -242,7 +230,7 @@ impl Harvester {
                 registry,
                 alloc_metrics,
                 rings: Mutex::new(Rings::default()),
-                watchdog: Mutex::new(None),
+                on_tick: OnceLock::new(),
                 ticks: AtomicU64::new(0),
                 tick,
                 window: window.max(1),
@@ -263,7 +251,9 @@ impl Harvester {
             .spawn(move || {
                 while !shared.stop.load(Ordering::Relaxed) {
                     HarvesterShared::run_once(&shared);
-                    std::thread::sleep(shared.tick);
+                    // `stop` unparks: dropping the owner never waits out
+                    // a tick.
+                    std::thread::park_timeout(shared.tick);
                 }
             })
             .expect("spawn polaris-harvester thread");
@@ -271,14 +261,11 @@ impl Harvester {
         h
     }
 
-    /// Attach a watchdog; it is evaluated at the end of every tick
-    /// (including manual [`Harvester::run_once`] calls).
-    pub fn attach_watchdog(&self, watchdog: Arc<Watchdog>) {
-        *self
-            .shared
-            .watchdog
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(watchdog);
+    /// Install the owner's per-tick hook (the first call wins). It runs
+    /// with the tick number at the start of every tick, manual
+    /// [`Harvester::run_once`] calls included, before the rings sample.
+    pub fn on_tick(&self, hook: impl Fn(u64) + Send + Sync + 'static) {
+        let _ = self.shared.on_tick.set(Box::new(hook));
     }
 
     /// Run exactly one tick synchronously on the calling thread.
@@ -286,22 +273,15 @@ impl Harvester {
         HarvesterShared::run_once(&self.shared);
     }
 
-    /// Ticks completed so far.
+    /// Ticks started so far.
     pub fn ticks(&self) -> u64 {
         self.shared.ticks.load(Ordering::Relaxed)
     }
 
-    /// Configured tick length.
-    pub fn tick(&self) -> Duration {
-        self.shared.tick
-    }
-
-    /// Export every ring as a serializable snapshot.
+    /// Copy every ring out.
     pub fn time_series(&self) -> TimeSeriesSnapshot {
         let rings = self.shared.rings.lock().unwrap_or_else(|e| e.into_inner());
         TimeSeriesSnapshot {
-            tick_ms: self.shared.tick.as_millis() as u64,
-            ticks: self.ticks(),
             wall_start_ms: self.shared.started_unix_ms,
             rates: rings
                 .counters
@@ -325,7 +305,8 @@ impl Harvester {
     pub fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            handle.thread().unpark();
+            crate::join_unless_current(handle);
         }
     }
 }
@@ -353,6 +334,10 @@ impl HarvesterShared {
         // telemetry phase so it can't masquerade as engine work.
         let _scope = AllocScope::enter(AllocPhase::Telemetry);
         shared.alloc_metrics.sync();
+        let tick = shared.ticks.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(hook) = shared.on_tick.get() {
+            hook(tick);
+        }
         let t_ms = shared.started.elapsed().as_millis() as u64;
         // Rates divide by the *configured* tick so manual run_once calls in
         // tests produce deterministic values; the sampling jitter of the
@@ -403,15 +388,6 @@ impl HarvesterShared {
                 );
             }
         }
-        let tick = shared.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        let watchdog = shared
-            .watchdog
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        if let Some(watchdog) = watchdog {
-            watchdog.evaluate_once(tick);
-        }
     }
 }
 
@@ -433,8 +409,7 @@ mod tests {
         assert_eq!(rates.len(), 2);
         assert!((rates[0].value - 50.0).abs() < 1e-9);
         assert!((rates[1].value - 100.0).abs() < 1e-9);
-        assert_eq!(ts.ticks, 2);
-        assert_eq!(ts.tick_ms, 100);
+        assert_eq!(h.ticks(), 2);
     }
 
     #[test]
@@ -472,7 +447,7 @@ mod tests {
         let ts = h.time_series();
         assert_eq!(ts.rates["x.events"].len(), 3);
         assert_eq!(ts.gauges["x.level"].len(), 3);
-        assert_eq!(ts.ticks, 10);
+        assert_eq!(h.ticks(), 10);
     }
 
     #[test]
@@ -535,5 +510,35 @@ mod tests {
         let after = h.ticks();
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(h.ticks(), after, "ticks advanced after stop");
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_the_tick() {
+        let mut h = Harvester::start(MetricsRegistry::new(), Duration::from_secs(10), 4);
+        let begun = Instant::now();
+        h.stop();
+        assert!(begun.elapsed() < Duration::from_millis(100));
+    }
+
+    /// An engine rule that holds the last reference to the harvester's
+    /// owner drops the harvester on `polaris-harvester` itself: `stop`
+    /// must not join its own thread (std panics with EDEADLK).
+    #[test]
+    fn dropping_the_harvester_from_its_own_hook_does_not_panic() {
+        let h = Harvester::start(MetricsRegistry::new(), Duration::from_millis(1), 4);
+        let slot = Arc::new(Mutex::new(None));
+        let (dropped_tx, dropped_rx) = std::sync::mpsc::channel();
+        let in_hook = Arc::clone(&slot);
+        h.on_tick(move |_| {
+            if let Some(harvester) = in_hook.lock().unwrap().take() {
+                drop::<Harvester>(harvester);
+                dropped_tx
+                    .send(std::thread::current().name().map(str::to_owned))
+                    .unwrap();
+            }
+        });
+        *slot.lock().unwrap() = Some(h);
+        let on = dropped_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(on.unwrap().as_deref(), Some("polaris-harvester"));
     }
 }

@@ -1,12 +1,12 @@
-//! Golden schema test: the JSON shapes of [`MetricsSnapshot`] and
-//! [`TimeSeriesSnapshot`] are consumed by external tooling (the bench
-//! artifact diffs, dashboards scraping `/health`, the fig12 `--telemetry`
-//! self-scrape), so drift must fail loudly. The exports are deserialized
-//! twice: back into the real types (round-trip), and into independently
-//! declared mirror structs that pin the field names and types a consumer
-//! would write against.
+//! Golden schema test: the JSON shape of [`MetricsSnapshot`] is consumed by
+//! external tooling (artifact diffs, dashboards), so drift must fail
+//! loudly. The export is deserialized twice: back into the real type
+//! (round-trip), and into independently declared mirror structs that pin
+//! the field names and types a consumer would write against. The
+//! harvester's rings have no export of their own — `polaris.metrics_history`
+//! serves them — so their half checks the points directly.
 
-use polaris_obs::{Harvester, MetricsRegistry, MetricsSnapshot, TimeSeriesSnapshot, HIST_BUCKETS};
+use polaris_obs::{Harvester, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS};
 use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,36 +31,6 @@ struct MetricsSchema {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, HistogramSchema>,
-}
-
-/// One rate/gauge point of the time-series export.
-#[derive(Debug, Default, Deserialize)]
-#[serde(default)]
-struct PointSchema {
-    t_ms: u64,
-    value: f64,
-}
-
-/// One per-tick quantile point of the time-series export.
-#[derive(Debug, Default, Deserialize)]
-#[serde(default)]
-struct QuantileSchema {
-    t_ms: u64,
-    count: u64,
-    p50_ns: u64,
-    p95_ns: u64,
-    p99_ns: u64,
-}
-
-/// The time-series export shape a consumer depends on.
-#[derive(Debug, Default, Deserialize)]
-#[serde(default)]
-struct TimeSeriesSchema {
-    tick_ms: u64,
-    ticks: u64,
-    rates: BTreeMap<String, Vec<PointSchema>>,
-    gauges: BTreeMap<String, Vec<PointSchema>>,
-    quantiles: BTreeMap<String, Vec<QuantileSchema>>,
 }
 
 /// A registry with one metric of each kind and known values.
@@ -113,47 +83,26 @@ fn metrics_snapshot_matches_consumer_schema() {
 }
 
 #[test]
-fn time_series_snapshot_round_trips_through_json() {
-    let registry = seeded_registry();
-    let harvester = Harvester::detached(Arc::clone(&registry), Duration::from_millis(100), 8);
-    harvester.run_once();
-    registry.counter("catalog.commits").add(8);
-    harvester.run_once();
-    let series = harvester.time_series();
-    let json = series.to_json_pretty();
-    let back: TimeSeriesSnapshot = serde_json::from_str(&json).expect("round-trip parse");
-    assert_eq!(back.tick_ms, 100);
-    assert_eq!(back.ticks, 2);
-    let rates = &back.rates["catalog.commits"];
-    assert_eq!(rates.len(), 2);
-    // 8 more commits over a 0.1 s tick = 80/s on the second sample.
-    assert!((rates[1].value - 80.0).abs() < 1e-9);
-}
-
-#[test]
-fn time_series_snapshot_matches_consumer_schema() {
+fn time_series_points_are_per_tick_and_aligned() {
     let registry = seeded_registry();
     let harvester = Harvester::detached(Arc::clone(&registry), Duration::from_millis(50), 4);
     harvester.run_once();
     harvester.run_once();
-    let json = harvester.time_series().to_json_pretty();
-    let schema: TimeSeriesSchema = serde_json::from_str(&json).expect("schema parse");
-    assert_eq!(schema.tick_ms, 50);
-    assert_eq!(schema.ticks, 2);
-    assert_eq!(schema.rates["catalog.commits"].len(), 2);
-    assert_eq!(schema.gauges["dcp.lanes.write_busy"].len(), 2);
+    let series = harvester.time_series();
+    assert_eq!(series.rates["catalog.commits"].len(), 2);
+    assert_eq!(series.gauges["dcp.lanes.write_busy"].len(), 2);
     // The gauge level survives as a float sample.
-    assert!(schema.gauges["dcp.lanes.write_busy"]
+    assert!(series.gauges["dcp.lanes.write_busy"]
         .iter()
         .all(|p| (p.value - 3.0).abs() < 1e-9));
-    let q = &schema.quantiles["catalog.commit_latency_ns"];
+    let q = &series.quantiles["catalog.commit_latency_ns"];
     assert_eq!(q.len(), 2);
     // All three samples arrived before tick 1; tick 2 saw nothing.
     assert_eq!(q[0].count, 3);
     assert_eq!(q[1].count, 0);
     assert!(q[0].p50_ns <= q[0].p95_ns && q[0].p95_ns <= q[0].p99_ns);
     // Points carry monotone timestamps, consistent across series.
-    let t: Vec<u64> = schema.rates["catalog.commits"]
+    let t: Vec<u64> = series.rates["catalog.commits"]
         .iter()
         .map(|p| p.t_ms)
         .collect();

@@ -14,8 +14,8 @@
 //! 2. a second lifetime reopens, recovers, commits more, and is killed
 //!    mid-flight too;
 //! 3. a third lifetime proves every acknowledged commit survived, shows
-//!    the `SHOW ENGINE HEALTH` replayed-watermark line, and prints the
-//!    structured `RecoveryReport`.
+//!    the `SHOW ENGINE HEALTH` `wal` line (the `polaris.wal` row with the
+//!    replayed watermark), and prints the structured `RecoveryReport`.
 
 use polaris::core::{EngineConfig, PolarisEngine, StatementOutcome, Value};
 use polaris::dcp::{ComputePool, WorkloadClass};
@@ -93,7 +93,7 @@ fn main() {
     if let StatementOutcome::Rows(batch) = s.execute("SHOW ENGINE HEALTH").unwrap() {
         for i in 0..batch.num_rows() {
             let line = format!("{}", batch.row(i)[0]);
-            if line.contains("durability") || line.contains("status") {
+            if line.starts_with("status: ") || line.starts_with("wal: ") {
                 println!("{line}");
             }
         }

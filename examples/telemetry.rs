@@ -79,10 +79,8 @@ fn main() {
         println!("  {line}");
     }
     let (status, health) = http_get(addr, "/health").expect("GET /health");
-    println!(
-        "GET /health -> {status}: {}",
-        &health[..health.len().min(120)]
-    );
+    println!("GET /health -> {status}:");
+    println!("{health}");
 
     if hold_ms > 0 {
         println!();

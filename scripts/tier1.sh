@@ -73,8 +73,14 @@ if command -v curl >/dev/null; then
   # Resource attribution is always exposed (zeros without track-alloc).
   echo "$metrics" | grep -q '^alloc_bytes_total{phase="unscoped"} '
   echo "$metrics" | grep -q '^process_resident_bytes '
-  curl -sf "http://${addr}/health" | grep -q '"status"'
-  curl -sf "http://${addr}/health" | grep -q '"rss_bytes"'
+  health=$(curl -sf "http://${addr}/health")
+  echo "$health" | grep -q '"status"'
+  echo "$health" | grep -q '"process.resident_bytes"'
+  # One model, two renderings: /health says what SHOW ENGINE HEALTH (the
+  # example printed it before serving) said.
+  shown=$(sed -n 's/^status: //p' "$telemetry_out")
+  echo "$health" | grep -q "\"status\": \"${shown}\"" \
+    || { echo "telemetry smoke: /health disagrees with 'status: ${shown}'"; exit 1; }
   kill "$telemetry_pid" 2>/dev/null || true
   wait "$telemetry_pid" 2>/dev/null || true
   rm -f "$telemetry_out"
@@ -101,8 +107,8 @@ join_rows=$(echo "SELECT query_id FROM polaris.slow_log s \
 echo "system smoke: ok (${metrics_count} metrics, ${join_rows} joined slow statements)"
 
 # Allocation gates, on the tracking allocator: the warm auto-commit INSERT
-# (<= 204 allocations, under a tenth of them unscoped) and the warm
-# polaris.metrics scan (<= 1 238) stay within their budgets, and the
+# (<= 203 allocations, under a tenth of them unscoped) and the warm
+# polaris.metrics scan (<= 1 316) stay within their budgets, and the
 # catalog-only commit path allocates nothing at all once warm.
 cargo test --release -q -p polaris-core --features track-alloc --test alloc_budget
 cargo test --release -q -p polaris-catalog --features track-alloc \
