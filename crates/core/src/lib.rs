@@ -37,9 +37,7 @@ pub mod recovery;
 mod schema_json;
 mod session;
 pub mod sto;
-#[deny(clippy::unwrap_used)]
 pub mod system_tables;
-#[deny(clippy::unwrap_used)]
 mod telemetry;
 mod txn;
 

@@ -249,8 +249,8 @@ fn join_side_batch(
 }
 
 /// Distributed scan: surviving file plans fan out as row-group-aligned
-/// morsels over Read lanes; the FE restores snapshot order and
-/// concatenates.
+/// morsels over Read lanes; the FE concatenates their batches in snapshot
+/// order.
 ///
 /// Column pushdown: morsels range-read only the chunks the predicate and
 /// projection expressions reference, and late-materialize non-predicate
@@ -267,37 +267,67 @@ fn distributed_scan(
     top_n: Option<TopN>,
     meter: &Arc<ScanMeter>,
 ) -> PolarisResult<RecordBatch> {
-    let needed = needed_columns(predicate, projections.map(|p| p.iter().map(|(e, _)| e)));
-    let plans = plan_snapshot_scan(engine, snapshot, needed, predicate, meter)?;
-    let mut batches = Vec::new();
-    if !plans.is_empty() {
-        let cache = Arc::new(
-            PrefetchCache::new()
-                .with_wait_histogram(engine.metrics().histogram("exec.prefetch_cache.wait_ns")),
-        );
-        let projs: Option<Arc<Vec<(Expr, String)>>> = projections.map(|p| Arc::new(p.to_vec()));
-        let top_n = top_n.map(Arc::new);
-        let morsels: Vec<ScanMorselJob> = plans
-            .iter()
-            .map(|plan| ScanMorselJob {
-                morsel: plan.whole_file_morsel(),
-                store: Arc::clone(engine.store()),
-                cache: Arc::clone(&cache),
-                meter: Arc::clone(meter),
-                projections: projs.clone(),
-                top_n: top_n.clone(),
-                trace_parent: meter.tracer.current(),
-            })
-            .collect();
-        let mut outputs = run_scan_morsels(engine, morsels, meter, &cache)?;
-        // Morsels complete in steal order; snapshot order is (file, group).
-        outputs.sort_by_key(|o| (o.file_index, o.group_lo));
-        batches = outputs.into_iter().flat_map(|o| o.batches).collect();
-    }
+    let finish = Finish::Rows {
+        projections: projections.map(<[_]>::to_vec),
+        top_n,
+    };
+    let batches = scan_finished(engine, snapshot, predicate, finish, meter)?;
     if batches.is_empty() {
         return Ok(RecordBatch::empty(output_schema(schema, projections)?));
     }
     Ok(RecordBatch::concat(&batches)?)
+}
+
+/// The one scan body under every SELECT over a user table: plan the
+/// snapshot, drain every surviving file as morsels that apply `finish` to
+/// each row-group batch, and return the finished batches in snapshot
+/// order. Morsels complete in steal order, so the outputs are sorted by
+/// `(file_index, group_lo)`: the result — and, for aggregates, the float
+/// rounding of the partial merge — is the same however morsels split.
+fn scan_finished(
+    engine: &Arc<crate::PolarisEngine>,
+    snapshot: &TableSnapshot,
+    predicate: Option<&Expr>,
+    finish: Finish,
+    meter: &Arc<ScanMeter>,
+) -> PolarisResult<Vec<RecordBatch>> {
+    let needed = finish.needed_columns(predicate);
+    let plans = plan_snapshot_scan(engine, snapshot, needed, predicate, meter)?;
+    if plans.is_empty() {
+        return Ok(Vec::new());
+    }
+    let cache = Arc::new(
+        PrefetchCache::new()
+            .with_wait_histogram(engine.metrics().histogram("exec.prefetch_cache.wait_ns")),
+    );
+    let finish = Arc::new(finish);
+    let trace_parent = meter.tracer.current();
+    let morsels: Vec<ScanMorselJob> = plans
+        .iter()
+        .map(|plan| ScanMorselJob {
+            morsel: plan.whole_file_morsel(),
+            store: Arc::clone(engine.store()),
+            cache: Arc::clone(&cache),
+            meter: Arc::clone(meter),
+            finish: Arc::clone(&finish),
+            trace_parent,
+        })
+        .collect();
+    // Phase 2: drain the morsels with the engine's adaptive-sizing and
+    // prefetch knobs, then fold the run's counters into the statement's
+    // meter.
+    let cfg = engine.config();
+    let (mut outputs, stats) = engine.pool().run_morsels(
+        WorkloadClass::Read,
+        morsels,
+        cfg.scan_morsel_target_bytes,
+        cfg.scan_prefetch_depth,
+    )?;
+    ScanMeter::bump(&meter.morsels_scheduled, stats.scheduled);
+    ScanMeter::bump(&meter.morsels_stolen, stats.stolen);
+    ScanMeter::bump(&meter.prefetch_wasted_bytes, cache.wasted_bytes());
+    outputs.sort_by_key(|o| (o.file_index, o.group_lo));
+    Ok(outputs.into_iter().flat_map(|o| o.batches).collect())
 }
 
 /// Phase 1 of a read: plan every cell (manifest pruning, footer fetch,
@@ -362,32 +392,68 @@ fn plan_snapshot_scan(
     Ok(plans)
 }
 
-/// Phase 2 of a read: drain morsels through the DCP work-stealing
-/// scheduler with the engine's adaptive-sizing and prefetch knobs, then
-/// fold the run's counters into the statement's [`ScanMeter`].
-fn run_scan_morsels<M: Morsel>(
-    engine: &Arc<crate::PolarisEngine>,
-    morsels: Vec<M>,
-    meter: &Arc<ScanMeter>,
-    cache: &PrefetchCache,
-) -> PolarisResult<Vec<M::Output>> {
-    let cfg = engine.config();
-    let (outputs, stats) = engine.pool().run_morsels(
-        WorkloadClass::Read,
-        morsels,
-        cfg.scan_morsel_target_bytes,
-        cfg.scan_prefetch_depth,
-    )?;
-    ScanMeter::bump(&meter.morsels_scheduled, stats.scheduled);
-    ScanMeter::bump(&meter.morsels_stolen, stats.stolen);
-    ScanMeter::bump(&meter.prefetch_wasted_bytes, cache.wasted_bytes());
-    Ok(outputs)
-}
-
 /// `ORDER BY … LIMIT n` as pushed into the scan morsels.
 struct TopN {
     order_by: Vec<(String, bool)>,
     n: usize,
+}
+
+/// What a scan morsel does to each row-group batch before it travels to
+/// the FE, so that compute stays distributed.
+enum Finish {
+    /// Plain scans: the FE projection (`None` keeps every column), then
+    /// each batch's best `n` rows.
+    Rows {
+        projections: Option<Vec<(Expr, String)>>,
+        top_n: Option<TopN>,
+    },
+    /// Aggregations: fold each batch into a partial aggregate, so only
+    /// group rows travel. Partials are per *row group* — not per morsel —
+    /// so float accumulation order is independent of where the adaptive
+    /// scheduler happened to split.
+    Partial {
+        group_by: Vec<(Expr, String)>,
+        aggs: Vec<AggExpr>,
+    },
+}
+
+impl Finish {
+    /// Column set the scan must materialize; `None` means "all columns"
+    /// (`SELECT *`).
+    fn needed_columns(&self, predicate: Option<&Expr>) -> Option<BTreeSet<String>> {
+        let exprs: Vec<&Expr> = match self {
+            Finish::Rows { projections, .. } => {
+                projections.as_ref()?.iter().map(|(e, _)| e).collect()
+            }
+            Finish::Partial { group_by, aggs } => group_by
+                .iter()
+                .map(|(e, _)| e)
+                .chain(aggs.iter().map(|a| &a.input))
+                .collect(),
+        };
+        let mut needed = BTreeSet::new();
+        for e in predicate.into_iter().chain(exprs) {
+            e.referenced_columns(&mut needed);
+        }
+        Some(needed)
+    }
+
+    fn apply(&self, batch: &mut RecordBatch) -> Result<(), TaskError> {
+        match self {
+            Finish::Rows { projections, top_n } => {
+                if let Some(projs) = projections {
+                    *batch = ops::project(batch, projs).map_err(exec_to_task)?;
+                }
+                if let Some(top) = top_n {
+                    *batch = ops::top_n(batch, &top.order_by, top.n).map_err(exec_to_task)?;
+                }
+            }
+            Finish::Partial { group_by, aggs } => {
+                *batch = ops::hash_aggregate(batch, group_by, aggs).map_err(exec_to_task)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Core-side adapter: one [`ScanMorsel`] plus everything its execution
@@ -399,10 +465,7 @@ struct ScanMorselJob {
     store: Arc<dyn ObjectStore>,
     cache: Arc<PrefetchCache>,
     meter: Arc<ScanMeter>,
-    /// FE projection applied morsel-side so compute stays distributed.
-    projections: Option<Arc<Vec<(Expr, String)>>>,
-    /// Each batch keeps only its best `n` rows.
-    top_n: Option<Arc<TopN>>,
+    finish: Arc<Finish>,
     /// Statement span captured on the submitting thread: morsel spans
     /// attach here, not to the driver thread's (empty) span stack.
     trace_parent: u64,
@@ -413,36 +476,6 @@ impl ScanMorselJob {
         let mut job = self.clone();
         job.morsel = morsel;
         job
-    }
-
-    fn run_traced(&self, ctx: &MorselCtx) -> Result<MorselScanOutput, TaskError> {
-        let mut span = self
-            .meter
-            .tracer
-            .span_on_lane("exec.morsel", self.trace_parent, ctx.node);
-        span.attr("file", self.morsel.plan.path.clone());
-        span.attr(
-            "groups",
-            format!("{}..{}", self.morsel.group_lo, self.morsel.group_hi),
-        );
-        span.attr("stolen", ctx.stolen);
-        let mut out = self
-            .morsel
-            .run(&*self.store, Some(&self.cache), Some(&self.meter))
-            .map_err(exec_to_task)?;
-        for batch in &mut out.batches {
-            if let Some(projs) = &self.projections {
-                *batch = ops::project(batch, projs).map_err(exec_to_task)?;
-            }
-            if let Some(top) = &self.top_n {
-                *batch = ops::top_n(batch, &top.order_by, top.n).map_err(exec_to_task)?;
-            }
-        }
-        span.attr(
-            "rows",
-            out.batches.iter().map(|b| b.num_rows() as u64).sum::<u64>(),
-        );
-        Ok(out)
     }
 }
 
@@ -464,90 +497,29 @@ impl Morsel for ScanMorselJob {
     }
 
     fn execute(&self, ctx: &MorselCtx) -> Result<MorselScanOutput, TaskError> {
-        self.run_traced(ctx)
-    }
-}
-
-/// Partial aggregates produced by one morsel: one batch per surviving row
-/// group, in group order. Partials are per *row group* — not per morsel —
-/// so float accumulation order is independent of where the adaptive
-/// scheduler happened to split, and merging the sorted partials is
-/// bit-identical across runs.
-struct AggPartial {
-    file_index: usize,
-    group_lo: usize,
-    partials: Vec<RecordBatch>,
-}
-
-/// Morsel adapter for aggregations: scan the morsel, then fold each row
-/// group into a partial aggregate so only group rows travel back to the
-/// FE.
-#[derive(Clone)]
-struct AggMorselJob {
-    scan: ScanMorselJob,
-    group_by: Arc<Vec<(Expr, String)>>,
-    partial_aggs: Arc<Vec<AggExpr>>,
-}
-
-impl Morsel for AggMorselJob {
-    type Output = AggPartial;
-
-    fn weight(&self) -> u64 {
-        self.scan.morsel.weight()
-    }
-
-    fn split(&self) -> Option<(Self, Self)> {
-        let (head, tail) = self.scan.morsel.split()?;
-        Some((
-            AggMorselJob {
-                scan: self.scan.with_morsel(head),
-                group_by: Arc::clone(&self.group_by),
-                partial_aggs: Arc::clone(&self.partial_aggs),
-            },
-            AggMorselJob {
-                scan: self.scan.with_morsel(tail),
-                group_by: Arc::clone(&self.group_by),
-                partial_aggs: Arc::clone(&self.partial_aggs),
-            },
-        ))
-    }
-
-    fn prefetch(&self) {
-        Morsel::prefetch(&self.scan);
-    }
-
-    fn execute(&self, ctx: &MorselCtx) -> Result<AggPartial, TaskError> {
-        let out = self.scan.run_traced(ctx)?;
-        let mut partials = Vec::with_capacity(out.batches.len());
-        for batch in &out.batches {
-            partials.push(
-                ops::hash_aggregate(batch, &self.group_by, &self.partial_aggs)
-                    .map_err(exec_to_task)?,
-            );
+        let mut span = self
+            .meter
+            .tracer
+            .span_on_lane("exec.morsel", self.trace_parent, ctx.node);
+        span.attr("file", self.morsel.plan.path.clone());
+        span.attr(
+            "groups",
+            format!("{}..{}", self.morsel.group_lo, self.morsel.group_hi),
+        );
+        span.attr("stolen", ctx.stolen);
+        let mut out = self
+            .morsel
+            .run(&*self.store, Some(&self.cache), Some(&self.meter))
+            .map_err(exec_to_task)?;
+        for batch in &mut out.batches {
+            self.finish.apply(batch)?;
         }
-        Ok(AggPartial {
-            file_index: out.file_index,
-            group_lo: out.group_lo,
-            partials,
-        })
+        span.attr(
+            "rows",
+            out.batches.iter().map(|b| b.num_rows() as u64).sum::<u64>(),
+        );
+        Ok(out)
     }
-}
-
-/// Column set a scan must materialize; `None` means "all columns"
-/// (`SELECT *`).
-fn needed_columns<'a>(
-    predicate: Option<&Expr>,
-    projection_exprs: Option<impl Iterator<Item = &'a Expr>>,
-) -> Option<std::collections::BTreeSet<String>> {
-    let exprs = projection_exprs?;
-    let mut needed = std::collections::BTreeSet::new();
-    if let Some(p) = predicate {
-        p.referenced_columns(&mut needed);
-    }
-    for e in exprs {
-        e.referenced_columns(&mut needed);
-    }
-    Some(needed)
 }
 
 /// Distributed partial aggregation with FE merge. `AVG` decomposes into
@@ -561,51 +533,16 @@ fn distributed_aggregate(
     meter: &Arc<ScanMeter>,
 ) -> PolarisResult<RecordBatch> {
     let (partial_aggs, finalizers) = decompose_avg(&agg.aggs, schema);
-    let group_by = agg.group_by.clone();
-    let needed = needed_columns(
-        predicate,
-        Some(
-            group_by
-                .iter()
-                .map(|(e, _)| e)
-                .chain(partial_aggs.iter().map(|a| &a.input)),
-        ),
-    );
-    let plans = plan_snapshot_scan(engine, snapshot, needed, predicate, meter)?;
-    let mut partials: Vec<RecordBatch> = Vec::new();
-    if !plans.is_empty() {
-        let cache = Arc::new(
-            PrefetchCache::new()
-                .with_wait_histogram(engine.metrics().histogram("exec.prefetch_cache.wait_ns")),
-        );
-        let group_by_arc = Arc::new(group_by.clone());
-        let partial_aggs_arc = Arc::new(partial_aggs.clone());
-        let morsels: Vec<AggMorselJob> = plans
-            .iter()
-            .map(|plan| AggMorselJob {
-                scan: ScanMorselJob {
-                    morsel: plan.whole_file_morsel(),
-                    store: Arc::clone(engine.store()),
-                    cache: Arc::clone(&cache),
-                    meter: Arc::clone(meter),
-                    projections: None,
-                    top_n: None,
-                    trace_parent: meter.tracer.current(),
-                },
-                group_by: Arc::clone(&group_by_arc),
-                partial_aggs: Arc::clone(&partial_aggs_arc),
-            })
-            .collect();
-        let mut outs = run_scan_morsels(engine, morsels, meter, &cache)?;
-        // Restore (file, group) order so partial merge — and its float
-        // rounding — is deterministic across runs.
-        outs.sort_by_key(|o| (o.file_index, o.group_lo));
-        partials = outs.into_iter().flat_map(|o| o.partials).collect();
-    }
+    let group_by = &agg.group_by;
+    let finish = Finish::Partial {
+        group_by: group_by.clone(),
+        aggs: partial_aggs.clone(),
+    };
+    let mut partials = scan_finished(engine, snapshot, predicate, finish, meter)?;
     // Always contribute one FE-local partial over an empty input so scalar
     // aggregates return their SQL-mandated single row even on empty scans.
     let empty = RecordBatch::empty(schema.clone());
-    partials.push(ops::hash_aggregate(&empty, &group_by, &partial_aggs)?);
+    partials.push(ops::hash_aggregate(&empty, group_by, &partial_aggs)?);
     // Scalar aggregates (no GROUP BY): the FE-local empty partial adds a
     // spurious all-NULL row unless merged; merge_aggregates handles both.
     let merged = ops::merge_aggregates(&partials, group_by.len(), &partial_aggs)?;
@@ -710,7 +647,9 @@ fn output_schema(base: &Schema, projections: Option<&[(Expr, String)]>) -> Polar
     }
 }
 
-fn exec_to_task(e: polaris_exec::ExecError) -> TaskError {
+/// The one rule for how an exec error ends a task or morsel attempt, on
+/// the read and the write path alike.
+pub(crate) fn exec_to_task(e: polaris_exec::ExecError) -> TaskError {
     match &e {
         // Storage faults are transient by definition — retry elsewhere.
         polaris_exec::ExecError::Store(_) => TaskError::transient(e.to_string()),
@@ -724,10 +663,6 @@ fn exec_to_task(e: polaris_exec::ExecError) -> TaskError {
         _ => TaskError::fatal(e.to_string()),
     }
 }
-
-// Silence the unused-import lint for PolarisError while keeping the
-// conversion path explicit at call sites.
-const _: fn(polaris_catalog::CatalogError) -> PolarisError = PolarisError::from;
 
 #[cfg(test)]
 mod tests {

@@ -245,40 +245,48 @@ impl Session {
                 crate::telemetry::health_text(self).map(StatementOutcome::Rows)
             }
             Statement::ShowTables { system_only } => self.show_tables(*system_only),
-            dml => {
-                if let Some(txn) = self.current.as_mut() {
-                    let result = txn.execute_statement(dml);
+            dml => self
+                .run_statement(|txn| txn.execute_statement(dml))
+                .map(outcome_of),
+        }
+    }
+
+    /// Run one statement through `op`: inside the open transaction, or as
+    /// its own auto-commit transaction, begun afresh and retried on a
+    /// retryable conflict up to `auto_retries` times. A statement that
+    /// fails records its profile here; a committed one, in
+    /// [`commit_recorded`](Self::commit_recorded).
+    fn run_statement<R>(
+        &mut self,
+        mut op: impl FnMut(&mut Transaction) -> PolarisResult<R>,
+    ) -> PolarisResult<R> {
+        if let Some(txn) = self.current.as_mut() {
+            let result = op(txn);
+            let txn_id = txn.id();
+            let profile = txn.last_profile().cloned();
+            self.record_profile(profile, txn_id);
+            return result;
+        }
+        let retries = self.engine.config().auto_retries;
+        let mut attempt = 0;
+        loop {
+            let mut txn = Transaction::begin(Arc::clone(&self.engine), self.isolation);
+            let err = match op(&mut txn) {
+                Ok(r) => match self.commit_recorded(txn) {
+                    Ok(_) => return Ok(r),
+                    Err(e) => e,
+                },
+                Err(e) => {
                     let txn_id = txn.id();
                     let profile = txn.last_profile().cloned();
                     self.record_profile(profile, txn_id);
-                    return Ok(outcome_of(result?));
+                    e
                 }
-                // Auto-commit with conflict retries.
-                let retries = self.engine.config().auto_retries;
-                let mut attempt = 0;
-                loop {
-                    let mut txn = Transaction::begin(Arc::clone(&self.engine), self.isolation);
-                    match txn.execute_statement(dml) {
-                        Ok(r) => match self.commit_recorded(txn) {
-                            Ok(_) => return Ok(outcome_of(r)),
-                            Err(e) if e.is_retryable_conflict() && attempt < retries => {
-                                attempt += 1;
-                            }
-                            Err(e) => return Err(e),
-                        },
-                        Err(e) => {
-                            let txn_id = txn.id();
-                            let profile = txn.last_profile().cloned();
-                            self.record_profile(profile, txn_id);
-                            if e.is_retryable_conflict() && attempt < retries {
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
+            };
+            if !err.is_retryable_conflict() || attempt >= retries {
+                return Err(err);
             }
+            attempt += 1;
         }
     }
 
@@ -424,35 +432,7 @@ impl Session {
     /// Bulk-insert a batch (auto-commit or inside the open transaction).
     pub fn insert_batch(&mut self, table: &str, batch: &RecordBatch) -> PolarisResult<u64> {
         let _alloc = AllocScope::enter(AllocPhase::StatementDispatch);
-        if let Some(txn) = self.current.as_mut() {
-            let result = txn.insert(table, batch);
-            let txn_id = txn.id();
-            let profile = txn.last_profile().cloned();
-            self.record_profile(profile, txn_id);
-            return result;
-        }
-        let retries = self.engine.config().auto_retries;
-        let mut attempt = 0;
-        loop {
-            let mut txn = Transaction::begin(Arc::clone(&self.engine), self.isolation);
-            match txn.insert(table, batch) {
-                Ok(n) => match self.commit_recorded(txn) {
-                    Ok(_) => return Ok(n),
-                    Err(e) if e.is_retryable_conflict() && attempt < retries => attempt += 1,
-                    Err(e) => return Err(e),
-                },
-                Err(e) => {
-                    let txn_id = txn.id();
-                    let profile = txn.last_profile().cloned();
-                    self.record_profile(profile, txn_id);
-                    if e.is_retryable_conflict() && attempt < retries {
-                        attempt += 1;
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        self.run_statement(|txn| txn.insert(table, batch))
     }
 
     /// Serialize a schema the way the catalog stores it (useful for

@@ -1,7 +1,7 @@
 //! User transactions: the optimistic read phase and the commit protocol.
 
 use crate::engine::{TxnContext, TxnStat};
-use crate::read::execute_select;
+use crate::read::{exec_to_task, execute_select};
 use crate::{PolarisEngine, PolarisError, PolarisResult, QueryResult};
 use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, TableMeta};
 use polaris_columnar::{ColumnVector, DataType, RecordBatch, Schema, Value};
@@ -963,13 +963,6 @@ fn publish_manifests(
 fn file_stem(path: &str) -> String {
     let name = path.rsplit('/').next().unwrap_or(path);
     name.trim_end_matches(".pcf").to_owned()
-}
-
-fn exec_to_task(e: polaris_exec::ExecError) -> TaskError {
-    match e {
-        polaris_exec::ExecError::Store(_) => TaskError::transient(e.to_string()),
-        other => TaskError::fatal(other.to_string()),
-    }
 }
 
 fn store_to_task(e: polaris_store::StoreError) -> TaskError {

@@ -1,10 +1,18 @@
-//! Transient chunk-fetch faults must not poison a read statement: a
-//! failed column-chunk range read surfaces as a transient task error and
-//! the morsel scheduler retries the morsel on another Read lane.
+//! Transient chunk-fetch faults must not poison a statement: a failed or
+//! torn column-chunk range read surfaces as a transient task error and the
+//! scheduler retries the morsel or task on another lane — for a SELECT and
+//! for the ranged reads under DELETE and UPDATE alike.
 
-use polaris_core::{EngineConfig, PolarisEngine};
+use bytes::Bytes;
+use parking_lot::Mutex;
+use polaris_core::{EngineConfig, PolarisEngine, StatementOutcome};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::{FaultyStore, MemoryStore, ObjectStore};
+use polaris_store::{
+    BlobMeta, BlobPath, BlockId, FaultyStore, MemoryStore, ObjectStore, Stamp, StoreResult,
+};
+use std::collections::HashSet;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 #[test]
@@ -58,5 +66,145 @@ fn scan_survives_transient_chunk_fetch_faults() {
     assert!(
         read_faults > 0,
         "the chaos store must actually have injected read faults"
+    );
+}
+
+/// While armed, the first `get_range` of each `.pcf` blob comes back one
+/// byte short — a torn transfer; every later read of it is whole.
+struct TornFirstRange {
+    inner: MemoryStore,
+    armed: AtomicBool,
+    torn: Mutex<HashSet<String>>,
+}
+
+impl TornFirstRange {
+    /// Tear the next first read of every data file.
+    fn arm(&self, on: bool) {
+        self.torn.lock().clear();
+        self.armed.store(on, Ordering::SeqCst);
+    }
+
+    fn torn_count(&self) -> usize {
+        self.torn.lock().len()
+    }
+}
+
+impl ObjectStore for TornFirstRange {
+    fn put(&self, path: &BlobPath, data: Bytes, stamp: Stamp) -> StoreResult<()> {
+        self.inner.put(path, data, stamp)
+    }
+
+    fn get(&self, path: &BlobPath) -> StoreResult<Bytes> {
+        self.inner.get(path)
+    }
+
+    fn get_range(&self, path: &BlobPath, range: Range<u64>) -> StoreResult<Bytes> {
+        let mut bytes = self.inner.get_range(path, range)?;
+        if self.armed.load(Ordering::SeqCst)
+            && path.as_str().ends_with(".pcf")
+            && self.torn.lock().insert(path.as_str().to_owned())
+        {
+            bytes.truncate(bytes.len().saturating_sub(1));
+        }
+        Ok(bytes)
+    }
+
+    fn head(&self, path: &BlobPath) -> StoreResult<BlobMeta> {
+        self.inner.head(path)
+    }
+
+    fn delete(&self, path: &BlobPath) -> StoreResult<()> {
+        self.inner.delete(path)
+    }
+
+    fn list(&self, prefix: &str) -> StoreResult<Vec<BlobMeta>> {
+        self.inner.list(prefix)
+    }
+
+    fn stage_block(
+        &self,
+        path: &BlobPath,
+        block: BlockId,
+        data: Bytes,
+        stamp: Stamp,
+    ) -> StoreResult<()> {
+        self.inner.stage_block(path, block, data, stamp)
+    }
+
+    fn commit_block_list(
+        &self,
+        path: &BlobPath,
+        blocks: &[BlockId],
+        stamp: Stamp,
+    ) -> StoreResult<()> {
+        self.inner.commit_block_list(path, blocks, stamp)
+    }
+
+    fn committed_blocks(&self, path: &BlobPath) -> StoreResult<Vec<BlockId>> {
+        self.inner.committed_blocks(path)
+    }
+}
+
+#[test]
+fn delete_and_update_survive_a_torn_range_read() {
+    let store = Arc::new(TornFirstRange {
+        inner: MemoryStore::new(),
+        armed: AtomicBool::new(false),
+        torn: Mutex::new(HashSet::new()),
+    });
+    let pool = Arc::new(ComputePool::with_topology(4, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 2, 2);
+    let engine = PolarisEngine::new(
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+        pool,
+        EngineConfig::for_testing(),
+    );
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT, v BIGINT)").unwrap();
+    // Two files per distribution: a write task tears on each file's first
+    // read once, so it needs three attempts of the four it gets.
+    for f in 0..2i64 {
+        let rows: Vec<String> = (0..256)
+            .map(|i| format!("({}, {})", f * 256 + i, (f * 256 + i) % 100))
+            .collect();
+        s.execute(&format!("INSERT INTO t VALUES {}", rows.join(",")))
+            .unwrap();
+    }
+    let count = |s: &mut polaris_core::Session, sql: &str| {
+        s.query(sql).unwrap().column(0).value(0).as_int().unwrap()
+    };
+    let to_delete = count(&mut s, "SELECT COUNT(*) AS n FROM t WHERE v < 10");
+    assert!(to_delete > 0);
+
+    store.arm(true);
+    let out = s.execute("DELETE FROM t WHERE v < 10").unwrap();
+    assert!(
+        store.torn_count() > 0,
+        "the DELETE read data files by range"
+    );
+    store.arm(false);
+    assert!(matches!(out, StatementOutcome::Affected(n) if n as i64 == to_delete));
+    assert_eq!(
+        count(&mut s, "SELECT COUNT(*) AS n FROM t"),
+        512 - to_delete
+    );
+    assert_eq!(count(&mut s, "SELECT COUNT(*) AS n FROM t WHERE v < 10"), 0);
+
+    let to_update = count(&mut s, "SELECT COUNT(*) AS n FROM t WHERE k >= 300");
+    store.arm(true);
+    let out = s.execute("UPDATE t SET v = 1000 WHERE k >= 300").unwrap();
+    assert!(
+        store.torn_count() > 0,
+        "the UPDATE read data files by range"
+    );
+    store.arm(false);
+    assert!(matches!(out, StatementOutcome::Affected(n) if n as i64 == to_update));
+    assert_eq!(
+        count(&mut s, "SELECT COUNT(*) AS n FROM t"),
+        512 - to_delete
+    );
+    assert_eq!(
+        count(&mut s, "SELECT COUNT(*) AS n FROM t WHERE v = 1000"),
+        to_update
     );
 }

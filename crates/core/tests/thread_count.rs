@@ -1,15 +1,14 @@
-//! No thread is created per commit or per DAG: the process has as many
-//! threads after 1 000 auto-commit INSERTs on a durable engine, and while
-//! an asynchronous DAG is in flight, as it had before.
+//! No thread is created per commit: the process has as many threads
+//! after 1 000 auto-commit INSERTs on a durable engine as it had before.
 //!
 //! A test binary of its own with this one test: the count is the
 //! process's, and any test running beside it would move it.
 #![cfg(target_os = "linux")]
 
 use polaris_core::{EngineConfig, PolarisEngine};
-use polaris_dcp::{ComputePool, WorkflowDag, WorkloadClass};
+use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_store::MemoryStore;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 fn threads() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
@@ -21,7 +20,7 @@ fn threads() -> u64 {
 }
 
 #[test]
-fn commits_and_async_dags_create_no_threads() {
+fn commits_create_no_threads() {
     let pool = Arc::new(ComputePool::with_topology(2, 4, 1));
     pool.add_nodes(WorkloadClass::System, 2, 2);
     let config = EngineConfig {
@@ -35,27 +34,6 @@ fn commits_and_async_dags_create_no_threads() {
         .unwrap();
     session.execute("INSERT INTO t VALUES (0, 0)").unwrap();
     let before = threads();
-
-    // Four tasks on four lanes, all running while the caller is between
-    // start and join (the barrier opens only then).
-    let barrier = Arc::new(Barrier::new(5));
-    let mut dag = WorkflowDag::new();
-    for _ in 0..4 {
-        let barrier = Arc::clone(&barrier);
-        dag.add_task(move |_| {
-            barrier.wait();
-            Ok(())
-        });
-    }
-    let handle = engine.pool().run_dag_async(dag, WorkloadClass::Write);
-    let during = threads();
-    barrier.wait();
-    handle.join().unwrap();
-    assert_eq!(
-        during, before,
-        "an asynchronous DAG has no thread of its own"
-    );
-
     for i in 1..=1000 {
         session
             .execute(&format!("INSERT INTO t VALUES ({i}, {})", i * 7))

@@ -85,11 +85,6 @@ pub enum DcpError {
         /// The class that had no nodes.
         class: &'static str,
     },
-    /// The DAG is malformed (dependency cycle or out-of-range edge).
-    InvalidDag {
-        /// Description of the problem.
-        detail: String,
-    },
 }
 
 impl fmt::Display for DcpError {
@@ -106,7 +101,6 @@ impl fmt::Display for DcpError {
             DcpError::NoCapacity { class } => {
                 write!(f, "no alive compute nodes in class {class}")
             }
-            DcpError::InvalidDag { detail } => write!(f, "invalid workflow DAG: {detail}"),
         }
     }
 }

@@ -3,26 +3,28 @@
 //! The Polaris Distributed Computation Platform substrate (§1, §3.3, §4.3).
 //!
 //! Polaris packages data and processing into **tasks** that can be moved
-//! across compute nodes and restarted at task level; inter-task
-//! dependencies form a **workflow DAG**; a scheduler places tasks onto a
-//! dynamically changing **topology** of compute nodes and is resilient to
-//! node failures. Reads and writes are handled *uniformly*: a write
-//! statement is just a DAG whose leaf tasks return manifest block IDs
-//! instead of rows.
+//! across compute nodes and restarted at task level; a scheduler places
+//! tasks onto a dynamically changing **topology** of compute nodes and is
+//! resilient to node failures. Reads and writes are handled *uniformly*: a
+//! write statement is just a set of leaf tasks that return manifest block
+//! IDs instead of rows.
 //!
-//! This crate reproduces those control-plane properties on threads:
+//! This crate reproduces those control-plane properties on threads, with
+//! the two job shapes the engine sends it:
 //!
 //! * [`ComputePool`] — a topology of worker nodes, each with a workload
-//!   class ([`WorkloadClass`]) and capacity; nodes can join and leave (or
-//!   be killed) at any time.
-//! * [`WorkflowDag`] — tasks with dependencies; [`ComputePool::run_dag`]
-//!   schedules ready tasks onto free nodes of the right class, retries
-//!   failed attempts on surviving nodes, and aggregates results.
+//!   class ([`WorkloadClass`]) and capacity; nodes can join (the elasticity
+//!   of §7.1) and leave (or be killed) at any time.
+//! * [`WorkflowDag`] — a flat task set (write statements, scan planning,
+//!   the block-list publication); [`ComputePool::run_dag`] places tasks
+//!   onto free nodes of the right class, retries failed attempts on
+//!   surviving nodes, and returns the results in task order.
+//! * [`Morsel`] — a scan fragment; [`ComputePool::run_morsels`] drains
+//!   morsels through per-lane work-stealing deques with adaptive splitting
+//!   and prefetch.
 //! * [`TaskError`] — transient faults (including [`TaskError::NodeLost`])
-//!   are retried; fatal errors fail the DAG.
-//! * [`ResourceAllocator`] / [`ElasticAllocator`] / [`FixedAllocator`] —
-//!   the cost-based elastic sizing of §7.1 vs the capacity-capped baseline
-//!   of Figure 8.
+//!   are retried under one rule for both shapes; fatal errors fail the
+//!   job.
 //!
 //! Workload separation (§4.3) falls out of node classes: write tasks only
 //! run on `Write` nodes, so data loading never steals capacity from
@@ -31,8 +33,7 @@
 //! # Concurrency model
 //!
 //! Each compute node is a thread; a DAG is scheduled by the thread that
-//! waits for it ([`ComputePool::run_dag`], or [`DagHandle::join`] after
-//! [`ComputePool::run_dag_async`]) — there is no coordinator thread. The
+//! calls [`ComputePool::run_dag`] — there is no coordinator thread. The
 //! node table sits behind one pool lock that is held only to *place* an
 //! attempt, never while a task body runs; a DAG's ready queue and
 //! in-flight count are its scheduling thread's own. Attempts run on node
@@ -54,14 +55,12 @@
 //! retries them elsewhere, which is exactly the §4.3 drill the Figure 12
 //! harness runs.
 
-mod alloc;
 mod dag;
 mod error;
 mod morsel;
 mod pool;
 
-pub use alloc::{CostEstimate, ElasticAllocator, FixedAllocator, ResourceAllocator};
 pub use dag::{TaskCtx, TaskFn, WorkflowDag};
 pub use error::{DcpError, DcpResult, TaskError};
 pub use morsel::{Morsel, MorselCtx, MorselRunStats};
-pub use pool::{ComputePool, DagHandle, NodeId, PoolStats, WorkloadClass};
+pub use pool::{ComputePool, NodeId, PoolStats, WorkloadClass};

@@ -25,10 +25,12 @@
 //!   evaluates. [`Morsel::prefetch`] is advisory: failures are ignored
 //!   and re-surfaced by the execute path.
 //! * **Retry / node loss** — a failed attempt returns the morsel to the
-//!   coordinator, which re-queues it on a surviving lane (same retry
-//!   budget as DAG tasks). A killed node's deque stays stealable, so its
-//!   queued morsels drain through other lanes; only the attempt that was
-//!   *running* on the dead node is re-executed.
+//!   coordinator, which re-queues it on a surviving lane under the retry
+//!   rule DAG tasks follow (`ComputePool::retry`); an attempt whose node
+//!   died under it is lost by the same check (`LaneRef::unless_lost`). A
+//!   killed node's deque stays stealable, so its queued morsels drain
+//!   through other lanes; only the attempt that was *running* on the dead
+//!   node is re-executed.
 //!
 //! Accounting note: morsel attempts are deliberately **not** counted in
 //! [`PoolStats::attempts`](crate::PoolStats) and emit no `dcp.task`
@@ -36,7 +38,7 @@
 //! span/attempt parity. Morsel throughput is reported separately via
 //! [`MorselRunStats`].
 
-use crate::pool::{ComputePool, Job, Slot, WorkloadClass};
+use crate::pool::{ComputePool, Job, LaneRef, Slot, SlotEvent, WorkloadClass};
 use crate::{DcpError, DcpResult, TaskError};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -44,8 +46,13 @@ use polaris_obs::alloc::{attribute_wait, AllocPhase, AllocScope};
 use polaris_obs::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long a driver parks on an empty deque before it re-checks on its
+/// own. Kills signal the pool's slot event, not a run's, so this re-check
+/// is how a driver notices its node was killed while it was parked.
+const DRIVER_RECHECK: Duration = Duration::from_millis(5);
 
 /// A schedulable scan fragment.
 ///
@@ -109,51 +116,6 @@ enum Event<M: Morsel> {
     DriverExit,
 }
 
-/// Wakes drivers parked on empty deques when a retry or split lands.
-/// Same missed-wakeup-free generation scheme as the pool's `SlotEvent`;
-/// the short safety timeout doubles as the liveness probe for drivers
-/// whose node was killed while they were parked (kills signal the pool's
-/// slot event, not this one).
-struct Wake {
-    gen: AtomicU64,
-    lock: StdMutex<()>,
-    cv: Condvar,
-}
-
-impl Wake {
-    fn new() -> Self {
-        Wake {
-            gen: AtomicU64::new(0),
-            lock: StdMutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        self.gen.load(Ordering::SeqCst)
-    }
-
-    fn signal(&self) {
-        self.gen.fetch_add(1, Ordering::SeqCst);
-        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        self.cv.notify_all();
-    }
-
-    fn wait_past(&self, seen: u64) {
-        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        while self.gen.load(Ordering::SeqCst) == seen {
-            let (g, timeout) = self
-                .cv
-                .wait_timeout(guard, Duration::from_millis(5))
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
-            if timeout.timed_out() {
-                return;
-            }
-        }
-    }
-}
-
 struct Entry<M> {
     morsel: M,
     attempt: u32,
@@ -175,7 +137,8 @@ struct Shared<M: Morsel> {
     per_lane: u64,
     prefetch_depth: usize,
     shutdown: AtomicBool,
-    wake: Wake,
+    /// Wakes drivers parked on empty deques when a retry or split lands.
+    wake: SlotEvent,
     /// Wait-profiler sink for time drivers spend parked on `wake`
     /// (`dcp.morsel_wake_wait_ns`).
     wake_wait_ns: Histogram,
@@ -238,13 +201,12 @@ fn next_entry<M: Morsel>(shared: &Shared<M>, lane: usize) -> Option<(Entry<M>, b
 fn drive<M: Morsel>(
     shared: &Shared<M>,
     lane: usize,
-    node: u64,
-    alive: &AtomicBool,
+    node: &LaneRef,
     prefetch_tx: Option<&Sender<M>>,
     tx: &Sender<Event<M>>,
 ) {
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) || !alive.load(Ordering::SeqCst) {
+        if shared.shutdown.load(Ordering::SeqCst) || !node.is_alive() {
             return;
         }
         let gen = shared.wake.generation();
@@ -255,7 +217,7 @@ fn drive<M: Morsel>(
             // Work may still flow back (retries, splits on other lanes):
             // park until something lands.
             let parked = Instant::now();
-            shared.wake.wait_past(gen);
+            shared.wake.wait_past(gen, DRIVER_RECHECK);
             let waited_ns = parked.elapsed().as_nanos() as u64;
             shared.wake_wait_ns.record_ns(waited_ns);
             attribute_wait(waited_ns);
@@ -297,7 +259,7 @@ fn drive<M: Morsel>(
         let weight = entry.morsel.weight();
         shared.in_flight_bytes.fetch_add(weight, Ordering::SeqCst);
         let ctx = MorselCtx {
-            node,
+            node: node.node.0,
             attempt: entry.attempt,
             stolen,
         };
@@ -306,14 +268,7 @@ fn drive<M: Morsel>(
             entry.morsel.execute(&ctx)
         };
         shared.in_flight_bytes.fetch_sub(weight, Ordering::SeqCst);
-        // A node killed mid-attempt discards the output, like a DAG task:
-        // the morsel is re-queued elsewhere, the scan stays correct.
-        let outcome = if alive.load(Ordering::SeqCst) {
-            result
-        } else {
-            Err(TaskError::NodeLost { node })
-        };
-        match outcome {
+        match node.unless_lost(result) {
             Ok(out) => {
                 if shared.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
                     // Last morsel done: release every parked driver.
@@ -367,7 +322,7 @@ impl ComputePool {
             per_lane: (budget / lanes.len() as u64).max(1),
             prefetch_depth,
             shutdown: AtomicBool::new(false),
-            wake: Wake::new(),
+            wake: SlotEvent::new(),
             wake_wait_ns: self.meter().morsel_wake_wait_ns.clone(),
             scheduled: AtomicU64::new(n as u64),
             stolen: AtomicU64::new(0),
@@ -414,8 +369,7 @@ impl ComputePool {
             let tx = tx.clone();
             let job: Job = Box::new(move |alive_at_dequeue| {
                 if alive_at_dequeue {
-                    let lane = &slot.lane;
-                    drive(&shared, li, lane.node.0, &lane.alive, pf.as_ref(), &tx);
+                    drive(&shared, li, &slot.lane, pf.as_ref(), &tx);
                 }
                 drop(slot);
                 let _ = tx.send(Event::DriverExit);
@@ -431,7 +385,6 @@ impl ComputePool {
                 class: class.name(),
             });
         }
-        let max_attempts = self.max_attempts;
         let mut outputs = Vec::with_capacity(n);
         let mut error: Option<DcpError> = None;
         let mut retry_rr = 0usize;
@@ -447,35 +400,26 @@ impl ComputePool {
                     if error.is_some() {
                         continue; // already failing; drop the morsel
                     }
-                    if err.is_retryable() && attempt + 1 < max_attempts {
-                        shared.retries.fetch_add(1, Ordering::Relaxed);
-                        shared.scheduled.fetch_add(1, Ordering::Relaxed);
-                        // Round-robin re-queue: stealing evens out a bad
-                        // placement, liveness only needs *a* deque.
-                        let target = retry_rr % shared.deques.len();
-                        retry_rr += 1;
-                        shared.deques[target].lock().push_back(Entry {
-                            morsel,
-                            attempt: attempt + 1,
-                            prefetch_sent: false,
-                        });
-                        shared.wake.signal();
-                    } else {
-                        error = Some(if err.is_retryable() {
-                            DcpError::RetriesExhausted {
-                                task: 0,
-                                attempts: attempt + 1,
-                                last: err,
-                            }
-                        } else {
-                            DcpError::TaskFailed {
-                                task: 0,
-                                error: err,
-                            }
-                        });
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        shared.wake.signal();
+                    match self.retry(0, attempt, err) {
+                        Ok(next) => {
+                            shared.retries.fetch_add(1, Ordering::Relaxed);
+                            shared.scheduled.fetch_add(1, Ordering::Relaxed);
+                            // Round-robin re-queue: stealing evens out a bad
+                            // placement, liveness only needs *a* deque.
+                            let target = retry_rr % shared.deques.len();
+                            retry_rr += 1;
+                            shared.deques[target].lock().push_back(Entry {
+                                morsel,
+                                attempt: next,
+                                prefetch_sent: false,
+                            });
+                        }
+                        Err(e) => {
+                            error = Some(e);
+                            shared.shutdown.store(true, Ordering::SeqCst);
+                        }
                     }
+                    shared.wake.signal();
                 }
                 Event::DriverExit => active -= 1,
             }

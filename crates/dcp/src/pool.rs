@@ -1,7 +1,7 @@
 //! The compute pool: a dynamic topology of worker nodes with task-level
 //! scheduling, retries, and workload separation.
 
-use crate::dag::{TaskCtx, TaskFn, TaskNode, WorkflowDag};
+use crate::dag::{TaskCtx, TaskFn, WorkflowDag};
 use crate::{DcpError, DcpResult, TaskError};
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::RwLock;
@@ -13,11 +13,13 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Slot-release event: wakes DAG schedulers that stalled because every
-/// slot of their class was held by other DAGs sharing the pool. `gen`
-/// counts topology/slot changes; a waiter captures it *before* trying to
-/// dispatch and parks only while it is unchanged, so a release landing
-/// between the failed dispatch and the park is never missed.
+/// A generation-counted wake event. `gen` counts changes worth a re-check;
+/// a waiter captures it *before* looking for work and parks only while it
+/// is unchanged, so a signal landing between the failed look and the park
+/// is never missed. The pool's instance wakes DAG schedulers stalled on a
+/// class whose every slot is held (slot releases and topology changes
+/// signal it); each morsel run has its own that wakes its drivers when a
+/// retry or a split lands.
 pub(crate) struct SlotEvent {
     gen: AtomicU64,
     lock: StdMutex<()>,
@@ -25,7 +27,7 @@ pub(crate) struct SlotEvent {
 }
 
 impl SlotEvent {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SlotEvent {
             gen: AtomicU64::new(0),
             lock: StdMutex::new(()),
@@ -33,7 +35,7 @@ impl SlotEvent {
         }
     }
 
-    fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.gen.load(Ordering::SeqCst)
     }
 
@@ -46,15 +48,15 @@ impl SlotEvent {
         self.cv.notify_all();
     }
 
-    /// Park until the generation moves past `seen`; `false` when the
-    /// safety timeout ended the wait instead. The timeout bounds the cost
-    /// of any edge this reasoning missed to one re-check, never a stall.
-    fn wait_past(&self, seen: u64) -> bool {
+    /// Park until the generation moves past `seen`; `false` when
+    /// `timeout` ended the wait instead. The timeout bounds the cost of
+    /// any edge this reasoning missed to one re-check, never a stall.
+    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) -> bool {
         let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         while self.gen.load(Ordering::SeqCst) == seen {
             let (g, timeout) = self
                 .cv
-                .wait_timeout(guard, Duration::from_millis(50))
+                .wait_timeout(guard, timeout)
                 .unwrap_or_else(PoisonError::into_inner);
             guard = g;
             if timeout.timed_out() {
@@ -103,9 +105,27 @@ pub(crate) type Job = Box<dyn FnOnce(bool) + Send + 'static>;
 /// account its slots without exposing [`NodeHandle`] itself.
 pub(crate) struct LaneRef {
     pub(crate) node: NodeId,
-    pub(crate) alive: Arc<AtomicBool>,
+    alive: Arc<AtomicBool>,
     busy: Arc<AtomicUsize>,
     pub(crate) sender: Sender<Job>,
+}
+
+impl LaneRef {
+    pub(crate) fn is_alive(&self) -> bool {
+        self.alive.load(Ordering::SeqCst)
+    }
+
+    /// The result of an attempt that ran on this node, as its scheduler
+    /// takes it: a node killed while the body ran discards the output —
+    /// Polaris treats the attempt as lost and re-schedules it (§4.3), and
+    /// anything it staged is never committed.
+    pub(crate) fn unless_lost<T>(&self, result: Result<T, TaskError>) -> Result<T, TaskError> {
+        if self.is_alive() {
+            result
+        } else {
+            Err(TaskError::NodeLost { node: self.node.0 })
+        }
+    }
 }
 
 /// One held task slot of a node. Dropping it releases the slot and wakes
@@ -209,22 +229,14 @@ impl<T> Attempt<T> {
         span.attr("node", node);
         span.attr("task", self.task);
         span.attr("attempt", self.attempt);
-        let outcome = if !alive {
-            Err(TaskError::NodeLost { node })
-        } else {
-            let result = (self.run)(&TaskCtx {
+        let outcome = if alive {
+            self.slot.lane.unless_lost((self.run)(&TaskCtx {
                 node,
                 attempt: self.attempt,
                 task: self.task,
-            });
-            // A node killed while the task ran discards its output:
-            // Polaris treats it as lost and re-schedules (§4.3). Any
-            // blocks the attempt staged are never committed.
-            if self.slot.lane.alive.load(Ordering::SeqCst) {
-                result
-            } else {
-                Err(TaskError::NodeLost { node })
-            }
+            }))
+        } else {
+            Err(TaskError::NodeLost { node })
         };
         span.attr("outcome", outcome_label(&outcome));
         drop(span);
@@ -235,22 +247,18 @@ impl<T> Attempt<T> {
     }
 }
 
-/// One DAG's scheduling state: what [`ComputePool::start`] dispatched and
-/// [`ComputePool::join`] collects.
+/// One DAG's scheduling state, owned by the thread in
+/// [`ComputePool::run_dag`].
 struct DagRun<T> {
     class: WorkloadClass,
-    tasks: Vec<TaskNode<T>>,
-    /// Unfinished dependencies per task, and who waits on each task; both
-    /// empty for a DAG without edges.
-    pending: Vec<usize>,
-    dependents: Vec<Vec<usize>>,
+    tasks: Vec<TaskFn<T>>,
     /// Runnable `(task, attempt)` pairs not yet placed.
     ready: Vec<(usize, u32)>,
     in_flight: usize,
     results: Vec<Option<T>>,
     completed: usize,
-    /// First failure; once set nothing more is placed, and `join` returns
-    /// it when the attempts already in flight have reported.
+    /// First failure; once set nothing more is placed, and `run_dag`
+    /// returns it when the attempts already in flight have reported.
     failed: Option<DcpError>,
     /// Where lane attempts report; made when the first one is placed.
     done: Option<DoneChannel<T>>,
@@ -260,26 +268,10 @@ struct DagRun<T> {
     trace_parent: u64,
 }
 
-/// Handle to a DAG started with [`ComputePool::run_dag_async`]: its
-/// runnable tasks are already on lanes; [`DagHandle::join`] schedules the
-/// rest from the joining thread and returns the per-task results.
-pub struct DagHandle<T> {
-    pool: Arc<ComputePool>,
-    run: DcpResult<DagRun<T>>,
-}
-
-impl<T: Send + 'static> DagHandle<T> {
-    /// Drive the DAG to its end; results come back in task order, or the
-    /// first error that failed the DAG.
-    pub fn join(self) -> DcpResult<Vec<T>> {
-        self.pool.join(self.run?)
-    }
-}
-
 /// A dynamic topology of compute nodes executing task DAGs.
 ///
 /// Nodes are OS threads; each has a workload class and a slot capacity.
-/// The scheduler in [`run_dag`](ComputePool::run_dag) dispatches ready
+/// The scheduler in [`run_dag`](ComputePool::run_dag) dispatches runnable
 /// tasks to the least-loaded alive node of the requested class, retries
 /// transient failures (including node loss) on surviving nodes, and fails
 /// the DAG only when retries are exhausted or a fatal error occurs.
@@ -390,14 +382,6 @@ impl ComputePool {
         was_alive
     }
 
-    /// Remove dead nodes from the topology entirely.
-    pub fn reap_dead(&self) -> usize {
-        let mut nodes = self.nodes.write();
-        let before = nodes.len();
-        nodes.retain(|_, h| h.alive.load(Ordering::SeqCst));
-        before - nodes.len()
-    }
-
     /// Alive nodes in a class.
     pub fn alive_count(&self, class: WorkloadClass) -> usize {
         self.nodes
@@ -467,73 +451,21 @@ impl ComputePool {
     }
 
     /// Run every task of `dag` on nodes of `class`; returns one result per
-    /// task, in task order.
+    /// task, in task order, or the first error that failed the DAG once
+    /// every attempt it placed has reported. The calling thread is the
+    /// scheduler: place, collect, retry, until every task has a result or
+    /// the DAG has failed and nothing of it is still running.
     pub fn run_dag<T: Send + 'static>(
         &self,
         dag: WorkflowDag<T>,
         class: WorkloadClass,
     ) -> DcpResult<Vec<T>> {
-        self.join(self.start(dag, class)?)
-    }
-
-    /// Start `dag` on nodes of `class` without blocking the caller: what
-    /// is runnable goes to lanes now and runs while the caller does other
-    /// work; [`DagHandle::join`] schedules dependents and retries and
-    /// collects the results. Dropping the handle detaches the attempts
-    /// already placed (they finish, their results discarded) and runs
-    /// nothing more.
-    pub fn run_dag_async<T: Send + 'static>(
-        self: &Arc<Self>,
-        dag: WorkflowDag<T>,
-        class: WorkloadClass,
-    ) -> DagHandle<T> {
-        DagHandle {
-            pool: Arc::clone(self),
-            run: self.start(dag, class),
-        }
-    }
-
-    /// Convenience: run independent tasks (a flat DAG) and collect results.
-    pub fn run_tasks<T: Send + 'static>(
-        &self,
-        tasks: Vec<TaskFn<T>>,
-        class: WorkloadClass,
-    ) -> DcpResult<Vec<T>> {
-        let mut dag = WorkflowDag::with_capacity(tasks.len());
-        for t in tasks {
-            dag.add_task(move |ctx: &TaskCtx| t(ctx));
-        }
-        self.run_dag(dag, class)
-    }
-
-    /// Build the run state of `dag` and place what is runnable.
-    fn start<T: Send + 'static>(
-        &self,
-        dag: WorkflowDag<T>,
-        class: WorkloadClass,
-    ) -> DcpResult<DagRun<T>> {
-        let tasks = dag.into_tasks()?;
-        let n = tasks.len();
-        let (mut pending, mut dependents) = (Vec::new(), Vec::new());
-        if tasks.iter().any(|t| !t.deps.is_empty()) {
-            pending = tasks.iter().map(|t| t.deps.len()).collect();
-            dependents = vec![Vec::new(); n];
-            for (i, t) in tasks.iter().enumerate() {
-                for &d in &t.deps {
-                    dependents[d].push(i);
-                }
-            }
-        }
+        let n = dag.tasks.len();
         let tracer = self.tracer.read().clone();
         let mut run = DagRun {
             class,
-            ready: (0..n)
-                .filter(|&i| tasks[i].deps.is_empty())
-                .map(|i| (i, 0))
-                .collect(),
-            tasks,
-            pending,
-            dependents,
+            tasks: dag.tasks,
+            ready: (0..n).map(|i| (i, 0)).collect(),
             in_flight: 0,
             results: (0..n).map(|_| None).collect(),
             completed: 0,
@@ -542,15 +474,8 @@ impl ComputePool {
             trace_parent: tracer.current(),
             tracer,
         };
-        self.place_ready(&mut run);
-        Ok(run)
-    }
-
-    /// The scheduler: place, collect, retry, until every task has a result
-    /// or the DAG has failed and nothing of it is still running.
-    fn join<T: Send + 'static>(&self, mut run: DagRun<T>) -> DcpResult<Vec<T>> {
         let mut parked = None;
-        while run.completed < run.tasks.len() && (run.failed.is_none() || run.in_flight > 0) {
+        while run.completed < n && (run.failed.is_none() || run.in_flight > 0) {
             // Captured before placing: a slot released after this point
             // bumps the generation, so a failed placement below never
             // parks past it.
@@ -592,8 +517,8 @@ impl ComputePool {
     /// Place runnable attempts on the lanes of free nodes. The caller-runs
     /// rule is decided here, from what the scheduler can see: when exactly
     /// one attempt is runnable and none is in flight there is nothing to
-    /// overlap it with, so it stays for the thread that joins (it runs it
-    /// itself, holding a node's slot) instead of paying two cross-thread
+    /// overlap it with, so it stays for the scheduling thread (which runs
+    /// it itself, holding a node's slot) instead of paying two cross-thread
     /// hand-offs.
     fn place_ready<T: Send + 'static>(&self, run: &mut DagRun<T>) {
         if run.failed.is_some() {
@@ -646,7 +571,7 @@ impl ComputePool {
             slot,
             task,
             attempt,
-            run: Arc::clone(&run.tasks[task].run),
+            run: Arc::clone(&run.tasks[task]),
             tracer: run.tracer.clone(),
             trace_parent: run.trace_parent,
         }
@@ -672,7 +597,10 @@ impl ComputePool {
             self.meter.slot_waits.inc();
             Instant::now()
         });
-        if self.slot_event.wait_past(slot_gen) {
+        if self
+            .slot_event
+            .wait_past(slot_gen, Duration::from_millis(50))
+        {
             let waited_ns = since.elapsed().as_nanos() as u64;
             self.meter.slot_wait_ns.record_ns(waited_ns);
             polaris_obs::alloc::attribute_wait(waited_ns);
@@ -690,37 +618,44 @@ impl ComputePool {
         if matches!(outcome, Err(TaskError::NodeLost { .. })) {
             self.meter.node_losses.inc();
         }
-        let failure = match outcome {
+        let err = match outcome {
             Ok(value) => {
                 run.results[task] = Some(value);
                 run.completed += 1;
-                for &dep in run.dependents.get(task).into_iter().flatten() {
-                    run.pending[dep] -= 1;
-                    if run.pending[dep] == 0 {
-                        run.ready.push((dep, 0));
-                    }
-                }
                 return;
             }
-            Err(err) if err.is_retryable() && attempt + 1 < self.max_attempts => {
-                run.ready.push((task, attempt + 1));
-                return;
+            Err(err) => err,
+        };
+        match self.retry(task, attempt, err) {
+            Ok(next) => run.ready.push((task, next)),
+            Err(failure) => {
+                run.failed.get_or_insert(failure);
             }
-            Err(err) if err.is_retryable() => DcpError::RetriesExhausted {
+        }
+    }
+
+    /// The one retry rule, for DAG tasks and morsels alike: attempt
+    /// `attempt` of `task` failed with `err`. A retryable failure with
+    /// budget left gets the next attempt number; a fatal one fails the
+    /// job, and so does a retryable one that used the last attempt.
+    pub(crate) fn retry(&self, task: usize, attempt: u32, err: TaskError) -> DcpResult<u32> {
+        if !err.is_retryable() {
+            Err(DcpError::TaskFailed { task, error: err })
+        } else if attempt + 1 < self.max_attempts {
+            Ok(attempt + 1)
+        } else {
+            Err(DcpError::RetriesExhausted {
                 task,
                 attempts: attempt + 1,
                 last: err,
-            },
-            Err(err) => DcpError::TaskFailed { task, error: err },
-        };
-        run.failed.get_or_insert(failure);
+            })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicU32;
 
     #[test]
@@ -732,36 +667,6 @@ mod tests {
         }
         let results = pool.run_dag(dag, WorkloadClass::Read).unwrap();
         assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<i64>>());
-    }
-
-    #[test]
-    fn respects_dependencies() {
-        let pool = ComputePool::with_topology(4, 0, 2);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut dag = WorkflowDag::new();
-        let o = Arc::clone(&order);
-        let a = dag.add_task(move |_| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            o.lock().push("a");
-            Ok(())
-        });
-        let o = Arc::clone(&order);
-        let b = dag.add_task(move |_| {
-            o.lock().push("b");
-            Ok(())
-        });
-        let o = Arc::clone(&order);
-        dag.add_task_with_deps(
-            move |_| {
-                o.lock().push("c");
-                Ok(())
-            },
-            vec![a, b],
-        );
-        pool.run_dag(dag, WorkloadClass::Read).unwrap();
-        let order = order.lock();
-        let pos = |x: &str| order.iter().position(|&s| s == x).unwrap();
-        assert!(pos("c") > pos("a") && pos("c") > pos("b"));
     }
 
     #[test]
@@ -868,7 +773,6 @@ mod tests {
             pool.run_dag(dag, WorkloadClass::Read),
             Err(DcpError::NoCapacity { .. })
         ));
-        assert_eq!(pool.reap_dead(), 1);
         assert_eq!(pool.alive_count(WorkloadClass::Read), 0);
     }
 
@@ -1002,33 +906,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn async_dag_overlaps_with_caller_work() {
-        // Four nodes, four tasks and the caller meet at one barrier: it
-        // opens only if every task is running while the caller is still
-        // between `run_dag_async` and `join` — on lanes, with no thread
-        // of the DAG's own to put them there.
-        let pool = Arc::new(ComputePool::with_topology(4, 0, 1));
-        let barrier = Arc::new(std::sync::Barrier::new(5));
-        let mut dag = WorkflowDag::new();
-        for i in 0..4i64 {
-            let barrier = Arc::clone(&barrier);
-            dag.add_task(move |_| {
-                barrier.wait();
-                Ok((i, std::thread::current().id()))
-            });
-        }
-        let handle = pool.run_dag_async(dag, WorkloadClass::Read);
-        barrier.wait();
-        let results = handle.join().unwrap();
-        assert_eq!(
-            results.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        let caller = std::thread::current().id();
-        assert!(results.iter().all(|(_, thread)| *thread != caller));
-    }
-
     /// A one-task DAG whose body reports where it ran and what it saw.
     fn probe_dag(pool: &Arc<ComputePool>) -> WorkflowDag<(std::thread::ThreadId, usize, u64)> {
         let pool = Arc::clone(pool);
@@ -1056,29 +933,6 @@ mod tests {
         assert_eq!(pool.busy(WorkloadClass::Write), 0, "released after");
         let s = pool.stats();
         assert_eq!((s.attempts, s.retries, s.node_losses), (1, 0, 0));
-    }
-
-    #[test]
-    fn lone_async_task_runs_at_join() {
-        let pool = Arc::new(ComputePool::with_topology(0, 1, 1));
-        let handle = pool.run_dag_async(probe_dag(&pool), WorkloadClass::Write);
-        assert_eq!(pool.stats().attempts, 0, "nothing to overlap: not started");
-        assert_eq!(pool.busy(WorkloadClass::Write), 0);
-        let joiner = std::thread::spawn(move || (std::thread::current().id(), handle.join()));
-        let (joiner, out) = joiner.join().unwrap();
-        assert_eq!(out.unwrap()[0].0, joiner);
-    }
-
-    #[test]
-    fn chain_runs_wholly_on_the_caller() {
-        let pool = ComputePool::with_topology(2, 0, 2);
-        let mut dag = WorkflowDag::new();
-        let a = dag.add_task(|_| Ok(std::thread::current().id()));
-        let b = dag.add_task_with_deps(|_| Ok(std::thread::current().id()), vec![a]);
-        dag.add_task_with_deps(|_| Ok(std::thread::current().id()), vec![b]);
-        let threads = pool.run_dag(dag, WorkloadClass::Read).unwrap();
-        assert_eq!(threads, vec![std::thread::current().id(); 3]);
-        assert_eq!(pool.stats().attempts, 3);
     }
 
     #[test]
