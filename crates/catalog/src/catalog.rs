@@ -11,13 +11,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a table object within a database (the `Table Id` column
 /// of the catalog tables, Figure 4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableId(pub u64);
 
 /// Logical metadata for one table.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableMeta {
     /// Unique id.
     pub id: TableId,
@@ -35,7 +33,7 @@ pub struct TableMeta {
 
 /// One row of the `Manifests` table: transaction `txn_id` committed manifest
 /// file `manifest_file` for this table at sequence `seq` (in the key).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestRow {
     /// Blob path of the committed transaction manifest.
     pub manifest_file: String,
@@ -44,7 +42,7 @@ pub struct ManifestRow {
 }
 
 /// One row of the `Checkpoints` table (§5.2).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointRow {
     /// Blob path of the checkpoint file.
     pub path: String,
@@ -52,9 +50,7 @@ pub struct CheckpointRow {
 
 /// Keys of the catalog keyspace. Ordering matters: manifests of one table
 /// sort by sequence so snapshot construction is a range scan.
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CatalogKey {
     /// Table name -> id binding.
     TableName(String),
@@ -69,7 +65,7 @@ pub enum CatalogKey {
 }
 
 /// Values of the catalog keyspace.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatalogValue {
     /// For [`CatalogKey::TableName`].
     Id(TableId),
@@ -92,7 +88,7 @@ pub type CatalogTxn = Txn<CatalogKey, CatalogValue>;
 pub type CatalogCommitLog = crate::CommitLog<CatalogKey, CatalogValue>;
 
 /// Serializable snapshot of the whole catalog — the §6.3 backup payload.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogImage {
     /// Commit clock at export time.
     pub clock: u64,
@@ -101,7 +97,7 @@ pub struct CatalogImage {
 }
 
 /// One table's logical metadata and manifest history within a backup.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableImage {
     /// Table id.
     pub id: u64,

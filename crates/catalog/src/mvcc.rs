@@ -58,28 +58,14 @@ struct CommitShard<K, V> {
 type ShardGuard<'a> = (parking_lot::MutexGuard<'a, ()>, polaris_obs::Span);
 
 /// Logical commit timestamp. Timestamp 0 is "before everything".
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 /// Transaction identifier, unique for the lifetime of the store.
 ///
 /// Mirrors the paper's durable SQL DB transaction id (§3.1) used to stamp
 /// files for garbage collection.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 /// Isolation level of a transaction (§4.4.2).

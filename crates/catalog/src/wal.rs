@@ -5,11 +5,17 @@
 //! Each sequencer batch serializes to one self-delimiting *frame*:
 //!
 //! ```text
-//! +-------+----------+-----------+------------------+
-//! | magic | len: u32 | crc32: u32| payload (len B)  |
-//! | PWAL  |   LE     |    LE     | JSON `WalBatch`  |
-//! +-------+----------+-----------+------------------+
+//! +-------+----------+-----------+--------------------+
+//! | magic | len: u32 | crc32: u32| payload (len B)    |
+//! | PWAL  |   LE     |    LE     | binary `WalBatch`  |
+//! +-------+----------+-----------+--------------------+
 //! ```
+//!
+//! The payload is one record in the engine's binary codec
+//! ([`polaris_lst::codec`]): a `WalBatch` is `first_ts`, then its commits,
+//! each `txn`, `commit_ts` and its writes as `(CatalogKey, Option<CatalogValue>)`
+//! pairs, every key and value a tag followed by its fields. The
+//! [`Codec`] impls at the end of this module are the whole layout.
 //!
 //! The CRC covers the payload only; magic + length make frames
 //! self-delimiting so a segment blob is simply frames concatenated in
@@ -26,7 +32,14 @@
 //! replay re-installs a commit verbatim without re-running any engine
 //! logic.
 
-use crate::{CatalogKey, CatalogValue, CommitLogRecord};
+use crate::{
+    CatalogImage, CatalogKey, CatalogValue, CheckpointRow, CommitLogRecord, ManifestRow, TableId,
+    TableImage, TableMeta, TxnId,
+};
+use polaris_lst::codec::{
+    decode_all, put_str, put_str_after, put_u64, Codec, DecodeResult, Reader,
+};
+use polaris_lst::SequenceId;
 
 /// Frame tag: "PWAL" (Polaris Write-Ahead Log).
 pub const WAL_MAGIC: [u8; 4] = *b"PWAL";
@@ -35,7 +48,7 @@ pub const WAL_MAGIC: [u8; 4] = *b"PWAL";
 pub const WAL_HEADER_LEN: usize = 12;
 
 /// One logged commit: a batch member's complete, replayable effect.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalCommit {
     /// The committing transaction's durable id.
     pub txn: u64,
@@ -48,7 +61,7 @@ pub struct WalCommit {
 
 /// One logged sequencer batch — the unit of durability. Members commit at
 /// the dense run `first_ts .. first_ts + commits.len()`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WalBatch {
     /// Timestamp of the batch's first member.
     pub first_ts: u64,
@@ -151,27 +164,21 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Serialize `value` as one framed record (magic + length + CRC + JSON
+/// Serialize `value` as one framed record (magic + length + CRC + binary
 /// payload) into a caller-owned buffer, preserving the buffer's capacity
 /// across calls. The buffer is cleared first; on error it is left cleared
 /// and nothing is appended downstream.
 ///
 /// This is the framing the commit log and the catalog checkpoint blob
 /// share: any blob of such frames obeys the torn-tail rule of
-/// [`decode_payloads`]. Serialization failure is routed back as an error
-/// (the sequencer turns it into a `CommitLogFailure` abort) rather than
-/// panicking inside the sequencer section.
-pub fn encode_payload_into<T: serde::Serialize>(
-    value: &T,
-    frame: &mut Vec<u8>,
-) -> Result<(), String> {
+/// [`decode_payloads`]. A payload too long for the length field is routed
+/// back as an error (the sequencer turns it into a `CommitLogFailure`
+/// abort) rather than panicking inside the sequencer section.
+pub fn encode_payload_into<T: Codec>(value: &T, frame: &mut Vec<u8>) -> Result<(), String> {
     frame.clear();
     frame.extend_from_slice(&WAL_MAGIC);
     frame.extend_from_slice(&[0u8; 8]); // len + crc, patched once the payload is written
-    if let Err(e) = serde_json::to_writer(&mut *frame, value) {
-        frame.clear();
-        return Err(format!("frame serialization failed: {e}"));
-    }
+    value.encode(frame);
     let payload_len = frame.len() - WAL_HEADER_LEN;
     let Ok(len) = u32::try_from(payload_len) else {
         frame.clear();
@@ -198,7 +205,7 @@ pub fn encode_frame(batch: &WalBatch) -> Result<Vec<u8>, String> {
 /// Decode a blob of frames: the payload of every complete frame in order,
 /// plus the tail status. Never fails — corruption is data, not an error;
 /// the torn-tail rule turns it into a truncation point.
-pub fn decode_payloads<T: serde::Deserialize>(blob: &[u8]) -> (Vec<T>, WalTail) {
+pub fn decode_payloads<T: Codec>(blob: &[u8]) -> (Vec<T>, WalTail) {
     let mut payloads = Vec::new();
     let mut offset = 0usize;
     let torn = |offset, detail| WalTail::Torn { offset, detail };
@@ -226,7 +233,7 @@ pub fn decode_payloads<T: serde::Deserialize>(blob: &[u8]) -> (Vec<T>, WalTail) 
                 torn(offset, "payload checksum mismatch".to_owned()),
             );
         }
-        match serde_json::from_slice::<T>(payload) {
+        match decode_all::<T>(payload) {
             Ok(value) => payloads.push(value),
             Err(e) => return (payloads, torn(offset, format!("unparsable payload: {e}"))),
         }
@@ -238,6 +245,202 @@ pub fn decode_payloads<T: serde::Deserialize>(blob: &[u8]) -> (Vec<T>, WalTail) 
 /// [`decode_payloads`] for a commit-log segment.
 pub fn decode_frames(segment: &[u8]) -> (Vec<WalBatch>, WalTail) {
     decode_payloads(segment)
+}
+
+// ---------------------------------------------------------------------
+// Payload layouts: fields in declaration order, ids as varints, variants
+// as a tag (their position in the enum) followed by their fields.
+// ---------------------------------------------------------------------
+
+impl Codec for WalBatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.first_ts);
+        self.commits.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(WalBatch {
+            first_ts: r.u64()?,
+            commits: Vec::decode(r)?,
+        })
+    }
+}
+
+impl Codec for WalCommit {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.txn);
+        put_u64(out, self.commit_ts);
+        self.writes.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(WalCommit {
+            txn: r.u64()?,
+            commit_ts: r.u64()?,
+            writes: Vec::decode(r)?,
+        })
+    }
+}
+
+impl Codec for CatalogKey {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CatalogKey::TableName(name) => {
+                put_u64(out, 0);
+                put_str(out, name);
+            }
+            CatalogKey::Table(id) => {
+                put_u64(out, 1);
+                put_u64(out, id.0);
+            }
+            CatalogKey::Manifest(id, seq) => {
+                put_u64(out, 2);
+                put_u64(out, id.0);
+                put_u64(out, seq.0);
+            }
+            CatalogKey::WriteSet(id, file) => {
+                put_u64(out, 3);
+                put_u64(out, id.0);
+                file.encode(out);
+            }
+            CatalogKey::Checkpoint(id, seq) => {
+                put_u64(out, 4);
+                put_u64(out, id.0);
+                put_u64(out, seq.0);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(match r.tag(5)? {
+            0 => CatalogKey::TableName(String::decode(r)?),
+            1 => CatalogKey::Table(TableId(r.u64()?)),
+            2 => CatalogKey::Manifest(TableId(r.u64()?), SequenceId(r.u64()?)),
+            3 => CatalogKey::WriteSet(TableId(r.u64()?), Option::decode(r)?),
+            _ => CatalogKey::Checkpoint(TableId(r.u64()?), SequenceId(r.u64()?)),
+        })
+    }
+}
+
+impl Codec for CatalogValue {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CatalogValue::Id(id) => {
+                put_u64(out, 0);
+                put_u64(out, id.0);
+            }
+            CatalogValue::Meta(meta) => {
+                put_u64(out, 1);
+                meta.encode(out);
+            }
+            CatalogValue::ManifestRow(row) => {
+                put_u64(out, 2);
+                put_str(out, &row.manifest_file);
+                put_u64(out, row.txn_id.0);
+            }
+            CatalogValue::Updated(n) => {
+                put_u64(out, 3);
+                put_u64(out, *n);
+            }
+            CatalogValue::CheckpointRow(row) => {
+                put_u64(out, 4);
+                put_str(out, &row.path);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(match r.tag(5)? {
+            0 => CatalogValue::Id(TableId(r.u64()?)),
+            1 => CatalogValue::Meta(TableMeta::decode(r)?),
+            2 => CatalogValue::ManifestRow(ManifestRow {
+                manifest_file: String::decode(r)?,
+                txn_id: TxnId(r.u64()?),
+            }),
+            3 => CatalogValue::Updated(r.u64()?),
+            _ => CatalogValue::CheckpointRow(CheckpointRow {
+                path: String::decode(r)?,
+            }),
+        })
+    }
+}
+
+impl Codec for TableMeta {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.id.0);
+        put_str(out, &self.name);
+        put_str(out, &self.schema_json);
+        put_str(out, &self.data_root);
+        self.cluster_by.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(TableMeta {
+            id: TableId(r.u64()?),
+            name: String::decode(r)?,
+            schema_json: String::decode(r)?,
+            data_root: String::decode(r)?,
+            cluster_by: Vec::decode(r)?,
+        })
+    }
+}
+
+impl Codec for CatalogImage {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.clock);
+        self.tables.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(CatalogImage {
+            clock: r.u64()?,
+            tables: Vec::decode(r)?,
+        })
+    }
+}
+
+impl Codec for TableImage {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.id);
+        put_str(out, &self.name);
+        put_str(out, &self.schema_json);
+        put_str(out, &self.data_root);
+        self.cluster_by.encode(out);
+        put_manifest_rows(out, &self.manifests);
+        self.checkpoints.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(TableImage {
+            id: r.u64()?,
+            name: String::decode(r)?,
+            schema_json: String::decode(r)?,
+            data_root: String::decode(r)?,
+            cluster_by: Vec::decode(r)?,
+            manifests: manifest_rows(r)?,
+            checkpoints: Vec::decode(r)?,
+        })
+    }
+}
+
+/// A table's `(sequence, manifest file, txn id)` rows as a checkpoint image
+/// carries them: a count, then per row the sequence, the path front-coded
+/// against the previous row's (one table's manifest paths differ only in
+/// their ids) and the transaction id.
+pub fn put_manifest_rows(out: &mut Vec<u8>, rows: &[(u64, String, u64)]) {
+    put_u64(out, rows.len() as u64);
+    let mut prev = "";
+    for (seq, path, txn) in rows {
+        put_u64(out, *seq);
+        put_str_after(out, prev, path);
+        put_u64(out, *txn);
+        prev = path;
+    }
+}
+
+/// Read back what [`put_manifest_rows`] wrote.
+pub fn manifest_rows(r: &mut Reader<'_>) -> DecodeResult<Vec<(u64, String, u64)>> {
+    let n = r.count()?;
+    let mut rows: Vec<(u64, String, u64)> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let seq = r.u64()?;
+        let path = r.str_after(rows.last().map_or("", |row| &row.1))?;
+        rows.push((seq, path, r.u64()?));
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -260,7 +463,7 @@ mod tests {
                     (
                         CatalogKey::Manifest(TableId(1001), SequenceId(first_ts)),
                         Some(CatalogValue::ManifestRow(crate::ManifestRow {
-                            manifest_file: "lake/t/_log/txn-7-1001.json".into(),
+                            manifest_file: polaris_lst::manifest_path("lake/t", 7, 1001),
                             txn_id: TxnId(7),
                         })),
                     ),
@@ -289,6 +492,71 @@ mod tests {
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(decoded.len(), 5);
         assert_eq!(decoded[4].first_ts, 5);
+    }
+
+    /// Every key and value variant plus a tombstone, pinned byte for byte
+    /// (header, checksum and payload): a change to this layout breaks logs
+    /// already in a store, so it must fail here first.
+    #[test]
+    fn golden_bytes() {
+        let table = TableId(1001);
+        let meta = TableMeta {
+            id: table,
+            name: "t".into(),
+            schema_json: "[]".into(),
+            data_root: "lake/t".into(),
+            cluster_by: vec!["k".into()],
+        };
+        let batch = WalBatch {
+            first_ts: 5,
+            commits: vec![WalCommit {
+                txn: 9,
+                commit_ts: 5,
+                writes: vec![
+                    (
+                        CatalogKey::TableName("t".into()),
+                        Some(CatalogValue::Id(table)),
+                    ),
+                    (CatalogKey::Table(table), Some(CatalogValue::Meta(meta))),
+                    (
+                        CatalogKey::Manifest(table, SequenceId(5)),
+                        Some(CatalogValue::ManifestRow(crate::ManifestRow {
+                            manifest_file: "lake/t/_log/txn-9-1001.mf".into(),
+                            txn_id: TxnId(9),
+                        })),
+                    ),
+                    (
+                        CatalogKey::WriteSet(table, Some("f".into())),
+                        Some(CatalogValue::Updated(2)),
+                    ),
+                    (CatalogKey::WriteSet(table, None), None),
+                    (
+                        CatalogKey::Checkpoint(table, SequenceId(4)),
+                        Some(CatalogValue::CheckpointRow(crate::CheckpointRow {
+                            path: "c".into(),
+                        })),
+                    ),
+                ],
+            }],
+        };
+        let frame = encode_frame(&batch).expect("encode");
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "5057414c590000004dd2261c",               // PWAL, 89 payload bytes, crc32
+                "0501090506",     // first_ts 5; one commit: txn 9, ts 5, six writes
+                "0001740100e907", // TableName "t" -> Id 1001
+                "01e907",         // Table 1001 ->
+                "0101e9070174025b5d066c616b652f7401016b", // Meta {1001, "t", "[]", "lake/t", ["k"]}
+                "02e90705",       // Manifest (1001, 5) ->
+                "0102196c616b652f742f5f6c6f672f74786e2d392d313030312e6d6609", // row, txn 9
+                "03e907010166010302", // WriteSet (1001, "f") -> Updated 2
+                "03e9070000",     // WriteSet (1001, none) -> tombstone
+                "04e9070401040163", // Checkpoint (1001, 4) -> "c"
+            )
+        );
+        assert_eq!(decode_frames(&frame), (vec![batch], WalTail::Clean));
     }
 
     #[test]

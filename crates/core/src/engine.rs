@@ -507,19 +507,20 @@ impl PolarisEngine {
     /// An engine with a commit log has that backup already, kept current
     /// per commit: its checkpoint blob plus the log ([`PolarisEngine::open`]).
     pub fn backup_catalog(&self, path: &str) -> PolarisResult<()> {
-        let image = self.catalog.export()?;
-        let payload = serde_json::to_vec(&image)
-            .map_err(|e| PolarisError::invalid(format!("backup serialization: {e}")))?;
+        let mut frame = Vec::new();
+        recovery::encode_base_frame(self.catalog.export()?, &mut frame)
+            .map_err(PolarisError::invalid)?;
         self.store.put(
             &BlobPath::new(path)?,
-            payload.into(),
+            frame.into(),
             polaris_store::Stamp::SYSTEM,
         )?;
         Ok(())
     }
 
     /// Open an engine from a catalog backup previously written by
-    /// [`backup_catalog`](PolarisEngine::backup_catalog): a restart.
+    /// [`backup_catalog`](PolarisEngine::backup_catalog): a restart. A torn
+    /// or corrupt backup fails its frame checksum and is refused.
     pub fn restore(
         store: Arc<dyn ObjectStore>,
         pool: Arc<ComputePool>,
@@ -527,8 +528,9 @@ impl PolarisEngine {
         backup_path: &str,
     ) -> PolarisResult<Arc<Self>> {
         let raw = store.get(&BlobPath::new(backup_path)?)?;
-        let image: polaris_catalog::CatalogImage = serde_json::from_slice(&raw)
-            .map_err(|e| PolarisError::invalid(format!("backup parse: {e}")))?;
+        let image = recovery::fold_checkpoint(&raw).ok_or_else(|| {
+            PolarisError::invalid(format!("catalog backup {backup_path} is torn or corrupt"))
+        })?;
         let engine = PolarisEngine::new(store, pool, config);
         engine.catalog.import_owned(image)?;
         Ok(engine)
@@ -606,7 +608,7 @@ impl PolarisEngine {
             if let Some((_, ckpt_row)) = self.catalog.latest_checkpoint(txn, meta.id, upto)? {
                 let raw = self.store.get(&BlobPath::new(ckpt_row.path.clone())?)?;
                 let ckpt = Checkpoint::decode(&raw)?;
-                cache.seed(ckpt.to_snapshot());
+                cache.seed(ckpt.into_snapshot());
             }
         }
         let store = &self.store;

@@ -183,18 +183,16 @@ fn source_snapshot(
     txn: &mut Transaction,
     table: &str,
     as_of: Option<u64>,
-) -> PolarisResult<(Schema, TableSnapshot)> {
+) -> PolarisResult<(Schema, Arc<TableSnapshot>)> {
     let tid = txn.table_state(table)?;
-    let (meta, schema) = {
-        let t = &txn.tables[&tid];
-        (t.meta.clone(), t.schema.clone())
-    };
+    let t = &txn.tables[&tid];
+    let schema = t.schema.clone();
     let snap = match as_of {
-        None => txn.tables[&tid].view(),
+        None => t.view(),
         Some(seq) => {
+            let meta = t.meta.clone();
             let engine = Arc::clone(txn.engine());
-            let snap = engine.snapshot(&mut txn.ctxn, &meta, Some(SequenceId(seq)))?;
-            (*snap).clone()
+            engine.snapshot(&mut txn.ctxn, &meta, Some(SequenceId(seq)))?
         }
     };
     Ok((schema, snap))

@@ -18,12 +18,12 @@
 //!   storage discards it, as it does an aborted transaction's manifest.
 //! * **Checkpoints** ([`CommitLogWriter::checkpoint`]): the durable catalog
 //!   image is one append-only block blob ([`checkpoint_path`]) of frames in
-//!   the log's own framing (`CheckpointFrame`): a base [`CatalogImage`],
-//!   then one `CatalogDelta` per generation — the table upserts/drops and
-//!   `Manifests`/`Checkpoints` rows the hook saw since the previous frame —
-//!   so a generation (every `log_checkpoint_every` appends) is a
-//!   `stage_block` + `commit_block_list` of O(delta) bytes and exports
-//!   nothing. A new blob starts from a full export, the one O(history)
+//!   the log's own framing and binary codec (`CheckpointFrame`): a base
+//!   [`CatalogImage`], then one `CatalogDelta` per generation — the table
+//!   upserts/drops and `Manifests`/`Checkpoints` rows the hook saw since the
+//!   previous frame — so a generation (every `log_checkpoint_every`
+//!   appends) is a `stage_block` + `commit_block_list` of O(delta) bytes
+//!   and exports nothing. A new blob starts from a full export, the one O(history)
 //!   write left, when the deltas outweigh the base (doubling: amortised
 //!   O(1) bytes per row, bounded block count, dropped tables leave) and on
 //!   the first generation after `open`, whose replayed log tail never
@@ -64,6 +64,7 @@ use polaris_catalog::{
     Catalog, CatalogImage, CatalogKey, CatalogValue, CommitLogRecord, IsolationLevel, TableImage,
     TableMeta, TxnId,
 };
+use polaris_lst::codec::{put_u64, Codec, DecodeResult, Reader};
 use polaris_obs::RecoveryMeter;
 use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp, StoreError, StoreResult};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -140,7 +141,6 @@ fn block_id(ts: u64) -> BlockId {
 
 /// One frame of a checkpoint blob: the first is the base, every later one
 /// a delta with a higher clock.
-#[derive(serde::Serialize, serde::Deserialize)]
 enum CheckpointFrame {
     /// The whole catalog as exported at `clock`.
     Base(CatalogImage),
@@ -152,7 +152,7 @@ enum CheckpointFrame {
 /// image's own row shapes. Applied in field order — upserts, rows, drops —
 /// which is commit order for anything that can commit: table ids are never
 /// reused, so an upsert cannot follow its own drop.
-#[derive(Default, serde::Serialize, serde::Deserialize)]
+#[derive(Default)]
 struct CatalogDelta {
     /// Commit clock this frame brings the image to.
     clock: u64,
@@ -165,7 +165,7 @@ struct CatalogDelta {
 }
 
 /// One table's new rows within a `CatalogDelta`.
-#[derive(Default, serde::Serialize, serde::Deserialize)]
+#[derive(Default)]
 struct TableRows {
     /// Table id.
     table: u64,
@@ -279,6 +279,60 @@ impl CatalogDelta {
         image.tables.retain(|t| !self.drops.contains(&t.id));
         image.clock = self.clock;
     }
+}
+
+/// Tag 0 and a [`CatalogImage`], or tag 1 and a `CatalogDelta`: its clock,
+/// upserted tables, rows per table (id, `Manifests` rows, `Checkpoints`
+/// rows) and dropped table ids.
+impl Codec for CheckpointFrame {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            CheckpointFrame::Base(image) => {
+                put_u64(out, 0);
+                image.encode(out);
+            }
+            CheckpointFrame::Delta(delta) => {
+                put_u64(out, 1);
+                put_u64(out, delta.clock);
+                delta.upserts.encode(out);
+                delta.rows.encode(out);
+                delta.drops.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(match r.tag(2)? {
+            0 => CheckpointFrame::Base(CatalogImage::decode(r)?),
+            _ => CheckpointFrame::Delta(CatalogDelta {
+                clock: r.u64()?,
+                upserts: Vec::decode(r)?,
+                rows: Vec::decode(r)?,
+                drops: Vec::decode(r)?,
+            }),
+        })
+    }
+}
+
+impl Codec for TableRows {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.table);
+        wal::put_manifest_rows(out, &self.manifests);
+        self.checkpoints.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(TableRows {
+            table: r.u64()?,
+            manifests: wal::manifest_rows(r)?,
+            checkpoints: Vec::decode(r)?,
+        })
+    }
+}
+
+/// `image` as the base frame of a checkpoint blob, into `frame` — also the
+/// whole of a §6.3 backup ([`PolarisEngine::backup_catalog`](crate::PolarisEngine::backup_catalog)),
+/// which [`fold_checkpoint`] reads back.
+pub fn encode_base_frame(image: CatalogImage, frame: &mut Vec<u8>) -> Result<(), String> {
+    wal::encode_payload_into(&CheckpointFrame::Base(image), frame)
 }
 
 /// Fold a checkpoint blob's longest valid frame prefix — a base, then deltas
@@ -522,8 +576,7 @@ impl CommitLogWriter {
                 if at <= cover {
                     return Ok(cover); // logged, but not yet published
                 }
-                wal::encode_payload_into(&CheckpointFrame::Base(image), frame_buf)
-                    .map_err(PolarisError::invalid)?;
+                encode_base_frame(image, frame_buf).map_err(PolarisError::invalid)?;
                 let path = BlobPath::new(checkpoint_path(at))?;
                 let mut blocks = Vec::new();
                 append_block(store, &path, &mut blocks, block_id(at), frame_buf)?;
@@ -585,7 +638,7 @@ impl CommitLogWriter {
 /// What [`recover`] rebuilt, surfaced through
 /// [`PolarisEngine::recovery_report`](crate::PolarisEngine::recovery_report)
 /// and `SHOW ENGINE HEALTH`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Clock of the last intact checkpoint frame imported (0: recovered
     /// from the log alone).
@@ -758,5 +811,53 @@ mod tests {
         assert_eq!(segment_first_ts("sys/wal/other.bin"), None);
         assert!(checkpoint_path(9).starts_with(CHECKPOINT_PREFIX));
         assert!(checkpoint_path(9) < checkpoint_path(10));
+    }
+
+    /// A delta frame with an upsert, a table's rows of both kinds (the
+    /// second manifest path front-coded against the first) and a drop,
+    /// pinned byte for byte (header, checksum and payload): blobs already in
+    /// a store must keep folding.
+    #[test]
+    fn catalog_delta_golden_bytes() {
+        let delta = CatalogDelta {
+            clock: 7,
+            upserts: vec![TableMeta {
+                id: polaris_catalog::TableId(1003),
+                name: "u".into(),
+                schema_json: "[]".into(),
+                data_root: "lake/u".into(),
+                cluster_by: Vec::new(),
+            }],
+            rows: vec![TableRows {
+                table: 1001,
+                manifests: vec![
+                    (6, "lake/t/_log/txn-5-1001.mf".into(), 5),
+                    (7, "lake/t/_log/txn-6-1001.mf".into(), 6),
+                ],
+                checkpoints: vec![(4, "c".into())],
+            }],
+            drops: vec![1002],
+        };
+        let mut frame = Vec::new();
+        wal::encode_payload_into(&CheckpointFrame::Delta(delta), &mut frame).unwrap();
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "5057414c470000008593bdaa",         // PWAL, 71 payload bytes, crc32
+                "0107",                             // Delta, clock 7
+                "01eb070175025b5d066c616b652f7500", // upsert {1003, "u", "[]", "lake/u", []}
+                "01e90702",                         // rows of table 1001, two manifests:
+                "0600196c616b652f742f5f6c6f672f74786e2d352d313030312e6d6605", // 6, whole path, txn 5
+                "071009362d313030312e6d6606", // 7, 16 bytes shared + "6-1001.mf", txn 6
+                "01040163",                   // checkpoint (4, "c")
+                "01ea07",                     // drop 1002
+            )
+        );
+        let (frames, tail) = wal::decode_payloads::<CheckpointFrame>(&frame);
+        assert_eq!(tail, WalTail::Clean);
+        assert!(
+            matches!(&frames[..], [CheckpointFrame::Delta(d)] if d.clock == 7 && d.drops == [1002])
+        );
     }
 }

@@ -336,7 +336,7 @@ fn checkpoint_with_tail(
         }
         let snap = engine.snapshot(&mut ctxn, &meta, None)?;
         let ckpt = Checkpoint::from_snapshot(&snap);
-        let path = format!("{}/_ckpt/{:020}.json", meta.data_root, ckpt.upto.0);
+        let path = polaris_lst::checkpoint_path(&meta.data_root, ckpt.upto);
         engine
             .store()
             .put(&BlobPath::new(path.clone())?, ckpt.encode(), Stamp::SYSTEM)?;
@@ -600,7 +600,7 @@ pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
     let clock = engine.catalog().now();
     if engine.commit_log_writer().is_none() && engine.sto_state().lock().backup_clock != Some(clock)
     {
-        engine.backup_catalog("system/catalog-backup.json")?;
+        engine.backup_catalog("system/catalog-backup.ckpt")?;
         engine.sto_state().lock().backup_clock = Some(clock);
     }
     let metrics = engine.metrics();

@@ -12,7 +12,7 @@ use polaris_obs::{
     AllocPhase, AllocScope, QueryProfile, ScanMeter, Tracer, TxnProfile, ValidationOutcome,
 };
 use polaris_sql::Statement;
-use polaris_store::{BlobPath, BlockId, ObjectStore, Stamp};
+use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,11 +45,20 @@ pub(crate) struct TxnTable {
 
 impl TxnTable {
     /// The snapshot this transaction's statements read: committed base
-    /// overlaid with own writes.
-    pub(crate) fn view(&self) -> TableSnapshot {
-        self.delta.overlay(&self.base)
+    /// overlaid with own writes — the shared base itself while the
+    /// transaction has not written to the table.
+    pub(crate) fn view(&self) -> Arc<TableSnapshot> {
+        if self.delta.is_empty() {
+            Arc::clone(&self.base)
+        } else {
+            Arc::new(self.delta.overlay(&self.base))
+        }
     }
 }
+
+/// Room reserved per action when encoding a manifest block: an `AddFile`
+/// with a few column ranges fits, so a block's buffer is allocated once.
+const RECORD_BYTES_HINT: usize = 128;
 
 /// What every write task of one transaction on one table shares, whichever
 /// statement it belongs to and wherever it runs.
@@ -107,9 +116,10 @@ impl WriteTarget {
     ) -> Result<WriteTaskResult, TaskError> {
         let _alloc = AllocScope::enter(AllocPhase::ManifestStaging);
         let block = BlockId::new(block);
-        let payload = Manifest::encode_actions(&actions);
+        let mut payload = Vec::with_capacity(RECORD_BYTES_HINT * actions.len());
+        Manifest::encode_actions(&actions, &mut payload);
         self.store
-            .stage_block(&self.manifest, block.clone(), payload, self.stamp)
+            .stage_block(&self.manifest, block.clone(), payload.into(), self.stamp)
             .map_err(store_to_task)?;
         Ok((block, actions, rows))
     }
@@ -386,10 +396,7 @@ impl Transaction {
         let txn_id = self.ctxn.id.0;
         let target = Arc::new(WriteTarget {
             store: Arc::clone(self.engine.store()),
-            manifest: BlobPath::new(format!(
-                "{}/_log/txn-{txn_id}-{}.json",
-                meta.data_root, id.0
-            ))?,
+            manifest: BlobPath::new(polaris_lst::manifest_path(&meta.data_root, txn_id, id.0))?,
             data_root: meta.data_root.clone(),
             stamp: Stamp(txn_id),
         });
@@ -784,13 +791,22 @@ impl Transaction {
         let w = &t.target;
         let actions = t.delta.to_actions();
         let chunk_size = actions.len().div_ceil(MAX_WRITE_TASKS).max(1);
-        let mut ids = Vec::new();
-        for (k, chunk) in actions.chunks(chunk_size).enumerate() {
+        // Every block is a window of one buffer: encoded once, never copied.
+        let mut encoded = Vec::with_capacity(RECORD_BYTES_HINT * actions.len());
+        let mut ends = Vec::new();
+        for chunk in actions.chunks(chunk_size) {
+            Manifest::encode_actions(chunk, &mut encoded);
+            ends.push(encoded.len());
+        }
+        let encoded = Bytes::from(encoded);
+        let mut ids = Vec::with_capacity(ends.len());
+        let mut start = 0;
+        for (k, end) in ends.into_iter().enumerate() {
             let id = BlockId::new(format!("rw-s{stmt}-k{k}"));
-            let payload = Manifest::encode_actions(chunk);
             w.store
-                .stage_block(&w.manifest, id.clone(), payload, w.stamp)?;
+                .stage_block(&w.manifest, id.clone(), encoded.slice(start..end), w.stamp)?;
             ids.push(id);
+            start = end;
         }
         let n = ids.len() as u64;
         t.blocks = ids;

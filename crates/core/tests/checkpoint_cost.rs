@@ -6,7 +6,7 @@
 mod common;
 
 use common::{Request, TapStore};
-use polaris_core::recovery::CHECKPOINT_PREFIX;
+use polaris_core::recovery::{encode_base_frame, CHECKPOINT_PREFIX};
 use polaris_core::{sto, EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_store::{MemoryStore, ObjectStore};
@@ -117,7 +117,8 @@ fn a_blob_s_whole_life_costs_a_few_images() {
     // where a full image per generation is M/64 of them.
     let total: u64 = generations.iter().map(|g| g.bytes).sum();
     let bases = generations.iter().filter(|g| g.base).count();
-    let image = serde_json::to_vec(&engine.catalog().export().unwrap()).unwrap();
+    let mut image = Vec::new();
+    encode_base_frame(engine.catalog().export().unwrap(), &mut image).unwrap();
     assert!(
         total <= 3 * image.len() as u64,
         "{total} checkpoint bytes ({bases} bases) for an image of {}",

@@ -987,7 +987,7 @@ fn background_sto_runner_maintains_tables() {
     assert!(
         engine
             .store()
-            .exists(&polaris_store::BlobPath::new("system/catalog-backup.json").unwrap())
+            .exists(&polaris_store::BlobPath::new("system/catalog-backup.ckpt").unwrap())
             .unwrap(),
         "periodic catalog backup written"
     );

@@ -17,6 +17,7 @@ use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, Value};
 use polaris_dcp::ComputePool;
 use polaris_store::{BlobPath, Bytes, ChaosStore, MemoryStore, ObjectStore, Stamp};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -355,6 +356,35 @@ fn garbage_in_checkpoint_falls_back_to_older_generation() {
     let report = engine.recovery_report().unwrap();
     assert_eq!(report.checkpoint_clock, before_it);
     assert!(report.checkpoint_clock > 0);
+}
+
+/// The writer and the sweep share one name: a manifest the engine wrote is
+/// left alone while a `Manifests` row references it, and is a sweep
+/// candidate once none does.
+#[test]
+fn a_manifest_the_engine_wrote_is_an_orphan_once_unreferenced() {
+    let store = Arc::new(MemoryStore::new());
+    let engine = open(&store, durable_config());
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    let catalog = engine.catalog();
+    let mut txn = catalog.begin(polaris_catalog::IsolationLevel::Snapshot);
+    let meta = catalog.table_by_name(&mut txn, "t").unwrap();
+    let written: Vec<String> = catalog
+        .visible_manifests(&mut txn, meta.id)
+        .unwrap()
+        .into_iter()
+        .map(|(_, row)| row.manifest_file)
+        .collect();
+    catalog.abort(&mut txn);
+    assert_eq!(written.len(), 1);
+    let referenced: HashSet<String> = written.iter().cloned().collect();
+    let sweep = |referenced: &HashSet<String>| {
+        polaris_lst::find_orphan_manifests(&*store, &meta.data_root, referenced).unwrap()
+    };
+    assert_eq!(sweep(&referenced), Vec::<String>::new());
+    assert_eq!(sweep(&HashSet::new()), written);
 }
 
 #[test]

@@ -13,9 +13,12 @@
 //! Contents:
 //!
 //! * [`ManifestAction`] / [`Manifest`] — the log-entry format. Manifests are
-//!   serialized as JSON lines so that independently written *blocks*
-//!   (one per BE task, §3.2.2) concatenate into a valid manifest — the
-//!   property the Block Blob commit protocol depends on.
+//!   runs of self-delimiting binary records so that independently written
+//!   *blocks* (one per BE task, §3.2.2) concatenate into a valid manifest —
+//!   the property the Block Blob commit protocol depends on.
+//! * [`codec`] — the one binary encoding of every blob the engine writes for
+//!   itself (manifests, checkpoints, and the catalog's log and checkpoint
+//!   payloads); JSON is left to the published Delta log.
 //! * [`TableSnapshot`] — reconstructed state: live data files plus their
 //!   delete vectors.
 //! * [`TxnDelta`] — a transaction's private, uncommitted changes, overlaid
@@ -31,6 +34,7 @@
 mod action;
 mod cache;
 mod checkpoint;
+pub mod codec;
 mod delta;
 mod error;
 mod manifest;
@@ -47,24 +51,30 @@ pub use manifest::Manifest;
 pub use orphan::{collect_orphan_manifests, find_orphan_manifests};
 pub use snapshot::{DataFileState, TableSnapshot};
 
+/// File-name prefix of a transaction manifest under `{data_root}/_log/`.
+pub const MANIFEST_PREFIX: &str = "txn-";
+/// File-name suffix of a transaction manifest: the writer names its blob
+/// with it and the recovery sweep ([`orphan`]) recognises blobs by it.
+pub const MANIFEST_SUFFIX: &str = ".mf";
+/// File-name suffix of an lst checkpoint under `{data_root}/_ckpt/`.
+pub const CHECKPOINT_SUFFIX: &str = ".ckpt";
+
+/// Blob path of transaction `txn`'s manifest for table `table`.
+pub fn manifest_path(data_root: &str, txn: u64, table: u64) -> String {
+    format!("{data_root}/_log/{MANIFEST_PREFIX}{txn}-{table}{MANIFEST_SUFFIX}")
+}
+
+/// Blob path of the lst checkpoint covering a table through `upto`.
+pub fn checkpoint_path(data_root: &str, upto: SequenceId) -> String {
+    format!("{data_root}/_ckpt/{:020}{CHECKPOINT_SUFFIX}", upto.0)
+}
+
 /// Monotone commit sequence number of a table's manifest chain.
 ///
 /// Assigned by the SQL FE at commit (the `Sequence Id` column of the
 /// `Manifests` catalog table, §3.1); defines the logical commit order that
 /// snapshots, time travel and checkpoints are all expressed in.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SequenceId(pub u64);
 
 impl SequenceId {

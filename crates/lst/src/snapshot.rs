@@ -4,7 +4,7 @@ use crate::{DataFileEntry, DvEntry, LstError, LstResult, Manifest, ManifestActio
 use std::collections::BTreeMap;
 
 /// State of one live data file within a snapshot.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataFileState {
     /// File metadata as recorded at add time.
     pub entry: DataFileEntry,
@@ -50,7 +50,7 @@ impl DataFileState {
 /// .unwrap();
 /// assert_eq!(snap.live_rows(), 90);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableSnapshot {
     files: BTreeMap<String, DataFileState>,
     /// Highest sequence replayed into this snapshot.

@@ -33,6 +33,12 @@ cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
 # checkpoint format stands on, and the cost test counts the bytes a
 # generation, the tick and a read send to the store instead of timing them.
 cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
+# Decoder smoke, optimized as it ships: the four decoders that read bytes
+# back from the store (manifests, lst checkpoints, WAL frames, catalog
+# checkpoint blobs) return on random bytes, every prefix, every bit flip of
+# a payload and lengths claiming u32/u64::MAX — and every encoder's output
+# decodes to what it encoded, however manifest blocks were split.
+cargo test --release -q -p polaris-core --test decoder_fuzz
 # Scheduler smoke, optimized as it ships: the races between a scheduler
 # parking for a slot, a node being killed under an attempt (on a lane or on
 # the committing thread) and a slot release only show at release timing, as
@@ -107,7 +113,7 @@ join_rows=$(echo "SELECT query_id FROM polaris.slow_log s \
 echo "system smoke: ok (${metrics_count} metrics, ${join_rows} joined slow statements)"
 
 # Allocation gates, on the tracking allocator: the warm auto-commit INSERT
-# (<= 203 allocations, under a tenth of them unscoped) and the warm
+# (<= 127 allocations, under a tenth of them unscoped) and the warm
 # polaris.metrics scan (<= 1 316) stay within their budgets, and the
 # catalog-only commit path allocates nothing at all once warm.
 cargo test --release -q -p polaris-core --features track-alloc --test alloc_budget

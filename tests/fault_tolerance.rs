@@ -153,7 +153,7 @@ fn engine_restarts_from_catalog_backup() {
         s.execute("UPDATE t SET v = 'TWO' WHERE k = 2").unwrap();
         polaris::core::lineage::clone_table(&engine, "t", "t_clone", Some(seq)).unwrap();
         polaris::core::sto::checkpoint_table(&engine, "t").unwrap();
-        engine.backup_catalog("backups/catalog.json").unwrap();
+        engine.backup_catalog("backups/catalog.ckpt").unwrap();
         (seq, 2i64)
     }; // engine dropped: simulated process exit
 
@@ -165,7 +165,7 @@ fn engine_restarts_from_catalog_backup() {
         store,
         pool,
         EngineConfig::for_testing(),
-        "backups/catalog.json",
+        "backups/catalog.ckpt",
     )
     .unwrap();
     let mut s = engine.session();
@@ -186,4 +186,41 @@ fn engine_restarts_from_catalog_backup() {
     let rows = s.query("SELECT COUNT(*) AS n FROM t").unwrap();
     assert_eq!(rows.row(0)[0], Value::Int(3));
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A backup is one checksummed checkpoint frame: a flipped byte anywhere in
+/// it, or a cut anywhere short of its end, is refused with an error — never
+/// restored as a different catalog, never a panic.
+#[test]
+fn a_torn_or_corrupt_backup_is_refused() {
+    use polaris::store::{BlobPath, Bytes, ObjectStore, Stamp};
+    let store: Arc<dyn ObjectStore> = Arc::new(MemoryStore::new());
+    let engine = engine_over(Arc::clone(&store));
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT, v VARCHAR)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 'one')").unwrap();
+    engine.backup_catalog("backups/whole.ckpt").unwrap();
+    let whole = store
+        .get(&BlobPath::new("backups/whole.ckpt").unwrap())
+        .unwrap();
+    let pool = Arc::new(ComputePool::with_topology(1, 1, 1));
+    let restore = |blob: Vec<u8>| {
+        let path = BlobPath::new("backups/damaged.ckpt").unwrap();
+        store.put(&path, Bytes::from(blob), Stamp::SYSTEM).unwrap();
+        PolarisEngine::restore(
+            Arc::clone(&store),
+            Arc::clone(&pool),
+            EngineConfig::for_testing(),
+            path.as_str(),
+        )
+    };
+    assert!(restore(whole.to_vec()).is_ok(), "the whole backup restores");
+    for at in 0..whole.len() {
+        let mut flipped = whole.to_vec();
+        flipped[at] ^= 0x10;
+        assert!(restore(flipped).is_err(), "byte {at} flipped");
+    }
+    for cut in 0..whole.len() {
+        assert!(restore(whole[..cut].to_vec()).is_err(), "cut at {cut}");
+    }
 }

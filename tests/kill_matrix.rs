@@ -18,7 +18,7 @@
 //!   except at a genuine tear) and a reopened engine commits at
 //!   `clock + 1`;
 //! * **zero orphaned staged manifests** — after recovery every
-//!   `_log/txn-*.json` blob is referenced by a `Manifests` row;
+//!   `_log/txn-*` manifest blob is referenced by a `Manifests` row;
 //! * **double-reopen idempotence** — two recoveries over the same store
 //!   export byte-identical catalog images.
 //!
