@@ -946,7 +946,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         // hold.
         let _hold = self.meter.commit_lock_hold.span();
         {
-            let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::TxnValidate);
+            let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::TxnValidate);
             let mut validate_span = self.meter.tracer.span("catalog.validate");
             validate_span.attr("write_set", txn.writes.len());
             // First committer wins: any version of a written key newer
@@ -1058,7 +1058,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         extra: ExtraFn<K, V>,
         max_batch: usize,
     ) -> CatalogResult<Timestamp> {
-        let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
+        let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::SequencerPublish);
         let slot = Arc::new(CommitSlot(StdMutex::new(None)));
         let window = Duration::from_micros(self.group_window_us.load(Ordering::SeqCst));
         let mut state = lock_unpoisoned(&self.group.state);
@@ -1156,7 +1156,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         members: &mut [CommitLogRecord<K, V>],
         extras: impl IntoIterator<Item = impl FnOnce(Timestamp) -> Vec<(K, Option<V>)>>,
     ) -> CatalogResult<()> {
-        let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::SequencerPublish);
+        let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::SequencerPublish);
         let _sequencer = self.sequencer.lock();
         self.probe("commit.sequencer");
         let base = self.committed.load(Ordering::SeqCst);

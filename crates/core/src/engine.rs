@@ -16,7 +16,7 @@ use polaris_exec::SystemSchema;
 use polaris_lst::{Checkpoint, Manifest, SequenceId, SnapshotCache, TableSnapshot};
 use polaris_obs::{
     CacheMeter, CatalogMeter, Counter, MetricName, MetricsRegistry, MetricsSnapshot, RecoveryMeter,
-    ScanMeter, SlowLog, Tracer,
+    ScanMeter, SlowLog, Tracer, SCAN_COUNTERS,
 };
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, StatsStore};
 use std::collections::HashMap;
@@ -76,8 +76,8 @@ pub struct PolarisEngine {
     /// instead of by name per statement.
     pub(crate) counters: StatementCounters,
     /// Engine-wide stable statement-id source; every profiled statement
-    /// draws one, stamping its root trace span, its [`polaris_obs::QueryProfile`]
-    /// and (when slow) its slow-log record so `polaris.slow_log` joins to
+    /// draws one, stamping its root trace span and its [`polaris_obs::QueryProfile`]
+    /// (kept by the slow log when slow) so `polaris.slow_log` joins to
     /// `polaris.trace_spans`.
     next_query_id: AtomicU64,
     /// The `polaris.*` virtual-table registry (providers hold `Weak`
@@ -139,6 +139,8 @@ pub(crate) struct StatementCounters {
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
     pub(crate) orphaned_manifests: Counter,
+    /// The `exec.*` counters a statement's scan meter folds into.
+    pub(crate) exec: [Counter; SCAN_COUNTERS],
 }
 
 /// Snapshots retained per table in each BE snapshot cache.
@@ -226,6 +228,7 @@ impl PolarisEngine {
             cache_hits: metrics.counter("lst.cache.hits"),
             cache_misses: metrics.counter("lst.cache.misses"),
             orphaned_manifests: metrics.counter("store.orphaned_manifests"),
+            exec: ScanMeter::registry_counters(&metrics),
         };
         register_build_info(&metrics);
         Arc::new_cyclic(|weak| PolarisEngine {
@@ -433,12 +436,6 @@ impl PolarisEngine {
     /// The continuous-telemetry runtime.
     pub(crate) fn telemetry(&self) -> &EngineTelemetry {
         &self.telemetry
-    }
-
-    /// Chrome `trace_event` JSON of the retained trace ring — loadable in
-    /// `chrome://tracing` / Perfetto.
-    pub fn chrome_trace(&self) -> String {
-        self.tracer.chrome_trace()
     }
 
     /// Create a table (auto-commit DDL).

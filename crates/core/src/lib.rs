@@ -55,6 +55,6 @@ pub use polaris_catalog::{ConflictGranularity, IsolationLevel, TableId};
 pub use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
 pub use polaris_lst::SequenceId;
 pub use polaris_obs::{
-    MetricsRegistry, MetricsSnapshot, QueryProfile, SlowLog, SlowRecord, TxnProfile,
-    ValidationOutcome,
+    MetricsRegistry, MetricsSnapshot, Phase, PhaseTotals, QueryProfile, SlowEntry, SlowLog,
+    TxnProfile, ValidationOutcome,
 };

@@ -338,7 +338,7 @@ fn plan_snapshot_scan(
     predicate: Option<&Expr>,
     meter: &Arc<ScanMeter>,
 ) -> PolarisResult<Vec<Arc<FileScanPlan>>> {
-    let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::ScanPlanning);
+    let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::ScanPlanning);
     let cells = cells_of_snapshot(snapshot);
     if cells.is_empty() {
         return Ok(Vec::new());
@@ -361,7 +361,7 @@ fn plan_snapshot_scan(
         let needed = Arc::clone(&needed);
         let meter = Arc::clone(meter);
         dag.add_task(move |_ctx| {
-            let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::ScanPlanning);
+            let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::ScanPlanning);
             let mut plans = Vec::new();
             for (index, cell) in &group {
                 if let Some(plan) = plan_file_scan(

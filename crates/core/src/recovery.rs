@@ -671,7 +671,7 @@ pub struct RecoveryReport {
 /// the module docs for why).
 pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<RecoveryReport> {
     let t0 = Instant::now();
-    let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::Replay);
+    let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::Replay);
     let (store, meter) = (&writer.store, &writer.meter);
     let mut span = meter.tracer.span("recovery.run");
     let mut report = RecoveryReport::default();

@@ -5,7 +5,7 @@ use crate::{PolarisEngine, PolarisError, PolarisResult, QueryResult, SequenceId,
 use polaris_catalog::IsolationLevel;
 use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
 use polaris_obs::{
-    build_spans, AllocPhase, AllocScope, QueryProfile, TxnProfile, ValidationOutcome,
+    alloc, build_spans, Phase, PhaseScope, QueryProfile, TxnProfile, ValidationOutcome,
 };
 use polaris_sql::Statement;
 use std::sync::Arc;
@@ -69,21 +69,14 @@ impl Session {
     }
 
     /// Record a statement profile as `last_profile`; statements over the
-    /// engine's slow threshold also land in the shared slow log with their
-    /// span tree.
+    /// engine's slow threshold also land in the shared slow log.
     fn record_profile(&mut self, profile: Option<QueryProfile>, txn_id: u64) {
-        let _alloc = AllocScope::enter(AllocPhase::ProfileBookkeeping);
+        let _alloc = PhaseScope::enter(Phase::ProfileBookkeeping);
         self.last_profile = profile;
         if let Some(p) = &self.last_profile {
-            if self.engine.slow_log().is_slow(p.wall_ns) {
-                self.engine
-                    .slow_log()
-                    .record_if_slow(crate::telemetry::slow_statement_record(
-                        &self.engine,
-                        p,
-                        txn_id,
-                    ));
-            }
+            self.engine
+                .slow_log()
+                .record_if_slow("statement", txn_id, p);
         }
     }
 
@@ -93,14 +86,12 @@ impl Session {
         let txn_id = txn.id();
         let mut profile = txn.last_profile.take();
         let mut txn_profile = txn.txn_profile_snapshot();
-        let alloc0 = polaris_obs::alloc::totals();
+        let phases0 = alloc::phase_totals();
         let start = std::time::Instant::now();
         let result = txn.commit();
         txn_profile.commit_wall_ns = start.elapsed().as_nanos() as u64;
-        let _alloc = AllocScope::enter(AllocPhase::ProfileBookkeeping);
-        let alloc1 = polaris_obs::alloc::totals();
-        txn_profile.commit_alloc_bytes = alloc1.alloc_bytes.saturating_sub(alloc0.alloc_bytes);
-        txn_profile.commit_allocs = alloc1.allocs.saturating_sub(alloc0.allocs);
+        let _alloc = PhaseScope::enter(Phase::ProfileBookkeeping);
+        txn_profile.commit_phases = alloc::phase_delta(&phases0, &alloc::phase_totals());
         let validation = match &result {
             Ok(info) if info.sequence.is_some() => ValidationOutcome::Committed,
             Ok(_) => ValidationOutcome::ReadOnly,
@@ -115,34 +106,30 @@ impl Session {
         }
         if let Some(p) = profile.as_mut() {
             p.validation = validation;
-            p.phase("commit", txn_profile.commit_wall_ns);
+            p.commit_ns = txn_profile.commit_wall_ns;
             p.wall_ns += txn_profile.commit_wall_ns;
-            p.alloc_bytes += txn_profile.commit_alloc_bytes;
-            p.allocs += txn_profile.commit_allocs;
+            for (phase, commit) in p.phases.iter_mut().zip(txn_profile.commit_phases) {
+                *phase = *phase + commit;
+            }
             p.blocks_committed = txn_profile.blocks_committed;
         }
         if self.engine.slow_log().is_slow(txn_profile.commit_wall_ns) {
+            // Commit summaries aggregate many statements: `query_id` 0
+            // marks "no single statement" for the slow_log join column.
+            let commit = QueryProfile {
+                statement: format!(
+                    "commit of {} statements ({} blocks staged)",
+                    txn_profile.statements, txn_profile.blocks_staged
+                ),
+                validation,
+                phases: txn_profile.commit_phases,
+                wall_ns: txn_profile.commit_wall_ns,
+                commit_ns: txn_profile.commit_wall_ns,
+                ..QueryProfile::default()
+            };
             self.engine
                 .slow_log()
-                .record_if_slow(polaris_obs::SlowRecord {
-                    kind: "transaction".to_owned(),
-                    txn: txn_id,
-                    statement: format!(
-                        "commit of {} statements ({} blocks staged)",
-                        txn_profile.statements, txn_profile.blocks_staged
-                    ),
-                    wall_ns: txn_profile.commit_wall_ns,
-                    phases_ns: vec![("commit", txn_profile.commit_wall_ns)],
-                    validation: format!("{:?}", txn_profile.validation),
-                    alloc_bytes: txn_profile.commit_alloc_bytes,
-                    allocs: txn_profile.commit_allocs,
-                    wait_ns: 0,
-                    span_tree: String::new(),
-                    // Commit summaries aggregate many statements; 0 marks
-                    // "no single statement" for the slow_log join column.
-                    query_id: 0,
-                    at_unix_ms: crate::telemetry::unix_now_ms(),
-                });
+                .record_if_slow("transaction", txn_id, &commit);
         }
         self.record_profile(profile, txn_id);
         self.last_txn_profile = Some(txn_profile);
@@ -186,7 +173,7 @@ impl Session {
     }
 
     fn execute_parsed(&mut self, stmt: &Statement) -> PolarisResult<StatementOutcome> {
-        let _alloc = AllocScope::enter(AllocPhase::StatementDispatch);
+        let _alloc = PhaseScope::enter(Phase::StatementDispatch);
         match stmt {
             Statement::Begin => {
                 if self.current.is_some() {
@@ -334,14 +321,19 @@ impl Session {
             .lines()
             .map(str::to_owned)
             .collect();
+        let ms = |ns: u64| ns as f64 / 1e6;
         lines.push(String::new());
         lines.push(format!(
             "statement: {} ({:.3} ms wall)",
             profile.statement,
-            profile.wall_ns as f64 / 1e6
+            ms(profile.wall_ns)
         ));
-        for (phase, ns) in &profile.phases_ns {
-            lines.push(format!("  phase {phase}: {:.3} ms", *ns as f64 / 1e6));
+        lines.push(format!(
+            "  phase execute: {:.3} ms",
+            ms(profile.wall_ns - profile.commit_ns)
+        ));
+        if profile.validation != ValidationOutcome::Pending {
+            lines.push(format!("  phase commit: {:.3} ms", ms(profile.commit_ns)));
         }
         lines.push(format!(
             "files: {} scanned, {} pruned; row groups: {} scanned, {} pruned",
@@ -365,29 +357,31 @@ impl Session {
             "cache: {} hits, {} misses; tasks: {} attempts, {} retries",
             profile.cache_hits, profile.cache_misses, profile.task_attempts, profile.task_retries
         ));
-        if polaris_obs::alloc::tracking_enabled() {
-            let phases = profile
-                .alloc_phases
-                .iter()
-                .map(|(phase, bytes, allocs)| format!("{phase} {bytes} B/{allocs}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            lines.push(format!(
-                "memory: {} bytes in {} allocs ({}); lock waits: {:.3} ms",
-                profile.alloc_bytes,
-                profile.allocs,
-                if phases.is_empty() {
-                    "no phase activity"
-                } else {
-                    &phases
-                },
-                profile.wait_ns as f64 / 1e6
-            ));
+        // Then one line per phase that allocated or waited, in `Phase` order.
+        let totals = profile.totals();
+        lines.push(if alloc::tracking_enabled() {
+            format!(
+                "memory: {} bytes in {} allocs; lock waits: {:.3} ms",
+                totals.bytes,
+                totals.allocs,
+                ms(totals.wait_ns)
+            )
         } else {
-            lines.push(format!(
+            format!(
                 "memory: allocation tracking off (build with --features track-alloc); lock waits: {:.3} ms",
-                profile.wait_ns as f64 / 1e6
-            ));
+                ms(totals.wait_ns)
+            )
+        });
+        for (phase, t) in Phase::ALL.iter().zip(&profile.phases) {
+            if t.allocs > 0 || t.wait_ns > 0 {
+                lines.push(format!(
+                    "  {}: {} B in {} allocs, {:.3} ms waited",
+                    phase.label(),
+                    t.bytes,
+                    t.allocs,
+                    ms(t.wait_ns)
+                ));
+            }
         }
         lines.push(format!("validation: {:?}", profile.validation));
         text_rows("plan", lines).map(StatementOutcome::Rows)
@@ -431,7 +425,7 @@ impl Session {
 
     /// Bulk-insert a batch (auto-commit or inside the open transaction).
     pub fn insert_batch(&mut self, table: &str, batch: &RecordBatch) -> PolarisResult<u64> {
-        let _alloc = AllocScope::enter(AllocPhase::StatementDispatch);
+        let _alloc = PhaseScope::enter(Phase::StatementDispatch);
         self.run_statement(|txn| txn.insert(table, batch))
     }
 

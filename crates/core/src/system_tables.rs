@@ -227,20 +227,22 @@ const SLOW_LOG: Columns = &[
 ];
 
 fn slow_log_rows(engine: &PolarisEngine) -> Rows {
-    let records = engine.slow_log().records().into_iter();
-    records
-        .map(|r| {
+    let entries = engine.slow_log().entries().into_iter();
+    entries
+        .map(|e| {
+            let p = e.profile;
+            let totals = p.totals();
             vec![
-                Value::Str(r.kind),
-                int(r.txn),
-                int(r.query_id),
-                Value::Str(r.statement),
-                int(r.wall_ns),
-                Value::Str(r.validation),
-                int(r.alloc_bytes),
-                int(r.allocs),
-                int(r.wait_ns),
-                int(r.at_unix_ms),
+                text(e.kind),
+                int(e.txn),
+                int(p.query_id),
+                Value::Str(p.statement),
+                int(p.wall_ns),
+                Value::Str(format!("{:?}", p.validation)),
+                int(totals.bytes),
+                int(totals.allocs),
+                int(totals.wait_ns),
+                int(e.at_unix_ms),
             ]
         })
         .collect()

@@ -33,8 +33,8 @@ use crate::{EngineConfig, PolarisEngine, PolarisResult, Session};
 use polaris_catalog::Catalog;
 use polaris_columnar::{RecordBatch, Value};
 use polaris_obs::{
-    quantile_from_counts, Gauge, Harvester, HealthFn, MetricsRegistry, ProbeFn, SlowRecord,
-    TelemetryServer, Tracer, Watchdog,
+    quantile_from_counts, Gauge, Harvester, HealthFn, MetricsRegistry, ProbeFn, TelemetryServer,
+    Tracer, Watchdog,
 };
 use serde_json::json;
 use std::sync::{Arc, Weak};
@@ -53,7 +53,7 @@ const WATCHDOG_LOCK_HOLD_MS: u64 = 1_000;
 /// `alloc-rate-spike` fires on an engine-wide allocation rate above this.
 const WATCHDOG_ALLOC_BYTES_PER_SEC: u64 = 1 << 30;
 
-/// Slow records retained by the engine slow log.
+/// Slow statements and transactions retained by the engine slow log.
 pub(crate) const SLOW_LOG_CAPACITY: usize = 128;
 
 /// The engine's continuous-telemetry runtime: harvester (threaded when
@@ -439,41 +439,4 @@ impl PolarisEngine {
     pub fn telemetry_tick_once(&self) {
         self.telemetry().harvester.run_once();
     }
-}
-
-/// Build a slow-log record for a finished statement (phase timings from
-/// the profile, span tree from the tracer when enabled).
-pub(crate) fn slow_statement_record(
-    engine: &PolarisEngine,
-    profile: &polaris_obs::QueryProfile,
-    txn_id: u64,
-) -> SlowRecord {
-    let span_tree = if engine.tracer().is_enabled() && profile.trace_span != 0 {
-        engine.tracer().render_span_tree(profile.trace_span)
-    } else {
-        String::new()
-    };
-    SlowRecord {
-        kind: "statement".to_owned(),
-        txn: txn_id,
-        statement: profile.statement.clone(),
-        wall_ns: profile.wall_ns,
-        phases_ns: profile.phases_ns.clone(),
-        validation: format!("{:?}", profile.validation),
-        alloc_bytes: profile.alloc_bytes,
-        allocs: profile.allocs,
-        wait_ns: profile.wait_ns,
-        span_tree,
-        query_id: profile.query_id,
-        at_unix_ms: unix_now_ms(),
-    }
-}
-
-/// Current wall-clock time, milliseconds since the Unix epoch (0 if the
-/// clock reads before the epoch).
-pub(crate) fn unix_now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }

@@ -9,7 +9,7 @@ use polaris_dcp::{TaskCtx, TaskError, WorkflowDag, WorkloadClass};
 use polaris_exec::{cell::partition_cells, cells_of_snapshot, write as bewrite, Cell, Expr};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot, TxnDelta};
 use polaris_obs::{
-    AllocPhase, AllocScope, QueryProfile, ScanMeter, Tracer, TxnProfile, ValidationOutcome,
+    alloc, Phase, PhaseScope, QueryProfile, ScanMeter, Tracer, TxnProfile, ValidationOutcome,
 };
 use polaris_sql::Statement;
 use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp};
@@ -114,7 +114,7 @@ impl WriteTarget {
         actions: Vec<ManifestAction>,
         rows: u64,
     ) -> Result<WriteTaskResult, TaskError> {
-        let _alloc = AllocScope::enter(AllocPhase::ManifestStaging);
+        let _alloc = PhaseScope::enter(Phase::ManifestStaging);
         let block = BlockId::new(block);
         let mut payload = Vec::with_capacity(RECORD_BYTES_HINT * actions.len());
         Manifest::encode_actions(&actions, &mut payload);
@@ -237,16 +237,15 @@ impl Transaction {
             blocks_committed: 0,
             tables_written: self.tables.values().filter(|t| !t.delta.is_empty()).count() as u64,
             validation: ValidationOutcome::Pending,
-            commit_wall_ns: 0,
-            commit_alloc_bytes: 0,
-            commit_allocs: 0,
+            ..TxnProfile::default()
         }
     }
 
     /// Run one statement (`kind` over `table`) with a zeroed scan meter,
     /// then publish its accounting as
-    /// [`last_profile`](Transaction::last_profile) and fold the scan
-    /// counters into the engine registry.
+    /// [`last_profile`](Transaction::last_profile) — `rows_out` is what
+    /// `rows` reads off the result — and fold the scan counters into the
+    /// engine registry.
     ///
     /// Cache / pool numbers are deltas over engine-wide meters: exact for
     /// a single session, approximate when sessions run concurrently (they
@@ -255,9 +254,10 @@ impl Transaction {
         &mut self,
         kind: &'static str,
         table: &str,
+        rows: impl FnOnce(&T) -> u64,
         f: impl FnOnce(&mut Self) -> PolarisResult<T>,
     ) -> PolarisResult<T> {
-        let bookkeeping = AllocScope::enter(AllocPhase::ProfileBookkeeping);
+        let bookkeeping = PhaseScope::enter(Phase::ProfileBookkeeping);
         // Zero the meter in place when uniquely held (steady state once
         // the previous statement's profile dropped its handle); fall back
         // to a fresh meter if a reader still holds the old one.
@@ -286,48 +286,34 @@ impl Transaction {
         // `polaris.trace_spans` rows join to `polaris.slow_log`.
         stmt_span.attr("query_id", profile.query_id);
         profile.trace_span = stmt_span.id();
-        let alloc0 = polaris_obs::alloc::phase_totals();
+        let phases0 = alloc::phase_totals();
         drop(bookkeeping);
         let start = std::time::Instant::now();
         let result = f(self);
         profile.wall_ns = start.elapsed().as_nanos() as u64;
-        let _bookkeeping = AllocScope::enter(AllocPhase::ProfileBookkeeping);
-        let alloc1 = polaris_obs::alloc::phase_totals();
+        let _bookkeeping = PhaseScope::enter(Phase::ProfileBookkeeping);
+        // Allocation / wait attribution: deltas of the global phase
+        // counters over the statement window. Same concurrency caveat as
+        // the cache columns below.
+        profile.phases = alloc::phase_delta(&phases0, &alloc::phase_totals());
         drop(stmt_span);
         profile.absorb_scan(&self.scan_meter);
-        profile.rows_out = ScanMeter::read(&self.scan_meter.rows_out);
-        self.scan_meter.fold_into_registry(self.engine.metrics());
+        profile.rows_out = result.as_ref().map_or(0, rows);
+        self.scan_meter.fold_into(&self.engine.counters.exec);
         let (hits1, misses1, pool1, staged1) = self.statement_counts();
         profile.cache_hits = hits1.saturating_sub(hits0);
         profile.cache_misses = misses1.saturating_sub(misses0);
         profile.task_attempts = pool1.attempts.saturating_sub(pool0.attempts);
         profile.task_retries = pool1.retries.saturating_sub(pool0.retries);
         profile.blocks_staged = staged1 - staged0;
-        // Allocation / wait attribution: deltas of the global phase
-        // counters over the statement window. Same concurrency caveat as
-        // the cache columns above.
-        if polaris_obs::alloc::tracking_enabled() {
-            profile.alloc_phases.reserve_exact(AllocPhase::ALL.len());
-        }
-        for (i, phase) in AllocPhase::ALL.iter().enumerate() {
-            let bytes = alloc1[i].bytes.saturating_sub(alloc0[i].bytes);
-            let allocs = alloc1[i].allocs.saturating_sub(alloc0[i].allocs);
-            profile.alloc_bytes += bytes;
-            profile.allocs += allocs;
-            profile.wait_ns += alloc1[i].wait_ns.saturating_sub(alloc0[i].wait_ns);
-            if bytes > 0 || allocs > 0 {
-                profile.alloc_phases.push((phase.label(), bytes, allocs));
-            }
-        }
-        profile.phase("execute", profile.wall_ns);
         // Roll the statement into the live `polaris.transactions` stats.
         let stat = &self.stat;
+        let totals = profile.totals();
         stat.statements.store(self.stmt.into(), Ordering::Relaxed);
         stat.tables_touched
             .store(self.tables.len() as u64, Ordering::Relaxed);
-        stat.alloc_bytes
-            .fetch_add(profile.alloc_bytes, Ordering::Relaxed);
-        stat.allocs.fetch_add(profile.allocs, Ordering::Relaxed);
+        stat.alloc_bytes.fetch_add(totals.bytes, Ordering::Relaxed);
+        stat.allocs.fetch_add(totals.allocs, Ordering::Relaxed);
         self.last_profile = Some(profile);
         result
     }
@@ -351,11 +337,7 @@ impl Transaction {
         table: &str,
         f: impl FnOnce(&mut Self) -> PolarisResult<u64>,
     ) -> PolarisResult<u64> {
-        let n = self.run_profiled(kind, table, f)?;
-        if let Some(p) = self.last_profile.as_mut() {
-            p.rows_out = n;
-        }
-        Ok(n)
+        self.run_profiled(kind, table, |n| *n, f)
     }
 
     /// The engine this transaction runs on.
@@ -448,7 +430,7 @@ impl Transaction {
         if n == 0 {
             return Ok(0);
         }
-        let _alloc = AllocScope::enter(AllocPhase::WriteEncode);
+        let _alloc = PhaseScope::enter(Phase::WriteEncode);
         let config = self.engine.config();
         // Z-order clustering (§2.3): sort rows by the interleaved cluster
         // key so files get tight, mostly disjoint min/max statistics.
@@ -489,7 +471,7 @@ impl Transaction {
         for group in tasks {
             let w = Arc::clone(&t.target);
             dag.add_task(move |ctx| {
-                let _alloc = AllocScope::enter(AllocPhase::WriteEncode);
+                let _alloc = PhaseScope::enter(Phase::WriteEncode);
                 let mut actions = Vec::with_capacity(group.len());
                 let mut rows = 0u64;
                 for (dist, part) in &group {
@@ -527,7 +509,7 @@ impl Transaction {
         dag: WorkflowDag<WriteTaskResult>,
     ) -> PolarisResult<(Vec<BlockId>, u64)> {
         let results = self.engine.pool().run_dag(dag, WorkloadClass::Write)?;
-        let _alloc = AllocScope::enter(AllocPhase::ManifestStaging);
+        let _alloc = PhaseScope::enter(Phase::ManifestStaging);
         let t = self.tables.get_mut(&tid).expect("state loaded by caller");
         let mut blocks = Vec::with_capacity(results.len());
         let mut rows = 0;
@@ -724,7 +706,8 @@ impl Transaction {
         match stmt {
             Statement::Select(sel) => {
                 let plan = polaris_sql::plan_select(sel)?;
-                self.run_profiled("select", &plan.table, |t| execute_select(t, &plan))
+                let rows = |r: &QueryResult| r.batch.num_rows() as u64;
+                self.run_profiled("select", &plan.table, rows, |t| execute_select(t, &plan))
             }
             Statement::Insert { table, rows } => {
                 // One table lookup serves the literal coercion and the write.
@@ -956,7 +939,7 @@ fn publish_manifests(
     tables: &mut HashMap<TableId, TxnTable>,
     manifests: &[(TableId, String)],
 ) -> PolarisResult<u64> {
-    let _alloc = AllocScope::enter(AllocPhase::ManifestUpload);
+    let _alloc = PhaseScope::enter(Phase::ManifestUpload);
     let mut dag: WorkflowDag<u64> = WorkflowDag::with_capacity(manifests.len());
     for (tid, _) in manifests {
         let t = tables
@@ -965,7 +948,7 @@ fn publish_manifests(
         // The list moves into the task: nothing reads it after the commit.
         let (w, blocks) = (Arc::clone(&t.target), std::mem::take(&mut t.blocks));
         dag.add_task(move |_ctx| {
-            let _alloc = AllocScope::enter(AllocPhase::ManifestUpload);
+            let _alloc = PhaseScope::enter(Phase::ManifestUpload);
             w.store
                 .commit_block_list(&w.manifest, &blocks, w.stamp)
                 .map_err(store_to_task)?;

@@ -14,18 +14,15 @@
 
 use polaris_core::{EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_obs::AllocPhase;
+use polaris_obs::Phase;
 use polaris_store::MemoryStore;
 use std::sync::Arc;
 
-/// Allocations per warm auto-commit INSERT: 115 measured + 10 % (185
-/// while manifests and log frames were `serde_json` value trees).
-const ALLOCS_PER_COMMIT: u64 = 127;
-/// Allocations per warm `polaris.metrics` scan: 1 197 measured + 10 %
-/// (≈ 10 per metric row; the five `watchdog.firing{rule=…}` gauges,
-/// `catalog.group_queue_depth` and `obs.harvester_ticks` added 7 rows to
-/// the 1 126 before them).
-const ALLOCS_PER_SYSTEM_SCAN: u64 = 1316;
+/// Allocations per warm auto-commit INSERT: 113 measured + 10 %.
+const ALLOCS_PER_COMMIT: u64 = 124;
+/// Allocations per warm `polaris.metrics` scan: 1 195 measured + 10 %
+/// (≈ 10 per metric row).
+const ALLOCS_PER_SYSTEM_SCAN: u64 = 1314;
 
 const WINDOWS: usize = 9;
 
@@ -82,7 +79,7 @@ fn warm_commit_and_system_scan_stay_within_their_allocation_budgets() {
     );
     // The phase vocabulary owns the path: what no scope claims (the test's
     // own `format!` included) stays under a tenth of the commits' total.
-    let by_phase: Vec<(&str, u64)> = AllocPhase::ALL
+    let by_phase: Vec<(&str, u64)> = Phase::ALL
         .iter()
         .map(|p| {
             let i = *p as usize;
@@ -90,7 +87,7 @@ fn warm_commit_and_system_scan_stay_within_their_allocation_budgets() {
         })
         .collect();
     let total: u64 = by_phase.iter().map(|(_, n)| n).sum();
-    let unscoped = by_phase[AllocPhase::Unscoped as usize].1;
+    let unscoped = by_phase[Phase::Unscoped as usize].1;
     assert!(
         unscoped * 10 < total,
         "{unscoped} of {total} allocations are unscoped: {by_phase:?}"

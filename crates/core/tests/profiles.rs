@@ -45,7 +45,10 @@ fn dml_profile_is_populated_and_committed() {
     assert!(p.task_attempts > 0, "insert fans out over write tasks");
     assert_eq!(p.validation, ValidationOutcome::Committed);
     assert!(p.wall_ns > 0);
-    assert!(p.phases_ns.iter().any(|(name, _)| *name == "commit"));
+    assert!(
+        p.commit_ns > 0 && p.commit_ns < p.wall_ns,
+        "the commit is a part of the statement's wall time: {p:?}"
+    );
 
     let tp = s.last_txn_profile().expect("auto-commit resolves a txn");
     assert_eq!(tp.validation, ValidationOutcome::Committed);
@@ -80,6 +83,26 @@ fn multi_insert_txn_commits_each_block_exactly_once() {
     );
     // The committing statement's profile carries the same commit-time count.
     assert_eq!(s.last_profile().unwrap().blocks_committed, s1 + s2);
+}
+
+/// `rows_out` is what the statement returned: one row for an aggregate
+/// over 512 scanned rows, every row for a `polaris.*` select (which scans
+/// no data file). The scan's surviving rows stay in `exec.rows_out`.
+#[test]
+fn select_rows_out_counts_result_rows() {
+    let engine = clustered_engine();
+    let mut s = engine.session();
+    s.insert_batch("t", &shuffled_rows(512)).unwrap();
+    let scanned = || engine.metrics_snapshot().counter("exec.rows_out");
+    let before = scanned();
+    let rows = s.query("SELECT COUNT(*) AS n FROM t").unwrap();
+    assert_eq!(rows.row(0)[0], Value::Int(512));
+    assert_eq!(s.last_profile().unwrap().rows_out, 1);
+    assert_eq!(scanned() - before, 512, "the scan's survivors");
+
+    let lanes = s.query("SELECT class FROM polaris.lanes").unwrap();
+    assert_eq!(lanes.num_rows(), 3);
+    assert_eq!(s.last_profile().unwrap().rows_out, 3);
 }
 
 #[test]

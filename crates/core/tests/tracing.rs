@@ -178,13 +178,6 @@ fn multi_statement_txn_trace_survives_faults_and_matches_pool_meter() {
             .any(|s| s.parent == multi.id && s.name == "txn.commit"),
         "the commit protocol must span under the txn root"
     );
-
-    // The Chrome export of this run is loadable JSON with retry rows.
-    let json = engine.chrome_trace();
-    let json = json.trim_end();
-    assert!(json.starts_with('{') && json.ends_with('}'));
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"dcp.task\""));
 }
 
 /// A one-row INSERT is two one-task DAGs — write, publish — that the
@@ -277,14 +270,30 @@ fn explain_analyze_renders_pruned_scan_with_phase_timings() {
         profile.files_scanned, profile.files_pruned
     )));
 
-    // Phase timings cover the statement wall clock ("execute" is measured
-    // around the whole statement, "commit" is added on top).
-    let phase_sum: u64 = profile.phases_ns.iter().map(|(_, ns)| ns).sum();
-    assert!(phase_sum > 0);
-    assert_eq!(
-        phase_sum, profile.wall_ns,
-        "execute + commit phases must sum to the profiled wall clock"
+    // Execute and commit cover the statement wall clock ("execute" is
+    // measured around the whole statement, "commit" is added on top), in
+    // the profile and in the rendered lines alike.
+    assert!(profile.commit_ns > 0 && profile.commit_ns < profile.wall_ns);
+    let ms = |prefix: &str| -> f64 {
+        let line = plan.iter().find(|l| l.starts_with(prefix)).unwrap();
+        let rest = &line[prefix.len()..];
+        rest.trim_start_matches(|c: char| !c.is_ascii_digit())
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    let (wall, execute, commit) = (
+        ms("statement: select t"),
+        ms("  phase execute:"),
+        ms("  phase commit:"),
     );
+    assert!(
+        (execute + commit - wall).abs() <= 0.002,
+        "execute {execute} + commit {commit} must sum to the wall {wall} ms:\n{text}"
+    );
+    assert!(text.contains("memory: "), "missing memory line:\n{text}");
 
     // Statements inside an explicit transaction render their own subtree
     // (commit has not happened yet).

@@ -42,7 +42,7 @@ use crate::pool::{ComputePool, Job, LaneRef, Slot, SlotEvent, WorkloadClass};
 use crate::{DcpError, DcpResult, TaskError};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
-use polaris_obs::alloc::{attribute_wait, AllocPhase, AllocScope};
+use polaris_obs::alloc::{attribute_wait, Phase, PhaseScope};
 use polaris_obs::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -264,7 +264,7 @@ fn drive<M: Morsel>(
             stolen,
         };
         let result = {
-            let _alloc = AllocScope::enter(AllocPhase::MorselExecution);
+            let _alloc = PhaseScope::enter(Phase::MorselExecution);
             entry.morsel.execute(&ctx)
         };
         shared.in_flight_bytes.fetch_sub(weight, Ordering::SeqCst);

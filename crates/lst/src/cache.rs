@@ -69,7 +69,7 @@ impl SnapshotCache {
             }
         }
         self.meter.misses.inc();
-        let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::Replay);
+        let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::Replay);
         let mut replay_span = self.meter.tracer.span("lst.cache.replay");
         let from = base.as_ref().map_or(SequenceId(0), |(seq, _)| *seq);
         replay_span.attr("from", from.0);

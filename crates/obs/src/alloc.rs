@@ -14,10 +14,10 @@
 //!   read APIs keep working) but pay zero allocator overhead and simply
 //!   read zeros. [`tracking_enabled`] tells callers which world they live
 //!   in.
-//! * **A TLS scope stack** ([`AllocScope`], mirroring `SpanGuard` in
+//! * **A TLS scope stack** ([`PhaseScope`], mirroring `SpanGuard` in
 //!   [`crate::trace`]) attributing allocations — and lock/condvar *wait
 //!   time*, via [`attribute_wait`] — to named engine phases
-//!   ([`AllocPhase`]): statement dispatch, parse/plan, scan planning,
+//!   ([`Phase`]): statement dispatch, parse/plan, scan planning,
 //!   morsel execution, write encode, manifest staging, txn validate,
 //!   manifest upload, sequencer publish, replay, profile bookkeeping,
 //!   telemetry.
@@ -36,10 +36,11 @@
 //!
 //! Phase counters are *global* (summed across threads): a scope entered on
 //! one thread attributes that thread's allocations while it is the
-//! innermost scope. Per-statement deltas in `QueryProfile` are computed by
-//! snapshotting [`phase_totals`] before/after a statement, so — exactly
-//! like the cache-hit deltas already reported there — they are approximate
-//! under concurrent sessions. The per-thread counters ([`thread_counts`])
+//! innermost scope. A statement's `QueryProfile::phases` (and a commit's
+//! `TxnProfile::commit_phases`) is the [`phase_delta`] of [`phase_totals`]
+//! snapshots taken before and after it, so — exactly like the cache-hit
+//! deltas reported beside it — it is approximate under concurrent
+//! sessions. The per-thread counters ([`thread_counts`])
 //! are exact for single-threaded sections and back the allocation gate.
 use crate::{Gauge, MetricsRegistry};
 #[cfg(feature = "track-alloc")]
@@ -47,17 +48,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of attribution phases (including [`AllocPhase::Unscoped`]).
+/// Number of attribution phases (including [`Phase::Unscoped`]).
 pub const PHASE_COUNT: usize = 13;
 
-/// Engine phases allocations and waits are attributed to.
+/// The engine's one phase vocabulary: allocations, lock waits and the
+/// per-statement record (`QueryProfile::phases`) are all attributed to
+/// these, under the same labels.
 ///
-/// `Unscoped` collects everything recorded while no [`AllocScope`] is
+/// `Unscoped` collects everything recorded while no [`PhaseScope`] is
 /// active on the current thread (test harnesses, background threads that
 /// never enter a scope).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
-pub enum AllocPhase {
+pub enum Phase {
     /// No scope active on this thread.
     Unscoped = 0,
     /// SQL tokenize + parse + logical planning (`polaris-sql`).
@@ -85,46 +88,46 @@ pub enum AllocPhase {
     /// Encoding a write task's manifest actions, staging the block and
     /// applying the actions to the transaction's private delta.
     ManifestStaging = 11,
-    /// Statement and transaction profiles: building, patching at commit,
-    /// the session's history ring and the slow log.
+    /// Statement and transaction profiles: building, patching at commit
+    /// and the slow log.
     ProfileBookkeeping = 12,
 }
 
-impl AllocPhase {
+impl Phase {
     /// All phases, in label order.
-    pub const ALL: [AllocPhase; PHASE_COUNT] = [
-        AllocPhase::Unscoped,
-        AllocPhase::ParsePlan,
-        AllocPhase::ScanPlanning,
-        AllocPhase::MorselExecution,
-        AllocPhase::TxnValidate,
-        AllocPhase::ManifestUpload,
-        AllocPhase::SequencerPublish,
-        AllocPhase::Replay,
-        AllocPhase::Telemetry,
-        AllocPhase::StatementDispatch,
-        AllocPhase::WriteEncode,
-        AllocPhase::ManifestStaging,
-        AllocPhase::ProfileBookkeeping,
+    pub const ALL: [Phase; PHASE_COUNT] = [
+        Phase::Unscoped,
+        Phase::ParsePlan,
+        Phase::ScanPlanning,
+        Phase::MorselExecution,
+        Phase::TxnValidate,
+        Phase::ManifestUpload,
+        Phase::SequencerPublish,
+        Phase::Replay,
+        Phase::Telemetry,
+        Phase::StatementDispatch,
+        Phase::WriteEncode,
+        Phase::ManifestStaging,
+        Phase::ProfileBookkeeping,
     ];
 
     /// Stable snake_case label, used as the `phase` metric label and in
     /// `EXPLAIN ANALYZE` output.
     pub const fn label(self) -> &'static str {
         match self {
-            AllocPhase::Unscoped => "unscoped",
-            AllocPhase::ParsePlan => "parse_plan",
-            AllocPhase::ScanPlanning => "scan_planning",
-            AllocPhase::MorselExecution => "morsel_execution",
-            AllocPhase::TxnValidate => "txn_validate",
-            AllocPhase::ManifestUpload => "manifest_upload",
-            AllocPhase::SequencerPublish => "sequencer_publish",
-            AllocPhase::Replay => "replay",
-            AllocPhase::Telemetry => "telemetry",
-            AllocPhase::StatementDispatch => "statement_dispatch",
-            AllocPhase::WriteEncode => "write_encode",
-            AllocPhase::ManifestStaging => "manifest_staging",
-            AllocPhase::ProfileBookkeeping => "profile_bookkeeping",
+            Phase::Unscoped => "unscoped",
+            Phase::ParsePlan => "parse_plan",
+            Phase::ScanPlanning => "scan_planning",
+            Phase::MorselExecution => "morsel_execution",
+            Phase::TxnValidate => "txn_validate",
+            Phase::ManifestUpload => "manifest_upload",
+            Phase::SequencerPublish => "sequencer_publish",
+            Phase::Replay => "replay",
+            Phase::Telemetry => "telemetry",
+            Phase::StatementDispatch => "statement_dispatch",
+            Phase::WriteEncode => "write_encode",
+            Phase::ManifestStaging => "manifest_staging",
+            Phase::ProfileBookkeeping => "profile_bookkeeping",
         }
     }
 }
@@ -140,6 +143,46 @@ pub struct PhaseTotals {
     pub wait_ns: u64,
     /// Number of attributed wait events.
     pub waits: u64,
+}
+
+impl PhaseTotals {
+    /// What accrued since `earlier`, field by field (saturating, so a
+    /// reader racing a writer never wraps).
+    pub fn since(self, earlier: PhaseTotals) -> PhaseTotals {
+        PhaseTotals {
+            bytes: self.bytes.saturating_sub(earlier.bytes),
+            allocs: self.allocs.saturating_sub(earlier.allocs),
+            wait_ns: self.wait_ns.saturating_sub(earlier.wait_ns),
+            waits: self.waits.saturating_sub(earlier.waits),
+        }
+    }
+}
+
+impl std::ops::Add for PhaseTotals {
+    type Output = PhaseTotals;
+
+    fn add(self, other: PhaseTotals) -> PhaseTotals {
+        PhaseTotals {
+            bytes: self.bytes + other.bytes,
+            allocs: self.allocs + other.allocs,
+            wait_ns: self.wait_ns + other.wait_ns,
+            waits: self.waits + other.waits,
+        }
+    }
+}
+
+impl std::iter::Sum for PhaseTotals {
+    fn sum<I: Iterator<Item = PhaseTotals>>(iter: I) -> PhaseTotals {
+        iter.fold(PhaseTotals::default(), |a, b| a + b)
+    }
+}
+
+/// What accrued in each phase between two [`phase_totals`] snapshots.
+pub fn phase_delta(
+    before: &[PhaseTotals; PHASE_COUNT],
+    after: &[PhaseTotals; PHASE_COUNT],
+) -> [PhaseTotals; PHASE_COUNT] {
+    std::array::from_fn(|i| after[i].since(before[i]))
 }
 
 /// Process-wide allocator totals (all phases, all threads).
@@ -191,7 +234,7 @@ static TOTAL_ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Maximum [`AllocScope`] nesting per thread. Deeper scopes still work —
+/// Maximum [`PhaseScope`] nesting per thread. Deeper scopes still work —
 /// they just attribute to the phase at the truncation point.
 const MAX_SCOPE_DEPTH: usize = 16;
 
@@ -311,13 +354,13 @@ pub const fn tracking_enabled() -> bool {
 /// [`attribute_wait`] calls) to `phase` until dropped. Nests like
 /// `trace::SpanGuard`: the innermost scope wins.
 #[must_use = "the scope attributes allocations only while alive"]
-pub struct AllocScope {
+pub struct PhaseScope {
     saved_depth: usize,
 }
 
-impl AllocScope {
+impl PhaseScope {
     /// Push `phase` onto this thread's scope stack.
-    pub fn enter(phase: AllocPhase) -> AllocScope {
+    pub fn enter(phase: Phase) -> PhaseScope {
         let saved_depth = TLS
             .try_with(|t| {
                 let d = t.depth.get();
@@ -328,11 +371,11 @@ impl AllocScope {
                 d
             })
             .unwrap_or(0);
-        AllocScope { saved_depth }
+        PhaseScope { saved_depth }
     }
 }
 
-impl Drop for AllocScope {
+impl Drop for PhaseScope {
     fn drop(&mut self) {
         let _ = TLS.try_with(|t| {
             // Restore rather than decrement: scopes drop LIFO per thread,
@@ -364,7 +407,7 @@ pub fn totals() -> AllocTotals {
     }
 }
 
-/// Per-phase attribution totals, indexed by [`AllocPhase`] discriminant.
+/// Per-phase attribution totals, indexed by [`Phase`] discriminant.
 /// `Copy` so statement profiling can snapshot before/after and diff.
 pub fn phase_totals() -> [PhaseTotals; PHASE_COUNT] {
     let mut out = [PhaseTotals::default(); PHASE_COUNT];
@@ -468,7 +511,7 @@ pub struct AllocMetrics {
 /// Canonical registry key for a phase-labeled attribution metric:
 /// `base{phase="label"}`. Panics only on an invalid `base` — call sites
 /// pass literals (same contract as [`crate::MetricName::sharded`]).
-pub fn phase_metric_key(base: &str, phase: AllocPhase) -> String {
+pub fn phase_metric_key(base: &str, phase: Phase) -> String {
     crate::MetricName::new(base)
         .and_then(|n| n.with_label("phase", phase.label()))
         .expect("alloc metric bases are compile-time literals")
@@ -482,12 +525,11 @@ impl AllocMetrics {
     /// `alloc.live_bytes`, `alloc.peak_live_bytes`,
     /// `process.resident_bytes`.
     pub fn register(registry: &MetricsRegistry) -> AllocMetrics {
-        let labeled =
-            |base: &str, phase: AllocPhase| registry.counter(&phase_metric_key(base, phase));
+        let labeled = |base: &str, phase: Phase| registry.counter(&phase_metric_key(base, phase));
         AllocMetrics {
-            phase_bytes: AllocPhase::ALL.map(|p| labeled("alloc.bytes", p)),
-            phase_allocs: AllocPhase::ALL.map(|p| labeled("alloc.count", p)),
-            phase_wait_ns: AllocPhase::ALL.map(|p| labeled("alloc.wait_ns", p)),
+            phase_bytes: Phase::ALL.map(|p| labeled("alloc.bytes", p)),
+            phase_allocs: Phase::ALL.map(|p| labeled("alloc.count", p)),
+            phase_wait_ns: Phase::ALL.map(|p| labeled("alloc.wait_ns", p)),
             allocs: registry.counter("alloc.allocs"),
             frees: registry.counter("alloc.frees"),
             live_bytes: registry.gauge("alloc.live_bytes"),
@@ -521,44 +563,44 @@ impl AllocMetrics {
 mod tests {
     use super::*;
 
-    fn current_phase() -> AllocPhase {
-        AllocPhase::ALL[current_phase_index()]
+    fn current_phase() -> Phase {
+        Phase::ALL[current_phase_index()]
     }
 
     #[test]
     fn scope_stack_nests_and_restores() {
-        assert_eq!(current_phase(), AllocPhase::Unscoped);
+        assert_eq!(current_phase(), Phase::Unscoped);
         {
-            let _outer = AllocScope::enter(AllocPhase::ParsePlan);
-            assert_eq!(current_phase(), AllocPhase::ParsePlan);
+            let _outer = PhaseScope::enter(Phase::ParsePlan);
+            assert_eq!(current_phase(), Phase::ParsePlan);
             {
-                let _inner = AllocScope::enter(AllocPhase::MorselExecution);
-                assert_eq!(current_phase(), AllocPhase::MorselExecution);
+                let _inner = PhaseScope::enter(Phase::MorselExecution);
+                assert_eq!(current_phase(), Phase::MorselExecution);
             }
-            assert_eq!(current_phase(), AllocPhase::ParsePlan);
+            assert_eq!(current_phase(), Phase::ParsePlan);
         }
-        assert_eq!(current_phase(), AllocPhase::Unscoped);
+        assert_eq!(current_phase(), Phase::Unscoped);
     }
 
     #[test]
     fn deep_nesting_saturates_without_corruption() {
-        let guards: Vec<AllocScope> = (0..MAX_SCOPE_DEPTH + 4)
-            .map(|_| AllocScope::enter(AllocPhase::Replay))
+        let guards: Vec<PhaseScope> = (0..MAX_SCOPE_DEPTH + 4)
+            .map(|_| PhaseScope::enter(Phase::Replay))
             .collect();
-        assert_eq!(current_phase(), AllocPhase::Replay);
+        assert_eq!(current_phase(), Phase::Replay);
         drop(guards);
-        assert_eq!(current_phase(), AllocPhase::Unscoped);
+        assert_eq!(current_phase(), Phase::Unscoped);
     }
 
     #[test]
     fn wait_attribution_lands_on_innermost_phase() {
-        let before = phase_totals()[AllocPhase::TxnValidate as usize];
+        let before = phase_totals()[Phase::TxnValidate as usize];
         {
-            let _scope = AllocScope::enter(AllocPhase::TxnValidate);
+            let _scope = PhaseScope::enter(Phase::TxnValidate);
             attribute_wait(1_500);
             attribute_wait(500);
         }
-        let after = phase_totals()[AllocPhase::TxnValidate as usize];
+        let after = phase_totals()[Phase::TxnValidate as usize];
         assert_eq!(after.waits - before.waits, 2);
         assert_eq!(after.wait_ns - before.wait_ns, 2_000);
     }
@@ -566,11 +608,11 @@ mod tests {
     #[test]
     fn phase_labels_are_stable_and_distinct() {
         let mut seen = std::collections::BTreeSet::new();
-        for p in AllocPhase::ALL {
+        for p in Phase::ALL {
             assert!(seen.insert(p.label()), "duplicate label {}", p.label());
         }
         assert_eq!(
-            AllocPhase::ALL[AllocPhase::SequencerPublish as usize].label(),
+            Phase::ALL[Phase::SequencerPublish as usize].label(),
             "sequencer_publish"
         );
     }
@@ -581,7 +623,7 @@ mod tests {
         let metrics = AllocMetrics::register(&registry);
         metrics.sync();
         let snap = registry.snapshot();
-        for phase in AllocPhase::ALL {
+        for phase in Phase::ALL {
             let key = phase_metric_key("alloc.bytes", phase);
             assert!(snap.counters.contains_key(&key), "missing {key}");
         }
@@ -609,14 +651,14 @@ mod tests {
     #[cfg(feature = "track-alloc")]
     #[test]
     fn tracking_attributes_bytes_to_scoped_phase() {
-        let before = phase_totals()[AllocPhase::ManifestUpload as usize];
+        let before = phase_totals()[Phase::ManifestUpload as usize];
         let (t_allocs0, t_bytes0) = thread_counts();
         {
-            let _scope = AllocScope::enter(AllocPhase::ManifestUpload);
+            let _scope = PhaseScope::enter(Phase::ManifestUpload);
             let v: Vec<u8> = Vec::with_capacity(64 * 1024);
             std::hint::black_box(&v);
         }
-        let after = phase_totals()[AllocPhase::ManifestUpload as usize];
+        let after = phase_totals()[Phase::ManifestUpload as usize];
         assert!(after.allocs > before.allocs);
         assert!(after.bytes - before.bytes >= 64 * 1024);
         let (t_allocs1, t_bytes1) = thread_counts();

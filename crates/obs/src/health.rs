@@ -12,11 +12,11 @@
 //! the recent span history that led into the stall.
 //!
 //! The [`SlowLog`] is the complementary per-request view: a bounded ring
-//! of [`SlowRecord`]s (statements and transactions over a threshold, with
-//! phase timings and the rendered trace span tree) that
-//! `polaris.slow_log` surfaces without grepping logs.
+//! of the [`QueryProfile`]s of statements and transactions over a
+//! threshold, which `polaris.slow_log` surfaces without grepping logs (and
+//! joins to `polaris.trace_spans` on `query_id`).
 
-use crate::{Gauge, MetricName, MetricsRegistry, Tracer};
+use crate::{Gauge, MetricName, MetricsRegistry, QueryProfile, Tracer};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -173,53 +173,35 @@ impl std::fmt::Debug for Watchdog {
 // Slow log
 // ---------------------------------------------------------------------------
 
-/// One slow statement or transaction, captured when it finished.
-#[derive(Clone, Debug, Default)]
-pub struct SlowRecord {
+/// One slow statement or transaction: its profile, with what the profile
+/// does not know beside it.
+#[derive(Clone, Debug)]
+pub struct SlowEntry {
     /// `statement` or `transaction`.
-    pub kind: String,
-    /// Transaction id the work ran under (0 when unknown).
+    pub kind: &'static str,
+    /// Transaction id the work ran under.
     pub txn: u64,
-    /// Statement text / kind, or a commit summary for transactions.
-    pub statement: String,
-    /// Total wall time, ns.
-    pub wall_ns: u64,
-    /// Per-phase wall times in execution order.
-    pub phases_ns: Vec<(&'static str, u64)>,
-    /// Validation outcome rendered as text (`Committed`, `WwConflict`, …).
-    pub validation: String,
-    /// Heap bytes allocated engine-wide during the work (tracking
-    /// allocator builds only; 0 otherwise).
-    pub alloc_bytes: u64,
-    /// Heap allocations engine-wide during the work.
-    pub allocs: u64,
-    /// Lock/condvar wait ns attributed while the work ran.
-    pub wait_ns: u64,
-    /// Rendered trace span tree (empty when tracing is disabled).
-    pub span_tree: String,
-    /// Stable statement id (0 when unknown, e.g. commit-summary records);
-    /// joins against `polaris.trace_spans.query_id`.
-    pub query_id: u64,
     /// Wall-clock capture time, milliseconds since the Unix epoch.
     pub at_unix_ms: u64,
+    /// The statement's profile; for a transaction, its commit (statement
+    /// text a summary, `query_id` 0).
+    pub profile: QueryProfile,
 }
 
-/// Bounded ring of [`SlowRecord`]s over a fixed threshold. Callers check
-/// [`SlowLog::is_slow`] first so the expensive part (rendering a span
-/// tree) only happens for offenders.
+/// Bounded ring of [`SlowEntry`]s over a fixed threshold.
 #[derive(Debug)]
 pub struct SlowLog {
     threshold_ns: u64,
-    records: Mutex<VecDeque<SlowRecord>>,
+    entries: Mutex<VecDeque<SlowEntry>>,
     capacity: usize,
 }
 
 impl SlowLog {
-    /// A slow log keeping at most `capacity` records over `threshold_ns`.
+    /// A slow log keeping at most `capacity` entries over `threshold_ns`.
     pub fn new(capacity: usize, threshold_ns: u64) -> Self {
         SlowLog {
             threshold_ns,
-            records: Mutex::new(VecDeque::new()),
+            entries: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
     }
@@ -230,29 +212,44 @@ impl SlowLog {
         wall_ns >= self.threshold_ns
     }
 
-    /// Append `record` if it is over the threshold; returns whether it
-    /// was kept.
-    pub fn record_if_slow(&self, record: SlowRecord) -> bool {
-        if !self.is_slow(record.wall_ns) {
+    /// Keep a copy of `profile` if its wall time is over the threshold;
+    /// returns whether it was kept.
+    pub fn record_if_slow(&self, kind: &'static str, txn: u64, profile: &QueryProfile) -> bool {
+        if !self.is_slow(profile.wall_ns) {
             return false;
         }
-        let mut records = self.records.lock().unwrap_or_else(|e| e.into_inner());
-        if records.len() == self.capacity {
-            records.pop_front();
+        let entry = SlowEntry {
+            kind,
+            txn,
+            at_unix_ms: unix_now_ms(),
+            profile: profile.clone(),
+        };
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        if entries.len() == self.capacity {
+            entries.pop_front();
         }
-        records.push_back(record);
+        entries.push_back(entry);
         true
     }
 
-    /// All retained records, oldest first.
-    pub fn records(&self) -> Vec<SlowRecord> {
-        self.records
+    /// All retained entries, oldest first.
+    pub fn entries(&self) -> Vec<SlowEntry> {
+        self.entries
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
             .cloned()
             .collect()
     }
+}
+
+/// Current wall-clock time, milliseconds since the Unix epoch (0 if the
+/// clock reads before the epoch).
+fn unix_now_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -329,20 +326,26 @@ mod tests {
     #[test]
     fn slow_log_thresholds_and_bounds() {
         let log = SlowLog::new(3, 1_000_000);
-        assert!(!log.record_if_slow(SlowRecord {
-            kind: "statement".into(),
+        let fast = QueryProfile {
             wall_ns: 999_999,
-            ..SlowRecord::default()
-        }));
+            ..QueryProfile::default()
+        };
+        assert!(!log.record_if_slow("statement", 1, &fast));
         for i in 0..5u64 {
-            assert!(log.record_if_slow(SlowRecord {
-                kind: "statement".into(),
+            let slow = QueryProfile {
                 statement: format!("q{i}"),
                 wall_ns: 1_000_000 + i,
-                ..SlowRecord::default()
-            }));
+                ..QueryProfile::default()
+            };
+            assert!(log.record_if_slow("statement", i, &slow));
         }
-        let kept: Vec<String> = log.records().into_iter().map(|r| r.statement).collect();
+        let entries = log.entries();
+        let kept: Vec<&str> = entries
+            .iter()
+            .map(|e| e.profile.statement.as_str())
+            .collect();
         assert_eq!(kept, ["q2", "q3", "q4"], "ring bounded, oldest dropped");
+        assert_eq!(entries[0].txn, 2);
+        assert!(entries[0].at_unix_ms > 0, "capture time is stamped");
     }
 }

@@ -4,7 +4,7 @@
 //! storage requests saved by manifest statistics, cache misses induced by
 //! compaction, task retries under node loss. Every layer of this workspace
 //! reports into one [`MetricsRegistry`] so those quantities are measured the
-//! same way everywhere and can be snapshotted as JSON next to each figure.
+//! same way everywhere; `/metrics` ([`prom`]) and `polaris.metrics` serve it.
 //!
 //! Design constraints:
 //!
@@ -25,6 +25,8 @@
 //! tasks), [`QueryProfile`] / [`TxnProfile`] (returned by
 //! `Session::last_profile()` in `polaris-core`), and the transaction-scoped
 //! tracing subsystem in [`trace`] ([`Tracer`] / [`TraceSink`] / renderers).
+//! A profile's per-phase record uses the one [`Phase`] vocabulary the
+//! allocation and wait attribution in [`alloc`] use.
 //!
 //! # Concurrency model
 //!
@@ -59,17 +61,16 @@ pub mod prom;
 pub mod trace;
 pub mod ts;
 
-pub use alloc::{AllocMetrics, AllocPhase, AllocScope, AllocTotals, PhaseTotals};
-pub use health::{HealthEvent, SlowLog, SlowRecord, Watchdog};
+pub use alloc::{AllocMetrics, AllocTotals, Phase, PhaseScope, PhaseTotals, PHASE_COUNT};
+pub use health::{HealthEvent, SlowEntry, SlowLog, Watchdog};
 pub use name::{MetricName, NameError};
 pub use prom::{encode_prometheus, http_get, HealthFn, ProbeFn, TelemetryServer};
 pub use trace::{
-    build_spans, chrome_trace_json, post_mortem_dump, render_span_tree, AttrValue, SpanGuard,
-    SpanRecord, TraceEvent, TraceEventKind, TraceSink, Tracer,
+    build_spans, post_mortem_dump, render_span_tree, AttrValue, SpanGuard, SpanRecord, TraceEvent,
+    TraceEventKind, TraceSink, Tracer,
 };
 pub use ts::{Harvester, QuantilePoint, TimeSeriesSnapshot, TsPoint};
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -284,7 +285,7 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
 }
 
 /// Point-in-time summary of a [`Histogram`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,
@@ -298,8 +299,6 @@ pub struct HistogramSnapshot {
     pub p99_ns: u64,
     /// Per-bucket sample counts, index-aligned with
     /// [`Histogram::bucket_bound`]; the last entry is the overflow bucket.
-    /// Empty in snapshots predating bucket export.
-    #[serde(default)]
     pub buckets: Vec<u64>,
 }
 
@@ -504,10 +503,9 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
-/// Serializable point-in-time copy of a [`MetricsRegistry`]. Benches dump
-/// this as JSON next to their figure output so perf PRs can diff storage
-/// requests / retries / cache behavior instead of eyeballing logs.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Point-in-time copy of a [`MetricsRegistry`]: what `/metrics`
+/// ([`encode_prometheus`]) and `polaris.metrics` render.
+#[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by metric name.
     pub counters: BTreeMap<String, u64>,
@@ -518,11 +516,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Pretty-printed JSON.
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("metrics snapshot serializes")
-    }
-
     /// Counter value, or 0 if the metric was never registered.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -819,45 +812,9 @@ impl ScanMeter {
         field.load(Ordering::Relaxed)
     }
 
-    /// Fold this meter into the engine-wide `exec.*` registry counters.
-    pub fn fold_into_registry(&self, registry: &MetricsRegistry) {
-        let r = |f: &AtomicU64| f.load(Ordering::Relaxed);
-        registry
-            .counter("exec.files_scanned")
-            .add(r(&self.files_scanned));
-        registry
-            .counter("exec.files_pruned")
-            .add(r(&self.files_pruned));
-        registry
-            .counter("exec.row_groups_scanned")
-            .add(r(&self.row_groups_scanned));
-        registry
-            .counter("exec.row_groups_pruned")
-            .add(r(&self.row_groups_pruned));
-        registry.counter("exec.rows_in").add(r(&self.rows_in));
-        registry.counter("exec.rows_out").add(r(&self.rows_out));
-        registry.counter("exec.bytes_read").add(r(&self.bytes_read));
-        registry
-            .counter("exec.morsels_scheduled")
-            .add(r(&self.morsels_scheduled));
-        registry
-            .counter("exec.morsels_stolen")
-            .add(r(&self.morsels_stolen));
-        registry
-            .counter("exec.prefetch_hits")
-            .add(r(&self.prefetch_hits));
-        registry
-            .counter("exec.prefetch_wasted_bytes")
-            .add(r(&self.prefetch_wasted_bytes));
-        registry
-            .counter("exec.late_materialized_chunks_skipped")
-            .add(r(&self.late_materialized_chunks_skipped));
-    }
-
-    /// Zero every counter in place, keeping the tracer handle — pooled
-    /// meters reset between statements instead of reallocating.
-    pub fn reset(&self) {
-        for field in [
+    /// Every count, index-aligned with [`SCAN_COUNTER_NAMES`].
+    fn counts(&self) -> [&AtomicU64; SCAN_COUNTERS] {
+        [
             &self.files_scanned,
             &self.files_pruned,
             &self.row_groups_scanned,
@@ -870,18 +827,56 @@ impl ScanMeter {
             &self.prefetch_hits,
             &self.prefetch_wasted_bytes,
             &self.late_materialized_chunks_skipped,
-        ] {
-            field.store(0, Ordering::Relaxed);
+        ]
+    }
+
+    /// The engine-wide `exec.*` counters this meter folds into, resolved
+    /// once so a statement's fold takes no registry lock.
+    pub fn registry_counters(registry: &MetricsRegistry) -> [Counter; SCAN_COUNTERS] {
+        SCAN_COUNTER_NAMES.map(|name| registry.counter(name))
+    }
+
+    /// Add this meter's counts to the [`ScanMeter::registry_counters`].
+    pub fn fold_into(&self, counters: &[Counter; SCAN_COUNTERS]) {
+        for (count, counter) in self.counts().into_iter().zip(counters) {
+            counter.add(count.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Zero every counter in place, keeping the tracer handle — pooled
+    /// meters reset between statements instead of reallocating.
+    pub fn reset(&self) {
+        for count in self.counts() {
+            count.store(0, Ordering::Relaxed);
         }
     }
 }
+
+/// Number of counts a [`ScanMeter`] keeps.
+pub const SCAN_COUNTERS: usize = 12;
+
+/// The `exec.*` registry name of each [`ScanMeter`] count.
+const SCAN_COUNTER_NAMES: [&str; SCAN_COUNTERS] = [
+    "exec.files_scanned",
+    "exec.files_pruned",
+    "exec.row_groups_scanned",
+    "exec.row_groups_pruned",
+    "exec.rows_in",
+    "exec.rows_out",
+    "exec.bytes_read",
+    "exec.morsels_scheduled",
+    "exec.morsels_stolen",
+    "exec.prefetch_hits",
+    "exec.prefetch_wasted_bytes",
+    "exec.late_materialized_chunks_skipped",
+];
 
 // ---------------------------------------------------------------------------
 // Profiles
 // ---------------------------------------------------------------------------
 
 /// How a statement's / transaction's optimistic validation ended.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ValidationOutcome {
     /// Not validated yet (statement ran inside a still-open transaction).
     #[default]
@@ -899,8 +894,8 @@ pub enum ValidationOutcome {
 }
 
 /// Structured accounting for one executed statement, returned by
-/// `Session::last_profile()`.
-#[derive(Clone, Debug, Default, Serialize)]
+/// `Session::last_profile()` and kept by the [`SlowLog`].
+#[derive(Clone, Debug, Default)]
 pub struct QueryProfile {
     /// Statement kind (`select`, `insert`, `update`, `delete`, …).
     pub statement: String,
@@ -914,7 +909,8 @@ pub struct QueryProfile {
     pub row_groups_pruned: u64,
     /// Rows decoded before predicates.
     pub rows_in: u64,
-    /// Rows produced (result rows, or rows written for DML).
+    /// Rows produced: the result rows of a SELECT, the rows written or
+    /// deleted by DML.
     pub rows_out: u64,
     /// Payload bytes fetched from the object store by scans.
     pub bytes_read: u64,
@@ -943,29 +939,23 @@ pub struct QueryProfile {
     ///
     /// [`Pending`]: ValidationOutcome::Pending
     pub validation: ValidationOutcome,
-    /// Heap bytes allocated engine-wide while the statement ran
-    /// (tracking-allocator builds only; 0 otherwise). Deltas of the global
-    /// phase counters, so — like the cache columns above — approximate
-    /// under concurrent sessions.
-    pub alloc_bytes: u64,
-    /// Heap allocations engine-wide while the statement ran.
-    pub allocs: u64,
-    /// Per-phase attribution deltas `(phase label, bytes, allocs)`,
-    /// phases with activity only, in [`alloc::AllocPhase`] order.
-    pub alloc_phases: Vec<(&'static str, u64, u64)>,
-    /// Lock/condvar wait nanoseconds attributed while the statement ran
-    /// (recorded by the wait profiler regardless of allocator tracking).
-    pub wait_ns: u64,
-    /// Per-phase wall time in nanoseconds, in execution order
-    /// (e.g. `plan`, `execute`, `commit`).
-    pub phases_ns: Vec<(&'static str, u64)>,
-    /// Total wall time of the statement in nanoseconds.
+    /// What each [`Phase`] accrued engine-wide while the statement (and
+    /// the commit it triggered) ran: heap bytes and allocations
+    /// (tracking-allocator builds only; 0 otherwise) and lock/condvar
+    /// waits. Deltas of the global phase counters, so — like the cache
+    /// columns above — approximate under concurrent sessions.
+    pub phases: [PhaseTotals; PHASE_COUNT],
+    /// Total wall time of the statement in nanoseconds, the commit it
+    /// triggered included.
     pub wall_ns: u64,
+    /// The part of `wall_ns` spent in the commit protocol (0 until the
+    /// transaction commits); the rest is execution.
+    pub commit_ns: u64,
     /// Trace span id of this statement's root span (0 when tracing is
     /// disabled); `EXPLAIN ANALYZE` renders the tree rooted here.
     pub trace_span: u64,
     /// Engine-wide stable statement id, assigned at execution start.
-    /// Stamped on the root trace span and on slow-log records, so
+    /// Stamped on the root trace span and on slow-log entries, so
     /// `polaris.slow_log` rows join to `polaris.trace_spans`.
     pub query_id: u64,
 }
@@ -986,14 +976,14 @@ impl QueryProfile {
         self.late_materialized_chunks_skipped += r(&meter.late_materialized_chunks_skipped);
     }
 
-    /// Record a named phase duration.
-    pub fn phase(&mut self, name: &'static str, ns: u64) {
-        self.phases_ns.push((name, ns));
+    /// All phases summed: the statement's allocations and waits.
+    pub fn totals(&self) -> PhaseTotals {
+        self.phases.iter().copied().sum()
     }
 }
 
 /// Accounting for one whole transaction, populated at commit / rollback.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TxnProfile {
     /// Statements executed inside the transaction.
     pub statements: u32,
@@ -1007,12 +997,9 @@ pub struct TxnProfile {
     pub validation: ValidationOutcome,
     /// Wall time of the commit protocol itself (validate + publish), ns.
     pub commit_wall_ns: u64,
-    /// Heap bytes allocated engine-wide during the commit protocol
-    /// (tracking-allocator builds only; 0 otherwise; approximate under
-    /// concurrent committers).
-    pub commit_alloc_bytes: u64,
-    /// Heap allocations engine-wide during the commit protocol.
-    pub commit_allocs: u64,
+    /// What each [`Phase`] accrued engine-wide during the commit protocol
+    /// (approximate under concurrent committers).
+    pub commit_phases: [PhaseTotals; PHASE_COUNT],
 }
 
 #[cfg(test)]
@@ -1088,18 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_serializes_to_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("store.reads").add(3);
-        reg.gauge("dcp.active_tasks").set(2);
-        reg.histogram("catalog.commit_lock_hold_ns").record_ns(1234);
-        let json = reg.snapshot().to_json_pretty();
-        assert!(json.contains("\"store.reads\": 3"));
-        assert!(json.contains("dcp.active_tasks"));
-        assert!(json.contains("catalog.commit_lock_hold_ns"));
-    }
-
-    #[test]
     fn scan_meter_folds_into_profile_and_registry() {
         let m = ScanMeter::new();
         ScanMeter::bump(&m.files_scanned, 4);
@@ -1113,7 +1088,8 @@ mod tests {
         assert_eq!(p.files_pruned, 6);
         assert_eq!(p.bytes_read, 4096);
         let reg = MetricsRegistry::new();
-        m.fold_into_registry(&reg);
+        m.fold_into(&ScanMeter::registry_counters(&reg));
         assert_eq!(reg.snapshot().counter("exec.files_pruned"), 6);
+        assert_eq!(reg.snapshot().counter("exec.bytes_read"), 4096);
     }
 }

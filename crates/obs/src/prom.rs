@@ -131,11 +131,6 @@ pub fn encode_prometheus(snapshot: &MetricsSnapshot) -> String {
                 }
             }
         }
-        if hist.buckets.is_empty() {
-            // Snapshot predating bucket export: still emit +Inf so the
-            // series parses as a histogram.
-            let _ = writeln!(out, "{base}_bucket{le_prefix}le=\"+Inf\"}} {}", hist.count);
-        }
         let _ = writeln!(out, "{base}_sum{labels} {}", hist.sum_ns);
         let _ = writeln!(out, "{base}_count{labels} {}", hist.count);
     }
@@ -415,6 +410,45 @@ mod tests {
                 "illegal sanitized name in: {line}"
             );
         }
+    }
+
+    /// Golden: the phase-attribution series `/metrics` exposes, names and
+    /// labels exactly as scrapers and dashboards know them — 13 phases ×
+    /// {bytes, count, wait_ns}, in the registry's (label) order.
+    #[test]
+    fn phase_series_are_byte_stable() {
+        const LABELS: [&str; 13] = [
+            "manifest_staging",
+            "manifest_upload",
+            "morsel_execution",
+            "parse_plan",
+            "profile_bookkeeping",
+            "replay",
+            "scan_planning",
+            "sequencer_publish",
+            "statement_dispatch",
+            "telemetry",
+            "txn_validate",
+            "unscoped",
+            "write_encode",
+        ];
+        let reg = MetricsRegistry::new();
+        AllocMetrics::register(&reg);
+        let text = encode_prometheus(&reg.snapshot());
+        let series: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.rsplit_once(' ').map(|(series, _)| series))
+            .filter(|series| series.contains("{phase="))
+            .collect();
+        let expected: Vec<String> = [
+            "alloc_bytes_total",
+            "alloc_count_total",
+            "alloc_wait_ns_total",
+        ]
+        .iter()
+        .flat_map(|base| LABELS.map(|label| format!("{base}{{phase=\"{label}\"}}")))
+        .collect();
+        assert_eq!(series, expected);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Transaction-scoped tracing: a flight-recorder event log with causal
-//! span structure and three renderers.
+//! span structure and two text renderers.
 //!
 //! Counters (the rest of this crate) answer *how much*; traces answer
 //! *where and why*. The paper's §3.2–§3.4 claim is causal — every
@@ -29,13 +29,9 @@
 //!   hops threads (DCP task attempts) passes an explicit parent span id
 //!   captured on the submitting thread.
 //!
-//! Renderers over a snapshot of the ring:
+//! The ring's one export is `polaris.trace_spans` (one row per span built
+//! by [`build_spans`]); beside it, two text renderers over a snapshot:
 //!
-//! * [`chrome_trace_json`] — Chrome `trace_event` JSON (an object with a
-//!   `traceEvents` array), loadable in `chrome://tracing` and Perfetto.
-//!   Spans become complete (`"ph":"X"`) events keyed by logical lane
-//!   (`tid` = DCP node id for task attempts, a per-thread ordinal
-//!   otherwise); instants become `"ph":"i"` events.
 //! * [`render_span_tree`] — indented text tree with per-span wall times
 //!   and attributes; `EXPLAIN ANALYZE` output is built on this.
 //! * [`post_mortem_dump`] — the last N raw events as text, attached to
@@ -264,7 +260,7 @@ impl fmt::Debug for TraceSink {
 }
 
 // Per-thread state: the current-span stack (for implicit parenting) and a
-// stable per-thread lane ordinal for Chrome export.
+// stable per-thread lane ordinal (a span's `lane`).
 thread_local! {
     static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
     static THREAD_LANE: u64 = {
@@ -432,11 +428,6 @@ impl Tracer {
         self.0.as_ref().map_or_else(Vec::new, |s| s.snapshot())
     }
 
-    /// Chrome `trace_event` JSON of the retained events.
-    pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(&self.events())
-    }
-
     /// Text tree of the span rooted at `root`.
     pub fn render_span_tree(&self, root: u64) -> String {
         render_span_tree(&self.events(), root)
@@ -580,95 +571,7 @@ pub fn build_spans(events: &[TraceEvent]) -> BTreeMap<u64, SpanRecord> {
 }
 
 // ---------------------------------------------------------------------------
-// Renderer 1: Chrome trace_event JSON
-// ---------------------------------------------------------------------------
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_attr_value(v: &AttrValue) -> String {
-    match v {
-        AttrValue::U64(n) => n.to_string(),
-        AttrValue::F64(f) if f.is_finite() => f.to_string(),
-        AttrValue::F64(_) => "null".to_owned(),
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
-        AttrValue::Bool(b) => b.to_string(),
-    }
-}
-
-fn json_args(attrs: &[(&'static str, AttrValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", json_escape(k), json_attr_value(v)));
-    }
-    out.push('}');
-    out
-}
-
-/// Render events as Chrome `trace_event` JSON (object format). Spans
-/// become complete (`X`) events — duration-free and immune to B/E nesting
-/// pitfalls — and instants become `i` events. Timestamps are microseconds
-/// since the sink epoch. Loadable in `chrome://tracing` and Perfetto.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let spans = build_spans(events);
-    let mut rows = Vec::new();
-    for s in spans.values() {
-        let dur_us = s.duration_ns() as f64 / 1_000.0;
-        let mut args = s.attrs.clone();
-        args.push(("span", AttrValue::U64(s.id)));
-        if s.parent != 0 {
-            args.push(("parent", AttrValue::U64(s.parent)));
-        }
-        if s.end_ns.is_none() {
-            args.push(("unfinished", AttrValue::Bool(true)));
-        }
-        rows.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"polaris\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{}}}",
-            json_escape(&s.name),
-            s.start_ns as f64 / 1_000.0,
-            dur_us,
-            s.tid,
-            json_args(&args)
-        ));
-    }
-    for e in events.iter().filter(|e| e.kind == TraceEventKind::Instant) {
-        let mut args = e.attrs.clone();
-        if e.parent != 0 {
-            args.push(("parent", AttrValue::U64(e.parent)));
-        }
-        rows.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"polaris\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":1,\"tid\":{},\"args\":{}}}",
-            json_escape(&e.name),
-            e.ts_ns as f64 / 1_000.0,
-            e.tid,
-            json_args(&args)
-        ));
-    }
-    format!(
-        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
-        rows.join(",\n")
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Renderer 2: text span tree (EXPLAIN ANALYZE)
+// Renderer 1: text span tree (EXPLAIN ANALYZE)
 // ---------------------------------------------------------------------------
 
 fn fmt_dur(ns: u64) -> String {
@@ -749,7 +652,7 @@ fn render_node(
 }
 
 // ---------------------------------------------------------------------------
-// Renderer 3: post-mortem dump
+// Renderer 2: post-mortem dump
 // ---------------------------------------------------------------------------
 
 /// The last `n` events as one text line each — attached to aborted
@@ -875,28 +778,6 @@ mod tests {
         let task = spans.values().find(|s| s.name == "task").unwrap();
         assert_eq!(task.parent, parent);
         assert_eq!(task.tid, 3);
-    }
-
-    #[test]
-    fn chrome_export_is_wellformed() {
-        let t = Tracer::with_capacity(64);
-        {
-            let mut g = t.span("phase \"q\"");
-            g.attr("table", "line\"item");
-            g.attr("files", 3u64);
-            t.instant("fault", vec![("op", "put".into())]);
-        }
-        let json = t.chrome_trace();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("phase \\\"q\\\""));
-        assert!(json.contains("\"files\":3"));
-        // Balanced braces/brackets — a cheap structural sanity check.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! handles into pre-sized rings and stack-array histogram deltas. The
 //! tick also syncs the [`crate::alloc`] attribution counters and samples
 //! process RSS (`process.resident_bytes`), both allocation-free, under a
-//! `telemetry` [`crate::AllocScope`] so any residual churn is attributed
+//! `telemetry` [`crate::PhaseScope`] so any residual churn is attributed
 //! to the telemetry plane itself.
 
-use crate::alloc::{AllocMetrics, AllocPhase, AllocScope};
+use crate::alloc::{AllocMetrics, Phase, PhaseScope};
 use crate::{quantile_from_counts, Counter, Gauge, Histogram, MetricsRegistry, HIST_BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -332,7 +332,7 @@ impl HarvesterShared {
     fn run_once(shared: &Arc<HarvesterShared>) {
         // Attribute the harvester's own (ideally zero) churn to the
         // telemetry phase so it can't masquerade as engine work.
-        let _scope = AllocScope::enter(AllocPhase::Telemetry);
+        let _scope = PhaseScope::enter(Phase::Telemetry);
         shared.alloc_metrics.sync();
         let tick = shared.ticks.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(hook) = shared.on_tick.get() {
@@ -471,7 +471,7 @@ mod tests {
         let ts = h.time_series();
         assert!(ts.gauges.contains_key("process.resident_bytes"));
         assert!(ts.gauges.contains_key("alloc.live_bytes"));
-        let key = crate::alloc::phase_metric_key("alloc.bytes", crate::AllocPhase::Telemetry);
+        let key = crate::alloc::phase_metric_key("alloc.bytes", crate::Phase::Telemetry);
         assert!(ts.rates.contains_key(&key), "missing {key}");
     }
 

@@ -43,7 +43,7 @@ pub fn parse(sql: &str) -> Result<Statement, ParseError> {
 pub fn parse_many(sql: &str) -> Result<Vec<Statement>, ParseError> {
     // Attribute parser allocations (token/AST vectors) to the parse/plan
     // phase for the engine's resource-attribution profiles.
-    let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::ParsePlan);
+    let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::ParsePlan);
     let tokens = tokenize(sql)?;
     let mut parser = Parser { tokens, pos: 0 };
     let mut out = Vec::new();

@@ -79,7 +79,7 @@ pub struct SelectPlan {
 
 /// Lower a parsed SELECT into a [`SelectPlan`].
 pub fn plan_select(stmt: &SelectStmt) -> Result<SelectPlan, PlanError> {
-    let _alloc = polaris_obs::AllocScope::enter(polaris_obs::AllocPhase::ParsePlan);
+    let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::ParsePlan);
     let joins = stmt
         .joins
         .iter()

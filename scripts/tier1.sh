@@ -113,12 +113,15 @@ join_rows=$(echo "SELECT query_id FROM polaris.slow_log s \
 echo "system smoke: ok (${metrics_count} metrics, ${join_rows} joined slow statements)"
 
 # Allocation gates, on the tracking allocator: the warm auto-commit INSERT
-# (<= 127 allocations, under a tenth of them unscoped) and the warm
-# polaris.metrics scan (<= 1 316) stay within their budgets, and the
+# (<= 124 allocations, under a tenth of them unscoped) and the warm
+# polaris.metrics scan (<= 1 314) stay within their budgets, and the
 # catalog-only commit path allocates nothing at all once warm.
 cargo test --release -q -p polaris-core --features track-alloc --test alloc_budget
 cargo test --release -q -p polaris-catalog --features track-alloc \
   --test zero_alloc_commit
+# The obs crate's own allocator-gated tests: a scope attributes the bytes
+# allocated under it, and a steady-state harvester tick allocates nothing.
+cargo test --release -q -p polaris-obs --features track-alloc
 
 # Crash-recovery chaos gate, optimized as it ships: the bounded
 # deterministic kill matrix — every kill site (manifest staging/upload, WAL
