@@ -487,24 +487,6 @@ impl ColumnarFooter {
         self.groups.iter().map(|g| g.rows).sum()
     }
 
-    /// Byte range of one column chunk — the exact range a lazy reader
-    /// hands to `ObjectStore::get_range` before
-    /// [`decode_chunk_payload`](ColumnarFooter::decode_chunk_payload).
-    pub fn chunk_range(&self, group: usize, col: usize) -> ColumnarResult<std::ops::Range<u64>> {
-        let g = self
-            .groups
-            .get(group)
-            .ok_or_else(|| ColumnarError::corrupt(format!("row group {group} out of range")))?;
-        let c = g
-            .chunks
-            .get(col)
-            .ok_or_else(|| ColumnarError::corrupt(format!("column {col} out of range")))?;
-        if c.offset + c.length > self.file_len {
-            return Err(ColumnarError::corrupt("chunk extends past end of file"));
-        }
-        Ok(c.offset..c.offset + c.length)
-    }
-
     /// Payload bytes a scan of `cols` would fetch for one row group —
     /// the scheduling weight of a row-group-aligned morsel.
     pub fn group_chunk_bytes(&self, group: usize, cols: &[usize]) -> u64 {

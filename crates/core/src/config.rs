@@ -28,10 +28,6 @@ pub struct EngineConfig {
     /// in-flight total exceeds the budget and growing them when lanes
     /// are starved (below half the budget).
     pub scan_morsel_target_bytes: u64,
-    /// How many upcoming morsels each Read lane warms ahead of execution
-    /// (async column-chunk range prefetch). 0 disables prefetching;
-    /// single-morsel scans never spawn prefetch workers regardless.
-    pub scan_prefetch_depth: usize,
     /// Automatic transaction retries on commit conflict for auto-commit
     /// statements.
     pub auto_retries: u32,
@@ -96,7 +92,6 @@ impl Default for EngineConfig {
             checkpoint_every: 10,
             retention_seqs: 100,
             scan_morsel_target_bytes: 4 << 20,
-            scan_prefetch_depth: 2,
             auto_retries: 3,
             group_commit_max_batch: 1,
             group_commit_window_us: 200,
@@ -125,12 +120,8 @@ impl EngineConfig {
             compact_min_rows: 16,
             checkpoint_every: 4,
             // Tiny in-flight budget so unit-test scans exercise adaptive
-            // splitting even with 128-row groups. No prefetch workers:
-            // tests run on zero-latency in-memory stores where prefetch
-            // is pure thread-spawn overhead (tests that want the prefetch
-            // path opt in per-engine).
+            // splitting even with 128-row groups.
             scan_morsel_target_bytes: 2048,
-            scan_prefetch_depth: 0,
             retention_seqs: 2,
             trace_capacity: 1 << 16,
             // No harvester thread in unit tests; tick manually via

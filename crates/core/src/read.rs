@@ -5,8 +5,8 @@
 //! fetch) across Read-class nodes; the surviving per-file plans are then
 //! split into row-group-aligned **morsels** and drained by the DCP's
 //! work-stealing morsel scheduler ([`polaris_dcp::Morsel`]) with adaptive
-//! sizing, chunk prefetch, and late materialization. The FE merges
-//! partials and applies presentation (final projection, ORDER BY, LIMIT).
+//! sizing and late materialization. The FE merges partials and applies
+//! presentation (final projection, ORDER BY, LIMIT).
 //! Reads are indistinguishable from writes to the DCP — both are just
 //! task DAGs (§3.3).
 
@@ -16,7 +16,7 @@ use polaris_columnar::{ColumnarError, DataType, Field, RecordBatch, Schema, Valu
 use polaris_dcp::{Morsel, MorselCtx, TaskError, WorkflowDag, WorkloadClass};
 use polaris_exec::{
     cells_of_snapshot, ops, plan_file_scan, AggExpr, AggFunc, BinOp, Expr, FileScanPlan,
-    MorselScanOutput, PrefetchCache, ScanMorsel,
+    MorselScanOutput, ScanMorsel,
 };
 use polaris_lst::{SequenceId, TableSnapshot};
 use polaris_obs::ScanMeter;
@@ -294,10 +294,6 @@ fn scan_finished(
     if plans.is_empty() {
         return Ok(Vec::new());
     }
-    let cache = Arc::new(
-        PrefetchCache::new()
-            .with_wait_histogram(engine.metrics().histogram("exec.prefetch_cache.wait_ns")),
-    );
     let finish = Arc::new(finish);
     let trace_parent = meter.tracer.current();
     let morsels: Vec<ScanMorselJob> = plans
@@ -305,25 +301,20 @@ fn scan_finished(
         .map(|plan| ScanMorselJob {
             morsel: plan.whole_file_morsel(),
             store: Arc::clone(engine.store()),
-            cache: Arc::clone(&cache),
             meter: Arc::clone(meter),
             finish: Arc::clone(&finish),
             trace_parent,
         })
         .collect();
-    // Phase 2: drain the morsels with the engine's adaptive-sizing and
-    // prefetch knobs, then fold the run's counters into the statement's
-    // meter.
-    let cfg = engine.config();
+    // Phase 2: drain the morsels under the engine's adaptive-sizing
+    // budget, then fold the run's counters into the statement's meter.
     let (mut outputs, stats) = engine.pool().run_morsels(
         WorkloadClass::Read,
         morsels,
-        cfg.scan_morsel_target_bytes,
-        cfg.scan_prefetch_depth,
+        engine.config().scan_morsel_target_bytes,
     )?;
     ScanMeter::bump(&meter.morsels_scheduled, stats.scheduled);
     ScanMeter::bump(&meter.morsels_stolen, stats.stolen);
-    ScanMeter::bump(&meter.prefetch_wasted_bytes, cache.wasted_bytes());
     outputs.sort_by_key(|o| (o.file_index, o.group_lo));
     Ok(outputs.into_iter().flat_map(|o| o.batches).collect())
 }
@@ -461,7 +452,6 @@ impl Finish {
 struct ScanMorselJob {
     morsel: ScanMorsel,
     store: Arc<dyn ObjectStore>,
-    cache: Arc<PrefetchCache>,
     meter: Arc<ScanMeter>,
     finish: Arc<Finish>,
     /// Statement span captured on the submitting thread: morsel spans
@@ -489,11 +479,6 @@ impl Morsel for ScanMorselJob {
         Some((self.with_morsel(head), self.with_morsel(tail)))
     }
 
-    fn prefetch(&self) {
-        self.morsel
-            .prefetch(&*self.store, &self.cache, Some(&self.meter));
-    }
-
     fn execute(&self, ctx: &MorselCtx) -> Result<MorselScanOutput, TaskError> {
         let mut span = self
             .meter
@@ -507,7 +492,7 @@ impl Morsel for ScanMorselJob {
         span.attr("stolen", ctx.stolen);
         let mut out = self
             .morsel
-            .run(&*self.store, Some(&self.cache), Some(&self.meter))
+            .run(&*self.store, None, Some(&self.meter))
             .map_err(exec_to_task)?;
         for batch in &mut out.batches {
             self.finish.apply(batch)?;

@@ -347,10 +347,9 @@ impl Session {
             profile.rows_in, profile.rows_out, profile.bytes_read
         ));
         lines.push(format!(
-            "morsels: {} scheduled, {} stolen; prefetch hits: {}; late-mat chunks skipped: {}",
+            "morsels: {} scheduled, {} stolen; late-mat chunks skipped: {}",
             profile.morsels_scheduled,
             profile.morsels_stolen,
-            profile.prefetch_hits,
             profile.late_materialized_chunks_skipped
         ));
         lines.push(format!(

@@ -229,7 +229,7 @@ pub fn compact_table(
     let mut actions = Vec::new();
     for victim in &victims {
         let cell = polaris_exec::Cell::from_state(victim);
-        if let Some(batch) = scan_cell(&*store, &cell, None, None)? {
+        if let Some((batch, _)) = scan_cell(&*store, &cell, None, None)? {
             rows += batch.num_rows() as u64;
             by_dist
                 .entry(victim.entry.distribution)

@@ -6,7 +6,8 @@ use crate::{PolarisEngine, PolarisError, PolarisResult, QueryResult};
 use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, TableMeta};
 use polaris_columnar::{ColumnVector, DataType, RecordBatch, Schema, Value};
 use polaris_dcp::{TaskCtx, TaskError, WorkflowDag, WorkloadClass};
-use polaris_exec::{cell::partition_cells, cells_of_snapshot, write as bewrite, Cell, Expr};
+use polaris_exec::write::{self as bewrite, DeleteOutcome};
+use polaris_exec::{cell::partition_cells, cells_of_snapshot, scan::scan_cell, Cell, Expr};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot, TxnDelta};
 use polaris_obs::{
     alloc, Phase, PhaseScope, QueryProfile, ScanMeter, Tracer, TxnProfile, ValidationOutcome,
@@ -72,22 +73,17 @@ struct WriteTarget {
 }
 
 impl WriteTarget {
-    /// Delete the live rows of `cell` matching `predicate`: store the merged
-    /// delete vector and push the actions that swap it in. `None` (and
-    /// nothing written) when no row matches.
+    /// Delete the rows of `cell` that `outcome` found: store its merged
+    /// delete vector and push the actions that swap it in. Returns the rows
+    /// newly deleted.
     fn delete_rows(
         &self,
         cell: &Cell,
-        predicate: &Expr,
+        outcome: DeleteOutcome,
         stmt: u32,
         ctx: &TaskCtx,
         actions: &mut Vec<ManifestAction>,
-    ) -> Result<Option<u64>, TaskError> {
-        let Some(outcome) =
-            bewrite::delete_matching(&*self.store, cell, predicate).map_err(exec_to_task)?
-        else {
-            return Ok(None);
-        };
+    ) -> Result<u64, TaskError> {
         let dv_path = format!(
             "{}/dv/{}-t{}-s{stmt}-a{}.dv",
             self.data_root,
@@ -102,7 +98,7 @@ impl WriteTarget {
         }
         let deleted = outcome.merged.cardinality() as u64;
         actions.push(ManifestAction::add_dv(cell.file.clone(), dv_path, deleted));
-        Ok(Some(outcome.newly_deleted))
+        Ok(outcome.newly_deleted)
     }
 
     /// The end of every write task: stage its actions as one manifest
@@ -568,8 +564,12 @@ impl Transaction {
                 let mut actions = Vec::new();
                 let mut deleted = 0u64;
                 for cell in &group {
-                    if let Some(n) = w.delete_rows(cell, &predicate, stmt, ctx, &mut actions)? {
-                        deleted += n;
+                    // A ranged read of the predicate's columns; no match,
+                    // no write (and no conflict on the file, §4.4.1).
+                    if let Some(outcome) = bewrite::delete_matching(&*w.store, cell, &predicate)
+                        .map_err(exec_to_task)?
+                    {
+                        deleted += w.delete_rows(cell, outcome, stmt, ctx, &mut actions)?;
                     }
                 }
                 let block = format!("del-s{stmt}-t{}-a{}", ctx.task, ctx.attempt);
@@ -622,28 +622,25 @@ impl Transaction {
         let assignments: Arc<Vec<(String, Expr)>> = Arc::new(assignments.to_vec());
         // Rewritten: the live rows matching the predicate, all without one.
         let predicate = predicate.cloned();
-        let delete_pred = predicate.clone().unwrap_or_else(|| Expr::lit(true));
         for group in groups.into_iter().filter(|g| !g.is_empty()) {
             let w = Arc::clone(&t.target);
-            let (predicate, delete_pred) = (predicate.clone(), delete_pred.clone());
+            let predicate = predicate.clone();
             let schema = schema.clone();
             let assignments = Arc::clone(&assignments);
             dag.add_task(move |ctx| {
                 let mut actions = Vec::new();
                 let mut updated = 0u64;
                 for cell in &group {
-                    let Some(live) =
-                        bewrite::live_matching_rows(&*w.store, cell, predicate.as_ref())
+                    // One eager read finds the rows and the delete vector
+                    // that removes them.
+                    let Some((live, outcome)) =
+                        scan_cell(&*w.store, cell, None, predicate.as_ref())
                             .map_err(exec_to_task)?
                     else {
                         continue;
                     };
                     // Delete them from the original file.
-                    if w.delete_rows(cell, &delete_pred, stmt, ctx, &mut actions)?
-                        .is_none()
-                    {
-                        continue;
-                    }
+                    w.delete_rows(cell, outcome, stmt, ctx, &mut actions)?;
                     // Re-insert the updated versions.
                     let new_rows = apply_assignments(&live, &schema, &assignments)
                         .map_err(|e| TaskError::fatal(e.to_string()))?;

@@ -1,5 +1,6 @@
-//! Allocation budgets on the two warm paths an engine repeats most: the
-//! auto-commit INSERT and the `polaris.metrics` scan dashboards poll.
+//! Allocation budgets on the warm paths an engine repeats most: the
+//! auto-commit INSERT, the `polaris.metrics` scan dashboards poll, and a
+//! filtered `COUNT(*)` over a user table.
 //!
 //! Each path is warmed, then measured engine-wide (work runs on pool
 //! threads, so the process totals are the count) over several windows;
@@ -20,9 +21,14 @@ use std::sync::Arc;
 
 /// Allocations per warm auto-commit INSERT: 113 measured + 10 %.
 const ALLOCS_PER_COMMIT: u64 = 124;
-/// Allocations per warm `polaris.metrics` scan: 1 195 measured + 10 %
+/// Allocations per warm `polaris.metrics` scan: 1 185 measured + 10 %
 /// (≈ 10 per metric row).
-const ALLOCS_PER_SYSTEM_SCAN: u64 = 1314;
+const ALLOCS_PER_SYSTEM_SCAN: u64 = 1304;
+/// Allocations per warm `SELECT COUNT(*) … WHERE …` over an 8-file table:
+/// 545 measured + 10 %. It was 581 while every multi-morsel scan spawned
+/// two prefetch threads and keyed a per-statement chunk cache by
+/// `(path, offset)` — one `String` per chunk fetched.
+const ALLOCS_PER_SCAN: u64 = 600;
 
 const WINDOWS: usize = 9;
 
@@ -45,10 +51,10 @@ fn median_allocs(warmup: usize, per_window: usize, mut op: impl FnMut()) -> u64 
     windows[WINDOWS / 2]
 }
 
-/// One test, not two: the totals are process-wide, so the two paths must
-/// not be measured while the other runs.
+/// One test, not three: the totals are process-wide, so no path may be
+/// measured while another runs.
 #[test]
-fn warm_commit_and_system_scan_stay_within_their_allocation_budgets() {
+fn warm_commit_and_scans_stay_within_their_allocation_budgets() {
     let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
     pool.add_nodes(WorkloadClass::System, 2, 2);
     let config = EngineConfig {
@@ -101,5 +107,23 @@ fn warm_commit_and_system_scan_stay_within_their_allocation_budgets() {
     assert!(
         per_scan <= ALLOCS_PER_SYSTEM_SCAN,
         "{per_scan} allocations per warm system scan, budget {ALLOCS_PER_SYSTEM_SCAN}"
+    );
+
+    // 64 rows over the default 8 distributions: an 8-file table.
+    session
+        .execute("CREATE TABLE scanned (k BIGINT, v BIGINT)")
+        .expect("create table");
+    let rows: Vec<String> = (0..64).map(|i| format!("({i}, {})", i * 7)).collect();
+    session
+        .execute(&format!("INSERT INTO scanned VALUES {}", rows.join(",")))
+        .expect("load");
+    let per_scan = median_allocs(16, 8, || {
+        session
+            .query("SELECT COUNT(*) AS n FROM scanned WHERE v > 200")
+            .expect("warm scan");
+    });
+    assert!(
+        per_scan <= ALLOCS_PER_SCAN,
+        "{per_scan} allocations per warm scan, budget {ALLOCS_PER_SCAN}"
     );
 }

@@ -22,7 +22,7 @@ fn durable_engine(every: u64) -> (Arc<PolarisEngine>, Seen) {
     let tap = {
         let seen = Arc::clone(&seen);
         move |r: Request<'_>| {
-            if r.op != "get" && r.op != "head" {
+            if !matches!(r.op, "get" | "get_range" | "head") {
                 seen.lock()
                     .unwrap()
                     .push((r.op, r.path.to_owned(), r.bytes));

@@ -7,6 +7,7 @@
 use polaris_store::{
     BlobMeta, BlobPath, BlockId, Bytes, MemoryStore, ObjectStore, Stamp, StoreResult,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One request: the operation's name, the path (or, for `list`, the
@@ -45,6 +46,11 @@ impl<F: Fn(Request<'_>) + Send + Sync> ObjectStore for TapStore<F> {
     fn get(&self, path: &BlobPath) -> StoreResult<Bytes> {
         self.see("get", path.as_str(), 0);
         self.inner.get(path)
+    }
+
+    fn get_range(&self, path: &BlobPath, range: Range<u64>) -> StoreResult<Bytes> {
+        self.see("get_range", path.as_str(), 0);
+        self.inner.get_range(path, range)
     }
 
     fn head(&self, path: &BlobPath) -> StoreResult<BlobMeta> {

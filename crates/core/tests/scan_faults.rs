@@ -1,7 +1,7 @@
 //! Transient chunk-fetch faults must not poison a statement: a failed or
 //! torn column-chunk range read surfaces as a transient task error and the
-//! scheduler retries the morsel or task on another lane — for a SELECT and
-//! for the ranged reads under DELETE and UPDATE alike.
+//! scheduler retries the morsel or task on another lane — for a SELECT's
+//! and a DELETE's ranged reads, and for UPDATE's whole-blob read alike.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -23,13 +23,7 @@ fn scan_survives_transient_chunk_fetch_faults() {
     let engine = PolarisEngine::new(
         Arc::clone(&faulty) as Arc<dyn ObjectStore>,
         pool,
-        EngineConfig {
-            // Exercise the prefetch path under faults too: prefetch
-            // errors are swallowed (prefetch is advisory) and the
-            // executor's own fetch then faces the fault injector.
-            scan_prefetch_depth: 2,
-            ..EngineConfig::for_testing()
-        },
+        EngineConfig::for_testing(),
     );
     let mut s = engine.session();
     s.execute("CREATE TABLE t (k BIGINT, v BIGINT)").unwrap();
@@ -69,15 +63,26 @@ fn scan_survives_transient_chunk_fetch_faults() {
     );
 }
 
-/// While armed, the first `get_range` of each `.pcf` blob comes back one
-/// byte short — a torn transfer; every later read of it is whole.
-struct TornFirstRange {
+/// While armed, the first read (`get` or `get_range`) of each `.pcf` blob
+/// comes back one byte short — a torn transfer; every later read of it is
+/// whole.
+struct TornFirstRead {
     inner: MemoryStore,
     armed: AtomicBool,
     torn: Mutex<HashSet<String>>,
 }
 
-impl TornFirstRange {
+impl TornFirstRead {
+    fn tear(&self, path: &BlobPath, mut bytes: Bytes) -> Bytes {
+        if self.armed.load(Ordering::SeqCst)
+            && path.as_str().ends_with(".pcf")
+            && self.torn.lock().insert(path.as_str().to_owned())
+        {
+            bytes.truncate(bytes.len().saturating_sub(1));
+        }
+        bytes
+    }
+
     /// Tear the next first read of every data file.
     fn arm(&self, on: bool) {
         self.torn.lock().clear();
@@ -89,24 +94,17 @@ impl TornFirstRange {
     }
 }
 
-impl ObjectStore for TornFirstRange {
+impl ObjectStore for TornFirstRead {
     fn put(&self, path: &BlobPath, data: Bytes, stamp: Stamp) -> StoreResult<()> {
         self.inner.put(path, data, stamp)
     }
 
     fn get(&self, path: &BlobPath) -> StoreResult<Bytes> {
-        self.inner.get(path)
+        Ok(self.tear(path, self.inner.get(path)?))
     }
 
     fn get_range(&self, path: &BlobPath, range: Range<u64>) -> StoreResult<Bytes> {
-        let mut bytes = self.inner.get_range(path, range)?;
-        if self.armed.load(Ordering::SeqCst)
-            && path.as_str().ends_with(".pcf")
-            && self.torn.lock().insert(path.as_str().to_owned())
-        {
-            bytes.truncate(bytes.len().saturating_sub(1));
-        }
-        Ok(bytes)
+        Ok(self.tear(path, self.inner.get_range(path, range)?))
     }
 
     fn head(&self, path: &BlobPath) -> StoreResult<BlobMeta> {
@@ -147,7 +145,7 @@ impl ObjectStore for TornFirstRange {
 
 #[test]
 fn delete_and_update_survive_a_torn_range_read() {
-    let store = Arc::new(TornFirstRange {
+    let store = Arc::new(TornFirstRead {
         inner: MemoryStore::new(),
         armed: AtomicBool::new(false),
         torn: Mutex::new(HashSet::new()),
@@ -193,10 +191,7 @@ fn delete_and_update_survive_a_torn_range_read() {
     let to_update = count(&mut s, "SELECT COUNT(*) AS n FROM t WHERE k >= 300");
     store.arm(true);
     let out = s.execute("UPDATE t SET v = 1000 WHERE k >= 300").unwrap();
-    assert!(
-        store.torn_count() > 0,
-        "the UPDATE read data files by range"
-    );
+    assert!(store.torn_count() > 0, "the UPDATE read data files");
     store.arm(false);
     assert!(matches!(out, StatementOutcome::Affected(n) if n as i64 == to_update));
     assert_eq!(

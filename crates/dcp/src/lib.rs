@@ -20,8 +20,8 @@
 //!   onto free nodes of the right class, retries failed attempts on
 //!   surviving nodes, and returns the results in task order.
 //! * [`Morsel`] — a scan fragment; [`ComputePool::run_morsels`] drains
-//!   morsels through per-lane work-stealing deques with adaptive splitting
-//!   and prefetch.
+//!   morsels through per-lane work-stealing deques with adaptive
+//!   splitting.
 //! * [`TaskError`] — transient faults (including [`TaskError::NodeLost`])
 //!   are retried under one rule for both shapes; fatal errors fail the
 //!   job.

@@ -11,7 +11,7 @@
 //! back of the longest other deque — the classic morsel-driven design
 //! (Leis et al., SIGMOD'14) on top of the pool's node/lane topology.
 //!
-//! Three policies ride on the queue:
+//! Two policies ride on the queue:
 //!
 //! * **Adaptive sizing** — the caller passes a total in-flight byte
 //!   budget. Each driver derives a per-morsel target from it and splits an
@@ -19,11 +19,6 @@
 //!   while in-flight bytes exceed the budget (memory pressure) and grows
 //!   while the pipeline is starved (in-flight well under budget), so
 //!   fragment size tracks how fast lanes are draining work.
-//! * **Prefetch** — `prefetch_depth > 0` spawns that many prefetch
-//!   workers; drivers enqueue the next morsels of their own deque so
-//!   column-chunk ranges are in flight while the current morsel
-//!   evaluates. [`Morsel::prefetch`] is advisory: failures are ignored
-//!   and re-surfaced by the execute path.
 //! * **Retry / node loss** — a failed attempt returns the morsel to the
 //!   coordinator, which re-queues it on a surviving lane under the retry
 //!   rule DAG tasks follow (`ComputePool::retry`); an attempt whose node
@@ -54,12 +49,9 @@ use std::time::{Duration, Instant};
 /// is how a driver notices its node was killed while it was parked.
 const DRIVER_RECHECK: Duration = Duration::from_millis(5);
 
-/// A schedulable scan fragment.
-///
-/// Implementations are cheap to clone (share heavy state behind `Arc`):
-/// the scheduler clones morsels to hand copies to prefetch workers and to
-/// return failed attempts for re-queueing.
-pub trait Morsel: Clone + Send + 'static {
+/// A schedulable scan fragment. A failed attempt hands the morsel itself
+/// back to the coordinator for re-queueing.
+pub trait Morsel: Sized + Send + 'static {
     /// Result of executing this morsel.
     type Output: Send + 'static;
 
@@ -70,11 +62,6 @@ pub trait Morsel: Clone + Send + 'static {
     /// Split into two smaller morsels of roughly equal weight, or `None`
     /// if this morsel is already atomic (a single row group).
     fn split(&self) -> Option<(Self, Self)>;
-
-    /// Warm caches for this morsel (fetch its column-chunk ranges).
-    /// Runs on a prefetch worker, possibly concurrently with `execute`
-    /// of other morsels; must be side-effect-free beyond caching.
-    fn prefetch(&self) {}
 
     /// Execute the morsel. Transient errors are retried on another lane
     /// up to the pool's retry budget.
@@ -119,8 +106,6 @@ enum Event<M: Morsel> {
 struct Entry<M> {
     morsel: M,
     attempt: u32,
-    /// Already handed to a prefetch worker (don't re-send on re-scan).
-    prefetch_sent: bool,
 }
 
 /// State shared by the coordinator and every driver.
@@ -135,7 +120,6 @@ struct Shared<M: Morsel> {
     budget: u64,
     /// Baseline per-morsel target: `budget / lanes`.
     per_lane: u64,
-    prefetch_depth: usize,
     shutdown: AtomicBool,
     /// Wakes drivers parked on empty deques when a retry or split lands.
     wake: SlotEvent,
@@ -198,13 +182,7 @@ fn next_entry<M: Morsel>(shared: &Shared<M>, lane: usize) -> Option<(Entry<M>, b
 }
 
 /// Driver loop body, running as one long job on a node's worker thread.
-fn drive<M: Morsel>(
-    shared: &Shared<M>,
-    lane: usize,
-    node: &LaneRef,
-    prefetch_tx: Option<&Sender<M>>,
-    tx: &Sender<Event<M>>,
-) {
+fn drive<M: Morsel>(shared: &Shared<M>, lane: usize, node: &LaneRef, tx: &Sender<Event<M>>) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) || !node.is_alive() {
             return;
@@ -240,21 +218,9 @@ fn drive<M: Morsel>(
             shared.deques[lane].lock().push_front(Entry {
                 morsel: tail,
                 attempt: entry.attempt,
-                prefetch_sent: false,
             });
             shared.wake.signal();
             entry.morsel = head;
-        }
-        // Overlap storage with compute: ship the next morsels of our own
-        // deque to the prefetch workers before evaluating this one.
-        if let Some(pf) = prefetch_tx {
-            let mut dq = shared.deques[lane].lock();
-            for e in dq.iter_mut().take(shared.prefetch_depth) {
-                if !e.prefetch_sent {
-                    e.prefetch_sent = true;
-                    let _ = pf.send(e.morsel.clone());
-                }
-            }
         }
         let weight = entry.morsel.weight();
         shared.in_flight_bytes.fetch_add(weight, Ordering::SeqCst);
@@ -290,16 +256,15 @@ fn drive<M: Morsel>(
 
 impl ComputePool {
     /// Run `morsels` across the alive lanes of `class` with work
-    /// stealing, adaptive splitting against `target_in_flight_bytes`,
-    /// and `prefetch_depth` prefetch workers. Returns outputs in
-    /// *completion* order (callers that need determinism sort by an
-    /// ordinal carried in the output) plus the run's counters.
+    /// stealing and adaptive splitting against `target_in_flight_bytes`.
+    /// Returns outputs in *completion* order (callers that need
+    /// determinism sort by an ordinal carried in the output) plus the
+    /// run's counters.
     pub fn run_morsels<M: Morsel>(
         &self,
         class: WorkloadClass,
         morsels: Vec<M>,
         target_in_flight_bytes: u64,
-        prefetch_depth: usize,
     ) -> DcpResult<(Vec<M::Output>, MorselRunStats)> {
         let n = morsels.len();
         if n == 0 {
@@ -320,7 +285,6 @@ impl ComputePool {
             in_flight_bytes: AtomicU64::new(0),
             budget,
             per_lane: (budget / lanes.len() as u64).max(1),
-            prefetch_depth,
             shutdown: AtomicBool::new(false),
             wake: SlotEvent::new(),
             wake_wait_ns: self.meter().morsel_wake_wait_ns.clone(),
@@ -334,29 +298,8 @@ impl ComputePool {
             shared.deques[i % lanes.len()].lock().push_back(Entry {
                 morsel: m,
                 attempt: 0,
-                prefetch_sent: false,
             });
         }
-        // Prefetch workers: skipped for single-morsel runs (point
-        // lookups) where there is nothing to overlap — spawning threads
-        // there would tax exactly the latency-critical path.
-        let prefetch_tx = if prefetch_depth > 0 && n > 1 {
-            let (ptx, prx) = unbounded::<M>();
-            for i in 0..prefetch_depth.min(lanes.len().max(1)) {
-                let prx = prx.clone();
-                std::thread::Builder::new()
-                    .name(format!("polaris-prefetch-{i}"))
-                    .spawn(move || {
-                        for m in prx {
-                            m.prefetch();
-                        }
-                    })
-                    .expect("spawning a prefetch worker");
-            }
-            Some(ptx)
-        } else {
-            None
-        };
         let (tx, rx) = unbounded::<Event<M>>();
         let mut active = 0usize;
         for (li, lane) in lanes.into_iter().enumerate() {
@@ -365,11 +308,10 @@ impl ComputePool {
             // is dropped unsent.
             let slot = Slot::hold(lane, &self.slot_event);
             let shared = Arc::clone(&shared);
-            let pf = prefetch_tx.clone();
             let tx = tx.clone();
             let job: Job = Box::new(move |alive_at_dequeue| {
                 if alive_at_dequeue {
-                    drive(&shared, li, &slot.lane, pf.as_ref(), &tx);
+                    drive(&shared, li, &slot.lane, &tx);
                 }
                 drop(slot);
                 let _ = tx.send(Event::DriverExit);
@@ -379,7 +321,6 @@ impl ComputePool {
             }
         }
         drop(tx);
-        drop(prefetch_tx);
         if active == 0 {
             return Err(DcpError::NoCapacity {
                 class: class.name(),
@@ -411,7 +352,6 @@ impl ComputePool {
                             shared.deques[target].lock().push_back(Entry {
                                 morsel,
                                 attempt: next,
-                                prefetch_sent: false,
                             });
                         }
                         Err(e) => {
@@ -453,7 +393,6 @@ mod tests {
         bytes_per_row: u64,
         sleep_ms: u64,
         fail_first: Arc<AtomicU32>,
-        prefetched: Arc<AtomicU64>,
         executed_on: Arc<Mutex<Vec<u64>>>,
     }
 
@@ -465,7 +404,6 @@ mod tests {
                 bytes_per_row: 1,
                 sleep_ms: 0,
                 fail_first: Arc::new(AtomicU32::new(0)),
-                prefetched: Arc::new(AtomicU64::new(0)),
                 executed_on: Arc::new(Mutex::new(Vec::new())),
             }
         }
@@ -488,10 +426,6 @@ mod tests {
             a.hi = mid;
             b.lo = mid;
             Some((a, b))
-        }
-
-        fn prefetch(&self) {
-            self.prefetched.fetch_add(1, Ordering::SeqCst);
         }
 
         fn execute(&self, ctx: &MorselCtx) -> Result<Self::Output, TaskError> {
@@ -521,7 +455,7 @@ mod tests {
             .map(|i| TestMorsel::new(i * 10, i * 10 + 10))
             .collect();
         let (out, stats) = pool
-            .run_morsels(WorkloadClass::Read, morsels, u64::MAX, 0)
+            .run_morsels(WorkloadClass::Read, morsels, u64::MAX)
             .unwrap();
         assert_eq!(total_rows(&out), 100);
         assert_eq!(stats.scheduled, 10);
@@ -537,7 +471,7 @@ mod tests {
         let pool = ComputePool::with_topology(2, 0, 1);
         // One 1024-byte morsel against a 64-byte budget: must shatter.
         let (out, stats) = pool
-            .run_morsels(WorkloadClass::Read, vec![TestMorsel::new(0, 1024)], 64, 0)
+            .run_morsels(WorkloadClass::Read, vec![TestMorsel::new(0, 1024)], 64)
             .unwrap();
         assert_eq!(total_rows(&out), 1024);
         assert!(stats.splits > 0, "expected adaptive splits, got {stats:?}");
@@ -560,7 +494,7 @@ mod tests {
             morsels.push(m);
         }
         let (out, stats) = pool
-            .run_morsels(WorkloadClass::Read, morsels, u64::MAX, 0)
+            .run_morsels(WorkloadClass::Read, morsels, u64::MAX)
             .unwrap();
         assert_eq!(total_rows(&out), 160);
         assert!(stats.stolen > 0, "expected steals, got {stats:?}");
@@ -576,7 +510,6 @@ mod tests {
                 WorkloadClass::Read,
                 vec![m, TestMorsel::new(8, 16)],
                 u64::MAX,
-                0,
             )
             .unwrap();
         assert_eq!(total_rows(&out), 16);
@@ -589,7 +522,7 @@ mod tests {
         let m = TestMorsel::new(0, 8);
         m.fail_first.store(u32::MAX, Ordering::SeqCst);
         let err = pool
-            .run_morsels(WorkloadClass::Read, vec![m], u64::MAX, 0)
+            .run_morsels(WorkloadClass::Read, vec![m], u64::MAX)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -599,7 +532,6 @@ mod tests {
 
     #[test]
     fn fatal_failure_fails_fast() {
-        #[derive(Clone)]
         struct Fatal;
         impl Morsel for Fatal {
             type Output = ();
@@ -615,7 +547,7 @@ mod tests {
         }
         let pool = ComputePool::with_topology(2, 0, 1);
         let err = pool
-            .run_morsels(WorkloadClass::Read, vec![Fatal, Fatal], u64::MAX, 0)
+            .run_morsels(WorkloadClass::Read, vec![Fatal, Fatal], u64::MAX)
             .unwrap_err();
         assert!(matches!(err, DcpError::TaskFailed { .. }));
     }
@@ -645,7 +577,7 @@ mod tests {
             p.kill_node(victim);
         });
         let (out, _stats) = pool
-            .run_morsels(WorkloadClass::Read, morsels, u64::MAX, 0)
+            .run_morsels(WorkloadClass::Read, morsels, u64::MAX)
             .unwrap();
         killer.join().unwrap();
         let mut los: Vec<u64> = out.iter().map(|(lo, _)| *lo).collect();
@@ -668,44 +600,17 @@ mod tests {
             .unwrap();
         pool.kill_node(id);
         let err = pool
-            .run_morsels(
-                WorkloadClass::Read,
-                vec![TestMorsel::new(0, 4)],
-                u64::MAX,
-                0,
-            )
+            .run_morsels(WorkloadClass::Read, vec![TestMorsel::new(0, 4)], u64::MAX)
             .unwrap_err();
         assert!(matches!(err, DcpError::NoCapacity { class: "Read" }));
         let _ = NodeId(0); // keep the import exercised on all feature sets
     }
 
     #[test]
-    fn prefetch_workers_warm_upcoming_morsels() {
-        let pool = ComputePool::with_topology(1, 0, 1);
-        let seen = Arc::new(AtomicU64::new(0));
-        let morsels: Vec<_> = (0..8)
-            .map(|i| {
-                let mut m = TestMorsel::new(i * 10, i * 10 + 10);
-                m.sleep_ms = 2;
-                m.prefetched = Arc::clone(&seen);
-                m
-            })
-            .collect();
-        let (out, _) = pool
-            .run_morsels(WorkloadClass::Read, morsels, u64::MAX, 2)
-            .unwrap();
-        assert_eq!(total_rows(&out), 80);
-        assert!(
-            seen.load(Ordering::SeqCst) > 0,
-            "prefetch workers never ran"
-        );
-    }
-
-    #[test]
     fn empty_run_is_trivial() {
         let pool = ComputePool::with_topology(1, 0, 1);
         let (out, stats) = pool
-            .run_morsels::<TestMorsel>(WorkloadClass::Read, Vec::new(), 1024, 2)
+            .run_morsels::<TestMorsel>(WorkloadClass::Read, Vec::new(), 1024)
             .unwrap();
         assert!(out.is_empty());
         assert_eq!(stats, MorselRunStats::default());
@@ -720,7 +625,7 @@ mod tests {
         let morsels: Vec<_> = (0..6)
             .map(|i| TestMorsel::new(i * 10, i * 10 + 10))
             .collect();
-        pool.run_morsels(WorkloadClass::Read, morsels, u64::MAX, 0)
+        pool.run_morsels(WorkloadClass::Read, morsels, u64::MAX)
             .unwrap();
         let after = pool.stats();
         assert_eq!(before.attempts, after.attempts);

@@ -115,7 +115,7 @@ fn as_morsel(script: Script) -> (Outcome, u32) {
     let b = body(script);
     let result = b
         .pool
-        .run_morsels(WorkloadClass::Read, vec![b.clone()], u64::MAX, 0);
+        .run_morsels(WorkloadClass::Read, vec![b.clone()], u64::MAX);
     b.outcome(result.map(|(out, _)| out[0]))
 }
 

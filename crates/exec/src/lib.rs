@@ -32,5 +32,5 @@ pub mod write;
 pub use cell::{cells_of_snapshot, partition_cells, Cell};
 pub use error::{ExecError, ExecResult};
 pub use expr::{AggExpr, AggFunc, BinOp, Expr};
-pub use morsel::{plan_file_scan, FileScanPlan, MorselScanOutput, PrefetchCache, ScanMorsel};
+pub use morsel::{plan_file_scan, FileScanPlan, MorselScanOutput, ScanMorsel};
 pub use system::{SystemSchema, SystemTableProvider, SYSTEM_SCHEMA};

@@ -1,5 +1,5 @@
-//! Morsel-driven scan fragments: row-group-aligned units with prefetch
-//! and late materialization.
+//! Morsel-driven scan fragments: row-group-aligned units with late
+//! materialization.
 //!
 //! A ranged read of a data file is two phases the DCP can schedule
 //! independently, and every ranged reader — SELECT's morsels, DELETE's
@@ -24,12 +24,10 @@
 //! non-predicate chunks — counted in
 //! `ScanMeter::late_materialized_chunks_skipped`.
 //!
-//! **Prefetch**: [`ScanMorsel::prefetch`] warms a shared
-//! [`PrefetchCache`] with the phase-1 chunk ranges of its stats-surviving
-//! groups. The scheduler calls it for upcoming morsels while the current
-//! one evaluates; `run` consumes cache hits instead of issuing range
-//! reads. Prefetch failures are swallowed — the execute path re-issues
-//! the read and surfaces the error with retry semantics.
+//! Every chunk range is fetched exactly once, by the morsel that decodes
+//! it, with one `get_range` on the lane running the morsel. Repeated reads
+//! of a hot file are the store cache's business (`CachingStore`), not the
+//! scan's.
 //!
 //! This crate stays DCP-free: `polaris-core` adapts these types to the
 //! scheduler's `Morsel` trait.
@@ -39,12 +37,11 @@ use polaris_columnar::{
     Bitmap, ColumnStats, ColumnVector, ColumnarError, ColumnarFooter, DeleteVector, RecordBatch,
     Schema,
 };
-use polaris_obs::{Histogram, ScanMeter};
-use polaris_store::{BlobPath, Bytes, ObjectStore};
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
+use polaris_obs::ScanMeter;
+use polaris_store::{BlobPath, ObjectStore};
+use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Immutable per-file scan state produced by [`plan_file_scan`] and
 /// shared (via `Arc`) by every morsel of the file.
@@ -104,20 +101,21 @@ impl FileScanPlan {
         pred.may_match(&lookup)
     }
 
-    /// Fetch (through `cache`) and decode column `c` of row group `g`.
+    /// Fetch (one `get_range`) and decode column `c` of row group `g`.
     fn read_chunk(
         &self,
         g: usize,
         c: usize,
         path: &BlobPath,
         store: &dyn ObjectStore,
-        cache: Option<&PrefetchCache>,
         meter: Option<&ScanMeter>,
     ) -> ExecResult<ColumnVector> {
         let group = &self.footer.row_groups()[g];
         let chunk = &group.chunks[c];
-        let range = chunk.offset..chunk.offset + chunk.length;
-        let payload = fetch_chunk(store, cache, &self.path, path, range, meter)?;
+        let payload = store.get_range(path, chunk.offset..chunk.offset + chunk.length)?;
+        if let Some(m) = meter {
+            ScanMeter::bump(&m.bytes_read, payload.len() as u64);
+        }
         let field = &self.footer.schema().fields()[c];
         Ok(self
             .footer
@@ -135,7 +133,6 @@ impl FileScanPlan {
         g: usize,
         path: &BlobPath,
         store: &dyn ObjectStore,
-        cache: Option<&PrefetchCache>,
         meter: Option<&ScanMeter>,
     ) -> ExecResult<Option<(Bitmap, RecordBatch)>> {
         let rows = self.footer.row_groups()[g].rows as usize;
@@ -153,39 +150,52 @@ impl FileScanPlan {
             self.pred_schema.clone(),
             self.pred_cols
                 .iter()
-                .map(|&c| self.read_chunk(g, c, path, store, cache, meter))
+                .map(|&c| self.read_chunk(g, c, path, store, meter))
                 .collect::<ExecResult<_>>()?,
         )?;
-        // Delete-vector mask (file-relative row indexes).
-        let mut keep = Bitmap::all_set(rows);
-        if let Some(dv) = &self.dv {
-            let base = self.group_row_offsets[g];
-            for i in 0..rows {
-                if dv.is_deleted(base + i) {
-                    keep.clear(i);
-                }
-            }
-        }
+        let mut keep = live_rows(self.dv.as_ref(), self.group_row_offsets[g], rows);
         if let Some(pred) = &self.predicate {
-            if keep.count_set() == rows {
-                keep.intersect_with(&pred.eval_predicate(&phase1)?);
-            } else {
-                // Mask first: a deleted row is not a row, and must not
-                // raise a comparison or overflow error.
-                let passed = pred.eval_predicate(&phase1.filter(&keep))?;
-                let mut survivor = 0;
-                for row in 0..rows {
-                    if keep.get(row) {
-                        if !passed.get(survivor) {
-                            keep.clear(row);
-                        }
-                        survivor += 1;
-                    }
-                }
-            }
+            retain_passing(&mut keep, pred, &phase1)?;
         }
         Ok(Some((keep, phase1)))
     }
+}
+
+/// The rows `base..base + rows` of a file that `dv` leaves live, as a
+/// group-relative bitmap.
+pub(crate) fn live_rows(dv: Option<&DeleteVector>, base: usize, rows: usize) -> Bitmap {
+    let mut keep = Bitmap::all_set(rows);
+    if let Some(dv) = dv {
+        for i in (0..rows).filter(|i| dv.is_deleted(base + i)) {
+            keep.clear(i);
+        }
+    }
+    keep
+}
+
+/// Narrow `keep`, the live rows of `batch`, to those `pred` passes.
+/// Masks first: a deleted row is not a row, and must not raise a
+/// comparison or overflow error.
+pub(crate) fn retain_passing(
+    keep: &mut Bitmap,
+    pred: &Expr,
+    batch: &RecordBatch,
+) -> ExecResult<()> {
+    if keep.count_set() == batch.num_rows() {
+        keep.intersect_with(&pred.eval_predicate(batch)?);
+        return Ok(());
+    }
+    let passed = pred.eval_predicate(&batch.filter(keep))?;
+    let mut survivor = 0;
+    for row in 0..batch.num_rows() {
+        if keep.get(row) {
+            if !passed.get(survivor) {
+                keep.clear(row);
+            }
+            survivor += 1;
+        }
+    }
+    Ok(())
 }
 
 /// Plan one file's scan: manifest pruning, footer fetch (tail-probe +
@@ -395,45 +405,24 @@ impl ScanMorsel {
         Some((a, b))
     }
 
-    /// Warm `cache` with the phase-1 chunk ranges of this morsel's
-    /// stats-surviving groups. Advisory: errors are swallowed (the
-    /// execute path re-reads and reports them), bytes fetched here are
-    /// charged to `bytes_read` at transfer time.
-    pub fn prefetch(
-        &self,
-        store: &dyn ObjectStore,
-        cache: &PrefetchCache,
-        meter: Option<&ScanMeter>,
-    ) {
-        let Ok(path) = BlobPath::new(self.plan.path.clone()) else {
-            return;
-        };
-        for g in self.group_lo..self.group_hi {
-            if !self.plan.group_may_match(g) {
-                continue;
-            }
-            for &c in &self.plan.pred_cols {
-                if let Ok(range) = self.plan.footer.chunk_range(g, c) {
-                    cache.prefetch(store, &self.plan.path, &path, range, meter);
-                }
-            }
-        }
-    }
-
     /// Execute the morsel: per group, find the surviving rows (phase-1
-    /// chunks through `cache`), then fetch the phase-2 chunks and
-    /// materialize — only when rows survive.
+    /// chunks), then fetch the phase-2 chunks and materialize — only when
+    /// rows survive.
+    ///
+    /// `_unused` can only be `None`: it keeps the benchmark's
+    /// `run(store, None, meter)` call compiling and goes with the next
+    /// change to the benchmark.
     pub fn run(
         &self,
         store: &dyn ObjectStore,
-        cache: Option<&PrefetchCache>,
+        _unused: Option<&Infallible>,
         meter: Option<&ScanMeter>,
     ) -> ExecResult<MorselScanOutput> {
         let plan = &*self.plan;
         let path = BlobPath::new(plan.path.clone())?;
         let mut batches = Vec::new();
         for g in self.group_lo..self.group_hi {
-            let Some((keep, phase1)) = plan.survivors(g, &path, store, cache, meter)? else {
+            let Some((keep, phase1)) = plan.survivors(g, &path, store, meter)? else {
                 continue;
             };
             if keep.count_set() == 0 {
@@ -458,7 +447,7 @@ impl ScanMorsel {
                     .fetch_cols
                     .iter()
                     .map(|c| match plan.rest_cols.contains(c) {
-                        true => plan.read_chunk(g, *c, &path, store, cache, meter),
+                        true => plan.read_chunk(g, *c, &path, store, meter),
                         false => Ok(decoded.next().expect("one per phase-1 column").clone()),
                     })
                     .collect::<ExecResult<_>>()?;
@@ -482,140 +471,6 @@ impl ScanMorsel {
     }
 }
 
-/// Read one chunk range, consuming a prefetched copy when available.
-fn fetch_chunk(
-    store: &dyn ObjectStore,
-    cache: Option<&PrefetchCache>,
-    path_key: &str,
-    path: &BlobPath,
-    range: Range<u64>,
-    meter: Option<&ScanMeter>,
-) -> ExecResult<Bytes> {
-    if let Some(cache) = cache {
-        if let Some(bytes) = cache.take(path_key, range.start) {
-            if let Some(m) = meter {
-                ScanMeter::bump(&m.prefetch_hits, 1);
-            }
-            return Ok(bytes);
-        }
-    }
-    let bytes = store.get_range(path, range)?;
-    if let Some(m) = meter {
-        ScanMeter::bump(&m.bytes_read, bytes.len() as u64);
-    }
-    Ok(bytes)
-}
-
-/// Slot state of one chunk range in the prefetch cache.
-enum Slot {
-    /// Someone (executor or prefetcher) is fetching this range directly;
-    /// prefetchers must not duplicate the transfer.
-    Claimed,
-    /// Prefetched payload awaiting consumption.
-    Ready(Bytes),
-}
-
-/// Statement-scoped cache of prefetched chunk ranges, shared between the
-/// prefetch workers and the morsel executors.
-///
-/// Keys are `(path, offset)` — chunk ranges never overlap within a file,
-/// so the offset identifies the chunk. A range fetched here is charged to
-/// `ScanMeter::bytes_read` when the transfer happens; ranges that are
-/// prefetched but never consumed surface as
-/// `ScanMeter::prefetch_wasted_bytes` via [`PrefetchCache::wasted_bytes`]
-/// when the statement finishes.
-#[derive(Default)]
-pub struct PrefetchCache {
-    slots: parking_lot::Mutex<HashMap<(String, u64), Slot>>,
-    /// Wait-profiler sink: time claimants spend blocked on `slots`
-    /// (`exec.prefetch_cache.wait_ns`). `None` skips the clock reads.
-    wait_ns: Option<Histogram>,
-}
-
-impl PrefetchCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record contended lock-claim waits into `hist` (and the alloc-scope
-    /// wait attribution). The uncontended path stays clock-free.
-    pub fn with_wait_histogram(mut self, hist: Histogram) -> Self {
-        self.wait_ns = Some(hist);
-        self
-    }
-
-    fn lock_slots(&self) -> parking_lot::MutexGuard<'_, HashMap<(String, u64), Slot>> {
-        let Some(hist) = &self.wait_ns else {
-            return self.slots.lock();
-        };
-        if let Some(guard) = self.slots.try_lock() {
-            return guard;
-        }
-        let blocked = Instant::now();
-        let guard = self.slots.lock();
-        let waited_ns = blocked.elapsed().as_nanos() as u64;
-        hist.record_ns(waited_ns);
-        polaris_obs::alloc::attribute_wait(waited_ns);
-        guard
-    }
-
-    /// Fetch `range` into the cache unless it is already present or
-    /// claimed. Errors are swallowed — prefetch is advisory.
-    pub fn prefetch(
-        &self,
-        store: &dyn ObjectStore,
-        path_key: &str,
-        path: &BlobPath,
-        range: Range<u64>,
-        meter: Option<&ScanMeter>,
-    ) {
-        let key = (path_key.to_owned(), range.start);
-        {
-            let mut slots = self.lock_slots();
-            if slots.contains_key(&key) {
-                return;
-            }
-            slots.insert(key.clone(), Slot::Claimed);
-        }
-        if let Ok(bytes) = store.get_range(path, range) {
-            if let Some(m) = meter {
-                ScanMeter::bump(&m.bytes_read, bytes.len() as u64);
-            }
-            self.lock_slots().insert(key, Slot::Ready(bytes));
-        }
-    }
-
-    /// Consume a prefetched range. On a miss the slot is claimed so a
-    /// late prefetcher does not duplicate the executor's own read.
-    pub fn take(&self, path_key: &str, offset: u64) -> Option<Bytes> {
-        let key = (path_key.to_owned(), offset);
-        let mut slots = self.lock_slots();
-        match slots.get(&key) {
-            Some(Slot::Ready(_)) => match slots.remove(&key) {
-                Some(Slot::Ready(bytes)) => Some(bytes),
-                _ => unreachable!("slot vanished under the lock"),
-            },
-            Some(Slot::Claimed) => None,
-            None => {
-                slots.insert(key, Slot::Claimed);
-                None
-            }
-        }
-    }
-
-    /// Bytes prefetched but never consumed — the cost of speculation.
-    pub fn wasted_bytes(&self) -> u64 {
-        self.lock_slots()
-            .values()
-            .map(|s| match s {
-                Slot::Ready(b) => b.len() as u64,
-                Slot::Claimed => 0,
-            })
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,7 +488,7 @@ mod tests {
         ])
     }
 
-    fn batch(range: Range<i64>) -> RecordBatch {
+    fn batch(range: std::ops::Range<i64>) -> RecordBatch {
         let rows: Vec<Vec<Value>> = range
             .map(|i| {
                 vec![
@@ -729,31 +584,6 @@ mod tests {
             ScanMeter::read(&meter.late_materialized_chunks_skipped) >= 1,
             "fully-deleted group must skip its phase-2 chunk"
         );
-    }
-
-    #[test]
-    fn prefetch_cache_hits_and_waste() {
-        let (store, snap) = setup();
-        let cell = cells_of_snapshot(&snap).remove(0);
-        let meter = ScanMeter::default();
-        let plan = plan_file_scan(&store, &cell, 0, None, None, Some(&meter))
-            .unwrap()
-            .unwrap();
-        let morsel = plan.whole_file_morsel();
-        let cache = PrefetchCache::new();
-        morsel.prefetch(&store, &cache, Some(&meter));
-        let bytes_after_prefetch = ScanMeter::read(&meter.bytes_read);
-        let out = morsel.run(&store, Some(&cache), Some(&meter)).unwrap();
-        assert!(!out.batches.is_empty());
-        assert!(ScanMeter::read(&meter.prefetch_hits) > 0);
-        // Everything prefetched was consumed: no waste, and no re-reads
-        // of prefetched chunks (bytes unchanged modulo nothing new).
-        assert_eq!(cache.wasted_bytes(), 0);
-        assert_eq!(ScanMeter::read(&meter.bytes_read), bytes_after_prefetch);
-        // An unconsumed prefetch shows up as waste.
-        let cache2 = PrefetchCache::new();
-        morsel.prefetch(&store, &cache2, None);
-        assert!(cache2.wasted_bytes() > 0);
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! project.
 //!
 //! This is the access pattern for readers of *every column of every row
-//! group* — compaction and the read half of UPDATE — where one request per
-//! file beats footer-first ranged reads (3 + columns × groups requests).
+//! group* — compaction, and UPDATE, which also takes the delete vector it
+//! writes from this pass — where one request per file beats footer-first
+//! ranged reads (3 + columns × groups requests).
 //! Anything selective goes through [`plan_file_scan`](crate::plan_file_scan)
 //! and [`ScanMorsel`](crate::ScanMorsel) instead.
 
+use crate::morsel::{live_rows, retain_passing};
+use crate::write::DeleteOutcome;
 use crate::{Cell, ExecResult, Expr};
-use polaris_columnar::{Bitmap, ColumnarFile, DeleteVector, RecordBatch};
+use polaris_columnar::{ColumnarFile, DeleteVector, RecordBatch};
 use polaris_store::{BlobPath, ObjectStore};
 
 /// Scan one cell.
@@ -20,13 +23,15 @@ use polaris_store::{BlobPath, ObjectStore};
 /// 3. residual predicate filtering;
 /// 4. projection.
 ///
-/// Returns `None` when the file was pruned or every row was masked out.
+/// Returns `None` when the file was pruned or every row was masked out;
+/// else the rows, and the cell's delete vector merged with them — what
+/// deleting exactly these rows writes, so an UPDATE reads its file once.
 pub fn scan_cell(
     store: &dyn ObjectStore,
     cell: &Cell,
     projection: Option<&[&str]>,
     predicate: Option<&Expr>,
-) -> ExecResult<Option<RecordBatch>> {
+) -> ExecResult<Option<(RecordBatch, DeleteOutcome)>> {
     if predicate.is_some_and(|pred| !pred.may_match(&|name: &str| cell.range_stats(name))) {
         return Ok(None);
     }
@@ -34,11 +39,12 @@ pub fn scan_cell(
     if predicate.is_some_and(|pred| !pred.may_match(&|name: &str| file.column_stats(name).ok())) {
         return Ok(None);
     }
-    let dv = match &cell.dv_path {
-        Some(path) => Some(DeleteVector::from_bytes(
-            store.get(&BlobPath::new(path.clone())?)?,
-        )?),
-        None => None,
+    // The stored deletes, joined by this scan's rows as it goes: a row
+    // added here belongs to a group already masked, so every group is
+    // masked by the stored deletes alone.
+    let mut merged = match &cell.dv_path {
+        Some(path) => DeleteVector::from_bytes(store.get(&BlobPath::new(path.clone())?)?)?,
+        None => DeleteVector::new(),
     };
     let mut batches = Vec::new();
     let mut row_offset = 0usize;
@@ -53,33 +59,32 @@ pub fn scan_cell(
         if predicate.is_some_and(|pred| !pred.may_match(&group_stats)) {
             continue;
         }
-        let mut batch = file.read_row_group(gi)?;
+        let batch = file.read_row_group(gi)?;
         // Merge-on-read: mask deleted rows. DV indexes are file-relative.
-        if let Some(dv) = &dv {
-            let mut keep = Bitmap::all_set(group_rows);
-            for i in (0..group_rows).filter(|i| dv.is_deleted(first_row + i)) {
-                keep.clear(i);
-            }
-            if keep.count_set() < group_rows {
-                batch = batch.filter(&keep);
-            }
-        }
+        let mut keep = live_rows(Some(&merged), first_row, group_rows);
         if let Some(pred) = predicate {
-            let mask = pred.eval_predicate(&batch)?;
-            if mask.count_set() < batch.num_rows() {
-                batch = batch.filter(&mask);
-            }
+            retain_passing(&mut keep, pred, &batch)?;
         }
-        if batch.num_rows() > 0 {
-            batches.push(batch);
+        for row in keep.iter_set() {
+            merged.delete_row(first_row + row);
+        }
+        match keep.count_set() {
+            0 => {}
+            n if n == group_rows => batches.push(batch),
+            _ => batches.push(batch.filter(&keep)),
         }
     }
     if batches.is_empty() {
         return Ok(None);
     }
     let out = RecordBatch::concat(&batches)?;
-    Ok(Some(match projection {
+    let deletes = DeleteOutcome {
+        newly_deleted: out.num_rows() as u64,
+        merged,
+    };
+    let out = match projection {
         Some(cols) => out.project(cols)?,
         None => out,
-    }))
+    };
+    Ok(Some((out, deletes)))
 }

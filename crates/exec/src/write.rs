@@ -1,7 +1,8 @@
 //! The BE write path: immutable data files and delete vectors.
 //!
 //! Inserts create new data files; deletes create (merged) delete vectors;
-//! updates are a delete followed by an insert (§4.1.1). Nothing here
+//! updates are a delete followed by an insert (§4.1.1), both taken from one
+//! eager [`scan_cell`](crate::scan::scan_cell). Nothing here
 //! mutates an existing file — the LST invariant that makes aborted work
 //! free to discard.
 
@@ -38,7 +39,8 @@ pub fn write_data_file(
     })
 }
 
-/// Outcome of evaluating a delete predicate against one cell.
+/// Outcome of evaluating a delete predicate against one cell — by
+/// [`delete_matching`], or by the eager [`scan_cell`](crate::scan::scan_cell).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeleteOutcome {
     /// Merged delete vector (previous deletes ∪ new matches).
@@ -70,7 +72,7 @@ pub fn delete_matching(
     let mut newly_deleted = 0u64;
     for (g, base) in plan.group_row_offsets.iter().enumerate() {
         // Survivors are live, so each one is a new delete.
-        if let Some((matching, _)) = plan.survivors(g, &path, store, None, None)? {
+        if let Some((matching, _)) = plan.survivors(g, &path, store, None)? {
             for row in matching.iter_set() {
                 merged.delete_row(base + row);
                 newly_deleted += 1;
@@ -81,16 +83,6 @@ pub fn delete_matching(
         merged,
         newly_deleted,
     }))
-}
-
-/// Read the still-live rows of `cell` that match `predicate` — the input
-/// to the "insert" half of an UPDATE, and to compaction rewrites.
-pub fn live_matching_rows(
-    store: &dyn ObjectStore,
-    cell: &Cell,
-    predicate: Option<&Expr>,
-) -> ExecResult<Option<RecordBatch>> {
-    crate::scan::scan_cell(store, cell, None, predicate)
 }
 
 /// Store a delete-vector file.
@@ -148,7 +140,7 @@ mod tests {
         .unwrap();
         assert_eq!(written.rows, 100);
         assert!(written.bytes > 0);
-        let out = crate::scan::scan_cell(&store, &cell("t/f", 100, None), None, None)
+        let (out, _) = crate::scan::scan_cell(&store, &cell("t/f", 100, None), None, None)
             .unwrap()
             .unwrap();
         assert_eq!(out.num_rows(), 100);
@@ -244,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn update_reads_live_rows_only() {
+    fn update_reads_live_rows_and_their_delete_vector_at_once() {
         let store = MemoryStore::new();
         write_data_file(
             &store,
@@ -257,14 +249,19 @@ mod tests {
         let dv = DeleteVector::from_rows([5]);
         write_delete_vector(&store, "t/f.dv", &dv, Stamp(1)).unwrap();
         let pred = Expr::col("id").gt_eq(Expr::lit(4i64));
-        let live = live_matching_rows(&store, &cell("t/f", 10, Some("t/f.dv")), Some(&pred))
+        let cell = cell("t/f", 10, Some("t/f.dv"));
+        let (live, outcome) = crate::scan::scan_cell(&store, &cell, None, Some(&pred))
             .unwrap()
             .unwrap();
         // ids 4..10 minus deleted 5 = 5 rows
-        assert_eq!(live.num_rows(), 5);
         let ids: Vec<i64> = (0..live.num_rows())
             .map(|i| live.column(0).value(i).as_int().unwrap())
             .collect();
-        assert!(!ids.contains(&5));
+        assert_eq!(ids, [4, 6, 7, 8, 9]);
+        // The same rows a ranged delete of the predicate finds.
+        assert_eq!(
+            Some(outcome),
+            delete_matching(&store, &cell, &pred).unwrap()
+        );
     }
 }

@@ -28,7 +28,7 @@ pub fn scan_snapshot(
     let mut batches = Vec::new();
     for state in snapshot.files() {
         let cell = Cell::from_state(state);
-        if let Some(batch) = scan_cell(store, &cell, projection, predicate)? {
+        if let Some((batch, _)) = scan_cell(store, &cell, projection, predicate)? {
             batches.push(batch);
         }
     }

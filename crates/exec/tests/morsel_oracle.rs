@@ -2,9 +2,8 @@
 //! row groups into morsels — including one group per morsel and one
 //! morsel spanning the whole file — must produce batch-for-row identical
 //! results to the single-node [`scan_snapshot`] reference, under random
-//! projections, predicates, delete vectors, and row-group sizes, with or
-//! without a prefetch cache in front of the chunk fetches — and cutting
-//! every morsel batch to its Top-N before the final Top-N must equal the
+//! projections, predicates, delete vectors, and row-group sizes — and
+//! cutting every morsel batch to its Top-N before the final Top-N must equal the
 //! reference scan, sorted and limited. DELETE reads through the same plan,
 //! so `delete_matching` must delete exactly the rows the reference lazy
 //! scan returns.
@@ -13,10 +12,9 @@ mod common;
 
 use common::{scan_cell_lazy, scan_snapshot};
 use polaris_columnar::{DataType, DeleteVector, Field, RecordBatch, Schema, Value, WriterOptions};
+use polaris_exec::scan::scan_cell;
 use polaris_exec::write::{delete_matching, write_data_file};
-use polaris_exec::{
-    cells_of_snapshot, ops, plan_file_scan, BinOp, Expr, PrefetchCache, ScanMorsel,
-};
+use polaris_exec::{cells_of_snapshot, ops, plan_file_scan, BinOp, Expr, ScanMorsel};
 use polaris_lst::{Manifest, ManifestAction, SequenceId, TableSnapshot};
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, Stamp};
 use proptest::prelude::*;
@@ -175,19 +173,13 @@ proptest! {
             bounds.push(n_groups);
             bounds.sort_unstable();
             bounds.dedup();
-            // Alternate the prefetch-cache path across files so both the
-            // cached and direct chunk-fetch routes face the oracle.
-            let cache = (file_index % 2 == 0).then(PrefetchCache::new);
             for pair in bounds.windows(2) {
                 let morsel = ScanMorsel {
                     plan: std::sync::Arc::clone(&plan),
                     group_lo: pair[0],
                     group_hi: pair[1],
                 };
-                if let Some(c) = &cache {
-                    morsel.prefetch(&store, c, None);
-                }
-                let out = morsel.run(&store, cache.as_ref(), None).unwrap();
+                let out = morsel.run(&store, None, None).unwrap();
                 for batch in out.batches {
                     let projected = match &projection {
                         Some(cols) => batch.project(cols).unwrap(),
@@ -239,7 +231,8 @@ proptest! {
 
     /// DELETE ≡ the reference scan: `delete_matching` newly deletes exactly
     /// the rows the scan returns and keeps the old deletes, under random
-    /// predicates, delete vectors and row-group sizes.
+    /// predicates, delete vectors and row-group sizes — and UPDATE's eager
+    /// `scan_cell` finds the same delete vector.
     #[test]
     fn delete_matching_deletes_what_the_reference_scan_returns(
         vs in proptest::collection::vec(proptest::option::of(-50i64..50), 1..40),
@@ -263,7 +256,10 @@ proptest! {
             .map(|row| row[0].as_int().unwrap() as usize)
             .collect();
         let old: BTreeSet<usize> = deleted.iter().copied().filter(|r| *r < vs.len()).collect();
-        match delete_matching(&store, cell, &predicate).unwrap() {
+        let outcome = delete_matching(&store, cell, &predicate).unwrap();
+        let eager = scan_cell(&store, cell, None, Some(&predicate)).unwrap();
+        prop_assert_eq!(eager.map(|(_, deletes)| deletes), outcome.clone());
+        match outcome {
             None => prop_assert!(matching.is_empty()),
             Some(outcome) => {
                 prop_assert_eq!(outcome.newly_deleted as usize, matching.len());

@@ -483,7 +483,7 @@ mod lazy_scan {
             if pick_price { needed.insert("price".to_owned()); }
 
             let lazy = scan_cell_lazy(&store, &cell, Some(&needed), Some(&pred)).unwrap();
-            let full = scan::scan_cell(&store, &cell, None, Some(&pred)).unwrap();
+            let full = scan::scan_cell(&store, &cell, None, Some(&pred)).unwrap().map(|(f, _)| f);
             match (lazy, full) {
                 (None, None) => {}
                 (Some(l), Some(f)) => {

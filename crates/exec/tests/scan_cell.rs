@@ -115,7 +115,7 @@ fn dv_masking_respects_row_group_offsets() {
         dv_path: Some("t/f.dv".into()),
         col_ranges: Vec::new(),
     };
-    let out = scan_cell(&store, &cell, None, None).unwrap().unwrap();
+    let (out, _) = scan_cell(&store, &cell, None, None).unwrap().unwrap();
     let ids: Vec<i64> = (0..out.num_rows())
         .map(|i| out.column(0).value(i).as_int().unwrap())
         .collect();

@@ -773,11 +773,6 @@ pub struct ScanMeter {
     pub morsels_scheduled: AtomicU64,
     /// Morsels executed on a lane other than the one they were queued on.
     pub morsels_stolen: AtomicU64,
-    /// Column-chunk fetches served from the morsel prefetch cache.
-    pub prefetch_hits: AtomicU64,
-    /// Bytes prefetched but never consumed by an execution (the morsel
-    /// was pruned, re-fetched elsewhere, or the run ended first).
-    pub prefetch_wasted_bytes: AtomicU64,
     /// Column chunks never fetched because late materialization found no
     /// surviving rows after evaluating the predicate columns.
     pub late_materialized_chunks_skipped: AtomicU64,
@@ -824,8 +819,6 @@ impl ScanMeter {
             &self.bytes_read,
             &self.morsels_scheduled,
             &self.morsels_stolen,
-            &self.prefetch_hits,
-            &self.prefetch_wasted_bytes,
             &self.late_materialized_chunks_skipped,
         ]
     }
@@ -853,7 +846,7 @@ impl ScanMeter {
 }
 
 /// Number of counts a [`ScanMeter`] keeps.
-pub const SCAN_COUNTERS: usize = 12;
+pub const SCAN_COUNTERS: usize = 10;
 
 /// The `exec.*` registry name of each [`ScanMeter`] count.
 const SCAN_COUNTER_NAMES: [&str; SCAN_COUNTERS] = [
@@ -866,8 +859,6 @@ const SCAN_COUNTER_NAMES: [&str; SCAN_COUNTERS] = [
     "exec.bytes_read",
     "exec.morsels_scheduled",
     "exec.morsels_stolen",
-    "exec.prefetch_hits",
-    "exec.prefetch_wasted_bytes",
     "exec.late_materialized_chunks_skipped",
 ];
 
@@ -918,8 +909,6 @@ pub struct QueryProfile {
     pub morsels_scheduled: u64,
     /// Scan morsels executed on a lane other than their home lane.
     pub morsels_stolen: u64,
-    /// Chunk fetches served from the morsel prefetch cache.
-    pub prefetch_hits: u64,
     /// Column chunks skipped by late materialization.
     pub late_materialized_chunks_skipped: u64,
     /// Snapshot-cache hits while resolving this statement's snapshots.
@@ -972,7 +961,6 @@ impl QueryProfile {
         self.bytes_read += r(&meter.bytes_read);
         self.morsels_scheduled += r(&meter.morsels_scheduled);
         self.morsels_stolen += r(&meter.morsels_stolen);
-        self.prefetch_hits += r(&meter.prefetch_hits);
         self.late_materialized_chunks_skipped += r(&meter.late_materialized_chunks_skipped);
     }
 
