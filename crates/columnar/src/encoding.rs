@@ -5,6 +5,7 @@
 //! (see [`file`](crate::file)); every encoding here is self-contained and
 //! round-trips exactly.
 
+use crate::hash::KeyMap;
 use crate::{ColumnarError, ColumnarResult, StrVec};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -177,16 +178,29 @@ pub fn decode_plain_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
 
 /// Dictionary-encode strings: unique values once, then u32 codes.
 /// Effective for low-cardinality columns (flags, nations, categories).
-pub fn encode_dict_str(values: &StrVec, buf: &mut BytesMut) {
+///
+/// The dictionary is built in one pass, and given up as soon as it holds
+/// `dict_ratio × len` distinct values (or the column is empty): then
+/// nothing is written, the result is `false`, and the caller writes the
+/// strings plain. Codes go to values in first-seen order.
+pub fn encode_dict_str(values: &StrVec, dict_ratio: f64, buf: &mut BytesMut) -> bool {
+    if values.is_empty() {
+        return false;
+    }
+    let limit = dict_ratio * values.len() as f64;
     let mut dict: Vec<&str> = Vec::new();
     let mut codes = Vec::with_capacity(values.len());
-    let mut index = std::collections::HashMap::new();
+    let mut index = KeyMap::default();
     for v in values.iter() {
         let code = *index.entry(v).or_insert_with(|| {
             dict.push(v);
             dict.len() - 1
         });
-        codes.push(code as u64);
+        if (dict.len() as f64) < limit {
+            codes.push(code as u64);
+        } else {
+            return false;
+        }
     }
     put_uvarint(buf, dict.len() as u64);
     for d in &dict {
@@ -197,6 +211,7 @@ pub fn encode_dict_str(values: &StrVec, buf: &mut BytesMut) {
     for c in codes {
         put_uvarint(buf, c);
     }
+    true
 }
 
 /// Decode [`encode_dict_str`] output.
@@ -220,14 +235,6 @@ pub fn decode_dict_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
     out.extend(rows);
     buf.advance(pos);
     Ok(out)
-}
-
-/// Count distinct values (used by the writer's dictionary heuristic).
-pub fn distinct_count_str(values: &StrVec) -> usize {
-    values
-        .iter()
-        .collect::<std::collections::HashSet<_>>()
-        .len()
 }
 
 /// Bit-pack booleans, 8 per byte, LSB first.
@@ -315,11 +322,26 @@ mod tests {
     fn dict_compresses_low_cardinality() {
         let values: StrVec = (0..1000).map(|i| format!("cat-{}", i % 4)).collect();
         let mut dict = BytesMut::new();
-        encode_dict_str(&values, &mut dict);
+        assert!(encode_dict_str(&values, 0.5, &mut dict));
         let mut plain = BytesMut::new();
         encode_plain_str(&values, &mut plain);
         assert!(dict.len() < plain.len() / 3);
-        assert_eq!(distinct_count_str(&values), 4);
+    }
+
+    /// The writer's rule, `distinct < dict_ratio × len`, decided in the
+    /// one pass: exactly at the limit, or empty, nothing is written.
+    #[test]
+    fn dict_gives_up_at_the_ratio() {
+        let four_of_eight: StrVec = ["a", "b", "a", "c", "a", "d", "a", "a"]
+            .into_iter()
+            .collect();
+        let mut buf = BytesMut::new();
+        assert!(!encode_dict_str(&four_of_eight, 0.5, &mut buf));
+        assert!(!encode_dict_str(&StrVec::default(), 0.5, &mut buf));
+        assert!(!encode_dict_str(&four_of_eight, f64::NAN, &mut buf));
+        assert!(buf.is_empty());
+        assert!(encode_dict_str(&four_of_eight, 0.51, &mut buf));
+        assert_eq!(decode_dict_str(&mut buf.freeze()).unwrap(), four_of_eight);
     }
 
     #[test]
@@ -368,8 +390,11 @@ mod tests {
             encode_plain_str(&values, &mut plain);
             prop_assert_eq!(&decode_plain_str(&mut plain.freeze()).unwrap(), &values);
             let mut dict = BytesMut::new();
-            encode_dict_str(&values, &mut dict);
-            prop_assert_eq!(&decode_dict_str(&mut dict.freeze()).unwrap(), &values);
+            // Every column but an empty one has fewer than 2 × len values.
+            prop_assert_eq!(encode_dict_str(&values, 2.0, &mut dict), !values.is_empty());
+            if !values.is_empty() {
+                prop_assert_eq!(&decode_dict_str(&mut dict.freeze()).unwrap(), &values);
+            }
         }
 
         #[test]

@@ -200,11 +200,7 @@ impl ColumnarWriter {
                 Encoding::PlainF64
             }
             ColumnVector::Utf8 { values, .. } => {
-                let distinct = encoding::distinct_count_str(values);
-                if !values.is_empty()
-                    && (distinct as f64) < self.options.dict_ratio * values.len() as f64
-                {
-                    encoding::encode_dict_str(values, &mut payload);
+                if encoding::encode_dict_str(values, self.options.dict_ratio, &mut payload) {
                     Encoding::DictStr
                 } else {
                     encoding::encode_plain_str(values, &mut payload);
@@ -818,6 +814,116 @@ mod tests {
         assert!(ColumnarFile::parse(Bytes::from(bad)).is_err());
         // truncate
         assert!(ColumnarFile::parse(good.slice(..good.len() / 2)).is_err());
+    }
+
+    /// The bytes of a two-group file that exercises every encoding the
+    /// writer chooses, pinned so a change to how it chooses (or to the codes
+    /// a dictionary hands out) shows here first.
+    #[test]
+    fn golden_bytes() {
+        let schema = Schema::new(vec![
+            Field::nullable("dict", DataType::Utf8),
+            Field::new("plain", DataType::Utf8),
+            Field::new("delta", DataType::Int64),
+            Field::new("rle", DataType::Int64),
+            Field::nullable("f", DataType::Float64),
+            Field::new("b", DataType::Bool),
+            Field::new("d", DataType::Date32),
+        ]);
+        let s = |v: &str| Value::Str(v.into());
+        // Group 0's `dict` holds 3 distinct values (NULL slots read as "")
+        // in 8 rows, under the 0.5 ratio: dictionary. Group 1's holds 4,
+        // exactly at it: plain.
+        let dict = [
+            s("é"),
+            s("a"),
+            Value::Null,
+            s("a"),
+            s(""),
+            s("é"),
+            s("a"),
+            Value::Null,
+            s("x"),
+            s("y"),
+            s("x"),
+            s("z"),
+            Value::Null,
+            s("x"),
+            s("y"),
+            s("x"),
+        ];
+        let floats = [
+            Value::Float(1.5),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::Float(0.0),
+            Value::Float(-2.25),
+            Value::Float(f64::INFINITY),
+            Value::Float(1e300),
+        ];
+        let rows: Vec<Vec<Value>> = (0..16)
+            .map(|i| {
+                vec![
+                    dict[i].clone(),
+                    Value::Str(format!("p{i}")),
+                    Value::Int(1000 + 3 * i as i64 - 40),
+                    Value::Int(if i % 8 < 5 { 7 } else { -1 }),
+                    floats[i % 8].clone(),
+                    Value::Bool(i % 3 == 0),
+                    Value::Date(i as i32 * 10 - 20),
+                ]
+            })
+            .collect();
+        let batch = RecordBatch::from_rows(schema, &rows).unwrap();
+        let opts = WriterOptions {
+            row_group_rows: 8,
+            ..Default::default()
+        };
+        let bytes = ColumnarWriter::encode_file(&batch, opts).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let float_chunk = concat!(
+            "01100800000000000000f700000000000000", // validity: row 3 NULL
+            "08000000000000f83f0000000000000080000000000000f87f0000000000000000",
+            "000000000000000000000000000002c0000000000000f07f9c7500883ce4377e",
+        );
+        assert_eq!(
+            hex,
+            [
+                "50434631",
+                // Group 0: dict ["é", "a", ""], codes 0 1 2 1 2 0 1 2 — "" is
+                // the NULL slots' value and the empty string's alike.
+                "011008000000000000007b000000000000000302c3a9016100080001020102000102",
+                "0008027030027031027032027033027034027035027036027037", // plain p0..p7
+                "0008800f06060606060606",                               // delta: 960, then +3 each
+                "00080e050103",                                         // RLE: 7 x5, -1 x3
+                float_chunk,            // 1.5 -0.0 NaN NULL 0.0 -2.25 inf 1e300
+                "000849",               // bools, 8 per byte
+                "00082714141414141414", // dates as delta: -20, then +10 each
+                // Group 1: four distinct of eight is not under the ratio: plain.
+                "01100800000000000000ef0000000000000008017801790178017a00017801790178",
+                "0008027038027039037031300370313103703132037031330370313403703135",
+                "0008b00f06060606060606",
+                "00080e050103",
+                float_chunk,
+                "000892",
+                "00087814141414141414",
+                // Footer: schema, then per group its rows and per chunk its
+                // offset, length, stats and encoding (4 dict, 3 plain string,
+                // 0 delta, 1 RLE, 2 plain f64, 5 packed bool).
+                "070464696374020105706c61696e02000564656c7461000003726c6500000166",
+                "010101620300016404000208042204020803000302c3a9261a03000803027030",
+                "03027037400b00000801800f01aa0f4b060100080101010e5153020108020000",
+                "0000000002c002000000000000f07fa4010305000804000401a7010a00000805",
+                "27056408b1012203010803017803017ad30120030008030370313003027039f3",
+                "010b00000801b00f01da0ffe01060100080101010e8402530201080200000000",
+                "000002c002000000000000f07fd7020305000804000401da020a000008057805",
+                "8402",
+                "e2000000", // footer length
+                "50434631",
+            ]
+            .concat()
+        );
     }
 
     #[test]

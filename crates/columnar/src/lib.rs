@@ -24,6 +24,7 @@
 //! * [`ColumnarWriter`] / [`ColumnarFile`] — file encode/decode with
 //!   plain, run-length, delta-varint, dictionary and bit-packed encodings.
 //! * [`Bitmap`] / [`DeleteVector`] — the deletion-vector file format.
+//! * [`hash`] — the seeded hasher of every table keyed by column values.
 //! * [`zorder`] — Z-order key interleaving used for range partitioning.
 
 mod bitmap;
@@ -31,6 +32,7 @@ mod delete_vector;
 mod encoding;
 mod error;
 mod file;
+pub mod hash;
 mod schema;
 mod stats;
 mod strvec;

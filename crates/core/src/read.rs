@@ -545,17 +545,30 @@ enum Finalizer {
     },
 }
 
+/// The partials the scan computes and how each aggregate is finished from
+/// them. A partial whose `(func, input)` equals an earlier one is not added
+/// again: its finalizer reads the earlier partial's column, so `SUM(v),
+/// AVG(v)` sums `v` once per row group and merges that sum once.
 fn decompose_avg(aggs: &[AggExpr], schema: &Schema) -> (Vec<AggExpr>, Vec<Finalizer>) {
+    /// The column of the partial `func(input)`, added as `name` if new.
+    fn partial(partials: &mut Vec<AggExpr>, func: AggFunc, input: Expr, name: &str) -> String {
+        match partials.iter().find(|p| p.func == func && p.input == input) {
+            Some(p) => p.output.clone(),
+            None => {
+                partials.push(AggExpr::new(func, input, name));
+                name.to_owned()
+            }
+        }
+    }
     let mut partials = Vec::new();
     let mut finalizers = Vec::new();
     for (i, agg) in aggs.iter().enumerate() {
         match agg.func {
             AggFunc::Avg => {
-                let sum_col = format!("__avg{i}_sum");
-                let count_col = format!("__avg{i}_cnt");
                 // AVG sums in f64 wherever it runs (`ops::hash_aggregate`
                 // does at the FE), so it never overflows: an integer input
-                // is widened before the partial SUM.
+                // is widened before the partial SUM, which therefore is not
+                // the `SUM` of that input.
                 let summed = match agg.input.result_type(schema) {
                     Ok(DataType::Int64) => agg
                         .input
@@ -563,21 +576,27 @@ fn decompose_avg(aggs: &[AggExpr], schema: &Schema) -> (Vec<AggExpr>, Vec<Finali
                         .binary(BinOp::Mul, Expr::lit(Value::Float(1.0))),
                     _ => agg.input.clone(),
                 };
-                partials.push(AggExpr::new(AggFunc::Sum, summed, sum_col.clone()));
-                partials.push(AggExpr::new(
+                let sum_col = partial(
+                    &mut partials,
+                    AggFunc::Sum,
+                    summed,
+                    &format!("__avg{i}_sum"),
+                );
+                let count_col = partial(
+                    &mut partials,
                     AggFunc::Count,
                     agg.input.clone(),
-                    count_col.clone(),
-                ));
+                    &format!("__avg{i}_cnt"),
+                );
                 finalizers.push(Finalizer::AvgDiv {
                     output: agg.output.clone(),
                     sum_col,
                     count_col,
                 });
             }
-            _ => {
-                partials.push(agg.clone());
-                finalizers.push(Finalizer::Col(agg.output.clone(), agg.output.clone()));
+            func => {
+                let col = partial(&mut partials, func, agg.input.clone(), &agg.output);
+                finalizers.push(Finalizer::Col(agg.output.clone(), col));
             }
         }
     }
@@ -671,6 +690,44 @@ mod tests {
         assert_eq!(partials[1].output, "__avg1_sum");
         assert_eq!(partials[2].func, AggFunc::Count);
         assert!(matches!(&finals[1], Finalizer::AvgDiv { output, .. } if output == "ay"));
+    }
+
+    #[test]
+    fn equal_partials_are_computed_once() {
+        let schema = Schema::new(vec![
+            Field::new("f", DataType::Float64),
+            Field::new("i", DataType::Int64),
+        ]);
+        let sum_avg = |col: &str| {
+            decompose_avg(
+                &[
+                    AggExpr::new(AggFunc::Sum, Expr::col(col), "s"),
+                    AggExpr::new(AggFunc::Avg, Expr::col(col), "a"),
+                ],
+                &schema,
+            )
+        };
+        // A float AVG's SUM is the SUM beside it.
+        let (partials, finals) = sum_avg("f");
+        assert_eq!(partials.len(), 2);
+        assert!(matches!(
+            &finals[1],
+            Finalizer::AvgDiv { sum_col, count_col, .. } if sum_col == "s" && count_col == "__avg1_cnt"
+        ));
+        // An integer AVG sums `i * 1.0`, which is not `SUM(i)`.
+        let (partials, _) = sum_avg("i");
+        assert_eq!(partials.len(), 3);
+        // Two names for one aggregate: one partial, two outputs.
+        let (partials, finals) = decompose_avg(
+            &[
+                AggExpr::new(AggFunc::Sum, Expr::col("f"), "a"),
+                AggExpr::new(AggFunc::Sum, Expr::col("f"), "b"),
+            ],
+            &schema,
+        );
+        assert_eq!(partials.len(), 1);
+        assert_eq!(finals.len(), 2);
+        assert!(matches!(&finals[1], Finalizer::Col(out, col) if out == "b" && col == "a"));
     }
 
     #[test]

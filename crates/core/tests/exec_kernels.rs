@@ -76,6 +76,51 @@ fn nan_keys_order_group_and_join() {
     assert_eq!(ints(&joined, "n"), [2 * 2 + 2 * 2 + 1 + 1]);
 }
 
+/// AVG beside a SUM of the same input, and one aggregate under two names,
+/// answer as each would alone, across several morsels and a NULL-holding
+/// float column (its sums are exact, so any order of adding agrees).
+#[test]
+fn shared_partials_answer_as_separate_ones() {
+    let engine = engine();
+    let mut s = engine.session();
+    s.execute("CREATE TABLE g (grp VARCHAR, f FLOAT NULL, i BIGINT)")
+        .unwrap();
+    let f = |k: i64| (k % 11 != 0).then_some((k % 7) as f64 * 0.25);
+    let rows: Vec<String> = (0..300i64)
+        .map(|k| {
+            let fv = f(k).map_or("NULL".to_owned(), |v| v.to_string());
+            format!("('g{}', {fv}, {})", k % 3, k * 3 - 100)
+        })
+        .collect();
+    s.execute(&format!("INSERT INTO g VALUES {}", rows.join(", ")))
+        .unwrap();
+    let got = s
+        .query(
+            "SELECT grp, SUM(f) AS sf, AVG(f) AS af, SUM(f) AS sf2, SUM(i) AS si, \
+             AVG(i) AS ai, COUNT(i) AS n FROM g GROUP BY grp ORDER BY grp",
+        )
+        .unwrap();
+    let want: Vec<Vec<Value>> = (0..3i64)
+        .map(|grp| {
+            let ks: Vec<i64> = (0..300).filter(|k| k % 3 == grp).collect();
+            let fs: Vec<f64> = ks.iter().filter_map(|&k| f(k)).collect();
+            let sf = fs.iter().sum::<f64>();
+            let si = ks.iter().map(|k| k * 3 - 100).sum::<i64>();
+            vec![
+                Value::Str(format!("g{grp}")),
+                Value::Float(sf),
+                Value::Float(sf / fs.len() as f64),
+                Value::Float(sf),
+                Value::Int(si),
+                Value::Float(si as f64 / ks.len() as f64),
+                Value::Int(ks.len() as i64),
+            ]
+        })
+        .collect();
+    let got: Vec<Vec<Value>> = (0..got.num_rows()).map(|r| got.row(r)).collect();
+    assert_eq!(got, want);
+}
+
 #[test]
 fn nan_rows_do_not_prune_the_numbers_beside_them() {
     let engine = engine();

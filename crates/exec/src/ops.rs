@@ -11,11 +11,19 @@
 //! ids hashed from borrowed typed values, aggregates accumulate into one
 //! typed vector per function, and orderings compare typed values in
 //! place. No `Value` is built per row.
+//!
+//! Key ids are hashed by the seeded word-at-a-time hasher of
+//! [`polaris_columnar::hash`]: one multiply per integer and per 8 bytes of
+//! a string instead of SipHash. Its seed is per process and never shows:
+//! the id table is only probed, ids are handed out in first-seen row
+//! order, so every output is the same under any seed. Its `finish` mixes
+//! the high bits down because the table picks a bucket from the low bits,
+//! and keys such as `k << 32` or dyadic floats differ only in high bits.
 
 use crate::{AggExpr, AggFunc, ExecError, ExecResult, Expr};
+use polaris_columnar::hash::KeyMap;
 use polaris_columnar::{Bitmap, ColumnVector, DataType, Field, RecordBatch, Schema};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Keep rows satisfying `predicate` (SQL semantics: NULL filters out).
@@ -83,7 +91,7 @@ impl KeyIds {
         probe_keys: Option<impl Iterator<Item = Option<K>>>,
     ) {
         let null_is_key = probe_keys.is_none();
-        let mut seen: HashMap<(u32, Option<K>), u32> = HashMap::new();
+        let mut seen: KeyMap<(u32, Option<K>), u32> = KeyMap::default();
         for (id, key) in self.build.iter_mut().zip(build_keys) {
             if *id != NO_ID {
                 *id = if key.is_some() || null_is_key {

@@ -4,12 +4,13 @@
 //! nested-loop, hash aggregate vs per-group fold, sort vs a reference
 //! comparator, Top-N vs sort + limit, and the partial-aggregation
 //! split/merge identity — over all five column types, with NULLs, NaN and
-//! signed zeros.
+//! signed zeros. The key-hashing operators also draw from a second pool of
+//! values that a weak hash would put in one bucket.
 
 mod common;
 
 use polaris_columnar::{Bitmap, ColumnVector, DataType, Field, RecordBatch, Schema, Value};
-use polaris_exec::{ops, AggExpr, AggFunc, BinOp, Expr};
+use polaris_exec::{ops, AggExpr, AggFunc, BinOp, ExecError, Expr};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -70,9 +71,63 @@ fn value(g: &mut Gen, dt: DataType, wide: bool) -> Value {
     }
 }
 
+/// The second pool, for hash keys: half its draws are [`value`]'s, the
+/// rest values that differ only in their high bits (multiples of 2³²,
+/// dyadic floats, dates far apart), both zeros, NaNs of either sign, and
+/// strings that differ only after byte 8. `wide` adds the integer extremes.
+fn key_value(g: &mut Gen, dt: DataType, wide: bool) -> Value {
+    if g.below(2) == 0 {
+        return value(g, dt, wide);
+    }
+    if g.below(5) == 0 {
+        return Value::Null;
+    }
+    match dt {
+        DataType::Int64 if wide && g.below(4) == 0 => Value::Int(g.pick(&[i64::MIN, i64::MAX])),
+        DataType::Int64 => Value::Int((g.below(5) as i64 - 2) << 32),
+        DataType::Float64 => Value::Float(g.pick(&[
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            4_294_967_296.0,
+            3.0 / 1024.0,
+            -3.0 / 1024.0,
+        ])),
+        DataType::Utf8 => Value::Str(
+            g.pick(&[
+                "abcdefgh",
+                "abcdefgh\0",
+                "abcdefghi",
+                "abcdefghj",
+                "abcdefghijklmnop",
+                "abcdefghijklmnoq",
+            ])
+            .to_owned(),
+        ),
+        DataType::Bool => value(g, dt, wide),
+        DataType::Date32 => Value::Date(g.pick(&[i32::MIN, i32::MAX, 1 << 16, -(1 << 16)])),
+    }
+}
+
+type Draw = fn(&mut Gen, DataType, bool) -> Value;
+
+/// Half the cases draw every value from [`value`], half from [`key_value`].
+fn either_pool(g: &mut Gen) -> Draw {
+    if g.below(2) == 0 {
+        value
+    } else {
+        key_value
+    }
+}
+
 fn batch(g: &mut Gen, rows: usize, wide: bool) -> RecordBatch {
+    batch_of(g, rows, wide, value)
+}
+
+fn batch_of(g: &mut Gen, rows: usize, wide: bool, draw: Draw) -> RecordBatch {
     let data: Vec<Vec<Value>> = (0..rows)
-        .map(|_| TYPES.iter().map(|(_, dt)| value(g, *dt, wide)).collect())
+        .map(|_| TYPES.iter().map(|(_, dt)| draw(g, *dt, wide)).collect())
         .collect();
     RecordBatch::from_rows(schema(), &data).unwrap()
 }
@@ -251,7 +306,8 @@ proptest! {
     /// right order. NULL keys never match; NaN matches NaN.
     fn join_matches_nested_loop(seed in any::<u64>(), l in 0usize..20, r in 0usize..20) {
         let g = &mut Gen(seed);
-        let (lb, rb) = (batch(g, l, false), batch(g, r, false));
+        let draw = either_pool(g);
+        let (lb, rb) = (batch_of(g, l, true, draw), batch_of(g, r, true, draw));
         let keys: Vec<&str> = (0..1 + g.below(2)).map(|_| column(g)).collect();
         let exprs: Vec<Expr> = keys.iter().map(|k| Expr::col(*k)).collect();
         let joined = ops::hash_join(&lb, &rb, &exprs, &exprs).unwrap();
@@ -277,7 +333,8 @@ proptest! {
     fn aggregate_matches_fold(seed in any::<u64>(), rows in 0usize..40) {
         let g = &mut Gen(seed);
         let wide = g.below(4) == 0;
-        let b = batch(g, rows, wide);
+        let draw = either_pool(g);
+        let b = batch_of(g, rows, wide, draw);
         let group: Vec<&str> = (0..g.below(3)).map(|_| column(g)).collect();
         let extreme_of = column(g);
         let aggs = [
@@ -353,10 +410,14 @@ proptest! {
 
     /// Splitting a batch arbitrarily, partially aggregating each piece and
     /// merging equals aggregating the whole (the DCP identity) — NaN
-    /// inputs to MIN/MAX included.
+    /// inputs to MIN/MAX included. With the integer extremes in play a SUM
+    /// may overflow in the whole, a piece or the merge depending on the
+    /// split; then overflow must be the only error.
     fn partial_merge_identity(seed in any::<u64>(), rows in 1usize..40, split in 0usize..40) {
         let g = &mut Gen(seed);
-        let b = batch(g, rows, false);
+        let wide = g.below(4) == 0;
+        let draw = either_pool(g);
+        let b = batch_of(g, rows, wide, draw);
         let split = split.min(rows);
         let key = column(g);
         let group = vec![(Expr::col(key), "g".to_owned())];
@@ -366,12 +427,22 @@ proptest! {
             AggExpr::new(AggFunc::Min, Expr::col(column(g)), "lo"),
             AggExpr::new(AggFunc::Max, Expr::col(column(g)), "hi"),
         ];
-        let whole = ops::hash_aggregate(&b, &group, &aggs).unwrap();
         let lo_mask: Bitmap = (0..rows).map(|i| i < split).collect();
         let hi_mask: Bitmap = (0..rows).map(|i| i >= split).collect();
-        let p1 = ops::hash_aggregate(&b.filter(&lo_mask), &group, &aggs).unwrap();
-        let p2 = ops::hash_aggregate(&b.filter(&hi_mask), &group, &aggs).unwrap();
-        let merged = ops::merge_aggregates(&[p1, p2], 1, &aggs).unwrap();
+        let aggregate = |b: &RecordBatch| ops::hash_aggregate(b, &group, &aggs);
+        let merged = aggregate(&b.filter(&lo_mask)).and_then(|p1| {
+            let p2 = aggregate(&b.filter(&hi_mask))?;
+            ops::merge_aggregates(&[p1, p2], 1, &aggs)
+        });
+        let (whole, merged) = match (aggregate(&b), merged) {
+            (Ok(whole), Ok(merged)) => (whole, merged),
+            (whole, merged) => {
+                for e in [whole.err(), merged.err()].into_iter().flatten() {
+                    prop_assert!(wide && matches!(e, ExecError::Overflow), "{}", e);
+                }
+                return Ok(());
+            }
+        };
         // MIN/MAX keep the first of equal values, so `-0.0`/`0.0` may
         // differ between the two; compare under key equality.
         let canon = |b: &RecordBatch| -> Vec<Vec<String>> {

@@ -16,6 +16,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # row-identical to the single-node reference. The vendored proptest
 # derives a fixed seed from the test name, so this gate is deterministic.
 cargo test --release -q -p polaris-exec --test morsel_oracle
+# The key kernel ships optimized, so its wrapping hash arithmetic is tested optimized.
+cargo test --release -q -p polaris-exec --test operator_oracles
 # STO smoke, optimized as it ships: the GC equivalence oracle (incremental
 # sweep == from-scratch fold, blob for blob, across clones, drops and
 # reopens) is all that stands between a stale fate cache and a deleted live
