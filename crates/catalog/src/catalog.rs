@@ -130,20 +130,6 @@ impl Default for Catalog {
     }
 }
 
-/// Table-affine commit-shard hash (see [`Catalog::with_meter_sharded`]).
-fn table_affine_shard_hash(key: &CatalogKey) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match key {
-        CatalogKey::TableName(name) => name.hash(&mut h),
-        CatalogKey::Table(id)
-        | CatalogKey::Manifest(id, _)
-        | CatalogKey::WriteSet(id, _)
-        | CatalogKey::Checkpoint(id, _) => id.hash(&mut h),
-    }
-    h.finish()
-}
-
 impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
@@ -153,39 +139,10 @@ impl Catalog {
     /// An empty catalog recording commit outcomes and commit-lock hold
     /// times into `meter` (see [`MvccStore::with_meter`]).
     pub fn with_meter(meter: polaris_obs::CatalogMeter) -> Self {
-        Self::with_meter_sharded(meter, crate::DEFAULT_COMMIT_SHARDS)
-    }
-
-    /// An empty catalog with an explicit commit-shard count (see
-    /// [`MvccStore::with_shards_by`]); 1 serializes every commit through a
-    /// single lock, as the original protocol did.
-    ///
-    /// Shard assignment is *table-affine*: every key scoped to a table id
-    /// (`Manifests`, `WriteSets`, `Checkpoints`, table metadata) hashes by
-    /// that id alone, so a transaction's whole footprint within one table
-    /// lands on one shard. Commits to disjoint tables then lock disjoint
-    /// shards (modulo hash collisions) and run concurrently, while any
-    /// two commits touching the same table still serialize — which
-    /// subsumes the per-key collision first-committer-wins needs.
-    pub fn with_meter_sharded(meter: polaris_obs::CatalogMeter, shards: usize) -> Self {
         Catalog {
-            store: MvccStore::with_shards_by(meter, shards, table_affine_shard_hash),
+            store: MvccStore::with_meter(meter),
             next_table_id: AtomicU64::new(1001),
         }
-    }
-
-    /// Number of commit shards of the underlying MVCC store.
-    pub fn commit_shards(&self) -> usize {
-        self.store.shard_count()
-    }
-
-    /// The commit shard every key of `table` hashes to under the
-    /// table-affine assignment (see [`Catalog::with_meter_sharded`]).
-    /// Stable for the catalog's lifetime; lets tests and benchmarks build
-    /// footprints that provably share or avoid commit shards instead of
-    /// hoping consecutive table ids don't collide.
-    pub fn table_commit_shard(&self, table: TableId) -> usize {
-        self.store.shard_of(&CatalogKey::Table(table))
     }
 
     /// Configure sequencer group commit (see

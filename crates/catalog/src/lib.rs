@@ -18,9 +18,8 @@
 //!
 //! * [`MvccStore`] — generic versioned key-value store with
 //!   [`IsolationLevel::Snapshot`] (default), `ReadCommittedSnapshot` and
-//!   `Serializable` modes, first-committer-wins validation, and a
-//!   *sharded* commit protocol standing in for §4.1.2 step 2's
-//!   serialization point.
+//!   `Serializable` modes, first-committer-wins validation, and one
+//!   commit lock standing in for §4.1.2 step 2's serialization point.
 //! * [`Catalog`] — the typed system-catalog API on top: logical table
 //!   metadata, Manifests, WriteSets, Checkpoints, and the transaction
 //!   registry used by garbage collection (§5.3).
@@ -28,17 +27,16 @@
 //! # Concurrency model
 //!
 //! Readers never block: reads resolve against immutable versions at the
-//! transaction's snapshot timestamp, guarded only by short per-shard
-//! `RwLock` read acquisitions. Writers commit in two phases:
+//! transaction's snapshot timestamp, guarded only by a short `RwLock` read
+//! acquisition on the one versioned-row map. Writers commit in two phases:
 //!
-//! 1. **Parallel validation.** The commit's write-key footprint (plus
-//!    read keys under `Serializable`) hashes to a subset of
-//!    [`DEFAULT_COMMIT_SHARDS`] commit shards; those shard locks are
-//!    taken in ascending index order (total order ⇒ no deadlock) and
-//!    first-committer-wins runs under them. Commits with disjoint
-//!    footprints — e.g. transactions on different tables, since
-//!    [`Catalog`] hashes keys by `TableId` — share no lock and validate
-//!    concurrently.
+//! 1. **Validation under the commit lock.** A commit with something to
+//!    validate — a non-empty write set, or a non-empty read set under
+//!    `Serializable` — takes the one commit lock and runs
+//!    first-committer-wins under it, then its prepare stage (Polaris
+//!    publishes its manifest blobs there). A commit with an empty
+//!    footprint — a read-only SI commit, or an INSERT, whose manifest rows
+//!    arrive as extra writes at the commit point — takes no lock.
 //! 2. **Serial publication.** A short global sequencer section draws the
 //!    next commit timestamp, installs all of the transaction's versions,
 //!    and publishes them as one atomic step. The commit clock is
@@ -46,11 +44,10 @@
 //!    visible, so is everything below `n` — the contiguity that snapshot
 //!    caches, checkpoint cutoffs and GC retention arithmetic rely on.
 //!
-//! `MvccStore::with_shards(meter, 1)` collapses the protocol back to a
-//! single global commit lock (the pre-sharding behaviour) for A/B runs.
-//! Per-shard lock-hold histograms (`catalog.commit_lock_hold_ns{shard="i"}`)
-//! and the `catalog.commit_shards_acquired` counter expose the footprint
-//! behaviour at runtime.
+//! UPDATE, DELETE and DDL commits therefore validate one at a time, even
+//! on different tables. `catalog.commit_lock_hold_ns` records one sample
+//! per commit that took the lock, and `catalog.commit_lock_wait_ns` the
+//! time spent blocked acquiring it.
 
 mod catalog;
 mod error;
@@ -64,5 +61,5 @@ pub use catalog::{
 pub use error::{CatalogError, CatalogResult};
 pub use mvcc::{
     CommitLog, CommitLogRecord, CommitOutcome, CommitProbe, ConflictGranularity, IsolationLevel,
-    MvccKey, MvccStore, Timestamp, Txn, TxnId, TxnStatus, DEFAULT_COMMIT_SHARDS,
+    MvccKey, MvccStore, Timestamp, Txn, TxnId, TxnStatus,
 };

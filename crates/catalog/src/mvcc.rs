@@ -3,10 +3,9 @@
 
 use crate::{CatalogError, CatalogResult};
 use parking_lot::{Mutex, RwLock};
-use polaris_obs::{CatalogMeter, Histogram};
-use std::collections::hash_map::DefaultHasher;
+use polaris_obs::CatalogMeter;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
@@ -21,41 +20,12 @@ fn lock_unpoisoned<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// The bounds every [`MvccStore`] key type must satisfy: totally ordered
 /// (versioned rows live in a `BTreeMap`), cloneable (buffered writes),
-/// hashable (commit-shard assignment) and debug-printable (conflict
-/// errors name the key). Blanket-implemented — never implement it by hand.
+/// hashable (the Serializable read set is a `HashSet`) and
+/// debug-printable (conflict errors name the key). Blanket-implemented —
+/// never implement it by hand.
 pub trait MvccKey: Ord + Clone + Hash + std::fmt::Debug {}
 
 impl<K: Ord + Clone + Hash + std::fmt::Debug> MvccKey for K {}
-
-/// Default number of commit shards (see [`MvccStore::with_shards`]).
-pub const DEFAULT_COMMIT_SHARDS: usize = 16;
-
-/// Whole-key shard hash — the default installed by
-/// [`MvccStore::with_shards`].
-fn default_shard_hash<K: Hash>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// One commit shard: a slice of the key space (by key hash) that owns its
-/// keys' versioned rows and whose first-committer-wins validation
-/// serializes through `lock`. Sharding the row storage along the same
-/// hash as the commit locks is what lets disjoint-footprint commits
-/// proceed with *no* shared lock at all — validation reads and version
-/// installs both touch only the shards of the committing transaction's
-/// footprint.
-struct CommitShard<K, V> {
-    lock: Mutex<()>,
-    /// Wall time this shard's lock was held, per acquisition.
-    hold: Histogram,
-    /// This shard's slice of the versioned rows. RwLock: reads share,
-    /// installs exclusive — per shard, not globally.
-    rows: RwLock<BTreeMap<K, Vec<Version<V>>>>,
-}
-
-/// A held commit-shard lock paired with the span timing its hold.
-type ShardGuard<'a> = (parking_lot::MutexGuard<'a, ()>, polaris_obs::Span);
 
 /// Logical commit timestamp. Timestamp 0 is "before everything".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -159,9 +129,9 @@ type ExtraFn<K, V> = Box<dyn FnOnce(Timestamp) -> Vec<(K, Option<V>)> + Send>;
 /// not on this mutex, so the fill is uncontended in practice.
 struct CommitSlot(StdMutex<Option<CatalogResult<Timestamp>>>);
 
-/// A validated commit parked in the group-commit queue. Its shard locks
-/// remain held by the enqueuing thread, so no conflicting commit can
-/// validate (let alone enqueue) until this entry publishes — which is why
+/// A validated commit parked in the group-commit queue. If it took the
+/// commit lock, the enqueuing thread still holds it, so no other
+/// validating commit can pass until this entry publishes — which is why
 /// batch members never conflict pairwise and the leader can install them
 /// without revalidation.
 struct BatchEntry<K: 'static, V: 'static> {
@@ -205,6 +175,19 @@ struct ActiveTxn {
 struct Version<V> {
     ts: Timestamp,
     value: Option<V>,
+}
+
+/// The versioned rows: per key, its versions in ascending timestamp order.
+type Rows<K, V> = BTreeMap<K, Vec<Version<V>>>;
+
+/// The value of the newest version at or below `ts`; `None` if the key
+/// did not exist then or was deleted.
+fn visible_at<V>(versions: &[Version<V>], ts: Timestamp) -> Option<&V> {
+    versions
+        .iter()
+        .rev()
+        .find(|v| v.ts <= ts)
+        .and_then(|v| v.value.as_ref())
 }
 
 /// A transaction's buffered writes: entries kept sorted by key in one
@@ -274,15 +257,14 @@ impl<K: Ord, V> WriteSet<K, V> {
 /// unbounded retention of a burst's worth of buffers.
 const SCRATCH_POOL_MAX: usize = 64;
 
-/// Recyclable per-transaction storage: the write-set vector, the
-/// Serializable read set and the commit-footprint scratch. Every terminal
+/// Recyclable per-transaction storage: the write-set vector and the
+/// Serializable read set. Every terminal
 /// transition clears these containers capacity-preserving and returns
 /// them to the store's pool; `begin` draws from the pool, so a warm store
 /// runs whole transactions without allocating per-transaction state.
 struct TxnScratch<K, V> {
     writes: Vec<(K, Option<V>)>,
     reads: HashSet<K>,
-    shards: Vec<usize>,
 }
 
 /// A transaction handle. Writes buffer locally and become visible only if
@@ -299,9 +281,6 @@ pub struct Txn<K, V> {
     writes: WriteSet<K, V>,
     /// Keys read, tracked only under `Serializable`.
     reads: HashSet<K>,
-    /// Commit-footprint scratch (sorted, deduped shard indices). Lives on
-    /// the transaction so pooled reuse preserves its capacity too.
-    shard_scratch: Vec<usize>,
     status: TxnStatus,
 }
 
@@ -346,17 +325,14 @@ impl<K, V> CommitLogRecord<K, V> {
 /// Generic MVCC store with Snapshot Isolation.
 ///
 /// Concurrency model: many transactions execute concurrently; reads are
-/// never blocked; commits serialize *per shard* (§4.1.2 step 2). The key
-/// space is hashed onto a fixed set of commit shards; a committing
-/// transaction locks only the shards its validated footprint touches
-/// (write set, plus read set under `Serializable`), in ascending shard
-/// order so overlapping commits can never deadlock. Commits with disjoint
-/// footprints — e.g. writes to different tables — validate and install
-/// concurrently; first-committer-wins remains exact because any two
-/// transactions writing the same key share that key's shard.
+/// never blocked; validating commits serialize through one commit lock
+/// (§4.1.2 step 2). A commit takes it if and only if it has something to
+/// validate: a non-empty write set, or a non-empty read set under
+/// `Serializable`. A read-only SI commit, or a pure insert whose manifest
+/// rows arrive through `extra`, takes no lock at all.
 ///
 /// Validation — the per-key work that grows with the write set — runs
-/// under shard locks only. The remaining serial tail is a short global
+/// under the commit lock only. The remaining serial tail is a short global
 /// *sequencer* section in which the commit timestamp is drawn, all
 /// versions install under it, and the visible clock publishes it — as one
 /// atomic step. Timestamps are therefore dense, allocation-ordered and
@@ -377,10 +353,11 @@ pub struct MvccStore<K: 'static, V: 'static> {
     sequencer: Mutex<()>,
     /// Next transaction id.
     next_txn: AtomicU64,
-    /// The commit shards, each owning its slice of the versioned rows.
-    shards: Vec<CommitShard<K, V>>,
-    /// Key -> shard hash (deterministic; see [`MvccStore::with_shards_by`]).
-    shard_hash: fn(&K) -> u64,
+    /// Serializes first-committer-wins validation and the prepare stage
+    /// (see [`MvccStore::commit_with_prepared`]).
+    commit_lock: Mutex<()>,
+    /// The versioned rows. RwLock: reads share, installs exclusive.
+    rows: RwLock<Rows<K, V>>,
     /// Active transactions: id -> snapshot ts + begin instant (GC
     /// watermarks per §5.3, plus the watchdog's oldest-transaction age).
     active: Mutex<HashMap<TxnId, ActiveTxn>>,
@@ -411,7 +388,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> Default for MvccSto
 }
 
 impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
-    /// An empty store at timestamp 0 with [`DEFAULT_COMMIT_SHARDS`].
+    /// An empty store at timestamp 0.
     pub fn new() -> Self {
         Self::with_meter(CatalogMeter::default())
     }
@@ -420,47 +397,12 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     /// [`CatalogMeter::from_registry`], so commit outcomes and commit-lock
     /// hold times surface under `catalog.*` in the engine's metrics.
     pub fn with_meter(meter: CatalogMeter) -> Self {
-        Self::with_shards(meter, DEFAULT_COMMIT_SHARDS)
-    }
-
-    /// An empty store with an explicit commit-shard count (clamped to at
-    /// least 1; 1 reproduces the old single-global-commit-lock behaviour).
-    /// Per-shard hold histograms come from `meter.commit_shard_holds`
-    /// where provided (see [`CatalogMeter::from_registry_sharded`]) and
-    /// are free-standing otherwise. Keys map to shards by hashing the
-    /// whole key; use [`MvccStore::with_shards_by`] to group related keys
-    /// onto one shard.
-    pub fn with_shards(meter: CatalogMeter, shard_count: usize) -> Self {
-        Self::with_shards_by(meter, shard_count, default_shard_hash::<K>)
-    }
-
-    /// Like [`MvccStore::with_shards`] but with a caller-supplied shard
-    /// hash. The only correctness requirement is determinism — equal keys
-    /// must hash equally, so any two commits writing the same key collide
-    /// on its shard and first-committer-wins stays exact. A *coarser*
-    /// hash (e.g. the catalog hashing every key of a table to that
-    /// table's shard) is always safe; it only widens the serialization
-    /// domain. The payoff of coarseness: a commit whose footprint lives
-    /// in one group locks one shard instead of scattering across all of
-    /// them, so disjoint-group commits really do proceed concurrently.
-    pub fn with_shards_by(
-        meter: CatalogMeter,
-        shard_count: usize,
-        shard_hash: fn(&K) -> u64,
-    ) -> Self {
-        let shards = (0..shard_count.max(1))
-            .map(|i| CommitShard {
-                lock: Mutex::new(()),
-                hold: meter.commit_shard_holds.get(i).cloned().unwrap_or_default(),
-                rows: RwLock::new(BTreeMap::new()),
-            })
-            .collect();
         MvccStore {
             committed: AtomicU64::new(0),
             sequencer: Mutex::new(()),
             next_txn: AtomicU64::new(1),
-            shards,
-            shard_hash,
+            commit_lock: Mutex::new(()),
+            rows: RwLock::new(BTreeMap::new()),
             active: Mutex::new(HashMap::new()),
             scratch_pool: Mutex::new(Vec::new()),
             group: GroupCommit {
@@ -516,18 +458,6 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     /// The store's meter (shared counter/histogram handles).
     pub fn meter(&self) -> &CatalogMeter {
         &self.meter
-    }
-
-    /// Number of commit shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The commit shard `key` hashes to. Stable for the store's lifetime;
-    /// exposed so tests and benches can construct footprints that
-    /// provably share or avoid shards.
-    pub fn shard_of(&self, key: &K) -> usize {
-        ((self.shard_hash)(key) % self.shards.len() as u64) as usize
     }
 
     /// Latest fully installed commit timestamp.
@@ -598,7 +528,6 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
             .unwrap_or_else(|| TxnScratch {
                 writes: Vec::new(),
                 reads: HashSet::new(),
-                shards: Vec::new(),
             });
         debug_assert!(scratch.writes.is_empty() && scratch.reads.is_empty());
         Txn {
@@ -609,7 +538,6 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
                 entries: scratch.writes,
             },
             reads: scratch.reads,
-            shard_scratch: scratch.shards,
             status: TxnStatus::Active,
         }
     }
@@ -625,11 +553,9 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         self.active.lock().remove(&txn.id);
         txn.writes.clear();
         txn.reads.clear();
-        txn.shard_scratch.clear();
         self.recycle(TxnScratch {
             writes: std::mem::take(&mut txn.writes.entries),
             reads: std::mem::take(&mut txn.reads),
-            shards: std::mem::take(&mut txn.shard_scratch),
         });
     }
 
@@ -694,28 +620,18 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
             return Ok(buffered.clone());
         }
         let ts = self.read_ts(txn);
-        let rows = self.shards[self.shard_of(key)].rows.read();
-        Ok(Self::visible(&rows, key, ts))
-    }
-
-    fn visible(rows: &BTreeMap<K, Vec<Version<V>>>, key: &K, ts: Timestamp) -> Option<V> {
-        rows.get(key).and_then(|versions| {
-            versions
-                .iter()
-                .rev()
-                .find(|v| v.ts <= ts)
-                .and_then(|v| v.value.clone())
-        })
+        let rows = self.rows.read();
+        Ok(rows.get(key).and_then(|vs| visible_at(vs, ts)).cloned())
     }
 
     /// Greatest key in range with a live (non-tombstone) value visible to
     /// the transaction, overlaid with its own writes.
     ///
     /// Unlike [`MvccStore::scan`], no values are cloned and no result set
-    /// is materialized: per shard only the winning key is considered, so
-    /// "latest row in range" probes (e.g. a table's newest manifest
-    /// sequence) cost O(log n) per shard regardless of how many rows the
-    /// range holds.
+    /// is materialized: the walk runs down from the top of the range and
+    /// stops at the first live key, so "latest row in range" probes (e.g.
+    /// a table's newest manifest sequence) cost O(log n) regardless of how
+    /// many rows the range holds.
     pub fn last_key_in_range(
         &self,
         txn: &mut Txn<K, V>,
@@ -724,41 +640,22 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     ) -> CatalogResult<Option<K>> {
         self.ensure_active(txn)?;
         let ts = self.read_ts(txn);
-        let mut best: Option<K> = None;
-        for shard in &self.shards {
-            let rows = shard.rows.read();
-            for (k, versions) in rows.range((lo.cloned(), hi.cloned())).rev() {
-                // Descending per shard: once below the global best, the
-                // rest of this shard cannot win either.
-                if best.as_ref().is_some_and(|b| k <= b) {
-                    break;
-                }
-                // A buffered local write decides visibility for its key:
-                // an upsert keeps the key live, a tombstone hides it.
+        let best = {
+            let rows = self.rows.read();
+            // A buffered local write decides visibility for its key: an
+            // upsert keeps the key live, a tombstone hides it.
+            let committed = rows.range((lo, hi)).rev().find_map(|(k, versions)| {
                 let live = match txn.writes.get(k) {
                     Some(buffered) => buffered.is_some(),
-                    None => versions
-                        .iter()
-                        .rev()
-                        .find(|v| v.ts <= ts)
-                        .is_some_and(|v| v.value.is_some()),
+                    None => visible_at(versions, ts).is_some(),
                 };
-                if live {
-                    best = Some(k.clone());
-                    break;
-                }
-            }
-        }
-        // Locally inserted keys may extend past everything committed.
-        for (k, w) in txn.writes.range(lo, hi).iter().rev() {
-            if best.as_ref().is_some_and(|b| k <= b) {
-                break;
-            }
-            if w.is_some() {
-                best = Some(k.clone());
-                break;
-            }
-        }
+                live.then_some(k)
+            });
+            // Locally inserted keys may extend past everything committed.
+            let own = txn.writes.range(lo, hi).iter().rev();
+            let own = own.filter(|(_, w)| w.is_some()).map(|(k, _)| k).next();
+            committed.max(own).cloned()
+        };
         if txn.isolation == IsolationLevel::Serializable {
             if let Some(k) = &best {
                 txn.reads.insert(k.clone());
@@ -777,54 +674,36 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     ) -> CatalogResult<Vec<(K, V)>> {
         self.ensure_active(txn)?;
         let ts = self.read_ts(txn);
-        // Each shard holds an arbitrary slice of the key space, so a range
-        // scan visits every shard; collecting into a `BTreeMap` re-sorts.
-        // Shard read locks are taken one at a time — the scan as a whole
-        // is still a consistent snapshot because every version `<= ts` was
-        // fully installed (and is immutable) before `ts` became visible.
-        let mut out: BTreeMap<K, V> = BTreeMap::new();
-        for shard in &self.shards {
-            let rows = shard.rows.read();
-            out.extend(
-                rows.range((lo.cloned(), hi.cloned()))
-                    .filter_map(|(k, versions)| {
-                        versions
-                            .iter()
-                            .rev()
-                            .find(|v| v.ts <= ts)
-                            .and_then(|v| v.value.clone())
-                            .map(|v| (k.clone(), v))
-                    }),
-            );
-        }
-        let in_range = |k: &K| {
-            (match lo {
-                Bound::Included(b) => k >= b,
-                Bound::Excluded(b) => k > b,
-                Bound::Unbounded => true,
-            }) && (match hi {
-                Bound::Included(b) => k <= b,
-                Bound::Excluded(b) => k < b,
-                Bound::Unbounded => true,
-            })
+        // Both sides are sorted by key: merge them, a buffered write
+        // replacing (or, as a tombstone, hiding) the committed row.
+        let mut own = txn.writes.range(lo, hi).iter().peekable();
+        let mut out = Vec::new();
+        let mut emit = |k: &K, v: Option<&V>| {
+            if let Some(v) = v {
+                out.push((k.clone(), v.clone()));
+            }
         };
-        for (k, w) in txn.writes.range(lo, hi) {
-            debug_assert!(in_range(k));
-            match w {
-                Some(v) => {
-                    out.insert(k.clone(), v.clone());
+        {
+            let rows = self.rows.read();
+            for (k, versions) in rows.range((lo, hi)) {
+                while let Some((wk, w)) = own.next_if(|(wk, _)| wk < k) {
+                    emit(wk, w.as_ref());
                 }
-                None => {
-                    out.remove(k);
+                match own.next_if(|(wk, _)| wk == k) {
+                    Some((_, w)) => emit(k, w.as_ref()),
+                    None => emit(k, visible_at(versions, ts)),
                 }
             }
         }
+        for (wk, w) in own {
+            emit(wk, w.as_ref());
+        }
         if txn.isolation == IsolationLevel::Serializable {
-            for k in out.keys() {
+            for (k, _) in &out {
                 txn.reads.insert(k.clone());
             }
         }
-        Ok(out.into_iter().collect())
+        Ok(out)
     }
 
     /// Buffer a write (upsert). Visible to this transaction immediately,
@@ -844,16 +723,16 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
 
     /// Validation + commit (§4.1.2).
     ///
-    /// Under the commit shards of the transaction's footprint (write set,
-    /// plus read set under `Serializable`), acquired in ascending shard
-    /// order: first-committer-wins validation of the write set (and read
-    /// set under `Serializable`); on success a commit timestamp is drawn
+    /// Under the commit lock, taken only if there is something to validate
+    /// (a write set, or a read set under `Serializable`):
+    /// first-committer-wins validation of the write set (and read set
+    /// under `Serializable`); on success a commit timestamp is drawn
     /// atomically, `extra(commit_ts)` may contribute additional writes
     /// computed *at* the commit point (Polaris uses this to insert
     /// `Manifests` rows keyed by the just-assigned sequence number), and
     /// all versions install atomically under that single timestamp.
     ///
-    /// `extra` writes are installed without validation or shard locking —
+    /// `extra` writes are installed without validation or locking —
     /// they must be keys the transaction exclusively owns by construction
     /// (Polaris keys them by the fresh, globally unique commit timestamp).
     pub fn commit_with(
@@ -866,8 +745,10 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
 
     /// [`MvccStore::commit_with`] with a *prepare* stage between validation
     /// and sequencing: `prepare` runs on the committing thread, under the
-    /// transaction's shard locks, after first-committer-wins validation
-    /// has passed but before a commit timestamp exists. Polaris joins its
+    /// commit lock if the commit took it, after first-committer-wins
+    /// validation has passed but before a commit timestamp exists. An
+    /// UPDATE's prepare therefore holds the lock for a store round trip,
+    /// and an INSERT's holds nothing. Polaris joins its
     /// pipelined manifest uploads here — a validation conflict skips the
     /// join (the upload is discarded instead), and a prepare failure
     /// aborts without consuming a timestamp, so the commit clock stays
@@ -891,107 +772,65 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         extra: Option<impl FnOnce(Timestamp) -> Vec<(K, Option<V>)> + Send + 'static>,
     ) -> CatalogResult<CommitOutcome> {
         self.ensure_active(txn)?;
-        // The validated footprint, as a sorted, deduplicated shard list
-        // built in the transaction's pooled scratch (no per-commit
-        // allocation once warm).
-        txn.shard_scratch.clear();
-        {
-            let serializable = txn.isolation == IsolationLevel::Serializable;
-            let Txn {
-                writes,
-                reads,
-                shard_scratch,
-                ..
-            } = &mut *txn;
-            shard_scratch.extend(writes.keys().map(|k| self.shard_of(k)));
-            if serializable {
-                shard_scratch.extend(reads.iter().map(|k| self.shard_of(k)));
-            }
-            shard_scratch.sort_unstable();
-            shard_scratch.dedup();
-        }
-        let footprint_len = txn.shard_scratch.len();
-        // Acquire in ascending shard order: any two commits order their
-        // common shards identically, so the protocol is deadlock-free. An
-        // empty footprint (read-only SI commit, or a pure insert whose
-        // manifest rows arrive via `extra`) skips locking entirely.
-        // Guards live inline on the stack up to the default shard count;
-        // only an over-sharded store's wide commit spills to the heap.
-        let mut inline_guards: [Option<ShardGuard<'_>>; DEFAULT_COMMIT_SHARDS] =
-            std::array::from_fn(|_| None);
-        let mut spill_guards: Vec<ShardGuard<'_>> = Vec::new();
-        for i in 0..footprint_len {
-            let idx = txn.shard_scratch[i];
-            let shard = &self.shards[idx];
-            let guard = {
-                let mut lock_span = self.meter.tracer.span("catalog.lock_acquire");
-                lock_span.attr("txn", txn.id.0);
-                lock_span.attr("shard", idx as u64);
-                let blocked = Instant::now();
-                let guard = shard.lock.lock();
-                let waited_ns = blocked.elapsed().as_nanos() as u64;
-                self.meter.commit_shard_wait.record_ns(waited_ns);
-                polaris_obs::alloc::attribute_wait(waited_ns);
-                guard
-            };
-            if let Some(slot) = inline_guards.get_mut(i) {
-                *slot = Some((guard, shard.hold.span()));
-            } else {
-                spill_guards.push((guard, shard.hold.span()));
-            }
-        }
-        self.meter.commit_shards_acquired.add(footprint_len as u64);
-        // Dropped when the function returns (with the shard locks), on
-        // success and conflict paths alike — so the histogram sees every
-        // hold.
-        let _hold = self.meter.commit_lock_hold.span();
+        // Only a commit with something to validate takes the commit lock:
+        // an empty footprint (read-only SI commit, or a pure insert whose
+        // manifest rows arrive via `extra`) skips locking entirely. The
+        // read set is empty unless the transaction is Serializable. Held
+        // until this function returns, on success and conflict paths
+        // alike; the hold span, dropped with it, records only holds of a
+        // lock that was taken.
+        let _lock = (txn.writes.len() > 0 || !txn.reads.is_empty()).then(|| {
+            let mut lock_span = self.meter.tracer.span("catalog.lock_acquire");
+            lock_span.attr("txn", txn.id.0);
+            let blocked = Instant::now();
+            let guard = self.commit_lock.lock();
+            let waited_ns = blocked.elapsed().as_nanos() as u64;
+            self.meter.commit_lock_wait.record_ns(waited_ns);
+            polaris_obs::alloc::attribute_wait(waited_ns);
+            (guard, self.meter.commit_lock_hold.span())
+        });
         {
             let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::TxnValidate);
             let mut validate_span = self.meter.tracer.span("catalog.validate");
             validate_span.attr("write_set", txn.writes.len());
             // First committer wins: any version of a written key newer
             // than our snapshot means a concurrent transaction got there
-            // first. Each key is checked in its own shard's rows; the
-            // shard `lock` (held above) is what freezes the keys of our
-            // footprint against concurrent committers.
-            let mut conflict = None;
-            for key in txn.writes.keys() {
-                let rows = self.shards[self.shard_of(key)].rows.read();
-                if Self::newest_ts(&rows, key) > txn.snapshot {
-                    conflict = Some(CatalogError::WriteWriteConflict {
-                        key: format_key(key),
-                    });
-                    break;
-                }
-            }
-            if let Some(err) = conflict {
-                self.finish(txn, TxnStatus::Aborted);
-                self.meter.ww_conflicts.inc();
-                validate_span.attr("outcome", "ww_conflict");
-                return Err(err);
-            }
-            if txn.isolation == IsolationLevel::Serializable {
-                for key in &txn.reads {
-                    let rows = self.shards[self.shard_of(key)].rows.read();
-                    if Self::newest_ts(&rows, key) > txn.snapshot {
-                        conflict = Some(CatalogError::SerializationFailure {
+            // first; under Serializable, the same goes for a read key.
+            // The commit lock (held above) is what freezes those keys
+            // against concurrent committers.
+            let conflict = {
+                let rows = self.rows.read();
+                let newer = |key: &&K| Self::newest_ts(&rows, key) > txn.snapshot;
+                match txn.writes.keys().find(newer) {
+                    Some(key) => Some((
+                        CatalogError::WriteWriteConflict {
                             key: format_key(key),
-                        });
-                        break;
-                    }
+                        },
+                        &self.meter.ww_conflicts,
+                        "ww_conflict",
+                    )),
+                    None => txn.reads.iter().find(newer).map(|key| {
+                        (
+                            CatalogError::SerializationFailure {
+                                key: format_key(key),
+                            },
+                            &self.meter.serialization_failures,
+                            "serialization_failure",
+                        )
+                    }),
                 }
-                if let Some(err) = conflict {
-                    self.finish(txn, TxnStatus::Aborted);
-                    self.meter.serialization_failures.inc();
-                    validate_span.attr("outcome", "serialization_failure");
-                    return Err(err);
-                }
+            };
+            if let Some((err, counter, outcome)) = conflict {
+                self.finish(txn, TxnStatus::Aborted);
+                counter.inc();
+                validate_span.attr("outcome", outcome);
+                return Err(err);
             }
             validate_span.attr("outcome", "ok");
         }
         self.probe("commit.validated");
         // The prepare stage: validation has passed (no conflicting commit
-        // can slip in — our shard locks are held), but no timestamp is
+        // can slip in — the commit lock is held), but no timestamp is
         // drawn yet, so failing here leaves the commit clock untouched.
         if let Err(e) = prepare() {
             self.finish(txn, TxnStatus::Aborted);
@@ -1006,9 +845,9 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         // installing (subsystems keyed by manifest sequence — snapshot
         // caches, checkpoints, GC — rely on that contiguity), and a
         // committer's next snapshot always covers its own commit. Lock
-        // order shard -> (queue |) sequencer is uniform, so no deadlock;
-        // queued entries keep their shard locks held, so batch members
-        // are pairwise disjoint by construction.
+        // order commit lock -> (queue |) sequencer is uniform, so no
+        // deadlock; a queued entry keeps the commit lock if it took it,
+        // so batch members are pairwise disjoint by construction.
         let sequencer_entered = Instant::now();
         let max_batch = self.group_commit_max_batch();
         let sequenced = match extra {
@@ -1050,8 +889,9 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     /// The grouped sequencer path: enqueue the validated commit, then
     /// either lead (drain a batch through one sequencer section) or
     /// follow (park on the group condvar until a leader publishes us).
-    /// Shard locks stay held by the enqueuing thread throughout, so no
-    /// conflicting transaction can validate while we're queued.
+    /// A commit lock taken at validation stays held by the enqueuing
+    /// thread throughout, so no other transaction can validate while we're
+    /// queued.
     fn sequence_grouped(
         &self,
         txn: &mut Txn<K, V>,
@@ -1117,7 +957,6 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
                     self.recycle(TxnScratch {
                         writes: member.writes,
                         reads: HashSet::new(),
-                        shards: Vec::new(),
                     });
                 }
                 state = lock_unpoisoned(&self.group.state);
@@ -1181,12 +1020,9 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
 
     /// Install one commit's writes under `commit_ts`, draining both
     /// vectors in place (their backing storage returns to the caller —
-    /// and from there to the scratch pool). Write-locks one shard's rows
-    /// at a time, never two: the guard over the current shard is released
-    /// before the next shard's is taken, and is cached across consecutive
-    /// same-shard keys. The commit stays invisible while partially
-    /// installed: `commit_ts` is above the watermark until the caller
-    /// publishes it.
+    /// and from there to the scratch pool). The commit stays invisible
+    /// while partially installed: `commit_ts` is above the watermark until
+    /// the caller publishes it.
     fn install_at(
         &self,
         commit_ts: Timestamp,
@@ -1196,21 +1032,12 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         let mut install_span = self.meter.tracer.span("catalog.install");
         install_span.attr("commit_ts", commit_ts.0);
         install_span.attr("extra_writes", extra_writes.len());
-        for source in [writes, extra_writes] {
-            let mut guard: Option<(usize, _)> = None;
-            for (key, value) in source.drain(..) {
-                let idx = self.shard_of(&key);
-                if guard.as_ref().map(|(shard, _)| *shard) != Some(idx) {
-                    drop(guard.take()); // release before locking the next shard
-                    guard = Some((idx, self.shards[idx].rows.write()));
-                }
-                if let Some((_, rows)) = guard.as_mut() {
-                    rows.entry(key).or_default().push(Version {
-                        ts: commit_ts,
-                        value,
-                    });
-                }
-            }
+        let mut rows = self.rows.write();
+        for (key, value) in writes.drain(..).chain(extra_writes.drain(..)) {
+            rows.entry(key).or_default().push(Version {
+                ts: commit_ts,
+                value,
+            });
         }
     }
 
@@ -1235,7 +1062,7 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         self.meter.aborts.inc();
     }
 
-    fn newest_ts(rows: &BTreeMap<K, Vec<Version<V>>>, key: &K) -> Timestamp {
+    fn newest_ts(rows: &Rows<K, V>, key: &K) -> Timestamp {
         rows.get(key)
             .and_then(|v| v.last())
             .map_or(Timestamp(0), |v| v.ts)
@@ -1309,32 +1136,26 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
     /// when `before <= min_active_snapshot()`.
     pub fn vacuum(&self, before: Timestamp) -> usize {
         let mut removed = 0;
-        for shard in &self.shards {
-            let mut rows = shard.rows.write();
-            rows.retain(|_, versions| {
-                // Find the newest version <= before: everything older is
-                // unreachable by any current or future snapshot.
-                if let Some(idx) = versions.iter().rposition(|v| v.ts <= before) {
-                    removed += idx;
-                    versions.drain(..idx);
-                }
-                // A lone tombstone in the past can go entirely.
-                if versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= before {
-                    removed += 1;
-                    return false;
-                }
-                true
-            });
-        }
+        self.rows.write().retain(|_, versions| {
+            // Find the newest version <= before: everything older is
+            // unreachable by any current or future snapshot.
+            if let Some(idx) = versions.iter().rposition(|v| v.ts <= before) {
+                removed += idx;
+                versions.drain(..idx);
+            }
+            // A lone tombstone in the past can go entirely.
+            if versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= before {
+                removed += 1;
+                return false;
+            }
+            true
+        });
         removed
     }
 
     /// Total number of stored versions (for tests/metrics).
     pub fn version_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.rows.read().values().map(Vec::len).sum::<usize>())
-            .sum()
+        self.rows.read().values().map(Vec::len).sum()
     }
 }
 

@@ -1,9 +1,9 @@
 //! The tentpole assertion: after warmup, the catalog-only commit hot
 //! path — begin, buffered write, validate, sequence, install, publish,
 //! vacuum — runs with ZERO allocations per commit. Pooled transaction
-//! scratch (write-set vector, read set, footprint buffer), inline shard
-//! guards and the drain-in-place installer together mean a warm store
-//! touches the allocator not at all.
+//! scratch (write-set vector, read set), a commit lock held on the stack
+//! and the drain-in-place installer together mean a warm store touches
+//! the allocator not at all.
 //!
 //! Runs only with `--features track-alloc` (the tracking global
 //! allocator); without it the file compiles to nothing.

@@ -7,9 +7,7 @@ use crate::sto::StoState;
 use crate::telemetry::EngineTelemetry;
 use crate::{EngineConfig, PolarisError, PolarisResult, Session, Transaction};
 use parking_lot::{Mutex, RwLock};
-use polaris_catalog::{
-    Catalog, CatalogTxn, IsolationLevel, TableId, TableMeta, DEFAULT_COMMIT_SHARDS,
-};
+use polaris_catalog::{Catalog, CatalogTxn, IsolationLevel, TableId, TableMeta};
 use polaris_columnar::Schema;
 use polaris_dcp::ComputePool;
 use polaris_exec::SystemSchema;
@@ -207,10 +205,9 @@ impl PolarisEngine {
         let store: Arc<dyn ObjectStore> = Arc::new(stats_store);
         pool.meter().adopt_into(&metrics);
         pool.bind_tracer(&tracer);
-        let mut catalog_meter =
-            CatalogMeter::from_registry_sharded(&metrics, DEFAULT_COMMIT_SHARDS);
+        let mut catalog_meter = CatalogMeter::from_registry(&metrics);
         catalog_meter.tracer = tracer.clone();
-        let catalog = Catalog::with_meter_sharded(catalog_meter, DEFAULT_COMMIT_SHARDS);
+        let catalog = Catalog::with_meter(catalog_meter);
         catalog.set_group_commit(
             config.group_commit_max_batch,
             std::time::Duration::from_micros(config.group_commit_window_us),

@@ -3,7 +3,7 @@
 //!
 //! Each [`Table`] is a fixed column list plus a function copying one slice
 //! of live engine state — metrics registry, harvester rings, slow log,
-//! watchdog, active transactions, commit shards, DCP lanes, the durable
+//! watchdog, active transactions, DCP lanes, the durable
 //! commit log and the trace flight recorder — into rows. These rows are
 //! the engine's one model of its own state: `/health` and `SHOW ENGINE
 //! HEALTH` are queries over them ([`crate::HEALTH_QUERIES`]). The tables
@@ -64,13 +64,12 @@ impl SystemTableProvider for Table {
 
 /// Build the engine's system-table registry.
 pub(crate) fn build(engine: &Weak<PolarisEngine>) -> SystemSchema {
-    let tables: [(&'static str, Columns, RowsFn); 9] = [
+    let tables: [(&'static str, Columns, RowsFn); 8] = [
         ("metrics", METRICS, metrics_rows),
         ("metrics_history", METRICS_HISTORY, metrics_history_rows),
         ("slow_log", SLOW_LOG, slow_log_rows),
         ("watchdog_events", WATCHDOG_EVENTS, watchdog_events_rows),
         ("transactions", TRANSACTIONS, transactions_rows),
-        ("commit_shards", COMMIT_SHARDS, commit_shards_rows),
         ("lanes", LANES, lanes_rows),
         ("wal", WAL, wal_rows),
         ("trace_spans", TRACE_SPANS, trace_spans_rows),
@@ -319,37 +318,6 @@ fn transactions_rows(engine: &PolarisEngine) -> Rows {
         .collect()
 }
 
-/// `polaris.commit_shards` — per-shard commit-lock pressure: lifetime hold
-/// counts and hold-time quantiles from the catalog meter's sharded
-/// histograms.
-const COMMIT_SHARDS: Columns = &[
-    ("shard", Int64),
-    ("acquisitions", Int64),
-    ("hold_sum_ns", Int64),
-    ("hold_p50_ns", Int64),
-    ("hold_p95_ns", Int64),
-    ("hold_p99_ns", Int64),
-];
-
-fn commit_shards_rows(engine: &PolarisEngine) -> Rows {
-    let holds = engine.catalog().meter().commit_shard_holds.iter();
-    holds
-        .enumerate()
-        .map(|(shard, hold)| {
-            let s = hold.snapshot();
-            let row = [
-                shard as u64,
-                s.count,
-                s.sum_ns,
-                s.p50_ns,
-                s.p95_ns,
-                s.p99_ns,
-            ];
-            row.map(int).to_vec()
-        })
-        .collect()
-}
-
 /// `polaris.lanes` — DCP pool occupancy per workload class. (The pool's
 /// lifetime counters are not per class: `dcp.*` / `exec.*` in
 /// `polaris.metrics`.)
@@ -475,16 +443,16 @@ mod tests {
             split_labels("catalog.commits"),
             ("catalog.commits".to_owned(), String::new())
         );
-        let (base, labels) = split_labels("catalog.commit_lock_hold_ns{shard=\"3\"}");
-        assert_eq!(base, "catalog.commit_lock_hold_ns");
-        assert_eq!(labels, "shard=3");
+        let (base, labels) = split_labels("alloc.bytes{phase=\"replay\"}");
+        assert_eq!(base, "alloc.bytes");
+        assert_eq!(labels, "phase=replay");
     }
 
     #[test]
     fn every_table_scans_and_is_schema_stable() {
         let engine = PolarisEngine::in_memory();
         let tables = engine.system_tables();
-        assert_eq!(tables.names().len(), 9);
+        assert_eq!(tables.names().len(), 8);
         for name in tables.names() {
             let provider = tables.get(name).expect("registered");
             let batch = provider.scan().expect("system scan succeeds");

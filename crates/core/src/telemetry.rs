@@ -21,7 +21,7 @@
 //! |------|------------|
 //! | `gc-watermark` | the oldest active transaction exceeds `watchdog_txn_deadline_ms`, pinning vacuum + snapshot retention |
 //! | `group-commit-stall` | the group-commit queue stays non-empty for `watchdog_queue_stall_ticks` consecutive ticks |
-//! | `commit-lock-hold` | any commit shard's per-tick p99 lock hold exceeds 1 s |
+//! | `commit-lock-hold` | the commit lock's per-tick p99 hold exceeds 1 s |
 //! | `sto-stalled` | `sto.ticks` stops advancing for a deadline's worth of harvester ticks after the STO has started |
 //! | `alloc-rate-spike` | the tracking allocator's per-tick allocation rate exceeds 1 GiB/s (tracking builds only) |
 //!
@@ -46,8 +46,7 @@ const EVENT_CAPACITY: usize = 64;
 /// Time-series ring length per metric, in ticks.
 const TELEMETRY_WINDOW: usize = 120;
 
-/// `commit-lock-hold` fires on a per-tick p99 commit-shard lock hold above
-/// this.
+/// `commit-lock-hold` fires on a per-tick p99 commit-lock hold above this.
 const WATCHDOG_LOCK_HOLD_MS: u64 = 1_000;
 
 /// `alloc-rate-spike` fires on an engine-wide allocation rate above this.
@@ -175,39 +174,23 @@ fn install_rules(
             .then(|| format!("group-commit queue depth {depth} not draining for {stuck} ticks"))
     });
 
-    // Per-tick p99 shard lock hold above threshold. Cloned histogram
-    // handles — no engine reference needed. Bucket state is pre-sized
-    // here and reused so a quiet tick allocates nothing.
-    let holds = catalog.meter().commit_shard_holds.clone();
+    // Per-tick p99 commit-lock hold above threshold. A cloned histogram
+    // handle — no engine reference needed. Bucket state lives on the
+    // stack, so a tick allocates nothing.
+    let hold = catalog.meter().commit_lock_hold.clone();
     let threshold_ns = WATCHDOG_LOCK_HOLD_MS * 1_000_000;
-    let mut prev: Vec<[u64; polaris_obs::HIST_BUCKETS]> =
-        vec![[0u64; polaris_obs::HIST_BUCKETS]; holds.len()];
-    for (i, hold) in holds.iter().enumerate() {
-        hold.bucket_counts_into(&mut prev[i]);
-    }
+    let mut prev = [0u64; polaris_obs::HIST_BUCKETS];
+    hold.bucket_counts_into(&mut prev);
     watchdog.add_rule("commit-lock-hold", move |_tick| {
-        let mut worst: Option<(usize, u64)> = None;
         let mut now = [0u64; polaris_obs::HIST_BUCKETS];
-        let mut delta = [0u64; polaris_obs::HIST_BUCKETS];
-        for (i, hold) in holds.iter().enumerate() {
-            hold.bucket_counts_into(&mut now);
-            let mut total = 0u64;
-            for (j, (n, p)) in now.iter().zip(prev[i].iter()).enumerate() {
-                delta[j] = n.saturating_sub(*p);
-                total += delta[j];
-            }
-            prev[i] = now;
-            if total == 0 {
-                continue;
-            }
-            let p99 = quantile_from_counts(&delta, 0.99);
-            if p99 > threshold_ns && worst.map(|(_, w)| p99 > w).unwrap_or(true) {
-                worst = Some((i, p99));
-            }
-        }
-        worst.map(|(shard, p99)| {
+        hold.bucket_counts_into(&mut now);
+        let delta: [u64; polaris_obs::HIST_BUCKETS] =
+            std::array::from_fn(|j| now[j].saturating_sub(prev[j]));
+        prev = now;
+        let p99 = quantile_from_counts(&delta, 0.99);
+        (p99 > threshold_ns).then(|| {
             format!(
-                "commit shard {shard} lock-hold p99 {:.1}ms this tick (threshold {}ms)",
+                "commit lock hold p99 {:.1}ms this tick (threshold {}ms)",
                 p99 as f64 / 1e6,
                 threshold_ns / 1_000_000
             )
@@ -302,9 +285,9 @@ pub const HEALTH_QUERIES: &[(&str, &str)] = &[
          ORDER BY wall_ns DESC LIMIT 5",
     ),
     (
-        "commit_shards",
-        "SELECT shard, acquisitions, hold_p99_ns FROM polaris.commit_shards \
-         WHERE acquisitions > 0",
+        "commit_lock",
+        "SELECT count, p99_ns FROM polaris.metrics \
+         WHERE name = 'catalog.commit_lock_hold_ns' AND count > 0",
     ),
     ("lanes", "SELECT class, busy, capacity FROM polaris.lanes"),
 ];

@@ -156,7 +156,7 @@ fn health_renderings_are_the_exported_queries() {
             txn.id(),
         );
         assert!(
-            !expected.is_empty() || section == "commit_shards",
+            !expected.is_empty() || section == "commit_lock",
             "{section} has nothing to compare"
         );
         let from_json = comparable(section, rows_of_json(&json[section]), txn.id());

@@ -232,7 +232,7 @@ fn show_tables_lists_user_and_system_tables() {
 
     let system = s.query("SHOW SYSTEM TABLES").unwrap();
     let system = names(&system);
-    assert_eq!(system.len(), 9, "nine system tables: {system:?}");
+    assert_eq!(system.len(), 8, "eight system tables: {system:?}");
     assert!(system.iter().all(|n| n.starts_with("polaris.")));
     assert_eq!(all.len(), system.len() + 2);
 

@@ -4,16 +4,24 @@
 //! long as the episode lasts, under deterministic manual harvester ticks
 //! (`telemetry_tick_ms = 0` + `PolarisEngine::telemetry_tick_once`).
 
+mod common;
+
+use common::{Request, TapStore};
 use polaris_core::{EngineConfig, PolarisEngine, Value};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::MemoryStore;
+use polaris_store::{MemoryStore, ObjectStore};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn engine_with(config: EngineConfig) -> Arc<PolarisEngine> {
+    engine_on(Arc::new(MemoryStore::new()), config)
+}
+
+fn engine_on(store: Arc<dyn ObjectStore>, config: EngineConfig) -> Arc<PolarisEngine> {
     let pool = Arc::new(ComputePool::with_topology(4, 4, 2));
     pool.add_nodes(WorkloadClass::System, 2, 2);
-    PolarisEngine::new(Arc::new(MemoryStore::new()), pool, config)
+    PolarisEngine::new(store, pool, config)
 }
 
 fn text(value: &Value) -> String {
@@ -220,4 +228,46 @@ fn group_commit_stall_rule_fires_when_queue_parks() {
     assert!(firing(&engine).is_empty());
     let rows = session.query("SELECT COUNT(*) AS n FROM t").unwrap();
     assert_eq!(rows.row(0)[0], polaris_core::Value::Int(3));
+}
+
+#[test]
+fn commit_lock_hold_rule_fires_on_a_slow_prepare() {
+    // While `slow` is set, every manifest publish — the `commit_block_list`
+    // an UPDATE issues in its prepare stage, with the commit lock held —
+    // takes longer than the rule's 1 s threshold.
+    let slow = Arc::new(AtomicBool::new(false));
+    let tap = {
+        let slow = Arc::clone(&slow);
+        move |r: Request<'_>| {
+            if r.op == "commit_block_list" && slow.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1_100));
+            }
+        }
+    };
+    let store = Arc::new(TapStore::new(Arc::new(MemoryStore::new()), tap));
+    let engine = engine_on(store, EngineConfig::for_testing());
+    let mut session = engine.session();
+    session.execute("CREATE TABLE t (id BIGINT)").unwrap();
+    session.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    engine.telemetry_tick_once();
+
+    // A fast UPDATE holds the lock for well under the threshold.
+    session.execute("UPDATE t SET id = 3 WHERE id = 1").unwrap();
+    engine.telemetry_tick_once();
+    assert!(events_for(&engine, "commit-lock-hold").is_empty());
+
+    // A slow one fires the rule on the next tick.
+    slow.store(true, Ordering::SeqCst);
+    session.execute("UPDATE t SET id = 4 WHERE id = 2").unwrap();
+    slow.store(false, Ordering::SeqCst);
+    engine.telemetry_tick_once();
+    let fired = events_for(&engine, "commit-lock-hold");
+    assert_eq!(fired.len(), 1, "one event for the slow hold");
+    assert_eq!(firing(&engine), ["rule=commit-lock-hold"]);
+
+    // A fast UPDATE after it adds none, and clears the rule.
+    session.execute("UPDATE t SET id = 5 WHERE id = 3").unwrap();
+    engine.telemetry_tick_once();
+    assert_eq!(events_for(&engine, "commit-lock-hold").len(), 1);
+    assert!(firing(&engine).is_empty());
 }

@@ -69,7 +69,7 @@ pub enum Phase {
     ScanPlanning = 2,
     /// Morsel execution on DCP lanes (scan/aggregate leaf work).
     MorselExecution = 3,
-    /// Commit-time validation under the footprint shard locks.
+    /// Commit-time validation under the commit lock.
     TxnValidate = 4,
     /// Staged-manifest upload / block-list publication to the store.
     ManifestUpload = 5,
@@ -510,7 +510,7 @@ pub struct AllocMetrics {
 
 /// Canonical registry key for a phase-labeled attribution metric:
 /// `base{phase="label"}`. Panics only on an invalid `base` — call sites
-/// pass literals (same contract as [`crate::MetricName::sharded`]).
+/// pass literals.
 pub fn phase_metric_key(base: &str, phase: Phase) -> String {
     crate::MetricName::new(base)
         .and_then(|n| n.with_label("phase", phase.label()))

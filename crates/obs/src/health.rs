@@ -1,7 +1,7 @@
 //! Stall watchdogs and the slow-transaction log.
 //!
 //! A production engine has to notice *absence* of progress: a parked
-//! group-commit leader, a transaction pinning the GC watermark, a shard
+//! group-commit leader, a transaction pinning the GC watermark, the commit
 //! lock held for seconds, a maintenance thread that silently died. The
 //! [`Watchdog`] holds named rules — stateful closures evaluated once per
 //! harvester tick — with **edge-triggered** semantics: a rule fires one

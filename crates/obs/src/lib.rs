@@ -36,14 +36,10 @@
 //! of atomics, and trace events claim ring slots with one `fetch_add`.
 //! Snapshots ([`MetricsRegistry::snapshot`]) read those atomics without
 //! stopping writers, so a snapshot is a consistent-enough point-in-time
-//! view for dashboards, not a linearizable cut. Meters that follow a
-//! sharded component shard their instruments the same way — e.g.
-//! [`CatalogMeter::from_registry_sharded`] registers one
-//! `catalog.commit_lock_hold_ns{shard="i"}` histogram per commit shard
-//! (labeled names built by [`MetricName`]), so concurrent committers on
-//! different shards record hold times with no shared cache line beyond
-//! their own shard's buckets, and the per-shard split shows *where*
-//! commit lock time is going.
+//! view for dashboards, not a linearizable cut. A metric with a dimension
+//! is one family of labeled names built by [`MetricName`] — e.g. one
+//! `alloc.bytes{phase="…"}` counter per [`Phase`] — while the catalog's
+//! one commit lock has one hold histogram, `catalog.commit_lock_hold_ns`.
 //!
 //! # Continuous telemetry
 //!
@@ -565,17 +561,11 @@ pub struct CatalogMeter {
     pub ww_conflicts: Counter,
     /// Serializable-mode read-set validation failures.
     pub serialization_failures: Counter,
-    /// Wall time commit-shard locks were held, per commit attempt (from the
-    /// last shard acquired until release — the commit's critical section).
+    /// Wall time the commit lock was held, per commit that took it (from
+    /// acquisition until release — the commit's critical section, prepare
+    /// stage included). Commits with nothing to validate take no lock and
+    /// record nothing.
     pub commit_lock_hold: Histogram,
-    /// Per-shard commit-lock hold histograms, index = shard. May be shorter
-    /// than the store's shard count (e.g. the unsharded `Default` binding);
-    /// the store backfills free-standing histograms for missing shards.
-    pub commit_shard_holds: Vec<Histogram>,
-    /// Shard locks acquired, summed over all commit attempts. Divided by
-    /// `catalog.commits + catalog.ww_conflicts + …` this gives the mean
-    /// footprint width — 1.0 means commits are perfectly disjoint.
-    pub commit_shards_acquired: Counter,
     /// Group-commit batch sizes, one sample per sequencer batch. Samples
     /// are *counts*, not nanoseconds, so the exponential ns buckets are
     /// meaningless here — but `sum / count` is the exact mean batch size,
@@ -585,9 +575,9 @@ pub struct CatalogMeter {
     /// validation to its commit timestamp being published (includes group
     /// queue wait, the batch's commit-log write, install and publish).
     pub sequencer_wait: Histogram,
-    /// Wall time committers spent *blocked acquiring* commit-shard locks
+    /// Wall time committers spent *blocked acquiring* the commit lock
     /// (the wait profiler's view; `commit_lock_hold` is the hold side).
-    pub commit_shard_wait: Histogram,
+    pub commit_lock_wait: Histogram,
     /// Wall time group-commit followers spent parked on the group condvar
     /// waiting for their batch leader to publish.
     pub group_commit_wait: Histogram,
@@ -599,34 +589,15 @@ pub struct CatalogMeter {
 }
 
 impl CatalogMeter {
-    /// Bind to the canonical `catalog.*` metric names in `registry`,
-    /// without per-shard histograms (the store backfills unregistered
-    /// ones). Prefer [`CatalogMeter::from_registry_sharded`] when the
-    /// commit shard count is known.
+    /// Bind to the canonical `catalog.*` metric names in `registry`.
     pub fn from_registry(registry: &MetricsRegistry) -> Self {
-        Self::from_registry_sharded(registry, 0)
-    }
-
-    /// Bind to the canonical `catalog.*` metric names in `registry`,
-    /// including one `catalog.commit_lock_hold_ns{shard="i"}` histogram
-    /// per commit shard (labeled via [`MetricName::sharded`]), so
-    /// `metrics_snapshot()` exposes where commit-lock time concentrates.
-    pub fn from_registry_sharded(registry: &MetricsRegistry, shards: usize) -> Self {
         CatalogMeter {
             commits: registry.counter("catalog.commits"),
             aborts: registry.counter("catalog.aborts"),
             ww_conflicts: registry.counter("catalog.ww_conflicts"),
             serialization_failures: registry.counter("catalog.serialization_failures"),
             commit_lock_hold: registry.histogram("catalog.commit_lock_hold_ns"),
-            commit_shard_holds: (0..shards)
-                .map(|i| {
-                    registry.histogram(
-                        &MetricName::sharded("catalog.commit_lock_hold_ns", i).registry_key(),
-                    )
-                })
-                .collect(),
-            commit_shards_acquired: registry.counter("catalog.commit_shards_acquired"),
-            commit_shard_wait: registry.histogram("catalog.commit_shard_wait_ns"),
+            commit_lock_wait: registry.histogram("catalog.commit_lock_wait_ns"),
             group_commit_wait: registry.histogram("catalog.group_commit.wait_ns"),
             group_batch_size: registry.histogram("catalog.group_commit.batch_size"),
             sequencer_wait: registry.histogram("catalog.sequencer_wait_ns"),

@@ -1,12 +1,11 @@
 //! Metric-name hygiene: validated names with structured labels.
 //!
-//! The registry keys metrics by plain strings, which made it easy for
-//! sharded components to interpolate ad-hoc suffixes
-//! (`catalog.commit_lock_hold_ns.shard3`) that no dashboard or exposition
-//! format can parse back apart. [`MetricName`] is the central builder:
-//! it validates the base name against the Prometheus grammar
+//! The registry keys metrics by plain strings, which makes it easy to
+//! interpolate ad-hoc suffixes (`alloc.bytes.replay`) that no dashboard or
+//! exposition format can parse back apart. [`MetricName`] is the central
+//! builder: it validates the base name against the Prometheus grammar
 //! (`[a-zA-Z_:][a-zA-Z0-9_:]*` after the internal `.` separators are
-//! mapped to `_`), carries dimensions like a shard index as *labels*, and
+//! mapped to `_`), carries dimensions like an engine phase as *labels*, and
 //! renders one canonical registry key (`base{label="value",...}`) that
 //! [`encode_prometheus`](crate::prom::encode_prometheus) splits back into
 //! standard exposition form.
@@ -125,14 +124,6 @@ impl MetricName {
         Ok(self)
     }
 
-    /// The canonical per-shard name: `base{shard="i"}`. Panics only if
-    /// `base` itself is invalid — call sites pass literals.
-    pub fn sharded(base: &str, shard: usize) -> Self {
-        MetricName::new(base)
-            .and_then(|n| n.with_label("shard", shard))
-            .expect("sharded metric bases are compile-time literals")
-    }
-
     /// The base name (dotted form, no labels).
     pub fn base(&self) -> &str {
         &self.base
@@ -166,7 +157,7 @@ impl MetricName {
 
     /// Parse a registry key back into base + labels. Accepts both plain
     /// dotted names and the canonical `base{k="v",...}` form; anything
-    /// else (including the legacy `.shardN` suffix convention) is an
+    /// else (including an ad-hoc `.suffix` convention) is an
     /// error, which is what keeps new call sites honest.
     pub fn parse(key: &str) -> Result<Self, NameError> {
         let Some(brace) = key.find('{') else {
@@ -212,17 +203,7 @@ mod tests {
         assert!(MetricName::new("a..b").is_err());
         assert!(MetricName::new("a.b.").is_err());
         assert!(MetricName::new("a-b").is_err());
-        assert!(MetricName::new("catalog.commit_lock_hold_ns.shard{0}").is_err());
-    }
-
-    #[test]
-    fn labels_render_canonically_and_round_trip() {
-        let n = MetricName::sharded("catalog.commit_lock_hold_ns", 3);
-        assert_eq!(n.registry_key(), "catalog.commit_lock_hold_ns{shard=\"3\"}");
-        assert_eq!(n.prometheus_base(), "catalog_commit_lock_hold_ns");
-        let back = MetricName::parse(&n.registry_key()).unwrap();
-        assert_eq!(back, n);
-        assert_eq!(back.labels(), &[("shard".to_owned(), "3".to_owned())]);
+        assert!(MetricName::new("alloc.bytes.phase{0}").is_err());
     }
 
     #[test]
@@ -239,16 +220,16 @@ mod tests {
     #[test]
     fn parse_rejects_legacy_suffix_convention_labels() {
         assert!(MetricName::parse("catalog.commits").is_ok());
-        assert!(MetricName::parse("x{shard=3}").is_err()); // unquoted
-        assert!(MetricName::parse("x{shard=\"3\"").is_err()); // unbalanced
+        assert!(MetricName::parse("x{phase=3}").is_err()); // unquoted
+        assert!(MetricName::parse("x{phase=\"3\"").is_err()); // unbalanced
         assert!(MetricName::parse("x{=\"3\"}").is_err());
     }
 
     #[test]
     fn bad_label_names_rejected() {
         let n = MetricName::new("x").unwrap();
-        assert!(n.clone().with_label("1shard", 0).is_err());
-        assert!(n.clone().with_label("sh-ard", 0).is_err());
-        assert!(n.with_label("shard_0", 1).is_ok());
+        assert!(n.clone().with_label("1phase", 0).is_err());
+        assert!(n.clone().with_label("pha-se", 0).is_err());
+        assert!(n.with_label("phase_0", 1).is_ok());
     }
 }

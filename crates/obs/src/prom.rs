@@ -3,7 +3,7 @@
 //! [`encode_prometheus`] renders a [`MetricsSnapshot`] in the Prometheus
 //! text format (version 0.0.4): dotted registry names are mangled to
 //! underscores, counters gain the conventional `_total` suffix, labeled
-//! registry keys (`base{shard="3"}`, see [`MetricName`]) are split back
+//! registry keys (`base{phase="replay"}`, see [`MetricName`]) are split back
 //! into real exposition labels, and histograms expose cumulative
 //! `_bucket{le="…"}` series derived from [`Histogram`](crate::Histogram)
 //! bucket counts plus `_sum` / `_count`. Bucket bounds are in
@@ -94,8 +94,8 @@ fn type_header(out: &mut String, last: &mut String, base: &str, kind: &str) {
 /// Counters are suffixed `_total`; histogram `le` bounds are inclusive
 /// upper bounds in nanoseconds (our exclusive bucket bounds are a
 /// half-open refinement of the same partition, the standard
-/// approximation). Registry keys sharing a base (a labeled shard family)
-/// emit one `# TYPE` header.
+/// approximation). Registry keys sharing a base (a labeled family) emit
+/// one `# TYPE` header.
 pub fn encode_prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut last = String::new();
@@ -318,8 +318,7 @@ mod tests {
     fn sample_snapshot() -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
         reg.counter("catalog.commits").add(42);
-        reg.counter("catalog.commit_lock_hold_ns{shard=\"0\"}")
-            .add(1); // counters may be labeled too
+        reg.counter("alloc.count{phase=\"replay\"}").add(1); // counters may be labeled too
         reg.gauge("dcp.lanes.write_busy").set(3);
         let h = reg.histogram("catalog.commit_lock_hold_ns");
         h.record_ns(500);
@@ -332,7 +331,7 @@ mod tests {
         let text = encode_prometheus(&sample_snapshot());
         assert!(text.contains("# TYPE catalog_commits_total counter"));
         assert!(text.contains("catalog_commits_total 42"));
-        assert!(text.contains("catalog_commit_lock_hold_ns_total{shard=\"0\"} 1"));
+        assert!(text.contains("alloc_count_total{phase=\"replay\"} 1"));
         assert!(text.contains("# TYPE dcp_lanes_write_busy gauge"));
         assert!(text.contains("dcp_lanes_write_busy 3"));
         assert!(text.contains("# TYPE catalog_commit_lock_hold_ns histogram"));
@@ -347,12 +346,12 @@ mod tests {
     #[test]
     fn labeled_histograms_merge_le_into_label_block() {
         let reg = MetricsRegistry::new();
-        reg.histogram("catalog.commit_lock_hold_ns{shard=\"3\"}")
+        reg.histogram("alloc.wait_ns{phase=\"replay\"}")
             .record_ns(100);
         let text = encode_prometheus(&reg.snapshot());
-        assert!(text.contains("catalog_commit_lock_hold_ns_bucket{shard=\"3\",le=\"1000\"} 1"));
-        assert!(text.contains("catalog_commit_lock_hold_ns_sum{shard=\"3\"} 100"));
-        assert!(text.contains("catalog_commit_lock_hold_ns_count{shard=\"3\"} 1"));
+        assert!(text.contains("alloc_wait_ns_bucket{phase=\"replay\",le=\"1000\"} 1"));
+        assert!(text.contains("alloc_wait_ns_sum{phase=\"replay\"} 100"));
+        assert!(text.contains("alloc_wait_ns_count{phase=\"replay\"} 1"));
     }
 
     #[test]

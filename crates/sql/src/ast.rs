@@ -190,7 +190,7 @@ pub enum Statement {
     ExplainAnalyze(Box<Statement>),
     /// SHOW ENGINE HEALTH: render the continuous-telemetry view — current
     /// health status, firing watchdogs, recent health events, top slow
-    /// transactions/statements and per-shard commit-lock pressure.
+    /// transactions/statements and commit-lock pressure.
     ShowEngineHealth,
     /// SHOW TABLES / SHOW SYSTEM TABLES: list user tables from the catalog
     /// and the virtual tables under `polaris.*`.

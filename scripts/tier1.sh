@@ -42,6 +42,8 @@ cargo test --release -q -p polaris-core --test decoder_fuzz
 # does the 8 %-fault + node-churn chaos over staging and publication.
 cargo test --release -q -p polaris-dcp
 cargo test --release -q -p polaris-core --test pipelined_commit
+# Commit-lock races show at release timing.
+cargo test --release -q -p polaris-catalog --test commit_concurrency
 cargo clippy --workspace --all-targets -- -D warnings
 # No input may panic the engine: no `.unwrap()` in the library and binary
 # code of any workspace crate (tests keep theirs, so not --all-targets) —
