@@ -150,7 +150,7 @@ impl Bitmap {
     }
 
     /// Deserialize from [`to_bytes`](Bitmap::to_bytes) output.
-    pub fn from_bytes(mut data: Bytes) -> ColumnarResult<Self> {
+    pub fn from_bytes(mut data: &[u8]) -> ColumnarResult<Self> {
         if data.len() < 8 {
             return Err(ColumnarError::corrupt("bitmap too short"));
         }
@@ -254,12 +254,12 @@ mod tests {
 
     #[test]
     fn rejects_corrupt_bytes() {
-        assert!(Bitmap::from_bytes(Bytes::from_static(b"abc")).is_err());
+        assert!(Bitmap::from_bytes(b"abc").is_err());
         let mut good = Bitmap::with_len(100);
         good.set(42);
         let mut raw = good.to_bytes().to_vec();
         raw.pop();
-        assert!(Bitmap::from_bytes(Bytes::from(raw)).is_err());
+        assert!(Bitmap::from_bytes(&raw).is_err());
     }
 
     proptest! {
@@ -269,7 +269,7 @@ mod tests {
             for &i in &indices {
                 b.set(i);
             }
-            let back = Bitmap::from_bytes(b.to_bytes()).unwrap();
+            let back = Bitmap::from_bytes(&b.to_bytes()).unwrap();
             prop_assert_eq!(&back, &b);
             prop_assert_eq!(back.count_set(), b.count_set());
         }

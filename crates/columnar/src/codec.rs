@@ -1,7 +1,9 @@
-//! The binary codec of every blob the engine writes for itself: transaction
-//! manifests, lst checkpoints, and the payloads of commit-log and catalog
-//! checkpoint frames. JSON is kept only where another reader looks (the
-//! published Delta log, `/health`, the metrics snapshot).
+//! The binary codec of every blob the engine writes for itself: the footers
+//! and chunk payloads of `.pcf` data files, transaction manifests, lst
+//! checkpoints, and the payloads of commit-log and catalog checkpoint
+//! frames. JSON is kept only where another reader looks (the published
+//! Delta log, `/health`, the metrics snapshot). `polaris-lst` re-exports
+//! this module for the crates above it.
 //!
 //! Four encodings, nothing else:
 //!
@@ -23,7 +25,9 @@
 //!
 //! [`Reader`] is the one way back. It checks every length against the bytes
 //! that remain before it slices or allocates, never panics, and reports a
-//! failure as a [`DecodeError`] naming the byte offset it stopped at.
+//! failure as a [`DecodeError`] naming the byte offset it stopped at. Its
+//! primitives and the `put_*` writers are `#[inline]`: the crates that
+//! decode manifests and log frames call them from other crates, in loops.
 
 use std::fmt;
 
@@ -58,6 +62,7 @@ pub trait Codec: Sized {
 }
 
 /// Append `v` as a LEB128 varint.
+#[inline]
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
@@ -67,16 +72,19 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append `v` zig-zag mapped, as a varint.
+#[inline]
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
 /// Append the bits of `v`, little-endian.
+#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 /// Append `s` as its byte length, then its bytes.
+#[inline]
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -98,7 +106,7 @@ pub fn put_str_after(out: &mut Vec<u8>, prev: &str, s: &str) {
 }
 
 /// A bounds-checked cursor over an encoded buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -106,6 +114,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
@@ -115,7 +124,9 @@ impl<'a> Reader<'a> {
         self.pos >= self.buf.len()
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes not yet consumed.
+    #[inline]
+    pub fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
 
@@ -142,28 +153,36 @@ impl<'a> Reader<'a> {
         Err(self.error(detail))
     }
 
-    /// A LEB128 varint of at most ten bytes that fits in 64 bits.
+    /// A LEB128 varint of at most ten bytes that fits in 64 bits. The
+    /// position moves only once the whole varint has been read, so a failure
+    /// names its first byte without a rewind. Always inlined: a chunk
+    /// decoder calls it once a value.
+    #[inline(always)]
     pub fn u64(&mut self) -> DecodeResult<u64> {
-        let start = self.pos;
+        let mut pos = self.pos;
         let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let Some(&byte) = self.buf.get(self.pos) else {
-                return self.fail_at(start, "varint runs past the end");
-            };
-            self.pos += 1;
-            let bits = u64::from(byte & 0x7F);
-            if shift == 63 && bits > 1 {
-                return self.fail_at(start, "varint overflows 64 bits");
-            }
-            v |= bits << shift;
-            if byte & 0x80 == 0 {
+        let mut shift = 0;
+        while let Some(&byte) = self.buf.get(pos) {
+            pos += 1;
+            v |= u64::from(byte & 0x7F) << shift;
+            if byte < 0x80 {
+                // The tenth byte holds bit 63 alone.
+                if shift == 63 && byte > 1 {
+                    return Err(self.error("varint overflows 64 bits"));
+                }
+                self.pos = pos;
                 return Ok(v);
             }
+            shift += 7;
+            if shift > 63 {
+                return Err(self.error("varint longer than ten bytes"));
+            }
         }
-        self.fail_at(start, "varint longer than ten bytes")
+        Err(self.error("varint runs past the end"))
     }
 
     /// A varint that fits in 32 bits.
+    #[inline]
     pub fn u32(&mut self) -> DecodeResult<u32> {
         let start = self.pos;
         match u32::try_from(self.u64()?) {
@@ -173,12 +192,14 @@ impl<'a> Reader<'a> {
     }
 
     /// A zig-zag varint.
+    #[inline]
     pub fn i64(&mut self) -> DecodeResult<i64> {
         let v = self.u64()?;
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
     /// A zig-zag varint that fits in 32 bits.
+    #[inline]
     pub fn i32(&mut self) -> DecodeResult<i32> {
         let start = self.pos;
         match i32::try_from(self.i64()?) {
@@ -188,6 +209,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Eight little-endian bytes of `f64` bits.
+    #[inline]
     pub fn f64(&mut self) -> DecodeResult<f64> {
         let Some(bytes) = self.buf.get(self.pos..self.pos + 8) else {
             return Err(self.error("float runs past the end"));
@@ -198,19 +220,27 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(bits)))
     }
 
+    /// The next `n` bytes, borrowed from the buffer.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(self.error("bytes run past the end"));
+        }
+        let bytes = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(bytes)
+    }
+
     /// A length-prefixed UTF-8 string, borrowed from the buffer.
+    #[inline]
     pub fn str(&mut self) -> DecodeResult<&'a str> {
         let start = self.pos;
         let len = self.u64()?;
-        let bytes = match usize::try_from(len) {
-            Ok(len) if len <= self.remaining() => &self.buf[self.pos..self.pos + len],
-            _ => return self.fail_at(start, "string runs past the end"),
+        let Some(bytes) = usize::try_from(len).ok().and_then(|n| self.bytes(n).ok()) else {
+            return self.fail_at(start, "string runs past the end");
         };
         match std::str::from_utf8(bytes) {
-            Ok(s) => {
-                self.pos += bytes.len();
-                Ok(s)
-            }
+            Ok(s) => Ok(s),
             Err(_) => self.fail_at(start, "string is not UTF-8"),
         }
     }
@@ -232,6 +262,7 @@ impl<'a> Reader<'a> {
     /// The count prefix of a list whose every element takes at least one
     /// byte: checked against the bytes that remain, so a caller may size an
     /// allocation by it.
+    #[inline]
     pub fn count(&mut self) -> DecodeResult<usize> {
         let start = self.pos;
         match usize::try_from(self.u64()?) {
@@ -241,6 +272,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A variant tag below `variants`.
+    #[inline]
     pub fn tag(&mut self, variants: u64) -> DecodeResult<u64> {
         let start = self.pos;
         match self.u64()? {
@@ -250,6 +282,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A boolean: tag 0 or 1.
+    #[inline]
     pub fn bool(&mut self) -> DecodeResult<bool> {
         Ok(self.tag(2)? == 1)
     }

@@ -87,7 +87,7 @@ impl DeleteVector {
             )));
         }
         Ok(DeleteVector {
-            deleted: Bitmap::from_bytes(data)?,
+            deleted: Bitmap::from_bytes(&data)?,
         })
     }
 }

@@ -1,178 +1,118 @@
-//! Low-level column encodings: varint/zigzag, delta, run-length,
-//! dictionary, and bit-packing.
+//! Column chunk encodings: delta, run-length, dictionary, bit-packing and
+//! plain, each written and read with the shared [`codec`](crate::codec)
+//! primitives (varints, zig-zag, `f64` bits, length-prefixed strings).
 //!
 //! The writer picks an encoding per column chunk based on the data
 //! (see [`file`](crate::file)); every encoding here is self-contained and
-//! round-trips exactly.
+//! round-trips exactly. Every chunk starts with its value count, and each
+//! decoder checks that count against the row group's row count before it
+//! allocates, so a chunk can never claim more values than its footer does.
 
+use crate::codec::{put_f64, put_i64, put_str, put_u64, Reader};
 use crate::hash::KeyMap;
 use crate::{ColumnarError, ColumnarResult, StrVec};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Write an unsigned LEB128 varint.
-pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+/// The count prefix of a chunk, which must be the group's `rows`.
+fn count(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<usize> {
+    match r.u64()? {
+        n if n == rows as u64 => Ok(rows),
+        n => Err(ColumnarError::LengthMismatch {
+            expected: rows,
+            found: n as usize,
+        }),
     }
-}
-
-/// Read an unsigned LEB128 varint.
-pub fn get_uvarint(buf: &mut Bytes) -> ColumnarResult<u64> {
-    let mut pos = 0;
-    let v = get_uvarint_at(buf.as_ref(), &mut pos);
-    buf.advance(pos);
-    v
-}
-
-/// [`get_uvarint`] over a slice, from `*pos` on: a chunk decoder reads
-/// its whole payload this way and advances the buffer once.
-fn get_uvarint_at(bytes: &[u8], pos: &mut usize) -> ColumnarResult<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = bytes.get(*pos) else {
-            return Err(ColumnarError::corrupt("truncated varint"));
-        };
-        *pos += 1;
-        if shift >= 64 {
-            return Err(ColumnarError::corrupt("varint overflow"));
-        }
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-/// ZigZag-encode a signed integer so small magnitudes get small varints.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Encode `i64` values as zigzag-varint deltas from the previous value.
 /// Effective for sorted or clustered columns (keys, dates).
-pub fn encode_delta_i64(values: &[i64], buf: &mut BytesMut) {
-    put_uvarint(buf, values.len() as u64);
+pub fn encode_delta_i64(values: &[i64], out: &mut Vec<u8>) {
+    put_u64(out, values.len() as u64);
     let mut prev = 0i64;
     for &v in values {
-        put_uvarint(buf, zigzag(v.wrapping_sub(prev)));
+        put_i64(out, v.wrapping_sub(prev));
         prev = v;
     }
 }
 
 /// Decode [`encode_delta_i64`] output.
-pub fn decode_delta_i64(buf: &mut Bytes) -> ColumnarResult<Vec<i64>> {
-    let (bytes, mut pos) = (buf.as_ref(), 0);
-    let n = get_uvarint_at(bytes, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+pub fn decode_delta_i64(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<Vec<i64>> {
+    let n = count(r, rows)?;
+    let mut out = Vec::with_capacity(n);
+    // A copy that nothing else sees keeps its position in a register
+    // across `push`, which may unwind.
+    let mut local = r.clone();
     let mut prev = 0i64;
     for _ in 0..n {
-        let delta = unzigzag(get_uvarint_at(bytes, &mut pos)?);
-        prev = prev.wrapping_add(delta);
+        prev = prev.wrapping_add(local.i64()?);
         out.push(prev);
     }
-    buf.advance(pos);
+    *r = local;
     Ok(out)
 }
 
 /// Run-length encode `i64` values as (value, run) pairs.
 /// Effective for flag/status columns and mostly-constant columns.
-pub fn encode_rle_i64(values: &[i64], buf: &mut BytesMut) {
-    put_uvarint(buf, values.len() as u64);
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
-        }
-        put_uvarint(buf, zigzag(v));
-        put_uvarint(buf, run as u64);
-        i += run;
+pub fn encode_rle_i64(values: &[i64], out: &mut Vec<u8>) {
+    put_u64(out, values.len() as u64);
+    for run in values.chunk_by(|a, b| a == b) {
+        put_i64(out, run[0]);
+        put_u64(out, run.len() as u64);
     }
 }
 
 /// Decode [`encode_rle_i64`] output.
-pub fn decode_rle_i64(buf: &mut Bytes) -> ColumnarResult<Vec<i64>> {
-    let n = get_uvarint(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+pub fn decode_rle_i64(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<Vec<i64>> {
+    let n = count(r, rows)?;
+    let mut out = Vec::with_capacity(n);
     while out.len() < n {
-        let v = unzigzag(get_uvarint(buf)?);
-        let run = get_uvarint(buf)? as usize;
-        if run == 0 || out.len() + run > n {
+        let v = r.i64()?;
+        let run = r.u64()?;
+        if run == 0 || run > (n - out.len()) as u64 {
             return Err(ColumnarError::corrupt("bad RLE run length"));
         }
-        out.extend(std::iter::repeat_n(v, run));
+        out.extend(std::iter::repeat_n(v, run as usize));
     }
     Ok(out)
 }
 
 /// Count the number of runs (used by the writer's encoding heuristic).
 pub fn run_count_i64(values: &[i64]) -> usize {
-    if values.is_empty() {
-        return 0;
-    }
-    1 + values.windows(2).filter(|w| w[0] != w[1]).count()
+    values.chunk_by(|a, b| a == b).count()
 }
 
 /// Encode `f64` values verbatim (LE bits).
-pub fn encode_plain_f64(values: &[f64], buf: &mut BytesMut) {
-    put_uvarint(buf, values.len() as u64);
+pub fn encode_plain_f64(values: &[f64], out: &mut Vec<u8>) {
+    put_u64(out, values.len() as u64);
     for &v in values {
-        buf.put_f64_le(v);
+        put_f64(out, v);
     }
 }
 
 /// Decode [`encode_plain_f64`] output.
-pub fn decode_plain_f64(buf: &mut Bytes) -> ColumnarResult<Vec<f64>> {
-    let n = get_uvarint(buf)? as usize;
-    if buf.remaining() < n * 8 {
-        return Err(ColumnarError::corrupt("truncated f64 column"));
+pub fn decode_plain_f64(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<Vec<f64>> {
+    let n = count(r, rows)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(r.f64()?);
     }
-    Ok((0..n).map(|_| buf.get_f64_le()).collect())
+    Ok(out)
 }
 
 /// Encode strings as length-prefixed UTF-8, back to back.
-pub fn encode_plain_str(values: &StrVec, buf: &mut BytesMut) {
-    put_uvarint(buf, values.len() as u64);
+pub fn encode_plain_str(values: &StrVec, out: &mut Vec<u8>) {
+    put_u64(out, values.len() as u64);
     for v in values.iter() {
-        put_uvarint(buf, v.len() as u64);
-        buf.put_slice(v.as_bytes());
+        put_str(out, v);
     }
-}
-
-/// One length-prefixed UTF-8 string, borrowed from `bytes` at `*pos`.
-fn get_str<'a>(bytes: &'a [u8], pos: &mut usize, what: &str) -> ColumnarResult<&'a str> {
-    let len = get_uvarint_at(bytes, pos)? as usize;
-    let raw = pos
-        .checked_add(len)
-        .and_then(|end| bytes.get(*pos..end))
-        .ok_or_else(|| ColumnarError::corrupt(format!("truncated {what}")))?;
-    *pos += len;
-    std::str::from_utf8(raw).map_err(|_| ColumnarError::corrupt(format!("invalid UTF-8 in {what}")))
 }
 
 /// Decode [`encode_plain_str`] output.
-pub fn decode_plain_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
-    let (bytes, mut pos) = (buf.as_ref(), 0);
-    let n = get_uvarint_at(bytes, &mut pos)? as usize;
-    let mut out = StrVec::with_capacity(n.min(1 << 20), bytes.len() - pos);
+pub fn decode_plain_str(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<StrVec> {
+    let n = count(r, rows)?;
+    let mut out = StrVec::with_capacity(n, r.remaining());
     for _ in 0..n {
-        out.push(get_str(bytes, &mut pos, "string payload")?);
+        out.push(r.str()?);
     }
-    buf.advance(pos);
     Ok(out)
 }
 
@@ -183,7 +123,7 @@ pub fn decode_plain_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
 /// `dict_ratio × len` distinct values (or the column is empty): then
 /// nothing is written, the result is `false`, and the caller writes the
 /// strings plain. Codes go to values in first-seen order.
-pub fn encode_dict_str(values: &StrVec, dict_ratio: f64, buf: &mut BytesMut) -> bool {
+pub fn encode_dict_str(values: &StrVec, dict_ratio: f64, out: &mut Vec<u8>) -> bool {
     if values.is_empty() {
         return false;
     }
@@ -202,67 +142,51 @@ pub fn encode_dict_str(values: &StrVec, dict_ratio: f64, buf: &mut BytesMut) -> 
             return false;
         }
     }
-    put_uvarint(buf, dict.len() as u64);
+    put_u64(out, dict.len() as u64);
     for d in &dict {
-        put_uvarint(buf, d.len() as u64);
-        buf.put_slice(d.as_bytes());
+        put_str(out, d);
     }
-    put_uvarint(buf, codes.len() as u64);
+    put_u64(out, codes.len() as u64);
     for c in codes {
-        put_uvarint(buf, c);
+        put_u64(out, c);
     }
     true
 }
 
 /// Decode [`encode_dict_str`] output.
-pub fn decode_dict_str(buf: &mut Bytes) -> ColumnarResult<StrVec> {
-    let (bytes, mut pos) = (buf.as_ref(), 0);
-    let dict_len = get_uvarint_at(bytes, &mut pos)? as usize;
-    let mut dict = Vec::with_capacity(dict_len.min(1 << 20));
+pub fn decode_dict_str(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<StrVec> {
+    let dict_len = r.count()?;
+    let mut dict = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
-        dict.push(get_str(bytes, &mut pos, "dictionary entry")?);
+        dict.push(r.str()?);
     }
-    let n = get_uvarint_at(bytes, &mut pos)? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
+    let n = count(r, rows)?;
+    let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let code = get_uvarint_at(bytes, &mut pos)? as usize;
         let entry = dict
-            .get(code)
+            .get(r.u64()? as usize)
             .ok_or_else(|| ColumnarError::corrupt("dictionary code out of range"))?;
         rows.push(*entry);
     }
     let mut out = StrVec::with_capacity(rows.len(), rows.iter().map(|r| r.len()).sum());
     out.extend(rows);
-    buf.advance(pos);
     Ok(out)
 }
 
 /// Bit-pack booleans, 8 per byte, LSB first.
-pub fn encode_bool(values: &[bool], buf: &mut BytesMut) {
-    put_uvarint(buf, values.len() as u64);
-    let mut byte = 0u8;
-    for (i, &v) in values.iter().enumerate() {
-        if v {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            buf.put_u8(byte);
-            byte = 0;
-        }
-    }
-    if !values.len().is_multiple_of(8) {
-        buf.put_u8(byte);
-    }
+pub fn encode_bool(values: &[bool], out: &mut Vec<u8>) {
+    put_u64(out, values.len() as u64);
+    out.extend(values.chunks(8).map(|byte| {
+        byte.iter()
+            .enumerate()
+            .fold(0u8, |acc, (i, &v)| acc | u8::from(v) << i)
+    }));
 }
 
 /// Decode [`encode_bool`] output.
-pub fn decode_bool(buf: &mut Bytes) -> ColumnarResult<Vec<bool>> {
-    let n = get_uvarint(buf)? as usize;
-    let bytes_needed = n.div_ceil(8);
-    if buf.remaining() < bytes_needed {
-        return Err(ColumnarError::corrupt("truncated bool column"));
-    }
-    let raw = buf.split_to(bytes_needed);
+pub fn decode_bool(r: &mut Reader<'_>, rows: usize) -> ColumnarResult<Vec<bool>> {
+    let n = count(r, rows)?;
+    let raw = r.bytes(n.div_ceil(8))?;
     Ok((0..n).map(|i| raw[i / 8] >> (i % 8) & 1 == 1).collect())
 }
 
@@ -271,43 +195,60 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn varint_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
-            let mut buf = BytesMut::new();
-            put_uvarint(&mut buf, v);
-            let mut b = buf.freeze();
-            assert_eq!(get_uvarint(&mut b).unwrap(), v);
-            assert!(b.is_empty());
-        }
+    fn encoded(f: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
     }
 
-    #[test]
-    fn zigzag_round_trip_extremes() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 42, -42] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        // small magnitudes map to small codes
-        assert!(zigzag(-1) < 4);
-        assert!(zigzag(1) < 4);
+    /// Decode all of `bytes` with `decode`, expecting `rows` values.
+    fn decoded<T>(
+        bytes: &[u8],
+        rows: usize,
+        decode: impl FnOnce(&mut Reader<'_>, usize) -> ColumnarResult<T>,
+    ) -> ColumnarResult<T> {
+        let mut r = Reader::new(bytes);
+        let value = decode(&mut r, rows)?;
+        r.finish()?;
+        Ok(value)
     }
 
     #[test]
     fn truncated_inputs_error() {
-        let mut b = Bytes::from_static(&[0x80]);
-        assert!(get_uvarint(&mut b).is_err());
-        let mut buf = BytesMut::new();
-        encode_plain_str(&["hello"].into_iter().collect(), &mut buf);
-        let full = buf.freeze();
-        let mut cut = full.slice(..full.len() - 2);
-        assert!(decode_plain_str(&mut cut).is_err());
+        let values: StrVec = ["hello"].into_iter().collect();
+        let full = encoded(|o| encode_plain_str(&values, o));
+        assert!(decoded(&full[..full.len() - 2], 1, decode_plain_str).is_err());
+        let bools = encoded(|o| encode_bool(&[true; 9], o));
+        assert!(decoded(&bools[..bools.len() - 1], 9, decode_bool).is_err());
+    }
+
+    /// A count other than the group's rows is refused before anything is
+    /// sized by it, and a run may not reach past the count.
+    #[test]
+    fn counts_must_match_the_group() {
+        let mut f64s = encoded(|o| put_u64(o, 1 << 61));
+        f64s.extend([0; 8]);
+        assert!(matches!(
+            decoded(&f64s, 1, decode_plain_f64),
+            Err(ColumnarError::LengthMismatch { expected: 1, .. })
+        ));
+        let ints = encoded(|o| encode_delta_i64(&[1, 2, 3], o));
+        assert!(decoded(&ints, 2, decode_delta_i64).is_err());
+        // Three rows, then a run of u64::MAX, then one of zero.
+        for run in [u64::MAX, 4, 0] {
+            let rle = encoded(|o| {
+                put_u64(o, 3);
+                put_i64(o, 7);
+                put_u64(o, run);
+            });
+            assert!(decoded(&rle, 3, decode_rle_i64).is_err(), "run {run}");
+        }
     }
 
     #[test]
     fn rle_compresses_runs() {
         let values = vec![7i64; 10_000];
-        let mut rle = BytesMut::new();
-        encode_rle_i64(&values, &mut rle);
+        let rle = encoded(|o| encode_rle_i64(&values, o));
         assert!(
             rle.len() < 16,
             "constant column should be tiny, got {}",
@@ -321,10 +262,9 @@ mod tests {
     #[test]
     fn dict_compresses_low_cardinality() {
         let values: StrVec = (0..1000).map(|i| format!("cat-{}", i % 4)).collect();
-        let mut dict = BytesMut::new();
+        let mut dict = Vec::new();
         assert!(encode_dict_str(&values, 0.5, &mut dict));
-        let mut plain = BytesMut::new();
-        encode_plain_str(&values, &mut plain);
+        let plain = encoded(|o| encode_plain_str(&values, o));
         assert!(dict.len() < plain.len() / 3);
     }
 
@@ -335,48 +275,43 @@ mod tests {
         let four_of_eight: StrVec = ["a", "b", "a", "c", "a", "d", "a", "a"]
             .into_iter()
             .collect();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         assert!(!encode_dict_str(&four_of_eight, 0.5, &mut buf));
         assert!(!encode_dict_str(&StrVec::default(), 0.5, &mut buf));
         assert!(!encode_dict_str(&four_of_eight, f64::NAN, &mut buf));
         assert!(buf.is_empty());
         assert!(encode_dict_str(&four_of_eight, 0.51, &mut buf));
-        assert_eq!(decode_dict_str(&mut buf.freeze()).unwrap(), four_of_eight);
+        assert_eq!(decoded(&buf, 8, decode_dict_str).unwrap(), four_of_eight);
     }
 
     #[test]
     fn invalid_dict_code_rejected() {
-        let mut buf = BytesMut::new();
-        put_uvarint(&mut buf, 1); // dict of one entry
-        put_uvarint(&mut buf, 1);
-        buf.put_slice(b"a");
-        put_uvarint(&mut buf, 1); // one code
-        put_uvarint(&mut buf, 9); // out of range
-        assert!(decode_dict_str(&mut buf.freeze()).is_err());
+        let buf = encoded(|o| {
+            put_u64(o, 1); // dict of one entry
+            put_str(o, "a");
+            put_u64(o, 1); // one code
+            put_u64(o, 9); // out of range
+        });
+        assert!(decoded(&buf, 1, decode_dict_str).is_err());
     }
 
     proptest! {
         #[test]
         fn delta_round_trip(values in proptest::collection::vec(any::<i64>(), 0..200)) {
-            let mut buf = BytesMut::new();
-            encode_delta_i64(&values, &mut buf);
-            let decoded = decode_delta_i64(&mut buf.freeze()).unwrap();
-            prop_assert_eq!(decoded, values);
+            let buf = encoded(|o| encode_delta_i64(&values, o));
+            prop_assert_eq!(decoded(&buf, values.len(), decode_delta_i64).unwrap(), values);
         }
 
         #[test]
         fn rle_round_trip(values in proptest::collection::vec(-5i64..5, 0..300)) {
-            let mut buf = BytesMut::new();
-            encode_rle_i64(&values, &mut buf);
-            let decoded = decode_rle_i64(&mut buf.freeze()).unwrap();
-            prop_assert_eq!(decoded, values);
+            let buf = encoded(|o| encode_rle_i64(&values, o));
+            prop_assert_eq!(decoded(&buf, values.len(), decode_rle_i64).unwrap(), values);
         }
 
         #[test]
         fn f64_round_trip(values in proptest::collection::vec(any::<f64>(), 0..100)) {
-            let mut buf = BytesMut::new();
-            encode_plain_f64(&values, &mut buf);
-            let decoded = decode_plain_f64(&mut buf.freeze()).unwrap();
+            let buf = encoded(|o| encode_plain_f64(&values, o));
+            let decoded = decoded(&buf, values.len(), decode_plain_f64).unwrap();
             prop_assert_eq!(decoded.len(), values.len());
             for (d, v) in decoded.iter().zip(values.iter()) {
                 prop_assert_eq!(d.to_bits(), v.to_bits());
@@ -386,22 +321,20 @@ mod tests {
         #[test]
         fn str_round_trips(values in proptest::collection::vec(".{0,20}", 0..50)) {
             let values: StrVec = values.iter().collect();
-            let mut plain = BytesMut::new();
-            encode_plain_str(&values, &mut plain);
-            prop_assert_eq!(&decode_plain_str(&mut plain.freeze()).unwrap(), &values);
-            let mut dict = BytesMut::new();
+            let plain = encoded(|o| encode_plain_str(&values, o));
+            prop_assert_eq!(&decoded(&plain, values.len(), decode_plain_str).unwrap(), &values);
+            let mut dict = Vec::new();
             // Every column but an empty one has fewer than 2 × len values.
             prop_assert_eq!(encode_dict_str(&values, 2.0, &mut dict), !values.is_empty());
             if !values.is_empty() {
-                prop_assert_eq!(&decode_dict_str(&mut dict.freeze()).unwrap(), &values);
+                prop_assert_eq!(&decoded(&dict, values.len(), decode_dict_str).unwrap(), &values);
             }
         }
 
         #[test]
         fn bool_round_trip(values in proptest::collection::vec(any::<bool>(), 0..200)) {
-            let mut buf = BytesMut::new();
-            encode_bool(&values, &mut buf);
-            prop_assert_eq!(decode_bool(&mut buf.freeze()).unwrap(), values);
+            let buf = encoded(|o| encode_bool(&values, o));
+            prop_assert_eq!(decoded(&buf, values.len(), decode_bool).unwrap(), values);
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Error type for columnar encode/decode and batch construction.
 
+use crate::codec::DecodeError;
 use crate::DataType;
 use std::fmt;
 
@@ -73,6 +74,12 @@ impl fmt::Display for ColumnarError {
 }
 
 impl std::error::Error for ColumnarError {}
+
+impl From<DecodeError> for ColumnarError {
+    fn from(e: DecodeError) -> Self {
+        ColumnarError::corrupt(e.to_string())
+    }
+}
 
 impl ColumnarError {
     /// Shorthand for [`ColumnarError::Corrupt`].

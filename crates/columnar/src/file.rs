@@ -1,30 +1,39 @@
 //! The columnar file format: writer, reader, and footer metadata.
 //!
-//! Layout (all integers little-endian):
+//! Layout:
 //!
 //! ```text
 //! "PCF1"                      magic
 //! <column chunks>             encoded chunk payloads, back to back
 //! <footer>                    schema + row-group directory + stats
-//! footer_len: u32
+//! footer_len: u32, little-endian
 //! "PCF1"                      trailing magic
 //! ```
+//!
+//! The chunks and the footer are written in the shared [`codec`](crate::codec)
+//! and read back through its [`Reader`], so a damaged file is an error,
+//! never a panic.
 //!
 //! Files are **immutable**: the writer produces a complete byte buffer in
 //! one shot and nothing ever modifies it — matching the paper's LST
 //! invariant that data files are write-once (§2.1). Row groups are the
 //! split points used to map a large file onto multiple data cells (§2.3).
 
-use crate::encoding::{self, get_uvarint, put_uvarint};
+use crate::codec::{put_f64, put_i64, put_str, put_u64, DecodeResult, Reader};
 use crate::{
-    Bitmap, ColumnStats, ColumnVector, ColumnarError, ColumnarResult, DataType, Field, RecordBatch,
-    Schema, Value,
+    encoding, Bitmap, ColumnStats, ColumnVector, ColumnarError, ColumnarResult, DataType, Field,
+    RecordBatch, Schema, Value,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 const MAGIC: &[u8; 4] = b"PCF1";
 
-/// Physical encoding of one column chunk.
+/// The most rows a row group may hold, 16 × the default `row_group_rows`:
+/// the writer cuts no larger group and the reader refuses a footer that
+/// claims one, so no chunk decoder allocates past it.
+const MAX_GROUP_ROWS: usize = 1 << 20;
+
+/// Physical encoding of one column chunk; its discriminant is its tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Encoding {
     DeltaI64 = 0,
@@ -35,18 +44,28 @@ enum Encoding {
     PackedBool = 5,
 }
 
-impl Encoding {
-    fn from_u8(v: u8) -> ColumnarResult<Self> {
-        Ok(match v {
-            0 => Encoding::DeltaI64,
-            1 => Encoding::RleI64,
-            2 => Encoding::PlainF64,
-            3 => Encoding::PlainStr,
-            4 => Encoding::DictStr,
-            5 => Encoding::PackedBool,
-            other => return Err(ColumnarError::corrupt(format!("unknown encoding {other}"))),
-        })
-    }
+/// Every encoding, in tag order.
+const ENCODINGS: [Encoding; 6] = [
+    Encoding::DeltaI64,
+    Encoding::RleI64,
+    Encoding::PlainF64,
+    Encoding::PlainStr,
+    Encoding::DictStr,
+    Encoding::PackedBool,
+];
+
+/// Every data type, in tag order: a type's tag is its declaration index.
+const DATA_TYPES: [DataType; 5] = [
+    DataType::Int64,
+    DataType::Float64,
+    DataType::Utf8,
+    DataType::Bool,
+    DataType::Date32,
+];
+
+/// The element of `all` that a tag below `all.len()` names.
+fn variant<T: Copy>(r: &mut Reader<'_>, all: &[T]) -> DecodeResult<T> {
+    Ok(all[r.tag(all.len() as u64)? as usize])
 }
 
 /// Footer metadata for one column chunk.
@@ -58,7 +77,7 @@ pub struct ColumnChunkMeta {
     pub length: u64,
     /// Statistics over the chunk.
     pub stats: ColumnStats,
-    encoding: u8,
+    encoding: Encoding,
 }
 
 /// Footer metadata for one row group.
@@ -73,7 +92,7 @@ pub struct RowGroupMeta {
 /// Writer configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WriterOptions {
-    /// Maximum rows per row group.
+    /// Maximum rows per row group (at least 1, at most 2^20).
     pub row_group_rows: usize,
     /// Use dictionary encoding when `distinct/total` is below this ratio.
     pub dict_ratio: f64,
@@ -105,7 +124,7 @@ impl Default for WriterOptions {
 ///     RecordBatch::from_rows(schema, &[vec![Value::Int(1)], vec![Value::Int(2)]]).unwrap();
 /// let bytes = ColumnarWriter::encode_file(&batch, WriterOptions::default()).unwrap();
 /// let file = ColumnarFile::parse(bytes).unwrap();
-/// assert_eq!(file.num_rows(), 2);
+/// assert_eq!(file.footer().num_rows(), 2);
 /// assert_eq!(file.read_all().unwrap(), batch);
 /// ```
 pub struct ColumnarWriter {
@@ -114,7 +133,7 @@ pub struct ColumnarWriter {
     /// Pending rows not yet flushed into a row group.
     pending: Vec<ColumnVector>,
     pending_rows: usize,
-    body: BytesMut,
+    body: Vec<u8>,
     groups: Vec<RowGroupMeta>,
 }
 
@@ -126,14 +145,12 @@ impl ColumnarWriter {
             .iter()
             .map(|f| ColumnVector::empty(f.data_type))
             .collect();
-        let mut body = BytesMut::new();
-        body.put_slice(MAGIC);
         ColumnarWriter {
             schema,
             options,
             pending,
             pending_rows: 0,
-            body,
+            body: MAGIC.to_vec(),
             groups: Vec::new(),
         }
     }
@@ -149,13 +166,14 @@ impl ColumnarWriter {
             acc.append(col)?;
         }
         self.pending_rows += batch.num_rows();
-        while self.pending_rows >= self.options.row_group_rows {
-            self.flush_group(self.options.row_group_rows)?;
+        let group_rows = self.options.row_group_rows.clamp(1, MAX_GROUP_ROWS);
+        while self.pending_rows >= group_rows {
+            self.flush_group(group_rows);
         }
         Ok(())
     }
 
-    fn flush_group(&mut self, take_rows: usize) -> ColumnarResult<()> {
+    fn flush_group(&mut self, take_rows: usize) {
         let indices: Vec<usize> = (0..take_rows).collect();
         let rest: Vec<usize> = (take_rows..self.pending_rows).collect();
         let mut chunks = Vec::with_capacity(self.schema.len());
@@ -164,7 +182,7 @@ impl ColumnarWriter {
         for col in &pending {
             let group_col = col.take(&indices);
             remaining.push(col.take(&rest));
-            chunks.push(self.encode_chunk(&group_col)?);
+            chunks.push(self.encode_chunk(&group_col));
         }
         self.pending = remaining;
         self.pending_rows -= take_rows;
@@ -172,78 +190,67 @@ impl ColumnarWriter {
             rows: take_rows as u64,
             chunks,
         });
-        Ok(())
     }
 
-    fn encode_chunk(&mut self, col: &ColumnVector) -> ColumnarResult<ColumnChunkMeta> {
-        let offset = self.body.len() as u64;
+    /// Append one chunk to the body: its validity prefix (0 = all valid,
+    /// 1 = a bitmap follows), then its values.
+    fn encode_chunk(&mut self, col: &ColumnVector) -> ColumnChunkMeta {
+        let offset = self.body.len();
         let stats = ColumnStats::from_vector(col);
-        let mut payload = BytesMut::new();
-        // Validity prefix: 0 = all valid, 1 = bitmap follows.
+        let options = self.options;
+        let out = &mut self.body;
         match col.validity() {
-            None => payload.put_u8(0),
+            None => put_u64(out, 0),
             Some(v) => {
-                payload.put_u8(1);
+                put_u64(out, 1);
                 let raw = v.to_bytes();
-                put_uvarint(&mut payload, raw.len() as u64);
-                payload.put_slice(&raw);
+                put_u64(out, raw.len() as u64);
+                out.extend_from_slice(&raw);
             }
         }
         let encoding = match col {
-            ColumnVector::Int64 { values, .. } => self.encode_i64(values, &mut payload),
+            ColumnVector::Int64 { values, .. } => encode_i64(values, options.rle_ratio, out),
             ColumnVector::Date32 { values, .. } => {
                 let widened: Vec<i64> = values.iter().map(|&v| v as i64).collect();
-                self.encode_i64(&widened, &mut payload)
+                encode_i64(&widened, options.rle_ratio, out)
             }
             ColumnVector::Float64 { values, .. } => {
-                encoding::encode_plain_f64(values, &mut payload);
+                encoding::encode_plain_f64(values, out);
                 Encoding::PlainF64
             }
             ColumnVector::Utf8 { values, .. } => {
-                if encoding::encode_dict_str(values, self.options.dict_ratio, &mut payload) {
+                if encoding::encode_dict_str(values, options.dict_ratio, out) {
                     Encoding::DictStr
                 } else {
-                    encoding::encode_plain_str(values, &mut payload);
+                    encoding::encode_plain_str(values, out);
                     Encoding::PlainStr
                 }
             }
             ColumnVector::Bool { values, .. } => {
-                encoding::encode_bool(values, &mut payload);
+                encoding::encode_bool(values, out);
                 Encoding::PackedBool
             }
         };
-        self.body.put_slice(&payload);
-        Ok(ColumnChunkMeta {
-            offset,
-            length: payload.len() as u64,
+        ColumnChunkMeta {
+            offset: offset as u64,
+            length: (out.len() - offset) as u64,
             stats,
-            encoding: encoding as u8,
-        })
-    }
-
-    fn encode_i64(&self, values: &[i64], payload: &mut BytesMut) -> Encoding {
-        let runs = encoding::run_count_i64(values);
-        if !values.is_empty() && (runs as f64) < self.options.rle_ratio * values.len() as f64 {
-            encoding::encode_rle_i64(values, payload);
-            Encoding::RleI64
-        } else {
-            encoding::encode_delta_i64(values, payload);
-            Encoding::DeltaI64
+            encoding,
         }
     }
 
     /// Flush pending rows and produce the final immutable file bytes.
     pub fn finish(mut self) -> ColumnarResult<Bytes> {
         if self.pending_rows > 0 {
-            self.flush_group(self.pending_rows)?;
+            self.flush_group(self.pending_rows);
         }
-        let footer_start = self.body.len();
         let mut body = self.body;
-        write_footer(&mut body, &self.schema, &self.groups);
+        let footer_start = body.len();
+        encode_footer(&mut body, &self.schema, &self.groups);
         let footer_len = (body.len() - footer_start) as u32;
-        body.put_u32_le(footer_len);
-        body.put_slice(MAGIC);
-        Ok(body.freeze())
+        body.extend_from_slice(&footer_len.to_le_bytes());
+        body.extend_from_slice(MAGIC);
+        Ok(Bytes::from(body))
     }
 
     /// Convenience: encode a single batch as a complete file.
@@ -254,171 +261,128 @@ impl ColumnarWriter {
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+/// RLE when runs are rarer than `rle_ratio` per value, else delta.
+fn encode_i64(values: &[i64], rle_ratio: f64, out: &mut Vec<u8>) -> Encoding {
+    let runs = encoding::run_count_i64(values);
+    if !values.is_empty() && (runs as f64) < rle_ratio * values.len() as f64 {
+        encoding::encode_rle_i64(values, out);
+        Encoding::RleI64
+    } else {
+        encoding::encode_delta_i64(values, out);
+        Encoding::DeltaI64
+    }
+}
+
+/// A statistics bound: a tag, then the value; NULL stands for none.
+fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => put_u64(out, 0),
         Value::Int(x) => {
-            buf.put_u8(1);
-            put_uvarint(buf, encoding::zigzag(*x));
+            put_u64(out, 1);
+            put_i64(out, *x);
         }
         Value::Float(x) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*x);
+            put_u64(out, 2);
+            put_f64(out, *x);
         }
         Value::Str(x) => {
-            buf.put_u8(3);
-            put_uvarint(buf, x.len() as u64);
-            buf.put_slice(x.as_bytes());
+            put_u64(out, 3);
+            put_str(out, x);
         }
         Value::Bool(x) => {
-            buf.put_u8(4);
-            buf.put_u8(*x as u8);
+            put_u64(out, 4);
+            put_u64(out, u64::from(*x));
         }
         Value::Date(x) => {
-            buf.put_u8(5);
-            put_uvarint(buf, encoding::zigzag(*x as i64));
+            put_u64(out, 5);
+            put_i64(out, i64::from(*x));
         }
     }
 }
 
-fn get_value(buf: &mut Bytes) -> ColumnarResult<Value> {
-    if !buf.has_remaining() {
-        return Err(ColumnarError::corrupt("truncated value"));
-    }
-    Ok(match buf.get_u8() {
-        0 => Value::Null,
-        1 => Value::Int(encoding::unzigzag(get_uvarint(buf)?)),
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(ColumnarError::corrupt("truncated float value"));
-            }
-            Value::Float(buf.get_f64_le())
-        }
-        3 => {
-            let len = get_uvarint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(ColumnarError::corrupt("truncated string value"));
-            }
-            let raw = buf.split_to(len);
-            Value::Str(
-                std::str::from_utf8(&raw)
-                    .map_err(|_| ColumnarError::corrupt("invalid UTF-8 value"))?
-                    .to_owned(),
-            )
-        }
-        4 => {
-            if !buf.has_remaining() {
-                return Err(ColumnarError::corrupt("truncated bool value"));
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
-        5 => Value::Date(encoding::unzigzag(get_uvarint(buf)?) as i32),
-        other => return Err(ColumnarError::corrupt(format!("unknown value tag {other}"))),
-    })
+/// Read what [`put_value`] wrote; NULL reads as `None`.
+fn get_value(r: &mut Reader<'_>) -> DecodeResult<Option<Value>> {
+    Ok(Some(match r.tag(6)? {
+        0 => return Ok(None),
+        1 => Value::Int(r.i64()?),
+        2 => Value::Float(r.f64()?),
+        3 => Value::Str(r.str()?.to_owned()),
+        4 => Value::Bool(r.bool()?),
+        _ => Value::Date(r.i32()?),
+    }))
 }
 
-fn dtype_to_u8(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int64 => 0,
-        DataType::Float64 => 1,
-        DataType::Utf8 => 2,
-        DataType::Bool => 3,
-        DataType::Date32 => 4,
-    }
-}
-
-fn dtype_from_u8(v: u8) -> ColumnarResult<DataType> {
-    Ok(match v {
-        0 => DataType::Int64,
-        1 => DataType::Float64,
-        2 => DataType::Utf8,
-        3 => DataType::Bool,
-        4 => DataType::Date32,
-        other => return Err(ColumnarError::corrupt(format!("unknown data type {other}"))),
-    })
-}
-
-fn write_footer(buf: &mut BytesMut, schema: &Schema, groups: &[RowGroupMeta]) {
-    put_uvarint(buf, schema.len() as u64);
+fn encode_footer(out: &mut Vec<u8>, schema: &Schema, groups: &[RowGroupMeta]) {
+    put_u64(out, schema.len() as u64);
     for f in schema.fields() {
-        put_uvarint(buf, f.name.len() as u64);
-        buf.put_slice(f.name.as_bytes());
-        buf.put_u8(dtype_to_u8(f.data_type));
-        buf.put_u8(f.nullable as u8);
+        put_str(out, &f.name);
+        put_u64(out, f.data_type as u64);
+        put_u64(out, u64::from(f.nullable));
     }
-    put_uvarint(buf, groups.len() as u64);
+    put_u64(out, groups.len() as u64);
     for g in groups {
-        put_uvarint(buf, g.rows);
+        put_u64(out, g.rows);
         for c in &g.chunks {
-            put_uvarint(buf, c.offset);
-            put_uvarint(buf, c.length);
-            buf.put_u8(c.encoding);
-            put_uvarint(buf, c.stats.null_count);
-            put_uvarint(buf, c.stats.row_count);
-            put_value(buf, c.stats.min.as_ref().unwrap_or(&Value::Null));
-            put_value(buf, c.stats.max.as_ref().unwrap_or(&Value::Null));
+            put_u64(out, c.offset);
+            put_u64(out, c.length);
+            put_u64(out, c.encoding as u64);
+            put_u64(out, c.stats.null_count);
+            put_u64(out, c.stats.row_count);
+            put_value(out, c.stats.min.as_ref().unwrap_or(&Value::Null));
+            put_value(out, c.stats.max.as_ref().unwrap_or(&Value::Null));
         }
     }
 }
 
-fn read_footer(mut buf: Bytes) -> ColumnarResult<(Schema, Vec<RowGroupMeta>)> {
-    let n_fields = get_uvarint(&mut buf)? as usize;
-    let mut fields = Vec::with_capacity(n_fields.min(1 << 16));
+/// Read a footer whose chunks lie in the first `body_end` bytes of the
+/// file. Every chunk range is checked here, once, so a reader may slice or
+/// range-read by it without checking it again.
+fn decode_footer(footer: &[u8], body_end: u64) -> ColumnarResult<(Schema, Vec<RowGroupMeta>)> {
+    let mut r = Reader::new(footer);
+    let n_fields = r.count()?;
+    let mut fields: Vec<Field> = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
-        let len = get_uvarint(&mut buf)? as usize;
-        if buf.remaining() < len + 2 {
-            return Err(ColumnarError::corrupt("truncated footer field"));
+        let name = r.str()?;
+        if fields.iter().any(|f| f.name == name) {
+            return Err(ColumnarError::corrupt(format!("duplicate column {name:?}")));
         }
-        let raw = buf.split_to(len);
-        let name = std::str::from_utf8(&raw)
-            .map_err(|_| ColumnarError::corrupt("invalid UTF-8 field name"))?
-            .to_owned();
-        let data_type = dtype_from_u8(buf.get_u8())?;
-        let nullable = buf.get_u8() != 0;
         fields.push(Field {
-            name,
-            data_type,
-            nullable,
+            name: name.to_owned(),
+            data_type: variant(&mut r, &DATA_TYPES)?,
+            nullable: r.bool()?,
         });
     }
     let schema = Schema::new(fields);
-    let n_groups = get_uvarint(&mut buf)? as usize;
-    let mut groups = Vec::with_capacity(n_groups.min(1 << 16));
+    let n_groups = r.count()?;
+    let mut groups = Vec::with_capacity(n_groups);
     for _ in 0..n_groups {
-        let rows = get_uvarint(&mut buf)?;
+        let rows = r.u64()?;
+        if rows > MAX_GROUP_ROWS as u64 {
+            return Err(ColumnarError::corrupt(format!("row group of {rows} rows")));
+        }
         let mut chunks = Vec::with_capacity(schema.len());
         for _ in 0..schema.len() {
-            let offset = get_uvarint(&mut buf)?;
-            let length = get_uvarint(&mut buf)?;
-            let enc = if buf.has_remaining() {
-                buf.get_u8()
-            } else {
-                return Err(ColumnarError::corrupt("truncated chunk meta"));
-            };
-            let null_count = get_uvarint(&mut buf)?;
-            let row_count = get_uvarint(&mut buf)?;
-            let min = match get_value(&mut buf)? {
-                Value::Null => None,
-                v => Some(v),
-            };
-            let max = match get_value(&mut buf)? {
-                Value::Null => None,
-                v => Some(v),
-            };
+            let (offset, length) = (r.u64()?, r.u64()?);
+            if offset.checked_add(length).is_none_or(|end| end > body_end) {
+                return Err(ColumnarError::corrupt(
+                    "chunk extends past the file's chunks",
+                ));
+            }
             chunks.push(ColumnChunkMeta {
                 offset,
                 length,
-                encoding: enc,
+                encoding: variant(&mut r, &ENCODINGS)?,
                 stats: ColumnStats {
-                    min,
-                    max,
-                    null_count,
-                    row_count,
+                    null_count: r.u64()?,
+                    row_count: r.u64()?,
+                    min: get_value(&mut r)?,
+                    max: get_value(&mut r)?,
                 },
             });
         }
         groups.push(RowGroupMeta { rows, chunks });
     }
+    r.finish()?;
     Ok((schema, groups))
 }
 
@@ -427,13 +391,12 @@ fn read_footer(mut buf: Bytes) -> ColumnarResult<(Schema, Vec<RowGroupMeta>)> {
 /// Enables *lazy* reading over remote storage: fetch the tail of the file
 /// (footer + trailing length + magic), prune row groups on statistics, and
 /// range-read only the chunk payloads a query actually needs — the access
-/// pattern real Parquet readers use against object stores.
+/// pattern real Parquet readers use against object stores. Parsing checks
+/// every chunk range against the file, so a reader may fetch by it as is.
 #[derive(Debug, Clone)]
 pub struct ColumnarFooter {
     schema: Schema,
     groups: Vec<RowGroupMeta>,
-    /// Total file length (needed to validate chunk ranges).
-    file_len: u64,
 }
 
 impl ColumnarFooter {
@@ -443,29 +406,26 @@ impl ColumnarFooter {
 
     /// Footer length recorded in the 8-byte tail (`footer_len` + magic).
     pub fn footer_len_from_tail(tail8: &[u8]) -> ColumnarResult<u64> {
-        if tail8.len() != 8 || &tail8[4..] != MAGIC {
-            return Err(ColumnarError::corrupt("bad trailing magic"));
+        match tail8.split_first_chunk::<4>() {
+            Some((len, magic)) if magic == MAGIC => Ok(u64::from(u32::from_le_bytes(*len))),
+            _ => Err(ColumnarError::corrupt("bad trailing magic")),
         }
-        Ok(u32::from_le_bytes(tail8[..4].try_into().expect("4 bytes")) as u64)
     }
 
     /// Parse a footer from the final `footer_len + 8` bytes of a file of
     /// total length `file_len`.
     pub fn parse_tail(tail: Bytes, file_len: u64) -> ColumnarResult<Self> {
-        if (tail.len() as u64) < 8 || tail.len() as u64 > file_len {
+        let n = tail.len();
+        if n < 8 || n as u64 > file_len {
             return Err(ColumnarError::corrupt("footer tail too short"));
         }
-        let n = tail.len();
-        if &tail[n - 4..] != MAGIC {
-            return Err(ColumnarError::corrupt("bad trailing magic"));
+        if Self::footer_len_from_tail(&tail[n - 8..])? + 8 != n as u64 {
+            return Err(ColumnarError::corrupt(
+                "footer length disagrees with the tail",
+            ));
         }
-        let footer = tail.slice(..n - 8);
-        let (schema, groups) = read_footer(footer)?;
-        Ok(ColumnarFooter {
-            schema,
-            groups,
-            file_len,
-        })
+        let (schema, groups) = decode_footer(&tail[..n - 8], file_len - n as u64)?;
+        Ok(ColumnarFooter { schema, groups })
     }
 
     /// The file schema.
@@ -481,6 +441,16 @@ impl ColumnarFooter {
     /// Total rows across all row groups.
     pub fn num_rows(&self) -> u64 {
         self.groups.iter().map(|g| g.rows).sum()
+    }
+
+    /// The named column's statistics, merged over every row group.
+    pub fn column_stats(&self, name: &str) -> ColumnarResult<ColumnStats> {
+        let idx = self.schema.index_of(name)?;
+        let mut acc = ColumnStats::default();
+        for g in &self.groups {
+            acc.merge(&g.chunks[idx].stats);
+        }
+        Ok(acc)
     }
 
     /// Payload bytes a scan of `cols` would fetch for one row group —
@@ -498,7 +468,8 @@ impl ColumnarFooter {
     }
 
     /// Decode one column chunk from its raw payload bytes (as fetched by a
-    /// range read of `[chunk.offset, chunk.offset + chunk.length)`).
+    /// range read of `[chunk.offset, chunk.offset + chunk.length)`): the
+    /// validity prefix, then the encoded values, `rows` of them.
     pub fn decode_chunk_payload(
         &self,
         field: &Field,
@@ -506,16 +477,70 @@ impl ColumnarFooter {
         payload: Bytes,
         rows: usize,
     ) -> ColumnarResult<ColumnVector> {
-        if chunk.offset + chunk.length > self.file_len {
-            return Err(ColumnarError::corrupt("chunk extends past end of file"));
-        }
         if payload.len() as u64 != chunk.length {
             return Err(ColumnarError::LengthMismatch {
                 expected: chunk.length as usize,
                 found: payload.len(),
             });
         }
-        decode_chunk_payload(field, chunk.encoding, payload, rows)
+        let mut r = Reader::new(&payload);
+        let validity = if r.bool()? {
+            let bitmap = Bitmap::from_bytes(r.count().and_then(|n| r.bytes(n))?)?;
+            if bitmap.len() != rows {
+                return Err(ColumnarError::corrupt("validity bitmap length"));
+            }
+            Some(bitmap)
+        } else {
+            None
+        };
+        let r = &mut r;
+        let vector = match (field.data_type, chunk.encoding) {
+            (DataType::Int64, Encoding::DeltaI64) => ColumnVector::Int64 {
+                values: encoding::decode_delta_i64(r, rows)?,
+                validity,
+            },
+            (DataType::Int64, Encoding::RleI64) => ColumnVector::Int64 {
+                values: encoding::decode_rle_i64(r, rows)?,
+                validity,
+            },
+            (DataType::Date32, Encoding::DeltaI64) => ColumnVector::Date32 {
+                values: encoding::decode_delta_i64(r, rows)?
+                    .into_iter()
+                    .map(|v| v as i32)
+                    .collect(),
+                validity,
+            },
+            (DataType::Date32, Encoding::RleI64) => ColumnVector::Date32 {
+                values: encoding::decode_rle_i64(r, rows)?
+                    .into_iter()
+                    .map(|v| v as i32)
+                    .collect(),
+                validity,
+            },
+            (DataType::Float64, Encoding::PlainF64) => ColumnVector::Float64 {
+                values: encoding::decode_plain_f64(r, rows)?,
+                validity,
+            },
+            (DataType::Utf8, Encoding::PlainStr) => ColumnVector::Utf8 {
+                values: encoding::decode_plain_str(r, rows)?,
+                validity,
+            },
+            (DataType::Utf8, Encoding::DictStr) => ColumnVector::Utf8 {
+                values: encoding::decode_dict_str(r, rows)?,
+                validity,
+            },
+            (DataType::Bool, Encoding::PackedBool) => ColumnVector::Bool {
+                values: encoding::decode_bool(r, rows)?,
+                validity,
+            },
+            (dt, enc) => {
+                return Err(ColumnarError::corrupt(format!(
+                    "encoding {enc:?} invalid for type {dt}"
+                )))
+            }
+        };
+        r.finish()?;
+        Ok(vector)
     }
 }
 
@@ -526,179 +551,62 @@ impl ColumnarFooter {
 #[derive(Debug, Clone)]
 pub struct ColumnarFile {
     data: Bytes,
-    schema: Schema,
-    groups: Vec<RowGroupMeta>,
-    footer_len: usize,
+    footer: ColumnarFooter,
 }
 
 impl ColumnarFile {
     /// Parse file bytes (footer only).
     pub fn parse(data: Bytes) -> ColumnarResult<Self> {
         let n = data.len();
-        if n < 12 || &data[..4] != MAGIC || &data[n - 4..] != MAGIC {
+        if n < 12 || &data[..4] != MAGIC {
             return Err(ColumnarError::corrupt("bad file magic"));
         }
-        let footer_len =
-            u32::from_le_bytes(data[n - 8..n - 4].try_into().expect("4 bytes")) as usize;
-        if footer_len + 12 > n {
-            return Err(ColumnarError::corrupt("footer length out of range"));
-        }
-        let footer = data.slice(n - 8 - footer_len..n - 8);
-        let (schema, groups) = read_footer(footer)?;
-        Ok(ColumnarFile {
-            data,
-            schema,
-            groups,
-            footer_len,
-        })
+        let footer_len = ColumnarFooter::footer_len_from_tail(&data[n - 8..])?;
+        let tail_start = (n as u64)
+            .checked_sub(footer_len + 8)
+            .filter(|&start| start >= 4)
+            .ok_or_else(|| ColumnarError::corrupt("footer length out of range"))?;
+        let footer = ColumnarFooter::parse_tail(data.slice(tail_start as usize..), n as u64)?;
+        Ok(ColumnarFile { data, footer })
     }
 
-    /// Metadata bytes a lazy reader transfers to learn this file's layout:
-    /// the 8-byte tail probe plus the footer tail (`footer_len + 8`).
-    /// Eager scans charge this to `ScanMeter::bytes_read` so eager and
-    /// lazy byte accounting stay comparable.
-    pub fn footer_overhead_bytes(&self) -> u64 {
-        self.footer_len as u64 + 16
-    }
-
-    /// The file schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Total rows across all row groups.
-    pub fn num_rows(&self) -> u64 {
-        self.groups.iter().map(|g| g.rows).sum()
-    }
-
-    /// Row-group directory.
-    pub fn row_groups(&self) -> &[RowGroupMeta] {
-        &self.groups
-    }
-
-    /// Merged file-level stats for the named column.
-    pub fn column_stats(&self, name: &str) -> ColumnarResult<ColumnStats> {
-        let idx = self.schema.index_of(name)?;
-        let mut acc = ColumnStats::default();
-        for g in &self.groups {
-            acc.merge(&g.chunks[idx].stats);
-        }
-        Ok(acc)
+    /// The parsed footer: schema, row groups and their statistics.
+    pub fn footer(&self) -> &ColumnarFooter {
+        &self.footer
     }
 
     /// Decode one row group into a batch.
     pub fn read_row_group(&self, group: usize) -> ColumnarResult<RecordBatch> {
-        let g = self
+        let footer = &self.footer;
+        let g = footer
             .groups
             .get(group)
             .ok_or_else(|| ColumnarError::corrupt(format!("row group {group} out of range")))?;
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (field, chunk) in self.schema.fields().iter().zip(&g.chunks) {
-            columns.push(self.decode_chunk(field, chunk, g.rows as usize)?);
-        }
-        RecordBatch::new(self.schema.clone(), columns)
+        let columns = footer
+            .schema
+            .fields()
+            .iter()
+            .zip(&g.chunks)
+            .map(|(field, chunk)| {
+                let payload = self
+                    .data
+                    .slice(chunk.offset as usize..(chunk.offset + chunk.length) as usize);
+                footer.decode_chunk_payload(field, chunk, payload, g.rows as usize)
+            })
+            .collect::<ColumnarResult<_>>()?;
+        RecordBatch::new(footer.schema.clone(), columns)
     }
 
     /// Decode the entire file into one batch.
     pub fn read_all(&self) -> ColumnarResult<RecordBatch> {
-        if self.groups.is_empty() {
-            return Ok(RecordBatch::empty(self.schema.clone()));
+        if self.footer.groups.is_empty() {
+            return Ok(RecordBatch::empty(self.footer.schema.clone()));
         }
-        let batches = (0..self.groups.len())
+        let batches = (0..self.footer.groups.len())
             .map(|i| self.read_row_group(i))
             .collect::<ColumnarResult<Vec<_>>>()?;
         RecordBatch::concat(&batches)
     }
-
-    fn decode_chunk(
-        &self,
-        field: &Field,
-        chunk: &ColumnChunkMeta,
-        rows: usize,
-    ) -> ColumnarResult<ColumnVector> {
-        let start = chunk.offset as usize;
-        let end = start + chunk.length as usize;
-        if end > self.data.len() {
-            return Err(ColumnarError::corrupt("chunk extends past end of file"));
-        }
-        decode_chunk_payload(field, chunk.encoding, self.data.slice(start..end), rows)
-    }
-}
-
-/// Decode a column chunk payload (validity prefix + encoded values).
-fn decode_chunk_payload(
-    field: &Field,
-    encoding: u8,
-    mut buf: Bytes,
-    rows: usize,
-) -> ColumnarResult<ColumnVector> {
-    if !buf.has_remaining() {
-        return Err(ColumnarError::corrupt("empty chunk"));
-    }
-    let validity = match buf.get_u8() {
-        0 => None,
-        1 => {
-            let len = get_uvarint(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(ColumnarError::corrupt("truncated validity bitmap"));
-            }
-            Some(Bitmap::from_bytes(buf.split_to(len))?)
-        }
-        other => return Err(ColumnarError::corrupt(format!("bad validity flag {other}"))),
-    };
-    let enc = Encoding::from_u8(encoding)?;
-    let vector = match (field.data_type, enc) {
-        (DataType::Int64, Encoding::DeltaI64) => ColumnVector::Int64 {
-            values: encoding::decode_delta_i64(&mut buf)?,
-            validity,
-        },
-        (DataType::Int64, Encoding::RleI64) => ColumnVector::Int64 {
-            values: encoding::decode_rle_i64(&mut buf)?,
-            validity,
-        },
-        (DataType::Date32, Encoding::DeltaI64) => ColumnVector::Date32 {
-            values: encoding::decode_delta_i64(&mut buf)?
-                .into_iter()
-                .map(|v| v as i32)
-                .collect(),
-            validity,
-        },
-        (DataType::Date32, Encoding::RleI64) => ColumnVector::Date32 {
-            values: encoding::decode_rle_i64(&mut buf)?
-                .into_iter()
-                .map(|v| v as i32)
-                .collect(),
-            validity,
-        },
-        (DataType::Float64, Encoding::PlainF64) => ColumnVector::Float64 {
-            values: encoding::decode_plain_f64(&mut buf)?,
-            validity,
-        },
-        (DataType::Utf8, Encoding::PlainStr) => ColumnVector::Utf8 {
-            values: encoding::decode_plain_str(&mut buf)?,
-            validity,
-        },
-        (DataType::Utf8, Encoding::DictStr) => ColumnVector::Utf8 {
-            values: encoding::decode_dict_str(&mut buf)?,
-            validity,
-        },
-        (DataType::Bool, Encoding::PackedBool) => ColumnVector::Bool {
-            values: encoding::decode_bool(&mut buf)?,
-            validity,
-        },
-        (dt, enc) => {
-            return Err(ColumnarError::corrupt(format!(
-                "encoding {enc:?} invalid for type {dt}"
-            )))
-        }
-    };
-    if vector.len() != rows {
-        return Err(ColumnarError::LengthMismatch {
-            expected: rows,
-            found: vector.len(),
-        });
-    }
-    Ok(vector)
 }
 
 #[cfg(test)]
@@ -740,8 +648,8 @@ mod tests {
         let batch = test_batch(100);
         let bytes = ColumnarWriter::encode_file(&batch, WriterOptions::default()).unwrap();
         let file = ColumnarFile::parse(bytes).unwrap();
-        assert_eq!(file.num_rows(), 100);
-        assert_eq!(file.row_groups().len(), 1);
+        assert_eq!(file.footer().num_rows(), 100);
+        assert_eq!(file.footer().row_groups().len(), 1);
         assert_eq!(file.read_all().unwrap(), batch);
     }
 
@@ -754,7 +662,7 @@ mod tests {
         };
         let bytes = ColumnarWriter::encode_file(&batch, opts).unwrap();
         let file = ColumnarFile::parse(bytes).unwrap();
-        assert_eq!(file.row_groups().len(), 8); // ceil(1000/128)
+        assert_eq!(file.footer().row_groups().len(), 8); // ceil(1000/128)
         assert_eq!(file.read_all().unwrap(), batch);
         // individual group reads line up
         let g0 = file.read_row_group(0).unwrap();
@@ -769,7 +677,7 @@ mod tests {
         let batch = RecordBatch::empty(test_schema());
         let bytes = ColumnarWriter::encode_file(&batch, WriterOptions::default()).unwrap();
         let file = ColumnarFile::parse(bytes).unwrap();
-        assert_eq!(file.num_rows(), 0);
+        assert_eq!(file.footer().num_rows(), 0);
         assert_eq!(file.read_all().unwrap().num_rows(), 0);
     }
 
@@ -778,11 +686,11 @@ mod tests {
         let batch = test_batch(50);
         let bytes = ColumnarWriter::encode_file(&batch, WriterOptions::default()).unwrap();
         let file = ColumnarFile::parse(bytes).unwrap();
-        let id_stats = file.column_stats("id").unwrap();
+        let id_stats = file.footer().column_stats("id").unwrap();
         assert_eq!(id_stats.min, Some(Value::Int(0)));
         assert_eq!(id_stats.max, Some(Value::Int(49)));
         assert_eq!(id_stats.row_count, 50);
-        let flag_stats = file.column_stats("flag").unwrap();
+        let flag_stats = file.footer().column_stats("flag").unwrap();
         assert_eq!(flag_stats.null_count, 8); // i % 7 == 0 for i in 0..50
     }
 
@@ -792,7 +700,7 @@ mod tests {
         w.write_batch(&test_batch(30)).unwrap();
         w.write_batch(&test_batch(20)).unwrap();
         let file = ColumnarFile::parse(w.finish().unwrap()).unwrap();
-        assert_eq!(file.num_rows(), 50);
+        assert_eq!(file.footer().num_rows(), 50);
     }
 
     #[test]
@@ -814,6 +722,98 @@ mod tests {
         assert!(ColumnarFile::parse(Bytes::from(bad)).is_err());
         // truncate
         assert!(ColumnarFile::parse(good.slice(..good.len() / 2)).is_err());
+    }
+
+    /// Nine `0xFF` bytes over any stretch of a three-column file of four
+    /// groups: laid over a column name's length, they once made the
+    /// footer's bounds check wrap and `parse` panic.
+    #[test]
+    fn runs_of_ff_are_errors_not_panics() {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::nullable("name", DataType::Utf8),
+            Field::new("price", DataType::Float64),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..50)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str(format!("n{}", i % 5))
+                    },
+                    Value::Float(i as f64 / 2.0),
+                ]
+            })
+            .collect();
+        let batch = RecordBatch::from_rows(schema, &rows).unwrap();
+        let opts = WriterOptions {
+            row_group_rows: 16,
+            ..Default::default()
+        };
+        let good = ColumnarWriter::encode_file(&batch, opts).unwrap();
+        let file = ColumnarFile::parse(good.clone()).unwrap();
+        assert_eq!(file.footer().row_groups().len(), 4);
+        for at in 0..=good.len() - 9 {
+            let mut bad = good.to_vec();
+            bad[at..at + 9].fill(0xFF);
+            if let Ok(file) = ColumnarFile::parse(Bytes::from(bad)) {
+                let _ = file.read_all();
+            }
+        }
+    }
+
+    /// One Int64 column, one group of `rows` rows whose one chunk holds the
+    /// value 1 and claims to lie at `offset`, `length` bytes long.
+    fn one_chunk_file(offset: u64, length: u64, rows: u64) -> Bytes {
+        let mut footer = Vec::new();
+        put_u64(&mut footer, 1);
+        put_str(&mut footer, "v");
+        for field in [0, 0, 1, rows, offset, length, 0, 0, rows, 0, 0] {
+            put_u64(&mut footer, field);
+        }
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&[0, 1, 2]); // all valid, one value, 1
+        file.extend_from_slice(&footer);
+        file.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        file.extend_from_slice(MAGIC);
+        Bytes::from(file)
+    }
+
+    /// Every chunk range is checked once, at parse: one whose end passes
+    /// 2^64 or runs into the footer is refused there, as is a group of
+    /// more rows than any group may hold.
+    #[test]
+    fn footers_are_checked_at_parse() {
+        let file = ColumnarFile::parse(one_chunk_file(4, 3, 1)).unwrap();
+        assert_eq!(file.read_all().unwrap().column(0).value(0), Value::Int(1));
+        assert!(ColumnarFile::parse(one_chunk_file(u64::MAX - 1, 3, 1)).is_err());
+        assert!(ColumnarFile::parse(one_chunk_file(4, 4, 1)).is_err());
+        let too_many = MAX_GROUP_ROWS as u64 + 1;
+        assert!(ColumnarFile::parse(one_chunk_file(4, 3, too_many)).is_err());
+    }
+
+    /// The writer cuts groups of at least one row and at most as many as
+    /// the reader accepts, whatever the options ask for.
+    #[test]
+    fn group_size_is_clamped() {
+        let schema = Schema::new(vec![Field::new("v", DataType::Int64)]);
+        let column = |n| ColumnVector::Int64 {
+            values: vec![7; n],
+            validity: None,
+        };
+        for (rows, asked, groups) in [(3, 0, 3), (MAX_GROUP_ROWS + 1, usize::MAX, 2)] {
+            let batch = RecordBatch::new(schema.clone(), vec![column(rows)]).unwrap();
+            let opts = WriterOptions {
+                row_group_rows: asked,
+                ..Default::default()
+            };
+            let file = ColumnarFile::parse(ColumnarWriter::encode_file(&batch, opts).unwrap());
+            let file = file.unwrap();
+            assert_eq!(file.footer().row_groups().len(), groups);
+            assert_eq!(file.read_all().unwrap(), batch);
+        }
     }
 
     /// The bytes of a two-group file that exercises every encoding the

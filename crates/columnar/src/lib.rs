@@ -21,13 +21,17 @@
 //! * [`Value`] — dynamically typed scalar used for literals and statistics.
 //! * [`ColumnVector`] / [`RecordBatch`] — the in-memory vectorized form
 //!   ([`StrVec`] holds a string column's values in one buffer).
-//! * [`ColumnarWriter`] / [`ColumnarFile`] — file encode/decode with
-//!   plain, run-length, delta-varint, dictionary and bit-packed encodings.
+//! * [`ColumnarWriter`] / [`ColumnarFile`] / [`ColumnarFooter`] — file
+//!   encode/decode with plain, run-length, delta-varint, dictionary and
+//!   bit-packed encodings.
+//! * [`codec`] — the one binary encoding of every blob the engine writes
+//!   for itself, data files included (`polaris-lst` re-exports it).
 //! * [`Bitmap`] / [`DeleteVector`] — the deletion-vector file format.
 //! * [`hash`] — the seeded hasher of every table keyed by column values.
 //! * [`zorder`] — Z-order key interleaving used for range partitioning.
 
 mod bitmap;
+pub mod codec;
 mod delete_vector;
 mod encoding;
 mod error;

@@ -54,8 +54,13 @@ impl ColumnStats {
         self.row_count += 1;
         if value.is_null() {
             self.null_count += 1;
-            return;
+        } else {
+            self.widen(value);
         }
+    }
+
+    /// Widen `[min, max]` to cover `value`; a NaN never becomes a bound.
+    fn widen(&mut self, value: &Value) {
         if matches!(value, Value::Float(f) if f.is_nan()) {
             return;
         }
@@ -77,16 +82,13 @@ impl ColumnStats {
         }
     }
 
-    /// Merge stats from another chunk of the same column.
+    /// Merge stats from another chunk of the same column. The counts
+    /// saturate: a footer's are read from the file, not trusted.
     pub fn merge(&mut self, other: &ColumnStats) {
-        self.null_count += other.null_count;
-        self.row_count += other.row_count;
+        self.null_count = self.null_count.saturating_add(other.null_count);
+        self.row_count = self.row_count.saturating_add(other.row_count);
         for v in [&other.min, &other.max].into_iter().flatten() {
-            let mut probe = ColumnStats::default();
-            std::mem::swap(self, &mut probe);
-            probe.observe(v);
-            probe.row_count -= 1; // observe counts a row; merge must not
-            *self = probe;
+            self.widen(v);
         }
     }
 
@@ -271,6 +273,20 @@ mod tests {
         assert_eq!(a.max, Some(Value::Int(100)));
         assert_eq!(a.null_count, 1);
         assert_eq!(a.row_count, 3);
+    }
+
+    /// A footer's counts are read from the file: merging two that sum past
+    /// `u64::MAX` saturates instead of overflowing.
+    #[test]
+    fn merge_saturates_counts() {
+        let huge = ColumnStats {
+            null_count: u64::MAX,
+            row_count: u64::MAX,
+            ..Default::default()
+        };
+        let mut acc = huge.clone();
+        acc.merge(&huge);
+        assert_eq!((acc.null_count, acc.row_count), (u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -1,19 +1,28 @@
 //! The decoders that read bytes back from the store never panic, and every
 //! encoder's output decodes to exactly what it encoded.
 //!
-//! Four decoders read what an earlier process (or a damaged store) left:
-//! `Manifest::decode`, `Checkpoint::decode`, `wal::decode_frames` and
-//! `recovery::fold_checkpoint`. Each is fed random byte strings, every
-//! prefix of a valid encoding, every single-bit flip of a valid *unframed*
-//! payload (re-framed with a matching checksum: inside a frame the CRC
-//! already rejects a flip, so only this reaches the payload decoder), and
-//! valid records whose string or list length claims `u32::MAX` or
-//! `u64::MAX`. Every call must return — `Ok`, `Err` or a torn tail.
+//! Six decoders read what an earlier process (or a damaged store) left:
+//! `Manifest::decode`, `Checkpoint::decode`, `wal::decode_frames`,
+//! `recovery::fold_checkpoint`, the columnar data-file readers (whole, with
+//! `ColumnarFile::parse` and `read_all`, and lazily, footer then chunk by
+//! chunk) and `DeleteVector::from_bytes`. Each is fed random byte strings,
+//! every prefix of a valid encoding, every single-bit flip of a valid
+//! *unframed* payload (re-framed with a matching checksum: inside a frame
+//! the CRC already rejects a flip, so only this reaches the payload
+//! decoder), and valid records whose string or list length claims
+//! `u32::MAX` or `u64::MAX`; a data file and a delete vector also get every
+//! run of nine `0xFF` bytes. Every call must return — `Ok`, `Err` or a torn
+//! tail.
 
+use bytes::Bytes;
 use polaris_catalog::wal::{self, WalBatch, WalCommit, WalTail, WAL_HEADER_LEN, WAL_MAGIC};
 use polaris_catalog::{
     CatalogImage, CatalogKey, CatalogValue, CheckpointRow, ManifestRow, TableId, TableImage,
     TableMeta, TxnId,
+};
+use polaris_columnar::{
+    ColumnarError, ColumnarFile, ColumnarFooter, ColumnarWriter, DataType, DeleteVector, Field,
+    RecordBatch, Schema, Value, WriterOptions,
 };
 use polaris_core::recovery::{encode_base_frame, fold_checkpoint, CHECKPOINT_PREFIX};
 use polaris_core::{sto, EngineConfig, PolarisEngine};
@@ -163,6 +172,84 @@ fn sample_checkpoint_blob() -> Vec<u8> {
     blob
 }
 
+/// A three-group data file holding every chunk encoding the writer picks:
+/// delta and RLE integers, plain `f64` behind a validity bitmap, plain and
+/// dictionary strings, packed bools and delta-coded dates.
+fn sample_data_file() -> Bytes {
+    let schema = Schema::new(vec![
+        Field::new("delta", DataType::Int64),
+        Field::new("rle", DataType::Int64),
+        Field::nullable("f", DataType::Float64),
+        Field::new("plain", DataType::Utf8),
+        Field::new("dict", DataType::Utf8),
+        Field::new("b", DataType::Bool),
+        Field::new("d", DataType::Date32),
+    ]);
+    let rows: Vec<Vec<Value>> = (0..20)
+        .map(|i| {
+            vec![
+                Value::Int(3 * i - 40),
+                Value::Int(if i % 8 < 5 { 7 } else { -1 }),
+                if i % 5 == 3 {
+                    Value::Null
+                } else {
+                    Value::Float(i as f64 / 4.0)
+                },
+                Value::Str(format!("p{i}")),
+                Value::Str(if i % 2 == 0 { "x" } else { "yé" }.into()),
+                Value::Bool(i % 3 == 0),
+                Value::Date(i as i32 * 10 - 20),
+            ]
+        })
+        .collect();
+    let batch = RecordBatch::from_rows(schema, &rows).unwrap();
+    let options = WriterOptions {
+        row_group_rows: 8,
+        ..Default::default()
+    };
+    let file = ColumnarWriter::encode_file(&batch, options).unwrap();
+    assert_eq!(read_data_file(&file), [true, true]);
+    file
+}
+
+fn sample_delete_vector() -> Bytes {
+    let mut dv = DeleteVector::new();
+    for row in [0, 3, 64, 70] {
+        dv.delete_row(row);
+    }
+    dv.to_bytes()
+}
+
+/// A data file written by hand: magic, `body`, `footer`, its length, magic.
+fn pcf(body: &[u8], footer: &[u8]) -> Vec<u8> {
+    [
+        b"PCF1",
+        body,
+        footer,
+        &(footer.len() as u32).to_le_bytes(),
+        b"PCF1",
+    ]
+    .concat()
+}
+
+/// The footer of a one-column file (`dtype`, not nullable) with one group
+/// of `rows` rows, its one chunk of `encoding` at `offset`, `length` long.
+fn footer(dtype: u64, encoding: u64, rows: u64, offset: u64, length: u64) -> Vec<u8> {
+    let mut out = varint(1);
+    put_str(&mut out, "c");
+    for field in [dtype, 0, 1, rows, offset, length, encoding, 0, rows, 0, 0] {
+        put_u64(&mut out, field);
+    }
+    out
+}
+
+/// A one-column file holding `payload` as the one chunk of a group of
+/// `rows` rows.
+fn data_file(dtype: u64, encoding: u64, rows: u64, payload: &[u8]) -> Vec<u8> {
+    let length = payload.len() as u64;
+    pcf(payload, &footer(dtype, encoding, rows, 4, length))
+}
+
 // ---------------------------------------------------------------------
 // Framing, by hand
 // ---------------------------------------------------------------------
@@ -203,6 +290,42 @@ fn decode_everything(bytes: &[u8]) {
     let _ = Checkpoint::decode(bytes);
     let _ = wal::decode_frames(bytes);
     let _ = fold_checkpoint(bytes);
+    let _ = read_data_file(bytes);
+    let _ = DeleteVector::from_bytes(Bytes::copy_from_slice(bytes));
+}
+
+/// Read `bytes` as a data file both ways a scan does, and say whether each
+/// read all of it: whole (`parse`, then `read_all`), and lazily.
+fn read_data_file(bytes: &[u8]) -> [bool; 2] {
+    let data = Bytes::copy_from_slice(bytes);
+    let whole = ColumnarFile::parse(data.clone()).and_then(|f| f.read_all());
+    [whole.is_ok(), read_lazily(&data).is_ok()]
+}
+
+/// The lazy reader: tail probe, footer, merged statistics, then each chunk
+/// by its range, as a range read would fetch it.
+fn read_lazily(data: &Bytes) -> Result<(), ColumnarError> {
+    let len = data.len() as u64;
+    let footer_len = ColumnarFooter::footer_len_from_tail(&data[data.len().saturating_sub(8)..])?;
+    let start = len
+        .checked_sub(footer_len + 8)
+        .ok_or_else(|| ColumnarError::corrupt("footer longer than the file"))?;
+    let footer = ColumnarFooter::parse_tail(data.slice(start as usize..), len)?;
+    for field in footer.schema().fields() {
+        footer.column_stats(&field.name)?;
+    }
+    for group in footer.row_groups() {
+        for (field, chunk) in footer.schema().fields().iter().zip(&group.chunks) {
+            // Parsing checked the range, so a store serves it as asked.
+            assert!(chunk
+                .offset
+                .checked_add(chunk.length)
+                .is_some_and(|end| end <= len));
+            let payload = data.slice(chunk.offset as usize..(chunk.offset + chunk.length) as usize);
+            footer.decode_chunk_payload(field, chunk, payload, group.rows as usize)?;
+        }
+    }
+    Ok(())
 }
 
 fn varint(n: u64) -> Vec<u8> {
@@ -222,6 +345,8 @@ fn every_prefix_of_a_valid_encoding_returns() {
         sample_checkpoint().encode().to_vec(),
         wal::encode_frame(&sample_batch()).unwrap(),
         sample_checkpoint_blob(),
+        sample_data_file().to_vec(),
+        sample_delete_vector().to_vec(),
     ];
     for blob in &blobs {
         for cut in 0..=blob.len() {
@@ -261,6 +386,12 @@ fn every_bit_flip_of_a_valid_payload_returns() {
     let batch = wal::encode_frame(&sample_batch()).unwrap();
     for flipped in bit_flips(&batch[WAL_HEADER_LEN..]) {
         let _ = wal::decode_frames(&frame(&flipped));
+    }
+    for flipped in bit_flips(&sample_data_file()) {
+        read_data_file(&flipped);
+    }
+    for flipped in bit_flips(&sample_delete_vector()) {
+        let _ = DeleteVector::from_bytes(flipped.into());
     }
     // Each frame of a checkpoint blob in turn, the others left whole.
     let frames = payloads(&sample_checkpoint_blob());
@@ -317,19 +448,87 @@ fn lengths_claiming_u32_or_u64_max_are_refused() {
     }
 }
 
+/// Nine `0xFF` bytes are a varint of 63 set bits still asking for more:
+/// laid over any stretch of a data file or a delete vector, a count, a
+/// length, an offset or a tag turns huge.
+#[test]
+fn runs_of_ff_over_a_data_file_return() {
+    for blob in [sample_data_file(), sample_delete_vector()] {
+        for at in 0..=blob.len() - 9 {
+            let mut damaged = blob.to_vec();
+            damaged[at..at + 9].fill(0xFF);
+            read_data_file(&damaged);
+            let _ = DeleteVector::from_bytes(damaged.into());
+        }
+    }
+}
+
+#[test]
+fn data_file_claims_are_refused() {
+    let refused = |file: Vec<u8>| assert_eq!(read_data_file(&file), [false, false]);
+    // The one chunk of an Int64 column: all valid, one row, value 1.
+    let one = [0, 1, 2];
+    assert_eq!(read_data_file(&data_file(0, 0, 1, &one)), [true, true]);
+    for claim in [u64::from(u32::MAX), 1 << 61, u64::MAX] {
+        let with = |head: &[u8], tail: &[u8]| [head, &varint(claim), tail].concat();
+        // One-row chunks claiming `claim` values: Float64 (type 1,
+        // encoding 2), plain strings, dictionary entries and dictionary
+        // codes (type 2, encodings 3 and 4), bools (type 3, encoding 5).
+        refused(data_file(1, 2, 1, &with(&[0], &[0; 8])));
+        refused(data_file(2, 3, 1, &with(&[0], &[1, b'a'])));
+        refused(data_file(2, 4, 1, &with(&[0], &[1, b'a', 1, 0])));
+        refused(data_file(2, 4, 1, &with(&[0, 1, 1, b'a'], &[0])));
+        refused(data_file(3, 5, 1, &with(&[0], &[1])));
+        // A validity bitmap of `claim` bytes; an RLE chunk (type 0,
+        // encoding 1) of two rows whose second run is `claim` long.
+        refused(data_file(0, 0, 1, &with(&[1], &[0; 16])));
+        refused(data_file(0, 1, 2, &with(&[0, 2, 14, 1, 14], &[])));
+        // Three bytes of RLE for `claim` rows, in a group claiming as many:
+        // no group may hold more than 2^20.
+        refused(data_file(0, 1, claim, &with(&[0], &with(&[14], &[]))));
+        // A footer claiming `claim` columns, `claim` groups, or a column
+        // name of `claim` bytes; a chunk at offset `claim`.
+        refused(pcf(&[], &with(&[], &[1, b'c', 0, 0, 0])));
+        refused(pcf(&[], &with(&[0], &[])));
+        refused(pcf(&[], &with(&[1], b"c\0\0\0")));
+        refused(pcf(&one, &footer(0, 0, 1, claim, 3)));
+    }
+    // Lengths that wrapped an addition in an earlier reader: a name two
+    // bytes short of 2^64, a chunk range that ends at 2^64.
+    refused(pcf(
+        &[],
+        &[&[1][..], &varint(u64::MAX - 1), b"c\0\0\0"].concat(),
+    ));
+    refused(pcf(&one, &footer(0, 0, 1, u64::MAX - 2, 3)));
+    // A validity bitmap of 64 rows, every one of them NULL, over a group
+    // of one row.
+    let mut bitmap = vec![1, 16];
+    bitmap.extend(64u64.to_le_bytes());
+    bitmap.extend(u64::MAX.to_le_bytes());
+    refused(data_file(0, 0, 1, &[&bitmap[..], &one[1..]].concat()));
+    // A group of 2^20 + 1 rows, its one run that long.
+    let rows = (1 << 20) + 1;
+    let run = [&[0][..], &varint(rows), &[14], &varint(rows)].concat();
+    refused(data_file(0, 1, rows, &run));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Noise, and noise behind a valid frame header.
+    /// Noise, noise behind a valid frame header, and noise split into the
+    /// chunks and the footer of a data file.
     #[test]
     fn random_bytes_return(
         noise in proptest::collection::vec(any::<u8>(), 0..256),
         framed in any::<bool>(),
+        split in 0usize..256,
     ) {
         decode_everything(&noise);
         if framed {
             decode_everything(&frame(&noise));
         }
+        let (body, footer) = noise.split_at(split.min(noise.len()));
+        read_data_file(&pcf(body, footer));
     }
 }
 

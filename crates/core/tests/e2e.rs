@@ -766,7 +766,7 @@ fn zorder_clustering_tightens_file_statistics() {
                         .get(&polaris_store::BlobPath::new(e.path).unwrap())
                         .unwrap();
                     let file = polaris_columnar::ColumnarFile::parse(bytes).unwrap();
-                    let stats = file.column_stats("k").unwrap();
+                    let stats = file.footer().column_stats("k").unwrap();
                     let lo = stats.min.unwrap().as_int().unwrap();
                     let hi = stats.max.unwrap().as_int().unwrap();
                     total += hi - lo;

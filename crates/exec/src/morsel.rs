@@ -34,8 +34,7 @@
 
 use crate::{Cell, ExecResult, Expr};
 use polaris_columnar::{
-    Bitmap, ColumnStats, ColumnVector, ColumnarError, ColumnarFooter, DeleteVector, RecordBatch,
-    Schema,
+    Bitmap, ColumnVector, ColumnarError, ColumnarFooter, DeleteVector, RecordBatch, Schema,
 };
 use polaris_obs::ScanMeter;
 use polaris_store::{BlobPath, ObjectStore};
@@ -239,16 +238,7 @@ pub fn plan_file_scan(
 
     // File-level stats pruning from the footer.
     if let Some(pred) = predicate {
-        let merged = |name: &str| {
-            footer.schema().index_of(name).ok().map(|idx| {
-                let mut acc = ColumnStats::default();
-                for g in footer.row_groups() {
-                    acc.merge(&g.chunks[idx].stats);
-                }
-                acc
-            })
-        };
-        if !pred.may_match(&merged) {
+        if !pred.may_match(&|name: &str| footer.column_stats(name).ok()) {
             if let Some(m) = meter {
                 ScanMeter::bump(&m.files_pruned, 1);
             }

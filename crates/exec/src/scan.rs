@@ -36,7 +36,8 @@ pub fn scan_cell(
         return Ok(None);
     }
     let file = ColumnarFile::parse(store.get(&BlobPath::new(cell.file.clone())?)?)?;
-    if predicate.is_some_and(|pred| !pred.may_match(&|name: &str| file.column_stats(name).ok())) {
+    let footer = file.footer();
+    if predicate.is_some_and(|pred| !pred.may_match(&|name: &str| footer.column_stats(name).ok())) {
         return Ok(None);
     }
     // The stored deletes, joined by this scan's rows as it goes: a row
@@ -48,12 +49,12 @@ pub fn scan_cell(
     };
     let mut batches = Vec::new();
     let mut row_offset = 0usize;
-    for (gi, group) in file.row_groups().iter().enumerate() {
+    for (gi, group) in footer.row_groups().iter().enumerate() {
         let group_rows = group.rows as usize;
         let first_row = row_offset;
         row_offset += group_rows;
         let group_stats = |name: &str| {
-            let idx = file.schema().index_of(name).ok()?;
+            let idx = footer.schema().index_of(name).ok()?;
             Some(group.chunks[idx].stats.clone())
         };
         if predicate.is_some_and(|pred| !pred.may_match(&group_stats)) {

@@ -103,16 +103,7 @@ pub fn scan_cell_lazy_metered(
 
     // File-level stats pruning from the footer.
     if let Some(pred) = predicate {
-        let merged = |name: &str| {
-            footer.schema().index_of(name).ok().map(|idx| {
-                let mut acc = polaris_columnar::ColumnStats::default();
-                for g in footer.row_groups() {
-                    acc.merge(&g.chunks[idx].stats);
-                }
-                acc
-            })
-        };
-        if !pred.may_match(&merged) {
+        if !pred.may_match(&|name: &str| footer.column_stats(name).ok()) {
             if let Some(m) = meter {
                 ScanMeter::bump(&m.files_pruned, 1);
             }

@@ -17,8 +17,9 @@
 //!   *blocks* (one per BE task, §3.2.2) concatenate into a valid manifest —
 //!   the property the Block Blob commit protocol depends on.
 //! * [`codec`] — the one binary encoding of every blob the engine writes for
-//!   itself (manifests, checkpoints, and the catalog's log and checkpoint
-//!   payloads); JSON is left to the published Delta log.
+//!   itself (data files, manifests, checkpoints, and the catalog's log and
+//!   checkpoint payloads), re-exported from `polaris-columnar`, its home;
+//!   JSON is left to the published Delta log.
 //! * [`TableSnapshot`] — reconstructed state: live data files plus their
 //!   delete vectors.
 //! * [`TxnDelta`] — a transaction's private, uncommitted changes, overlaid
@@ -34,13 +35,14 @@
 mod action;
 mod cache;
 mod checkpoint;
-pub mod codec;
 mod delta;
 mod error;
 mod manifest;
 pub mod orphan;
 pub mod publish;
 mod snapshot;
+
+pub use polaris_columnar::codec;
 
 pub use action::{ColRange, DataFileEntry, DvEntry, ManifestAction, RangeVal};
 pub use cache::SnapshotCache;

@@ -30,12 +30,17 @@ cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
 # checkpoint format stands on, and the cost test counts the bytes a
 # generation, the tick and a read send to the store instead of timing them.
 cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
-# Decoder smoke, optimized as it ships: the four decoders that read bytes
+# Decoder smoke, optimized as it ships: the six decoders that read bytes
 # back from the store (manifests, lst checkpoints, WAL frames, catalog
-# checkpoint blobs) return on random bytes, every prefix, every bit flip of
-# a payload and lengths claiming u32/u64::MAX — and every encoder's output
-# decodes to what it encoded, however manifest blocks were split.
+# checkpoint blobs, the columnar file read whole and footer-then-chunks,
+# and the delete vector) return on random bytes, every prefix, every bit
+# flip, every run of nine 0xFF bytes over a data file and lengths claiming
+# u32/u64::MAX — and every encoder's output decodes to what it encoded,
+# however manifest blocks were split.
 cargo test --release -q -p polaris-core --test decoder_fuzz
+# Release arithmetic wraps where debug arithmetic panics, so the columnar
+# golden-bytes test and encoding proptests also run the arithmetic that ships.
+cargo test --release -q -p polaris-columnar
 # Scheduler smoke, optimized as it ships: the races between a scheduler
 # parking for a slot, a node being killed under an attempt (on a lane or on
 # the committing thread) and a slot release only show at release timing, as
