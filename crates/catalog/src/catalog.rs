@@ -611,12 +611,16 @@ impl Catalog {
 
     /// [`Catalog::import`] of an image the caller is done with: every path
     /// and schema string moves into its catalog row instead of being
-    /// copied — recovery imports one row per commit since the base.
+    /// copied — recovery folds the whole log tail into the image it imports.
+    /// Afterwards the commit clock stands at the image's, and the table-id
+    /// and transaction-id allocators are past every id its rows hold: a
+    /// `Manifests` row carries its transaction's id, as do the names of the
+    /// files it lists.
     pub fn import_owned(&self, image: CatalogImage) -> CatalogResult<()> {
         let mut txn = self.begin(IsolationLevel::Snapshot);
-        let mut max_id = 1000u64;
+        let (mut max_table, mut max_txn) = (0u64, 0u64);
         for t in image.tables {
-            max_id = max_id.max(t.id);
+            max_table = max_table.max(t.id);
             let id = TableId(t.id);
             let meta = TableMeta {
                 id,
@@ -627,6 +631,7 @@ impl Catalog {
             };
             self.register_table(&mut txn, meta)?;
             for (seq, manifest_file, txn_id) in t.manifests {
+                max_txn = max_txn.max(txn_id);
                 self.store.write(
                     &mut txn,
                     CatalogKey::Manifest(id, SequenceId(seq)),
@@ -645,43 +650,18 @@ impl Catalog {
             }
         }
         self.commit(&mut txn)?;
-        // Sequence and id counters must move past everything restored.
         self.store.advance_clock(Timestamp(image.clock));
-        self.next_table_id.fetch_max(max_id + 1, Ordering::SeqCst);
+        self.advance_ids(TableId(max_table), TxnId(max_txn));
         Ok(())
     }
 
-    /// Re-install one logged commit during recovery (see
-    /// [`MvccStore::replay_install`]): no validation, no re-logging, and
-    /// the dense-clock invariant is enforced — `commit_ts` must be exactly
-    /// `now() + 1` or the call fails with [`CatalogError::ReplayGap`].
-    ///
-    /// Besides installing the writes, the table-id allocator is advanced
-    /// past any table id the record creates, so post-recovery DDL never
-    /// collides with a replayed table.
-    pub fn replay_commit(
-        &self,
-        commit_ts: Timestamp,
-        writes: Vec<(CatalogKey, Option<CatalogValue>)>,
-    ) -> CatalogResult<()> {
-        let mut max_table_id = 0u64;
-        for (key, _) in &writes {
-            if let CatalogKey::Table(id) = key {
-                max_table_id = max_table_id.max(id.0);
-            }
-        }
-        self.store.replay_install(commit_ts, writes)?;
-        if max_table_id > 0 {
-            self.next_table_id
-                .fetch_max(max_table_id + 1, Ordering::SeqCst);
-        }
-        Ok(())
-    }
-
-    /// Advance the transaction-id allocator past `floor` (see
-    /// [`MvccStore::advance_txn_ids`]).
-    pub fn advance_txn_ids(&self, floor: TxnId) {
-        self.store.advance_txn_ids(floor)
+    /// Move the table-id and transaction-id allocators past `table` and
+    /// `txn` (see [`MvccStore::advance_txn_ids`]), so ids allocated
+    /// afterwards are above both. Must not race allocations: it runs while
+    /// a catalog is rebuilt, before traffic.
+    pub fn advance_ids(&self, table: TableId, txn: TxnId) {
+        self.next_table_id.fetch_max(table.0 + 1, Ordering::SeqCst);
+        self.store.advance_txn_ids(txn)
     }
 
     /// Vacuum old catalog versions up to the GC watermark.

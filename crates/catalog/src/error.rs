@@ -46,12 +46,12 @@ pub enum CatalogError {
         /// Human-readable description of the underlying failure.
         detail: String,
     },
-    /// Recovery replay observed a log record whose commit timestamp is
-    /// not exactly one past the rebuilt clock. The dense-clock invariant
-    /// forbids installing past a hole; replay stops here and the record
-    /// (plus everything after it) is discarded as unrecoverable tail.
+    /// Recovery met a log record whose commit timestamp is not exactly one
+    /// past the clock of the image folded so far: acknowledged history is
+    /// missing below it. The dense-clock invariant forbids folding past a
+    /// hole, so recovery fails rather than open a shorter catalog.
     ReplayGap {
-        /// The timestamp replay expected next (`clock + 1`).
+        /// The timestamp the fold expected next (`clock + 1`).
         expected: u64,
         /// The timestamp the log record actually carried.
         found: u64,

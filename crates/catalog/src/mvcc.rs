@@ -465,50 +465,21 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
         Timestamp(self.committed.load(Ordering::SeqCst))
     }
 
-    /// Advance the commit clock to at least `floor` — used when restoring
-    /// a catalog backup so new commits sequence after everything restored.
-    /// Must not race in-flight commits (restore happens before traffic).
+    /// Advance the commit clock to at least `floor` — used when a catalog
+    /// is rebuilt from an image (recovery, backup restore) so new commits
+    /// sequence after everything it holds. Must not race in-flight commits
+    /// (a rebuild happens before traffic).
     pub fn advance_clock(&self, floor: Timestamp) {
         self.committed.fetch_max(floor.0, Ordering::SeqCst);
     }
 
-    /// Advance the transaction-id allocator past `floor` — recovery calls
-    /// this with the largest replayed transaction id so post-recovery
-    /// transactions never reuse a logged id (the GC watermark of §5.3 is
-    /// expressed in transaction ids and depends on their monotonicity).
+    /// Advance the transaction-id allocator past `floor` — a rebuilt
+    /// catalog calls this with the largest transaction id the durable state
+    /// holds, so later transactions never reuse one (the GC watermark of
+    /// §5.3 is expressed in transaction ids and depends on their
+    /// monotonicity; manifest and data file names carry them).
     pub fn advance_txn_ids(&self, floor: TxnId) {
         self.next_txn.fetch_max(floor.0 + 1, Ordering::SeqCst);
-    }
-
-    /// Re-install one logged commit during recovery, bypassing the commit
-    /// protocol: no validation (the writes already won validation before
-    /// they were logged), no commit-log hook (replay must not re-log).
-    ///
-    /// Enforces the dense-clock recovery invariant: `commit_ts` must be
-    /// exactly `now() + 1`. A gap means the log tail is missing a record
-    /// below `commit_ts` — replaying past it would publish a sequence
-    /// with a hole underneath, which snapshot caches, checkpoints and GC
-    /// retention (all keyed by contiguous sequence numbers) must never
-    /// observe. Callers stop replay at the first [`CatalogError::ReplayGap`].
-    ///
-    /// Must only run before the store takes traffic (no concurrent
-    /// commits — recovery owns the store exclusively).
-    pub fn replay_install(
-        &self,
-        commit_ts: Timestamp,
-        writes: Vec<(K, Option<V>)>,
-    ) -> CatalogResult<()> {
-        let expected = Timestamp(self.committed.load(Ordering::SeqCst) + 1);
-        if commit_ts != expected {
-            return Err(CatalogError::ReplayGap {
-                expected: expected.0,
-                found: commit_ts.0,
-            });
-        }
-        let mut writes = writes;
-        self.install_at(commit_ts, &mut writes, &mut Vec::new());
-        self.committed.store(commit_ts.0, Ordering::SeqCst);
-        Ok(())
     }
 
     /// Build a transaction handle on recycled scratch (or fresh, empty
@@ -1440,31 +1411,6 @@ mod tests {
         s.vacuum(s.min_active_snapshot().unwrap());
         assert_eq!(s.read(&mut old_reader, &k("a")).unwrap(), Some(1));
         let _ = ts1;
-    }
-
-    #[test]
-    fn replay_install_enforces_dense_clock() {
-        let s = Store::new();
-        s.replay_install(Timestamp(1), vec![(k("a"), Some(1))])
-            .unwrap();
-        // A gap is rejected and leaves the clock untouched.
-        let err = s
-            .replay_install(Timestamp(3), vec![(k("b"), Some(2))])
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CatalogError::ReplayGap {
-                expected: 2,
-                found: 3
-            }
-        ));
-        assert_eq!(s.now(), Timestamp(1));
-        s.replay_install(Timestamp(2), vec![(k("a"), None)])
-            .unwrap();
-        let mut r = s.begin(IsolationLevel::Snapshot);
-        assert_eq!(s.read(&mut r, &k("a")).unwrap(), None);
-        let mut hist = s.begin_at(Timestamp(1));
-        assert_eq!(s.read(&mut hist, &k("a")).unwrap(), Some(1));
     }
 
     #[test]

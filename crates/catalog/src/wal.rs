@@ -29,8 +29,8 @@
 //!
 //! The payload is the full effect of every batch member — buffered writes
 //! plus the extra (manifest-row) writes computed at the commit point — so
-//! replay re-installs a commit verbatim without re-running any engine
-//! logic.
+//! recovery folds a commit into the catalog image verbatim without
+//! re-running any engine logic.
 
 use crate::{
     CatalogImage, CatalogKey, CatalogValue, CheckpointRow, CommitLogRecord, ManifestRow, TableId,

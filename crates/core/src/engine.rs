@@ -278,8 +278,8 @@ impl PolarisEngine {
         if let Some(writer) = &engine.durability {
             let report = recovery::recover(writer, &engine.catalog)?;
             *engine.recovery.lock() = Some(report);
-            // Only now: a hook live during replay would re-log recovered
-            // installs into the segments being read.
+            // Only now: a hook live during the import would log the
+            // recovered rows again, into a segment being read.
             let writer = Arc::clone(writer);
             engine
                 .catalog
@@ -513,8 +513,11 @@ impl PolarisEngine {
     }
 
     /// Open an engine from a catalog backup previously written by
-    /// [`backup_catalog`](PolarisEngine::backup_catalog): a restart. A torn
-    /// or corrupt backup fails its frame checksum and is refused.
+    /// [`backup_catalog`](PolarisEngine::backup_catalog): a restart. The
+    /// backup is folded and imported as recovery imports its image, so the
+    /// clock and the table-id and transaction-id allocators move past
+    /// everything it holds and new writes never reuse a restored file name.
+    /// A torn or corrupt backup fails its frame checksum and is refused.
     pub fn restore(
         store: Arc<dyn ObjectStore>,
         pool: Arc<ComputePool>,

@@ -26,7 +26,7 @@
 //!   and exports nothing. A new blob starts from a full export, the one O(history)
 //!   write left, when the deltas outweigh the base (doubling: amortised
 //!   O(1) bytes per row, bounded block count, dropped tables leave) and on
-//!   the first generation after `open`, whose replayed log tail never
+//!   the first generation after `open`, whose folded log tail never
 //!   passed the hook. Every generation rolls the segment and prunes with a
 //!   lag of one — segment *i* goes when segment *i+1* starts at or below
 //!   `cover + 1`, `cover` the **previous** frame's clock; the previous blob
@@ -36,33 +36,40 @@
 //!   [`PolarisEngine::open`](crate::PolarisEngine::open) *before* the log
 //!   hook is installed): one `get` of the newest blob, its longest valid
 //!   frame prefix folded into one image ([`fold_checkpoint`]; no intact
-//!   base: the blob before) and imported — O(history), as any restart is —
-//!   then every log record above that clock replayed in timestamp order up
-//!   to the first tear. The **torn-tail rule**: a trailing frame that is
+//!   base: the blob before), then every log record above that clock folded
+//!   into the same image in timestamp order up to the first tear — each
+//!   commit's image rows as one `CatalogDelta` — and the result imported
+//!   once ([`Catalog::import_owned`], O(history), as any restart is). A
+//!   §6.3 backup restore ([`PolarisEngine::restore`](crate::PolarisEngine::restore))
+//!   is the same import of a folded blob, so both rebuilds get their
+//!   counter floors — clock, table ids, transaction ids — from one place;
+//!   recovery adds only the ids the log tail names that the image cannot
+//!   hold (transactions with no `Manifests` row, tables created and
+//!   dropped). The **torn-tail rule**: a trailing frame that is
 //!   incomplete, mis-tagged, checksum-mismatched or unparsable is discarded
 //!   with everything after it — an append the dying process never
 //!   completed, so no client was ever told it committed. The **dense-clock
-//!   invariant**: each record must install at exactly `clock + 1`
-//!   ([`polaris_catalog::Catalog::replay_commit`]); one further ahead means
-//!   acknowledged history is missing below it, and recovery fails rather
-//!   than open a shorter one. Afterwards the transaction-id allocator moves
-//!   past every id the durable state mentions, and staged manifests no
+//!   invariant**: each record must fold at exactly the image's `clock + 1`;
+//!   one further ahead means acknowledged history is missing below it, and
+//!   recovery fails with [`polaris_catalog::CatalogError::ReplayGap`]
+//!   rather than open a shorter catalog. Afterwards staged manifests no
 //!   `Manifests` row references are swept — safe exactly here, where no
 //!   transaction is in flight ([`polaris_lst::collect_orphan_manifests`]).
 //!
-//! Why replay runs hook-less: during recovery the clock rewinds to the
-//! checkpoint and advances through already-logged territory, and a live
-//! hook would re-log those installs into segments *named by the same
-//! timestamps* — overwriting the very blobs being read. `open` therefore
+//! Why the import runs hook-less: it commits rows the log already holds,
+//! and a live hook would log them again into a segment *named by the
+//! import's timestamp* — overwriting a blob being read. `open` therefore
 //! recovers first and only then wires [`CommitLogWriter`] into the catalog;
 //! fresh appends start above the recovered clock and collide with nothing.
+//! Every recovered row has one version: no engine code reads catalog
+//! history below the recovered clock.
 
 use crate::{EngineConfig, PolarisError, PolarisResult};
 use parking_lot::Mutex;
 use polaris_catalog::wal::{self, WalBatch, WalTail};
 use polaris_catalog::{
-    Catalog, CatalogImage, CatalogKey, CatalogValue, CommitLogRecord, IsolationLevel, TableImage,
-    TableMeta, TxnId,
+    Catalog, CatalogError, CatalogImage, CatalogKey, CatalogValue, CommitLogRecord, IsolationLevel,
+    TableId, TableImage, TableMeta, TxnId,
 };
 use polaris_lst::codec::{put_u64, Codec, DecodeResult, Reader};
 use polaris_obs::RecoveryMeter;
@@ -176,19 +183,28 @@ struct TableRows {
 }
 
 /// A committed catalog write the checkpoint image carries, tagged with its
-/// commit timestamp (`WriteSets` rows and name bindings are not image rows).
+/// commit timestamp.
 type LoggedWrite = (u64, CatalogKey, Option<CatalogValue>);
 
+/// Does the catalog image carry rows under `key`? `WriteSets` rows and name
+/// bindings it does not: a table's name is in its metadata.
+fn is_image_row(key: &CatalogKey) -> bool {
+    !matches!(key, CatalogKey::WriteSet(..) | CatalogKey::TableName(_))
+}
+
 impl CatalogDelta {
-    /// The delta `writes` (in commit order) amount to, or `None` when they
-    /// hold something a delta cannot say — a deleted row, a table written
-    /// after its drop — and only a fresh base can.
-    fn from_writes(clock: u64, writes: &[LoggedWrite]) -> Option<CatalogDelta> {
+    /// The delta the image rows of `writes` (in commit order) amount to, or
+    /// `None` when they hold something a delta cannot say — a deleted row, a
+    /// table written after its drop — and only a fresh base can.
+    fn from_writes<'a>(
+        clock: u64,
+        writes: impl IntoIterator<Item = (&'a CatalogKey, &'a Option<CatalogValue>)>,
+    ) -> Option<CatalogDelta> {
         let mut delta = CatalogDelta {
             clock,
             ..CatalogDelta::default()
         };
-        for (_, key, value) in writes {
+        for (key, value) in writes.into_iter().filter(|(key, _)| is_image_row(key)) {
             match (key, value) {
                 (CatalogKey::Table(id), Some(CatalogValue::Meta(meta))) => {
                     if delta.drops.contains(&id.0) {
@@ -498,7 +514,7 @@ impl CommitLogWriter {
                 continue;
             }
             for (key, value) in commit.writes {
-                if !matches!(key, CatalogKey::WriteSet(..) | CatalogKey::TableName(_)) {
+                if is_image_row(&key) {
                     state.pending.push((commit.commit_ts, key, value));
                 }
             }
@@ -533,8 +549,8 @@ impl CommitLogWriter {
     /// — then roll the segment and prune the log the *previous* generation
     /// covers. Returns the clock the checkpoint now stands at; with nothing
     /// logged since the last frame that is all it does. Failures leave the
-    /// log untouched — a missed checkpoint only means a longer replay,
-    /// never lost commits.
+    /// log untouched — a missed checkpoint only means a longer log tail to
+    /// fold, never lost commits.
     pub fn checkpoint(&self, catalog: &Catalog) -> PolarisResult<u64> {
         let mut span = self.meter.tracer.span("wal.checkpoint");
         let store = self.store.as_ref();
@@ -550,7 +566,10 @@ impl CommitLogWriter {
                     .as_ref()
                     .is_some_and(|b| b.delta_bytes <= b.base_bytes);
             appendable
-                .then(|| CatalogDelta::from_writes(state.logged_clock, &state.pending))
+                .then(|| {
+                    let writes = state.pending.iter().map(|(_, key, value)| (key, value));
+                    CatalogDelta::from_writes(state.logged_clock, writes)
+                })
                 .flatten()
         };
         let CheckpointState {
@@ -640,14 +659,15 @@ impl CommitLogWriter {
 /// and `SHOW ENGINE HEALTH`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Clock of the last intact checkpoint frame imported (0: recovered
+    /// Clock of the last intact checkpoint frame folded (0: recovered
     /// from the log alone).
     pub checkpoint_clock: u64,
     /// Log segments read.
     pub segments_scanned: u64,
-    /// Batches with at least one commit replayed.
+    /// Batches with at least one commit folded into the image.
     pub replayed_batches: u64,
-    /// Commits replayed from the log tail.
+    /// Commits of the log tail folded into the image (above the checkpoint
+    /// clock).
     pub replayed_commits: u64,
     /// Torn tail records discarded.
     pub torn_records: u64,
@@ -657,61 +677,55 @@ pub struct RecoveryReport {
     pub orphans_collected: u64,
     /// Commit clock after recovery — the replayed watermark.
     pub recovered_clock: u64,
-    /// Transaction-id floor after recovery.
-    pub recovered_txn_floor: u64,
     /// Wall time of the whole recovery.
     pub wall_ns: u64,
 }
 
 /// Rebuild `catalog` from the durable state under the writer's store:
-/// newest checkpoint blob with an intact base, then the log tail above
-/// its last intact frame, then the orphan sweep — and remember the
-/// blobs found, so that generations never have to list them. Must run
-/// before the commit-log hook is installed and before any traffic (see
-/// the module docs for why).
+/// newest checkpoint blob with an intact base and the log tail above its
+/// last intact frame folded into one image and imported, then the orphan
+/// sweep — and remember the blobs found, so that generations never have to
+/// list them. Must run before the commit-log hook is installed and before
+/// any traffic (see the module docs for why).
 pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<RecoveryReport> {
     let t0 = Instant::now();
     let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::Replay);
     let (store, meter) = (&writer.store, &writer.meter);
     let mut span = meter.tracer.span("recovery.run");
     let mut report = RecoveryReport::default();
-    let mut txn_floor = 0u64;
 
     // 1. Newest checkpoint blob, as far as its frames are intact. A
     //    torn newest frame (crash mid-generation) costs one generation;
     //    a torn base, the whole blob — the one before it is still
     //    there, and the log tail covers the difference either way.
     let checkpoints = store.list(CHECKPOINT_PREFIX)?;
+    let mut image = CatalogImage::default();
     for meta in checkpoints.iter().rev() {
-        let Some(image) = fold_checkpoint(&store.get(&meta.path)?) else {
-            continue;
-        };
-        report.checkpoint_clock = image.clock;
-        if image.clock > 0 {
-            for table in &image.tables {
-                for (_, _, txn_id) in &table.manifests {
-                    txn_floor = txn_floor.max(*txn_id);
-                }
-            }
-            catalog.import_owned(image)?;
+        if let Some(folded) = fold_checkpoint(&store.get(&meta.path)?) {
+            image = folded;
+            meter.checkpoint_loads.inc();
+            break;
         }
-        meter.checkpoint_loads.inc();
-        break;
     }
+    report.checkpoint_clock = image.clock;
 
-    // 2. Replay the log above the checkpoint, oldest segment first
-    //    (zero-padded names list in timestamp order), up to the first
-    //    tear. A segment beyond a tear is the log's continuation if it
-    //    starts right where the tear left the clock — an earlier
+    // 2. Fold the log above the checkpoint into the image, oldest segment
+    //    first (zero-padded names list in timestamp order), up to the
+    //    first tear. A segment beyond a tear is the log's continuation if
+    //    it starts right where the tear left the clock — an earlier
     //    recovery stopped there and went on logging — and stale
     //    otherwise: dropped, so it cannot shadow post-recovery appends.
+    //    Every id the log names is noted on the way: the image cannot
+    //    hold them all (transactions that wrote no `Manifests` row, tables
+    //    created and dropped), and post-recovery work allocates above them.
+    let (mut txn_floor, mut table_floor) = (0u64, 0u64);
     let mut segments = VecDeque::new();
     let mut torn = false;
     for meta in store.list(WAL_PREFIX)? {
         let Some(first_ts) = segment_first_ts(meta.path.as_str()) else {
             continue;
         };
-        if torn && first_ts != catalog.now().0 + 1 {
+        if torn && first_ts != image.clock + 1 {
             delete_if_present(store.as_ref(), &meta.path)?;
             report.segments_dropped += 1;
             continue;
@@ -725,13 +739,32 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
             let mut applied = false;
             for commit in batch.commits {
                 txn_floor = txn_floor.max(commit.txn);
-                if commit.commit_ts <= catalog.now().0 {
+                for (key, _) in &commit.writes {
+                    if let CatalogKey::Table(id) = key {
+                        table_floor = table_floor.max(id.0);
+                    }
+                }
+                if commit.commit_ts <= image.clock {
                     continue; // covered by the checkpoint image
                 }
-                // A `ReplayGap` here is acknowledged history missing
-                // below this record: fail, never open without it.
-                catalog
-                    .replay_commit(polaris_catalog::Timestamp(commit.commit_ts), commit.writes)?;
+                // Acknowledged history missing below this record: fail,
+                // never open without it.
+                if commit.commit_ts != image.clock + 1 {
+                    return Err(CatalogError::ReplayGap {
+                        expected: image.clock + 1,
+                        found: commit.commit_ts,
+                    }
+                    .into());
+                }
+                let writes = commit.writes.iter().map(|(key, value)| (key, value));
+                CatalogDelta::from_writes(commit.commit_ts, writes)
+                    .ok_or_else(|| {
+                        PolarisError::invalid(format!(
+                            "log record at commit {} holds a row no catalog image can carry",
+                            commit.commit_ts
+                        ))
+                    })?
+                    .apply_to(&mut image);
                 applied = true;
                 report.replayed_commits += 1;
                 meter.replayed_commits.inc();
@@ -748,11 +781,15 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         }
     }
 
-    // 3. Counters: post-recovery transactions and DDL must allocate above
-    //    everything the durable state mentions.
-    catalog.advance_txn_ids(TxnId(txn_floor));
-    report.recovered_clock = catalog.now().0;
-    report.recovered_txn_floor = txn_floor;
+    // 3. One import, which also moves the clock and the id allocators past
+    //    everything the image holds; then past what only the log named.
+    report.recovered_clock = image.clock;
+    // A fresh store has nothing to import, and the import's transaction
+    // would take the id the first commit gets.
+    if image.clock > 0 {
+        catalog.import_owned(image)?;
+    }
+    catalog.advance_ids(TableId(table_floor), TxnId(txn_floor));
 
     // 4. Orphan sweep: with the catalog rebuilt and nothing in flight, a
     //    `_log` manifest no `Manifests` row references can only belong to

@@ -11,9 +11,9 @@
 mod common;
 
 use common::{Request, TapStore};
-use polaris_catalog::{Catalog, CatalogImage, TableImage, Timestamp};
+use polaris_catalog::{Catalog, CatalogError, CatalogImage, IsolationLevel, TableImage, Timestamp};
 use polaris_core::recovery::{fold_checkpoint, CHECKPOINT_PREFIX, WAL_PREFIX};
-use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, Value};
+use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, PolarisError, Value};
 use polaris_dcp::ComputePool;
 use polaris_store::{BlobPath, Bytes, ChaosStore, MemoryStore, ObjectStore, Stamp};
 use proptest::prelude::*;
@@ -121,6 +121,86 @@ fn torn_tail_is_discarded_and_prefix_survives() {
     let mut s = engine.session();
     s.execute("INSERT INTO t VALUES (99)").unwrap();
     assert_eq!(count(&engine, "t"), 4);
+}
+
+/// The dense clock: a segment missing from the middle of the log is
+/// acknowledged history lost below everything after it, so `open` fails
+/// naming the gap — it never opens the shorter catalog before it.
+#[test]
+fn a_gap_in_the_log_fails_open() {
+    let store = Arc::new(MemoryStore::new());
+    let config = EngineConfig {
+        log_segment_bytes: 1, // roll every append: one commit per segment
+        log_checkpoint_every: 0,
+        ..durable_config()
+    };
+    {
+        let engine = open(&store, config);
+        let mut s = engine.session();
+        s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        for i in 0..4 {
+            s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+    }
+    let copy = copy_of(&store);
+    let segs = copy.list(WAL_PREFIX).unwrap();
+    assert_eq!(segs.len(), 5, "one segment per commit");
+    let first_ts = |at: usize| -> u64 {
+        let name = segs[at].path.as_str();
+        name[name.len() - 24..name.len() - 4].parse().unwrap()
+    };
+    copy.delete(&segs[2].path).unwrap();
+    let dyn_store: Arc<dyn ObjectStore> = Arc::new(Arc::clone(&copy));
+    match PolarisEngine::open(dyn_store, pool(), config) {
+        Err(PolarisError::Catalog(CatalogError::ReplayGap { expected, found })) => {
+            assert_eq!((expected, found), (first_ts(2), first_ts(3)));
+        }
+        Err(e) => panic!("expected a replay gap, got {e}"),
+        Ok(engine) => panic!(
+            "opened a catalog at clock {} with commit {} missing",
+            engine.catalog().now().0,
+            first_ts(2)
+        ),
+    }
+    // The store with its log whole still opens, every commit there.
+    assert_eq!(count(&open(&store, config), "t"), 4);
+}
+
+/// A table created and dropped after the last checkpoint generation is in
+/// no image, only in the log tail: recovery still allocates table ids
+/// above it.
+#[test]
+fn recovery_never_reuses_a_table_id() {
+    let store = Arc::new(MemoryStore::new());
+    let table_id = |engine: &Arc<PolarisEngine>, name: &str| {
+        let catalog = engine.catalog();
+        let mut txn = catalog.begin(IsolationLevel::Snapshot);
+        let id = catalog.table_by_name(&mut txn, name).unwrap().id;
+        catalog.abort(&mut txn);
+        id
+    };
+    let dropped = {
+        let engine = open(&store, durable_config());
+        let mut s = engine.session();
+        s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1)").unwrap();
+        let writer = engine.commit_log_writer().unwrap();
+        writer.checkpoint(engine.catalog()).unwrap();
+        s.execute("CREATE TABLE u (id BIGINT)").unwrap();
+        assert!(table_id(&engine, "u") > table_id(&engine, "t"));
+        engine.drop_table("u").unwrap()
+    };
+    let engine = open(&store, durable_config());
+    let report = engine.recovery_report().unwrap();
+    assert!(report.checkpoint_clock > 0 && report.replayed_commits == 2);
+    engine
+        .session()
+        .execute("CREATE TABLE w (id BIGINT)")
+        .unwrap();
+    assert!(
+        table_id(&engine, "w") > dropped,
+        "table id {dropped:?} reused"
+    );
 }
 
 #[test]

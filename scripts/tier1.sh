@@ -30,6 +30,10 @@ cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
 # checkpoint format stands on, and the cost test counts the bytes a
 # generation, the tick and a read send to the store instead of timing them.
 cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
+# A §6.3 backup restore rebuilds its catalog through the same fold and
+# import as recovery, so the restart-from-backup tests (a restored engine
+# keeps every row and allocates above every restored id) ride along.
+cargo test --release -q --test fault_tolerance
 # Decoder smoke, optimized as it ships: the six decoders that read bytes
 # back from the store (manifests, lst checkpoints, WAL frames, catalog
 # checkpoint blobs, the columnar file read whole and footer-then-chunks,
