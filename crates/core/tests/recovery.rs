@@ -147,7 +147,11 @@ fn a_gap_in_the_log_fails_open() {
     assert_eq!(segs.len(), 5, "one segment per commit");
     let first_ts = |at: usize| -> u64 {
         let name = segs[at].path.as_str();
-        name[name.len() - 24..name.len() - 4].parse().unwrap()
+        let name = name.strip_prefix(WAL_PREFIX).unwrap();
+        name.trim_start_matches("seg-")
+            .trim_end_matches(".wal")
+            .parse()
+            .unwrap()
     };
     copy.delete(&segs[2].path).unwrap();
     let dyn_store: Arc<dyn ObjectStore> = Arc::new(Arc::clone(&copy));
