@@ -3,13 +3,10 @@
 //! table's history — the blob's whole life costs a small multiple of one
 //! image, and neither the STO tick nor a read adds a byte to it.
 
-mod common;
-
-use common::{Request, TapStore};
 use polaris_core::recovery::{encode_base_frame, CHECKPOINT_PREFIX};
 use polaris_core::{sto, EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::{MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, Request, SimStore};
 use std::sync::{Arc, Mutex};
 
 /// Requests that write, or that a writer should not need: `(op, path, bytes)`.
@@ -29,7 +26,8 @@ fn durable_engine(every: u64) -> (Arc<PolarisEngine>, Seen) {
             }
         }
     };
-    let store: Arc<dyn ObjectStore> = Arc::new(TapStore::new(Arc::new(MemoryStore::new()), tap));
+    let store: Arc<dyn ObjectStore> =
+        Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_tap(tap));
     let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
     pool.add_nodes(WorkloadClass::System, 1, 2);
     let config = EngineConfig {

@@ -2,12 +2,9 @@
 //! reads each data file it touches once — one whole-blob `get` yields both
 //! the rows it rewrites and the delete vector that removes them.
 
-mod common;
-
-use common::{Request, TapStore};
 use polaris_core::{EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::{MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, Request, SimStore};
 use std::sync::{Arc, Mutex};
 
 #[test]
@@ -17,7 +14,8 @@ fn update_reads_its_data_file_with_one_get() {
         let seen = Arc::clone(&seen);
         move |r: Request<'_>| seen.lock().unwrap().push((r.op, r.path.to_owned()))
     };
-    let store: Arc<dyn ObjectStore> = Arc::new(TapStore::new(Arc::new(MemoryStore::new()), tap));
+    let store: Arc<dyn ObjectStore> =
+        Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_tap(tap));
     let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
     pool.add_nodes(WorkloadClass::System, 1, 2);
     let config = EngineConfig {

@@ -17,7 +17,7 @@ use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, RecordBatch, Seque
 use polaris_core::{DataType, Field, Schema};
 use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_lst::{Manifest, ManifestAction};
-use polaris_store::{BlobPath, FaultyStore, MemoryStore, ObjectStore};
+use polaris_store::{BlobPath, LatencyModel, MemoryStore, ObjectStore, SimStore};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -374,7 +374,8 @@ proptest! {
 /// what the from-scratch fold says is left to delete.
 #[test]
 fn failed_delete_mid_sweep_leaves_a_state_the_next_gc_agrees_with() {
-    let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), 0.0, 20260927));
+    let faulty =
+        Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_faults(0.0, 20260927));
     let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
     pool.add_nodes(WorkloadClass::System, 1, 2);
     let mut config = EngineConfig::for_testing();

@@ -8,7 +8,7 @@
 use polaris_core::{EngineConfig, PolarisEngine, RecordBatch, Value, HEALTH_QUERIES};
 use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_obs::http_get;
-use polaris_store::{LatencyModel, LatencyStore, MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, SimStore};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -121,7 +121,7 @@ fn health_renderings_are_the_exported_queries() {
         per_request: Duration::from_millis(10),
         per_byte: Duration::ZERO,
     };
-    let store: Arc<dyn ObjectStore> = Arc::new(LatencyStore::new(MemoryStore::new(), latency));
+    let store: Arc<dyn ObjectStore> = Arc::new(SimStore::new(MemoryStore::new(), latency));
     let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
     pool.add_nodes(WorkloadClass::System, 1, 2);
     let config = EngineConfig {

@@ -8,20 +8,18 @@ use polaris_core::{
     StatementOutcome, Value,
 };
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::{FaultyStore, MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, SimStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-type ChaosStore = Arc<FaultyStore<MemoryStore>>;
+type FaultStore = Arc<SimStore<MemoryStore>>;
 
 /// Engine over a fault-injecting store, with group commit enabled so the
 /// sequencer batch path runs under chaos too.
-fn chaos_engine(write_failure_rate: f64, seed: u64) -> (Arc<PolarisEngine>, ChaosStore) {
-    let faulty = Arc::new(FaultyStore::new(
-        MemoryStore::new(),
-        write_failure_rate,
-        seed,
-    ));
+fn chaos_engine(write_failure_rate: f64, seed: u64) -> (Arc<PolarisEngine>, FaultStore) {
+    let faulty = Arc::new(
+        SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_faults(write_failure_rate, seed),
+    );
     let pool = Arc::new(ComputePool::with_topology(2, 4, 2));
     pool.add_nodes(WorkloadClass::System, 2, 2);
     let config = EngineConfig {

@@ -8,14 +8,13 @@
 // vendored proptest stub but required by the real crate's larger config.
 #![allow(clippy::needless_update)]
 
-mod common;
-
-use common::{Request, TapStore};
 use polaris_catalog::{Catalog, CatalogError, CatalogImage, IsolationLevel, TableImage, Timestamp};
 use polaris_core::recovery::{fold_checkpoint, CHECKPOINT_PREFIX, WAL_PREFIX};
 use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, PolarisError, Value};
 use polaris_dcp::ComputePool;
-use polaris_store::{BlobPath, Bytes, ChaosStore, MemoryStore, ObjectStore, Stamp};
+use polaris_store::{
+    BlobPath, Bytes, LatencyModel, MemoryStore, ObjectStore, Request, SimStore, Stamp,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::ops::Range;
@@ -296,7 +295,7 @@ fn frozen_crash_mid_wal_append_aborts_and_leaves_no_trace() {
     }
     // Process #2 dies inside the WAL append — after staging the frame,
     // before the commit-block-list publishes it.
-    let chaos = Arc::new(ChaosStore::new(Arc::clone(&inner)));
+    let chaos = Arc::new(SimStore::new(Arc::clone(&inner), LatencyModel::ZERO));
     chaos.arm("commit_block_list", "sys/wal/", 1);
     {
         let dyn_store: Arc<dyn ObjectStore> = Arc::clone(&chaos) as Arc<dyn ObjectStore>;
@@ -578,7 +577,8 @@ fn a_commit_logged_during_a_generation_reaches_the_next_frame() {
             }
         }
     };
-    let store: Arc<dyn ObjectStore> = Arc::new(TapStore::new(Arc::clone(&inner), gate));
+    let store: Arc<dyn ObjectStore> =
+        Arc::new(SimStore::new(Arc::clone(&inner), LatencyModel::ZERO).with_tap(gate));
     let config = EngineConfig {
         log_checkpoint_every: 1_000, // forced generations only
         ..durable_config()

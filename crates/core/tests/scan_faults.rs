@@ -8,7 +8,8 @@ use parking_lot::Mutex;
 use polaris_core::{EngineConfig, PolarisEngine, StatementOutcome};
 use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_store::{
-    BlobMeta, BlobPath, BlockId, FaultyStore, MemoryStore, ObjectStore, Stamp, StoreResult,
+    BlobMeta, BlobPath, BlockId, LatencyModel, MemoryStore, ObjectStore, SimStore, Stamp,
+    StoreResult,
 };
 use std::collections::HashSet;
 use std::ops::Range;
@@ -17,7 +18,8 @@ use std::sync::Arc;
 
 #[test]
 fn scan_survives_transient_chunk_fetch_faults() {
-    let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), 0.0, 20260808));
+    let faulty =
+        Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_faults(0.0, 20260808));
     let pool = Arc::new(ComputePool::with_topology(4, 2, 2));
     pool.add_nodes(WorkloadClass::System, 2, 2);
     let engine = PolarisEngine::new(

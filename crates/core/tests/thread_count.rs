@@ -7,12 +7,9 @@
 //! to the end of the process — no thread starts or exits under a count.
 #![cfg(target_os = "linux")]
 
-mod common;
-
-use common::{Request, TapStore};
 use polaris_core::{EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::{MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, Request, SimStore};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -71,7 +68,8 @@ fn a_scan_reads_only_on_the_pool() {
             }
         }
     };
-    let store: Arc<dyn ObjectStore> = Arc::new(TapStore::new(Arc::new(MemoryStore::new()), tap));
+    let store: Arc<dyn ObjectStore> =
+        Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_tap(tap));
     let pool = Arc::new(ComputePool::with_topology(4, 2, 2));
     pool.add_nodes(WorkloadClass::System, 1, 2);
     let engine = PolarisEngine::new(store, pool, EngineConfig::default());

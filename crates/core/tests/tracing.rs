@@ -1,12 +1,12 @@
 //! Trace round-trip under fault injection: a multi-statement transaction
-//! over a `FaultyStore` leaves a structurally sound span log whose retry
+//! over a faulty `SimStore` leaves a structurally sound span log whose retry
 //! accounting agrees with the compute pool's meter, and `EXPLAIN ANALYZE`
 //! renders a tree whose phase timings cover the statement wall clock.
 
 use polaris_core::{DataType, EngineConfig, Field, PolarisEngine, Schema, StatementOutcome};
 use polaris_dcp::{ComputePool, WorkloadClass};
 use polaris_obs::{build_spans, AttrValue, TraceEventKind};
-use polaris_store::{FaultyStore, MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, SimStore};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -20,7 +20,8 @@ fn multi_statement_txn_trace_survives_faults_and_matches_pool_meter() {
     // One in four writes fails with a transient error while the statements
     // run; write tasks must retry (§4.3). The rate drops to zero before
     // COMMIT so the FE's unretried commit writes stay deterministic.
-    let faulty = Arc::new(FaultyStore::new(MemoryStore::new(), 0.0, 20240806));
+    let faulty =
+        Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_faults(0.0, 20240806));
     let store: Arc<dyn ObjectStore> = Arc::clone(&faulty) as Arc<dyn ObjectStore>;
 
     let mut pool = ComputePool::with_topology(4, 4, 2);

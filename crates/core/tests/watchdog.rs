@@ -4,12 +4,9 @@
 //! long as the episode lasts, under deterministic manual harvester ticks
 //! (`telemetry_tick_ms = 0` + `PolarisEngine::telemetry_tick_once`).
 
-mod common;
-
-use common::{Request, TapStore};
 use polaris_core::{EngineConfig, PolarisEngine, Value};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::{MemoryStore, ObjectStore};
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, Request, SimStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -244,7 +241,7 @@ fn commit_lock_hold_rule_fires_on_a_slow_prepare() {
             }
         }
     };
-    let store = Arc::new(TapStore::new(Arc::new(MemoryStore::new()), tap));
+    let store = Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_tap(tap));
     let engine = engine_on(store, EngineConfig::for_testing());
     let mut session = engine.session();
     session.execute("CREATE TABLE t (id BIGINT)").unwrap();

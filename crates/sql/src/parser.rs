@@ -45,7 +45,11 @@ pub fn parse_many(sql: &str) -> Result<Vec<Statement>, ParseError> {
     // phase for the engine's resource-attribution profiles.
     let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::ParsePlan);
     let tokens = tokenize(sql)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut out = Vec::new();
     loop {
         while parser.eat_symbol(Sym::Semicolon) {}
@@ -57,9 +61,18 @@ pub fn parse_many(sql: &str) -> Result<Vec<Statement>, ParseError> {
     Ok(out)
 }
 
+/// How deep an expression may nest — parentheses, aggregate arguments,
+/// unary minus and NOT — before the parser refuses it. Every level costs
+/// stack in the parser, the planner and evaluation, and a stack overflow
+/// aborts the whole process, so hostile nesting must become an error long
+/// before a thread's 2 MiB stack runs out.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels entered and not yet left.
+    depth: usize,
 }
 
 impl Parser {
@@ -469,7 +482,23 @@ impl Parser {
     // Expression grammar, lowest to highest precedence:
     //   OR -> AND -> NOT -> comparison/IS/LIKE/BETWEEN -> add -> mul -> atom
     fn expr(&mut self) -> Result<SqlExpr, ParseError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
+    }
+
+    /// Run `parse` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<SqlExpr, ParseError>,
+    ) -> Result<SqlExpr, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn or_expr(&mut self) -> Result<SqlExpr, ParseError> {
@@ -500,7 +529,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<SqlExpr, ParseError> {
         if self.eat_keyword("NOT") {
-            return Ok(SqlExpr::Not(Box::new(self.not_expr()?)));
+            return Ok(SqlExpr::Not(Box::new(self.nested(Self::not_expr)?)));
         }
         self.comparison()
     }
@@ -602,7 +631,7 @@ impl Parser {
             Token::Str(s) => Ok(SqlExpr::Literal(Value::Str(s))),
             Token::Symbol(Sym::Minus) => {
                 // Unary minus over an atom.
-                let inner = self.atom()?;
+                let inner = self.nested(Self::atom)?;
                 Ok(SqlExpr::Binary {
                     left: Box::new(SqlExpr::Literal(Value::Int(0))),
                     op: BinOp::Sub,

@@ -1,6 +1,7 @@
 //! Parser robustness: arbitrary input must never panic — only return
-//! structured errors — and valid statements must round-trip through
-//! parse → plan without panicking either.
+//! structured errors — valid statements must round-trip through
+//! parse → plan without panicking either, and no nesting depth may
+//! overflow the stack.
 
 use proptest::prelude::*;
 
@@ -67,5 +68,45 @@ proptest! {
         let stmt = polaris_sql::parse(&sql).unwrap();
         let polaris_sql::Statement::Select(sel) = stmt else { panic!() };
         polaris_sql::plan_select(&sel).unwrap();
+    }
+
+    /// Deeply nested expressions — parentheses, unary minus and NOT in any
+    /// mix, up to 20 000 levels — parse within the nesting limit and are
+    /// refused past it; neither parsing nor planning overflows the stack.
+    #[test]
+    fn deep_nesting_is_bounded(
+        kinds in proptest::collection::vec(0u8..3, 1..8),
+        depth in 0usize..20_000,
+        near_limit in any::<bool>(),
+    ) {
+        let depth = if near_limit { depth % 150 } else { depth };
+        let mut sql = String::from("SELECT ");
+        let mut closing = 0;
+        let mut after_minus = false;
+        for kind in kinds.iter().cycle().take(depth) {
+            // NOT starts a predicate, so it cannot be a minus's operand.
+            match (kind, after_minus) {
+                (0, _) | (2, true) => {
+                    sql.push('(');
+                    closing += 1;
+                }
+                (1, _) => sql.push_str("- "),
+                _ => sql.push_str("NOT "),
+            }
+            after_minus = *kind == 1;
+        }
+        sql.push('1');
+        sql.push_str(&")".repeat(closing));
+        sql.push_str(" FROM t");
+        // The select item itself is the first level.
+        match polaris_sql::parse(&sql) {
+            Ok(stmt) => {
+                prop_assert!(depth < 128, "{depth} levels parsed");
+                if let polaris_sql::Statement::Select(sel) = stmt {
+                    let _ = polaris_sql::plan_select(&sel);
+                }
+            }
+            Err(_) => prop_assert!(depth >= 128, "{depth} levels refused"),
+        }
     }
 }

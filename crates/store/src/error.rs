@@ -39,7 +39,7 @@ pub enum StoreError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// Transient fault injected by [`FaultyStore`](crate::FaultyStore) or a
+    /// Transient fault injected by [`SimStore`](crate::SimStore) or a
     /// real I/O failure in [`LocalFsStore`](crate::LocalFsStore). Callers are
     /// expected to retry idempotent operations.
     Transient {

@@ -19,11 +19,8 @@
 //! * [`CachingStore`] — read-through blob cache (the BE data cache of
 //!   §3.3 — coherent for free thanks to file immutability).
 //! * [`StatsStore`] — transparent wrapper counting operations and bytes.
-//! * [`FaultyStore`] — wrapper injecting deterministic transient faults, used
-//!   to exercise the DCP's task-retry path.
-//! * [`ChaosStore`] — wrapper simulating process death at an exact storage
-//!   operation (the kill-anywhere crash-recovery harness).
-//! * [`LatencyStore`] — wrapper adding a simple cloud-latency cost model.
+//! * [`SimStore`] — one simulated store: a [`LatencyModel`], seeded transient
+//!   faults, death at an exact operation and a tap that sees each [`Request`].
 //!
 //! Every blob carries a creation [`Stamp`] assigned by its writer. The paper
 //! uses this stamp for garbage collection (§5.3): a file whose stamp is below
@@ -33,24 +30,20 @@
 
 mod block;
 mod cache;
-mod chaos;
 mod error;
-mod faulty;
-mod latency;
 mod local;
 mod memory;
 mod path;
+mod sim;
 mod stats;
 
 pub use block::BlockId;
 pub use cache::CachingStore;
-pub use chaos::ChaosStore;
 pub use error::{StoreError, StoreResult};
-pub use faulty::FaultyStore;
-pub use latency::{LatencyModel, LatencyStore};
 pub use local::LocalFsStore;
 pub use memory::MemoryStore;
 pub use path::BlobPath;
+pub use sim::{LatencyModel, LatencyStore, Request, SimStore};
 pub use stats::{OpCounts, StatsStore};
 
 /// Re-exported so callers of [`ObjectStore::put`] need no direct `bytes`

@@ -51,6 +51,11 @@ cargo test --release -q -p polaris-columnar
 # does the 8 %-fault + node-churn chaos over staging and publication.
 cargo test --release -q -p polaris-dcp
 cargo test --release -q -p polaris-core --test pipelined_commit
+# Fault draws, kill gating, the tap and latency share one gate in the
+# simulated store: its op-table unit tests and the two fault-retry suites
+# run optimized, as the store ships.
+cargo test --release -q -p polaris-store
+cargo test --release -q -p polaris-core --test scan_faults --test tracing
 # Commit-lock races show at release timing.
 cargo test --release -q -p polaris-catalog --test commit_concurrency
 cargo clippy --workspace --all-targets -- -D warnings

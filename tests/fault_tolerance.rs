@@ -5,7 +5,7 @@
 use polaris::columnar::Value;
 use polaris::core::{EngineConfig, PolarisEngine};
 use polaris::dcp::{ComputePool, WorkloadClass};
-use polaris::store::{FaultyStore, LocalFsStore, MemoryStore};
+use polaris::store::{LatencyModel, LocalFsStore, MemoryStore, SimStore};
 use std::sync::Arc;
 
 fn engine_over(store: Arc<dyn polaris::store::ObjectStore>) -> Arc<PolarisEngine> {
@@ -20,7 +20,7 @@ fn engine_over(store: Arc<dyn polaris::store::ObjectStore>) -> Arc<PolarisEngine
 #[test]
 fn transient_storage_faults_are_retried() {
     // 20% of write operations fail; the retry budget absorbs it.
-    let store = FaultyStore::new(MemoryStore::new(), 0.2, 0xC0FFEE);
+    let store = SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_faults(0.2, 0xC0FFEE);
     let engine = engine_over(Arc::new(store));
     let mut s = engine.session();
     s.execute("CREATE TABLE t (v BIGINT)").unwrap();

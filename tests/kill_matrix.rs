@@ -22,7 +22,7 @@
 //! * **double-reopen idempotence** — two recoveries over the same store
 //!   export byte-identical catalog images.
 //!
-//! Crashes are simulated by freezing the store (`ChaosStore`): from the
+//! Crashes are simulated by freezing the store (`SimStore`): from the
 //! kill instant every storage operation fails, including the dying
 //! engine's own cleanup — exactly what `kill -9` leaves behind. Commit
 //! failpoint probes pull the same kill switch for the points between
@@ -35,7 +35,7 @@
 
 use polaris::core::{EngineConfig, PolarisEngine, Value};
 use polaris::dcp::{ComputePool, WorkloadClass};
-use polaris::store::{ChaosStore, MemoryStore, ObjectStore};
+use polaris::store::{LatencyModel, MemoryStore, ObjectStore, SimStore};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -212,7 +212,7 @@ fn run_lifetime(
     seed: u64,
     next_value: &mut i64,
 ) -> Outcome {
-    let chaos = Arc::new(ChaosStore::new(Arc::clone(inner)));
+    let chaos = Arc::new(SimStore::new(Arc::clone(inner), LatencyModel::ZERO));
     let engine = PolarisEngine::open(Arc::clone(&chaos) as Arc<dyn ObjectStore>, pool(), config())
         .expect("reopen before the kill is armed");
     match site {
