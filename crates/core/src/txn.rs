@@ -723,22 +723,10 @@ impl Transaction {
                 assignments,
                 predicate,
             } => {
-                let assignments = assignments
-                    .iter()
-                    .map(|(c, e)| Ok((c.clone(), polaris_sql::lower_expr(e)?)))
-                    .collect::<PolarisResult<Vec<_>>>()?;
-                let predicate = predicate
-                    .as_ref()
-                    .map(polaris_sql::lower_expr)
-                    .transpose()?;
-                let n = self.update(table, &assignments, predicate.as_ref())?;
+                let n = self.update(table, assignments, predicate.as_ref())?;
                 Ok(QueryResult::affected(n))
             }
             Statement::Delete { table, predicate } => {
-                let predicate = predicate
-                    .as_ref()
-                    .map(polaris_sql::lower_expr)
-                    .transpose()?;
                 let n = self.delete(table, predicate.as_ref())?;
                 Ok(QueryResult::affected(n))
             }

@@ -292,10 +292,6 @@ impl Expr {
     pub fn may_match(&self, stats_of: &dyn Fn(&str) -> Option<ColumnStats>) -> bool {
         match self {
             Expr::Binary { left, op, right } => match (left.as_ref(), op, right.as_ref()) {
-                (Expr::Column(c), BinOp::And, _) | (Expr::Column(c), BinOp::Or, _) => {
-                    let _ = c;
-                    true
-                }
                 (_, BinOp::And, _) => left.may_match(stats_of) && right.may_match(stats_of),
                 (_, BinOp::Or, _) => left.may_match(stats_of) || right.may_match(stats_of),
                 (Expr::Column(c), cmp, Expr::Literal(v))
@@ -1026,6 +1022,12 @@ mod tests {
         let live = Expr::col("id").eq(Expr::lit(15i64));
         assert!(!dead.clone().and(live.clone()).may_match(&lookup));
         assert!(dead.clone().or(live).may_match(&lookup));
-        assert!(!dead.clone().or(dead).may_match(&lookup));
+        assert!(!dead.clone().or(dead.clone()).may_match(&lookup));
+        // A bare boolean column may be anything, but the other side of its
+        // AND still prunes; under OR it keeps the chunk.
+        let flag = Expr::col("flag");
+        assert!(!flag.clone().and(dead.clone()).may_match(&lookup));
+        assert!(!dead.clone().and(flag.clone()).may_match(&lookup));
+        assert!(flag.or(dead).may_match(&lookup));
     }
 }

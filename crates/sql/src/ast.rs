@@ -1,67 +1,9 @@
-//! Abstract syntax of the supported dialect.
+//! Abstract syntax of the supported dialect. Every scalar position holds
+//! the executor's [`Expr`]: the parser rewrites the surface constructs the
+//! executor lacks (BETWEEN, LIKE, IS NOT NULL) as it reads them.
 
 use polaris_columnar::{DataType, Value};
-
-/// A parsed SQL expression (before planning).
-///
-/// Distinct from [`polaris_exec::Expr`] because the surface syntax has
-/// constructs the execution engine does not (aggregate calls, `*`,
-/// qualified names) that the planner lowers or rejects contextually.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SqlExpr {
-    /// Possibly-qualified column reference (`a` or `t.a`; the qualifier is
-    /// dropped at planning — output column names are globally unique in
-    /// this engine).
-    Column {
-        /// Optional table qualifier.
-        qualifier: Option<String>,
-        /// Column name (lower-cased).
-        name: String,
-    },
-    /// Literal.
-    Literal(Value),
-    /// Binary operation, using the executor's operator set.
-    Binary {
-        /// Left operand.
-        left: Box<SqlExpr>,
-        /// Operator.
-        op: polaris_exec::BinOp,
-        /// Right operand.
-        right: Box<SqlExpr>,
-    },
-    /// `NOT expr`
-    Not(Box<SqlExpr>),
-    /// `expr IS NULL` / `expr IS NOT NULL` (negated)
-    IsNull {
-        /// Operand.
-        expr: Box<SqlExpr>,
-        /// Whether the test is negated.
-        negated: bool,
-    },
-    /// `expr LIKE '%needle%'` (substring form only).
-    Like {
-        /// Operand.
-        expr: Box<SqlExpr>,
-        /// Pattern with `%` wildcards.
-        pattern: String,
-    },
-    /// `expr BETWEEN lo AND hi`
-    Between {
-        /// Operand.
-        expr: Box<SqlExpr>,
-        /// Lower bound (inclusive).
-        lo: Box<SqlExpr>,
-        /// Upper bound (inclusive).
-        hi: Box<SqlExpr>,
-    },
-    /// Aggregate call: `SUM(x)`, `COUNT(*)`, …
-    Agg {
-        /// Function.
-        func: polaris_exec::AggFunc,
-        /// Argument; `None` means `COUNT(*)`.
-        arg: Option<Box<SqlExpr>>,
-    },
-}
+use polaris_exec::{AggFunc, Expr};
 
 /// One item of a SELECT list.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +13,17 @@ pub enum SelectItem {
     /// `expr [AS alias]`
     Expr {
         /// The expression.
-        expr: SqlExpr,
+        expr: Expr,
+        /// Explicit alias, if any.
+        alias: Option<String>,
+    },
+    /// `SUM(x) [AS alias]`, `COUNT(*)`, …: an aggregate call is always a
+    /// whole select item.
+    Agg {
+        /// Function.
+        func: AggFunc,
+        /// Argument; `None` means `*`.
+        arg: Option<Expr>,
         /// Explicit alias, if any.
         alias: Option<String>,
     },
@@ -96,8 +48,22 @@ pub struct TableRef {
 pub struct JoinClause {
     /// Joined table.
     pub table: TableRef,
-    /// `ON` predicate (the planner requires a conjunction of equalities).
-    pub on: SqlExpr,
+    /// The equalities `ON` is a conjunction of, as written.
+    pub on: Vec<JoinEq>,
+}
+
+/// One `left = right` of a join's `ON`. Column qualifiers are gone from the
+/// operands, so the parser records which sides named the joined table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JoinEq {
+    /// Operand left of `=`.
+    pub left: Expr,
+    /// Operand right of `=`.
+    pub right: Expr,
+    /// `left` names a column by the joined table's name or alias.
+    pub left_joined: bool,
+    /// `right` names a column by the joined table's name or alias.
+    pub right_joined: bool,
 }
 
 /// An ORDER BY item.
@@ -119,9 +85,9 @@ pub struct SelectStmt {
     /// Joins, applied left-to-right.
     pub joins: Vec<JoinClause>,
     /// WHERE clause.
-    pub predicate: Option<SqlExpr>,
+    pub predicate: Option<Expr>,
     /// GROUP BY expressions.
-    pub group_by: Vec<SqlExpr>,
+    pub group_by: Vec<Expr>,
     /// ORDER BY items (over output column names).
     pub order_by: Vec<OrderItem>,
     /// LIMIT.
@@ -156,16 +122,16 @@ pub enum Statement {
         /// Target table.
         table: String,
         /// Assignments.
-        assignments: Vec<(String, SqlExpr)>,
+        assignments: Vec<(String, Expr)>,
         /// Optional predicate.
-        predicate: Option<SqlExpr>,
+        predicate: Option<Expr>,
     },
     /// DELETE FROM t [WHERE p].
     Delete {
         /// Target table.
         table: String,
         /// Optional predicate.
-        predicate: Option<SqlExpr>,
+        predicate: Option<Expr>,
     },
     /// CREATE TABLE.
     CreateTable {

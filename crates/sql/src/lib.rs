@@ -1,8 +1,9 @@
 //! # polaris-sql
 //!
 //! The T-SQL-flavoured front-end surface of the reproduction: tokenizer,
-//! recursive-descent parser, and a single-phase planner that lowers
-//! statements onto [`polaris_exec`] expressions and plans.
+//! a recursive-descent parser that builds [`polaris_exec::Expr`] trees
+//! directly, and a single-phase planner that shapes a parsed SELECT into
+//! a [`polaris_exec`] plan.
 //!
 //! The paper consolidates all query compilation in the SQL FE (§3.3) —
 //! "eliminating the need for a local compilation stage within BE compute
@@ -33,8 +34,8 @@ mod plan;
 mod token;
 
 pub use ast::{
-    ColumnDef, JoinClause, OrderItem, SelectItem, SelectStmt, SqlExpr, Statement, TableRef,
+    ColumnDef, JoinClause, JoinEq, OrderItem, SelectItem, SelectStmt, Statement, TableRef,
 };
 pub use date::{date_to_days, days_to_date};
 pub use parser::{parse, parse_many, ParseError};
-pub use plan::{lower_expr, plan_select, AggPlan, JoinPlan, PlanError, SelectPlan};
+pub use plan::{plan_select, AggPlan, JoinPlan, PlanError, SelectPlan};

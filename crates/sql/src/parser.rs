@@ -4,7 +4,7 @@ use crate::ast::*;
 use crate::date::parse_date_literal;
 use crate::token::{tokenize, Sym, Token};
 use polaris_columnar::{DataType, Value};
-use polaris_exec::{AggFunc, BinOp};
+use polaris_exec::{AggFunc, BinOp, Expr};
 use std::fmt;
 
 /// A syntax error with a message.
@@ -26,6 +26,8 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+type PResult<T> = Result<T, ParseError>;
 
 /// Parse a single statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Statement, ParseError> {
@@ -49,6 +51,9 @@ pub fn parse_many(sql: &str) -> Result<Vec<Statement>, ParseError> {
         tokens,
         pos: 0,
         depth: 0,
+        peak: 0,
+        aggregate: Aggregate::Refused,
+        on: None,
     };
     let mut out = Vec::new();
     loop {
@@ -62,10 +67,11 @@ pub fn parse_many(sql: &str) -> Result<Vec<Statement>, ParseError> {
 }
 
 /// How deep an expression may nest — parentheses, aggregate arguments,
-/// unary minus and NOT — before the parser refuses it. Every level costs
-/// stack in the parser, the planner and evaluation, and a stack overflow
-/// aborts the whole process, so hostile nesting must become an error long
-/// before a thread's 2 MiB stack runs out.
+/// unary minus, NOT, each arithmetic operator of a chain and ⌈log₂ n⌉ for
+/// an n-operand AND or OR chain — before the parser refuses it. Every level
+/// costs stack in the parser and in every later walk of the tree, and a
+/// stack overflow aborts the whole process, so hostile nesting must become
+/// an error long before a thread's 2 MiB stack runs out.
 const MAX_NESTING: usize = 128;
 
 struct Parser {
@@ -73,6 +79,12 @@ struct Parser {
     pos: usize,
     /// Expression levels entered and not yet left.
     depth: usize,
+    /// The deepest `depth` reached inside the innermost open chain.
+    peak: usize,
+    /// Where an aggregate call may stand.
+    aggregate: Aggregate,
+    /// While a join's `ON` is parsed: what it records.
+    on: Option<JoinOn>,
 }
 
 impl Parser {
@@ -84,7 +96,7 @@ impl Parser {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Result<Token, ParseError> {
+    fn next(&mut self) -> PResult<Token> {
         let t = self
             .tokens
             .get(self.pos)
@@ -108,7 +120,7 @@ impl Parser {
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
+    fn expect_keyword(&mut self, kw: &str) -> PResult<()> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
@@ -128,7 +140,7 @@ impl Parser {
         }
     }
 
-    fn expect_symbol(&mut self, sym: Sym) -> Result<(), ParseError> {
+    fn expect_symbol(&mut self, sym: Sym) -> PResult<()> {
         if self.eat_symbol(sym) {
             Ok(())
         } else {
@@ -139,7 +151,7 @@ impl Parser {
         }
     }
 
-    fn identifier(&mut self) -> Result<String, ParseError> {
+    fn identifier(&mut self) -> PResult<String> {
         match self.next()? {
             Token::Word(w) if !is_reserved(&w) => Ok(w.to_ascii_lowercase()),
             other => Err(ParseError::new(format!(
@@ -148,7 +160,7 @@ impl Parser {
         }
     }
 
-    fn statement(&mut self) -> Result<Statement, ParseError> {
+    fn statement(&mut self) -> PResult<Statement> {
         if self.eat_keyword("EXPLAIN") {
             self.expect_keyword("ANALYZE")?;
             let inner = self.statement()?;
@@ -205,13 +217,15 @@ impl Parser {
         )))
     }
 
-    fn select(&mut self) -> Result<SelectStmt, ParseError> {
+    fn select(&mut self) -> PResult<SelectStmt> {
         let mut items = Vec::new();
         loop {
             if self.eat_symbol(Sym::Star) {
                 items.push(SelectItem::Wildcard);
             } else {
+                self.aggregate = Aggregate::Allowed;
                 let expr = self.expr()?;
+                let aggregate = std::mem::replace(&mut self.aggregate, Aggregate::Refused);
                 let alias = if self.eat_keyword("AS") {
                     Some(self.identifier()?)
                 } else {
@@ -224,7 +238,15 @@ impl Parser {
                         _ => None,
                     }
                 };
-                items.push(SelectItem::Expr { expr, alias });
+                items.push(match aggregate {
+                    Aggregate::Parsed(func, arg) if expr == AGGREGATE_CALL => {
+                        SelectItem::Agg { func, arg, alias }
+                    }
+                    Aggregate::Parsed(..) => {
+                        return Err(ParseError::new("aggregate used in scalar context"))
+                    }
+                    _ => SelectItem::Expr { expr, alias },
+                });
             }
             if !self.eat_symbol(Sym::Comma) {
                 break;
@@ -244,7 +266,7 @@ impl Parser {
         } {
             let table = self.table_ref()?;
             self.expect_keyword("ON")?;
-            let on = self.expr()?;
+            let on = self.join_on(&table)?;
             joins.push(JoinClause { table, on });
         }
         let predicate = if self.eat_keyword("WHERE") {
@@ -305,7 +327,22 @@ impl Parser {
         })
     }
 
-    fn table_ref(&mut self) -> Result<TableRef, ParseError> {
+    /// A join's `ON`: a conjunction of equalities, each recorded with the
+    /// sides that name `table`.
+    fn join_on(&mut self, table: &TableRef) -> PResult<Vec<JoinEq>> {
+        self.on = Some(JoinOn {
+            names: [table.name.clone(), table.alias.clone().unwrap_or_default()],
+            joined_refs: 0,
+            sides: Vec::new(),
+        });
+        let on = self.expr();
+        let sides = self.on.take().map(|on| on.sides).unwrap_or_default();
+        let mut eqs = Vec::new();
+        join_eqs(on?, &mut sides.into_iter(), &mut eqs)?;
+        Ok(eqs)
+    }
+
+    fn table_ref(&mut self) -> PResult<TableRef> {
         let mut name = self.identifier()?;
         // `schema.table` — today the only schema is the virtual `polaris`
         // one, but the grammar accepts any qualifier and lets the planner
@@ -339,7 +376,7 @@ impl Parser {
         })
     }
 
-    fn insert(&mut self) -> Result<Statement, ParseError> {
+    fn insert(&mut self) -> PResult<Statement> {
         self.expect_keyword("INTO")?;
         let table = self.identifier()?;
         self.expect_keyword("VALUES")?;
@@ -362,7 +399,7 @@ impl Parser {
         Ok(Statement::Insert { table, rows })
     }
 
-    fn update(&mut self) -> Result<Statement, ParseError> {
+    fn update(&mut self) -> PResult<Statement> {
         let table = self.identifier()?;
         self.expect_keyword("SET")?;
         let mut assignments = Vec::new();
@@ -386,7 +423,7 @@ impl Parser {
         })
     }
 
-    fn delete(&mut self) -> Result<Statement, ParseError> {
+    fn delete(&mut self) -> PResult<Statement> {
         self.expect_keyword("FROM")?;
         let table = self.identifier()?;
         let predicate = if self.eat_keyword("WHERE") {
@@ -397,7 +434,7 @@ impl Parser {
         Ok(Statement::Delete { table, predicate })
     }
 
-    fn create_table(&mut self) -> Result<Statement, ParseError> {
+    fn create_table(&mut self) -> PResult<Statement> {
         let name = self.identifier()?;
         self.expect_symbol(Sym::LParen)?;
         let mut columns = Vec::new();
@@ -425,7 +462,7 @@ impl Parser {
         Ok(Statement::CreateTable { name, columns })
     }
 
-    fn data_type(&mut self) -> Result<DataType, ParseError> {
+    fn data_type(&mut self) -> PResult<DataType> {
         let word = match self.next()? {
             Token::Word(w) => w.to_ascii_uppercase(),
             other => return Err(ParseError::new(format!("expected type, found {other:?}"))),
@@ -454,7 +491,7 @@ impl Parser {
         Ok(dt)
     }
 
-    fn literal_value(&mut self) -> Result<Value, ParseError> {
+    fn literal_value(&mut self) -> PResult<Value> {
         match self.next()? {
             Token::Int(v) => Ok(Value::Int(v)),
             Token::Float(v) => Ok(Value::Float(v)),
@@ -481,162 +518,185 @@ impl Parser {
 
     // Expression grammar, lowest to highest precedence:
     //   OR -> AND -> NOT -> comparison/IS/LIKE/BETWEEN -> add -> mul -> atom
-    fn expr(&mut self) -> Result<SqlExpr, ParseError> {
+    // Each level builds the executor's `Expr` directly; the constructs the
+    // executor lacks are rewritten where they are read.
+    fn expr(&mut self) -> PResult<Expr> {
         self.nested(Self::or_expr)
     }
 
     /// Run `parse` one nesting level deeper, refusing past [`MAX_NESTING`].
-    fn nested(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<SqlExpr, ParseError>,
-    ) -> Result<SqlExpr, ParseError> {
-        if self.depth == MAX_NESTING {
+    fn nested(&mut self, parse: impl FnOnce(&mut Self) -> PResult<Expr>) -> PResult<Expr> {
+        let depth = self.depth;
+        self.descend(1)?;
+        let out = parse(self);
+        self.depth = depth;
+        out
+    }
+
+    /// Go `levels` deeper, refusing past [`MAX_NESTING`].
+    fn descend(&mut self, levels: usize) -> PResult<()> {
+        if self.depth + levels > MAX_NESTING {
             return Err(ParseError::new(format!(
                 "expression nested deeper than {MAX_NESTING} levels"
             )));
         }
-        self.depth += 1;
-        let out = parse(self);
-        self.depth -= 1;
+        self.depth += levels;
+        self.peak = self.peak.max(self.depth);
+        Ok(())
+    }
+
+    /// Parse a chain whose operator nodes stand above its operands: `body`
+    /// calls [`Parser::above`] before each node, which puts it one level
+    /// below the deepest operand parsed so far, so a chain's operators
+    /// count against [`MAX_NESTING`] however flat it is written.
+    fn chain(&mut self, body: impl FnOnce(&mut Self) -> PResult<Expr>) -> PResult<Expr> {
+        let (depth, outer_peak) = (self.depth, std::mem::replace(&mut self.peak, self.depth));
+        let out = body(self);
+        self.depth = depth;
+        self.peak = self.peak.max(outer_peak);
         out
     }
 
-    fn or_expr(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op: BinOp::Or,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    /// `levels` of operator nodes above everything the chain parsed so far.
+    fn above(&mut self, levels: usize) -> PResult<()> {
+        self.depth = self.peak;
+        self.descend(levels)
     }
 
-    fn and_expr(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.not_expr()?;
-        while self.eat_keyword("AND") {
-            let right = self.not_expr()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op: BinOp::And,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    fn or_expr(&mut self) -> PResult<Expr> {
+        self.balanced_chain("OR", BinOp::Or, Self::and_expr)
     }
 
-    fn not_expr(&mut self) -> Result<SqlExpr, ParseError> {
+    fn and_expr(&mut self) -> PResult<Expr> {
+        self.balanced_chain("AND", BinOp::And, Self::not_expr)
+    }
+
+    /// `operand (kw operand)*` as a balanced tree of `op`. SQL's AND and OR
+    /// are associative and evaluation always runs both operands left to
+    /// right, so the shape changes neither a result nor the first error;
+    /// n operands cost ⌈log₂ n⌉ levels instead of n.
+    fn balanced_chain(
+        &mut self,
+        kw: &str,
+        op: BinOp,
+        operand: fn(&mut Self) -> PResult<Expr>,
+    ) -> PResult<Expr> {
+        self.chain(|p| {
+            let first = operand(p)?;
+            if !p.peek_keyword(kw) {
+                return Ok(first);
+            }
+            let mut operands = vec![first];
+            while p.eat_keyword(kw) {
+                operands.push(operand(p)?);
+            }
+            let n = operands.len();
+            p.above(n.next_power_of_two().trailing_zeros() as usize)?;
+            Ok(balance(op, &mut operands.into_iter(), n))
+        })
+    }
+
+    fn not_expr(&mut self) -> PResult<Expr> {
         if self.eat_keyword("NOT") {
-            return Ok(SqlExpr::Not(Box::new(self.nested(Self::not_expr)?)));
+            return Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)));
         }
         self.comparison()
     }
 
-    fn comparison(&mut self) -> Result<SqlExpr, ParseError> {
+    fn comparison(&mut self) -> PResult<Expr> {
+        let mark = self.on.as_ref().map_or(0, |on| on.sides.len());
+        let refs = self.joined_refs();
         let left = self.additive()?;
-        if self.eat_keyword("IS") {
+        let mut sides = None;
+        let expr = if self.eat_keyword("IS") {
             let negated = self.eat_keyword("NOT");
             self.expect_keyword("NULL")?;
-            return Ok(SqlExpr::IsNull {
-                expr: Box::new(left),
-                negated,
-            });
-        }
-        if self.eat_keyword("LIKE") {
+            let is_null = Expr::IsNull(Box::new(left));
+            if negated {
+                Expr::Not(Box::new(is_null))
+            } else {
+                is_null
+            }
+        } else if self.eat_keyword("LIKE") {
             match self.next()? {
-                Token::Str(pattern) => {
-                    return Ok(SqlExpr::Like {
-                        expr: Box::new(left),
-                        pattern,
-                    })
-                }
+                Token::Str(pattern) => like(left, &pattern)?,
                 other => return Err(ParseError::new(format!("bad LIKE pattern {other:?}"))),
             }
-        }
-        if self.eat_keyword("BETWEEN") {
+        } else if self.eat_keyword("BETWEEN") {
             let lo = self.additive()?;
             self.expect_keyword("AND")?;
             let hi = self.additive()?;
-            return Ok(SqlExpr::Between {
-                expr: Box::new(left),
-                lo: Box::new(lo),
-                hi: Box::new(hi),
-            });
-        }
-        let op = match self.peek() {
-            Some(Token::Symbol(Sym::Eq)) => Some(BinOp::Eq),
-            Some(Token::Symbol(Sym::NotEq)) => Some(BinOp::NotEq),
-            Some(Token::Symbol(Sym::Lt)) => Some(BinOp::Lt),
-            Some(Token::Symbol(Sym::LtEq)) => Some(BinOp::LtEq),
-            Some(Token::Symbol(Sym::Gt)) => Some(BinOp::Gt),
-            Some(Token::Symbol(Sym::GtEq)) => Some(BinOp::GtEq),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
+            left.clone().gt_eq(lo).and(left.lt_eq(hi))
+        } else if let Some(op) = self.eat_op(&COMPARISONS) {
+            let mid = self.joined_refs();
             let right = self.additive()?;
-            return Ok(SqlExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            });
+            if op == BinOp::Eq {
+                sides = Some((mid > refs, self.joined_refs() > mid));
+            }
+            left.binary(op, right)
+        } else {
+            return Ok(left);
+        };
+        // In a join's ON, each comparison leaves one record (the sides an
+        // `=` names, or none for what cannot be a join key) in place of
+        // those its operands left: only a comparison inside no other one
+        // can be a conjunct of `ON`.
+        if let Some(on) = &mut self.on {
+            on.sides.truncate(mark);
+            on.sides.push(sides);
         }
-        Ok(left)
+        Ok(expr)
     }
 
-    fn additive(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Plus)) => BinOp::Add,
-                Some(Token::Symbol(Sym::Minus)) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.multiplicative()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    /// Consume the next token if it spells one of `ops`.
+    fn eat_op(&mut self, ops: &[(Sym, BinOp)]) -> Option<BinOp> {
+        let Some(Token::Symbol(sym)) = self.peek() else {
+            return None;
+        };
+        let op = ops.iter().find(|(s, _)| s == sym)?.1;
+        self.pos += 1;
+        Some(op)
     }
 
-    fn multiplicative(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.atom()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Star)) => BinOp::Mul,
-                Some(Token::Symbol(Sym::Slash)) => BinOp::Div,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.atom()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+    /// Column references naming the joined table, so far in this `ON`.
+    fn joined_refs(&self) -> usize {
+        self.on.as_ref().map_or(0, |on| on.joined_refs)
     }
 
-    fn atom(&mut self) -> Result<SqlExpr, ParseError> {
+    fn additive(&mut self) -> PResult<Expr> {
+        self.left_chain(&ADDITIVE, Self::multiplicative)
+    }
+
+    fn multiplicative(&mut self) -> PResult<Expr> {
+        self.left_chain(&MULTIPLICATIVE, Self::atom)
+    }
+
+    /// `operand (op operand)*` over `ops` as a left-deep tree: arithmetic
+    /// is not associative, so each operator is a level of its own.
+    fn left_chain(
+        &mut self,
+        ops: &[(Sym, BinOp)],
+        operand: fn(&mut Self) -> PResult<Expr>,
+    ) -> PResult<Expr> {
+        self.chain(|p| {
+            let mut left = operand(p)?;
+            while let Some(op) = p.eat_op(ops) {
+                p.above(1)?;
+                left = left.binary(op, operand(p)?);
+            }
+            Ok(left)
+        })
+    }
+
+    fn atom(&mut self) -> PResult<Expr> {
         match self.next()? {
-            Token::Int(v) => Ok(SqlExpr::Literal(Value::Int(v))),
-            Token::Float(v) => Ok(SqlExpr::Literal(Value::Float(v))),
-            Token::Str(s) => Ok(SqlExpr::Literal(Value::Str(s))),
+            Token::Int(v) => Ok(Expr::lit(v)),
+            Token::Float(v) => Ok(Expr::lit(v)),
+            Token::Str(s) => Ok(Expr::lit(s)),
             Token::Symbol(Sym::Minus) => {
                 // Unary minus over an atom.
                 let inner = self.nested(Self::atom)?;
-                Ok(SqlExpr::Binary {
-                    left: Box::new(SqlExpr::Literal(Value::Int(0))),
-                    op: BinOp::Sub,
-                    right: Box::new(inner),
-                })
+                Ok(Expr::lit(0i64).binary(BinOp::Sub, inner))
             }
             Token::Symbol(Sym::LParen) => {
                 let inner = self.expr()?;
@@ -648,15 +708,15 @@ impl Parser {
         }
     }
 
-    fn word_atom(&mut self, word: String) -> Result<SqlExpr, ParseError> {
+    fn word_atom(&mut self, word: String) -> PResult<Expr> {
         if word.eq_ignore_ascii_case("NULL") {
-            return Ok(SqlExpr::Literal(Value::Null));
+            return Ok(Expr::Literal(Value::Null));
         }
         if word.eq_ignore_ascii_case("TRUE") {
-            return Ok(SqlExpr::Literal(Value::Bool(true)));
+            return Ok(Expr::lit(true));
         }
         if word.eq_ignore_ascii_case("FALSE") {
-            return Ok(SqlExpr::Literal(Value::Bool(false)));
+            return Ok(Expr::lit(false));
         }
         if word.eq_ignore_ascii_case("DATE") {
             if let Some(Token::Str(_)) = self.peek() {
@@ -664,7 +724,7 @@ impl Parser {
                     unreachable!()
                 };
                 return parse_date_literal(&s)
-                    .map(|d| SqlExpr::Literal(Value::Date(d)))
+                    .map(|d| Expr::Literal(Value::Date(d)))
                     .ok_or_else(|| ParseError::new(format!("bad date literal '{s}'")));
             }
         }
@@ -678,31 +738,150 @@ impl Parser {
         };
         if let Some(func) = agg {
             if self.eat_symbol(Sym::LParen) {
-                let arg = if self.eat_symbol(Sym::Star) {
-                    None
-                } else {
-                    Some(Box::new(self.expr()?))
-                };
-                self.expect_symbol(Sym::RParen)?;
-                return Ok(SqlExpr::Agg { func, arg });
+                return self.aggregate_call(func);
             }
         }
         if is_reserved(&word) {
             return Err(ParseError::new(format!("unexpected keyword {word}")));
         }
-        // Possibly qualified column.
+        // Possibly qualified column: the qualifier is dropped (output column
+        // names are unique across a query's tables); a join's ON notes the
+        // ones that name the joined table.
         if self.eat_symbol(Sym::Dot) {
-            let col = self.identifier()?;
-            return Ok(SqlExpr::Column {
-                qualifier: Some(word.to_ascii_lowercase()),
-                name: col,
-            });
+            let name = self.identifier()?;
+            if let Some(on) = &mut self.on {
+                if on.names.iter().any(|n| word.eq_ignore_ascii_case(n)) {
+                    on.joined_refs += 1;
+                }
+            }
+            return Ok(Expr::Column(name));
         }
-        Ok(SqlExpr::Column {
-            qualifier: None,
-            name: word.to_ascii_lowercase(),
-        })
+        Ok(Expr::Column(word.to_ascii_lowercase()))
     }
+
+    /// `func(` read: the rest of an aggregate call, which may only be a
+    /// whole select item. The call is kept in `self.aggregate`; what it
+    /// returns stands in its place until the select item is complete.
+    fn aggregate_call(&mut self, func: AggFunc) -> PResult<Expr> {
+        match std::mem::replace(&mut self.aggregate, Aggregate::Nested) {
+            Aggregate::Allowed => {}
+            Aggregate::Nested => return Err(ParseError::new("nested aggregates")),
+            Aggregate::Refused | Aggregate::Parsed(..) => {
+                return Err(ParseError::new("aggregate used in scalar context"))
+            }
+        }
+        let arg = if self.eat_symbol(Sym::Star) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_symbol(Sym::RParen)?;
+        self.aggregate = Aggregate::Parsed(func, arg);
+        Ok(AGGREGATE_CALL)
+    }
+}
+
+/// What the parser returns in place of an aggregate call: a column no
+/// identifier can name.
+const AGGREGATE_CALL: Expr = Expr::Column(String::new());
+
+/// Where aggregate calls stand while a statement is parsed.
+enum Aggregate {
+    /// Outside the select list: a call is refused.
+    Refused,
+    /// In a select item, none read yet: a call may be the whole item.
+    Allowed,
+    /// Inside an aggregate's argument.
+    Nested,
+    /// This select item held a call.
+    Parsed(AggFunc, Option<Expr>),
+}
+
+/// What a join's `ON` records while it is parsed.
+struct JoinOn {
+    /// The joined table's name and alias (empty without one: no
+    /// qualifier is).
+    names: [String; 2],
+    /// Column references qualified by one of `names`, so far.
+    joined_refs: usize,
+    /// One entry per comparison that may be a conjunct of `ON`, in order:
+    /// for `=`, whether each side references the joined table.
+    sides: Vec<Option<(bool, bool)>>,
+}
+
+/// The binary operators each precedence level reads, by symbol.
+const COMPARISONS: [(Sym, BinOp); 6] = [
+    (Sym::Eq, BinOp::Eq),
+    (Sym::NotEq, BinOp::NotEq),
+    (Sym::Lt, BinOp::Lt),
+    (Sym::LtEq, BinOp::LtEq),
+    (Sym::Gt, BinOp::Gt),
+    (Sym::GtEq, BinOp::GtEq),
+];
+const ADDITIVE: [(Sym, BinOp); 2] = [(Sym::Plus, BinOp::Add), (Sym::Minus, BinOp::Sub)];
+const MULTIPLICATIVE: [(Sym, BinOp); 2] = [(Sym::Star, BinOp::Mul), (Sym::Slash, BinOp::Div)];
+
+/// `expr LIKE pattern`: `'%s%'` is a substring test and a pattern without
+/// wildcards an equality; nothing else is supported.
+fn like(expr: Expr, pattern: &str) -> PResult<Expr> {
+    let needle = pattern.trim_matches('%');
+    if !needle.contains(['%', '_']) {
+        if !pattern.contains('%') {
+            return Ok(expr.eq(Expr::lit(pattern)));
+        }
+        if pattern.len() >= 2 && pattern.starts_with('%') && pattern.ends_with('%') {
+            let expr = Box::new(expr);
+            let needle = needle.to_owned();
+            return Ok(Expr::Contains { expr, needle });
+        }
+    }
+    Err(ParseError::new(format!(
+        "unsupported LIKE pattern {pattern:?}: only '%substring%' is supported"
+    )))
+}
+
+/// The next `n` operands joined by `op`, in order, as a tree ⌈log₂ n⌉ deep.
+fn balance(op: BinOp, operands: &mut std::vec::IntoIter<Expr>, n: usize) -> Expr {
+    if n == 1 {
+        return operands.next().expect("one operand per leaf");
+    }
+    let left = balance(op, operands, n / 2);
+    left.binary(op, balance(op, operands, n - n / 2))
+}
+
+/// Split a join's `ON` into its `=` conjuncts, taking each one's sides from
+/// the record `comparison` left, in the same order.
+fn join_eqs(
+    on: Expr,
+    sides: &mut std::vec::IntoIter<Option<(bool, bool)>>,
+    out: &mut Vec<JoinEq>,
+) -> PResult<()> {
+    let (left, op, right) = match on {
+        Expr::Binary { left, op, right } => (*left, op, *right),
+        other => return Err(unsupported_join(&other)),
+    };
+    if op == BinOp::And {
+        join_eqs(left, sides, out)?;
+        return join_eqs(right, sides, out);
+    }
+    // `x LIKE 'exact'` reads as `=` but leaves no sides: no join key.
+    let eq_sides = sides.next().flatten().filter(|_| op == BinOp::Eq);
+    let Some((left_joined, right_joined)) = eq_sides else {
+        return Err(unsupported_join(&left.binary(op, right)));
+    };
+    out.push(JoinEq {
+        left,
+        right,
+        left_joined,
+        right_joined,
+    });
+    Ok(())
+}
+
+fn unsupported_join(on: &Expr) -> ParseError {
+    ParseError::new(format!(
+        "unsupported join condition {on:?}: need conjunctions of equalities"
+    ))
 }
 
 fn is_reserved(word: &str) -> bool {
@@ -776,21 +955,13 @@ mod tests {
                 .unwrap();
         let Statement::Select(s) = stmt else { panic!() };
         assert_eq!(s.group_by.len(), 1);
-        let SelectItem::Expr {
-            expr: SqlExpr::Agg { func, arg },
-            alias,
-        } = &s.items[1]
-        else {
+        let SelectItem::Agg { func, arg, alias } = &s.items[1] else {
             panic!("expected aggregate");
         };
         assert_eq!(*func, AggFunc::Sum);
-        assert!(arg.is_some());
+        assert_eq!(arg, &Some(Expr::col("amount")));
         assert_eq!(alias.as_deref(), Some("total"));
-        let SelectItem::Expr {
-            expr: SqlExpr::Agg { arg, .. },
-            alias,
-        } = &s.items[2]
-        else {
+        let SelectItem::Agg { arg, alias, .. } = &s.items[2] else {
             panic!();
         };
         assert!(arg.is_none()); // COUNT(*)
@@ -948,44 +1119,141 @@ mod tests {
         assert_eq!(stmts.len(), 3);
     }
 
+    /// The WHERE clause of `SELECT 1 FROM t WHERE {predicate}`.
+    fn predicate(predicate: &str) -> Expr {
+        let sql = format!("SELECT 1 FROM t WHERE {predicate}");
+        let Statement::Select(s) = parse(&sql).unwrap() else {
+            panic!()
+        };
+        s.predicate.unwrap()
+    }
+
+    fn parse_err(sql: &str) -> String {
+        parse(sql).unwrap_err().to_string()
+    }
+
     #[test]
     fn operator_precedence() {
+        let (a, b, c) = (Expr::col("a"), Expr::col("b"), Expr::col("c"));
         // a + b * c parses as a + (b * c)
         let Statement::Select(s) = parse("SELECT a + b * c FROM t").unwrap() else {
             panic!()
         };
-        let SelectItem::Expr {
-            expr: SqlExpr::Binary { op, right, .. },
-            ..
-        } = &s.items[0]
-        else {
-            panic!()
-        };
-        assert_eq!(*op, BinOp::Add);
-        assert!(matches!(
-            right.as_ref(),
-            SqlExpr::Binary { op: BinOp::Mul, .. }
-        ));
+        let sum = a
+            .clone()
+            .binary(BinOp::Add, b.clone().binary(BinOp::Mul, c.clone()));
+        assert_eq!(
+            s.items[0],
+            SelectItem::Expr {
+                expr: sum,
+                alias: None
+            }
+        );
+        // Arithmetic is left-associative.
+        assert_eq!(
+            predicate("a - b - c = 1"),
+            a.clone()
+                .binary(BinOp::Sub, b.clone())
+                .binary(BinOp::Sub, c.clone())
+                .eq(Expr::lit(1i64))
+        );
         // AND binds tighter than OR
-        let Statement::Select(s) = parse("SELECT 1 FROM t WHERE a OR b AND c").unwrap() else {
-            panic!()
-        };
-        assert!(matches!(
-            s.predicate.unwrap(),
-            SqlExpr::Binary { op: BinOp::Or, .. }
-        ));
+        assert_eq!(
+            predicate("a OR b AND c"),
+            a.clone().or(b.clone().and(c.clone()))
+        );
+        // A flat chain is balanced, its operands kept in order.
+        let d = Expr::col("d");
+        assert_eq!(
+            predicate("a AND b AND c AND d"),
+            a.clone().and(b.clone()).and(c.clone().and(d.clone()))
+        );
+        assert_eq!(predicate("a OR b OR c"), a.or(b.or(c)));
     }
 
     #[test]
     fn between_like_isnull() {
+        let (a, b, c) = (Expr::col("a"), Expr::col("b"), Expr::col("c"));
+        let between = a
+            .clone()
+            .gt_eq(Expr::lit(1i64))
+            .and(a.lt_eq(Expr::lit(5i64)));
+        let like = Expr::Contains {
+            expr: Box::new(b.clone()),
+            needle: "x".into(),
+        };
+        let not_null = Expr::Not(Box::new(Expr::IsNull(Box::new(c.clone()))));
+        assert_eq!(
+            predicate("a BETWEEN 1 AND 5 AND b LIKE '%x%' AND c IS NOT NULL"),
+            between.and(like.and(not_null))
+        );
+        // A pattern without wildcards is an equality.
+        assert_eq!(predicate("b LIKE 'exact'"), b.eq(Expr::lit("exact")));
+        assert_eq!(predicate("c IS NULL"), Expr::IsNull(Box::new(c)));
+        let e = parse_err("SELECT * FROM t WHERE s LIKE 'a%b'");
+        assert!(e.contains("unsupported LIKE pattern"), "{e}");
+    }
+
+    #[test]
+    fn aggregates_are_whole_select_items() {
+        for sql in [
+            "SELECT * FROM t WHERE SUM(a) > 1",
+            "SELECT SUM(a) + 1 FROM t",
+            "SELECT a FROM t GROUP BY SUM(a)",
+            "UPDATE t SET a = MAX(a)",
+        ] {
+            let e = parse_err(sql);
+            assert!(e.contains("aggregate used in scalar context"), "{sql}: {e}");
+        }
+        let e = parse_err("SELECT SUM(COUNT(a)) FROM t");
+        assert!(e.contains("nested aggregates"), "{e}");
+        // Parentheses around the whole item are no context.
+        let Statement::Select(s) = parse("SELECT (SUM(a)) FROM t").unwrap() else {
+            panic!()
+        };
+        assert!(matches!(s.items[0], SelectItem::Agg { .. }));
+        // Without a call, the names stay column names.
+        assert!(parse("SELECT count, sum FROM t").is_ok());
+    }
+
+    #[test]
+    fn join_on_records_qualified_sides() {
         let Statement::Select(s) =
-            parse("SELECT 1 FROM t WHERE a BETWEEN 1 AND 5 AND b LIKE '%x%' AND c IS NOT NULL")
-                .unwrap()
+            parse("SELECT 1 FROM a JOIN b ON b.y = a.x AND (a.z + 1 = w)").unwrap()
         else {
             panic!()
         };
-        let pred = format!("{:?}", s.predicate.unwrap());
-        assert!(pred.contains("Between") && pred.contains("Like") && pred.contains("IsNull"));
+        let on = &s.joins[0].on;
+        assert_eq!(on.len(), 2);
+        assert_eq!((on[0].left_joined, on[0].right_joined), (true, false));
+        assert_eq!(
+            on[1].left,
+            Expr::col("z").binary(BinOp::Add, Expr::lit(1i64))
+        );
+        assert_eq!((on[1].left_joined, on[1].right_joined), (false, false));
+        for on in [
+            "a.x < b.y",
+            "a.x = b.y OR a.z = b.w",
+            "a.x LIKE 'k'",
+            "NOT a.x = b.y",
+        ] {
+            let e = parse_err(&format!("SELECT 1 FROM a JOIN b ON {on}"));
+            assert!(e.contains("equalities"), "{on}: {e}");
+        }
+    }
+
+    #[test]
+    fn arithmetic_chains_count_as_nesting() {
+        let chain = |n: usize| {
+            let terms = vec!["1"; n + 1].join(" + ");
+            parse(&format!("SELECT {terms} FROM t"))
+        };
+        // The select item is the first level.
+        assert!(chain(MAX_NESTING - 1).is_ok());
+        assert!(chain(MAX_NESTING).is_err());
+        // A long AND chain costs only its log.
+        let conjuncts = vec!["a = 1"; 100_000].join(" AND ");
+        assert!(parse(&format!("SELECT 1 FROM t WHERE {conjuncts}")).is_ok());
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Single-phase planning: lower parsed statements onto executor plans.
+//! Single-phase planning: turn a parsed SELECT into the plan BE tasks run.
 //!
 //! The SQL FE compiles once and ships resolved plans (§3.3); BE tasks never
-//! re-plan. `SelectPlan` is the serialized form of that distributed plan:
-//! scan + joins + predicate + (partial-aggregatable) aggregation +
+//! re-plan. The parser has already built every expression as the
+//! executor's [`Expr`], so planning decides only the plan's shape: whether
+//! the query aggregates, which select items are group keys, what each
+//! output is called, and which side of each join equality belongs to the
+//! joined table. `SelectPlan` is the serialized form of that distributed
+//! plan: scan + joins + predicate + (partial-aggregatable) aggregation +
 //! presentation.
 
-use crate::ast::{JoinClause, SelectItem, SelectStmt, SqlExpr};
+use crate::ast::{JoinClause, SelectItem, SelectStmt};
 use polaris_exec::{AggExpr, AggFunc, Expr};
 use std::fmt;
 
@@ -77,34 +81,27 @@ pub struct SelectPlan {
     pub limit: Option<usize>,
 }
 
-/// Lower a parsed SELECT into a [`SelectPlan`].
+/// Plan a parsed SELECT: its expressions are already the executor's, so
+/// planning splits the select list into aggregation and projection, names
+/// the outputs and orients each join's keys.
 pub fn plan_select(stmt: &SelectStmt) -> Result<SelectPlan, PlanError> {
     let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::ParsePlan);
-    let joins = stmt
-        .joins
-        .iter()
-        .map(lower_join)
-        .collect::<Result<Vec<_>, _>>()?;
-    let predicate = stmt.predicate.as_ref().map(lower_scalar).transpose()?;
-
-    let has_agg_item = stmt.items.iter().any(|item| match item {
-        SelectItem::Expr { expr, .. } => contains_agg(expr),
-        SelectItem::Wildcard => false,
-    });
-    let is_aggregate = has_agg_item || !stmt.group_by.is_empty();
-
+    let is_aggregate = !stmt.group_by.is_empty()
+        || stmt
+            .items
+            .iter()
+            .any(|item| matches!(item, SelectItem::Agg { .. }));
     let (agg, projections) = if is_aggregate {
-        (Some(lower_aggregate(stmt)?), None)
+        (Some(plan_aggregate(stmt)?), None)
     } else {
-        (None, lower_projection(&stmt.items)?)
+        (None, plan_projection(&stmt.items)?)
     };
-
     Ok(SelectPlan {
         schema: stmt.from.schema.clone(),
         table: stmt.from.name.clone(),
         as_of: stmt.from.as_of,
-        joins,
-        predicate,
+        joins: stmt.joins.iter().map(plan_join).collect(),
+        predicate: stmt.predicate.clone(),
         agg,
         projections,
         order_by: stmt
@@ -116,26 +113,27 @@ pub fn plan_select(stmt: &SelectStmt) -> Result<SelectPlan, PlanError> {
     })
 }
 
-fn lower_projection(items: &[SelectItem]) -> Result<Option<Vec<(Expr, String)>>, PlanError> {
+fn plan_projection(items: &[SelectItem]) -> Result<Option<Vec<(Expr, String)>>, PlanError> {
     if items.len() == 1 && items[0] == SelectItem::Wildcard {
         return Ok(None);
     }
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
         match item {
-            SelectItem::Wildcard => return Err(PlanError::new("* must be the only select item")),
             SelectItem::Expr { expr, alias } => {
-                let lowered = lower_scalar(expr)?;
-                let name = alias.clone().unwrap_or_else(|| default_name(expr, i));
-                out.push((lowered, name));
+                out.push((expr.clone(), output_name(expr, alias, i)));
+            }
+            // An aggregate item makes the query an aggregate one, so only
+            // `*` gets here.
+            SelectItem::Wildcard | SelectItem::Agg { .. } => {
+                return Err(PlanError::new("* must be the only select item"))
             }
         }
     }
     Ok(Some(out))
 }
 
-fn lower_aggregate(stmt: &SelectStmt) -> Result<AggPlan, PlanError> {
-    let group_exprs: Vec<SqlExpr> = stmt.group_by.clone();
+fn plan_aggregate(stmt: &SelectStmt) -> Result<AggPlan, PlanError> {
     let mut group_by = Vec::new();
     let mut aggs = Vec::new();
     // Walk select items in order: group keys keep their position, aggregates
@@ -146,214 +144,68 @@ fn lower_aggregate(stmt: &SelectStmt) -> Result<AggPlan, PlanError> {
             SelectItem::Wildcard => {
                 return Err(PlanError::new("* not allowed in aggregate queries"))
             }
-            SelectItem::Expr { expr, alias } => match expr {
-                SqlExpr::Agg { func, arg } => {
-                    let input = match arg {
-                        Some(a) => {
-                            if contains_agg(a) {
-                                return Err(PlanError::new("nested aggregates"));
-                            }
-                            lower_scalar(a)?
-                        }
-                        // COUNT(*) counts rows: count a non-null literal.
-                        None => Expr::lit(1i64),
+            SelectItem::Agg { func, arg, alias } => {
+                let name = alias.clone().unwrap_or_else(|| {
+                    let base = match func {
+                        AggFunc::Count => "count",
+                        AggFunc::Sum => "sum",
+                        AggFunc::Min => "min",
+                        AggFunc::Max => "max",
+                        AggFunc::Avg => "avg",
                     };
-                    let name = alias.clone().unwrap_or_else(|| default_name(expr, i));
-                    aggs.push(AggExpr::new(*func, input, name));
-                }
-                other => {
-                    if !group_exprs.contains(other) {
-                        return Err(PlanError::new(format!(
-                            "select item {other:?} is neither an aggregate nor in GROUP BY"
-                        )));
+                    match arg {
+                        Some(Expr::Column(name)) => format!("{base}_{name}"),
+                        _ => format!("{base}_{i}"),
                     }
-                    let name = alias.clone().unwrap_or_else(|| default_name(other, i));
-                    group_by.push((lower_scalar(other)?, name));
+                });
+                // COUNT(*) counts rows: count a non-null literal.
+                let input = arg.clone().unwrap_or_else(|| Expr::lit(1i64));
+                aggs.push(AggExpr::new(*func, input, name));
+            }
+            SelectItem::Expr { expr, alias } => {
+                if !stmt.group_by.contains(expr) {
+                    return Err(PlanError::new(format!(
+                        "select item {expr:?} is neither an aggregate nor in GROUP BY"
+                    )));
                 }
-            },
+                group_by.push((expr.clone(), output_name(expr, alias, i)));
+            }
         }
     }
     // GROUP BY columns not projected still group (SQL allows it).
-    for g in &group_exprs {
-        let lowered = lower_scalar(g)?;
-        if !group_by.iter().any(|(e, _)| e == &lowered) {
-            group_by.push((lowered.clone(), format!("_group{}", group_by.len())));
+    for g in &stmt.group_by {
+        if !group_by.iter().any(|(e, _)| e == g) {
+            group_by.push((g.clone(), format!("_group{}", group_by.len())));
         }
     }
     Ok(AggPlan { group_by, aggs })
 }
 
-fn lower_join(join: &JoinClause) -> Result<JoinPlan, PlanError> {
-    let right_names: Vec<&str> = [Some(join.table.name.as_str()), join.table.alias.as_deref()]
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    collect_equi_keys(&join.on, &right_names, &mut left_keys, &mut right_keys)?;
-    if left_keys.is_empty() {
-        return Err(PlanError::new("join ON must contain at least one equality"));
-    }
-    Ok(JoinPlan {
+/// Keys for one join: each `l = r` of its `ON` goes left-to-right as
+/// written, unless only `l` names the joined table, which puts it right.
+fn plan_join(join: &JoinClause) -> JoinPlan {
+    let (left_keys, right_keys) = join
+        .on
+        .iter()
+        .map(|eq| match (eq.left_joined, eq.right_joined) {
+            (true, false) => (eq.right.clone(), eq.left.clone()),
+            _ => (eq.left.clone(), eq.right.clone()),
+        })
+        .unzip();
+    JoinPlan {
         schema: join.table.schema.clone(),
         table: join.table.name.clone(),
         as_of: join.table.as_of,
         left_keys,
         right_keys,
-    })
-}
-
-/// Decompose `ON` into equi-join keys. Accepts conjunctions of `x = y`.
-fn collect_equi_keys(
-    on: &SqlExpr,
-    right_names: &[&str],
-    left_keys: &mut Vec<Expr>,
-    right_keys: &mut Vec<Expr>,
-) -> Result<(), PlanError> {
-    match on {
-        SqlExpr::Binary {
-            left,
-            op: polaris_exec::BinOp::And,
-            right,
-        } => {
-            collect_equi_keys(left, right_names, left_keys, right_keys)?;
-            collect_equi_keys(right, right_names, left_keys, right_keys)
-        }
-        SqlExpr::Binary {
-            left,
-            op: polaris_exec::BinOp::Eq,
-            right,
-        } => {
-            // Which operand belongs to the joined (right) table? Prefer
-            // qualifier evidence; fall back to positional order.
-            let l_right = references_table(left, right_names);
-            let r_right = references_table(right, right_names);
-            let (l, r) = match (l_right, r_right) {
-                (true, false) => (right, left),
-                _ => (left, right),
-            };
-            left_keys.push(lower_scalar(l)?);
-            right_keys.push(lower_scalar(r)?);
-            Ok(())
-        }
-        other => Err(PlanError::new(format!(
-            "unsupported join condition {other:?}: need conjunctions of equalities"
-        ))),
     }
 }
 
-fn references_table(expr: &SqlExpr, names: &[&str]) -> bool {
-    match expr {
-        SqlExpr::Column {
-            qualifier: Some(q), ..
-        } => names.contains(&q.as_str()),
-        SqlExpr::Column {
-            qualifier: None, ..
-        }
-        | SqlExpr::Literal(_)
-        | SqlExpr::Agg { .. } => false,
-        SqlExpr::Binary { left, right, .. } => {
-            references_table(left, names) || references_table(right, names)
-        }
-        SqlExpr::Not(e) => references_table(e, names),
-        SqlExpr::IsNull { expr, .. } => references_table(expr, names),
-        SqlExpr::Like { expr, .. } => references_table(expr, names),
-        SqlExpr::Between { expr, lo, hi } => {
-            references_table(expr, names)
-                || references_table(lo, names)
-                || references_table(hi, names)
-        }
-    }
-}
-
-/// Lower a scalar (non-aggregate) expression to an executor expression —
-/// public so the engine can lower UPDATE assignments and standalone
-/// predicates.
-pub fn lower_expr(expr: &SqlExpr) -> Result<Expr, PlanError> {
-    lower_scalar(expr)
-}
-
-/// Lower a scalar (non-aggregate) expression.
-pub(crate) fn lower_scalar(expr: &SqlExpr) -> Result<Expr, PlanError> {
-    Ok(match expr {
-        SqlExpr::Column { name, .. } => Expr::col(name.clone()),
-        SqlExpr::Literal(v) => Expr::Literal(v.clone()),
-        SqlExpr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(lower_scalar(left)?),
-            op: *op,
-            right: Box::new(lower_scalar(right)?),
-        },
-        SqlExpr::Not(e) => Expr::Not(Box::new(lower_scalar(e)?)),
-        SqlExpr::IsNull { expr, negated } => {
-            let is_null = Expr::IsNull(Box::new(lower_scalar(expr)?));
-            if *negated {
-                Expr::Not(Box::new(is_null))
-            } else {
-                is_null
-            }
-        }
-        SqlExpr::Like { expr, pattern } => {
-            let inner = lower_scalar(expr)?;
-            let trimmed = pattern.trim_matches('%');
-            if trimmed.contains('%') || trimmed.contains('_') {
-                return Err(PlanError::new(format!(
-                    "unsupported LIKE pattern {pattern:?}: only '%substring%' is supported"
-                )));
-            }
-            if pattern.starts_with('%') && pattern.ends_with('%') && pattern.len() >= 2 {
-                Expr::Contains {
-                    expr: Box::new(inner),
-                    needle: trimmed.to_owned(),
-                }
-            } else if !pattern.contains('%') {
-                inner.eq(Expr::lit(pattern.as_str()))
-            } else {
-                return Err(PlanError::new(format!(
-                    "unsupported LIKE pattern {pattern:?}: only '%substring%' is supported"
-                )));
-            }
-        }
-        SqlExpr::Between { expr, lo, hi } => {
-            let e = lower_scalar(expr)?;
-            let lo = lower_scalar(lo)?;
-            let hi = lower_scalar(hi)?;
-            e.clone().gt_eq(lo).and(e.lt_eq(hi))
-        }
-        SqlExpr::Agg { .. } => return Err(PlanError::new("aggregate used in scalar context")),
-    })
-}
-
-fn contains_agg(expr: &SqlExpr) -> bool {
-    match expr {
-        SqlExpr::Agg { .. } => true,
-        SqlExpr::Column { .. } | SqlExpr::Literal(_) => false,
-        SqlExpr::Binary { left, right, .. } => contains_agg(left) || contains_agg(right),
-        SqlExpr::Not(e) => contains_agg(e),
-        SqlExpr::IsNull { expr, .. } => contains_agg(expr),
-        SqlExpr::Like { expr, .. } => contains_agg(expr),
-        SqlExpr::Between { expr, lo, hi } => {
-            contains_agg(expr) || contains_agg(lo) || contains_agg(hi)
-        }
-    }
-}
-
-fn default_name(expr: &SqlExpr, index: usize) -> String {
-    match expr {
-        SqlExpr::Column { name, .. } => name.clone(),
-        SqlExpr::Agg { func, arg } => {
-            let base = match func {
-                AggFunc::Count => "count",
-                AggFunc::Sum => "sum",
-                AggFunc::Min => "min",
-                AggFunc::Max => "max",
-                AggFunc::Avg => "avg",
-            };
-            match arg.as_deref() {
-                Some(SqlExpr::Column { name, .. }) => format!("{base}_{name}"),
-                _ => format!("{base}_{index}"),
-            }
-        }
-        _ => format!("_col{index}"),
+fn output_name(expr: &Expr, alias: &Option<String>, index: usize) -> String {
+    match (alias, expr) {
+        (Some(alias), _) => alias.clone(),
+        (None, Expr::Column(name)) => name.clone(),
+        (None, _) => format!("_col{index}"),
     }
 }
 
@@ -434,9 +286,26 @@ mod tests {
     }
 
     #[test]
-    fn non_equi_join_rejected() {
-        let e = plan_err("SELECT 1 FROM a JOIN b ON a.x < b.y");
-        assert!(e.to_string().contains("equalities"));
+    fn join_keys_orient_by_alias_on_different_names() {
+        let p = plan("SELECT 1 FROM orders o JOIN customer c ON c.cid = o.ocid");
+        assert_eq!(p.joins[0].left_keys, vec![Expr::col("ocid")]);
+        assert_eq!(p.joins[0].right_keys, vec![Expr::col("cid")]);
+        // The table's own name qualifies as well as its alias.
+        let p = plan("SELECT 1 FROM orders o JOIN customer c ON customer.cid = ocid");
+        assert_eq!(p.joins[0].right_keys, vec![Expr::col("cid")]);
+        // Evidence on both sides, or on neither, keeps the written order.
+        let p = plan("SELECT 1 FROM orders o JOIN customer c ON c.cid + o.k = c.ocid");
+        assert_eq!(p.joins[0].right_keys, vec![Expr::col("ocid")]);
+    }
+
+    #[test]
+    fn group_by_matches_items_up_to_qualifier() {
+        let p = plan("SELECT t.region, COUNT(*) FROM t GROUP BY region");
+        let agg = p.agg.unwrap();
+        assert_eq!(
+            agg.group_by,
+            vec![(Expr::col("region"), "region".to_owned())]
+        );
     }
 
     #[test]
@@ -455,21 +324,12 @@ mod tests {
         // exact LIKE without wildcards is equality
         let p = plan("SELECT * FROM t WHERE s LIKE 'exact'");
         assert!(matches!(p.predicate.unwrap(), Expr::Binary { .. }));
-        // unsupported pattern
-        let e = plan_err("SELECT * FROM t WHERE s LIKE 'a%b'");
-        assert!(e.to_string().contains("LIKE"));
     }
 
     #[test]
     fn is_not_null_lowering() {
         let p = plan("SELECT * FROM t WHERE a IS NOT NULL");
         assert!(matches!(p.predicate.unwrap(), Expr::Not(_)));
-    }
-
-    #[test]
-    fn aggregate_in_where_rejected() {
-        let e = plan_err("SELECT * FROM t WHERE SUM(a) > 1");
-        assert!(e.to_string().contains("scalar context"));
     }
 
     #[test]

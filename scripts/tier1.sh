@@ -34,6 +34,13 @@ cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
 # import as recovery, so the restart-from-backup tests (a restored engine
 # keeps every row and allocates above every restored id) ride along.
 cargo test --release -q --test fault_tolerance
+# Hostile SQL, optimized as it ships: deep nesting and 100 000-term AND/OR/+
+# chains on a 2 MiB thread answer or are refused, never overflow the stack.
+# Optimized builds inline the recursive descent into different frame sizes,
+# so the stack bound has to hold in both profiles (`--workspace` above runs
+# debug); the parser's own tests, round-trip fuzz included, ride along.
+cargo test --release -q --test hostile_sql
+cargo test --release -q -p polaris-sql
 # Decoder smoke, optimized as it ships: the six decoders that read bytes
 # back from the store (manifests, lst checkpoints, WAL frames, catalog
 # checkpoint blobs, the columnar file read whole and footer-then-chunks,

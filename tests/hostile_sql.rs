@@ -40,3 +40,35 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         });
     session.unwrap().join().unwrap();
 }
+
+#[test]
+fn long_flat_chains_answer_or_are_refused() {
+    let engine = PolarisEngine::in_memory();
+    let session = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut s = engine.session();
+            s.execute("CREATE TABLE t (a BIGINT)").unwrap();
+            s.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+            let count = |s: &mut polaris::core::Session, predicate: &str| {
+                let sql = format!("SELECT COUNT(*) AS n FROM t WHERE {predicate}");
+                let rows = s.query(&sql).unwrap();
+                rows.row(0)[0].as_int()
+            };
+            let terms = 100_000;
+            // AND and OR chains are balanced as they are parsed, so they
+            // answer however long they are.
+            let all_ones = vec!["a = 1"; terms].join(" AND ");
+            assert_eq!(count(&mut s, &all_ones), Some(1));
+            assert_eq!(count(&mut s, "a > 0"), Some(3), "the next statement runs");
+            let mut any = vec!["a = 2"; terms - 1];
+            any.push("a = 1");
+            assert_eq!(count(&mut s, &any.join(" OR ")), Some(2));
+            assert_eq!(count(&mut s, "a > 0"), Some(3), "the next statement runs");
+            // An arithmetic chain is one level per operator: refused.
+            let sum = vec!["1"; terms].join(" + ");
+            assert!(s.execute(&format!("SELECT {sum} FROM t")).is_err());
+            assert_eq!(count(&mut s, "a > 0"), Some(3), "the next statement runs");
+        });
+    session.unwrap().join().unwrap();
+}
