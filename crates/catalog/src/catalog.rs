@@ -6,7 +6,8 @@ use crate::{
     Timestamp, Txn, TxnId,
 };
 use polaris_lst::SequenceId;
-use std::ops::Bound::{Excluded, Included};
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a table object within a database (the `Table Id` column
@@ -69,8 +70,8 @@ pub enum CatalogKey {
 pub enum CatalogValue {
     /// For [`CatalogKey::TableName`].
     Id(TableId),
-    /// For [`CatalogKey::Table`].
-    Meta(TableMeta),
+    /// For [`CatalogKey::Table`]; boxed, so every row stays a path's size.
+    Meta(Box<TableMeta>),
     /// For [`CatalogKey::Manifest`].
     ManifestRow(ManifestRow),
     /// For [`CatalogKey::WriteSet`] — the `Updated` counter of Figure 4.
@@ -87,32 +88,52 @@ pub type CatalogTxn = Txn<CatalogKey, CatalogValue>;
 /// keyspace (see [`crate::CommitLog`]).
 pub type CatalogCommitLog = crate::CommitLog<CatalogKey, CatalogValue>;
 
-/// Serializable snapshot of the whole catalog — the §6.3 backup payload.
+/// The catalog's committed rows at one clock — the §6.3 backup payload, the
+/// base of a checkpoint blob, and what recovery folds the log into.
+///
+/// `rows` holds every committed `(CatalogKey, CatalogValue)` but the
+/// `WriteSets` rows, which only validation reads. A table's `Manifests` and
+/// `Checkpoints` rows leave with its `Table` row: a dropped table has none.
+/// Checkpoint deltas and log records fold into an image through
+/// [`CatalogImage::apply`], in the `(key, Option<value>)` form the log writes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogImage {
-    /// Commit clock at export time.
+    /// Commit clock the rows stand at.
     pub clock: u64,
-    /// One entry per table, with its full manifest chain and checkpoints.
-    pub tables: Vec<TableImage>,
+    /// The rows, in key order.
+    pub rows: BTreeMap<CatalogKey, CatalogValue>,
 }
 
-/// One table's logical metadata and manifest history within a backup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableImage {
-    /// Table id.
-    pub id: u64,
-    /// Table name.
-    pub name: String,
-    /// Serialized schema.
-    pub schema_json: String,
-    /// Data root in the lake.
-    pub data_root: String,
-    /// Cluster keys.
-    pub cluster_by: Vec<String>,
-    /// `(sequence, manifest file, txn id)` rows.
-    pub manifests: Vec<(u64, String, u64)>,
-    /// `(covered sequence, checkpoint path)` rows.
-    pub checkpoints: Vec<(u64, String)>,
+impl CatalogImage {
+    /// Bring the image to `clock` by folding the writes committed since, in
+    /// commit order: each upserts its row, or removes it on `None`. Removing
+    /// a `Table` row removes its table's rows, rows written for a table the
+    /// image does not hold are skipped, and `WriteSets` rows are not image
+    /// rows. [`Catalog::export`] is this fold of the committed rows.
+    pub fn apply(
+        &mut self,
+        clock: u64,
+        writes: impl IntoIterator<Item = (CatalogKey, Option<CatalogValue>)>,
+    ) {
+        use CatalogKey::{Checkpoint, Manifest, Table};
+        for (key, value) in writes {
+            match (key, value) {
+                (CatalogKey::WriteSet(..), _) => {}
+                (Table(id), None) => self.rows.retain(|key, _| {
+                    !matches!(key, Table(t) | Manifest(t, _) | Checkpoint(t, _) if *t == id)
+                }),
+                (Manifest(id, _) | Checkpoint(id, _), Some(_))
+                    if !self.rows.contains_key(&Table(id)) => {}
+                (key, Some(value)) => {
+                    self.rows.insert(key, value);
+                }
+                (key, None) => {
+                    self.rows.remove(&key);
+                }
+            }
+        }
+        self.clock = clock;
+    }
 }
 
 /// The Polaris system catalog.
@@ -251,13 +272,13 @@ impl Catalog {
             });
         }
         let id = TableId(self.next_table_id.fetch_add(1, Ordering::SeqCst));
-        let meta = TableMeta {
+        let meta = Box::new(TableMeta {
             id,
             name: name.to_owned(),
             schema_json: schema_json.to_owned(),
             data_root: data_root.to_owned(),
             cluster_by: cluster_by.to_vec(),
-        };
+        });
         self.store.write(txn, key, CatalogValue::Id(id))?;
         self.store
             .write(txn, CatalogKey::Table(id), CatalogValue::Meta(meta))?;
@@ -274,8 +295,9 @@ impl Catalog {
             });
         }
         self.store.write(txn, key, CatalogValue::Id(meta.id))?;
+        let table = CatalogKey::Table(meta.id);
         self.store
-            .write(txn, CatalogKey::Table(meta.id), CatalogValue::Meta(meta))?;
+            .write(txn, table, CatalogValue::Meta(Box::new(meta)))?;
         Ok(())
     }
 
@@ -312,7 +334,7 @@ impl Catalog {
     /// Look up a table by id.
     pub fn table_by_id(&self, txn: &mut CatalogTxn, id: TableId) -> CatalogResult<TableMeta> {
         match self.store.read(txn, &CatalogKey::Table(id))? {
-            Some(CatalogValue::Meta(meta)) => Ok(meta),
+            Some(CatalogValue::Meta(meta)) => Ok(*meta),
             _ => Err(CatalogError::NotFound {
                 what: format!("table id {}", id.0),
             }),
@@ -328,7 +350,7 @@ impl Catalog {
             .scan(txn, Included(&lo), Included(&hi))?
             .into_iter()
             .filter_map(|(_, v)| match v {
-                CatalogValue::Meta(m) => Some(m),
+                CatalogValue::Meta(m) => Some(*m),
                 _ => None,
             })
             .collect())
@@ -571,83 +593,44 @@ impl Catalog {
     /// Databases in the SQL FE by performing periodic Backup operations").
     pub fn export(&self) -> CatalogResult<CatalogImage> {
         let mut txn = self.begin(IsolationLevel::Snapshot);
-        // The snapshot's own clock: `now()` may already be past it, and an
-        // image claiming a clock whose rows it lacks would lose them.
-        let mut image = CatalogImage {
-            clock: txn.snapshot.0,
-            ..Default::default()
-        };
-        for meta in self.list_tables(&mut txn)? {
-            let manifests = self
-                .visible_manifests(&mut txn, meta.id)?
-                .into_iter()
-                .map(|(seq, row)| (seq.0, row.manifest_file, row.txn_id.0))
-                .collect();
-            let checkpoints = self
-                .checkpoints(&mut txn, meta.id)?
-                .into_iter()
-                .map(|(seq, row)| (seq.0, row.path))
-                .collect();
-            image.tables.push(TableImage {
-                id: meta.id.0,
-                name: meta.name,
-                schema_json: meta.schema_json,
-                data_root: meta.data_root,
-                cluster_by: meta.cluster_by,
-                manifests,
-                checkpoints,
-            });
-        }
+        let rows = self.store.scan(&mut txn, Unbounded, Unbounded);
         self.abort(&mut txn);
+        // Key order puts every `Table` row before the rows of its table, and
+        // the snapshot's own clock is the image's: `now()` may already be
+        // past it, and an image claiming a clock whose rows it lacks would
+        // lose them.
+        let mut image = CatalogImage::default();
+        image.apply(txn.snapshot.0, rows?.into_iter().map(|(k, v)| (k, Some(v))));
         Ok(image)
     }
 
-    /// Rebuild a catalog from an exported image. Intended for a FRESH
-    /// catalog (restore-on-restart); restoring over existing state returns
-    /// `AlreadyExists` on the first name collision.
+    /// Rebuild a catalog from an exported image. Only a fresh catalog takes
+    /// one (restore-on-restart); any other returns `AlreadyExists`.
     pub fn import(&self, image: &CatalogImage) -> CatalogResult<()> {
         self.import_owned(image.clone())
     }
 
-    /// [`Catalog::import`] of an image the caller is done with: every path
-    /// and schema string moves into its catalog row instead of being
-    /// copied — recovery folds the whole log tail into the image it imports.
-    /// Afterwards the commit clock stands at the image's, and the table-id
-    /// and transaction-id allocators are past every id its rows hold: a
-    /// `Manifests` row carries its transaction's id, as do the names of the
-    /// files it lists.
+    /// [`Catalog::import`] of an image the caller is done with: each row
+    /// moves into the catalog as one write — recovery folds the whole log
+    /// tail into the image it imports. Afterwards the commit clock stands at
+    /// the image's, and the table-id and transaction-id allocators are past
+    /// every id its rows hold: a `Manifests` row carries its transaction's
+    /// id, as do the names of the files it lists.
     pub fn import_owned(&self, image: CatalogImage) -> CatalogResult<()> {
+        if self.now() != Timestamp(0) {
+            return Err(CatalogError::AlreadyExists {
+                what: "catalog rows (an image imports into a fresh catalog)".to_owned(),
+            });
+        }
         let mut txn = self.begin(IsolationLevel::Snapshot);
         let (mut max_table, mut max_txn) = (0u64, 0u64);
-        for t in image.tables {
-            max_table = max_table.max(t.id);
-            let id = TableId(t.id);
-            let meta = TableMeta {
-                id,
-                name: t.name,
-                schema_json: t.schema_json,
-                data_root: t.data_root,
-                cluster_by: t.cluster_by,
-            };
-            self.register_table(&mut txn, meta)?;
-            for (seq, manifest_file, txn_id) in t.manifests {
-                max_txn = max_txn.max(txn_id);
-                self.store.write(
-                    &mut txn,
-                    CatalogKey::Manifest(id, SequenceId(seq)),
-                    CatalogValue::ManifestRow(ManifestRow {
-                        manifest_file,
-                        txn_id: TxnId(txn_id),
-                    }),
-                )?;
+        for (key, value) in image.rows {
+            match (&key, &value) {
+                (CatalogKey::Table(id), _) => max_table = max_table.max(id.0),
+                (_, CatalogValue::ManifestRow(row)) => max_txn = max_txn.max(row.txn_id.0),
+                _ => {}
             }
-            for (seq, path) in t.checkpoints {
-                self.store.write(
-                    &mut txn,
-                    CatalogKey::Checkpoint(id, SequenceId(seq)),
-                    CatalogValue::CheckpointRow(CheckpointRow { path }),
-                )?;
-            }
+            self.store.write(&mut txn, key, value)?;
         }
         self.commit(&mut txn)?;
         self.store.advance_clock(Timestamp(image.clock));
@@ -941,5 +924,130 @@ mod tests {
             removed >= 4,
             "old WriteSets versions reclaimed, got {removed}"
         );
+    }
+
+    fn manifest(file: &str, txn: u64) -> CatalogValue {
+        CatalogValue::ManifestRow(ManifestRow {
+            manifest_file: file.to_owned(),
+            txn_id: TxnId(txn),
+        })
+    }
+
+    #[test]
+    fn apply_upserts_removes_and_drops_a_tables_rows() {
+        let (t, u) = (TableId(1001), TableId(1002));
+        let meta = |id: TableId, name: &str| TableMeta {
+            id,
+            name: name.to_owned(),
+            schema_json: "[]".to_owned(),
+            data_root: format!("lake/{name}"),
+            cluster_by: Vec::new(),
+        };
+        let mut image = CatalogImage::default();
+        image.apply(
+            1,
+            [
+                (CatalogKey::TableName("t".into()), Some(CatalogValue::Id(t))),
+                (
+                    CatalogKey::Table(t),
+                    Some(CatalogValue::Meta(Box::new(meta(t, "t")))),
+                ),
+                (CatalogKey::TableName("u".into()), Some(CatalogValue::Id(u))),
+                (
+                    CatalogKey::Table(u),
+                    Some(CatalogValue::Meta(Box::new(meta(u, "u")))),
+                ),
+                (
+                    CatalogKey::Manifest(t, SequenceId(1)),
+                    Some(manifest("m1", 7)),
+                ),
+                (
+                    CatalogKey::Manifest(u, SequenceId(1)),
+                    Some(manifest("n1", 7)),
+                ),
+                (
+                    CatalogKey::Checkpoint(u, SequenceId(1)),
+                    Some(CatalogValue::CheckpointRow(CheckpointRow {
+                        path: "c".into(),
+                    })),
+                ),
+                (
+                    CatalogKey::WriteSet(t, None),
+                    Some(CatalogValue::Updated(1)),
+                ),
+            ],
+        );
+        assert_eq!(image.clock, 1);
+        assert_eq!(image.rows.len(), 7, "every row but the WriteSets row");
+        image.apply(
+            2,
+            [
+                (CatalogKey::Manifest(t, SequenceId(1)), None),
+                (CatalogKey::TableName("u".into()), None),
+                (CatalogKey::Table(u), None),
+                (
+                    CatalogKey::Manifest(u, SequenceId(2)),
+                    Some(manifest("n2", 8)),
+                ),
+            ],
+        );
+        assert_eq!(image.clock, 2);
+        let keys: Vec<&CatalogKey> = image.rows.keys().collect();
+        assert_eq!(
+            keys,
+            [&CatalogKey::TableName("t".into()), &CatalogKey::Table(t)],
+            "a delete removes its row; a dropped table's rows leave with it, later ones too"
+        );
+    }
+
+    #[test]
+    fn export_is_the_live_rows_and_imports_into_a_fresh_catalog() {
+        let (c, t) = catalog_with_table("t");
+        let mut tx = c.begin(IsolationLevel::Snapshot);
+        let u = c.create_table(&mut tx, "u", "{}", "lake/u", &[]).unwrap();
+        c.commit(&mut tx).unwrap();
+        for id in [t, u] {
+            let mut tx = c.begin(IsolationLevel::Snapshot);
+            c.record_write_set(&mut tx, id, &[], ConflictGranularity::Table)
+                .unwrap();
+            c.commit_write(&mut tx, &[(id, format!("m{}", id.0))])
+                .unwrap();
+        }
+        let mut tx = c.begin(IsolationLevel::Snapshot);
+        c.add_checkpoint(&mut tx, t, SequenceId(3), "ck").unwrap();
+        c.drop_table(&mut tx, "u").unwrap();
+        c.commit(&mut tx).unwrap();
+
+        let image = c.export().unwrap();
+        assert_eq!(image.clock, c.now().0);
+        let keys: Vec<&CatalogKey> = image.rows.keys().collect();
+        assert_eq!(
+            keys,
+            [
+                &CatalogKey::TableName("t".into()),
+                &CatalogKey::Table(t),
+                &CatalogKey::Manifest(t, SequenceId(3)),
+                &CatalogKey::Checkpoint(t, SequenceId(3)),
+            ],
+            "no WriteSets rows, nothing of the dropped table"
+        );
+
+        let fresh = Catalog::new();
+        fresh.import(&image).unwrap();
+        assert_eq!(fresh.export().unwrap(), image);
+        assert!(
+            fresh.allocate_table_id() > t,
+            "table ids move past the image's"
+        );
+        let Some(CatalogValue::ManifestRow(row)) =
+            image.rows.get(&CatalogKey::Manifest(t, SequenceId(3)))
+        else {
+            panic!("t's manifest row");
+        };
+        assert!(fresh.begin(IsolationLevel::Snapshot).id > row.txn_id);
+        assert!(matches!(
+            fresh.import(&image),
+            Err(CatalogError::AlreadyExists { .. })
+        ));
     }
 }

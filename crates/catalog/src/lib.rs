@@ -56,7 +56,7 @@ pub mod wal;
 
 pub use catalog::{
     Catalog, CatalogCommitLog, CatalogImage, CatalogKey, CatalogTxn, CatalogValue, CheckpointRow,
-    ManifestRow, TableId, TableImage, TableMeta,
+    ManifestRow, TableId, TableMeta,
 };
 pub use error::{CatalogError, CatalogResult};
 pub use mvcc::{

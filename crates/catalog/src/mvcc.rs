@@ -285,11 +285,6 @@ pub struct Txn<K, V> {
 }
 
 impl<K: Ord + Clone, V> Txn<K, V> {
-    /// Keys written so far (buffered).
-    pub fn written_keys(&self) -> impl Iterator<Item = &K> {
-        self.writes.keys()
-    }
-
     /// Current status.
     pub fn status(&self) -> TxnStatus {
         self.status

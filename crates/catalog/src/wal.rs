@@ -1,6 +1,7 @@
-//! Wire format of the durable commit log (and, through
+//! Wire format of the durable commit log and, through
 //! [`encode_payload_into`] / [`decode_payloads`], of the catalog checkpoint
-//! blob, which frames its own payload type the same way).
+//! blob, whose [`CheckpointFrame`]s carry catalog rows in the log's own
+//! `(CatalogKey, Option<CatalogValue>)` form, front-coded.
 //!
 //! Each sequencer batch serializes to one self-delimiting *frame*:
 //!
@@ -29,15 +30,16 @@
 //!
 //! The payload is the full effect of every batch member — buffered writes
 //! plus the extra (manifest-row) writes computed at the commit point — so
-//! recovery folds a commit into the catalog image verbatim without
-//! re-running any engine logic.
+//! recovery folds a commit into the catalog image verbatim
+//! ([`CatalogImage::apply`](crate::CatalogImage::apply), as it folds a
+//! checkpoint frame) without re-running any engine logic.
 
 use crate::{
-    CatalogImage, CatalogKey, CatalogValue, CheckpointRow, CommitLogRecord, ManifestRow, TableId,
-    TableImage, TableMeta, TxnId,
+    CatalogKey, CatalogValue, CheckpointRow, CommitLogRecord, ManifestRow, TableId, TableMeta,
+    TxnId,
 };
 use polaris_lst::codec::{
-    decode_all, put_str, put_str_after, put_u64, Codec, DecodeResult, Reader,
+    decode_all, put_i64, put_str, put_str_after, put_u64, Codec, DecodeResult, Reader,
 };
 use polaris_lst::SequenceId;
 
@@ -280,167 +282,225 @@ impl Codec for WalCommit {
     }
 }
 
-impl Codec for CatalogKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CatalogKey::TableName(name) => {
-                put_u64(out, 0);
-                put_str(out, name);
-            }
-            CatalogKey::Table(id) => {
-                put_u64(out, 1);
-                put_u64(out, id.0);
-            }
-            CatalogKey::Manifest(id, seq) => {
-                put_u64(out, 2);
-                put_u64(out, id.0);
-                put_u64(out, seq.0);
-            }
-            CatalogKey::WriteSet(id, file) => {
-                put_u64(out, 3);
-                put_u64(out, id.0);
-                file.encode(out);
-            }
-            CatalogKey::Checkpoint(id, seq) => {
-                put_u64(out, 4);
-                put_u64(out, id.0);
-                put_u64(out, seq.0);
-            }
+/// How a row's fields are written: whole in a log record; in a row list
+/// (an image or a delta) front-coded — each string against the string
+/// written before it, each id as its difference from the same id of the
+/// row before — for consecutive rows are mostly one table's manifest rows,
+/// whose paths and ids differ only a little. (Cluster keys, `WriteSets`
+/// files and counts, which no image row holds, are always whole.)
+#[derive(Default)]
+struct Fields {
+    front_coded: bool,
+    last: String,
+    ids: [u64; 3],
+}
+
+impl Fields {
+    /// The ids front-coded: table, sequence, transaction.
+    const TABLE: usize = 0;
+    const SEQ: usize = 1;
+    const TXN: usize = 2;
+
+    fn put(&mut self, out: &mut Vec<u8>, s: &str) {
+        if !self.front_coded {
+            return put_str(out, s);
+        }
+        put_str_after(out, &self.last, s);
+        self.last.clear();
+        self.last.push_str(s);
+    }
+
+    fn get(&mut self, r: &mut Reader<'_>) -> DecodeResult<String> {
+        if !self.front_coded {
+            return String::decode(r);
+        }
+        let s = r.str_after(&self.last)?;
+        self.last.clone_from(&s);
+        Ok(s)
+    }
+
+    fn put_id(&mut self, out: &mut Vec<u8>, id: usize, n: u64) {
+        if !self.front_coded {
+            return put_u64(out, n);
+        }
+        let last = &mut self.ids[id];
+        put_i64(out, n.wrapping_sub(*last) as i64);
+        *last = n;
+    }
+
+    fn get_id(&mut self, r: &mut Reader<'_>, id: usize) -> DecodeResult<u64> {
+        if !self.front_coded {
+            return r.u64();
+        }
+        let last = &mut self.ids[id];
+        *last = last.wrapping_add(r.i64()? as u64);
+        Ok(*last)
+    }
+}
+
+fn key_tag(key: &CatalogKey) -> u64 {
+    match key {
+        CatalogKey::TableName(_) => 0,
+        CatalogKey::Table(_) => 1,
+        CatalogKey::Manifest(..) => 2,
+        CatalogKey::WriteSet(..) => 3,
+        CatalogKey::Checkpoint(..) => 4,
+    }
+}
+
+fn put_key_fields(out: &mut Vec<u8>, key: &CatalogKey, f: &mut Fields) {
+    match key {
+        CatalogKey::TableName(name) => f.put(out, name),
+        CatalogKey::Table(id) => f.put_id(out, Fields::TABLE, id.0),
+        CatalogKey::Manifest(id, seq) | CatalogKey::Checkpoint(id, seq) => {
+            f.put_id(out, Fields::TABLE, id.0);
+            f.put_id(out, Fields::SEQ, seq.0);
+        }
+        CatalogKey::WriteSet(id, file) => {
+            f.put_id(out, Fields::TABLE, id.0);
+            file.encode(out);
         }
     }
+}
+
+fn get_key_fields(r: &mut Reader<'_>, tag: u64, f: &mut Fields) -> DecodeResult<CatalogKey> {
+    Ok(match tag {
+        0 => CatalogKey::TableName(f.get(r)?),
+        1 => CatalogKey::Table(TableId(f.get_id(r, Fields::TABLE)?)),
+        2 => CatalogKey::Manifest(
+            TableId(f.get_id(r, Fields::TABLE)?),
+            SequenceId(f.get_id(r, Fields::SEQ)?),
+        ),
+        3 => CatalogKey::WriteSet(TableId(f.get_id(r, Fields::TABLE)?), Option::decode(r)?),
+        _ => CatalogKey::Checkpoint(
+            TableId(f.get_id(r, Fields::TABLE)?),
+            SequenceId(f.get_id(r, Fields::SEQ)?),
+        ),
+    })
+}
+
+fn value_tag(value: &CatalogValue) -> u64 {
+    match value {
+        CatalogValue::Id(_) => 0,
+        CatalogValue::Meta(_) => 1,
+        CatalogValue::ManifestRow(_) => 2,
+        CatalogValue::Updated(_) => 3,
+        CatalogValue::CheckpointRow(_) => 4,
+    }
+}
+
+fn put_value_fields(out: &mut Vec<u8>, value: &CatalogValue, f: &mut Fields) {
+    match value {
+        CatalogValue::Id(id) => f.put_id(out, Fields::TABLE, id.0),
+        CatalogValue::Meta(meta) => {
+            f.put_id(out, Fields::TABLE, meta.id.0);
+            f.put(out, &meta.name);
+            f.put(out, &meta.schema_json);
+            f.put(out, &meta.data_root);
+            meta.cluster_by.encode(out);
+        }
+        CatalogValue::ManifestRow(row) => {
+            f.put(out, &row.manifest_file);
+            f.put_id(out, Fields::TXN, row.txn_id.0);
+        }
+        CatalogValue::Updated(n) => put_u64(out, *n),
+        CatalogValue::CheckpointRow(row) => f.put(out, &row.path),
+    }
+}
+
+fn get_value_fields(r: &mut Reader<'_>, tag: u64, f: &mut Fields) -> DecodeResult<CatalogValue> {
+    Ok(match tag {
+        0 => CatalogValue::Id(TableId(f.get_id(r, Fields::TABLE)?)),
+        // Fields evaluate in the order they are written.
+        1 => CatalogValue::Meta(Box::new(TableMeta {
+            id: TableId(f.get_id(r, Fields::TABLE)?),
+            name: f.get(r)?,
+            schema_json: f.get(r)?,
+            data_root: f.get(r)?,
+            cluster_by: Vec::decode(r)?,
+        })),
+        2 => CatalogValue::ManifestRow(ManifestRow {
+            manifest_file: f.get(r)?,
+            txn_id: TxnId(f.get_id(r, Fields::TXN)?),
+        }),
+        3 => CatalogValue::Updated(r.u64()?),
+        _ => CatalogValue::CheckpointRow(CheckpointRow { path: f.get(r)? }),
+    })
+}
+
+impl Codec for CatalogKey {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, key_tag(self));
+        put_key_fields(out, self, &mut Fields::default())
+    }
     fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(match r.tag(5)? {
-            0 => CatalogKey::TableName(String::decode(r)?),
-            1 => CatalogKey::Table(TableId(r.u64()?)),
-            2 => CatalogKey::Manifest(TableId(r.u64()?), SequenceId(r.u64()?)),
-            3 => CatalogKey::WriteSet(TableId(r.u64()?), Option::decode(r)?),
-            _ => CatalogKey::Checkpoint(TableId(r.u64()?), SequenceId(r.u64()?)),
-        })
+        let tag = r.tag(5)?;
+        get_key_fields(r, tag, &mut Fields::default())
     }
 }
 
 impl Codec for CatalogValue {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CatalogValue::Id(id) => {
-                put_u64(out, 0);
-                put_u64(out, id.0);
-            }
-            CatalogValue::Meta(meta) => {
-                put_u64(out, 1);
-                meta.encode(out);
-            }
-            CatalogValue::ManifestRow(row) => {
-                put_u64(out, 2);
-                put_str(out, &row.manifest_file);
-                put_u64(out, row.txn_id.0);
-            }
-            CatalogValue::Updated(n) => {
-                put_u64(out, 3);
-                put_u64(out, *n);
-            }
-            CatalogValue::CheckpointRow(row) => {
-                put_u64(out, 4);
-                put_str(out, &row.path);
+        put_u64(out, value_tag(self));
+        put_value_fields(out, self, &mut Fields::default())
+    }
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        let tag = r.tag(5)?;
+        get_value_fields(r, tag, &mut Fields::default())
+    }
+}
+
+/// One frame of a catalog checkpoint blob: the image rows written in
+/// `(previous frame's clock, clock]`, in the log's own `(key, value or
+/// none)` form. A blob's first frame, its base, holds the whole catalog, as
+/// written since the empty one; every later frame, a delta, has a higher
+/// clock.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckpointFrame {
+    /// Commit clock the frame brings the catalog to.
+    pub clock: u64,
+    /// The rows written, `None` where a row was deleted.
+    pub writes: Vec<(CatalogKey, Option<CatalogValue>)>,
+}
+
+/// The clock, a count, then per row one tag — `6 × key variant + value
+/// variant`, value variant 5 for a deleted row — and the key's and the
+/// value's fields, front-coded.
+impl Codec for CheckpointFrame {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.clock);
+        put_u64(out, self.writes.len() as u64);
+        let mut f = Fields {
+            front_coded: true,
+            ..Fields::default()
+        };
+        for (key, value) in &self.writes {
+            put_u64(out, 6 * key_tag(key) + value.as_ref().map_or(5, value_tag));
+            put_key_fields(out, key, &mut f);
+            if let Some(value) = value {
+                put_value_fields(out, value, &mut f);
             }
         }
     }
     fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(match r.tag(5)? {
-            0 => CatalogValue::Id(TableId(r.u64()?)),
-            1 => CatalogValue::Meta(TableMeta::decode(r)?),
-            2 => CatalogValue::ManifestRow(ManifestRow {
-                manifest_file: String::decode(r)?,
-                txn_id: TxnId(r.u64()?),
-            }),
-            3 => CatalogValue::Updated(r.u64()?),
-            _ => CatalogValue::CheckpointRow(CheckpointRow {
-                path: String::decode(r)?,
-            }),
-        })
+        let clock = r.u64()?;
+        let n = r.count()?;
+        let mut writes = Vec::with_capacity(n);
+        let mut f = Fields {
+            front_coded: true,
+            ..Fields::default()
+        };
+        for _ in 0..n {
+            let tag = r.tag(30)?;
+            let key = get_key_fields(r, tag / 6, &mut f)?;
+            let value = match tag % 6 {
+                5 => None,
+                tag => Some(get_value_fields(r, tag, &mut f)?),
+            };
+            writes.push((key, value));
+        }
+        Ok(CheckpointFrame { clock, writes })
     }
-}
-
-impl Codec for TableMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.id.0);
-        put_str(out, &self.name);
-        put_str(out, &self.schema_json);
-        put_str(out, &self.data_root);
-        self.cluster_by.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(TableMeta {
-            id: TableId(r.u64()?),
-            name: String::decode(r)?,
-            schema_json: String::decode(r)?,
-            data_root: String::decode(r)?,
-            cluster_by: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for CatalogImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.clock);
-        self.tables.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(CatalogImage {
-            clock: r.u64()?,
-            tables: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for TableImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.id);
-        put_str(out, &self.name);
-        put_str(out, &self.schema_json);
-        put_str(out, &self.data_root);
-        self.cluster_by.encode(out);
-        put_manifest_rows(out, &self.manifests);
-        self.checkpoints.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(TableImage {
-            id: r.u64()?,
-            name: String::decode(r)?,
-            schema_json: String::decode(r)?,
-            data_root: String::decode(r)?,
-            cluster_by: Vec::decode(r)?,
-            manifests: manifest_rows(r)?,
-            checkpoints: Vec::decode(r)?,
-        })
-    }
-}
-
-/// A table's `(sequence, manifest file, txn id)` rows as a checkpoint image
-/// carries them: a count, then per row the sequence, the path front-coded
-/// against the previous row's (one table's manifest paths differ only in
-/// their ids) and the transaction id.
-pub fn put_manifest_rows(out: &mut Vec<u8>, rows: &[(u64, String, u64)]) {
-    put_u64(out, rows.len() as u64);
-    let mut prev = "";
-    for (seq, path, txn) in rows {
-        put_u64(out, *seq);
-        put_str_after(out, prev, path);
-        put_u64(out, *txn);
-        prev = path;
-    }
-}
-
-/// Read back what [`put_manifest_rows`] wrote.
-pub fn manifest_rows(r: &mut Reader<'_>) -> DecodeResult<Vec<(u64, String, u64)>> {
-    let n = r.count()?;
-    let mut rows: Vec<(u64, String, u64)> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let seq = r.u64()?;
-        let path = r.str_after(rows.last().map_or("", |row| &row.1))?;
-        rows.push((seq, path, r.u64()?));
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -517,7 +577,10 @@ mod tests {
                         CatalogKey::TableName("t".into()),
                         Some(CatalogValue::Id(table)),
                     ),
-                    (CatalogKey::Table(table), Some(CatalogValue::Meta(meta))),
+                    (
+                        CatalogKey::Table(table),
+                        Some(CatalogValue::Meta(Box::new(meta))),
+                    ),
                     (
                         CatalogKey::Manifest(table, SequenceId(5)),
                         Some(CatalogValue::ManifestRow(crate::ManifestRow {

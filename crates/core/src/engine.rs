@@ -14,7 +14,7 @@ use polaris_exec::SystemSchema;
 use polaris_lst::{Checkpoint, Manifest, SequenceId, SnapshotCache, TableSnapshot};
 use polaris_obs::{
     CacheMeter, CatalogMeter, Counter, MetricName, MetricsRegistry, MetricsSnapshot, RecoveryMeter,
-    ScanMeter, SlowLog, Tracer, SCAN_COUNTERS,
+    ScanMeter, SlowLog, StoMeter, Tracer, SCAN_COUNTERS,
 };
 use polaris_store::{BlobPath, MemoryStore, ObjectStore, StatsStore};
 use std::collections::HashMap;
@@ -73,6 +73,8 @@ pub struct PolarisEngine {
     /// Registry handles every statement reads or bumps, resolved once
     /// instead of by name per statement.
     pub(crate) counters: StatementCounters,
+    /// Registry handles an STO tick records into, resolved likewise.
+    pub(crate) sto_meter: StoMeter,
     /// Engine-wide stable statement-id source; every profiled statement
     /// draws one, stamping its root trace span and its [`polaris_obs::QueryProfile`]
     /// (kept by the slow log when slow) so `polaris.slow_log` joins to
@@ -227,6 +229,7 @@ impl PolarisEngine {
             orphaned_manifests: metrics.counter("store.orphaned_manifests"),
             exec: ScanMeter::registry_counters(&metrics),
         };
+        let sto_meter = StoMeter::from_registry(&metrics);
         register_build_info(&metrics);
         Arc::new_cyclic(|weak| PolarisEngine {
             telemetry: crate::telemetry::start(weak, &config, &metrics, &tracer, &catalog),
@@ -245,6 +248,7 @@ impl PolarisEngine {
             recovery: Mutex::new(None),
             txns: Mutex::new(TxnDirectory::default()),
             counters,
+            sto_meter,
             next_query_id: AtomicU64::new(1),
         })
     }

@@ -17,43 +17,45 @@
 //!   commit. A block staged by a failed append is never listed again —
 //!   storage discards it, as it does an aborted transaction's manifest.
 //! * **Checkpoints** ([`CommitLogWriter::checkpoint`]): the durable catalog
-//!   image is one append-only block blob ([`checkpoint_path`]) of frames in
-//!   the log's own framing and binary codec (`CheckpointFrame`): a base
-//!   [`CatalogImage`], then one `CatalogDelta` per generation — the table
-//!   upserts/drops and `Manifests`/`Checkpoints` rows the hook saw since the
-//!   previous frame — so a generation (every `log_checkpoint_every`
-//!   appends) is a `stage_block` + `commit_block_list` of O(delta) bytes
-//!   and exports nothing. A new blob starts from a full export, the one O(history)
-//!   write left, when the deltas outweigh the base (doubling: amortised
-//!   O(1) bytes per row, bounded block count, dropped tables leave) and on
-//!   the first generation after `open`, whose folded log tail never
-//!   passed the hook. Every generation rolls the segment and prunes with a
-//!   lag of one — segment *i* goes when segment *i+1* starts at or below
-//!   `cover + 1`, `cover` the **previous** frame's clock; the previous blob
-//!   outlives a new base until it has a successor — so a torn newest frame
-//!   falls back one generation, log tail whole.
+//!   image is one append-only block blob ([`checkpoint_path`]) of
+//!   [`wal::CheckpointFrame`]s — catalog rows in the log's own framing and
+//!   `(CatalogKey, Option<CatalogValue>)` form: a base, the whole
+//!   [`CatalogImage`], then one delta per generation, the image rows the
+//!   hook saw since the previous frame. A generation (every
+//!   `log_checkpoint_every` appends) is a `stage_block` +
+//!   `commit_block_list` of O(delta) bytes and exports nothing. A new blob
+//!   starts from a full export, the one O(history) write left, when the
+//!   deltas outweigh the base (doubling: amortised O(1) bytes per row,
+//!   bounded block count, dropped tables leave) and on the first generation
+//!   after `open`, whose folded log tail never passed the hook. Every
+//!   generation rolls the segment and prunes with a lag of one — segment *i*
+//!   goes when segment *i+1* starts at or below `cover + 1`, `cover` the
+//!   **previous** frame's clock; the previous blob outlives a new base until
+//!   it has a successor — so a torn newest frame falls back one generation,
+//!   log tail whole.
 //! * **Recovery** ([`recover`], run by
 //!   [`PolarisEngine::open`](crate::PolarisEngine::open) *before* the log
 //!   hook is installed): one `get` of the newest blob, its longest valid
 //!   frame prefix folded into one image ([`fold_checkpoint`]; no intact
 //!   base: the blob before), then every log record above that clock folded
-//!   into the same image in timestamp order up to the first tear — each
-//!   commit's image rows as one `CatalogDelta` — and the result imported
-//!   once ([`Catalog::import_owned`], O(history), as any restart is). A
-//!   §6.3 backup restore ([`PolarisEngine::restore`](crate::PolarisEngine::restore))
-//!   is the same import of a folded blob, so both rebuilds get their
-//!   counter floors — clock, table ids, transaction ids — from one place;
-//!   recovery adds only the ids the log tail names that the image cannot
-//!   hold (transactions with no `Manifests` row, tables created and
-//!   dropped). The **torn-tail rule**: a trailing frame that is
-//!   incomplete, mis-tagged, checksum-mismatched or unparsable is discarded
-//!   with everything after it — an append the dying process never
-//!   completed, so no client was ever told it committed. The **dense-clock
-//!   invariant**: each record must fold at exactly the image's `clock + 1`;
-//!   one further ahead means acknowledged history is missing below it, and
-//!   recovery fails with [`polaris_catalog::CatalogError::ReplayGap`]
-//!   rather than open a shorter catalog. Afterwards staged manifests no
-//!   `Manifests` row references are swept — safe exactly here, where no
+//!   into the same image in timestamp order up to the first tear — a delta
+//!   and a log record fold alike, through [`CatalogImage::apply`] — and the
+//!   result imported once ([`Catalog::import_owned`], O(history), as any
+//!   restart is). A §6.3 backup restore
+//!   ([`PolarisEngine::restore`](crate::PolarisEngine::restore)) is the same
+//!   import of a folded blob, so both rebuilds get their counter floors —
+//!   clock, table ids, transaction ids — from one place; recovery adds only
+//!   the ids the log tail names that the image cannot hold (transactions
+//!   with no `Manifests` row, tables created and dropped). The **torn-tail
+//!   rule**: a trailing frame that is incomplete, mis-tagged,
+//!   checksum-mismatched or unparsable is discarded with everything after
+//!   it — an append the dying process never completed, so no client was
+//!   ever told it committed. The **dense-clock invariant**: each record must
+//!   fold at exactly the image's `clock + 1`; one further ahead means
+//!   acknowledged history is missing below it, and recovery fails with
+//!   [`polaris_catalog::CatalogError::ReplayGap`] rather than open a
+//!   shorter catalog. Staged manifests no `Manifests` row of the image
+//!   references are swept before the import — safe exactly here, where no
 //!   transaction is in flight ([`polaris_lst::collect_orphan_manifests`]).
 //!
 //! Why the import runs hook-less: it commits rows the log already holds,
@@ -66,12 +68,10 @@
 
 use crate::{EngineConfig, PolarisError, PolarisResult};
 use parking_lot::Mutex;
-use polaris_catalog::wal::{self, WalBatch, WalTail};
+use polaris_catalog::wal::{self, CheckpointFrame, WalBatch, WalTail};
 use polaris_catalog::{
-    Catalog, CatalogError, CatalogImage, CatalogKey, CatalogValue, CommitLogRecord, IsolationLevel,
-    TableId, TableImage, TableMeta, TxnId,
+    Catalog, CatalogError, CatalogImage, CatalogKey, CatalogValue, CommitLogRecord, TableId, TxnId,
 };
-use polaris_lst::codec::{put_u64, Codec, DecodeResult, Reader};
 use polaris_obs::RecoveryMeter;
 use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp, StoreError, StoreResult};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -146,209 +146,19 @@ fn block_id(ts: u64) -> BlockId {
 // The checkpoint blob's frames
 // ---------------------------------------------------------------------
 
-/// One frame of a checkpoint blob: the first is the base, every later one
-/// a delta with a higher clock.
-enum CheckpointFrame {
-    /// The whole catalog as exported at `clock`.
-    Base(CatalogImage),
-    /// What committed since the frame before.
-    Delta(CatalogDelta),
-}
-
-/// The catalog rows committed in `(previous frame's clock, clock]`, in the
-/// image's own row shapes. Applied in field order — upserts, rows, drops —
-/// which is commit order for anything that can commit: table ids are never
-/// reused, so an upsert cannot follow its own drop.
-#[derive(Default)]
-struct CatalogDelta {
-    /// Commit clock this frame brings the image to.
-    clock: u64,
-    /// Table metadata written (CREATE, clone).
-    upserts: Vec<TableMeta>,
-    /// New rows, grouped by table.
-    rows: Vec<TableRows>,
-    /// Ids of the tables dropped.
-    drops: Vec<u64>,
-}
-
-/// One table's new rows within a `CatalogDelta`.
-#[derive(Default)]
-struct TableRows {
-    /// Table id.
-    table: u64,
-    /// `(sequence, manifest file, txn id)` rows.
-    manifests: Vec<(u64, String, u64)>,
-    /// `(covered sequence, checkpoint path)` rows.
-    checkpoints: Vec<(u64, String)>,
-}
-
-/// A committed catalog write the checkpoint image carries, tagged with its
-/// commit timestamp.
-type LoggedWrite = (u64, CatalogKey, Option<CatalogValue>);
-
-/// Does the catalog image carry rows under `key`? `WriteSets` rows and name
-/// bindings it does not: a table's name is in its metadata.
-fn is_image_row(key: &CatalogKey) -> bool {
-    !matches!(key, CatalogKey::WriteSet(..) | CatalogKey::TableName(_))
-}
-
-impl CatalogDelta {
-    /// The delta the image rows of `writes` (in commit order) amount to, or
-    /// `None` when they hold something a delta cannot say — a deleted row, a
-    /// table written after its drop — and only a fresh base can.
-    fn from_writes<'a>(
-        clock: u64,
-        writes: impl IntoIterator<Item = (&'a CatalogKey, &'a Option<CatalogValue>)>,
-    ) -> Option<CatalogDelta> {
-        let mut delta = CatalogDelta {
-            clock,
-            ..CatalogDelta::default()
-        };
-        for (key, value) in writes.into_iter().filter(|(key, _)| is_image_row(key)) {
-            match (key, value) {
-                (CatalogKey::Table(id), Some(CatalogValue::Meta(meta))) => {
-                    if delta.drops.contains(&id.0) {
-                        return None;
-                    }
-                    match delta.upserts.iter_mut().find(|m| m.id == *id) {
-                        Some(seen) => *seen = meta.clone(),
-                        None => delta.upserts.push(meta.clone()),
-                    }
-                }
-                (CatalogKey::Table(id), None) => delta.drops.push(id.0),
-                (CatalogKey::Manifest(table, seq), Some(CatalogValue::ManifestRow(row))) => delta
-                    .rows_of(table.0)
-                    .manifests
-                    .push((seq.0, row.manifest_file.clone(), row.txn_id.0)),
-                (CatalogKey::Checkpoint(table, seq), Some(CatalogValue::CheckpointRow(row))) => {
-                    delta
-                        .rows_of(table.0)
-                        .checkpoints
-                        .push((seq.0, row.path.clone()))
-                }
-                _ => return None,
-            }
-        }
-        Some(delta)
-    }
-
-    fn rows_of(&mut self, table: u64) -> &mut TableRows {
-        let at = match self.rows.iter().position(|r| r.table == table) {
-            Some(at) => at,
-            None => {
-                self.rows.push(TableRows {
-                    table,
-                    ..TableRows::default()
-                });
-                self.rows.len() - 1
-            }
-        };
-        &mut self.rows[at]
-    }
-
-    /// Bring `image` — the catalog at the previous frame's clock — to this
-    /// frame's: afterwards it equals `Catalog::export()` taken at
-    /// `self.clock`, table for table (ascending id) and row for row
-    /// (ascending sequence). Rows of a table the image does not hold (it
-    /// was dropped earlier; export lists live tables only) are skipped.
-    fn apply_to(self, image: &mut CatalogImage) {
-        fn upsert<R>(rows: &mut Vec<R>, row: R, seq: impl Fn(&R) -> u64) {
-            // Commit order is sequence order but for clones and lst
-            // checkpoints, which can land below the newest row.
-            match rows.binary_search_by_key(&seq(&row), &seq) {
-                Ok(at) => rows[at] = row,
-                Err(at) => rows.insert(at, row),
-            }
-        }
-        for meta in self.upserts {
-            let at = image.tables.binary_search_by_key(&meta.id.0, |t| t.id);
-            let (manifests, checkpoints) = match at {
-                Ok(at) => {
-                    let old = image.tables.remove(at);
-                    (old.manifests, old.checkpoints)
-                }
-                Err(_) => Default::default(),
-            };
-            let table = TableImage {
-                id: meta.id.0,
-                name: meta.name,
-                schema_json: meta.schema_json,
-                data_root: meta.data_root,
-                cluster_by: meta.cluster_by,
-                manifests,
-                checkpoints,
-            };
-            image.tables.insert(at.unwrap_or_else(|at| at), table);
-        }
-        for rows in self.rows {
-            let Ok(at) = image.tables.binary_search_by_key(&rows.table, |t| t.id) else {
-                continue;
-            };
-            let table = &mut image.tables[at];
-            for row in rows.manifests {
-                upsert(&mut table.manifests, row, |r| r.0);
-            }
-            for row in rows.checkpoints {
-                upsert(&mut table.checkpoints, row, |r| r.0);
-            }
-        }
-        image.tables.retain(|t| !self.drops.contains(&t.id));
-        image.clock = self.clock;
-    }
-}
-
-/// Tag 0 and a [`CatalogImage`], or tag 1 and a `CatalogDelta`: its clock,
-/// upserted tables, rows per table (id, `Manifests` rows, `Checkpoints`
-/// rows) and dropped table ids.
-impl Codec for CheckpointFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CheckpointFrame::Base(image) => {
-                put_u64(out, 0);
-                image.encode(out);
-            }
-            CheckpointFrame::Delta(delta) => {
-                put_u64(out, 1);
-                put_u64(out, delta.clock);
-                delta.upserts.encode(out);
-                delta.rows.encode(out);
-                delta.drops.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(match r.tag(2)? {
-            0 => CheckpointFrame::Base(CatalogImage::decode(r)?),
-            _ => CheckpointFrame::Delta(CatalogDelta {
-                clock: r.u64()?,
-                upserts: Vec::decode(r)?,
-                rows: Vec::decode(r)?,
-                drops: Vec::decode(r)?,
-            }),
-        })
-    }
-}
-
-impl Codec for TableRows {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.table);
-        wal::put_manifest_rows(out, &self.manifests);
-        self.checkpoints.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        Ok(TableRows {
-            table: r.u64()?,
-            manifests: wal::manifest_rows(r)?,
-            checkpoints: Vec::decode(r)?,
-        })
-    }
-}
-
 /// `image` as the base frame of a checkpoint blob, into `frame` — also the
 /// whole of a §6.3 backup ([`PolarisEngine::backup_catalog`](crate::PolarisEngine::backup_catalog)),
 /// which [`fold_checkpoint`] reads back.
 pub fn encode_base_frame(image: CatalogImage, frame: &mut Vec<u8>) -> Result<(), String> {
-    wal::encode_payload_into(&CheckpointFrame::Base(image), frame)
+    let writes = image
+        .rows
+        .into_iter()
+        .map(|(key, value)| (key, Some(value)));
+    let base = CheckpointFrame {
+        clock: image.clock,
+        writes: writes.collect(),
+    };
+    wal::encode_payload_into(&base, frame)
 }
 
 /// Fold a checkpoint blob's longest valid frame prefix — a base, then deltas
@@ -357,16 +167,18 @@ pub fn encode_base_frame(image: CatalogImage, frame: &mut Vec<u8>) -> Result<(),
 pub fn fold_checkpoint(blob: &[u8]) -> Option<CatalogImage> {
     let (frames, _) = wal::decode_payloads::<CheckpointFrame>(blob);
     let mut frames = frames.into_iter();
-    let Some(CheckpointFrame::Base(mut image)) = frames.next() else {
-        return None;
+    let base = frames.next()?;
+    let mut image = CatalogImage {
+        clock: base.clock,
+        rows: (base.writes.into_iter())
+            .filter_map(|(key, value)| Some((key, value?)))
+            .collect(),
     };
-    for frame in frames {
-        match frame {
-            CheckpointFrame::Delta(delta) if delta.clock > image.clock => {
-                delta.apply_to(&mut image)
-            }
-            _ => break,
+    for delta in frames {
+        if delta.clock <= image.clock {
+            break;
         }
+        image.apply(delta.clock, delta.writes);
     }
     Some(image)
 }
@@ -401,9 +213,10 @@ struct WriterState {
     /// Pooled WAL frame staging buffer: every append serializes into this
     /// capacity-preserving scratch instead of a fresh allocation per batch.
     frame_buf: Vec<u8>,
-    /// Image rows logged since the newest checkpoint frame (kept only while
-    /// generations are on: nothing else would ever empty it).
-    pending: Vec<LoggedWrite>,
+    /// Image rows logged since the newest checkpoint frame, each with its
+    /// commit timestamp (kept only while generations are on: nothing else
+    /// would ever empty it).
+    pending: Vec<(u64, CatalogKey, Option<CatalogValue>)>,
     /// Timestamp of the newest logged commit.
     logged_clock: u64,
 }
@@ -514,7 +327,7 @@ impl CommitLogWriter {
                 continue;
             }
             for (key, value) in commit.writes {
-                if is_image_row(&key) {
+                if !matches!(key, CatalogKey::WriteSet(..)) {
                     state.pending.push((commit.commit_ts, key, value));
                 }
             }
@@ -565,12 +378,23 @@ impl CommitLogWriter {
                     .blob
                     .as_ref()
                     .is_some_and(|b| b.delta_bytes <= b.base_bytes);
-            appendable
-                .then(|| {
-                    let writes = state.pending.iter().map(|(_, key, value)| (key, value));
-                    CatalogDelta::from_writes(state.logged_clock, writes)
-                })
-                .flatten()
+            // Key order, not commit order: each table's manifest paths then
+            // sit side by side and front-code against each other. The fold
+            // lands where commit order would: the sort is stable, so writes
+            // to one key keep their order, and the rules that tie keys
+            // together — a table's rows leave with its `Table` row, rows of a
+            // table the image does not hold are skipped — cannot tell the
+            // orders apart, for a `Table` row sorts before its table's rows
+            // and a table id is never reused.
+            appendable.then(|| {
+                let pending = state.pending.iter();
+                let mut writes: Vec<_> = pending.map(|(_, k, v)| (k.clone(), v.clone())).collect();
+                writes.sort_by(|(a, _), (b, _)| a.cmp(b));
+                CheckpointFrame {
+                    clock: state.logged_clock,
+                    writes,
+                }
+            })
         };
         let CheckpointState {
             blob,
@@ -582,8 +406,7 @@ impl CommitLogWriter {
         let (at, superseded) = match (delta, blob.as_mut()) {
             (Some(delta), Some(open)) => {
                 let at = delta.clock;
-                wal::encode_payload_into(&CheckpointFrame::Delta(delta), frame_buf)
-                    .map_err(PolarisError::invalid)?;
+                wal::encode_payload_into(&delta, frame_buf).map_err(PolarisError::invalid)?;
                 append_block(store, &open.path, &mut open.blocks, block_id(at), frame_buf)?;
                 open.delta_bytes += frame_buf.len() as u64;
                 // A frame now follows the open blob's base.
@@ -756,15 +579,7 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
                     }
                     .into());
                 }
-                let writes = commit.writes.iter().map(|(key, value)| (key, value));
-                CatalogDelta::from_writes(commit.commit_ts, writes)
-                    .ok_or_else(|| {
-                        PolarisError::invalid(format!(
-                            "log record at commit {} holds a row no catalog image can carry",
-                            commit.commit_ts
-                        ))
-                    })?
-                    .apply_to(&mut image);
+                image.apply(commit.commit_ts, commit.writes);
                 applied = true;
                 report.replayed_commits += 1;
                 meter.replayed_commits.inc();
@@ -781,7 +596,29 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         }
     }
 
-    // 3. One import, which also moves the clock and the id allocators past
+    // 3. Orphan sweep: with nothing in flight, a `_log` manifest no
+    //    `Manifests` row of the image references can only belong to a
+    //    transaction that died before commit. Referenced sets are gathered
+    //    per data root because clones share their source's root.
+    let mut roots: BTreeMap<&str, HashSet<String>> = BTreeMap::new();
+    for (key, value) in &image.rows {
+        let (CatalogKey::Table(id) | CatalogKey::Manifest(id, _)) = key else {
+            continue;
+        };
+        if let Some(CatalogValue::Meta(meta)) = image.rows.get(&CatalogKey::Table(*id)) {
+            let referenced = roots.entry(&meta.data_root).or_default();
+            if let CatalogValue::ManifestRow(row) = value {
+                referenced.insert(row.manifest_file.clone());
+            }
+        }
+    }
+    for (root, referenced) in roots {
+        let swept = polaris_lst::collect_orphan_manifests(store.as_ref(), root, &referenced)?;
+        report.orphans_collected += swept.len() as u64;
+        meter.orphans_collected.add(swept.len() as u64);
+    }
+
+    // 4. One import, which also moves the clock and the id allocators past
     //    everything the image holds; then past what only the log named.
     report.recovered_clock = image.clock;
     // A fresh store has nothing to import, and the import's transaction
@@ -790,29 +627,6 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         catalog.import_owned(image)?;
     }
     catalog.advance_ids(TableId(table_floor), TxnId(txn_floor));
-
-    // 4. Orphan sweep: with the catalog rebuilt and nothing in flight, a
-    //    `_log` manifest no `Manifests` row references can only belong to
-    //    a transaction that died before commit. Referenced sets are
-    //    gathered per data root because clones share their source's root.
-    let mut txn = catalog.begin(IsolationLevel::Snapshot);
-    let mut roots: BTreeMap<String, HashSet<String>> = BTreeMap::new();
-    let sweep = (|| -> PolarisResult<()> {
-        for table in catalog.list_tables(&mut txn)? {
-            let rows = catalog.visible_manifests(&mut txn, table.id)?;
-            let referenced = roots.entry(table.data_root).or_default();
-            referenced.reserve(rows.len());
-            referenced.extend(rows.into_iter().map(|(_, row)| row.manifest_file));
-        }
-        Ok(())
-    })();
-    catalog.abort(&mut txn);
-    sweep?;
-    for (root, referenced) in &roots {
-        let swept = polaris_lst::collect_orphan_manifests(store.as_ref(), root, referenced)?;
-        report.orphans_collected += swept.len() as u64;
-        meter.orphans_collected.add(swept.len() as u64);
-    }
 
     // 5. What the writer carries on from: the surviving segments, the
     //    blobs its first base will supersede, and the two clocks.
@@ -850,51 +664,121 @@ mod tests {
         assert!(checkpoint_path(9) < checkpoint_path(10));
     }
 
-    /// A delta frame with an upsert, a table's rows of both kinds (the
-    /// second manifest path front-coded against the first) and a drop,
-    /// pinned byte for byte (header, checksum and payload): blobs already in
-    /// a store must keep folding.
+    fn meta(id: u64, name: &str) -> CatalogValue {
+        CatalogValue::Meta(Box::new(polaris_catalog::TableMeta {
+            id: TableId(id),
+            name: name.into(),
+            schema_json: "[]".into(),
+            data_root: format!("lake/{name}"),
+            cluster_by: Vec::new(),
+        }))
+    }
+
+    fn manifest(txn: u64, table: u64) -> CatalogValue {
+        CatalogValue::ManifestRow(polaris_catalog::ManifestRow {
+            manifest_file: format!("lake/t/_log/txn-{txn}-{table}.mf"),
+            txn_id: TxnId(txn),
+        })
+    }
+
+    fn hex(frame: &[u8]) -> String {
+        frame.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A delta frame, in key order, with a drop written as deletes, a table
+    /// upsert, two `Manifests` rows and a `Checkpoints` row (each string
+    /// front-coded against the one before it), pinned byte for byte (header, checksum and
+    /// payload): blobs already in a store must keep folding.
     #[test]
-    fn catalog_delta_golden_bytes() {
-        let delta = CatalogDelta {
-            clock: 7,
-            upserts: vec![TableMeta {
-                id: polaris_catalog::TableId(1003),
-                name: "u".into(),
-                schema_json: "[]".into(),
-                data_root: "lake/u".into(),
-                cluster_by: Vec::new(),
-            }],
-            rows: vec![TableRows {
-                table: 1001,
-                manifests: vec![
-                    (6, "lake/t/_log/txn-5-1001.mf".into(), 5),
-                    (7, "lake/t/_log/txn-6-1001.mf".into(), 6),
-                ],
-                checkpoints: vec![(4, "c".into())],
-            }],
-            drops: vec![1002],
-        };
+    fn delta_frame_golden_bytes() {
+        use polaris_catalog::CheckpointRow;
+        use polaris_lst::SequenceId;
+        let (t, u) = (TableId(1001), TableId(1002));
+        let writes = vec![
+            (CatalogKey::TableName("u".into()), None),
+            (CatalogKey::Table(u), None),
+            (CatalogKey::Table(TableId(1003)), Some(meta(1003, "v"))),
+            (
+                CatalogKey::Manifest(t, SequenceId(6)),
+                Some(manifest(5, 1001)),
+            ),
+            (
+                CatalogKey::Manifest(t, SequenceId(7)),
+                Some(manifest(6, 1001)),
+            ),
+            (
+                CatalogKey::Checkpoint(t, SequenceId(4)),
+                Some(CatalogValue::CheckpointRow(CheckpointRow {
+                    path: "c".into(),
+                })),
+            ),
+        ];
+        let delta = CheckpointFrame { clock: 7, writes };
         let mut frame = Vec::new();
-        wal::encode_payload_into(&CheckpointFrame::Delta(delta), &mut frame).unwrap();
-        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        wal::encode_payload_into(&delta, &mut frame).unwrap();
         assert_eq!(
-            hex,
+            hex(&frame),
             concat!(
-                "5057414c470000008593bdaa",         // PWAL, 71 payload bytes, crc32
-                "0107",                             // Delta, clock 7
-                "01eb070175025b5d066c616b652f7500", // upsert {1003, "u", "[]", "lake/u", []}
-                "01e90702",                         // rows of table 1001, two manifests:
-                "0600196c616b652f742f5f6c6f672f74786e2d352d313030312e6d6605", // 6, whole path, txn 5
-                "071009362d313030312e6d6606", // 7, 16 bytes shared + "6-1001.mf", txn 6
-                "01040163",                   // checkpoint (4, "c")
-                "01ea07",                     // drop 1002
+                "5057414c4b000000b40b9e94",   // PWAL, 75 payload bytes, crc32
+                "0706",                       // clock 7, six writes (ids as zig-zag differences):
+                "05000175",                   // 6 × TableName + deleted: "u"
+                "0bd40f",                     // 6 × Table + deleted: 1002 (+1002)
+                "0702",                       // 6 × Table + Meta: 1003 (+1) ->
+                "00000176",                   // {1003 (+0), "v",
+                "00025b5d00066c616b652f7600", //  "[]", "lake/v", []}
+                "0e030c",                     // 6 × Manifest + ManifestRow: (1001 (-2), 6 (+6)) ->
+                "0514742f5f6c6f672f74786e2d352d313030312e6d660a", // "lake/" shared + 20 bytes, txn 5 (+5)
+                "0e00021009362d313030312e6d6602", // (1001, 7) -> 16 bytes shared + "6-1001.mf", txn 6
+                "1c0005000163", // 6 × Checkpoint + CheckpointRow: (1001, 4 (-3)) -> "c"
             )
         );
         let (frames, tail) = wal::decode_payloads::<CheckpointFrame>(&frame);
         assert_eq!(tail, WalTail::Clean);
-        assert!(
-            matches!(&frames[..], [CheckpointFrame::Delta(d)] if d.clock == 7 && d.drops == [1002])
+        let [CheckpointFrame { clock: 7, writes }] = &frames[..] else {
+            panic!("one frame at clock 7");
+        };
+        assert_eq!(writes, &delta.writes);
+    }
+
+    /// A base frame: a table's name binding, metadata, two `Manifests` rows
+    /// and a `Checkpoints` row, pinned byte for byte.
+    #[test]
+    fn base_frame_golden_bytes() {
+        use polaris_catalog::CheckpointRow;
+        use polaris_lst::SequenceId;
+        let t = TableId(1001);
+        let image = CatalogImage {
+            clock: 7,
+            rows: [
+                (CatalogKey::TableName("t".into()), CatalogValue::Id(t)),
+                (CatalogKey::Table(t), meta(1001, "t")),
+                (CatalogKey::Manifest(t, SequenceId(6)), manifest(5, 1001)),
+                (CatalogKey::Manifest(t, SequenceId(7)), manifest(6, 1001)),
+                (
+                    CatalogKey::Checkpoint(t, SequenceId(6)),
+                    CatalogValue::CheckpointRow(CheckpointRow {
+                        path: "lake/t/_ck/6.ck".into(),
+                    }),
+                ),
+            ]
+            .into_iter()
+            .collect(),
+        };
+        let mut frame = Vec::new();
+        encode_base_frame(image.clone(), &mut frame).unwrap();
+        assert_eq!(
+            hex(&frame),
+            concat!(
+                "5057414c4e0000006987a534",             // PWAL, 78 payload bytes, crc32
+                "0705",         // clock 7, five rows (ids as zig-zag differences):
+                "00000174d20f", // 6 × TableName + Id: "t" -> 1001 (+1001)
+                "070000010000025b5d00066c616b652f7400", // Table 1001 (+0) -> {1001 (+0), "t" shared, ..}
+                "0e000c",                               // Manifest (1001 (+0), 6 (+6)) ->
+                "06132f5f6c6f672f74786e2d352d313030312e6d660a", // "lake/t" shared + 19 bytes, txn 5 (+5)
+                "0e00021009362d313030312e6d6602", // (1001, 7) -> 16 bytes shared + "6-1001.mf", txn 6
+                "1c00010807636b2f362e636b", // Checkpoint (1001, 6 (-1)) -> "lake/t/_" shared + "ck/6.ck"
+            )
         );
+        assert_eq!(fold_checkpoint(&frame), Some(image));
     }
 }

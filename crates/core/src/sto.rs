@@ -396,7 +396,7 @@ fn fold_new_manifests(
     let listed = catalog.list_tables(ctxn)?;
     let live: HashSet<TableId> = listed.iter().map(|meta| meta.id).collect();
     tables.retain(|id, _| live.contains(id));
-    let folded = engine.metrics().counter("sto.gc_folded_manifests");
+    let folded = &engine.sto_meter.folded_manifests;
     let mut roots: BTreeMap<String, Vec<TableId>> = BTreeMap::new();
     for meta in listed {
         let sto = tables.entry(meta.id).or_default();
@@ -514,10 +514,7 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
         }
     }
     let entries: usize = tables.values().map(|t| t.fates.len()).sum();
-    engine
-        .metrics()
-        .gauge("sto.gc_state_entries")
-        .set(entries as i64);
+    engine.sto_meter.gc_state_entries.set(entries as i64);
     Ok(report)
 }
 
@@ -603,24 +600,16 @@ pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
         engine.backup_catalog("system/catalog-backup.ckpt")?;
         engine.sto_state().lock().backup_clock = Some(clock);
     }
-    let metrics = engine.metrics();
-    metrics.counter("sto.ticks").inc();
-    metrics
-        .counter("sto.checkpoints")
-        .add(report.checkpoints as u64);
-    metrics
-        .counter("sto.compactions")
-        .add(report.compactions as u64);
-    metrics
-        .counter("sto.compaction_conflicts")
+    let meter = &engine.sto_meter;
+    meter.ticks.inc();
+    meter.checkpoints.add(report.checkpoints as u64);
+    meter.compactions.add(report.compactions as u64);
+    meter
+        .compaction_conflicts
         .add(report.compaction_conflicts as u64);
-    metrics
-        .counter("sto.published")
-        .add(report.published as u64);
-    metrics
-        .counter("sto.gc_deleted")
-        .add(report.gc_deleted as u64);
-    metrics.histogram("sto.tick_ns").record_since(started);
+    meter.published.add(report.published as u64);
+    meter.gc_deleted.add(report.gc_deleted as u64);
+    meter.tick_ns.record_since(started);
     Ok(report)
 }
 

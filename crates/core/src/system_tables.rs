@@ -27,7 +27,7 @@ use polaris_columnar::DataType::{Bool, Float64, Int64, Utf8};
 use polaris_columnar::{DataType, Field, RecordBatch, Schema, Value};
 use polaris_dcp::WorkloadClass;
 use polaris_exec::{ExecError, ExecResult, SystemSchema, SystemTableProvider};
-use polaris_obs::{build_spans, AttrValue, MetricName};
+use polaris_obs::{build_spans, AttrValue, Counter, MetricName, RecoveryMeter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -368,19 +368,22 @@ const WAL: Columns = &[
 ];
 
 fn wal_rows(engine: &PolarisEngine) -> Rows {
-    let c = |name: &str| int(engine.metrics().counter(name).get());
+    // The writer's own handles: a lookup by name would register the
+    // `wal.*` names on an engine that logs nothing.
+    let meter = engine.commit_log_writer().map(|writer| writer.meter());
+    let c = |counter: fn(&RecoveryMeter) -> &Counter| int(meter.map_or(0, |m| counter(m).get()));
     let report = engine.recovery_report().unwrap_or_default();
     vec![vec![
-        Value::Bool(engine.commit_log_writer().is_some()),
-        c("wal.segments"),
-        c("wal.appends"),
-        c("wal.bytes"),
-        c("wal.checkpoints"),
-        c("wal.segments_pruned"),
-        c("recovery.replayed_batches"),
-        c("recovery.replayed_commits"),
-        c("recovery.torn_records"),
-        c("recovery.orphans_collected"),
+        Value::Bool(meter.is_some()),
+        c(|m| &m.wal_segments),
+        c(|m| &m.wal_appends),
+        c(|m| &m.wal_bytes),
+        c(|m| &m.checkpoints),
+        c(|m| &m.segments_pruned),
+        c(|m| &m.replayed_batches),
+        c(|m| &m.replayed_commits),
+        c(|m| &m.torn_records),
+        c(|m| &m.orphans_collected),
         int(report.checkpoint_clock),
         int(report.recovered_clock),
     ]]

@@ -17,8 +17,7 @@
 use bytes::Bytes;
 use polaris_catalog::wal::{self, WalBatch, WalCommit, WalTail, WAL_HEADER_LEN, WAL_MAGIC};
 use polaris_catalog::{
-    CatalogImage, CatalogKey, CatalogValue, CheckpointRow, ManifestRow, TableId, TableImage,
-    TableMeta, TxnId,
+    CatalogImage, CatalogKey, CatalogValue, CheckpointRow, ManifestRow, TableId, TableMeta, TxnId,
 };
 use polaris_columnar::{
     ColumnarError, ColumnarFile, ColumnarFooter, ColumnarWriter, DataType, DeleteVector, Field,
@@ -27,7 +26,7 @@ use polaris_columnar::{
 use polaris_core::recovery::{encode_base_frame, fold_checkpoint, CHECKPOINT_PREFIX};
 use polaris_core::{sto, EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_lst::codec::{put_str, put_u64};
+use polaris_lst::codec::{decode_all, put_str, put_u64, Codec};
 use polaris_lst::{
     Checkpoint, ColRange, DataFileEntry, Manifest, ManifestAction, RangeVal, SequenceId,
     TableSnapshot,
@@ -108,13 +107,13 @@ fn sample_batch() -> WalBatch {
                 ),
                 (
                     CatalogKey::Table(table),
-                    Some(CatalogValue::Meta(TableMeta {
+                    Some(CatalogValue::Meta(Box::new(TableMeta {
                         id: table,
                         name: "t".into(),
                         schema_json: "[]".into(),
                         data_root: "lake/t".into(),
                         cluster_by: vec!["k".into()],
-                    })),
+                    }))),
                 ),
                 (
                     CatalogKey::Manifest(table, SequenceId(5)),
@@ -439,7 +438,7 @@ fn lengths_claiming_u32_or_u64_max_are_refused() {
         name.extend([b't', 0]);
         let (batches, tail) = wal::decode_frames(&frame(&name));
         assert!(batches.is_empty() && matches!(tail, WalTail::Torn { offset: 0, .. }));
-        // A base image claiming `claim` tables.
+        // A base image claiming `claim` rows.
         let mut base = varint(0);
         base.extend(varint(7));
         base.extend(varint(claim));
@@ -607,13 +606,13 @@ fn value() -> impl Strategy<Value = CatalogValue> {
             proptest::collection::vec(text(), 0..3)
         )
             .prop_map(
-                |(id, name, data_root, cluster_by)| CatalogValue::Meta(TableMeta {
+                |(id, name, data_root, cluster_by)| CatalogValue::Meta(Box::new(TableMeta {
                     id: TableId(id),
                     schema_json: format!("[{name}]"),
                     name,
                     data_root,
                     cluster_by,
-                })
+                }))
             ),
         (text(), any::<u64>()).prop_map(|(manifest_file, txn)| CatalogValue::ManifestRow(
             ManifestRow {
@@ -708,28 +707,22 @@ proptest! {
     #[test]
     fn base_frames_fold_to_their_image(
         clock in any::<u64>(),
-        tables in proptest::collection::vec(
-            (any::<u64>(), text(), proptest::collection::vec((any::<u64>(), text(), any::<u64>()), 0..4)),
-            0..4,
-        ),
+        rows in proptest::collection::vec((key(), value()), 0..8),
     ) {
-        let image = CatalogImage {
-            clock,
-            tables: tables
-                .into_iter()
-                .map(|(id, name, manifests)| TableImage {
-                    id,
-                    schema_json: String::new(),
-                    data_root: format!("lake/{name}"),
-                    name,
-                    cluster_by: Vec::new(),
-                    checkpoints: manifests.iter().map(|(seq, p, _)| (*seq, p.clone())).collect(),
-                    manifests,
-                })
-                .collect(),
-        };
+        let image = CatalogImage { clock, rows: rows.into_iter().collect() };
         let mut framed = Vec::new();
         encode_base_frame(image.clone(), &mut framed).unwrap();
         prop_assert_eq!(fold_checkpoint(&framed), Some(image));
+    }
+
+    #[test]
+    fn checkpoint_frames_round_trip(
+        clock in any::<u64>(),
+        writes in proptest::collection::vec((key(), proptest::option::of(value())), 0..8),
+    ) {
+        let frame = wal::CheckpointFrame { clock, writes };
+        let mut bytes = Vec::new();
+        frame.encode(&mut bytes);
+        prop_assert_eq!(decode_all::<wal::CheckpointFrame>(&bytes), Ok(frame));
     }
 }

@@ -8,7 +8,9 @@
 // vendored proptest stub but required by the real crate's larger config.
 #![allow(clippy::needless_update)]
 
-use polaris_catalog::{Catalog, CatalogError, CatalogImage, IsolationLevel, TableImage, Timestamp};
+use polaris_catalog::{
+    Catalog, CatalogError, CatalogImage, CatalogKey, CatalogValue, IsolationLevel, Timestamp,
+};
 use polaris_core::recovery::{fold_checkpoint, CHECKPOINT_PREFIX, WAL_PREFIX};
 use polaris_core::{lineage, sto, EngineConfig, PolarisEngine, PolarisError, Value};
 use polaris_dcp::ComputePool;
@@ -323,9 +325,12 @@ fn frozen_crash_mid_wal_append_aborts_and_leaves_no_trace() {
         .catalog()
         .export()
         .unwrap()
-        .tables
-        .iter()
-        .flat_map(|t| t.manifests.iter().map(|(_, file, _)| file.clone()))
+        .rows
+        .into_values()
+        .filter_map(|value| match value {
+            CatalogValue::ManifestRow(row) => Some(row.manifest_file),
+            _ => None,
+        })
         .collect();
     for meta in inner.list("lake/").unwrap() {
         let path = meta.path.as_str();
@@ -647,26 +652,37 @@ fn export_at(catalog: &Catalog, clock: u64) -> CatalogImage {
     let mut txn = catalog.begin_at(Timestamp(clock));
     let mut image = CatalogImage {
         clock,
-        tables: Vec::new(),
+        ..CatalogImage::default()
     };
     for meta in catalog.list_tables(&mut txn).unwrap() {
-        let manifests = catalog.visible_manifests(&mut txn, meta.id).unwrap();
-        let checkpoints = catalog.checkpoints(&mut txn, meta.id).unwrap();
-        image.tables.push(TableImage {
-            id: meta.id.0,
-            name: meta.name,
-            schema_json: meta.schema_json,
-            data_root: meta.data_root,
-            cluster_by: meta.cluster_by,
-            manifests: manifests
-                .into_iter()
-                .map(|(seq, row)| (seq.0, row.manifest_file, row.txn_id.0))
-                .collect(),
-            checkpoints: checkpoints
-                .into_iter()
-                .map(|(seq, row)| (seq.0, row.path))
-                .collect(),
-        });
+        let id = meta.id;
+        let bound = catalog.table_by_name(&mut txn, &meta.name).unwrap().id;
+        image.rows.extend(
+            [
+                (
+                    CatalogKey::TableName(meta.name.clone()),
+                    CatalogValue::Id(bound),
+                ),
+                (CatalogKey::Table(id), CatalogValue::Meta(Box::new(meta))),
+            ]
+            .into_iter()
+            .chain(
+                (catalog.visible_manifests(&mut txn, id).unwrap().into_iter()).map(|(seq, row)| {
+                    (
+                        CatalogKey::Manifest(id, seq),
+                        CatalogValue::ManifestRow(row),
+                    )
+                }),
+            )
+            .chain(
+                (catalog.checkpoints(&mut txn, id).unwrap().into_iter()).map(|(seq, row)| {
+                    (
+                        CatalogKey::Checkpoint(id, seq),
+                        CatalogValue::CheckpointRow(row),
+                    )
+                }),
+            ),
+        );
     }
     catalog.abort(&mut txn);
     image

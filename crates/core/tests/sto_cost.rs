@@ -96,3 +96,27 @@ fn a_tick_pays_for_the_new_manifests_not_the_history() {
     }
     panic!("the orchestrator never went idle");
 }
+
+/// Registering a metric moves the registry epoch, and the harvester then
+/// re-indexes every metric inside whatever window is being measured: a warm
+/// engine's first STO tick and a `polaris.wal` scan (on an engine that logs
+/// nothing) register nothing.
+#[test]
+fn a_first_tick_and_a_wal_scan_register_no_metric() {
+    let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+    pool.add_nodes(WorkloadClass::System, 1, 2);
+    let engine = PolarisEngine::new(
+        Arc::new(MemoryStore::new()),
+        pool,
+        EngineConfig::for_testing(),
+    );
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert_eq!(s.query("SELECT k FROM t").unwrap().num_rows(), 1);
+    let epoch = engine.metrics().epoch();
+    sto::run_once(&engine).unwrap();
+    let wal = s.query("SELECT appends FROM polaris.wal").unwrap();
+    assert_eq!(wal.row(0)[0].as_int(), Some(0));
+    assert_eq!(engine.metrics().epoch(), epoch);
+}

@@ -6,10 +6,13 @@
 //! blocks, return IDs) but serializes a scan whenever one file dwarfs the
 //! others: the unlucky node grinds through every row group while its
 //! neighbours idle. Morsels fix the granularity: a scan is split into
-//! row-group-aligned fragments, every Read lane runs a *driver* that pops
-//! fragments from its own deque front and, when empty, steals from the
-//! back of the longest other deque — the classic morsel-driven design
-//! (Leis et al., SIGMOD'14) on top of the pool's node/lane topology.
+//! row-group-aligned fragments, every Read lane with a free slot runs a
+//! *driver* that pops fragments from its own deque front and, when empty,
+//! steals from the back of the longest other deque — the classic
+//! morsel-driven design (Leis et al., SIGMOD'14) on top of the pool's
+//! node/lane topology. A driver holds its lane's slot for the whole run; a
+//! run that finds every slot held parks until one is released, as a DAG
+//! scheduler does.
 //!
 //! Two policies ride on the queue:
 //!
@@ -33,7 +36,7 @@
 //! span/attempt parity. Morsel throughput is reported separately via
 //! [`MorselRunStats`].
 
-use crate::pool::{ComputePool, Job, LaneRef, Slot, SlotEvent, WorkloadClass};
+use crate::pool::{ComputePool, Job, LaneRef, SlotEvent, WorkloadClass};
 use crate::{DcpError, DcpResult, TaskError};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -270,21 +273,28 @@ impl ComputePool {
         if n == 0 {
             return Ok((Vec::new(), MorselRunStats::default()));
         }
-        let lanes = self.lane_refs(class);
-        if lanes.is_empty() {
-            return Err(DcpError::NoCapacity {
-                class: class.name(),
-            });
-        }
+        // One driver per free slot of the class, parking (as `run_dag`
+        // does) while every slot is held: a driver holds its lane's slot
+        // for the whole run, so drivers beyond a node's capacity would
+        // oversubscribe it (§4.3's slot-based workload separation).
+        let mut parked = None;
+        let slots = loop {
+            let slot_gen = self.slot_event.generation();
+            let slots = self.take_free_slots(class);
+            if !slots.is_empty() {
+                break slots;
+            }
+            self.park(class, slot_gen, &mut parked)?;
+        };
         let budget = target_in_flight_bytes.max(1);
         let shared = Arc::new(Shared::<M> {
-            deques: (0..lanes.len())
+            deques: (0..slots.len())
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
             remaining: AtomicUsize::new(n),
             in_flight_bytes: AtomicU64::new(0),
             budget,
-            per_lane: (budget / lanes.len() as u64).max(1),
+            per_lane: (budget / slots.len() as u64).max(1),
             shutdown: AtomicBool::new(false),
             wake: SlotEvent::new(),
             wake_wait_ns: self.meter().morsel_wake_wait_ns.clone(),
@@ -295,18 +305,17 @@ impl ComputePool {
         });
         // Initial placement: round-robin so every lane starts with work.
         for (i, m) in morsels.into_iter().enumerate() {
-            shared.deques[i % lanes.len()].lock().push_back(Entry {
+            shared.deques[i % slots.len()].lock().push_back(Entry {
                 morsel: m,
                 attempt: 0,
             });
         }
         let (tx, rx) = unbounded::<Event<M>>();
         let mut active = 0usize;
-        for (li, lane) in lanes.into_iter().enumerate() {
-            let sender = lane.sender.clone();
-            // Held by the driver job; released when it ends, unwinds, or
-            // is dropped unsent.
-            let slot = Slot::hold(lane, &self.slot_event);
+        for (li, slot) in slots.into_iter().enumerate() {
+            let sender = slot.lane.sender.clone();
+            // The slot is held by the driver job; released when it ends,
+            // unwinds, or is dropped unsent.
             let shared = Arc::clone(&shared);
             let tx = tx.clone();
             let job: Job = Box::new(move |alive_at_dequeue| {
@@ -559,12 +568,8 @@ mod tests {
         // (steals from the dead lane's deque), and the morsel that was
         // *running* on the victim must be re-executed elsewhere — every
         // range completes exactly once in the output.
-        let pool = Arc::new(ComputePool::with_topology(2, 0, 1));
-        let victim = pool
-            .lane_refs(WorkloadClass::Read)
-            .first()
-            .map(|l| l.node)
-            .unwrap();
+        let pool = Arc::new(ComputePool::new());
+        let victim = pool.add_nodes(WorkloadClass::Read, 2, 1)[0];
         let mut morsels = Vec::new();
         for i in 0..12 {
             let mut m = TestMorsel::new(i * 10, i * 10 + 10);
@@ -592,12 +597,8 @@ mod tests {
 
     #[test]
     fn all_nodes_dead_reports_no_capacity() {
-        let pool = ComputePool::with_topology(1, 0, 1);
-        let id = pool
-            .lane_refs(WorkloadClass::Read)
-            .first()
-            .map(|l| l.node)
-            .unwrap();
+        let pool = ComputePool::new();
+        let id = pool.add_nodes(WorkloadClass::Read, 1, 1)[0];
         pool.kill_node(id);
         let err = pool
             .run_morsels(WorkloadClass::Read, vec![TestMorsel::new(0, 4)], u64::MAX)
@@ -630,5 +631,50 @@ mod tests {
         let after = pool.stats();
         assert_eq!(before.attempts, after.attempts);
         assert_eq!(before.retries, after.retries);
+    }
+
+    #[test]
+    fn a_morsel_run_waits_for_a_held_slot() {
+        // One Read node with one slot, held by a DAG task until released.
+        let pool = Arc::new(ComputePool::with_topology(1, 0, 1));
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let dag_run = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let mut dag = crate::WorkflowDag::new();
+                dag.add_task(move |_| {
+                    let _ = held.lock().recv();
+                    Ok(())
+                });
+                pool.run_dag(dag, WorkloadClass::Read).unwrap();
+            })
+        };
+        while pool.busy(WorkloadClass::Read) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let morsel = TestMorsel::new(0, 4);
+        let executed = Arc::clone(&morsel.executed_on);
+        let scan = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                pool.run_morsels(WorkloadClass::Read, vec![morsel], u64::MAX)
+            })
+        };
+        // The run parks for a slot, counted once, instead of running.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.stats().slot_waits == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the morsel run never waited for the held slot"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(executed.lock().is_empty(), "a morsel ran without a slot");
+        release.send(()).unwrap();
+        dag_run.join().unwrap();
+        let (out, _) = scan.join().unwrap().unwrap();
+        assert_eq!(total_rows(&out), 4);
+        assert_eq!(pool.busy(WorkloadClass::Read), 0);
     }
 }

@@ -437,17 +437,21 @@ impl ComputePool {
         *self.tracer.write() = tracer.clone();
     }
 
-    /// Alive nodes of `class` in id order, as lane views for the morsel
-    /// scheduler (`morsel.rs`).
-    pub(crate) fn lane_refs(&self, class: WorkloadClass) -> Vec<LaneRef> {
+    /// Hold a free slot on every alive node of `class` that has one, in id
+    /// order: the lanes a morsel run's drivers may take (`morsel.rs`).
+    pub(crate) fn take_free_slots(&self, class: WorkloadClass) -> Vec<Slot> {
         let nodes = self.nodes.read();
-        let mut lanes: Vec<LaneRef> = nodes
+        let mut slots: Vec<Slot> = nodes
             .iter()
-            .filter(|(_, h)| h.class == class && h.alive.load(Ordering::SeqCst))
-            .map(|(id, h)| h.lane(*id))
+            .filter(|(_, h)| {
+                h.class == class
+                    && h.alive.load(Ordering::SeqCst)
+                    && h.busy.load(Ordering::SeqCst) < h.capacity
+            })
+            .map(|(id, h)| Slot::hold(h.lane(*id), &self.slot_event))
             .collect();
-        lanes.sort_by_key(|l| l.node.0);
-        lanes
+        slots.sort_by_key(|slot| slot.lane.node.0);
+        slots
     }
 
     /// Run every task of `dag` on nodes of `class`; returns one result per
@@ -581,7 +585,7 @@ impl ComputePool {
     /// until the next slot release or topology change instead of spinning.
     /// `parked` carries one park across the wait's safety timeouts, so it
     /// is counted and timed once.
-    fn park(
+    pub(crate) fn park(
         &self,
         class: WorkloadClass,
         slot_gen: u64,

@@ -663,6 +663,48 @@ impl RecoveryMeter {
     }
 }
 
+/// The `sto.*` handles an STO tick records into. Resolved when the engine
+/// is built, like every meter here: registering a name moves the registry
+/// epoch, and the harvester re-indexes every metric when it moves.
+#[derive(Clone, Debug, Default)]
+pub struct StoMeter {
+    /// Ticks run.
+    pub ticks: Counter,
+    /// lst checkpoints written.
+    pub checkpoints: Counter,
+    /// Compactions committed.
+    pub compactions: Counter,
+    /// Compactions that lost a write-write conflict.
+    pub compaction_conflicts: Counter,
+    /// Manifests published to the Delta log.
+    pub published: Counter,
+    /// Files garbage collection deleted.
+    pub gc_deleted: Counter,
+    /// Manifests the GC fold read.
+    pub folded_manifests: Counter,
+    /// Entries of the GC's per-table file-fate maps.
+    pub gc_state_entries: Gauge,
+    /// Wall time of each tick.
+    pub tick_ns: Histogram,
+}
+
+impl StoMeter {
+    /// Bind to the canonical `sto.*` metric names.
+    pub fn from_registry(registry: &MetricsRegistry) -> Self {
+        StoMeter {
+            ticks: registry.counter("sto.ticks"),
+            checkpoints: registry.counter("sto.checkpoints"),
+            compactions: registry.counter("sto.compactions"),
+            compaction_conflicts: registry.counter("sto.compaction_conflicts"),
+            published: registry.counter("sto.published"),
+            gc_deleted: registry.counter("sto.gc_deleted"),
+            folded_manifests: registry.counter("sto.gc_folded_manifests"),
+            gc_state_entries: registry.gauge("sto.gc_state_entries"),
+            tick_ns: registry.histogram("sto.tick_ns"),
+        }
+    }
+}
+
 /// Counters the compute pool records into on every task completion.
 /// Replaces the old `Mutex<PoolStats>` (one lock acquisition per task) with
 /// three relaxed atomic adds.

@@ -54,6 +54,7 @@ pub fn parse_many(sql: &str) -> Result<Vec<Statement>, ParseError> {
         peak: 0,
         aggregate: Aggregate::Refused,
         on: None,
+        betweens: 0,
     };
     let mut out = Vec::new();
     loop {
@@ -85,6 +86,8 @@ struct Parser {
     aggregate: Aggregate,
     /// While a join's `ON` is parsed: what it records.
     on: Option<JoinOn>,
+    /// BETWEENs parsed so far.
+    betweens: usize,
 }
 
 impl Parser {
@@ -606,6 +609,7 @@ impl Parser {
     fn comparison(&mut self) -> PResult<Expr> {
         let mark = self.on.as_ref().map_or(0, |on| on.sides.len());
         let refs = self.joined_refs();
+        let betweens = self.betweens;
         let left = self.additive()?;
         let mut sides = None;
         let expr = if self.eat_keyword("IS") {
@@ -623,6 +627,14 @@ impl Parser {
                 other => return Err(ParseError::new(format!("bad LIKE pattern {other:?}"))),
             }
         } else if self.eat_keyword("BETWEEN") {
+            // The tested operand is written twice (`e >= lo AND e <= hi`):
+            // a BETWEEN inside it would double the tree per level.
+            if self.betweens > betweens {
+                return Err(ParseError::new(
+                    "BETWEEN over an operand that holds a BETWEEN is not supported",
+                ));
+            }
+            self.betweens += 1;
             let lo = self.additive()?;
             self.expect_keyword("AND")?;
             let hi = self.additive()?;

@@ -23,12 +23,17 @@ cargo test --release -q -p polaris-exec --test operator_oracles
 # reopens) is all that stands between a stale fate cache and a deleted live
 # file, and the tick-cost test counts reads instead of timing them.
 cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
-# Durability smoke, optimized as it ships: the recoverability oracle (after
-# every checkpoint generation the blob folds to the live catalog, and with
-# its newest frame lost at any byte `open` still recovers that catalog —
-# across drops, clones, re-bases and reopens) is what the incremental
-# checkpoint format stands on, and the cost test counts the bytes a
-# generation, the tick and a read send to the store instead of timing them.
+# Durability smoke, optimized as it ships: the catalog image is its own
+# rows, and a checkpoint frame and a log record fold into it alike — the
+# catalog crate's unit tests pin the fold (a delete removes its row, a
+# dropped table's rows leave with it), export and import, and the log's
+# golden bytes. The recoverability oracle (after every checkpoint generation
+# the blob folds to the live catalog, row for row, and with its newest frame
+# lost at any byte `open` still recovers that catalog — across drops,
+# clones, re-bases and reopens) is what the incremental checkpoint format
+# stands on, and the cost test counts the bytes a generation, the tick and
+# a read send to the store instead of timing them.
+cargo test --release -q -p polaris-catalog
 cargo test --release -q -p polaris-core --test recovery --test checkpoint_cost
 # A §6.3 backup restore rebuilds its catalog through the same fold and
 # import as recovery, so the restart-from-backup tests (a restored engine

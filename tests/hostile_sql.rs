@@ -72,3 +72,22 @@ fn long_flat_chains_answer_or_are_refused() {
         });
     session.unwrap().join().unwrap();
 }
+
+#[test]
+fn between_over_a_between_is_refused() {
+    let engine = PolarisEngine::in_memory();
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (a BIGINT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let mut count = |predicate: &str| {
+        let sql = format!("SELECT COUNT(*) AS n FROM t WHERE {predicate}");
+        s.query(&sql).map(|rows| rows.row(0)[0].as_int())
+    };
+    assert_eq!(count("a BETWEEN 2 AND 3").unwrap(), Some(2));
+    assert_eq!(count("a * 2 + 1 BETWEEN 4 AND 6").unwrap(), Some(1));
+    // `e BETWEEN lo AND hi` tests `e` twice, so a BETWEEN inside `e` would
+    // double the tree per level: refused, whatever the types.
+    let err = count("(a BETWEEN 1 AND 2) BETWEEN 0 AND 1").unwrap_err();
+    assert!(err.to_string().contains("BETWEEN"), "{err}");
+    assert_eq!(count("a > 0").unwrap(), Some(3), "the next statement runs");
+}

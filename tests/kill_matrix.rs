@@ -33,6 +33,7 @@
 //! --test kill_matrix -- --soak N` adds `N` randomized lifetimes and
 //! `--seed S` pins the base seed (`scripts/chaos.sh`).
 
+use polaris::catalog::CatalogValue;
 use polaris::core::{EngineConfig, PolarisEngine, Value};
 use polaris::dcp::{ComputePool, WorkloadClass};
 use polaris::store::{LatencyModel, MemoryStore, ObjectStore, SimStore};
@@ -329,9 +330,12 @@ fn run_scenario(label: &str, site: &KillSite, durable_after: bool, seed: u64) ->
         .catalog()
         .export()
         .unwrap()
-        .tables
-        .iter()
-        .flat_map(|t| t.manifests.iter().map(|(_, file, _)| file.clone()))
+        .rows
+        .into_values()
+        .filter_map(|value| match value {
+            CatalogValue::ManifestRow(row) => Some(row.manifest_file),
+            _ => None,
+        })
         .collect();
     for meta in inner.list("lake/").unwrap() {
         let path = meta.path.as_str().to_owned();
