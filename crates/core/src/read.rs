@@ -21,7 +21,7 @@ use polaris_exec::{
 use polaris_lst::{SequenceId, TableSnapshot};
 use polaris_obs::ScanMeter;
 use polaris_sql::{AggPlan, SelectPlan};
-use polaris_store::ObjectStore;
+use polaris_store::{ObjectStore, StoreError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -653,8 +653,10 @@ fn output_schema(base: &Schema, projections: Option<&[(Expr, String)]>) -> Polar
 /// the read and the write path alike.
 pub(crate) fn exec_to_task(e: polaris_exec::ExecError) -> TaskError {
     match &e {
-        // Storage faults are transient by definition — retry elsewhere.
-        polaris_exec::ExecError::Store(_) => TaskError::transient(e.to_string()),
+        // The store's own rule, [`store_to_task`].
+        polaris_exec::ExecError::Store(StoreError::Transient { .. }) => {
+            TaskError::transient(e.to_string())
+        }
         // A truncated or garbled column-chunk range read surfaces as a
         // length/corruption decode error, not a StoreError. Retrying on
         // another lane distinguishes a flaky transfer from genuinely
@@ -662,6 +664,17 @@ pub(crate) fn exec_to_task(e: polaris_exec::ExecError) -> TaskError {
         polaris_exec::ExecError::Columnar(
             ColumnarError::LengthMismatch { .. } | ColumnarError::Corrupt { .. },
         ) => TaskError::transient(e.to_string()),
+        _ => TaskError::fatal(e.to_string()),
+    }
+}
+
+/// How a store error ends a task attempt: only a transient fault can go
+/// away on another attempt. A missing blob (say, a file GC reclaimed below
+/// the retention horizon), a bad range or an unknown block is the same on
+/// every retry, so it fails the task at once and names the blob.
+pub(crate) fn store_to_task(e: StoreError) -> TaskError {
+    match e {
+        StoreError::Transient { .. } => TaskError::transient(e.to_string()),
         _ => TaskError::fatal(e.to_string()),
     }
 }

@@ -8,7 +8,7 @@
 //! background [`StoRunner`] thread that applies the paper's triggers.
 
 use crate::{EngineConfig, PolarisEngine, PolarisResult, SequenceId};
-use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, Timestamp};
+use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, TableMeta, Timestamp};
 use polaris_columnar::RecordBatch;
 use polaris_exec::{scan::scan_cell, write as bewrite};
 use polaris_lst::{publish, Checkpoint, DataFileState, Manifest, ManifestAction, TableSnapshot};
@@ -54,8 +54,10 @@ enum Fate {
 
 #[derive(Default)]
 struct TableSto {
-    /// Last sequence published to the Delta log (§5.4).
-    published: SequenceId,
+    /// The snapshot the table's newest Delta version holds (§5.4); the next
+    /// version is the change from it. `None` until this engine's first
+    /// publish of the table, which reads the watermark from the log.
+    published: Option<Arc<TableSnapshot>>,
     /// GC fold watermark: manifests up to here are folded into `fates`.
     folded: SequenceId,
     /// Fate of every blob this table's manifest chain names — the LAST
@@ -68,14 +70,6 @@ struct TableSto {
 }
 
 impl TableSto {
-    /// Advance the publish watermark to `upto`; returns the range
-    /// `(last_published, upto]` the caller should publish.
-    fn publish_range(&mut self, upto: SequenceId) -> (SequenceId, SequenceId) {
-        let from = self.published;
-        self.published = upto.max(from);
-        (from, self.published)
-    }
-
     /// Fold one committed manifest (at `seq`, stored at `path`) into the
     /// fate map and advance the watermark past it.
     fn fold(&mut self, seq: SequenceId, path: String, manifest: Manifest) {
@@ -343,20 +337,15 @@ fn checkpoint_with_tail(
         engine
             .catalog()
             .add_checkpoint(&mut ctxn, meta.id, ckpt.upto, &path)?;
-        let report = CheckpointReport {
+        Ok(Some(CheckpointReport {
             covers: ckpt.upto,
             files: ckpt.file_count(),
             folded_manifests: folded,
-        };
-        Ok(Some((meta, snap, report)))
+        }))
     })();
     match staged {
-        Ok(Some((meta, snap, report))) => {
+        Ok(Some(report)) => {
             engine.catalog().commit(&mut ctxn)?;
-            // Publish the compacted state to the lake too (§5.4): other
-            // engines reading the Delta log can start from this checkpoint
-            // instead of replaying every commit file.
-            publish::publish_snapshot_as_delta(&**engine.store(), &meta.data_root, &snap)?;
             Ok(Some(report))
         }
         nothing_staged => {
@@ -522,32 +511,67 @@ pub fn garbage_collect(engine: &Arc<PolarisEngine>) -> PolarisResult<GcReport> {
 // Async Delta publishing (§5.4)
 // ---------------------------------------------------------------------
 
-/// Publish manifests committed since the last publish as Delta-log files
-/// under the table's `_delta_log/`. Returns the number published.
+/// Publish the table's commits since its newest Delta version as ONE
+/// version, `<to>.json` under its `_delta_log/`, where `to` is the newest
+/// committed sequence: the net change from the snapshot the newest version
+/// holds to the current one, taken from the snapshot cache (no manifest is
+/// read for it). When an lst checkpoint was taken in `(from, to]`, a Delta
+/// checkpoint of the same snapshot follows the version. Returns the number
+/// of commits the version covers; 0, and no write, when there are none.
+///
+/// The first publish of a table after `open` reads the watermark from the
+/// newest version's name and rebuilds that version's snapshot `AS OF` it.
 pub fn publish_table(engine: &Arc<PolarisEngine>, table: &str) -> PolarisResult<usize> {
     read_catalog(engine, |ctxn| {
-        let meta = engine.catalog().table_by_name(ctxn, table)?;
         let catalog = engine.catalog();
-        let latest = catalog.latest_manifest_sequence(ctxn, meta.id, SequenceId(u64::MAX))?;
-        let (from, to) = engine
-            .sto_state()
-            .lock()
-            .tables
-            .entry(meta.id)
-            .or_default()
-            .publish_range(latest);
+        let store = &**engine.store();
+        let meta = catalog.table_by_name(ctxn, table)?;
+        let root = delta_table_root(&meta);
+        // Held throughout: two publishers of one table must not both write
+        // a version on top of the same last one.
+        let mut state = engine.sto_state().lock();
+        let sto = state.tables.entry(meta.id).or_default();
+        let last = match &sto.published {
+            Some(last) => Arc::clone(last),
+            None => match publish::published_upto(store, &root)? {
+                SequenceId(0) => Arc::new(TableSnapshot::empty()),
+                upto => engine.snapshot(ctxn, &meta, Some(upto))?,
+            },
+        };
+        let current = engine.snapshot(ctxn, &meta, None)?;
+        let (from, to) = (last.upto(), current.upto());
+        if to <= from {
+            // Nothing new, or a publisher with a newer catalog snapshot got
+            // here first: never step the watermark back.
+            sto.published = Some(last);
+            return Ok(0);
+        }
         let mut span = engine.tracer().span("lst.publish");
         span.attr("table", table);
-        let mut published = 0;
-        for (seq, row) in catalog.manifests_between(ctxn, meta.id, from, to)? {
-            let raw = engine.store().get(&BlobPath::new(row.manifest_file)?)?;
-            let manifest = Manifest::decode(&raw)?;
-            publish::publish_manifest_as_delta(&**engine.store(), &meta.data_root, seq, &manifest)?;
-            published += 1;
+        let covered = catalog.manifests_between(ctxn, meta.id, from, to)?.len();
+        // The version first: a checkpoint must name a published version, or
+        // a reader starting from it would apply the next version to the
+        // wrong state.
+        publish::publish_version(store, &root, &last, &current)?;
+        let checkpointed = catalog.latest_checkpoint(ctxn, meta.id, to)?;
+        if checkpointed.is_some_and(|(at, _)| at > from) {
+            publish::publish_snapshot_as_delta(store, &root, &current)?;
         }
-        span.attr("published", published);
-        Ok(published)
+        sto.published = Some(current);
+        span.attr("published", covered);
+        Ok(covered)
     })
+}
+
+/// Where a table's Delta log lives: `<lake>/<name>/_delta_log/`. A table
+/// owns its data root `<lake>/<name>`, so that is `{data_root}/_delta_log/`.
+/// A zero-copy clone shares its source's data root (§6.2) and gets a log of
+/// its own, so two tables' versions never interleave in one log.
+fn delta_table_root(meta: &TableMeta) -> String {
+    match meta.data_root.rsplit_once('/') {
+        Some((lake, _)) => format!("{lake}/{}", meta.name),
+        None => meta.name.clone(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -563,23 +587,26 @@ pub struct StoTickReport {
     pub compactions: usize,
     /// Compactions lost to conflicts with user transactions.
     pub compaction_conflicts: usize,
-    /// Manifests published to Delta logs.
+    /// Commits the tick's Delta versions cover (one version per table with
+    /// new commits).
     pub published: usize,
     /// Blobs reclaimed by GC.
     pub gc_deleted: usize,
 }
 
-/// Run one monitoring pass over every table: publish new commits,
-/// checkpoint and compact where triggers fire, then GC.
+/// Run one monitoring pass over every table — compact where the health
+/// trigger fires, checkpoint where enough manifests have piled up, publish
+/// one Delta version — then GC.
+///
+/// The order is what keeps the lake log small: the checkpoint and the
+/// published version both see the compacted snapshot, so neither lists the
+/// small files the same tick's compaction merged, and the version holds
+/// the tick's net change instead of one file per commit.
 pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
     let started = Instant::now();
     let mut report = StoTickReport::default();
     let tables = read_catalog(engine, |ctxn| Ok(engine.catalog().list_tables(ctxn)?))?;
     for table in tables.iter().map(|meta| meta.name.as_str()) {
-        report.published += publish_table(engine, table)?;
-        if checkpoint_if_needed(engine, table)?.is_some() {
-            report.checkpoints += 1;
-        }
         // Finds no victims, and does nothing, on a healthy table.
         match compact_table(engine, table) {
             Ok(Some(_)) => report.compactions += 1,
@@ -587,6 +614,10 @@ pub fn run_once(engine: &Arc<PolarisEngine>) -> PolarisResult<StoTickReport> {
             Err(e) if e.is_retryable_conflict() => report.compaction_conflicts += 1,
             Err(e) => return Err(e),
         }
+        if checkpoint_if_needed(engine, table)?.is_some() {
+            report.checkpoints += 1;
+        }
+        report.published += publish_table(engine, table)?;
     }
     report.gc_deleted = garbage_collect(engine)?.deleted;
     // Periodic catalog backup (§6.3), enabling point-in-time restore of the
@@ -660,24 +691,6 @@ impl Drop for StoRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn publish_range_advances() {
-        let mut sto = TableSto::default();
-        assert_eq!(
-            sto.publish_range(SequenceId(5)),
-            (SequenceId(0), SequenceId(5))
-        );
-        assert_eq!(
-            sto.publish_range(SequenceId(9)),
-            (SequenceId(5), SequenceId(9))
-        );
-        // no regression
-        assert_eq!(
-            sto.publish_range(SequenceId(3)),
-            (SequenceId(9), SequenceId(9))
-        );
-    }
 
     #[test]
     fn stopping_the_runner_does_not_wait_out_the_interval() {

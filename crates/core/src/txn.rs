@@ -1,7 +1,7 @@
 //! User transactions: the optimistic read phase and the commit protocol.
 
 use crate::engine::{TxnContext, TxnStat};
-use crate::read::{exec_to_task, execute_select};
+use crate::read::{exec_to_task, execute_select, store_to_task};
 use crate::{PolarisEngine, PolarisError, PolarisResult, QueryResult};
 use polaris_catalog::{CatalogTxn, IsolationLevel, TableId, TableMeta};
 use polaris_columnar::{ColumnVector, DataType, RecordBatch, Schema, Value};
@@ -947,10 +947,6 @@ fn publish_manifests(
 fn file_stem(path: &str) -> String {
     let name = path.rsplit('/').next().unwrap_or(path);
     name.trim_end_matches(".pcf").to_owned()
-}
-
-fn store_to_task(e: polaris_store::StoreError) -> TaskError {
-    TaskError::transient(e.to_string())
 }
 
 /// Rebuild `live` with assignments applied, coercing back onto the table

@@ -524,12 +524,15 @@ fn publish_writes_delta_log() {
     s.execute("INSERT INTO t VALUES (2)").unwrap();
     let published = sto::publish_table(&engine, "t").unwrap();
     assert_eq!(published, 2);
+    // One version per publish, covering both commits.
     let log = engine.store().list("lake/t/_delta_log/").unwrap();
-    assert_eq!(log.len(), 2);
+    assert_eq!(log.len(), 1);
     // idempotent: nothing new to publish
     assert_eq!(sto::publish_table(&engine, "t").unwrap(), 0);
     s.execute("INSERT INTO t VALUES (3)").unwrap();
     assert_eq!(sto::publish_table(&engine, "t").unwrap(), 1);
+    let log = engine.store().list("lake/t/_delta_log/").unwrap();
+    assert_eq!(log.len(), 2);
 }
 
 #[test]
@@ -544,7 +547,7 @@ fn gc_never_deletes_published_delta_log() {
     assert_eq!(sto::publish_table(&engine, "t").unwrap(), 2);
     sto::garbage_collect(&engine).unwrap();
     let log = engine.store().list("lake/t/_delta_log/").unwrap();
-    assert_eq!(log.len(), 2, "GC must leave the published Delta log intact");
+    assert_eq!(log.len(), 1, "GC must leave the published Delta log intact");
 }
 
 #[test]
@@ -930,12 +933,19 @@ fn checkpoint_publishes_delta_checkpoint_file() {
     for i in 0..5 {
         s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
     }
-    sto::checkpoint_table(&engine, "t").unwrap().unwrap();
+    let covers = sto::checkpoint_table(&engine, "t").unwrap().unwrap().covers;
+    // The publisher writes the Delta checkpoint, at the version it
+    // publishes: a reader starts from it and applies the versions above.
+    sto::publish_table(&engine, "t").unwrap();
     let log = engine.store().list("lake/t/_delta_log/").unwrap();
-    assert!(
-        log.iter()
-            .any(|m| m.path.as_str().ends_with(".checkpoint.json")),
-        "checkpoint must be published to the Delta log: {log:?}"
+    let names: Vec<&str> = log.iter().map(|m| m.path.file_name()).collect();
+    assert_eq!(
+        names,
+        [
+            format!("{:020}.checkpoint.json", covers.0),
+            format!("{:020}.json", covers.0)
+        ],
+        "checkpoint must be published to the Delta log"
     );
 }
 
@@ -956,10 +966,15 @@ fn time_travel_horizon_is_bounded_by_retention() {
     sto::garbage_collect(&engine).unwrap();
     engine.invalidate_caches();
     let result = s.query(&format!("SELECT v FROM t AS OF {}", old_seq.0));
+    let err = result.expect_err("reclaimed history must error, not fabricate rows");
+    // A reclaimed file is not a transient fault: the scan fails at once
+    // and says which blob is gone, instead of retrying it.
+    let (shown, debug) = (err.to_string(), format!("{err:?}"));
     assert!(
-        result.is_err(),
-        "reclaimed history must error, not fabricate rows"
+        shown.contains("blob not found: lake/t/data/"),
+        "the error names the missing blob: {shown}"
     );
+    assert!(!debug.contains("RetriesExhausted"), "{debug}");
     // Current state unaffected.
     let now = s.query("SELECT v FROM t").unwrap();
     assert_eq!(rows_as_ints(&now, "v"), vec![2]);

@@ -1,11 +1,12 @@
 //! The STO tick's cost, as counts from `metrics_snapshot()` rather than a
 //! timer: a tick reads the manifests committed since the previous tick — not
-//! the table's history — and a tick that follows no commit writes nothing.
+//! the table's history — a tick that follows no commit writes nothing, and
+//! the Delta log gains one version per table per tick, across a reopen too.
 
 use polaris_core::{sto, EngineConfig, PolarisEngine};
 use polaris_dcp::{ComputePool, WorkloadClass};
-use polaris_store::MemoryStore;
-use std::sync::Arc;
+use polaris_store::{LatencyModel, MemoryStore, ObjectStore, Request, SimStore};
+use std::sync::{Arc, Mutex};
 
 /// Counters a tick moves, sampled before and after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,12 +68,13 @@ fn a_tick_pays_for_the_new_manifests_not_the_history() {
         }
     }
     // History depth N, 4N, 16N: the same N manifests, the same reads — one
-    // per manifest for the publisher, one for the GC fold, and the
-    // checkpoint's own catch-up, which does not grow either.
+    // per manifest for the GC fold, and the snapshot cache's own catch-up,
+    // which does not grow either. The publisher reads nothing: its version
+    // is the change between two cached snapshots.
     assert_eq!(at_depth[0], at_depth[1], "depth N against 4N");
     assert_eq!(at_depth[0], at_depth[2], "depth N against 16N");
     assert!(
-        (2 * N..=2 * N + 2).contains(&at_depth[0].reads),
+        (N..=N + 2).contains(&at_depth[0].reads),
         "{:?}",
         at_depth[0]
     );
@@ -119,4 +121,105 @@ fn a_first_tick_and_a_wal_scan_register_no_metric() {
     let wal = s.query("SELECT appends FROM polaris.wal").unwrap();
     assert_eq!(wal.row(0)[0].as_int(), Some(0));
     assert_eq!(engine.metrics().epoch(), epoch);
+}
+
+/// The sequence a `_delta_log/` blob is named after, and whether it is a
+/// version (not a checkpoint).
+fn log_entry(path: &str) -> Option<(u64, bool)> {
+    let name = path.split("/_delta_log/").nth(1)?;
+    let (seq, suffix) = name.split_once('.')?;
+    Some((seq.parse().ok()?, suffix == "json"))
+}
+
+/// The publish watermark lives in the log, not in the engine: the first
+/// tick after a reopen writes one version for the table that committed
+/// since, nothing for the table that did not, and re-publishes no sequence
+/// at or below the watermark. `open` itself lists no `_delta_log/`.
+#[test]
+fn the_first_tick_after_a_reopen_continues_the_log() {
+    let requests = Arc::new(Mutex::new(Vec::<(&'static str, String)>::new()));
+    let tap = {
+        let requests = Arc::clone(&requests);
+        move |r: Request<'_>| {
+            if matches!(r.op, "put" | "list") {
+                requests.lock().unwrap().push((r.op, r.path.to_owned()));
+            }
+        }
+    };
+    let store = Arc::new(SimStore::new(MemoryStore::new(), LatencyModel::ZERO).with_tap(tap));
+    let open = || {
+        let pool = Arc::new(ComputePool::with_topology(2, 2, 2));
+        pool.add_nodes(WorkloadClass::System, 1, 2);
+        let config = EngineConfig {
+            commit_log_enabled: true,
+            ..EngineConfig::for_testing()
+        };
+        let store: Arc<dyn ObjectStore> = Arc::clone(&store) as _;
+        PolarisEngine::open(store, pool, config).unwrap()
+    };
+    let insert = |engine: &Arc<PolarisEngine>, table: &str, rows: std::ops::Range<i64>| {
+        let mut s = engine.session();
+        for k in rows {
+            s.execute(&format!("INSERT INTO {table} VALUES ({k})"))
+                .unwrap();
+        }
+    };
+    let newest_version = |table: &str| {
+        let log = store.list(&format!("lake/{table}/_delta_log/")).unwrap();
+        log.iter()
+            .filter_map(|blob| log_entry(blob.path.as_str()))
+            .filter(|(_, version)| *version)
+            .map(|(seq, _)| seq)
+            .max()
+            .unwrap()
+    };
+
+    let engine = open();
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (k BIGINT)").unwrap();
+    s.execute("CREATE TABLE u (k BIGINT)").unwrap();
+    drop(s);
+    for round in 0..2 {
+        insert(&engine, "t", round * 10..round * 10 + 6);
+        insert(&engine, "u", round * 10..round * 10 + 6);
+        sto::run_once(&engine).unwrap();
+    }
+    let watermark = [newest_version("t"), newest_version("u")];
+    drop(engine);
+
+    requests.lock().unwrap().clear();
+    let engine = open();
+    let listed_by_open = std::mem::take(&mut *requests.lock().unwrap());
+    assert!(
+        !listed_by_open
+            .iter()
+            .any(|(_, path)| path.contains("_delta_log")),
+        "open reads no Delta log: {listed_by_open:?}"
+    );
+    insert(&engine, "t", 100..103);
+    requests.lock().unwrap().clear();
+    let report = sto::run_once(&engine).unwrap();
+    assert_eq!(report.published, 3 + report.compactions, "{report:?}");
+
+    let puts: Vec<String> = requests
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(op, _)| *op == "put")
+        .map(|(_, path)| path.clone())
+        .collect();
+    for (table, watermark) in ["t", "u"].iter().zip(watermark) {
+        let written: Vec<(u64, bool)> = puts
+            .iter()
+            .filter(|path| path.starts_with(&format!("lake/{table}/_delta_log/")))
+            .filter_map(|path| log_entry(path))
+            .collect();
+        let versions = written.iter().filter(|(_, version)| *version).count();
+        let expected = if *table == "t" { 1 } else { 0 };
+        assert_eq!(versions, expected, "{table}: {written:?}");
+        assert!(
+            written.iter().all(|(seq, _)| *seq > watermark),
+            "{table} re-published at or below {watermark}: {written:?}"
+        );
+    }
 }

@@ -19,7 +19,8 @@ pub enum ExecError {
     Columnar(polaris_columnar::ColumnarError),
     /// Physical metadata error.
     Lst(polaris_lst::LstError),
-    /// Object store error (treated as transient by the DCP retry logic).
+    /// Object store error (retried by the DCP only when it is
+    /// [`StoreError::Transient`](polaris_store::StoreError::Transient)).
     Store(polaris_store::StoreError),
 }
 

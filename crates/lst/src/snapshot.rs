@@ -194,6 +194,41 @@ impl TableSnapshot {
         actions
     }
 
+    /// The actions that turn this snapshot into `newer`, the net change
+    /// between two states of one table: a file that left is removed, a file
+    /// that arrived is added with its delete vector, and a file in both whose
+    /// delete vector changed swaps it. A file added and removed again in
+    /// between leaves no trace, the rule [`TxnDelta`](crate::TxnDelta)
+    /// applies inside a transaction. Replaying the result onto `self` gives
+    /// `newer`'s files.
+    pub fn changes_to(&self, newer: &TableSnapshot) -> Vec<ManifestAction> {
+        let mut actions = Vec::new();
+        for (path, old) in &self.files {
+            match (newer.files.get(path), &old.delete_vector) {
+                (None, _) => actions.push(ManifestAction::remove_file(path.clone())),
+                (Some(new), Some(dv)) if new.delete_vector.as_ref() != Some(dv) => {
+                    actions.push(ManifestAction::remove_dv(path.clone(), dv.path.clone()))
+                }
+                _ => {}
+            }
+        }
+        for (path, new) in &newer.files {
+            let old = self.files.get(path);
+            if old.is_none() {
+                actions.push(ManifestAction::AddFile(new.entry.clone()));
+            }
+            if let Some(dv) = &new.delete_vector {
+                if old.and_then(|f| f.delete_vector.as_ref()) != Some(dv) {
+                    actions.push(ManifestAction::AddDv {
+                        data_file: path.clone(),
+                        dv: dv.clone(),
+                    });
+                }
+            }
+        }
+        actions
+    }
+
     /// Internal: insert a file state directly (checkpoint restore path).
     pub(crate) fn insert_state(&mut self, state: DataFileState) {
         self.files.insert(state.entry.path.clone(), state);

@@ -154,3 +154,53 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The published Delta version (§5.4) is the net change between two
+    /// committed snapshots of one chain: replayed onto the older it gives the
+    /// newer, and it names no file committed and removed between them.
+    #[test]
+    fn snapshot_changes_replay_to_the_newer_snapshot(
+        seed in any::<u64>(),
+        commits in 1usize..20,
+        cut in 0usize..20,
+        base_files in 0usize..6,
+        with_dvs in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut chain = vec![base_snapshot(base_files, with_dvs)];
+        let mut fresh = 0usize;
+        for seq in 2..2 + commits as u64 {
+            let mut next = chain.last().unwrap().clone();
+            let actions = random_action(&mut rng, &next, &mut fresh);
+            next.apply_manifest(SequenceId(seq), &Manifest::from_actions(actions)).unwrap();
+            chain.push(next);
+        }
+        let older = &chain[cut.min(chain.len() - 1)];
+        let newer = chain.last().unwrap();
+        let changes = older.changes_to(newer);
+        let mut replayed = older.clone();
+        replayed
+            .apply_manifest(SequenceId(newer.upto().0 + 1), &Manifest::from_actions(changes.clone()))
+            .unwrap();
+        let key = |s: &TableSnapshot| -> Vec<_> {
+            s.files().map(|f| (f.entry.clone(), f.delete_vector.clone())).collect()
+        };
+        prop_assert_eq!(key(&replayed), key(newer));
+        for action in &changes {
+            match action {
+                ManifestAction::AddFile(e) => prop_assert!(older.file(&e.path).is_none()),
+                ManifestAction::RemoveFile { path } => prop_assert!(newer.file(path).is_none()),
+                ManifestAction::AddDv { data_file, .. } => {
+                    prop_assert!(newer.file(data_file).is_some())
+                }
+                ManifestAction::RemoveDv { data_file, .. } => {
+                    prop_assert!(older.file(data_file).is_some() && newer.file(data_file).is_some())
+                }
+            }
+        }
+        if older.upto() == newer.upto() {
+            prop_assert!(changes.is_empty());
+        }
+    }
+}

@@ -4,6 +4,7 @@ use crate::{BlobMeta, BlobPath, BlockId, ObjectStore, Stamp, StoreError, StoreRe
 use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 
 /// Per-blob state: committed content plus the block machinery behind it.
 #[derive(Debug, Default)]
@@ -108,15 +109,20 @@ impl ObjectStore for MemoryStore {
     }
 
     fn list(&self, prefix: &str) -> StoreResult<Vec<BlobMeta>> {
+        // Every path starting with `prefix` sorts at or after it, and before
+        // the first path past it that does not: one range scan, not the map.
         Ok(self
             .blobs
             .read()
-            .iter()
-            .filter(|(p, b)| p.starts_with(prefix) && b.committed.is_some())
-            .map(|(p, b)| BlobMeta {
-                path: p.clone(),
-                size: b.committed.as_ref().map_or(0, |c| c.len() as u64),
-                stamp: b.stamp,
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(p, _)| p.starts_with(prefix))
+            .filter_map(|(p, b)| {
+                let committed = b.committed.as_ref()?;
+                Some(BlobMeta {
+                    path: p.clone(),
+                    size: committed.len() as u64,
+                    stamp: b.stamp,
+                })
             })
             .collect())
     }

@@ -1,6 +1,7 @@
 //! Validated blob paths.
 
 use crate::{StoreError, StoreResult};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A validated, `/`-separated, relative blob path.
@@ -81,6 +82,14 @@ impl fmt::Display for BlobPath {
 
 impl AsRef<str> for BlobPath {
     fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// Equality, order and hash are the wrapped string's, so a map keyed by
+/// paths can be searched, and range-scanned, by `&str`.
+impl Borrow<str> for BlobPath {
+    fn borrow(&self) -> &str {
         self.as_str()
     }
 }

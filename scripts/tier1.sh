@@ -21,8 +21,13 @@ cargo test --release -q -p polaris-exec --test operator_oracles
 # STO smoke, optimized as it ships: the GC equivalence oracle (incremental
 # sweep == from-scratch fold, blob for blob, across clones, drops and
 # reopens) is all that stands between a stale fate cache and a deleted live
-# file, and the tick-cost test counts reads instead of timing them.
-cargo test --release -q -p polaris-core --test gc_safety --test sto_cost
+# file, and the tick-cost test counts reads instead of timing them. The
+# published Delta log is one version per table per tick: a reader that
+# parses it with serde_json alone must fold every version to the engine's
+# own snapshot AS OF it (across compaction, delete vectors, a clone and a
+# reopen), and the lst crate's tests pin the snapshot diff each version is.
+cargo test --release -q -p polaris-core --test gc_safety --test sto_cost --test delta_log_oracle
+cargo test --release -q -p polaris-lst
 # Durability smoke, optimized as it ships: the catalog image is its own
 # rows, and a checkpoint frame and a log record fold into it alike — the
 # catalog crate's unit tests pin the fold (a delete removes its row, a
