@@ -306,13 +306,14 @@ impl Catalog {
         TableId(self.next_table_id.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// Drop a table's logical metadata. Physical files are handled by GC.
-    pub fn drop_table(&self, txn: &mut CatalogTxn, name: &str) -> CatalogResult<TableId> {
+    /// Drop a table's logical metadata and return it. Physical files are
+    /// handled by GC.
+    pub fn drop_table(&self, txn: &mut CatalogTxn, name: &str) -> CatalogResult<TableMeta> {
         let meta = self.table_by_name(txn, name)?;
         self.store
             .delete(txn, CatalogKey::TableName(name.to_owned()))?;
         self.store.delete(txn, CatalogKey::Table(meta.id))?;
-        Ok(meta.id)
+        Ok(meta)
     }
 
     /// Look up a table by name.
@@ -641,7 +642,9 @@ impl Catalog {
     /// Move the table-id and transaction-id allocators past `table` and
     /// `txn` (see [`MvccStore::advance_txn_ids`]), so ids allocated
     /// afterwards are above both. Must not race allocations: it runs while
-    /// a catalog is rebuilt, before traffic.
+    /// a catalog is rebuilt, before traffic. Only ids the durable state
+    /// names are passed: a transaction in flight at a crash may have used a
+    /// higher one, which the rebuilt catalog hands out again.
     pub fn advance_ids(&self, table: TableId, txn: TxnId) {
         self.next_table_id.fetch_max(table.0 + 1, Ordering::SeqCst);
         self.store.advance_txn_ids(txn)
@@ -710,7 +713,7 @@ mod tests {
     fn drop_table_removes_bindings() {
         let (c, id) = catalog_with_table("t1");
         let mut tx = c.begin(IsolationLevel::Snapshot);
-        assert_eq!(c.drop_table(&mut tx, "t1").unwrap(), id);
+        assert_eq!(c.drop_table(&mut tx, "t1").unwrap().id, id);
         c.commit(&mut tx).unwrap();
         let mut tx = c.begin(IsolationLevel::Snapshot);
         assert!(c.table_by_name(&mut tx, "t1").is_err());

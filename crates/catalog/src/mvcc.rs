@@ -470,9 +470,12 @@ impl<K: MvccKey + Send + 'static, V: Clone + Send + 'static> MvccStore<K, V> {
 
     /// Advance the transaction-id allocator past `floor` — a rebuilt
     /// catalog calls this with the largest transaction id the durable state
-    /// holds, so later transactions never reuse one (the GC watermark of
-    /// §5.3 is expressed in transaction ids and depends on their
-    /// monotonicity; manifest and data file names carry them).
+    /// holds, so later transactions never reuse the id of a committed one
+    /// (the GC watermark of §5.3 is expressed in transaction ids; manifest
+    /// and data file names carry them). An id only a transaction in flight
+    /// at the crash used is not in the durable state and may be handed out
+    /// again: GC keeps that transaction's blobs until the allocator has
+    /// passed their stamp.
     pub fn advance_txn_ids(&self, floor: TxnId) {
         self.next_txn.fetch_max(floor.0 + 1, Ordering::SeqCst);
     }

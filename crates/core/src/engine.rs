@@ -3,7 +3,7 @@
 
 use crate::recovery::{self, CommitLogWriter, RecoveryReport};
 use crate::schema_json::{schema_from_json, schema_to_json};
-use crate::sto::StoState;
+use crate::sto::{self, StoState};
 use crate::telemetry::EngineTelemetry;
 use crate::{EngineConfig, PolarisError, PolarisResult, Session, Transaction};
 use parking_lot::{Mutex, RwLock};
@@ -537,23 +537,24 @@ impl PolarisEngine {
         Ok(engine)
     }
 
-    /// Drop a table (auto-commit DDL). Its files stay in the lake: GC lists
-    /// only the data roots of live tables, so a dropped table's root is
-    /// swept again only while a clone still shares it.
+    /// Drop a table (auto-commit DDL). Its blobs, Delta log included, go to
+    /// GC ([`sto::garbage_collect`]): they count as removed at the drop, so
+    /// they stay while retention or a reader that began before the drop
+    /// needs them, and while a zero-copy clone still names them.
     pub fn drop_table(&self, name: &str) -> PolarisResult<TableId> {
         let mut txn = self.catalog.begin(IsolationLevel::default());
-        let id = match self.catalog.drop_table(&mut txn, name) {
-            Ok(id) => id,
+        let meta = match self.catalog.drop_table(&mut txn, name) {
+            Ok(meta) => meta,
             Err(e) => {
                 self.catalog.abort(&mut txn);
                 return Err(e.into());
             }
         };
-        self.catalog.commit(&mut txn)?;
+        sto::commit_drop(self, &mut txn, &meta)?;
         self.maybe_checkpoint_commit_log();
-        self.caches.write().remove(&id);
-        self.schemas.write().remove(&id);
-        Ok(id)
+        self.caches.write().remove(&meta.id);
+        self.schemas.write().remove(&meta.id);
+        Ok(meta.id)
     }
 
     /// The parsed schema of the table `meta` describes.

@@ -23,8 +23,7 @@
 //! * [`recovery`] — the durable commit log: sequencer batches framed into
 //!   block-blob WAL segments before they publish, periodic catalog
 //!   checkpoints, and the [`PolarisEngine::open`] replay that rebuilds
-//!   the FE after a crash (torn-tail rule, dense-clock invariant, orphan
-//!   sweep).
+//!   the FE after a crash (torn-tail rule, dense-clock invariant).
 //! * [`lineage`] — Query As Of, zero-copy Clone As Of, and point-in-time
 //!   Restore (§6).
 

@@ -54,9 +54,9 @@
 //!   fold at exactly the image's `clock + 1`; one further ahead means
 //!   acknowledged history is missing below it, and recovery fails with
 //!   [`polaris_catalog::CatalogError::ReplayGap`] rather than open a
-//!   shorter catalog. Staged manifests no `Manifests` row of the image
-//!   references are swept before the import — safe exactly here, where no
-//!   transaction is in flight ([`polaris_lst::collect_orphan_manifests`]).
+//!   shorter catalog. Recovery reads only `sys/`: a manifest a transaction
+//!   uploaded and never committed is an unreferenced blob like any aborted
+//!   data file, and [`crate::sto::garbage_collect`] reclaims it.
 //!
 //! Why the import runs hook-less: it commits rows the log already holds,
 //! and a live hook would log them again into a segment *named by the
@@ -74,7 +74,7 @@ use polaris_catalog::{
 };
 use polaris_obs::RecoveryMeter;
 use polaris_store::{BlobPath, BlockId, Bytes, ObjectStore, Stamp, StoreError, StoreResult};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -496,20 +496,24 @@ pub struct RecoveryReport {
     pub torn_records: u64,
     /// Stale segments beyond a tear that were dropped.
     pub segments_dropped: u64,
-    /// Orphaned staged transaction manifests swept.
-    pub orphans_collected: u64,
     /// Commit clock after recovery — the replayed watermark.
     pub recovered_clock: u64,
+    /// Time spent listing, reading and folding the checkpoint blob.
+    pub checkpoint_fold_ns: u64,
+    /// Time spent listing, reading and folding the log tail.
+    pub log_fold_ns: u64,
+    /// Time spent importing the image and advancing the id allocators.
+    pub import_ns: u64,
     /// Wall time of the whole recovery.
     pub wall_ns: u64,
 }
 
 /// Rebuild `catalog` from the durable state under the writer's store:
 /// newest checkpoint blob with an intact base and the log tail above its
-/// last intact frame folded into one image and imported, then the orphan
-/// sweep — and remember the blobs found, so that generations never have to
-/// list them. Must run before the commit-log hook is installed and before
-/// any traffic (see the module docs for why).
+/// last intact frame folded into one image and imported — and remember the
+/// blobs found, so that generations never have to list them. Reads nothing
+/// outside `sys/`. Must run before the commit-log hook is installed and
+/// before any traffic (see the module docs for why).
 pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<RecoveryReport> {
     let t0 = Instant::now();
     let _alloc = polaris_obs::PhaseScope::enter(polaris_obs::Phase::Replay);
@@ -531,6 +535,8 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         }
     }
     report.checkpoint_clock = image.clock;
+    let folded_at = Instant::now();
+    report.checkpoint_fold_ns = (folded_at - t0).as_nanos() as u64;
 
     // 2. Fold the log above the checkpoint into the image, oldest segment
     //    first (zero-padded names list in timestamp order), up to the
@@ -596,29 +602,10 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         }
     }
 
-    // 3. Orphan sweep: with nothing in flight, a `_log` manifest no
-    //    `Manifests` row of the image references can only belong to a
-    //    transaction that died before commit. Referenced sets are gathered
-    //    per data root because clones share their source's root.
-    let mut roots: BTreeMap<&str, HashSet<String>> = BTreeMap::new();
-    for (key, value) in &image.rows {
-        let (CatalogKey::Table(id) | CatalogKey::Manifest(id, _)) = key else {
-            continue;
-        };
-        if let Some(CatalogValue::Meta(meta)) = image.rows.get(&CatalogKey::Table(*id)) {
-            let referenced = roots.entry(&meta.data_root).or_default();
-            if let CatalogValue::ManifestRow(row) = value {
-                referenced.insert(row.manifest_file.clone());
-            }
-        }
-    }
-    for (root, referenced) in roots {
-        let swept = polaris_lst::collect_orphan_manifests(store.as_ref(), root, &referenced)?;
-        report.orphans_collected += swept.len() as u64;
-        meter.orphans_collected.add(swept.len() as u64);
-    }
+    let replayed_at = Instant::now();
+    report.log_fold_ns = (replayed_at - folded_at).as_nanos() as u64;
 
-    // 4. One import, which also moves the clock and the id allocators past
+    // 3. One import, which also moves the clock and the id allocators past
     //    everything the image holds; then past what only the log named.
     report.recovered_clock = image.clock;
     // A fresh store has nothing to import, and the import's transaction
@@ -627,8 +614,9 @@ pub fn recover(writer: &CommitLogWriter, catalog: &Catalog) -> PolarisResult<Rec
         catalog.import_owned(image)?;
     }
     catalog.advance_ids(TableId(table_floor), TxnId(txn_floor));
+    report.import_ns = replayed_at.elapsed().as_nanos() as u64;
 
-    // 5. What the writer carries on from: the surviving segments, the
+    // 4. What the writer carries on from: the surviving segments, the
     //    blobs its first base will supersede, and the two clocks.
     {
         let mut state = writer.state.lock();

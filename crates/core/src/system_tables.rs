@@ -350,8 +350,9 @@ fn lanes_rows(engine: &PolarisEngine) -> Rows {
 
 /// `polaris.wal` — one row summarizing the durable commit log:
 /// segment/append/checkpoint counters from the `wal.*` / `recovery.*`
-/// registry names plus the last recovery's replay watermark. All zeros
-/// (with `enabled = false`) when durability is off.
+/// registry names plus the last recovery's replay watermark and the time of
+/// each of its steps. All zeros (with `enabled = false`) when durability is
+/// off.
 const WAL: Columns = &[
     ("enabled", Bool),
     ("segments", Int64),
@@ -362,9 +363,12 @@ const WAL: Columns = &[
     ("replayed_batches", Int64),
     ("replayed_commits", Int64),
     ("torn_records", Int64),
-    ("orphans_collected", Int64),
     ("checkpoint_clock", Int64),
     ("replay_watermark", Int64),
+    ("checkpoint_fold_ns", Int64),
+    ("log_fold_ns", Int64),
+    ("import_ns", Int64),
+    ("recovery_ns", Int64),
 ];
 
 fn wal_rows(engine: &PolarisEngine) -> Rows {
@@ -383,9 +387,12 @@ fn wal_rows(engine: &PolarisEngine) -> Rows {
         c(|m| &m.replayed_batches),
         c(|m| &m.replayed_commits),
         c(|m| &m.torn_records),
-        c(|m| &m.orphans_collected),
         int(report.checkpoint_clock),
         int(report.recovered_clock),
+        int(report.checkpoint_fold_ns),
+        int(report.log_fold_ns),
+        int(report.import_ns),
+        int(report.wall_ns),
     ]]
 }
 

@@ -273,7 +273,7 @@ pub const HEALTH_QUERIES: &[(&str, &str)] = &[
     (
         "wal",
         "SELECT enabled, segments, appends, checkpoints, replayed_commits, torn_records, \
-         orphans_collected, checkpoint_clock, replay_watermark FROM polaris.wal",
+         checkpoint_clock, replay_watermark FROM polaris.wal",
     ),
     (
         "events",

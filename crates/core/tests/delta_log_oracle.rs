@@ -281,3 +281,35 @@ fn a_foreign_reader_folds_the_log_to_the_engines_snapshots() {
         .count();
     assert!(replaced_dvs > 0, "the history replaces a delete vector");
 }
+
+/// A table re-created under a dropped table's name starts a log of its own:
+/// its first publish finds the dropped table's versions and deletes them
+/// instead of continuing them, so the fold counts the new table's rows
+/// only.
+#[test]
+fn a_re_created_table_does_not_continue_its_predecessor_s_log() {
+    let store = Arc::new(MemoryStore::new());
+    let engine = open(&store);
+    run(
+        &engine,
+        &[
+            "CREATE TABLE t (k BIGINT, v BIGINT)",
+            "INSERT INTO t VALUES (1, 1)",
+            "INSERT INTO t VALUES (2, 2)",
+        ],
+    );
+    assert_eq!(sto::publish_table(&engine, "t").unwrap(), 2);
+    engine.drop_table("t").unwrap();
+    run(
+        &engine,
+        &[
+            "CREATE TABLE t (k BIGINT, v BIGINT)",
+            "INSERT INTO t VALUES (3, 3)",
+        ],
+    );
+    assert_eq!(sto::publish_table(&engine, "t").unwrap(), 1);
+    assert_eq!(check_log(&engine, "t", "lake/t"), 1, "t's versions");
+    let (_, files) = read_log(&**engine.store(), "lake/t").pop().unwrap();
+    let rows: u64 = files.values().map(|(rows, _)| rows).sum();
+    assert_eq!(rows, 1);
+}

@@ -57,6 +57,37 @@ fn count(engine: &Arc<PolarisEngine>, table: &str) -> i64 {
     }
 }
 
+/// `_log/txn-*` manifest blobs under `lake/` that no `Manifests` row of
+/// the engine's catalog names.
+fn unreferenced_manifests(engine: &Arc<PolarisEngine>) -> Vec<String> {
+    let referenced: HashSet<String> = engine
+        .catalog()
+        .export()
+        .unwrap()
+        .rows
+        .into_values()
+        .filter_map(|value| match value {
+            CatalogValue::ManifestRow(row) => Some(row.manifest_file),
+            _ => None,
+        })
+        .collect();
+    let lake = engine.store().list("lake/").unwrap();
+    (lake.into_iter().map(|meta| meta.path.to_string()))
+        .filter(|path| path.contains("/_log/txn-") && !referenced.contains(path))
+        .collect()
+}
+
+/// Begin and end transactions until `engine` hands out ids from `next_txn`
+/// on — the id a dead engine would have handed out next, which a restart
+/// may hand out again — then sweep: only now may GC judge what that engine
+/// stamped.
+fn gc_past(engine: &Arc<PolarisEngine>, next_txn: u64) -> sto::GcReport {
+    while engine.catalog().min_active_txn_id().0 < next_txn {
+        engine.begin().rollback();
+    }
+    sto::garbage_collect(engine).unwrap()
+}
+
 #[test]
 fn kill_and_reopen_recovers_every_acknowledged_commit() {
     let store = Arc::new(MemoryStore::new());
@@ -299,14 +330,15 @@ fn frozen_crash_mid_wal_append_aborts_and_leaves_no_trace() {
     // before the commit-block-list publishes it.
     let chaos = Arc::new(SimStore::new(Arc::clone(&inner), LatencyModel::ZERO));
     chaos.arm("commit_block_list", "sys/wal/", 1);
-    {
+    let next_txn = {
         let dyn_store: Arc<dyn ObjectStore> = Arc::clone(&chaos) as Arc<dyn ObjectStore>;
         let engine = PolarisEngine::open(dyn_store, pool(), durable_config()).unwrap();
         let mut s = engine.session();
         let err = s.execute("INSERT INTO t VALUES (2)");
         assert!(err.is_err(), "commit must not be acknowledged: {err:?}");
         assert!(chaos.killed());
-    }
+        engine.catalog().min_active_txn_id().0
+    };
     // Process #3 reopens over the same durable state.
     let engine = open(&inner, durable_config());
     let report = engine.recovery_report().unwrap();
@@ -317,30 +349,14 @@ fn frozen_crash_mid_wal_append_aborts_and_leaves_no_trace() {
     );
     assert_eq!(count(&engine, "t"), 1, "aborted insert left no rows");
     assert_eq!(report.torn_records, 0, "staged-only block never surfaced");
-    // Zero orphaned manifests: the dying process uploaded its manifest
-    // but could not clean up after the abort; recovery swept it. Every
-    // `_log` blob left is referenced by a `Manifests` row.
-    assert!(report.orphans_collected >= 1, "sweep ran: {report:?}");
-    let referenced: std::collections::HashSet<String> = engine
-        .catalog()
-        .export()
-        .unwrap()
-        .rows
-        .into_values()
-        .filter_map(|value| match value {
-            CatalogValue::ManifestRow(row) => Some(row.manifest_file),
-            _ => None,
-        })
-        .collect();
-    for meta in inner.list("lake/").unwrap() {
-        let path = meta.path.as_str();
-        if path.contains("/_log/txn-") {
-            assert!(
-                referenced.contains(path),
-                "orphaned manifest survived recovery: {path}"
-            );
-        }
-    }
+    // Zero orphaned manifests once GC may judge them: the dying process
+    // uploaded its manifest but could not clean up after the abort, and
+    // recovery lists nothing under `lake/`, so the orphan is there until
+    // the first sweep past its transaction id.
+    assert_eq!(unreferenced_manifests(&engine).len(), 1);
+    assert!(gc_past(&engine, next_txn).deleted >= 1);
+    assert_eq!(unreferenced_manifests(&engine), Vec::<String>::new());
+    assert_eq!(count(&engine, "t"), 1);
 }
 
 #[test]
@@ -408,6 +424,47 @@ fn show_engine_health_wal_line_has_the_replayed_watermark() {
     );
 }
 
+/// Each remaining step of recovery — checkpoint fold, log fold, import —
+/// is timed, in the report and in `polaris.wal`, and the steps fit inside
+/// the wall time of the whole.
+#[test]
+fn recovery_steps_are_timed_within_its_wall_time() {
+    let store = Arc::new(MemoryStore::new());
+    let config = EngineConfig {
+        log_checkpoint_every: 4,
+        ..durable_config()
+    };
+    {
+        let engine = open(&store, config);
+        let mut s = engine.session();
+        s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        for i in 0..10 {
+            s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+    }
+    let engine = open(&store, config);
+    let report = engine.recovery_report().unwrap();
+    assert!(
+        report.checkpoint_clock > 0 && report.replayed_commits > 0,
+        "{report:?}"
+    );
+    let steps = [
+        report.checkpoint_fold_ns,
+        report.log_fold_ns,
+        report.import_ns,
+    ];
+    assert!(steps.iter().all(|ns| *ns > 0), "{report:?}");
+    assert!(steps.iter().sum::<u64>() <= report.wall_ns, "{report:?}");
+    let wal = engine
+        .session()
+        .query("SELECT checkpoint_fold_ns, log_fold_ns, import_ns, recovery_ns FROM polaris.wal")
+        .unwrap();
+    let shown: Vec<Value> = wal.row(0);
+    let ns = |v: u64| Value::Int(v as i64);
+    let [a, b, c] = steps.map(ns);
+    assert_eq!(shown, vec![a, b, c, ns(report.wall_ns)]);
+}
+
 #[test]
 fn garbage_in_checkpoint_falls_back_to_older_generation() {
     let store = Arc::new(MemoryStore::new());
@@ -446,33 +503,58 @@ fn garbage_in_checkpoint_falls_back_to_older_generation() {
     assert!(report.checkpoint_clock > 0);
 }
 
-/// The writer and the sweep share one name: a manifest the engine wrote is
-/// left alone while a `Manifests` row references it, and is a sweep
-/// candidate once none does.
+/// A process that dies between uploading a commit's manifest and
+/// committing it leaves the manifest named by no `Manifests` row of the
+/// catalog the restart rebuilds — from the log, or with the commit log off
+/// from the last catalog backup, which the in-memory commit never reached.
+/// The restart leaves it alone; the first GC sweep past the dead process's
+/// transaction ids reclaims it, and keeps every manifest a row names.
 #[test]
-fn a_manifest_the_engine_wrote_is_an_orphan_once_unreferenced() {
-    let store = Arc::new(MemoryStore::new());
-    let engine = open(&store, durable_config());
-    let mut s = engine.session();
-    s.execute("CREATE TABLE t (id BIGINT)").unwrap();
-    s.execute("INSERT INTO t VALUES (1)").unwrap();
-    let catalog = engine.catalog();
-    let mut txn = catalog.begin(polaris_catalog::IsolationLevel::Snapshot);
-    let meta = catalog.table_by_name(&mut txn, "t").unwrap();
-    let written: Vec<String> = catalog
-        .visible_manifests(&mut txn, meta.id)
-        .unwrap()
-        .into_iter()
-        .map(|(_, row)| row.manifest_file)
-        .collect();
-    catalog.abort(&mut txn);
-    assert_eq!(written.len(), 1);
-    let referenced: HashSet<String> = written.iter().cloned().collect();
-    let sweep = |referenced: &HashSet<String>| {
-        polaris_lst::find_orphan_manifests(&*store, &meta.data_root, referenced).unwrap()
-    };
-    assert_eq!(sweep(&referenced), Vec::<String>::new());
-    assert_eq!(sweep(&HashSet::new()), written);
+fn an_orphan_manifest_goes_with_the_first_sweep_past_its_transaction() {
+    const BACKUP: &str = "system/backup.ckpt";
+    for durable in [false, true] {
+        let inner = Arc::new(MemoryStore::new());
+        let chaos = Arc::new(SimStore::new(Arc::clone(&inner), LatencyModel::ZERO));
+        let store = Arc::clone(&chaos) as Arc<dyn ObjectStore>;
+        let dying = if durable {
+            PolarisEngine::open(store, pool(), durable_config()).unwrap()
+        } else {
+            PolarisEngine::new(store, pool(), EngineConfig::for_testing())
+        };
+        let mut s = dying.session();
+        s.execute("CREATE TABLE t (id BIGINT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1)").unwrap();
+        if !durable {
+            dying.backup_catalog(BACKUP).unwrap();
+        }
+        // Die in the sequencer: the manifest is uploaded, the log append
+        // (if any) and every cleanup fail.
+        let switch = chaos.kill_switch();
+        dying
+            .catalog()
+            .set_commit_probe(Some(Arc::new(move |point: &str| {
+                if point == "commit.sequencer" {
+                    switch.store(true, Ordering::SeqCst);
+                }
+            })));
+        let _ = s.execute("INSERT INTO t VALUES (2)");
+        assert!(chaos.killed());
+        let next_txn = dying.catalog().min_active_txn_id().0;
+        drop((s, dying));
+
+        let engine = if durable {
+            open(&inner, durable_config())
+        } else {
+            let store = Arc::new(Arc::clone(&inner)) as Arc<dyn ObjectStore>;
+            PolarisEngine::restore(store, pool(), EngineConfig::for_testing(), BACKUP).unwrap()
+        };
+        let orphans = unreferenced_manifests(&engine);
+        assert_eq!(orphans.len(), 1, "durable={durable}: {orphans:?}");
+        let gc = gc_past(&engine, next_txn);
+        assert!(gc.deleted >= 1, "durable={durable}: {gc:?}");
+        assert_eq!(unreferenced_manifests(&engine), Vec::<String>::new());
+        assert_eq!(count(&engine, "t"), 1, "durable={durable}");
+    }
 }
 
 #[test]

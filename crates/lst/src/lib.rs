@@ -28,9 +28,6 @@
 //! * [`Checkpoint`] — compacted full-state file (§5.2).
 //! * [`SnapshotCache`] — incremental snapshot reconstruction cache (§3.2.1).
 //! * [`publish`] — async "lake" snapshot export in the Delta format (§5.4).
-//! * [`orphan`] — recovery-time sweep of transaction manifests left behind
-//!   by crashed commits (uploaded but never referenced by a `Manifests`
-//!   row).
 
 mod action;
 mod cache;
@@ -38,7 +35,6 @@ mod checkpoint;
 mod delta;
 mod error;
 mod manifest;
-pub mod orphan;
 pub mod publish;
 mod snapshot;
 
@@ -50,25 +46,16 @@ pub use checkpoint::Checkpoint;
 pub use delta::TxnDelta;
 pub use error::{LstError, LstResult};
 pub use manifest::Manifest;
-pub use orphan::{collect_orphan_manifests, find_orphan_manifests};
 pub use snapshot::{DataFileState, TableSnapshot};
-
-/// File-name prefix of a transaction manifest under `{data_root}/_log/`.
-pub const MANIFEST_PREFIX: &str = "txn-";
-/// File-name suffix of a transaction manifest: the writer names its blob
-/// with it and the recovery sweep ([`orphan`]) recognises blobs by it.
-pub const MANIFEST_SUFFIX: &str = ".mf";
-/// File-name suffix of an lst checkpoint under `{data_root}/_ckpt/`.
-pub const CHECKPOINT_SUFFIX: &str = ".ckpt";
 
 /// Blob path of transaction `txn`'s manifest for table `table`.
 pub fn manifest_path(data_root: &str, txn: u64, table: u64) -> String {
-    format!("{data_root}/_log/{MANIFEST_PREFIX}{txn}-{table}{MANIFEST_SUFFIX}")
+    format!("{data_root}/_log/txn-{txn}-{table}.mf")
 }
 
 /// Blob path of the lst checkpoint covering a table through `upto`.
 pub fn checkpoint_path(data_root: &str, upto: SequenceId) -> String {
-    format!("{data_root}/_ckpt/{:020}{CHECKPOINT_SUFFIX}", upto.0)
+    format!("{data_root}/_ckpt/{:020}.ckpt", upto.0)
 }
 
 /// Monotone commit sequence number of a table's manifest chain.

@@ -12,6 +12,8 @@
 //! added and compacted away in between never appears. A checkpoint
 //! `<to>.checkpoint.json` lists every live file at a published version. A
 //! reader folds the versions in name order from the newest checkpoint.
+//! Every version's `commitInfo` names the table that wrote it, so a table
+//! re-created under a dropped table's name never continues that log.
 
 use crate::{LstResult, ManifestAction, SequenceId, TableSnapshot};
 use polaris_store::{BlobPath, ObjectStore, Stamp};
@@ -20,11 +22,12 @@ use serde_json::json;
 /// Publish the change from `last` (the snapshot the newest version holds;
 /// empty before the first) to `current` as Delta version
 /// `<table_root>/_delta_log/<%020d>.json`, named after `current`'s
-/// sequence: a `commitInfo` line, then one Delta `add`/`remove` line per
-/// action. Returns the blob path written.
+/// sequence: a `commitInfo` line naming table `table_id`, then one Delta
+/// `add`/`remove` line per action. Returns the blob path written.
 pub fn publish_version(
     store: &dyn ObjectStore,
     table_root: &str,
+    table_id: u64,
     last: &TableSnapshot,
     current: &TableSnapshot,
 ) -> LstResult<BlobPath> {
@@ -35,6 +38,7 @@ pub fn publish_version(
             "commitInfo": {
                 "operation": "POLARIS_COMMIT",
                 "polarisSequence": current.upto().0,
+                "polarisTableId": table_id,
                 "engineInfo": "polaris-tx",
             }
         })
@@ -68,18 +72,40 @@ pub fn publish_snapshot_as_delta(
     )
 }
 
-/// The sequence of the newest version under `<table_root>/_delta_log/`
-/// (0 when there is none): where the next publish continues from. The log
-/// holds one version per publish, so this lists O(publishes) names.
-pub fn published_upto(store: &dyn ObjectStore, table_root: &str) -> LstResult<SequenceId> {
+/// Where table `table_id`'s next publish continues from: the sequence of
+/// the newest version under `<table_root>/_delta_log/`, 0 when there is
+/// none. A log whose newest version another table wrote — a dropped
+/// table's, under a name since re-created — is not the table's to
+/// continue: it is deleted (the newest version last, so a crash part-way
+/// leaves a log this call still refuses), and the table's own starts at 0.
+pub fn resume_log(
+    store: &dyn ObjectStore,
+    table_root: &str,
+    table_id: u64,
+) -> LstResult<SequenceId> {
     let listed = store.list(&format!("{table_root}/_delta_log/"))?;
     let newest = listed
         .iter()
-        .filter_map(|blob| blob.path.file_name().strip_suffix(".json"))
+        .filter_map(|blob| Some((blob.path.file_name().strip_suffix(".json")?, &blob.path)))
         // A checkpoint's stem, `<seq>.checkpoint`, is not a number.
-        .filter_map(|stem| stem.parse::<u64>().ok())
-        .max();
-    Ok(SequenceId(newest.unwrap_or(0)))
+        .filter_map(|(stem, path)| Some((stem.parse::<u64>().ok()?, path)))
+        .max_by_key(|(upto, _)| *upto);
+    let Some((upto, path)) = newest else {
+        return Ok(SequenceId(0));
+    };
+    let raw = store.get(path)?;
+    let first = raw.split(|b| *b == b'\n').next().unwrap_or_default();
+    let owner = serde_json::from_slice::<serde_json::Value>(first)
+        .ok()
+        .and_then(|line| line["commitInfo"]["polarisTableId"].as_u64());
+    if owner == Some(table_id) {
+        return Ok(SequenceId(upto));
+    }
+    for blob in listed.iter().filter(|blob| blob.path != *path) {
+        store.delete(&blob.path)?;
+    }
+    store.delete(path)?;
+    Ok(SequenceId(0))
 }
 
 /// Write `lines` as `<table_root>/_delta_log/<%020d>.<suffix>`: zero-padded,
@@ -173,9 +199,9 @@ mod tests {
     fn a_version_holds_the_net_change_since_the_last() {
         let store = MemoryStore::new();
         let (first, second) = chain();
-        let path = publish_version(&store, "lake/t", &TableSnapshot::empty(), &first).unwrap();
+        let path = publish_version(&store, "lake/t", 1, &TableSnapshot::empty(), &first).unwrap();
         assert_eq!(path.as_str(), "lake/t/_delta_log/00000000000000000003.json");
-        let path = publish_version(&store, "lake/t", &first, &second).unwrap();
+        let path = publish_version(&store, "lake/t", 1, &first, &second).unwrap();
         assert_eq!(path.as_str(), "lake/t/_delta_log/00000000000000000007.json");
         let lines = lines(&store, &path);
         assert_eq!(lines.len(), 3, "{lines:?}");
@@ -186,7 +212,7 @@ mod tests {
         assert_eq!(lines[2]["add"]["stats"]["numRecords"], 1);
         // f1 was added and compacted away between the two versions.
         assert!(!lines.iter().any(|l| l.to_string().contains("f1.pcf")));
-        assert_eq!(published_upto(&store, "lake/t").unwrap(), SequenceId(7));
+        assert_eq!(resume_log(&store, "lake/t", 1).unwrap(), SequenceId(7));
     }
 
     #[test]
@@ -204,30 +230,41 @@ mod tests {
     #[test]
     fn the_watermark_is_the_newest_version_name() {
         let store = MemoryStore::new();
-        assert_eq!(published_upto(&store, "lake/t").unwrap(), SequenceId(0));
+        assert_eq!(resume_log(&store, "lake/t", 1).unwrap(), SequenceId(0));
         let mut last = TableSnapshot::empty();
         for seq in [1u64, 2, 10, 100] {
             let mut next = last.clone();
             let add = ManifestAction::add_file(format!("lake/t/data/f{seq}.pcf"), 1, 8, 0);
             next.apply_manifest(SequenceId(seq), &Manifest::from_actions(vec![add]))
                 .unwrap();
-            publish_version(&store, "lake/t", &last, &next).unwrap();
+            publish_version(&store, "lake/t", 1, &last, &next).unwrap();
             last = next;
         }
         // A checkpoint is not a version, and another table's log is not this
         // table's.
         publish_snapshot_as_delta(&store, "lake/t", &last).unwrap();
-        publish_version(&store, "lake/t2", &TableSnapshot::empty(), &{
+        publish_version(&store, "lake/t2", 2, &TableSnapshot::empty(), &{
             let mut far = last.clone();
             far.set_upto(SequenceId(500));
             far
         })
         .unwrap();
-        assert_eq!(published_upto(&store, "lake/t").unwrap(), SequenceId(100));
+        assert_eq!(resume_log(&store, "lake/t", 1).unwrap(), SequenceId(100));
         let listed = store.list("lake/t/_delta_log/").unwrap();
         let names: Vec<&str> = listed.iter().map(|m| m.path.file_name()).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted, "zero-padded names must sort in commit order");
+    }
+
+    #[test]
+    fn a_log_another_table_wrote_is_deleted_not_continued() {
+        let store = MemoryStore::new();
+        let (first, second) = chain();
+        publish_version(&store, "lake/t", 1, &TableSnapshot::empty(), &first).unwrap();
+        publish_version(&store, "lake/t", 1, &first, &second).unwrap();
+        publish_snapshot_as_delta(&store, "lake/t", &second).unwrap();
+        assert_eq!(resume_log(&store, "lake/t", 2).unwrap(), SequenceId(0));
+        assert!(store.list("lake/t/_delta_log/").unwrap().is_empty());
     }
 }

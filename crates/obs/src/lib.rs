@@ -608,8 +608,8 @@ impl CatalogMeter {
 }
 
 /// Counters and timers the durability layer records into: commit-log
-/// appends on the write side, checkpoint/replay/orphan work on the
-/// recovery side. `Default` gives free-standing handles;
+/// appends on the write side, checkpoint and replay work on the recovery
+/// side. `Default` gives free-standing handles;
 /// [`RecoveryMeter::from_registry`] binds the canonical `recovery.*` and
 /// `wal.*` names so they surface in `/metrics` and `polaris.wal`.
 #[derive(Clone, Debug, Default)]
@@ -634,9 +634,7 @@ pub struct RecoveryMeter {
     pub replayed_commits: Counter,
     /// Torn tail records discarded by the torn-tail rule.
     pub torn_records: Counter,
-    /// Orphaned staged manifests deleted by the recovery sweep.
-    pub orphans_collected: Counter,
-    /// Wall time of each full recovery (checkpoint + replay + sweep).
+    /// Wall time of each full recovery (checkpoint + replay + import).
     pub recovery_ns: Histogram,
     /// Trace handle; recovery opens `recovery.*` spans on it.
     pub tracer: Tracer,
@@ -656,7 +654,6 @@ impl RecoveryMeter {
             replayed_batches: registry.counter("recovery.replayed_batches"),
             replayed_commits: registry.counter("recovery.replayed_commits"),
             torn_records: registry.counter("recovery.torn_records"),
-            orphans_collected: registry.counter("recovery.orphans_collected"),
             recovery_ns: registry.histogram("recovery.wall_ns"),
             tracer: Tracer::default(),
         }

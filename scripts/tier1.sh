@@ -19,14 +19,17 @@ cargo test --release -q -p polaris-exec --test morsel_oracle
 # The key kernel ships optimized, so its wrapping hash arithmetic is tested optimized.
 cargo test --release -q -p polaris-exec --test operator_oracles
 # STO smoke, optimized as it ships: the GC equivalence oracle (incremental
-# sweep == from-scratch fold, blob for blob, across clones, drops and
-# reopens) is all that stands between a stale fate cache and a deleted live
-# file, and the tick-cost test counts reads instead of timing them. The
+# sweep == from-scratch fold, blob for blob, across clones, drops,
+# re-creates and reopens) is all that stands between a stale fate cache and
+# a deleted live file — GC is the lake's only sweeper, dropped tables and
+# orphan manifests included — and the tick-cost and open-cost tests count
+# requests instead of timing them (`open` reads `sys/` only, as many
+# requests after 4096 commits as after 1024). The
 # published Delta log is one version per table per tick: a reader that
 # parses it with serde_json alone must fold every version to the engine's
 # own snapshot AS OF it (across compaction, delete vectors, a clone and a
 # reopen), and the lst crate's tests pin the snapshot diff each version is.
-cargo test --release -q -p polaris-core --test gc_safety --test sto_cost --test delta_log_oracle
+cargo test --release -q -p polaris-core --test gc_safety --test sto_cost --test delta_log_oracle --test open_cost
 cargo test --release -q -p polaris-lst
 # Durability smoke, optimized as it ships: the catalog image is its own
 # rows, and a checkpoint frame and a log record fold into it alike — the
@@ -158,6 +161,7 @@ cargo test --release -q -p polaris-obs --features track-alloc
 # deterministic kill matrix — every kill site (manifest staging/upload, WAL
 # stage/publish, commit probes, checkpoint stage/publish) × two fixed seeds,
 # asserting committed-stays-committed, aborted-leaves-no-trace, dense clock,
-# zero orphans, and double-reopen idempotence. Randomized soaking is
+# zero orphans after the first GC past the dead process's transaction ids,
+# and double-reopen idempotence. Randomized soaking is
 # scripts/chaos.sh, not a CI gate.
 cargo test --release -q --test kill_matrix | tail -n 1

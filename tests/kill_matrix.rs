@@ -17,8 +17,10 @@
 //! * **dense clock** — replay never hits a gap (`torn_records` stays 0
 //!   except at a genuine tear) and a reopened engine commits at
 //!   `clock + 1`;
-//! * **zero orphaned staged manifests** — after recovery every
-//!   `_log/txn-*` manifest blob is referenced by a `Manifests` row;
+//! * **zero orphaned staged manifests** — once the reopened engine's
+//!   transaction ids have passed every id the dying one handed out, one GC
+//!   sweep leaves only `_log/txn-*` manifest blobs a `Manifests` row
+//!   references (recovery itself lists nothing under `lake/`);
 //! * **double-reopen idempotence** — two recoveries over the same store
 //!   export byte-identical catalog images.
 //!
@@ -34,7 +36,7 @@
 //! `--seed S` pins the base seed (`scripts/chaos.sh`).
 
 use polaris::catalog::CatalogValue;
-use polaris::core::{EngineConfig, PolarisEngine, Value};
+use polaris::core::{sto, EngineConfig, PolarisEngine, Value};
 use polaris::dcp::{ComputePool, WorkloadClass};
 use polaris::store::{LatencyModel, MemoryStore, ObjectStore, SimStore};
 use std::collections::HashSet;
@@ -202,6 +204,9 @@ struct Outcome {
     kill_fired: bool,
     acked_after_arm: Vec<i64>,
     refused: Vec<i64>,
+    /// The dying engine's next transaction id: every blob it stamped is
+    /// stamped below it.
+    next_txn: u64,
 }
 
 /// One killed lifetime: arm the site, run inserts until the store dies
@@ -236,6 +241,7 @@ fn run_lifetime(
         kill_fired: false,
         acked_after_arm: Vec::new(),
         refused: Vec::new(),
+        next_txn: 0,
     };
     let mut s = engine.session();
     for _ in 0..16 {
@@ -260,6 +266,8 @@ fn run_lifetime(
             break;
         }
     }
+    // Nothing is in flight, so this is the id the next `begin` would take.
+    out.next_txn = engine.catalog().min_active_txn_id().0;
     out
 }
 
@@ -325,7 +333,14 @@ fn run_scenario(label: &str, site: &KillSite, durable_after: bool, seed: u64) ->
         clock_before + 1,
         "[{label}] post-recovery commit must consume exactly one timestamp"
     );
-    // 4. Zero orphaned staged manifests.
+    // 4. Zero orphaned staged manifests, once GC may judge them: recovery
+    //    moves the id allocator past the logged ids only, so the dying
+    //    transaction's id can be handed out again, and its orphan is
+    //    reclaimed once the allocator has passed it.
+    while engine.catalog().min_active_txn_id().0 < outcome.next_txn {
+        s.query("SELECT COUNT(*) AS n FROM chaos_t").unwrap();
+    }
+    let gc = sto::garbage_collect(&engine).unwrap();
     let referenced: HashSet<String> = engine
         .catalog()
         .export()
@@ -342,7 +357,7 @@ fn run_scenario(label: &str, site: &KillSite, durable_after: bool, seed: u64) ->
         if path.contains("/_log/txn-") {
             assert!(
                 referenced.contains(&path),
-                "[{label}] orphaned staged manifest after recovery: {path}"
+                "[{label}] orphaned staged manifest after recovery and GC: {path}"
             );
         }
     }
@@ -354,13 +369,13 @@ fn run_scenario(label: &str, site: &KillSite, durable_after: bool, seed: u64) ->
     assert_eq!(export_a, export_b, "[{label}] double reopen diverged");
 
     format!(
-        "[{label}] ok: kill_fired={} acked={} refused={} replayed={} torn={} orphans_swept={}",
+        "[{label}] ok: kill_fired={} acked={} refused={} replayed={} torn={} gc_deleted={}",
         outcome.kill_fired,
         acked.len(),
         outcome.refused.len(),
         report.replayed_commits,
         report.torn_records,
-        report.orphans_collected
+        gc.deleted
     )
 }
 
